@@ -1,0 +1,11 @@
+"""Run with ``python -m pytest perfbench/tests -q`` from the repository
+root (not part of the tier-1 suite: the smoke runs take minutes)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
