@@ -16,7 +16,7 @@ benchmark measures what that costs:
 
 The machine simulation dominates wall time, so the fleet runs here are
 small; sizes and sample counts are deterministic and land in the
-schema-4 "fleet" result block for cross-run comparison.
+"fleet" result block, which ``dcpibench compare`` holds exact.
 """
 
 import os
@@ -24,7 +24,7 @@ import shutil
 import tempfile
 import time
 
-from conftest import clamp_budget, record_fleet, run_once, write_result
+from conftest import clamp_budget, record_block, run_once, write_result
 from repro.fleet import (FleetConfig, FleetSession, FleetStore,
                          RetentionPolicy)
 
@@ -107,7 +107,7 @@ def test_fleet_store_size(benchmark):
     assert (by_label["lossless 4:2:1"]["epochs_on_disk"]
             < by_label["none"]["epochs_on_disk"])
     assert lossy["disk_bytes"] < none["disk_bytes"]
-    record_fleet({
+    record_block("fleet", {
         "machines": MACHINES,
         "epochs": EPOCHS,
         "samples_ingested": none["samples_ingested"],
@@ -163,8 +163,7 @@ def test_fleet_merge_throughput(benchmark):
         % (stats["deltas_applied"], total, cpu_s, sps, dps))
     assert stats["deltas_applied"] == len(deltas)
     assert total == sum(d.total_samples() for d in deltas)
-    record_fleet({
+    record_block("fleet", {
         "merge_deltas": stats["deltas_applied"],
         "merge_samples": total,
-        "merge_samples_per_sec": round(sps, 1),
-    })
+    }, timing={"merge_samples_per_sec": round(sps, 1)})

@@ -14,12 +14,12 @@ leave one kind of cycles on the table:
 Every reported speedup is *realized*: two plain runs to completion,
 architectural identity proven by the oracle, zero new Layer-1
 findings.  The per-pass contribution split (each pass measured in
-isolation) lands with the combined numbers in the schema-6 "opt"
-result block; the simulator is deterministic, so ``dcpibench
-compare`` holds the speedups steady between runs.
+isolation) lands with the combined numbers in the "opt" result
+block; the simulator is deterministic, so ``dcpibench compare``
+holds the speedups exact between runs.
 """
 
-from conftest import clamp_budget, record_opt, run_once, write_result
+from conftest import clamp_budget, record_block, run_once, write_result
 from repro.opt import optimize_workload, pass_contributions
 from repro.workloads import OPT_TARGETS
 
@@ -96,4 +96,4 @@ def test_opt_realized_speedup(benchmark):
     block["speedup_min"] = round(min(speedups.values()), 6)
     block["speedup_mean"] = round(
         sum(speedups.values()) / len(speedups), 6)
-    record_opt(block)
+    record_block("opt", block)

@@ -12,8 +12,9 @@ Besides the historical free-text ``.txt`` renderings, this conftest is
 the machine-readable half of the ``dcpibench`` harness
 (:mod:`repro.tools.benchrunner`): it records every profiling session a
 benchmark runs, captures per-test outcomes and durations, and writes a
-``BENCH_<name>.json`` result per benchmark module at session end (see
-EXPERIMENTS.md for the schema).  Two environment knobs drive it:
+``BENCH_<name>.json`` fact sheet per benchmark module at session end
+(see EXPERIMENTS.md: deterministic facts, plus ``timing`` sub-dicts
+that are never compared).  Two environment knobs drive it:
 
 * ``DCPIBENCH_MAX_INSTRUCTIONS`` -- clamp every explicit instruction
   budget (quick/CI mode); run-to-completion runs are left alone.
@@ -43,29 +44,6 @@ RESULTS_DIR = os.environ.get(
 FAST_PERIOD = (240, 256)
 EVENT_PERIOD = 64
 
-#: Schema version stamped into every BENCH_*.json result.
-#: 2: added the "obs" block (repro.obs derived self-monitoring metrics).
-#: 3: added per-session "cpu_s" and the "instructions_per_sec" metric
-#:    (simulator throughput in instructions per CPU-second; the
-#:    fast-path CI gate compares it), plus the "fastpath" flag
-#:    recording whether the issue cache was on.
-#: 4: added the optional "fleet" block (repro.fleet store metrics --
-#:    ingest/merge throughput, store size under retention policies --
-#:    recorded via record_fleet()).  Purely additive: ``dcpibench
-#:    compare`` accepts baselines exactly one schema version older.
-#: 5: added the optional "ctx" block (repro.ctx request-attribution
-#:    metrics -- per-class sample counts, context-table accounting,
-#:    enable overhead -- recorded via record_ctx()).  Additive again.
-#: 6: added the optional "opt" block (repro.opt profile-guided
-#:    optimizer metrics -- realized speedup per workload with the
-#:    layout/schedule/split contribution split, acceptance flags --
-#:    recorded via record_opt()).  Additive again.
-#: 7: added the optional "resilience" block (fleet resilience metrics
-#:    -- concurrent vs serial ingest throughput, shard lock retries,
-#:    spool/backoff loss accounting under faults -- recorded via
-#:    record_resilience()).  Additive again.
-BENCH_SCHEMA = 7
-
 QUICK = os.environ.get("DCPIBENCH_QUICK") == "1"
 _CLAMP = int(os.environ.get("DCPIBENCH_MAX_INSTRUCTIONS", "0")) or None
 
@@ -76,10 +54,7 @@ _CURRENT = {"nodeid": None}
 _SESSIONS = []
 _REPORTS = {}
 _TEXTS = {}
-_FLEET = {}
-_CTX = {}
-_OPT = {}
-_RESILIENCE = {}
+_BLOCKS = {}
 
 
 def clamp_budget(requested):
@@ -117,60 +92,24 @@ def write_result(name, text):
     return path
 
 
-def record_fleet(metrics):
-    """Merge *metrics* into this module's "fleet" result block.
+def record_block(block, facts, timing=None):
+    """Merge *facts* into this module's *block* of the BENCH_*.json.
 
-    Fleet benchmarks (bench_fleet_store.py) call this with flat
-    numeric facts -- store bytes per retention policy, merge
-    throughput -- which land under the payload's schema-4 "fleet" key.
-    Deterministic counts there are compared between runs by
-    ``dcpibench compare``; timing-derived rates are informational.
+    Facts are deterministic -- simulated counts, byte sizes, seeded
+    fault accounting -- and ``dcpibench compare`` requires every one of
+    them to reproduce exactly between identically-configured runs.
+    Anything derived from the host clock or from OS scheduling goes in
+    *timing*: it lands in the block's "timing" sub-dict, written for
+    humans and never compared (``perfbench`` owns timing regressions).
     """
-    _FLEET.setdefault(_module_stem(_CURRENT["nodeid"]), {}).update(metrics)
+    target = _BLOCKS.setdefault(
+        _module_stem(_CURRENT["nodeid"]), {}).setdefault(block, {})
+    target.update(facts)
+    if timing:
+        target.setdefault("timing", {}).update(timing)
 
 
-def record_ctx(metrics):
-    """Merge *metrics* into this module's "ctx" result block.
-
-    Context benchmarks (bench_ctx_traffic.py) call this with flat
-    numeric facts -- per-class sample counts, context-table interning
-    and eviction totals, the measured enable overhead -- which land
-    under the payload's schema-5 "ctx" key.  Deterministic counts are
-    compared between runs by ``dcpibench compare``; timing-derived
-    overhead percentages are informational.
-    """
-    _CTX.setdefault(_module_stem(_CURRENT["nodeid"]), {}).update(metrics)
-
-
-def record_opt(metrics):
-    """Merge *metrics* into this module's "opt" result block.
-
-    Optimizer benchmarks (bench_opt_speedup.py) call this with flat
-    numeric facts -- per-workload realized speedup, the per-pass
-    contribution split, acceptance flags -- which land under the
-    payload's schema-6 "opt" key.  The simulator is deterministic, so
-    speedups are compared between identically-configured runs by
-    ``dcpibench compare`` (with a small float slack).
-    """
-    _OPT.setdefault(_module_stem(_CURRENT["nodeid"]), {}).update(metrics)
-
-
-def record_resilience(metrics):
-    """Merge *metrics* into this module's "resilience" result block.
-
-    Resilience benchmarks (bench_fleet_resilience.py) call this with
-    flat numeric facts -- serial vs concurrent sharded ingest
-    throughput and speedup, lock retry counts, fault-run loss
-    accounting (spool drops, transit losses, samples conserved) --
-    which land under the payload's schema-7 "resilience" key.
-    Deterministic counts are compared between runs by ``dcpibench
-    compare``; timing-derived throughputs are warn-only.
-    """
-    _RESILIENCE.setdefault(
-        _module_stem(_CURRENT["nodeid"]), {}).update(metrics)
-
-
-def _record_session(kind, workload, mode, seed, result, cpu_s=None):
+def _record_session(kind, workload, mode, seed, result, cpu_s):
     record = {
         "test": _CURRENT["nodeid"],
         "kind": kind,
@@ -180,10 +119,8 @@ def _record_session(kind, workload, mode, seed, result, cpu_s=None):
         "instructions": result.instructions,
         "cycles": result.cycles,
         # CPU seconds, not wall: parallel bench workers contend for
-        # cores, and wall-clock throughput flaps 15%+ between
-        # identical runs -- process time is what the regression gate
-        # can hold steady.
-        "cpu_s": round(cpu_s, 6) if cpu_s is not None else None,
+        # cores.  Feeds the payload's "timing" only.
+        "cpu_s": cpu_s,
     }
     if kind == "profile":
         record["samples"] = sum(result.driver.event_samples.values())
@@ -215,8 +152,7 @@ def profile_workload(workload, mode="default", seed=1,
     result = session.run(workload,
                          max_instructions=clamp_budget(max_instructions))
     cpu_s = time.process_time() - started
-    return _record_session("profile", workload, mode, seed, result,
-                           cpu_s=cpu_s)
+    return _record_session("profile", workload, mode, seed, result, cpu_s)
 
 
 def baseline_workload(workload, seed=1, max_instructions=80_000):
@@ -226,8 +162,7 @@ def baseline_workload(workload, seed=1, max_instructions=80_000):
     result = session.run_baseline(
         workload, max_instructions=clamp_budget(max_instructions))
     cpu_s = time.process_time() - started
-    return _record_session("baseline", workload, None, seed, result,
-                           cpu_s=cpu_s)
+    return _record_session("baseline", workload, None, seed, result, cpu_s)
 
 
 def mean_ci95(values):
@@ -304,11 +239,12 @@ def _obs_block(profiled):
     return block
 
 
-def _bench_payload(stem, tests, records):
+def bench_payload(stem, tests, records):
+    """One module's fact sheet: everything outside a "timing" key is
+    deterministic under a given (quick, clamp) setup."""
     profiled = [r for r in records if r["kind"] == "profile"]
     overheads = _overheads(records)
     metrics = {
-        "elapsed_s": round(sum(t["duration_s"] for t in tests), 4),
         "tests": len(tests),
         "sessions": len(records),
         "instructions": sum(r["instructions"] for r in records),
@@ -316,35 +252,33 @@ def _bench_payload(stem, tests, records):
         "samples": sum(r.get("samples", 0) for r in profiled),
     }
     if overheads:
+        # Simulated cycles, not host time -- a fact like the rest.
         metrics["overhead_pct_mean"] = round(
             sum(overheads) / len(overheads), 4)
-    timed = [r for r in records if r.get("cpu_s")]
+    timing = {
+        "elapsed_s": round(sum(t["duration_s"] for t in tests), 4),
+        "tests": {t["id"]: round(t["duration_s"], 4) for t in tests},
+        "python": platform.python_version(),
+    }
+    timed = [r for r in records if r["cpu_s"]]
     if timed:
-        # Simulator throughput (instructions per CPU-second) across
-        # every timed session this module ran; the fast-path
-        # regression gate (dcpibench compare) watches this number.
-        metrics["instructions_per_sec"] = round(
-            sum(r["instructions"] for r in timed)
-            / sum(r["cpu_s"] for r in timed), 1)
-    obs = _obs_block(profiled)
-    return {
-        "ctx": _CTX.get(stem),
-        "fleet": _FLEET.get(stem),
-        "opt": _OPT.get(stem),
-        "resilience": _RESILIENCE.get(stem),
-        "obs": obs,
-        "schema": BENCH_SCHEMA,
+        timing["cpu_s"] = round(sum(r["cpu_s"] for r in timed), 6)
+        timing["instructions_per_sec"] = round(
+            sum(r["instructions"] for r in timed) / timing["cpu_s"], 1)
+    payload = {
         "benchmark": stem,
         "file": "bench_%s.py" % stem,
         "quick": QUICK,
-        "fastpath": MachineConfig().fastpath,
         "max_instructions_clamp": _CLAMP,
-        "python": platform.python_version(),
         "passed": all(t["outcome"] == "passed" for t in tests),
-        "tests": tests,
+        "tests": {t["id"]: t["outcome"] for t in tests},
         "metrics": metrics,
+        "obs": _obs_block(profiled),
         "text_results": sorted(set(_TEXTS.get(stem, []))),
+        "timing": timing,
     }
+    payload.update(_BLOCKS.get(stem, {}))
+    return payload
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -361,7 +295,7 @@ def pytest_sessionfinish(session, exitstatus):
             _module_stem(record["test"]), []).append(record)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     for stem, tests in sorted(by_module.items()):
-        payload = _bench_payload(
+        payload = bench_payload(
             stem, sorted(tests, key=lambda t: t["id"]),
             sessions_by_module.get(stem, []))
         path = os.path.join(RESULTS_DIR, "BENCH_%s.json" % stem)

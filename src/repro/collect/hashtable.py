@@ -121,12 +121,6 @@ class SampleHashTable:
             bucket.clear()
         return entries
 
-    def stats(self):
-        """Normalized statistics (see :mod:`repro.obs.schema`)."""
-        from repro.obs.schema import legacy_hashtable_stats
-
-        return legacy_hashtable_stats(self)
-
     def metrics(self, prefix="hashtable"):
         """Typed metric snapshot, mergeable across tables/shards."""
         from repro.obs.schema import hashtable_metrics

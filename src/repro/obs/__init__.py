@@ -22,8 +22,7 @@ from repro.obs.metrics import (COUNTER, GAUGE, HISTOGRAM, NULL_REGISTRY,
 from repro.obs.observability import NULL_OBS, Observability, ObsConfig
 from repro.obs.schema import (daemon_metrics, derive, driver_metrics,
                               hashtable_metrics, legacy_daemon_stats,
-                              legacy_driver_stats, legacy_hashtable_stats,
-                              session_metrics)
+                              legacy_driver_stats, session_metrics)
 from repro.obs.trace import (NULL_TRACE, TraceRecorder, read_events,
                              span_durations, trace_counters)
 
@@ -37,5 +36,4 @@ __all__ = [
     "driver_metrics", "daemon_metrics", "hashtable_metrics",
     "session_metrics", "derive",
     "legacy_driver_stats", "legacy_daemon_stats",
-    "legacy_hashtable_stats",
 ]

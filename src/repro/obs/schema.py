@@ -58,8 +58,8 @@ rates -- ``driver.hash.miss_rate``, ``daemon.aggregation_factor``,
 :func:`derive`, computed from merged counts, so a sharded run's rates
 are exact, not averages of averages.
 
-``Driver.stats()``, ``Daemon.stats()`` and ``SampleHashTable.stats()``
-remain as thin views over this schema with their historical key names.
+``Driver.stats()`` and ``Daemon.stats()`` remain as thin views over
+this schema with their historical key names.
 """
 
 from repro.obs.metrics import COUNTER, GAUGE, flatten_metrics
@@ -242,17 +242,6 @@ def derive(snapshot):
 
 
 # -- backward-compatible views (the pre-obs ad-hoc dict layouts) -----------
-
-
-def legacy_hashtable_stats(table):
-    """``SampleHashTable``'s historical stat names, schema-backed."""
-    return {
-        "hits": table.hits,
-        "misses": table.misses,
-        "evictions": table.evictions,
-        "miss_rate": table.miss_rate,
-        "aggregation_factor": table.aggregation_factor,
-    }
 
 
 def legacy_driver_stats(driver):

@@ -87,17 +87,8 @@ class TraceRecorder:
         return "\n".join(lines) + "\n" if lines else ""
 
     def write(self, path, extra_events=()):
-        """Write events to *path*: JSONL, or a JSON array for ``.json``
-        paths (directly loadable in ``about:tracing``/Perfetto)."""
-        events = list(self.events) + list(extra_events)
-        with open(path, "w") as handle:
-            if str(path).endswith(".json"):
-                json.dump(events, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            else:
-                for event in events:
-                    handle.write(json.dumps(event, sort_keys=True) + "\n")
-        return path
+        """:func:`write_events` of this recorder's events."""
+        return write_events(path, list(self.events) + list(extra_events))
 
 
 class NullTrace:
@@ -128,9 +119,22 @@ class NullTrace:
 NULL_TRACE = NullTrace()
 
 
+def write_events(path, events):
+    """Write *events* to *path*: JSONL, or a JSON array for ``.json``
+    paths (directly loadable in ``about:tracing``/Perfetto)."""
+    with open(path, "w") as handle:
+        if str(path).endswith(".json"):
+            json.dump(events, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        else:
+            for event in events:
+                handle.write(json.dumps(event, sort_keys=True) + "\n")
+    return path
+
+
 def read_events(path):
-    """Parse a trace file written by :meth:`TraceRecorder.write`
-    (JSONL or a JSON array)."""
+    """Parse a trace file written by :func:`write_events` (JSONL or a
+    JSON array)."""
     with open(path) as handle:
         text = handle.read()
     stripped = text.lstrip()

@@ -5,16 +5,19 @@ runner turns it into something CI can gate on.  It discovers the
 ``bench_*.py`` modules, fans them out across worker processes (via the
 same :class:`~repro.collect.parallel.ParallelSessionRunner` pool that
 shards profiling runs), and collects the machine-readable
-``BENCH_<name>.json`` results the benchmarks' conftest emits --
-timings, sample counts, overhead percentages, and per-table assertion
-outcomes.  The ``compare`` subcommand diffs two result directories and
-exits nonzero on regression, so "the numbers got worse" fails the
-build, not just "the numbers crashed".
+``BENCH_<name>.json`` fact sheets the benchmarks' conftest emits --
+sample counts, simulated cycles and overhead percentages, per-test
+outcomes, per-subsystem blocks -- each with a ``timing`` sub-dict for
+whatever the host clock measured.  The ``compare`` subcommand diffs the
+facts of two result directories exactly and exits nonzero when one
+moved, so "the behaviour changed" fails the build, not just "the
+numbers crashed".  It never reads ``timing``: timing regressions are
+``python3 perfbench/run.py``'s job.
 
 Usage::
 
     dcpibench [--quick] [--workers N] [names ...]
-    dcpibench compare OLD_DIR NEW_DIR [--threshold 0.3] [--lenient]
+    dcpibench compare OLD_DIR NEW_DIR
 """
 
 import argparse
@@ -129,7 +132,7 @@ def run_bench(job):
 
 
 def _attach_results(outcomes, results_dir, workers):
-    """Load each benchmark's JSON and stamp runner-level facts into it."""
+    """Load each benchmark's JSON and stamp the runner's view into it."""
     for outcome in outcomes:
         path = os.path.join(results_dir, "BENCH_%s.json" % outcome.name)
         if os.path.exists(path):
@@ -139,14 +142,10 @@ def _attach_results(outcomes, results_dir, workers):
             # The module ran but the harness produced nothing -- treat
             # as a failure so CI notices broken plumbing.
             outcome.returncode = 1
-        runner_info = {
-            "returncode": outcome.returncode,
-            "wall_s": round(outcome.elapsed_s, 3),
-            "workers": workers,
-        }
         if outcome.result is not None:
-            outcome.result["runner"] = runner_info
             outcome.result["passed"] = outcome.passed
+            outcome.result.setdefault("timing", {}).update(
+                runner_wall_s=round(outcome.elapsed_s, 3), workers=workers)
             with open(path, "w") as handle:
                 json.dump(outcome.result, handle, indent=2, sort_keys=True)
                 handle.write("\n")
@@ -229,139 +228,41 @@ def load_results(dirpath):
 class Comparison:
     regressions: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    #: self-monitoring drift (obs block): surfaced, never build-failing.
-    warnings: list = field(default_factory=list)
 
     @property
     def ok(self):
         return not self.regressions
 
 
-#: obs-block keys compared between runs: (key, label, absolute slack).
-#: Rates get small absolute slack; raw counts must match exactly on
-#: identically-configured runs (the simulator is deterministic).
-OBS_COMPARE_KEYS = (
-    ("driver.hash.miss_rate", "hash miss rate", 0.002),
-    ("driver.hash.aggregation_factor", "hash aggregation factor", 0.5),
-    ("driver.overflow.spills", "overflow spills", 0),
-    ("driver.overflow.dropped", "dropped samples", 0),
-    ("driver.hash.evictions", "hash evictions", 0),
-    ("daemon.unknown_fraction", "unknown-sample fraction", 0.002),
-    ("collect.loss_rate", "sample loss rate", 0.002),
-    ("collect.samples_dropped", "accounted sample loss", 0),
-    ("collect.recoveries", "crash recoveries", 0),
-)
-
-
-def _compare_obs(name, old_obs, new_obs, comparison):
-    """Warn -- never fail -- when self-monitoring metrics drift."""
-    for key, label, slack in OBS_COMPARE_KEYS:
-        old_v, new_v = old_obs.get(key), new_obs.get(key)
-        if old_v is None or new_v is None:
+def _diff_facts(name, old, new, comparison, prefix=""):
+    """Every shared fact must be equal; "timing" is never read."""
+    for key in sorted(set(old) | set(new)):
+        if key == "timing":
             continue
-        if abs(new_v - old_v) > slack:
-            comparison.warnings.append(
-                "%s: %s drifted %s -> %s" % (name, label,
-                                             "%g" % old_v, "%g" % new_v))
+        label = prefix + key
+        if key not in old or key not in new:
+            comparison.notes.append(
+                "%s: %s only in %s results"
+                % (name, label, "old" if key in old else "new"))
+        elif isinstance(old[key], dict) and isinstance(new[key], dict):
+            _diff_facts(name, old[key], new[key], comparison, label + ".")
+        elif old[key] != new[key]:
+            comparison.regressions.append(
+                "%s: %s %r -> %r" % (name, label, old[key], new[key]))
 
 
-#: "fleet" block keys (schema 4) compared between runs: deterministic
-#: store facts must match exactly; timing-derived throughput is not
-#: compared (it lives in the block for humans and trend dashboards).
-FLEET_COMPARE_KEYS = (
-    ("samples_ingested", "fleet samples ingested", 0),
-    ("deltas_applied", "fleet deltas applied", 0),
-    ("duplicates_dropped", "fleet duplicates dropped", 0),
-    ("downsample_residue", "fleet downsample residue", 0),
-    ("disk_bytes_full", "fleet store bytes (no retention)", 0),
-)
-
-
-def _compare_fleet(name, old_fleet, new_fleet, comparison):
-    """Warn -- never fail -- when fleet store facts drift."""
-    for key, label, slack in FLEET_COMPARE_KEYS:
-        old_v, new_v = old_fleet.get(key), new_fleet.get(key)
-        if old_v is None or new_v is None:
-            continue
-        if abs(new_v - old_v) > slack:
-            comparison.warnings.append(
-                "%s: %s drifted %s -> %s" % (name, label,
-                                             "%g" % old_v, "%g" % new_v))
-
-
-#: "opt" block keys (schema 6) compared between runs: the simulator is
-#: deterministic, so realized speedups reproduce to the float slack;
-#: acceptance flags must match exactly (a rewrite that stops verifying
-#: is a real regression, not drift).
-OPT_COMPARE_KEYS = (
-    ("accepted", "opt rewrites accepted", 0),
-    ("speedup_min", "opt minimum realized speedup", 0.005),
-    ("speedup_mean", "opt mean realized speedup", 0.005),
-)
-
-
-def _compare_opt(name, old_opt, new_opt, comparison):
-    """Warn -- never fail -- when optimizer facts drift."""
-    for key, label, slack in OPT_COMPARE_KEYS:
-        old_v, new_v = old_opt.get(key), new_opt.get(key)
-        if old_v is None or new_v is None:
-            continue
-        if abs(new_v - old_v) > slack:
-            comparison.warnings.append(
-                "%s: %s drifted %s -> %s" % (name, label,
-                                             "%g" % old_v, "%g" % new_v))
-
-
-#: "resilience" block keys (schema 7) compared between runs: the
-#: conservation facts are deterministic (seeded faults, seeded
-#: backoff) and must reproduce exactly; concurrent-vs-serial speedup
-#: carries a generous slack (it is wall-clock-derived and only its
-#: direction is load-bearing); raw throughputs are not compared.
-RESILIENCE_COMPARE_KEYS = (
-    ("samples_conserved", "resilience samples conserved", 0),
-    ("spool_dropped_samples", "resilience spool-dropped samples", 0),
-    ("transit_lost_samples", "resilience transit-lost samples", 0),
-    ("ship_retries", "resilience ship retries", 0),
-    ("concurrent_speedup", "concurrent-over-serial ingest speedup",
-     1.5),
-)
-
-
-def _compare_resilience(name, old_res, new_res, comparison):
-    """Warn -- never fail -- when fleet resilience facts drift."""
-    for key, label, slack in RESILIENCE_COMPARE_KEYS:
-        old_v, new_v = old_res.get(key), new_res.get(key)
-        if old_v is None or new_v is None:
-            continue
-        if abs(new_v - old_v) > slack:
-            comparison.warnings.append(
-                "%s: %s drifted %s -> %s" % (name, label,
-                                             "%g" % old_v, "%g" % new_v))
-
-
-def compare_results(old, new, threshold=0.3, sample_drift=0.01,
-                    ips_threshold=0.15, lenient=False):
+def compare_results(old, new):
     """Diff two result sets; regressions are what CI should fail on.
 
-    * results written under different schema versions -- regression
-      (the metrics are not comparable), with two exceptions: a baseline
-      exactly one version older is accepted (schema bumps are additive
-      by policy, so shared fields stay comparable), and *lenient*
-      downgrades any other mismatch to a note and skips the benchmark;
-    * a benchmark that passed before and fails now -- regression;
-    * ``elapsed_s`` grew by more than *threshold* (relative) -- regression;
-    * ``instructions_per_sec`` fell by more than *ips_threshold*
-      (relative) between identically-configured runs -- regression (the
-      simulator fast path's throughput gate);
-    * ``overhead_pct_mean`` grew by more than ``max(0.5pp,
-      threshold * |old|)`` -- regression;
-    * ``samples`` drifted more than *sample_drift* (relative) between
-      runs with identical budget clamps -- regression (the simulator is
-      deterministic; sample drift means collection behavior changed);
-    * benchmarks appearing/disappearing -- noted, not failed;
-    * obs-block self-monitoring metrics (hash miss rate, spill and
-      eviction counts) drifting between identically-configured runs --
-      warned, not failed (:data:`OBS_COMPARE_KEYS`).
+    The simulator, the seeded faults and the modelled clocks are all
+    deterministic, so under the same setup (``quick`` and
+    ``max_instructions_clamp``) every fact on both sides -- pass/fail,
+    per-test outcomes, ``metrics``, ``obs`` and every recorded block,
+    key by key -- must be equal; a difference is a regression naming
+    the benchmark, block and key.  Comparison is by presence: a
+    benchmark, block or key on one side only is a note.  Across
+    different setups only "passed before, fails now" is a regression.
+    ``timing`` sub-dicts are never compared.
     """
     comparison = Comparison()
     for name in sorted(set(old) | set(new)):
@@ -372,78 +273,16 @@ def compare_results(old, new, threshold=0.3, sample_drift=0.01,
             comparison.notes.append("%s: new benchmark" % name)
             continue
         o, n = old[name], new[name]
-        old_schema, new_schema = o.get("schema"), n.get("schema")
-        if old_schema != new_schema:
-            if (isinstance(old_schema, int) and isinstance(new_schema, int)
-                    and new_schema - old_schema == 1):
-                # Schema bumps are additive by policy (see
-                # benchmarks/conftest.py's BENCH_SCHEMA history), so a
-                # baseline exactly one version older stays comparable
-                # on every shared field -- new-only blocks simply have
-                # nothing to diff against.  This keeps a schema bump
-                # from requiring baselines regenerated in the same PR
-                # to land atomically with the code that reads them.
-                comparison.notes.append(
-                    "%s: baseline schema %s, new %s (one version "
-                    "older; comparing shared fields)"
-                    % (name, old_schema, new_schema))
-            else:
-                message = ("%s: schema %s -> %s (results not comparable)"
-                           % (name, old_schema, new_schema))
-                if lenient:
-                    comparison.notes.append(
-                        message + "; skipped (--lenient)")
-                    continue
-                comparison.regressions.append(message)
-                continue
-        if o.get("passed") and not n.get("passed"):
-            comparison.regressions.append(
-                "%s: passed before, fails now" % name)
-        om, nm = o.get("metrics", {}), n.get("metrics", {})
-        old_t, new_t = om.get("elapsed_s"), nm.get("elapsed_s")
-        if old_t and new_t and new_t > old_t * (1.0 + threshold):
-            comparison.regressions.append(
-                "%s: elapsed_s %.2f -> %.2f (+%.0f%% > %.0f%% threshold)"
-                % (name, old_t, new_t, (new_t / old_t - 1) * 100,
-                   threshold * 100))
-        old_ov, new_ov = (om.get("overhead_pct_mean"),
-                          nm.get("overhead_pct_mean"))
-        if old_ov is not None and new_ov is not None:
-            allowed = max(0.5, threshold * abs(old_ov))
-            if new_ov > old_ov + allowed:
+        if all(o.get(key) == n.get(key)
+               for key in ("quick", "max_instructions_clamp")):
+            _diff_facts(name, o, n, comparison)
+        else:
+            comparison.notes.append(
+                "%s: different quick/clamp setup; only pass/fail compared"
+                % name)
+            if o.get("passed") and not n.get("passed"):
                 comparison.regressions.append(
-                    "%s: overhead %.2f%% -> %.2f%% (allowed +%.2fpp)"
-                    % (name, old_ov, new_ov, allowed))
-        same_setup = (o.get("max_instructions_clamp")
-                      == n.get("max_instructions_clamp")
-                      and o.get("quick") == n.get("quick"))
-        old_ips, new_ips = (om.get("instructions_per_sec"),
-                            nm.get("instructions_per_sec"))
-        if (same_setup and o.get("fastpath") == n.get("fastpath")
-                and old_ips and new_ips is not None
-                and new_ips < old_ips * (1.0 - ips_threshold)):
-            comparison.regressions.append(
-                "%s: instructions/sec %.0f -> %.0f (-%.0f%% > %.0f%% "
-                "threshold)"
-                % (name, old_ips, new_ips, (1 - new_ips / old_ips) * 100,
-                   ips_threshold * 100))
-        old_s, new_s = om.get("samples"), nm.get("samples")
-        if same_setup and old_s and new_s is not None:
-            drift = abs(new_s - old_s) / old_s
-            if drift > sample_drift:
-                comparison.regressions.append(
-                    "%s: samples %d -> %d (drift %.1f%% > %.1f%%)"
-                    % (name, old_s, new_s, drift * 100,
-                       sample_drift * 100))
-        if same_setup and o.get("obs") and n.get("obs"):
-            _compare_obs(name, o["obs"], n["obs"], comparison)
-        if same_setup and o.get("fleet") and n.get("fleet"):
-            _compare_fleet(name, o["fleet"], n["fleet"], comparison)
-        if same_setup and o.get("opt") and n.get("opt"):
-            _compare_opt(name, o["opt"], n["opt"], comparison)
-        if same_setup and o.get("resilience") and n.get("resilience"):
-            _compare_resilience(name, o["resilience"],
-                                n["resilience"], comparison)
+                    "%s: passed before, fails now" % name)
     return comparison
 
 
@@ -454,19 +293,14 @@ def run_compare(args):
         print("dcpibench compare: no BENCH_*.json under %s"
               % (args.old if not old else args.new), file=sys.stderr)
         return 2
-    comparison = compare_results(old, new, threshold=args.threshold,
-                                 sample_drift=args.sample_drift,
-                                 ips_threshold=args.ips_threshold,
-                                 lenient=args.lenient)
+    comparison = compare_results(old, new)
     for note in comparison.notes:
         print("note: %s" % note)
-    for warning in comparison.warnings:
-        print("warning: %s" % warning)
     for regression in comparison.regressions:
         print("REGRESSION: %s" % regression)
-    print("compared %d benchmarks: %d regression(s), %d warning(s)"
+    print("compared %d benchmarks: %d regression(s), %d note(s)"
           % (len(set(old) & set(new)), len(comparison.regressions),
-             len(comparison.warnings)))
+             len(comparison.notes)))
     return 0 if comparison.ok else 1
 
 
@@ -500,22 +334,10 @@ def _build_run_parser():
 def _build_compare_parser():
     parser = argparse.ArgumentParser(
         prog="dcpibench compare",
-        description="diff two BENCH_*.json result directories; exit 1 "
-                    "on regression")
+        description="diff the facts of two BENCH_*.json result "
+                    "directories exactly; exit 1 when one moved")
     parser.add_argument("old", help="baseline results directory")
     parser.add_argument("new", help="candidate results directory")
-    parser.add_argument("--threshold", type=float, default=0.3,
-                        help="relative slowdown tolerated (default 0.3)")
-    parser.add_argument("--sample-drift", type=float, default=0.01,
-                        help="relative sample-count drift tolerated "
-                             "between identically-configured runs")
-    parser.add_argument("--ips-threshold", type=float, default=0.15,
-                        help="relative instructions/sec drop tolerated "
-                             "between identically-configured runs "
-                             "(default 0.15)")
-    parser.add_argument("--lenient", action="store_true",
-                        help="skip (note, do not fail) benchmarks whose "
-                             "result schema versions differ")
     return parser
 
 

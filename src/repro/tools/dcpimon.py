@@ -19,13 +19,12 @@ reproduction, from the ``repro.obs`` metrics and trace spans:
 """
 
 import argparse
-import json
 import sys
 import time
 
 from repro.obs import derive, merge_metrics, span_durations, trace_counters
 from repro.obs.report import render_report
-from repro.obs.trace import PH_METADATA, read_events
+from repro.obs.trace import PH_METADATA, read_events, write_events
 
 #: Metadata event names used to make traces self-describing.
 META_SHARD = "dcpimon.shard"
@@ -74,16 +73,6 @@ def _combined_events(obs, run, flat, shard_rows):
             events.append({"ph": "C", "name": name, "ts": 0, "pid": 0,
                            "tid": 0, "args": {"value": value}})
     return events
-
-
-def _write_events(path, events):
-    with open(path, "w") as handle:
-        if str(path).endswith(".json"):
-            json.dump(events, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        else:
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
 
 
 def _analyze_hottest(result, obs):
@@ -137,7 +126,7 @@ def run_report(args):
     phases = _analysis_phases(obs.trace.events)
     events = _combined_events(obs, run, flat, shard_rows)
     if args.trace:
-        _write_events(args.trace, events)
+        write_events(args.trace, events)
 
     title = "%s (%d shards%s)" % (
         args.workload, args.shards,

@@ -1,8 +1,10 @@
 """The dcpibench harness: discovery, JSON results, and regression gate."""
 
 import copy
+import importlib.util
 import json
 import os
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.tools.benchrunner import (compare_results, default_bench_dir,
 
 REPO_BENCH_DIR = os.path.normpath(os.path.join(
     os.path.dirname(__file__), "..", "benchmarks"))
+BASELINES_DIR = os.path.join(REPO_BENCH_DIR, "baselines")
 
 
 def test_discovers_the_suite():
@@ -24,18 +27,15 @@ def test_discovers_the_suite():
 
 def _payload(name, elapsed=10.0, samples=5000, overhead=1.0, passed=True,
              clamp=None):
+    test_id = "bench_%s.py::test" % name
     return {
-        "schema": 1,
         "benchmark": name,
         "file": "bench_%s.py" % name,
         "quick": clamp is not None,
         "max_instructions_clamp": clamp,
         "passed": passed,
-        "tests": [{"id": "bench_%s.py::test" % name,
-                   "outcome": "passed" if passed else "failed",
-                   "duration_s": elapsed}],
+        "tests": {test_id: "passed" if passed else "failed"},
         "metrics": {
-            "elapsed_s": elapsed,
             "tests": 1,
             "sessions": 4,
             "instructions": 200_000,
@@ -43,6 +43,9 @@ def _payload(name, elapsed=10.0, samples=5000, overhead=1.0, passed=True,
             "samples": samples,
             "overhead_pct_mean": overhead,
         },
+        "obs": {"driver.hash.evictions": 0},
+        "timing": {"elapsed_s": elapsed, "tests": {test_id: elapsed},
+                   "instructions_per_sec": 500_000.0},
     }
 
 
@@ -64,72 +67,104 @@ def result_dirs(tmp_path):
     return tmp_path, old, new
 
 
+def _compare(tmp_path, new, old=None):
+    if old is not None:
+        _write_results(str(tmp_path / "old"), old)
+    _write_results(str(tmp_path / "new"), new)
+    return compare_results(load_results(str(tmp_path / "old")),
+                           load_results(str(tmp_path / "new")))
+
+
 def test_compare_identical_runs_is_clean(result_dirs):
     tmp_path, _, new = result_dirs
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
+    comparison = _compare(tmp_path, new)
     assert comparison.ok
     assert not comparison.regressions
+    assert not comparison.notes
 
 
-def test_compare_flags_injected_time_regression(result_dirs):
-    tmp_path, _, new = result_dirs
-    new[0]["metrics"]["elapsed_s"] = 30.0  # 3x the old 10s
-    _write_results(str(tmp_path / "new"), new)
-    exit_code = main(["compare", str(tmp_path / "old"),
-                      str(tmp_path / "new")])
-    assert exit_code == 1
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("elapsed_s" in r for r in comparison.regressions)
+def test_compare_ignores_timing(result_dirs):
+    """Timing is perfbench's job: no timing value, top-level or inside
+    a block, can fail the fact gate."""
+    tmp_path, old, new = result_dirs
+    new[0]["timing"]["elapsed_s"] = 30.0  # 3x the old 10s
+    new[0]["timing"]["instructions_per_sec"] = 100_000.0  # -80%
+    old[0]["fleet"] = {"merge_samples": 9,
+                       "timing": {"merge_samples_per_sec": 900.0}}
+    new[0]["fleet"] = {"merge_samples": 9,
+                       "timing": {"merge_samples_per_sec": 90.0}}
+    comparison = _compare(tmp_path, new, old)
+    assert comparison.ok and not comparison.notes
+    assert main(["compare", str(tmp_path / "old"),
+                 str(tmp_path / "new")]) == 0
 
 
 def test_compare_flags_new_failure(result_dirs):
     tmp_path, _, new = result_dirs
     new[1]["passed"] = False
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("fails now" in r for r in comparison.regressions)
+    new[1]["tests"]["bench_beta.py::test"] = "failed"
+    comparison = _compare(tmp_path, new)
+    assert "beta: passed True -> False" in comparison.regressions
+    # The failing test is named, not just the module.
+    assert any("tests.bench_beta.py::test" in r
+               for r in comparison.regressions)
+    # Across setups (nightly full budgets vs the quick baselines) a
+    # lost assertion is the one thing still compared.
+    new[1]["quick"] = True
+    comparison = _compare(tmp_path, new)
+    assert comparison.regressions == ["beta: passed before, fails now"]
 
 
 def test_compare_flags_overhead_regression(result_dirs):
     tmp_path, _, new = result_dirs
-    new[1]["metrics"]["overhead_pct_mean"] = 9.0  # was 2.0
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("overhead" in r for r in comparison.regressions)
+    # Simulated cycles, hence a fact, hence exact -- in both directions.
+    new[1]["metrics"]["overhead_pct_mean"] = 1.9999  # was 2.0
+    comparison = _compare(tmp_path, new)
+    assert comparison.regressions == [
+        "beta: metrics.overhead_pct_mean 2.0 -> 1.9999"]
+    assert main(["compare", str(tmp_path / "old"),
+                 str(tmp_path / "new")]) == 1
 
 
 def test_compare_flags_sample_drift_same_setup(result_dirs):
     tmp_path, _, new = result_dirs
-    new[0]["metrics"]["samples"] = 6000  # 20% drift, same clamp
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("drift" in r for r in comparison.regressions)
+    new[0]["metrics"]["samples"] = 5001  # one sample, same clamp
+    comparison = _compare(tmp_path, new)
+    assert comparison.regressions == [
+        "alpha: metrics.samples 5000 -> 5001"]
 
 
 def test_compare_ignores_sample_drift_across_different_clamps(result_dirs):
     tmp_path, _, new = result_dirs
     new[0] = _payload("alpha", samples=500, clamp=50_000)
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert not any("drift" in r for r in comparison.regressions)
+    comparison = _compare(tmp_path, new)
+    assert comparison.ok
+    assert any("alpha: different quick/clamp setup" in n
+               for n in comparison.notes)
 
 
 def test_compare_notes_added_and_missing_benchmarks(result_dirs):
     tmp_path, _, new = result_dirs
     new = [new[0], _payload("gamma")]
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
+    comparison = _compare(tmp_path, new)
     assert comparison.ok  # appearance/disappearance is not a regression
     assert any("missing" in n for n in comparison.notes)
     assert any("new benchmark" in n for n in comparison.notes)
+
+
+def test_compare_notes_one_sided_blocks_and_keys(result_dirs):
+    """Comparison is by presence: what only one side recorded is a
+    note, and everything shared is still held exact."""
+    tmp_path, old, new = result_dirs
+    new[0]["fleet"] = {"samples_ingested": 123}  # new block
+    old[1]["obs"]["driver.retired_key"] = 1  # key the writer dropped
+    new[1]["metrics"]["samples"] = 4999
+    comparison = _compare(tmp_path, new, old)
+    assert sorted(comparison.notes) == [
+        "alpha: fleet only in new results",
+        "beta: obs.driver.retired_key only in old results"]
+    assert comparison.regressions == [
+        "beta: metrics.samples 5000 -> 4999"]
 
 
 def test_compare_cli_errors_on_empty_dir(tmp_path):
@@ -138,137 +173,82 @@ def test_compare_cli_errors_on_empty_dir(tmp_path):
     assert main(["compare", str(empty), str(empty)]) == 2
 
 
-def test_compare_fails_on_schema_mismatch(result_dirs):
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 99
-    _write_results(str(tmp_path / "new"), new)
-    exit_code = main(["compare", str(tmp_path / "old"),
-                      str(tmp_path / "new")])
-    assert exit_code == 1
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("schema" in r for r in comparison.regressions)
-
-
-def test_compare_lenient_skips_schema_mismatch(result_dirs):
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 99
-    # The incomparable benchmark would otherwise also trip the
-    # elapsed-time gate; --lenient must skip it entirely.
-    new[0]["metrics"]["elapsed_s"] = 100.0
-    _write_results(str(tmp_path / "new"), new)
+@pytest.mark.parametrize("block, key, old_value, new_value", [
+    ("fleet", "samples_ingested", 100, 120),
+    ("ctx", "bursty_cycles_samples", 700, 699),
+    ("opt", "accepted", 3, 2),
+    ("resilience", "ship_retries", 2, 3),
+    ("obs", "driver.hash.evictions", 0, 1),
+], ids=["fleet", "ctx", "opt", "resilience", "obs"])
+def test_compare_flags_block_drift(result_dirs, capsys, block, key,
+                                   old_value, new_value):
+    """Every recorded block is held exact -- including "ctx", which the
+    per-block compare tables used to skip -- and the failure names the
+    benchmark, block and key."""
+    tmp_path, old, new = result_dirs
+    old[0][block] = {key: old_value, "unchanged": 900}
+    new[0][block] = {key: new_value, "unchanged": 900}
+    comparison = _compare(tmp_path, new, old)
+    assert comparison.regressions == [
+        "alpha: %s.%s %d -> %d" % (block, key, old_value, new_value)]
     assert main(["compare", str(tmp_path / "old"),
-                 str(tmp_path / "new"), "--lenient"]) == 0
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")),
-                                 lenient=True)
-    assert comparison.ok
-    assert any("schema" in n for n in comparison.notes)
-
-
-def test_compare_accepts_one_version_older_baseline(result_dirs):
-    """Schema bumps are additive: schema N baselines gate schema N+1
-    results on every shared field instead of hard-failing."""
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 2  # baseline stays at 1
-    new[0]["fleet"] = {"samples_ingested": 123}  # additive block
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert comparison.ok
-    assert any("one version older" in n for n in comparison.notes)
-
-
-def test_compare_still_gates_shared_fields_across_schema_skew(result_dirs):
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 2
-    new[0]["metrics"]["samples"] = 6000  # 20% drift, same clamp
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("drift" in r for r in comparison.regressions)
-
-
-def test_compare_rejects_schema_downgrade_and_wider_gaps(result_dirs):
-    tmp_path, old, new = result_dirs
-    # Downgrade: new results one version OLDER than the baseline.
-    old[0]["schema"] = 2
-    _write_results(str(tmp_path / "old"), old)
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("not comparable" in r for r in comparison.regressions)
-    # Gap of two versions: not covered by the additive-bump policy.
-    new[0]["schema"] = 4
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("not comparable" in r for r in comparison.regressions)
-
-
-def test_compare_warns_on_fleet_block_drift(result_dirs):
-    tmp_path, old, new = result_dirs
-    old[0]["fleet"] = {"samples_ingested": 100, "disk_bytes_full": 900}
-    new[0]["fleet"] = {"samples_ingested": 120, "disk_bytes_full": 900}
-    _write_results(str(tmp_path / "old"), old)
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert comparison.ok  # drift warns, never fails the build
-    assert any("fleet samples ingested" in w for w in comparison.warnings)
-
-
-def test_compare_flags_throughput_regression(result_dirs):
-    tmp_path, old, new = result_dirs
-    for payload in (old[0], new[0]):
-        payload["fastpath"] = True
-    old[0]["metrics"]["instructions_per_sec"] = 500_000.0
-    new[0]["metrics"]["instructions_per_sec"] = 350_000.0  # -30%
-    _write_results(str(tmp_path / "old"), old)
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("instructions/sec" in r for r in comparison.regressions)
-    # A drop within the threshold passes.
-    new[0]["metrics"]["instructions_per_sec"] = 460_000.0  # -8%
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert comparison.ok
-
-
-def test_compare_skips_throughput_across_fastpath_settings(result_dirs):
-    tmp_path, old, new = result_dirs
-    old[0]["fastpath"] = True
-    new[0]["fastpath"] = False
-    old[0]["metrics"]["instructions_per_sec"] = 500_000.0
-    new[0]["metrics"]["instructions_per_sec"] = 300_000.0
-    _write_results(str(tmp_path / "old"), old)
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert not any("instructions/sec" in r
-                   for r in comparison.regressions)
+                 str(tmp_path / "new")]) == 1
+    assert "REGRESSION: alpha: %s.%s" % (block, key) in \
+        capsys.readouterr().out
 
 
 def test_run_single_benchmark_end_to_end(tmp_path):
-    """dcpibench really runs a benchmark and emits schema-valid JSON."""
+    """dcpibench really runs a benchmark, and the fact sheet it emits
+    is the committed baseline: drift fails pytest, not just CI."""
     results_dir = str(tmp_path / "results")
-    exit_code = main(["--quick", "--workers", "1", "table5_space",
+    exit_code = main(["--quick", "--workers", "1", "fig1_dcpiprof",
                       "--results-dir", results_dir,
                       "--bench-dir", REPO_BENCH_DIR])
     assert exit_code == 0
-    path = os.path.join(results_dir, "BENCH_table5_space.json")
+    path = os.path.join(results_dir, "BENCH_fig1_dcpiprof.json")
     with open(path) as handle:
         payload = json.load(handle)
     assert payload["passed"] is True
     assert payload["quick"] is True
-    assert payload["benchmark"] == "table5_space"
+    assert payload["benchmark"] == "fig1_dcpiprof"
     assert payload["metrics"]["samples"] > 0
-    assert payload["metrics"]["elapsed_s"] > 0
-    assert payload["runner"]["returncode"] == 0
+    assert payload["timing"]["elapsed_s"] > 0
+    assert payload["timing"]["instructions_per_sec"] > 0
+    assert payload["timing"]["runner_wall_s"] > 0
     assert payload["tests"] and all(
-        t["outcome"] == "passed" for t in payload["tests"])
+        outcome == "passed" for outcome in payload["tests"].values())
     # The human-readable rendering still lands next to the JSON.
-    assert payload["text_results"] == ["table5_space.txt"]
-    assert os.path.exists(os.path.join(results_dir, "table5_space.txt"))
+    assert payload["text_results"] == ["fig1_dcpiprof.txt"]
+    assert os.path.exists(os.path.join(results_dir, "fig1_dcpiprof.txt"))
+    baseline = load_results(BASELINES_DIR)["fig1_dcpiprof"]
+    comparison = compare_results({"fig1_dcpiprof": baseline},
+                                 {"fig1_dcpiprof": payload})
+    assert not comparison.regressions and not comparison.notes
+
+
+def _load_bench_conftest():
+    spec = importlib.util.spec_from_file_location(
+        "dcpibench_conftest", os.path.join(REPO_BENCH_DIR, "conftest.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_baselines_match_the_current_writer():
+    """Staleness gate: every benchmark module has a committed baseline
+    whose shape is what today's conftest writes for that module."""
+    baselines = load_results(BASELINES_DIR)
+    benchmarks = dict(discover_benchmarks(REPO_BENCH_DIR))
+    assert sorted(baselines) == sorted(benchmarks)
+    comparison = compare_results(baselines, baselines)
+    assert comparison.ok and not comparison.notes
+
+    writer_keys = set(_load_bench_conftest().bench_payload("x", [], []))
+    for name, path in benchmarks.items():
+        with open(path) as handle:
+            blocks = set(re.findall(r'record_block\(\s*"(\w+)"',
+                                    handle.read()))
+        baseline = baselines[name]
+        assert set(baseline) == writer_keys | blocks, name
+        assert baseline["passed"] and baseline["quick"], name
+        assert all(isinstance(baseline[block], dict) for block in blocks)

@@ -312,6 +312,6 @@ class TestLegacyShims:
     def test_hashtable_stats_keys(self):
         driver = make_driver()
         driver.record(0, 1, 0x100, EventType.CYCLES, 0)
-        table_stats = driver.cpus[0].table.stats()
-        assert set(table_stats) == {"hits", "misses", "evictions",
-                                    "miss_rate", "aggregation_factor"}
+        table_stats = driver.cpus[0].table.metrics()
+        assert set(table_stats) == {"hashtable.hits", "hashtable.misses",
+                                    "hashtable.evictions"}
