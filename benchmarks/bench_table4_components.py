@@ -9,6 +9,7 @@ the daemon side.
 """
 
 from conftest import profile_workload, run_once, write_result
+from repro.obs import derive
 from repro.workloads.registry import get_workload
 
 WORKLOADS = ("x11perf", "gcc", "wave5", "mccalpin-assign", "altavista",
@@ -21,16 +22,15 @@ def run_table4():
     for name in WORKLOADS:
         result = profile_workload(get_workload(name), mode="default",
                                   max_instructions=BUDGET)
-        driver_stats = result.driver.stats()
-        daemon_stats = result.daemon.stats()
+        flat = derive(result.metrics())
         rows.append({
             "workload": name,
-            "miss_rate": driver_stats["miss_rate"] * 100.0,
-            "avg": driver_stats["avg_cost"],
-            "hit": driver_stats["avg_hit_cost"],
-            "miss": driver_stats["avg_miss_cost"],
-            "daemon": daemon_stats["cost_per_sample"],
-            "aggregation": daemon_stats["aggregation"],
+            "miss_rate": flat["driver.hash.miss_rate"] * 100.0,
+            "avg": flat["driver.avg_cost"],
+            "hit": flat["driver.avg_hit_cost"],
+            "miss": flat["driver.avg_miss_cost"],
+            "daemon": flat["daemon.cost_per_sample"],
+            "aggregation": flat["daemon.aggregation_factor"],
         })
     return rows
 

@@ -12,6 +12,7 @@ import tempfile
 
 from conftest import profile_workload, run_once, write_result
 from repro.collect.database import FORMAT_RAW, ProfileDatabase
+from repro.obs import derive
 from repro.workloads.registry import get_workload
 
 WORKLOADS = ("x11perf", "gcc", "wave5", "mccalpin-assign", "altavista",
@@ -24,7 +25,7 @@ def run_table5():
     for name in WORKLOADS:
         result = profile_workload(get_workload(name), mode="default",
                                   max_instructions=BUDGET)
-        daemon_stats = result.daemon.stats()
+        flat = derive(result.daemon.metrics())
         tmp = tempfile.mkdtemp(prefix="dcpi-table5-")
         try:
             compact_db = ProfileDatabase(os.path.join(tmp, "compact"))
@@ -39,8 +40,8 @@ def run_table5():
         rows.append({
             "workload": name,
             "uptime": result.cycles,
-            "resident_kb": daemon_stats["resident_bytes"] / 1024.0,
-            "peak_kb": daemon_stats["peak_resident_bytes"] / 1024.0,
+            "resident_kb": flat["daemon.resident_bytes"] / 1024.0,
+            "peak_kb": flat["daemon.resident_bytes.peak"] / 1024.0,
             "kernel_kb":
                 result.driver.kernel_memory_bytes() / 1024.0,
             "disk_compact": compact_bytes,

@@ -14,6 +14,7 @@ import tempfile
 from repro import MachineConfig, ProfileSession, SessionConfig
 from repro.collect.bundle import load_bundle, save_bundle
 from repro.cpu.events import EventType
+from repro.obs import derive
 from repro.tools import dcpiprof
 from repro.workloads import timesharing
 
@@ -34,16 +35,16 @@ def main():
                       drain_interval=50_000))
     result = session.run(workload, max_instructions=BUDGET)
 
-    stats = result.stats()
+    stats = derive(result.metrics())
     print("=== session ===")
     print("profiled %d instructions over %d CPUs; %d daemon drains"
           % (result.instructions, len(result.machine.cores),
              result.daemon.drains))
     print("daemon resident: %.0f KB (peak %.0f KB)"
-          % (stats["daemon_resident_bytes"] / 1024,
-             stats["daemon_peak_resident_bytes"] / 1024))
+          % (stats["daemon.resident_bytes"] / 1024,
+             stats["daemon.resident_bytes.peak"] / 1024))
     print("unknown samples: %.2f%% (paper: ~0.05%%)"
-          % (stats["daemon_unknown_fraction"] * 100))
+          % (stats["daemon.unknown_fraction"] * 100))
     print("profile database: %d bytes on disk at %s"
           % (result.database.disk_bytes(), db_root))
 

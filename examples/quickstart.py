@@ -14,6 +14,7 @@ import os
 
 from repro import MachineConfig, ProfileSession, SessionConfig
 from repro.core import analyze_procedure
+from repro.obs import derive
 from repro.tools import dcpicalc, dcpiprof
 from repro.workloads import mccalpin
 
@@ -36,12 +37,13 @@ def main():
                       event_period=64))
     result = session.run(workload, max_instructions=BUDGET)
 
-    stats = result.stats()
+    stats = derive(result.metrics())
     print("=== collection ===")
-    print("instructions: %(instructions)d   cycles: %(cycles)d" % stats)
+    print("instructions: %d   cycles: %d"
+          % (result.instructions, result.cycles))
     print("samples: %d   hash miss rate: %.1f%%   handler avg: %.0f cyc"
-          % (stats["driver_samples"], stats["driver_miss_rate"] * 100,
-             stats["driver_avg_cost"]))
+          % (stats["driver.samples"], stats["driver.hash.miss_rate"] * 100,
+             stats["driver.avg_cost"]))
 
     print()
     print("=== dcpiprof: samples per procedure ===")

@@ -9,6 +9,14 @@ Each opcode carries everything the rest of the system needs:
   scheduler (functional unit, result latency, allowed issue pipes).
 * ``sem`` / ``cond`` -- the architectural semantics.
 
+Semantics are declared here, once, and never restated: each operate,
+conditional-move and branch-condition opcode is one small expression
+over its operands in the tables below.  The callable the simulator's
+slow path and the translation validator call is derived from that
+text and carries it (``fn.expr``); the simulator's fast path emits the
+same text through :func:`open_code`.  A consumer that needs an
+opcode's arithmetic reads it from here.
+
 The issue classes below describe a 21164-flavoured dual-issue machine.
 They are a simplification of the real chip, but the *same* table drives
 both the cycle-level simulator and the analysis tools' static scheduler,
@@ -17,8 +25,9 @@ so the analysis has no model skew relative to the simulated hardware.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
-from typing import Dict
+from typing import Any, Callable, Dict, Optional
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -65,242 +74,129 @@ def _s32(x: int) -> int:
     return x - (1 << 32) if x >> 31 else x
 
 
-# --- integer operate semantics: f(a, b) -> 64-bit result -----------------
-
-def _addq(a: int, b: int) -> int:
-    return (a + b) & MASK64
-
-
-def _subq(a: int, b: int) -> int:
-    return (a - b) & MASK64
-
-
-def _addl(a: int, b: int) -> int:
-    return _s32(a + b) & MASK64
-
-
-def _subl(a: int, b: int) -> int:
-    return _s32(a - b) & MASK64
-
-
-def _mulq(a: int, b: int) -> int:
-    return (_s64(a) * _s64(b)) & MASK64
-
-
-def _s4addq(a: int, b: int) -> int:
-    return (4 * a + b) & MASK64
-
-
-def _s8addq(a: int, b: int) -> int:
-    return (8 * a + b) & MASK64
-
-
-def _and(a: int, b: int) -> int:
-    return a & b
-
-
-def _bis(a: int, b: int) -> int:
-    return a | b
-
-
-def _xor(a: int, b: int) -> int:
-    return a ^ b
-
-
-def _bic(a: int, b: int) -> int:
-    return a & ~b & MASK64
-
-
-def _sll(a: int, b: int) -> int:
-    return (a << (b & 63)) & MASK64
-
-
-def _srl(a: int, b: int) -> int:
-    return (a & MASK64) >> (b & 63)
-
-
-def _sra(a: int, b: int) -> int:
-    return (_s64(a) >> (b & 63)) & MASK64
-
-
-def _cmpeq(a: int, b: int) -> int:
-    return 1 if a == b else 0
-
-
-def _cmplt(a: int, b: int) -> int:
-    return 1 if _s64(a) < _s64(b) else 0
-
-
-def _cmple(a: int, b: int) -> int:
-    return 1 if _s64(a) <= _s64(b) else 0
-
-
-def _cmpult(a: int, b: int) -> int:
-    return 1 if (a & MASK64) < (b & MASK64) else 0
-
-
-def _cmpule(a: int, b: int) -> int:
-    return 1 if (a & MASK64) <= (b & MASK64) else 0
-
-
-# --- floating operate semantics: f(a, b) -> float -------------------------
-
-def _addt(a: float, b: float) -> float:
-    return a + b
-
-
-def _subt(a: float, b: float) -> float:
-    return a - b
-
-
-def _mult(a: float, b: float) -> float:
-    return a * b
-
-
-def _divt(a: float, b: float) -> float:
-    return a / b if b != 0.0 else 0.0
-
-
-def _cpys(a: float, b: float) -> float:
-    # copy sign of a onto b; with a == b this is a register move.
-    return -abs(b) if a < 0 else abs(b)
-
-
-def _cvtqt(a: float, b: float) -> float:
-    # convert the integer bits in b to a float (fa field unused).
-    return float(_s64(int(b)))
-
-
-def _cvttq(a: float, b: float) -> float:
-    return float(int(b))
-
-
-# --- branch conditions: f(ra_value) -> bool --------------------------------
-
-def _beq(a: int) -> bool:
-    return a == 0
-
-
-def _bne(a: int) -> bool:
-    return a != 0
-
-
-def _blt(a: int) -> bool:
-    return _s64(a) < 0
-
-
-def _ble(a: int) -> bool:
-    return _s64(a) <= 0
-
-
-def _bgt(a: int) -> bool:
-    return _s64(a) > 0
-
-
-def _bge(a: int) -> bool:
-    return _s64(a) >= 0
-
-
-def _blbc(a: int) -> bool:
-    return (a & 1) == 0
-
-
-def _blbs(a: int) -> bool:
-    return (a & 1) == 1
-
-
-def _fbeq(a: float) -> bool:
-    return a == 0.0
-
-
-def _fbne(a: float) -> bool:
-    return a != 0.0
-
-
-def _fblt(a: float) -> bool:
-    return a < 0.0
-
-
-def _fbge(a: float) -> bool:
-    return a >= 0.0
-
-
-def _op(name: str, cls: str, sem: object) -> "OpInfo":
-    return OpInfo(name, "op", cls, sem, None)
-
-
-def _fop(name: str, cls: str, sem: object) -> "OpInfo":
-    return OpInfo(name, "fop", cls, sem, None)
+#: Every name a semantics expression may use besides its operands (and
+#: Python's builtins).  The derived callables are evaluated in it, and a
+#: code generator that emits :func:`open_code` text executes it in it.
+EXPR_GLOBALS: Dict[str, Any] = {"MASK64": MASK64, "_s64": _s64, "_s32": _s32}
+
+_OPERAND = re.compile(r"\b[ab]\b")
+
+
+def _derive(params: str, expr: str) -> Callable[..., Any]:
+    """The callable for semantics expression *expr* over *params*.
+
+    It carries its source as ``fn.expr``, so whoever holds the callable
+    (a predecode record, an ``OpInfo`` row) also holds the text.
+    """
+    fn = eval("lambda %s: %s" % (params, expr), EXPR_GLOBALS)
+    fn.expr = expr
+    return fn
+
+
+def open_code(fn: Any, a: str, b: Optional[str] = None) -> str:
+    """The expression of semantics callable *fn* with the operand texts
+    *a* and *b* substituted: what a code generator emits in place of a
+    call to *fn*, to be executed under :data:`EXPR_GLOBALS`."""
+    operands = {"a": a, "b": b}
+    return _OPERAND.sub(lambda m: operands[m.group()], fn.expr)
 
 
 OPCODES: Dict[str, "OpInfo"] = {}
 
-for info in [
-    _op("addq", "IADD", _addq),
-    _op("subq", "IADD", _subq),
-    _op("addl", "IADD", _addl),
-    _op("subl", "IADD", _subl),
-    _op("s4addq", "IADD", _s4addq),
-    _op("s8addq", "IADD", _s8addq),
-    _op("mulq", "IMUL", _mulq),
-    _op("and", "ILOG", _and),
-    _op("bis", "ILOG", _bis),
-    _op("xor", "ILOG", _xor),
-    _op("bic", "ILOG", _bic),
-    _op("sll", "SHIFT", _sll),
-    _op("srl", "SHIFT", _srl),
-    _op("sra", "SHIFT", _sra),
-    _op("cmpeq", "ICMP", _cmpeq),
-    _op("cmplt", "ICMP", _cmplt),
-    _op("cmple", "ICMP", _cmple),
-    _op("cmpult", "ICMP", _cmpult),
-    _op("cmpule", "ICMP", _cmpule),
-    OpInfo("cmovne", "op", "CMOV", None, _bne),
-    OpInfo("cmoveq", "op", "CMOV", None, _beq),
-    _fop("addt", "FADD", _addt),
-    _fop("subt", "FADD", _subt),
-    _fop("mult", "FMUL", _mult),
-    _fop("divt", "FDIV", _divt),
-    _fop("cpys", "FADD", _cpys),
-    _fop("cvtqt", "FADD", _cvtqt),
-    _fop("cvttq", "FADD", _cvttq),
+
+def _declare(name: str, kind: str, cls: str,
+             sem: Optional[Callable[..., Any]] = None,
+             cond: Optional[Callable[..., Any]] = None) -> None:
+    if name in OPCODES:
+        raise ValueError("opcode %r declared twice" % name)
+    OPCODES[name] = OpInfo(name, kind, cls, sem, cond)
+
+
+# Operate semantics: f(a, b) -> result.  Integer operands and results
+# are canonical 64-bit register values (0 <= x <= MASK64); floating
+# ones are Python floats.
+for _name, _kind, _cls, _expr in (
+    ("addq", "op", "IADD", "(a + b) & MASK64"),
+    ("subq", "op", "IADD", "(a - b) & MASK64"),
+    ("addl", "op", "IADD", "_s32(a + b) & MASK64"),
+    ("subl", "op", "IADD", "_s32(a - b) & MASK64"),
+    ("s4addq", "op", "IADD", "(4 * a + b) & MASK64"),
+    ("s8addq", "op", "IADD", "(8 * a + b) & MASK64"),
+    ("mulq", "op", "IMUL", "(_s64(a) * _s64(b)) & MASK64"),
+    ("and", "op", "ILOG", "a & b"),
+    ("bis", "op", "ILOG", "a | b"),
+    ("xor", "op", "ILOG", "a ^ b"),
+    ("bic", "op", "ILOG", "a & ~b & MASK64"),
+    ("sll", "op", "SHIFT", "(a << (b & 63)) & MASK64"),
+    ("srl", "op", "SHIFT", "(a & MASK64) >> (b & 63)"),
+    ("sra", "op", "SHIFT", "(_s64(a) >> (b & 63)) & MASK64"),
+    ("cmpeq", "op", "ICMP", "1 if a == b else 0"),
+    ("cmplt", "op", "ICMP", "1 if _s64(a) < _s64(b) else 0"),
+    ("cmple", "op", "ICMP", "1 if _s64(a) <= _s64(b) else 0"),
+    ("cmpult", "op", "ICMP", "1 if (a & MASK64) < (b & MASK64) else 0"),
+    ("cmpule", "op", "ICMP", "1 if (a & MASK64) <= (b & MASK64) else 0"),
+    ("addt", "fop", "FADD", "a + b"),
+    ("subt", "fop", "FADD", "a - b"),
+    ("mult", "fop", "FMUL", "a * b"),
+    ("divt", "fop", "FDIV", "a / b if b != 0.0 else 0.0"),
+    # copy sign of a onto b; with a == b this is a register move.
+    ("cpys", "fop", "FADD", "-abs(b) if a < 0 else abs(b)"),
+    # convert the integer bits in b to a float (fa field unused).
+    ("cvtqt", "fop", "FADD", "float(_s64(int(b)))"),
+    ("cvttq", "fop", "FADD", "float(int(b))"),
+):
+    _declare(_name, _kind, _cls, sem=_derive("a, b", _expr))
+
+# Branch conditions: f(ra value) -> bool.  The integer sign tests read
+# bit 63 directly, which is the sign only of a canonical register value
+# (0 <= a <= MASK64): that is what ``iregs`` holds and what every
+# ``sem`` above returns, and it is the only domain any caller has.
+for _name, _kind, _cls, _expr in (
+    ("beq", "cbranch", "BR", "a == 0"),
+    ("bne", "cbranch", "BR", "a != 0"),
+    ("blt", "cbranch", "BR", "(a >> 63) != 0"),
+    ("ble", "cbranch", "BR", "(a >> 63) != 0 or a == 0"),
+    ("bgt", "cbranch", "BR", "(a >> 63) == 0 and a != 0"),
+    ("bge", "cbranch", "BR", "(a >> 63) == 0"),
+    ("blbc", "cbranch", "BR", "(a & 1) == 0"),
+    ("blbs", "cbranch", "BR", "(a & 1) == 1"),
+    ("fbeq", "fbranch", "FBR", "a == 0.0"),
+    ("fbne", "fbranch", "FBR", "a != 0.0"),
+    ("fblt", "fbranch", "FBR", "a < 0.0"),
+    ("fbge", "fbranch", "FBR", "a >= 0.0"),
+):
+    _declare(_name, _kind, _cls, cond=_derive("a", _expr))
+
+# A conditional move tests ra with the like-named branch's condition.
+_declare("cmovne", "op", "CMOV", cond=OPCODES["bne"].cond)
+_declare("cmoveq", "op", "CMOV", cond=OPCODES["beq"].cond)
+
+for _name, _kind, _cls in (
     # Memory.
-    OpInfo("ldq", "load", "LD", None, None),
-    OpInfo("ldl", "load", "LD", None, None),
-    OpInfo("ldt", "fload", "LD", None, None),
-    OpInfo("stq", "store", "ST", None, None),
-    OpInfo("stl", "store", "ST", None, None),
-    OpInfo("stt", "fstore", "ST", None, None),
-    OpInfo("lda", "lda", "IADD", None, None),
-    OpInfo("ldah", "lda", "IADD", None, None),
+    ("ldq", "load", "LD"),
+    ("ldl", "load", "LD"),
+    ("ldt", "fload", "LD"),
+    ("stq", "store", "ST"),
+    ("stl", "store", "ST"),
+    ("stt", "fstore", "ST"),
+    ("lda", "lda", "IADD"),
+    ("ldah", "lda", "IADD"),
     # Control flow.
-    OpInfo("br", "br", "BR", None, None),
-    OpInfo("bsr", "br", "JSR", None, None),
-    OpInfo("beq", "cbranch", "BR", None, _beq),
-    OpInfo("bne", "cbranch", "BR", None, _bne),
-    OpInfo("blt", "cbranch", "BR", None, _blt),
-    OpInfo("ble", "cbranch", "BR", None, _ble),
-    OpInfo("bgt", "cbranch", "BR", None, _bgt),
-    OpInfo("bge", "cbranch", "BR", None, _bge),
-    OpInfo("blbc", "cbranch", "BR", None, _blbc),
-    OpInfo("blbs", "cbranch", "BR", None, _blbs),
-    OpInfo("fbeq", "fbranch", "FBR", None, _fbeq),
-    OpInfo("fbne", "fbranch", "FBR", None, _fbne),
-    OpInfo("fblt", "fbranch", "FBR", None, _fblt),
-    OpInfo("fbge", "fbranch", "FBR", None, _fbge),
-    OpInfo("jmp", "jump", "JSR", None, None),
-    OpInfo("jsr", "jump", "JSR", None, None),
-    OpInfo("ret", "jump", "JSR", None, None),
-    OpInfo("call_pal", "pal", "NOP", None, None),
-    OpInfo("nop", "nop", "NOP", None, None),
-    OpInfo("unop", "nop", "NOP", None, None),
-]:
-    OPCODES[info.name] = OPCODES.get(info.name, info)
+    ("br", "br", "BR"),
+    ("bsr", "br", "JSR"),
+    ("jmp", "jump", "JSR"),
+    ("jsr", "jump", "JSR"),
+    ("ret", "jump", "JSR"),
+    ("call_pal", "pal", "NOP"),
+    ("nop", "nop", "NOP"),
+    ("unop", "nop", "NOP"),
+):
+    _declare(_name, _kind, _cls)
 
 #: Conditional-branch inversion pairs.  ``BRANCH_INVERSES[op]`` is the
 #: opcode whose condition is the exact architectural negation of
 #: ``op``'s (the ``cond`` callables above are complementary on every
-#: input) -- the table the rewriter's branch inversion and the
+#: register value) -- the table the rewriter's branch inversion and the
 #: translation validator's simulation rules both rely on.
 BRANCH_INVERSES: Dict[str, str] = {
     "beq": "bne", "bne": "beq",

@@ -18,6 +18,7 @@ import os
 from repro.alpha.serialize import load_images, save_images
 from repro.collect.database import (CorruptProfileError, ImageProfile,
                                     ProfileDatabase)
+from repro.obs import derive
 
 
 def save_bundle(result, path):
@@ -28,20 +29,16 @@ def save_bundle(result, path):
     save_images(images, os.path.join(path, "images.json"))
     database = ProfileDatabase(os.path.join(path, "db"))
     result.daemon.merge_to_disk(database)
-    stats = _jsonable(result.stats())
-    driver_samples = stats.get("driver_samples", 0)
-    dropped = stats.get("driver_dropped", 0)
-    lost = stats.get("daemon_lost_samples", 0)
+    stats = derive(result.metrics())
     meta = {
         "periods": {str(ev): period
                     for ev, period in result.daemon.periods.items()},
         "stats": stats,
         # Loss accounting for graceful analysis degradation.
         "loss": {
-            "samples_dropped": dropped + lost,
-            "loss_rate": ((dropped + lost) / driver_samples
-                          if driver_samples else 0.0),
-            "recoveries": stats.get("daemon_recoveries", 0),
+            "samples_dropped": stats["collect.samples_dropped"],
+            "loss_rate": stats["collect.loss_rate"],
+            "recoveries": stats["collect.recoveries"],
             "quarantined_samples": database.quarantined_samples(),
         },
     }
@@ -93,8 +90,3 @@ def load_bundle(path):
     warnings.extend(database.warnings)
     meta["warnings"] = warnings
     return profiles, meta
-
-
-def _jsonable(data):
-    return {k: (float(v) if isinstance(v, float) else v)
-            for k, v in data.items()}

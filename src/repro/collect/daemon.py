@@ -540,12 +540,6 @@ class Daemon:
     def peak_resident_bytes(self):
         return max(self._peak_resident, self.resident_bytes())
 
-    def stats(self):
-        """Backward-compatible view over :mod:`repro.obs.schema`."""
-        from repro.obs.schema import legacy_daemon_stats
-
-        return legacy_daemon_stats(self)
-
     def metrics(self):
         """Typed metric snapshot (normalized names, shard-mergeable)."""
         from repro.obs.schema import daemon_metrics

@@ -293,7 +293,8 @@ class Driver:
         if len(state.full) > 2:
             # Both buffers backed up and the daemon hasn't drained: drop.
             # The loss lands in the per-CPU `dropped` counter, which
-            # flows into Daemon.stats(), dcpimon and BENCH_*.json --
+            # flows into ``driver.overflow.dropped``, dcpimon and
+            # BENCH_*.json --
             # dropped samples are accounted, never silent.
             lost = state.full.pop(0)
             state.dropped += sum(count for _, count in lost)
@@ -373,17 +374,6 @@ class Driver:
                    for cpu_id in range(len(self.cpus)))
 
     # -- statistics ----------------------------------------------------------
-
-    def stats(self):
-        """Aggregate per-CPU statistics (the Table 4 inputs).
-
-        A backward-compatible view over the normalized schema in
-        :mod:`repro.obs.schema`; new code should prefer
-        :meth:`metrics`.
-        """
-        from repro.obs.schema import legacy_driver_stats
-
-        return legacy_driver_stats(self)
 
     def metrics(self):
         """Typed metric snapshot (normalized names, shard-mergeable)."""

@@ -71,10 +71,11 @@ class ShardResult:
     profiles: dict
     #: {event: mean sampling period} (profile metadata).
     periods: dict
-    #: combined driver + daemon statistics of the profiled run.
-    stats: dict
     instructions: int
     cycles: int
+    #: daemon cycles at the period-scaled rate, amortized across the
+    #: CPUs (the Table 3 overhead charge).
+    scaled_daemon_cycles: float
     baseline_cycles: Optional[int] = None
     baseline_instructions: Optional[int] = None
     elapsed: float = 0.0
@@ -89,7 +90,7 @@ class ShardResult:
 
     @property
     def samples(self):
-        return self.stats.get("driver_samples", 0)
+        return self.obs["driver.samples"]["value"]
 
     def overhead_pct(self):
         """Slowdown percent vs the baseline run, daemon cost included.
@@ -100,12 +101,7 @@ class ShardResult:
         """
         if not self.baseline_cycles:
             return None
-        scale = self.stats.get("scaled_daemon_cycles", None)
-        if scale is None:
-            scale = (self.stats.get("daemon_cycles", 0)
-                     * self.stats.get("cost_scale", 1.0)
-                     / max(1, self.stats.get("num_cpus", 1)))
-        adjusted = self.cycles + scale
+        adjusted = self.cycles + self.scaled_daemon_cycles
         return (adjusted - self.baseline_cycles) / self.baseline_cycles * 100.0
 
 
@@ -131,12 +127,6 @@ def run_shard(spec):
                       faults=spec.faults, context=spec.context))
     result = session.run(workload, max_instructions=spec.max_instructions)
     export = result.export_mergeable()
-    stats = export["stats"]
-    stats["cost_scale"] = result.driver.cost_scale
-    stats["num_cpus"] = len(result.machine.cores)
-    stats["scaled_daemon_cycles"] = (
-        result.daemon.cycles * result.driver.cost_scale
-        / len(result.machine.cores))
     baseline_cycles = baseline_instructions = None
     if spec.baseline:
         base = session.run_baseline(
@@ -148,9 +138,11 @@ def run_shard(spec):
         spec=spec,
         profiles=export["profiles"],
         periods=export["periods"],
-        stats=stats,
         instructions=result.instructions,
         cycles=result.cycles,
+        scaled_daemon_cycles=(result.daemon.cycles
+                              * result.driver.cost_scale
+                              / len(result.machine.cores)),
         baseline_cycles=baseline_cycles,
         baseline_instructions=baseline_instructions,
         elapsed=time.perf_counter() - started,

@@ -145,15 +145,6 @@ class SessionResult:
     def total_samples(self, event=EventType.CYCLES):
         return self.driver.event_samples.get(event, 0)
 
-    def stats(self):
-        """Combined driver + daemon statistics (legacy key names)."""
-        stats = {"instructions": self.instructions, "cycles": self.cycles}
-        stats.update({"driver_" + k: v
-                      for k, v in self.driver.stats().items()})
-        stats.update({"daemon_" + k: v
-                      for k, v in self.daemon.stats().items()})
-        return stats
-
     def metrics(self):
         """Typed self-monitoring snapshot under the normalized schema.
 
@@ -181,7 +172,6 @@ class SessionResult:
         return {
             "profiles": self.daemon.export_profiles(),
             "periods": dict(self.daemon.periods),
-            "stats": self.stats(),
             "obs": self.metrics(),
             "ctx": (self.daemon.ctx.to_meta()
                     if self.daemon.ctx is not None else None),

@@ -47,8 +47,7 @@ class InstSchedule:
 class BlockSchedule:
     """Static schedule of a basic block."""
 
-    def __init__(self, block, rows, best_case_cycles):
-        self.block = block
+    def __init__(self, rows, best_case_cycles):
         self.rows = rows          # list of InstSchedule, in order
         self.best_case_cycles = best_case_cycles
         self.by_addr = {row.inst.addr: row for row in rows}
@@ -57,8 +56,9 @@ class BlockSchedule:
         return self.by_addr[addr].m
 
 
-def schedule_block(block):
-    """Statically schedule *block*; return a :class:`BlockSchedule`."""
+def schedule_block(instructions):
+    """Statically schedule one basic block's *instructions* (a
+    sequence, in program order); return a :class:`BlockSchedule`."""
     rows = []
     reg_ready = {}
     reg_writer = {}
@@ -68,7 +68,7 @@ def schedule_block(block):
     imul_free = 0
     fdiv_free = 0
 
-    for inst in block.instructions:
+    for inst in instructions:
         row = InstSchedule(inst)
         cls_name = inst.info.cls
         icls = ISSUE_CLASSES[cls_name]
@@ -128,7 +128,7 @@ def schedule_block(block):
         row.issue = issue
         is_taken_branch = inst.info.kind in ("br", "cbranch", "fbranch",
                                              "jump")
-        if is_taken_branch and inst is block.instructions[-1]:
+        if is_taken_branch and inst is instructions[-1]:
             # The block-terminating transfer closes the issue group.
             pair_open = False
         prev_issue = issue
@@ -144,7 +144,7 @@ def schedule_block(block):
         rows.append(row)
 
     best_case = prev_issue + 1 if rows else 0
-    return BlockSchedule(block, rows, best_case)
+    return BlockSchedule(rows, best_case)
 
 
 def schedule_cfg(cfg, obs=None):
@@ -157,7 +157,7 @@ def schedule_cfg(cfg, obs=None):
 
     obs = obs or NULL_OBS
     with obs.span("analyze.schedule", proc=cfg.proc.name):
-        schedules = {block.index: schedule_block(block)
+        schedules = {block.index: schedule_block(block.instructions)
                      for block in cfg.blocks}
     obs.counter("analyze.schedule.instructions").inc(
         sum(len(s.rows) for s in schedules.values()))

@@ -27,8 +27,11 @@ Design notes (see README "Performance"):
 * Each cached variant is *compiled* to a specialized Python function
   (:func:`_compile_replay`): operand fields, issue offsets, fetch-line
   crossings and miss checks become straight-line code with inlined
-  constants, so a replayed instruction costs one semantics call plus a
-  register write instead of the slow path's full dispatch.
+  constants, so a replayed instruction costs one open-coded expression
+  plus a register write instead of the slow path's full dispatch.
+  Opcode semantics are derived from :mod:`repro.alpha.opcodes`
+  (``open_code`` of the record's own callable), never restated here:
+  this module holds no opcode arithmetic of its own.
 * Everything schedule-derived is precomputed at store time and applied
   in bulk after the compiled function returns: final scoreboard values
   (clean completion times are entry-relative constants), IMUL/FDIV
@@ -46,62 +49,7 @@ Design notes (see README "Performance"):
   so batching them into a single counter update is exact).
 """
 
-from repro.alpha import opcodes as _sem
-from repro.alpha.opcodes import MASK64
-
-
-def _cond_tables():
-    """Expression templates for semantics functions the codegen can
-    open-code (register values are canonical 64-bit unsigned, floats
-    are Python floats).  Anything absent falls back to calling the
-    record's semantics function."""
-    ops = {}
-    conds = {}
-    for name, tmpl in (
-            ("_addq", "({a} + {b}) & MASK64"),
-            ("_subq", "({a} - {b}) & MASK64"),
-            ("_s4addq", "(4 * {a} + {b}) & MASK64"),
-            ("_s8addq", "(8 * {a} + {b}) & MASK64"),
-            ("_and", "{a} & {b}"),
-            ("_bis", "{a} | {b}"),
-            ("_xor", "{a} ^ {b}"),
-            ("_bic", "{a} & ~{b} & MASK64"),
-            ("_sll", "({a} << ({b} & 63)) & MASK64"),
-            ("_srl", "({a} & MASK64) >> ({b} & 63)"),
-            ("_cmpeq", "1 if {a} == {b} else 0"),
-            ("_cmpult", "1 if ({a} & MASK64) < ({b} & MASK64) else 0"),
-            ("_cmpule", "1 if ({a} & MASK64) <= ({b} & MASK64) else 0"),
-            ("_addt", "{a} + {b}"),
-            ("_subt", "{a} - {b}"),
-            ("_mult", "{a} * {b}"),
-            ("_divt", "({a} / {b} if {b} != 0.0 else 0.0)"),
-    ):
-        fn = getattr(_sem, name, None)
-        if fn is not None:
-            ops[fn] = tmpl
-    for name, tmpl in (
-            ("_beq", "{a} == 0"),
-            ("_bne", "{a} != 0"),
-            ("_blt", "({a} >> 63) != 0"),
-            ("_ble", "({a} >> 63) != 0 or {a} == 0"),
-            ("_bgt", "({a} >> 63) == 0 and {a} != 0"),
-            ("_bge", "({a} >> 63) == 0"),
-            ("_blbc", "({a} & 1) == 0"),
-            ("_blbs", "({a} & 1) == 1"),
-            ("_fbeq", "{a} == 0.0"),
-            ("_fbne", "{a} != 0.0"),
-            ("_fblt", "{a} < 0.0"),
-            ("_fble", "{a} <= 0.0"),
-            ("_fbgt", "{a} > 0.0"),
-            ("_fbge", "{a} >= 0.0"),
-    ):
-        fn = getattr(_sem, name, None)
-        if fn is not None:
-            conds[fn] = tmpl
-    return ops, conds
-
-
-_INLINE_OPS, _INLINE_CONDS = _cond_tables()
+from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
 
 
 def cache_geometry(cache_config):
@@ -240,8 +188,9 @@ def _compile_replay(steps, line_shift, page_bits, sb,
     probes (fetch lines, D-TLB/D-cache, write buffer, branch predictor)
     with every schedule-derived constant inlined; on the clean path it
     also applies the final scoreboard *sb* (entry-relative constants)
-    before any value-dependent return.  Common semantics are
-    open-coded from :data:`_INLINE_OPS`, and (for direct-mapped
+    before any value-dependent return.  Operate and branch semantics
+    are open-coded from the record's own callable
+    (:func:`repro.alpha.opcodes.open_code`), and (for direct-mapped
     power-of-two caches) the D-TLB, L1 and I-fetch *hit* paths are
     inlined too -- their side effects on a hit are exactly a hit
     counter bump, so the probes replicate the model byte-for-byte and
@@ -259,7 +208,7 @@ def _compile_replay(steps, line_shift, page_bits, sb,
     * ``(3, i)``           -- store *i* completed with a D-TLB miss.
     """
     pm = (1 << page_bits) - 1
-    ns = {"MASK64": MASK64}
+    ns = dict(EXPR_GLOBALS)
     body = []
     L = body.append
     has_mem = any(4 <= s[0][0] <= 9 for s in steps)
@@ -358,35 +307,18 @@ def _compile_replay(steps, line_shift, page_bits, sb,
         if kind == 0:  # op
             if dst is not None:
                 b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                tmpl = _INLINE_OPS.get(rec[10])
-                if tmpl is not None:
-                    L("    iregs[%d] = %s"
-                      % (dst, tmpl.format(a="iregs[%d]" % f1, b=b)))
-                else:
-                    ns["_f%d" % i] = rec[10]
-                    L("    iregs[%d] = _f%d(iregs[%d], %s)"
-                      % (dst, i, f1, b))
+                L("    iregs[%d] = %s"
+                  % (dst, open_code(rec[10], "iregs[%d]" % f1, b)))
         elif kind == 1:  # cmov (dst is the old-value register)
             if dst is not None:
                 b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                tmpl = _INLINE_CONDS.get(rec[10])
-                if tmpl is not None:
-                    cond = tmpl.format(a="iregs[%d]" % f1)
-                else:
-                    ns["_f%d" % i] = rec[10]
-                    cond = "_f%d(iregs[%d])" % (i, f1)
-                L("    if %s: iregs[%d] = %s" % (cond, dst, b))
+                L("    if %s: iregs[%d] = %s"
+                  % (open_code(rec[10], "iregs[%d]" % f1), dst, b))
         elif kind == 2:  # fop
             if dst is not None:
                 a = "fregs[%d]" % f1 if f1 is not None else "0.0"
-                tmpl = _INLINE_OPS.get(rec[10])
-                if tmpl is not None:
-                    L("    fregs[%d] = %s"
-                      % (dst - 32, tmpl.format(a=a, b="fregs[%d]" % f2)))
-                else:
-                    ns["_f%d" % i] = rec[10]
-                    L("    fregs[%d] = _f%d(%s, fregs[%d])"
-                      % (dst - 32, i, a, f2))
+                L("    fregs[%d] = %s"
+                  % (dst - 32, open_code(rec[10], a, "fregs[%d]" % f2)))
         elif kind == 3:  # lda
             if dst is not None:
                 if f2 is not None:
@@ -469,12 +401,7 @@ def _compile_replay(steps, line_shift, page_bits, sb,
             pass
         elif kind == 11 or kind == 12:  # cbranch / fbranch
             regs = "iregs" if kind == 11 else "fregs"
-            tmpl = _INLINE_CONDS.get(rec[10])
-            if tmpl is not None:
-                L("    _t = %s" % tmpl.format(a="%s[%d]" % (regs, f1)))
-            else:
-                ns["_f%d" % i] = rec[10]
-                L("    _t = _f%d(%s[%d])" % (i, regs, f1))
+            L("    _t = %s" % open_code(rec[10], "%s[%d]" % (regs, f1)))
             L("    _np = %d if _t else %d" % (rec[9], addr + 4))
             # Open-coded BranchPredictor.predict_conditional (2-bit
             # saturating counter update + accounting).

@@ -55,8 +55,7 @@ def build_parser():
                           "each epoch's ledger with its delta")
     run.add_argument("--shards", type=int, default=1,
                      help="shard count for a newly created store "
-                          "(default 1 = legacy single-directory "
-                          "layout)")
+                          "(default 1)")
     run.add_argument("--durable", action="store_true",
                      help="give every machine a local database + "
                           "drain journal (crash-recoverable daemons)")

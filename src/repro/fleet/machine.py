@@ -97,8 +97,7 @@ class FleetConfig:
     context: bool = False
     #: driver-side context-table capacity when *context* is on.
     ctx_slots: int = 64
-    #: shard count for a store created by this session (1 = legacy
-    #: single-directory layout).
+    #: shard count for a store created by this session.
     shards: int = 1
     #: give every machine a local database + drain journal so it can
     #: crash and recover mid-epoch (fleet.machine.* fault points only

@@ -13,8 +13,12 @@ ledger, and advisory ingest lock.  A delta is routed by a stable hash
 of its machine id (``zlib.crc32`` -- unsalted, identical across
 processes), so every machine always lands on the same shard and the
 per-shard dedupe ledger stays authoritative.  N writer processes
-ingesting disjoint machines therefore contend on nothing.  The default
-``shards=1`` keeps the exact legacy single-directory layout on disk.
+ingesting disjoint machines therefore contend on nothing.
+
+One layout on disk: ``<root>/STORE.json`` records the shard count K and
+shard *i* lives at ``<root>/shards/s%02d`` -- K=1 (the default) is one
+shard directory.  A root whose ``STORE.json`` does not parse, or that
+holds data without one, is refused rather than opened empty.
 
 Idempotent delivery: every applied delta id ``(machine, epoch, batch)``
 is recorded in the owning shard's ledger committed *in the same atomic
@@ -62,8 +66,7 @@ LEDGER_VERSION = 1
 #: Lock file guarding each shard's single-writer ingest path.
 INGEST_LOCK_NAME = "INGEST.lock"
 
-#: Store-level layout descriptor (only written for sharded stores;
-#: legacy single-shard stores have no extra file).
+#: Store-level layout descriptor, written when a store is created.
 STORE_META_NAME = "STORE.json"
 
 #: Real sleeping between lock attempts (injectable for tests; the
@@ -308,40 +311,28 @@ class FleetStore:
         self.obs = obs or NULL_OBS
         self.retry = retry or IngestRetry()
         persisted = self._read_store_meta()
-        if shards is None:
-            shards = persisted if persisted else 1
-        shards = int(shards)
-        if shards < 1:
-            raise ValueError("a store needs at least one shard")
-        if persisted is not None and persisted != shards:
+        if persisted is None:
+            for stray in ("db", "shards"):
+                if os.path.isdir(os.path.join(self.root, stray)):
+                    raise ValueError(
+                        "%s holds %s/ but no %s: not a fleet store"
+                        % (self.root, stray, STORE_META_NAME))
+            shards = 1 if shards is None else int(shards)
+            if shards < 1:
+                raise ValueError("a store needs at least one shard")
+            self._write_store_meta(shards)
+        elif shards is not None and int(shards) != persisted:
             raise ValueError(
                 "store %s is laid out as %d shard(s); cannot open it "
-                "with shards=%d" % (self.root, persisted, shards))
-        if persisted is None and shards > 1:
-            if os.path.isdir(os.path.join(self.root, "db")):
-                raise ValueError(
-                    "store %s already holds a single-shard layout; "
-                    "cannot reshard it to %d" % (self.root, shards))
-            self._write_store_meta(shards)
-        self.num_shards = shards
-        if shards == 1:
-            # Legacy layout: the store root IS the shard (db/ +
-            # INGEST.lock directly under it), byte-identical on disk
-            # to every pre-sharding store.
-            self.shards = [FleetShard(self.root, 0, obs=self.obs,
-                                      retry=self.retry)]
+                "with shards=%d" % (self.root, persisted, int(shards)))
         else:
-            self.shards = [
-                FleetShard(os.path.join(self.root, "shards",
-                                        "s%02d" % index),
-                           index, obs=self.obs, retry=self.retry)
-                for index in range(shards)
-            ]
-    @property
-    def db(self):
-        """Shard 0's database (compat alias; single-shard callers keep
-        working unchanged; tracks the shard's post-ingest refreshes)."""
-        return self.shards[0].db
+            shards = persisted
+        self.num_shards = shards
+        self.shards = [
+            FleetShard(os.path.join(self.root, "shards", "s%02d" % index),
+                       index, obs=self.obs, retry=self.retry)
+            for index in range(shards)
+        ]
 
     # -- layout ------------------------------------------------------------
 
@@ -349,11 +340,23 @@ class FleetStore:
         return os.path.join(self.root, STORE_META_NAME)
 
     def _read_store_meta(self):
+        """The persisted shard count, or None for a root with no
+        layout file yet.  A layout file that does not parse is an
+        error, never "no store here": guessing a shard count would
+        open the store empty."""
+        path = self._store_meta_path()
         try:
-            with open(self._store_meta_path()) as handle:
-                return int(json.load(handle)["shards"])
-        except (OSError, ValueError, KeyError):
+            with open(path) as handle:
+                text = handle.read()
+        except FileNotFoundError:
             return None
+        try:
+            shards = json.loads(text)["shards"]
+        except (ValueError, KeyError, TypeError):
+            shards = None
+        if not isinstance(shards, int) or shards < 1:
+            raise ValueError("store layout file %s is unreadable" % path)
+        return shards
 
     def _write_store_meta(self, shards):
         os.makedirs(self.root, exist_ok=True)
@@ -371,17 +374,8 @@ class FleetStore:
 
     @property
     def ledger(self):
-        """The store ledger.
-
-        Single-shard stores expose the live shard ledger dict (legacy
-        callers read *and mutate* it); sharded stores return a merged
-        read-only snapshot.
-        """
-        if self.num_shards == 1:
-            return self.shards[0].ledger
-        return self._merged_ledger()
-
-    def _merged_ledger(self):
+        """A merged snapshot of the shard ledgers (writers mutate
+        ``shard.ledger`` under that shard's lock, never this)."""
         from repro.ctx import merge_ledger_meta
         merged = _empty_ledger()
         ctx_by_epoch = {}
@@ -529,31 +523,19 @@ class FleetStore:
 
     def stats(self):
         """Ledger + database accounting in one flat dict."""
-        applied = 0
-        machines = set()
-        sums = {"samples_ingested": 0, "bytes_ingested": 0,
-                "duplicates_dropped": 0, "compactions": 0,
-                "downsample_residue": 0, "lock_retries": 0}
-        ctx_epochs = set()
-        for shard in self.shards:
-            ledger = shard.ledger
-            applied += len(ledger["applied"])
-            machines.update(ledger["machines"])
-            ctx_epochs.update(ledger["ctx"])
-            for key in sums:
-                sums[key] += ledger[key]
+        ledger = self.ledger
         return {
             "epochs": len(self.epochs()),
             "shards": self.num_shards,
-            "machines": len(machines),
-            "deltas_applied": applied,
-            "samples_ingested": sums["samples_ingested"],
-            "bytes_ingested": sums["bytes_ingested"],
-            "duplicates_dropped": sums["duplicates_dropped"],
-            "compactions": sums["compactions"],
-            "downsample_residue": sums["downsample_residue"],
-            "lock_retries": sums["lock_retries"],
-            "ctx_epochs": len(ctx_epochs),
+            "machines": len(ledger["machines"]),
+            "deltas_applied": len(ledger["applied"]),
+            "samples_ingested": ledger["samples_ingested"],
+            "bytes_ingested": ledger["bytes_ingested"],
+            "duplicates_dropped": ledger["duplicates_dropped"],
+            "compactions": ledger["compactions"],
+            "downsample_residue": ledger["downsample_residue"],
+            "lock_retries": ledger["lock_retries"],
+            "ctx_epochs": len(ledger["ctx"]),
             "stored_samples": self.total_samples(),
             "disk_bytes": self.disk_bytes(),
             "quarantined_samples": self.quarantined_samples(),

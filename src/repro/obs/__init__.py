@@ -21,8 +21,7 @@ from repro.obs.metrics import (COUNTER, GAUGE, HISTOGRAM, NULL_REGISTRY,
                                flatten_metrics, merge_metrics)
 from repro.obs.observability import NULL_OBS, Observability, ObsConfig
 from repro.obs.schema import (daemon_metrics, derive, driver_metrics,
-                              hashtable_metrics, legacy_daemon_stats,
-                              legacy_driver_stats, session_metrics)
+                              hashtable_metrics, session_metrics)
 from repro.obs.trace import (NULL_TRACE, TraceRecorder, read_events,
                              span_durations, trace_counters)
 
@@ -35,5 +34,4 @@ __all__ = [
     "read_events", "span_durations", "trace_counters",
     "driver_metrics", "daemon_metrics", "hashtable_metrics",
     "session_metrics", "derive",
-    "legacy_driver_stats", "legacy_daemon_stats",
 ]

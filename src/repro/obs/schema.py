@@ -1,4 +1,4 @@
-"""The normalized self-monitoring schema, and the legacy-stats shims.
+"""The normalized self-monitoring schema.
 
 Before this module, each collection component exposed its own ad-hoc
 dict with overlapping, inconsistently named keys (``miss_rate`` here,
@@ -57,9 +57,6 @@ rates -- ``driver.hash.miss_rate``, ``daemon.aggregation_factor``,
 ``collection.samples_per_sec`` and friends -- come from
 :func:`derive`, computed from merged counts, so a sharded run's rates
 are exact, not averages of averages.
-
-``Driver.stats()`` and ``Daemon.stats()`` remain as thin views over
-this schema with their historical key names.
 """
 
 from repro.obs.metrics import COUNTER, GAUGE, flatten_metrics
@@ -239,48 +236,3 @@ def derive(snapshot):
         flat["collection.instructions_per_sec"] = (
             flat.get("session.instructions", 0) / wall)
     return flat
-
-
-# -- backward-compatible views (the pre-obs ad-hoc dict layouts) -----------
-
-
-def legacy_driver_stats(driver):
-    """``Driver.stats()``'s historical keys, computed via the schema."""
-    flat = derive(driver_metrics(driver))
-    samples = flat["driver.samples"]
-    return {
-        "samples": samples,
-        "hits": flat["driver.hash.hits"],
-        "misses": flat["driver.hash.misses"],
-        "miss_rate": _ratio(flat["driver.hash.misses"], samples),
-        "eviction_rate": flat["driver.eviction_rate"],
-        "avg_cost": flat["driver.avg_cost"],
-        "avg_hit_cost": flat["driver.avg_hit_cost"],
-        "avg_miss_cost": flat["driver.avg_miss_cost"],
-        "handler_cycles": flat["driver.handler_cycles"],
-        "edge_samples": flat["driver.edge_samples"],
-        "dropped": flat["driver.overflow.dropped"],
-        "kernel_memory_bytes": flat["driver.kernel_memory_bytes"],
-    }
-
-
-def legacy_daemon_stats(daemon):
-    """``Daemon.stats()``'s historical keys, computed via the schema."""
-    flat = derive(daemon_metrics(daemon))
-    return {
-        "samples": flat["daemon.samples"],
-        "entries": flat["daemon.entries"],
-        "aggregation": flat["daemon.aggregation_factor"],
-        "cycles": flat["daemon.cycles"],
-        "cost_per_sample": flat["daemon.cost_per_sample"],
-        "unknown_samples": flat["daemon.unknown_samples"],
-        "unknown_fraction": flat["daemon.unknown_fraction"],
-        "resident_bytes": flat["daemon.resident_bytes"],
-        "peak_resident_bytes": flat["daemon.resident_bytes.peak"],
-        "drain_retries": flat["daemon.drain_retries"],
-        "drain_failures": flat["daemon.drain_failures"],
-        "recoveries": flat["daemon.recoveries"],
-        "lost_samples": flat["daemon.lost_samples"],
-        "samples_dropped": daemon.samples_dropped,
-        "loadmaps_dropped": flat["daemon.loadmaps_dropped"],
-    }

@@ -106,15 +106,6 @@ def _split_cold(order, freq, cold_count):
 _BARRIER_OPS = ("jsr", "bsr", "call_pal")
 
 
-class _Shim:
-    """Duck-typed block for re-running the static scheduler."""
-
-    __slots__ = ("instructions",)
-
-    def __init__(self, instructions):
-        self.instructions = instructions
-
-
 #: Dynamic-stall culprit reasons caused by the *producer* of a value
 #: (a load that missed): the stall charged at the consumer moves with
 #: the producer's result latency.
@@ -305,8 +296,8 @@ def _schedule_block_order(block, extra):
     if _effective_cycles(candidate, extra) \
             >= _effective_cycles(original, extra):
         return None
-    if schedule_block(_Shim(candidate)).best_case_cycles \
-            > schedule_block(block).best_case_cycles:
+    if schedule_block(candidate).best_case_cycles \
+            > schedule_block(block.instructions).best_case_cycles:
         return None
     return candidate
 

@@ -34,6 +34,7 @@ from repro.collect.bundle import load_bundle, save_bundle
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
+from repro.obs import derive
 
 
 def main_dcpid(argv=None):
@@ -61,10 +62,9 @@ def main_dcpid(argv=None):
     session = ProfileSession(machine_config, config)
     result = session.run(workload, max_instructions=args.max_instructions)
     save_bundle(result, args.out)
-    stats = result.stats()
     print("profiled %d instructions, %d cycles, %d samples -> %s"
           % (result.instructions, result.cycles,
-             stats["driver_samples"], args.out))
+             derive(result.metrics())["driver.samples"], args.out))
     return 0
 
 

@@ -2,6 +2,8 @@
 stays quiet on the sanctioned idiom, and the committed source is clean.
 """
 
+import pathlib
+import re
 import textwrap
 
 from repro.check.lint import (HOT_PATH_MODULES, SERIALIZING_MODULES,
@@ -388,3 +390,13 @@ class TestRepoIsClean:
     def test_package_source_has_no_findings(self):
         root = CheckConfig().resolved_src_root()
         assert lint_paths(root) == []
+
+    def test_package_source_has_no_compat_paths(self):
+        """The names of the fallbacks deleted so far (the hand-copied
+        semantics templates, the pre-obs stats shims, the scheduler
+        shim, the second fleet layout) must not come back."""
+        banned = re.compile(
+            r"getattr\(_sem|_INLINE_|legacy_|_Shim|shards == 1")
+        root = pathlib.Path(CheckConfig().resolved_src_root())
+        assert [str(path) for path in sorted(root.rglob("*.py"))
+                if banned.search(path.read_text())] == []

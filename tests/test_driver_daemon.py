@@ -8,6 +8,7 @@ from repro.collect.driver import (EVENT_ORDINAL, INTERRUPT_SETUP, Driver,
                                   DriverConfig)
 from repro.cpu.events import EventType
 from repro.faults.injector import FaultPlan, FaultSpec
+from repro.obs import derive
 from repro.osim.loader import Loader
 
 
@@ -37,7 +38,7 @@ class TestDriverRecord:
         driver = make_driver(charge_overhead=False)
         assert driver.record(0, 1, 0x100, EventType.CYCLES, 0) == 0
         # ... but statistics still accumulate.
-        assert driver.stats()["samples"] == 1
+        assert derive(driver.metrics())["driver.samples"] == 1
 
     def test_cost_scaling(self):
         full = make_driver(cost_scale=1.0)
@@ -80,10 +81,11 @@ class TestDriverRecord:
         driver = make_driver()
         for i in range(5):
             driver.record(0, 1, 0x100 + 4 * i, EventType.CYCLES, i)
-        stats = driver.stats()
-        assert stats["samples"] == 5
-        assert 0.0 <= stats["miss_rate"] <= 1.0
-        assert stats["avg_miss_cost"] >= stats["avg_hit_cost"] >= 0
+        stats = derive(driver.metrics())
+        assert stats["driver.samples"] == 5
+        assert 0.0 <= stats["driver.hash.miss_rate"] <= 1.0
+        assert (stats["driver.avg_miss_cost"]
+                >= stats["driver.avg_hit_cost"] >= 0)
 
     def test_kernel_memory_matches_paper_scale(self):
         # Paper section 5.3: 512 KB of kernel memory per processor with
@@ -219,7 +221,8 @@ class TestDaemon:
         for _ in range(100):
             driver.record(0, 7, image.base, EventType.CYCLES, 0)
         daemon.drain(driver)
-        aggregated_cost = daemon.stats()["cost_per_sample"]
+        aggregated_cost = derive(
+            daemon.metrics())["daemon.cost_per_sample"]
 
         loader2 = Loader()
         daemon2 = Daemon(loader2, periods={EventType.CYCLES: 100.0})
@@ -231,7 +234,7 @@ class TestDaemon:
             driver2.record(0, 8, image2.base + (i % 100) * 4,
                            EventType.CYCLES, i)
         daemon2.drain(driver2)
-        spread_cost = daemon2.stats()["cost_per_sample"]
+        spread_cost = derive(daemon2.metrics())["daemon.cost_per_sample"]
         assert spread_cost > aggregated_cost
 
     def test_resident_memory_grows_with_profiles(self):
@@ -260,7 +263,7 @@ class TestDaemon:
 
 
 class TestDaemonLossAccounting:
-    """Satellite 1: driver drops surface in Daemon.stats() and obs."""
+    """Satellite 1: driver drops surface on the daemon and in obs."""
 
     def make_env(self):
         loader = Loader()
@@ -279,7 +282,7 @@ class TestDaemonLossAccounting:
         daemon.drain(driver)
         dropped = sum(s.dropped for s in driver.cpus)
         assert dropped > 0
-        assert daemon.stats()["samples_dropped"] == dropped
+        assert daemon.samples_dropped == dropped
 
     def test_per_cpu_dropped_in_driver_metrics(self):
         driver = Driver(2, DriverConfig(buckets=1, assoc=1,
@@ -291,8 +294,8 @@ class TestDaemonLossAccounting:
         flat = driver.metrics()
         assert flat["driver.cpu1.overflow.dropped"]["value"] > 0
         assert flat["driver.cpu0.overflow.dropped"]["value"] == 0
-        legacy = driver.stats()
-        assert legacy["dropped"] == driver.cpus[1].dropped
+        assert (flat["driver.overflow.dropped"]["value"]
+                == driver.cpus[1].dropped)
 
     def test_retry_backoff_charges_cycles(self):
         loader, daemon, image = self.make_env()
@@ -319,7 +322,7 @@ class TestDaemonLossAccounting:
         assert daemon.drain_failures == 1
         assert daemon.total_samples == 0
         assert driver.cpus[0].dropped == 6        # accounted, not silent
-        assert daemon.stats()["samples_dropped"] == 6
+        assert daemon.samples_dropped == 6
 
     def test_journal_replay_with_watermark_is_idempotent(self, tmp_path):
         """Batches at or below the recovered watermark replay from the

@@ -41,13 +41,15 @@ def run_session(edge_sampling=True):
 class TestCollection:
     def test_edge_samples_collected(self):
         result = run_session()
-        assert result.driver.stats()["edge_samples"] > 50
+        assert result.driver.metrics()[
+            "driver.edge_samples"]["value"] > 50
         profile = result.profile_for("edgy")
         assert profile.edge_counts
 
     def test_disabled_by_default(self):
         result = run_session(edge_sampling=False)
-        assert result.driver.stats()["edge_samples"] == 0
+        assert result.driver.metrics()[
+            "driver.edge_samples"]["value"] == 0
         assert not result.profile_for("edgy").edge_counts
 
     def test_edges_are_plausible_control_flow(self):

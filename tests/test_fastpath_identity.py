@@ -11,14 +11,20 @@ per-instruction event counts, edge counts, retired-instruction totals,
 machine time, and the branch-predictor / cache / TLB model counters.
 """
 
+import re
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.alpha.assembler import assemble
+from repro.alpha.opcodes import OPCODES
+from repro.alpha.predecode import R_ADDR
 from repro.cpu.config import MachineConfig
 from repro.cpu.machine import Machine
-from repro.tools.abcheck import _canonical
+from repro.tools.abcheck import _canonical, check_workload
 from repro.workloads.asmgen import caller_proc, loop_proc
+from repro.workloads.registry import get_workload, workload_names
 
 FLAVORS = ("int", "mem", "fp", "branchy", "stream")
 
@@ -100,3 +106,95 @@ def test_fastpath_engages_on_generated_programs():
         caller_proc("main", ["leafhot"], rounds=2))
     machine = run_program(hot, True)
     assert machine.fastpath.replayed_instructions > 0
+
+
+# -- one hot loop per opcode -------------------------------------------------
+
+_LOOP = """
+.image t
+.data buf, 64
+.proc main
+    lda   t1, =buf
+    lda   t4, 7(zero)
+    lda   t3, -3(zero)
+    stq   t4, 0(t1)
+    ldt   f1, 0(t1)
+    stq   t3, 8(t1)
+    ldt   f2, 8(t1)
+    lda   t0, 0(zero)
+    lda   v0, 300(zero)
+Lloop:
+    addq  t0, 1, t0
+%s
+    cmpult t0, v0, t9
+    bne   t9, Lloop
+    ret
+.end
+"""
+
+
+def _hot_loop(op):
+    kind = OPCODES[op].kind
+    if OPCODES[op].cls == "CMOV":
+        body = ("    and   t0, 1, t7\n"
+                "    %s t7, t0, t5\n"
+                "    %s t7, 9, t6" % (op, op))
+    elif kind == "op":
+        # Register and literal forms; t4 keeps changing and t3 is
+        # negative, so the signed ops see both signs.
+        body = ("    %s t4, t3, t5\n"
+                "    %s t5, 9, t6\n"
+                "    xor   t6, t0, t4" % (op, op))
+    elif kind == "fop":
+        body = ("    %s f1, f2, f3\n"
+                "    stq   t0, 16(t1)\n"
+                "    ldt   f1, 16(t1)" % op)
+    else:
+        # The tested register alternates sign / zero / parity.
+        if kind == "fbranch":
+            reg, setup = "f4", ("    subq  t0, 150, t5\n"
+                                "    stq   t5, 24(t1)\n"
+                                "    ldt   f4, 24(t1)\n")
+        else:
+            reg, setup = "t5", ("    subq  t0, 150, t5\n"
+                                "    sra   t5, 1, t5\n")
+        body = (setup
+                + "    %s %s, Lskip\n"
+                  "    addq  t6, 3, t6\n"
+                  "Lskip:\n"
+                  "    addq  t6, t0, t6" % (op, reg))
+    return _LOOP % body
+
+
+@pytest.mark.parametrize("op", sorted(
+    name for name, info in OPCODES.items() if info.sem or info.cond))
+def test_every_semantic_opcode_replays_open_coded(op):
+    """Each operate / cmov / branch opcode runs through a compiled
+    replay, matches the slow path, and is open-coded from its own
+    expression: no per-step ``_f<i>`` call-out global."""
+    text = _hot_loop(op)
+    fast = run_program(text, True)
+    assert fast.fastpath.replayed_instructions > 0
+    assert observables(fast) == observables(run_program(text, False))
+    compiled = [variant
+                for block in fast.fastpath.blocks.values() if block
+                for variant in block.variants.values()
+                if variant.fn is not None]
+    ops = {fast.code_map[step[0][R_ADDR]].op
+           for variant in compiled for step in variant.steps}
+    assert op in ops
+    for variant in compiled:
+        assert not [name for name in variant.fn.__code__.co_names
+                    if re.fullmatch(r"_f\d+", name)]
+
+
+# -- the dcpiab gate, reachable from tier-1 ----------------------------------
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_dcpiab_identical_on_registry_workload(name):
+    """What nightly ``dcpiab`` checks at 400k instructions, at a
+    budget small enough to run on every push."""
+    identical, line = check_workload(get_workload(name),
+                                     max_instructions=20_000)
+    assert identical, line

@@ -110,6 +110,41 @@ def test_reshard_of_existing_store_is_refused(fleet_deltas, tmp_path):
         FleetStore(root, shards=3)
 
 
+def test_one_layout_for_every_shard_count(tmp_path):
+    """K=1 is one shard directory under shards/, like any other K."""
+    for shards in (1, 3):
+        root = str(tmp_path / ("k%d" % shards))
+        FleetStore(root, shards=shards).ingest(_tiny_delta(1))
+        assert sorted(os.listdir(root)) == ["STORE.json", "shards"]
+        assert sorted(os.listdir(os.path.join(root, "shards"))) == [
+            "s%02d" % index for index in range(shards)]
+        assert FleetStore(root).num_shards == shards
+
+
+@pytest.mark.parametrize("garbage", ["{trunc", "", '{"shards": 0}',
+                                     '{"schema": 1}', "[4]"])
+def test_unreadable_store_meta_is_refused(tmp_path, garbage):
+    """A truncated STORE.json must not reopen a 4-shard store as an
+    empty single-shard one."""
+    root = str(tmp_path / "store")
+    store = FleetStore(root, shards=4)
+    store.ingest(_tiny_delta(1))
+    meta = os.path.join(root, "STORE.json")
+    with open(meta, "w") as handle:
+        handle.write(garbage)
+    with pytest.raises(ValueError, match="STORE.json"):
+        FleetStore(root)
+    assert sorted(os.listdir(root)) == ["STORE.json", "shards"]
+
+
+@pytest.mark.parametrize("stray", ["db", "shards"])
+def test_data_without_store_meta_is_refused(tmp_path, stray):
+    root = tmp_path / "store"
+    (root / stray).mkdir(parents=True)
+    with pytest.raises(ValueError, match=str(root)):
+        FleetStore(str(root))
+
+
 def _ingest_worker(root, deltas):
     store = FleetStore(root, retry=IngestRetry(
         attempts=12, base_ms=1.0, cap_ms=40.0, seed=0))

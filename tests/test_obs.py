@@ -12,8 +12,7 @@ from repro.collect.driver import Driver, DriverConfig
 from repro.cpu.events import EventType
 from repro.obs import (COUNTER, GAUGE, HISTOGRAM, NULL_OBS,
                        MetricsRegistry, ObsConfig, TraceRecorder,
-                       flatten_metrics, legacy_daemon_stats,
-                       legacy_driver_stats, merge_metrics, read_events,
+                       derive, flatten_metrics, merge_metrics, read_events,
                        span_durations, trace_counters)
 from repro.osim.loader import Loader
 
@@ -285,29 +284,28 @@ class TestDaemonPeakResident:
         assert snap["peak"] == daemon.peak_resident_bytes()
 
 
-class TestLegacyShims:
+class TestSchemaViews:
     def test_driver_stats_match_schema(self):
         driver = make_driver()
         for i in range(6):
             driver.record(0, 1, 0x100 + 4 * (i % 3), EventType.CYCLES, i)
-        stats = driver.stats()
-        flat = legacy_driver_stats(driver)
-        assert stats == flat
-        assert stats["samples"] == 6
-        assert stats["hits"] + stats["misses"] == stats["samples"]
-        assert stats["miss_rate"] == pytest.approx(
-            stats["misses"] / stats["samples"])
+        flat = derive(driver.metrics())
+        assert flat["driver.samples"] == 6
+        assert (flat["driver.hash.hits"] + flat["driver.hash.misses"]
+                == flat["driver.samples"])
+        assert flat["driver.hash.miss_rate"] == pytest.approx(
+            flat["driver.hash.misses"] / flat["driver.samples"])
 
     def test_daemon_stats_match_schema(self):
         loader, daemon, image = make_daemon()
         driver = make_driver()
         driver.record(0, 7, image.base, EventType.CYCLES, 0)
         daemon.drain(driver)
-        stats = daemon.stats()
-        assert stats == legacy_daemon_stats(daemon)
-        assert stats["samples"] == 1
-        assert stats["resident_bytes"] == daemon.resident_bytes()
-        assert stats["peak_resident_bytes"] == daemon.peak_resident_bytes()
+        flat = derive(daemon.metrics())
+        assert flat["daemon.samples"] == 1
+        assert flat["daemon.resident_bytes"] == daemon.resident_bytes()
+        assert (flat["daemon.resident_bytes.peak"]
+                == daemon.peak_resident_bytes())
 
     def test_hashtable_stats_keys(self):
         driver = make_driver()

@@ -22,6 +22,7 @@ from repro.collect.parallel import (MergedProfiles, ParallelSessionRunner,
 from repro.collect.session import SessionConfig
 from repro.cpu.events import EventType
 from repro.ctx import canonical_ledger_bytes
+from repro.obs import derive
 
 BUDGET = 15_000
 
@@ -218,18 +219,18 @@ def _crash_plan():
 
 
 def _shard_conserves(result):
-    """The per-shard pipeline book, from shipped-back stats alone."""
-    stats = result.stats
-    return (stats["driver_samples"]
-            == stats["daemon_samples"] + stats["driver_dropped"]
-            + stats["daemon_lost_samples"])
+    """The per-shard pipeline book, from shipped-back metrics alone."""
+    flat = derive(result.obs)
+    return (flat["driver.samples"]
+            == flat["daemon.samples"] + flat["driver.overflow.dropped"]
+            + flat["daemon.lost_samples"])
 
 
 def test_faulted_shard_recovers_and_conserves():
     spec = ShardSpec(workload="gcc", seed=1, mode="default",
                      max_instructions=BUDGET, faults=_crash_plan())
     result = run_shard(spec)
-    assert result.stats["daemon_recoveries"] >= 1
+    assert derive(result.obs)["daemon.recoveries"] >= 1
     assert _shard_conserves(result)
 
 
@@ -256,17 +257,15 @@ def test_faulted_pool_run_matches_fault_free_minus_losses():
     chaotic = ParallelSessionRunner(workers=2).run(faulted)
     for shard in chaotic.shards:
         assert _shard_conserves(shard)
-    ref_stats = reference.by_label()["gcc/seed1/default"].stats
-    new_stats = chaotic.by_label()["gcc/seed1/default"].stats
+    ref_stats = derive(reference.by_label()["gcc/seed1/default"].obs)
+    new_stats = derive(chaotic.by_label()["gcc/seed1/default"].obs)
     # Identical streams (faults never touch the machine)...
-    assert new_stats["driver_samples"] == ref_stats["driver_samples"]
+    assert new_stats["driver.samples"] == ref_stats["driver.samples"]
     # ... and merged counts differ by exactly the accounted losses.
-    accounted = ((new_stats["driver_dropped"]
-                  + new_stats["daemon_lost_samples"])
-                 - (ref_stats["driver_dropped"]
-                    + ref_stats["daemon_lost_samples"]))
-    unknown_shift = (new_stats["daemon_unknown_samples"]
-                     - ref_stats["daemon_unknown_samples"])
+    accounted = (new_stats["collect.samples_dropped"]
+                 - ref_stats["collect.samples_dropped"])
+    unknown_shift = (new_stats["daemon.unknown_samples"]
+                     - ref_stats["daemon.unknown_samples"])
     assert (reference.merged.total() - chaotic.merged.total()
             == accounted + unknown_shift)
 

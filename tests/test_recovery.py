@@ -169,9 +169,7 @@ def test_recovered_stats_flow_into_obs_metrics(tmp_path):
     expected_rate = ((report["dropped"] + report["lost"])
                      / report["driver_samples"])
     assert flat["collect.loss_rate"] == pytest.approx(expected_rate)
-    legacy = result.stats()
-    assert legacy["daemon_recoveries"] == result.daemon.recoveries
-    assert legacy["daemon_lost_samples"] == report["lost"]
+    assert flat["daemon.lost_samples"] == report["lost"]
 
 
 def test_analysis_flags_low_confidence_on_loss(tmp_path):

@@ -6,6 +6,7 @@ from conftest import make_copy_workload
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
+from repro.obs import derive
 
 
 def make_session(**overrides):
@@ -56,10 +57,10 @@ class TestSessionRun:
 
     def test_stats_keys(self):
         result = make_session().run(make_copy_workload(n=1000))
-        stats = result.stats()
-        for key in ("instructions", "cycles", "driver_samples",
-                    "driver_miss_rate", "daemon_cost_per_sample",
-                    "daemon_resident_bytes"):
+        stats = derive(result.metrics())
+        for key in ("session.instructions", "session.cycles",
+                    "driver.samples", "driver.hash.miss_rate",
+                    "daemon.cost_per_sample", "daemon.resident_bytes"):
             assert key in stats
 
     def test_max_instructions_respected(self):

@@ -7,6 +7,7 @@ from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
 from repro.cpu.machine import Machine
+from repro.obs import derive
 from repro.workloads import altavista, dss, gcc, mccalpin, wave5, x11perf
 from repro.workloads import timesharing
 from repro.workloads.generator import GeneratedProgram, generate_suite
@@ -118,8 +119,8 @@ class TestGcc:
         mc_result = run_profiled(mccalpin.build("assign", n=4096,
                                                 iterations=3),
                                  max_instructions=80_000)
-        assert (gcc_result.driver.stats()["miss_rate"]
-                > 3 * mc_result.driver.stats()["miss_rate"])
+        assert (derive(gcc_result.metrics())["driver.hash.miss_rate"]
+                > 3 * derive(mc_result.metrics())["driver.hash.miss_rate"])
 
 
 class TestMultiprocessor:
