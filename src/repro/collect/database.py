@@ -818,23 +818,20 @@ class ImageProfile:
                 for off, cnt in self.counts.get(event, {}).items()}
 
     def samples_for(self, proc, event):
-        """Return {absolute address: samples} inside procedure *proc*."""
+        """Return {absolute address: samples} inside procedure *proc*.
+
+        Probes the procedure's own instruction slots, so analysing
+        every procedure of an image reads each slot once per event.
+        """
+        by_offset = self.counts.get(event)
+        if not by_offset:
+            return {}
         base = self.image.base
-        result = {}
-        for off, cnt in self.counts.get(event, {}).items():
-            addr = base + off
-            if proc.start <= addr < proc.end:
-                result[addr] = cnt
-        return result
+        return {base + off: by_offset[off]
+                for off in range(proc.start - base, proc.end - base, 4)
+                if off in by_offset}
 
     def procedure_totals(self, event):
         """Return {procedure name: samples} for *event*."""
-        totals = {}
-        by_offset = self.counts.get(event, {})
-        for proc in self.image.procedures:
-            total = 0
-            for off, cnt in by_offset.items():
-                if proc.start <= self.image.base + off < proc.end:
-                    total += cnt
-            totals[proc.name] = total
-        return totals
+        return {proc.name: sum(self.samples_for(proc, event).values())
+                for proc in self.image.procedures}

@@ -123,29 +123,18 @@ def _build_cfg(proc):
             if after < proc.end:
                 leaders.add(after)
 
-    # Pass 2: carve blocks.
-    boundaries = sorted(leaders) + [proc.end]
+    # Pass 2: carve blocks in one sweep.  Pass 1 made the successor of
+    # every block-ending instruction a leader, so leaders are the only
+    # boundaries.
     blocks = []
-    for index in range(len(boundaries) - 1):
-        start, end = boundaries[index], boundaries[index + 1]
-        insts = [i for i in instructions if start <= i.addr < end]
-        # A control instruction inside the range also ends the block;
-        # split further.
-        chunk_start = start
-        chunk = []
-        for inst in insts:
-            chunk.append(inst)
-            ends_block = (
-                inst.info.kind in ("cbranch", "fbranch")
-                or (inst.info.kind == "br" and inst.op in ("br",))
-                or (inst.info.kind == "jump" and inst.op != "jsr"))
-            if ends_block and inst.addr + 4 < end:
-                blocks.append(BasicBlock(len(blocks), chunk_start,
-                                         inst.addr + 4, chunk))
-                chunk_start = inst.addr + 4
-                chunk = []
-        if chunk:
-            blocks.append(BasicBlock(len(blocks), chunk_start, end, chunk))
+    chunk = []
+    for inst in instructions:
+        if chunk and inst.addr in leaders:
+            blocks.append(BasicBlock(len(blocks), chunk[0].addr,
+                                     inst.addr, chunk))
+            chunk = []
+        chunk.append(inst)
+    blocks.append(BasicBlock(len(blocks), chunk[0].addr, proc.end, chunk))
 
     block_of = {}
     for block in blocks:

@@ -41,6 +41,8 @@ MISPREDICT_PENALTY = 5
 RARE_PRED_FRACTION = 0.05
 #: How many instructions back a mul/div can still congest its unit.
 FU_WINDOW = 8
+#: Issue classes with a non-pipelined unit -> the culprit they report.
+FU_REASONS = {"IMUL": "imul", "FDIV": "fdiv"}
 
 
 @dataclass
@@ -118,10 +120,10 @@ def _branch_possible(inst, block, cfg):
     return False
 
 
-def _fu_busy_possible(inst, block, unit_cls):
-    index = block.instructions.index(inst)
-    lo = max(0, index - FU_WINDOW)
-    for other in block.instructions[lo:index]:
+def _fu_busy_possible(pos, block, unit_cls):
+    """Address of a *unit_cls* instruction within FU_WINDOW before
+    position *pos* of *block*, or None."""
+    for other in block.instructions[max(0, pos - FU_WINDOW):pos]:
         if other.info.cls == unit_cls:
             return other.addr
     return None
@@ -169,7 +171,7 @@ def _identify_culprits(cfg, schedules, freq, samples, profile, proc,
         schedule = schedules[block.index]
         producers = _load_producers(block)
         count = freq.block_count(block.index)
-        for row in schedule.rows:
+        for pos, row in enumerate(schedule.rows):
             inst = row.inst
             s = samples.get(inst.addr, 0)
             if count <= 0 or s == 0:
@@ -216,14 +218,13 @@ def _identify_culprits(cfg, schedules, freq, samples, profile, proc,
                     Culprit("branchmp", 0.0,
                             min(total_dyn, MISPREDICT_PENALTY * count)))
 
-            mul_src = _fu_busy_possible(inst, block, "IMUL")
-            if mul_src is not None and inst.info.cls == "IMUL":
-                candidates.append(
-                    Culprit("imul", 0.0, total_dyn, mul_src))
-            div_src = _fu_busy_possible(inst, block, "FDIV")
-            if div_src is not None and inst.info.cls == "FDIV":
-                candidates.append(
-                    Culprit("fdiv", 0.0, total_dyn, div_src))
+            # Only the unit's own instructions can wait for it.
+            fu_reason = FU_REASONS.get(inst.info.cls)
+            if fu_reason is not None:
+                busy_src = _fu_busy_possible(pos, block, inst.info.cls)
+                if busy_src is not None:
+                    candidates.append(
+                        Culprit(fu_reason, 0.0, total_dyn, busy_src))
 
             if not candidates:
                 candidates.append(

@@ -13,23 +13,37 @@ graph (removing both disconnects it):
 * a single-edge cut (a bridge) carries no cycle, hence zero flow -- a
   dead block.
 
-This is exactly the cycle-equivalence relation computed in linear time
-by Johnson-Pearson-Pingali [14]; we use the direct O(E^2) cut test,
-which is plenty for procedure-sized CFGs (see DESIGN.md).  Infinite
-loops are handled as in the paper's extension: regions that cannot
-reach the exit are connected to it virtually.
+This is exactly the cycle-equivalence relation of
+Johnson-Pearson-Pingali [14], and like theirs it is computed in one
+pass over the flow multigraph.  Take any spanning forest; every other
+edge closes one cycle with the tree path between its ends.  Give each
+flow edge the set of non-tree edges whose cycle runs through it (a
+non-tree edge's set is itself).  An empty set means no cycle: a bridge.
+Otherwise two edges form a 2-edge cut iff their sets are equal:
+
+* removing tree edges e and f cuts their tree into three parts A-e-B-f-C,
+  held together only by non-tree edges; the set of e is those leaving A,
+  the set of f those leaving C.  The graph falls apart iff at most one
+  of the kinds A-B, B-C, A-C exists, and since neither e nor f is a
+  bridge that kind is A-C: both sets are the A-C edges, hence equal.
+  Conversely equal sets contain no A-B and no B-C edge, isolating B;
+* a tree edge and a non-tree edge g form a cut iff g alone rejoins the
+  two halves, i.e. the tree edge's set is {g}, the set of g;
+* two non-tree edges never do (the forest survives) and their sets,
+  two different singletons, never match.
+
+The sets are exact -- Python-int bitsets, one bit per non-tree edge,
+XOR-accumulated from the leaves of the forest upward -- so the result
+is deterministic and collision-free (see DESIGN.md).  Infinite loops
+are handled as in the paper's extension: regions that cannot reach the
+exit are connected to it virtually.
 
 Blocks participate by splitting each block into an internal flow edge
 (b_in -> b_out) whose flow is the block's execution count, so blocks
 and CFG edges land in one unified partition.
 """
 
-import networkx as nx
-
 from repro.core.cfg import EXIT
-
-ENTRY_NODE = "ENTRY"
-EXIT_NODE = "EXIT"
 
 
 class EquivalenceClasses:
@@ -55,53 +69,6 @@ class EquivalenceClasses:
         return len(self.members)
 
 
-def _flow_edges(cfg):
-    """Yield (label, tail, head) flow edges of the expanded graph.
-
-    Labels: block index (int), ("e", i) for CFG edges, "entry" and
-    "return" for the virtual boundary edges.
-    """
-    yield "entry", ENTRY_NODE, ("in", cfg.entry)
-    for block in cfg.blocks:
-        yield block.index, ("in", block.index), ("out", block.index)
-    for edge in cfg.edges:
-        head = EXIT_NODE if edge.dst == EXIT else ("in", edge.dst)
-        yield ("e", edge.index), ("out", edge.src), head
-    yield "return", EXIT_NODE, ENTRY_NODE
-
-
-def _build_subdivided(cfg):
-    """Build the undirected subdivided flow graph.
-
-    Each labeled flow edge (u, v) becomes u -- ("m", label) -- v, so
-    parallel edges stay distinguishable and "remove edge" is "remove its
-    midpoint node".
-    """
-    graph = nx.Graph()
-    labels = []
-    for label, tail, head in _flow_edges(cfg):
-        mid = ("m", label)
-        graph.add_edge(tail, mid)
-        graph.add_edge(mid, head)
-        labels.append(label)
-    # Infinite-loop handling: nodes with no undirected path to the exit
-    # cannot exist here (the subdivided graph is built from a connected
-    # CFG), but *directed* dead ends were already given exit edges by
-    # the CFG builder; nothing further is needed for the undirected cut
-    # test.
-    return graph, labels
-
-
-def _bridge_labels(graph):
-    """Return the set of flow-edge labels that are bridges of *graph*."""
-    found = set()
-    for a, b in nx.bridges(graph):
-        for node in (a, b):
-            if isinstance(node, tuple) and node[0] == "m":
-                found.add(node[1])
-    return found
-
-
 def compute_equivalence(cfg, obs=None):
     """Compute cycle-equivalence classes of blocks and edges of *cfg*.
 
@@ -121,6 +88,58 @@ def compute_equivalence(cfg, obs=None):
     return classes
 
 
+def _cycle_sets(ends, num_nodes):
+    """Return, per edge of the undirected multigraph *ends* (a list of
+    ``(u, v)`` node pairs), the bitset of non-tree edges whose cycle
+    covers it, for one spanning forest of the graph."""
+    incident = [[] for _ in range(num_nodes)]
+    for k, (u, v) in enumerate(ends):
+        incident[u].append(k)
+        incident[v].append(k)
+
+    # Spanning forest with an explicit stack: parents enter ``order``
+    # before their children, whatever the nesting depth.
+    up_edge = [None] * num_nodes
+    up_node = [None] * num_nodes
+    seen = [False] * num_nodes
+    order = []
+    for root in range(num_nodes):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for k in incident[u]:
+                a, b = ends[k]
+                w = b if a == u else a
+                if not seen[w]:
+                    seen[w] = True
+                    up_edge[w] = k
+                    up_node[w] = u
+                    stack.append(w)
+
+    # through[u]: non-tree edges with exactly one end below u's tree
+    # edge, i.e. those whose cycle uses it.  An edge with both ends in
+    # the subtree cancels itself out on the way up.
+    sets = [0] * len(ends)
+    through = [0] * num_nodes
+    bit = 1
+    for k, (u, v) in enumerate(ends):
+        if up_edge[u] != k and up_edge[v] != k:
+            sets[k] = bit
+            through[u] ^= bit
+            through[v] ^= bit
+            bit <<= 1
+    for u in reversed(order):
+        k = up_edge[u]
+        if k is not None:
+            sets[k] = through[u]
+            through[up_node[u]] ^= through[u]
+    return sets
+
+
 def _compute_equivalence(cfg):
     nodes = ([block.index for block in cfg.blocks]
              + [("e", edge.index) for edge in cfg.edges])
@@ -129,48 +148,36 @@ def _compute_equivalence(cfg):
         members = {i: [node] for i, node in enumerate(nodes)}
         return EquivalenceClasses(class_of, members)
 
-    graph, labels = _build_subdivided(cfg)
+    # Graph nodes: block b is 2b (in) and 2b+1 (out), then the virtual
+    # entry and exit.  Flow edges follow *nodes*, bracketed by the
+    # virtual entry and return edges, which take part in the cuts but
+    # not in the partition.
+    entry_node = 2 * len(cfg.blocks)
+    exit_node = entry_node + 1
+    ends = [(entry_node, 2 * cfg.entry)]
+    ends += [(2 * block.index, 2 * block.index + 1)
+             for block in cfg.blocks]
+    ends += [(2 * edge.src + 1,
+              exit_node if edge.dst == EXIT else 2 * edge.dst)
+             for edge in cfg.edges]
+    ends.append((exit_node, entry_node))
+    sets = _cycle_sets(ends, exit_node + 1)
 
-    # Bridges of the full graph carry zero flow (dead code): each is its
-    # own class and takes no part in the cut pairing.
-    zero_labels = _bridge_labels(graph)
-
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    live = [lab for lab in labels if lab not in zero_labels]
-    for label in live:
-        mid = ("m", label)
-        view = nx.restricted_view(graph, [mid], [])
-        for other in _bridge_labels(view):
-            if other != label and other not in zero_labels:
-                union(label, other)
-
+    # Class ids by first appearance in *nodes* order; a bridge carries
+    # zero flow (dead code) and is a class of its own.
     class_of = {}
     members = {}
-    roots = {}
-    next_id = 0
-    for node in nodes:
-        root = find(node)
-        cid = roots.get(root)
+    zero = []
+    id_of_set = {}
+    for node, cycles in zip(nodes, sets[1:-1]):
+        cid = id_of_set.get(cycles) if cycles else None
         if cid is None:
-            cid = next_id
-            next_id += 1
-            roots[root] = cid
+            cid = len(members)
             members[cid] = []
+            if cycles:
+                id_of_set[cycles] = cid
+            else:
+                zero.append(node)
         class_of[node] = cid
         members[cid].append(node)
-    zero = [node for node in nodes if node in zero_labels]
     return EquivalenceClasses(class_of, members, zero)
