@@ -32,6 +32,32 @@ daemon death and machine restarts):
   existed are generation files treated as uncommitted crash orphans;
 * decode failures raise the typed :class:`CorruptProfileError`
   (a ``ValueError``) instead of raw struct/varint errors.
+
+A commit costs the delta, not the store.  The manifest is serialised
+compactly by the C JSON encoder (``sort_keys``, no indent: readers
+accept any JSON and nothing hashes ``MANIFEST.json``), and garbage
+collection is *by difference*: a commit unlinks exactly the files the
+handle's previous committed manifest referenced and the new one does
+not.  The full directory sweep (:meth:`ProfileDatabase._gc`) runs only
+where orphans can exist that the difference cannot name -- a handle's
+first commit (another process's crash leftovers, ``.tmp`` files) and
+the first commit after one of its own commits failed.
+
+Staleness protocol (several handles, one directory).  A handle caches
+the manifest it loaded or last committed.  Every commit, by any
+handle, first rewrites the small ``COMMIT.seq`` sidecar -- the
+previous sequence number plus one and the CRC32 of the manifest about
+to be published -- and only then renames the manifest into place.
+:meth:`ProfileDatabase.is_current` compares the sidecar on disk with
+the mark the handle recorded when it loaded (read *before* the
+manifest) or committed, so a handle holding the writers' lock
+(:mod:`repro.fleet.store`) reloads exactly when somebody else has
+committed since.  The sidecar coordinates *live* handles only, so it
+is never fsynced: after a power cut every handle is new and reloads
+anyway.  A process crash between sidecar and rename leaves a mark
+nobody recorded -- other handles reload needlessly, nothing is
+missed; a torn or deleted sidecar reads as "changed"; and the CRC
+keeps a restarted sequence from ever repeating an old mark.
 """
 
 import io
@@ -52,6 +78,10 @@ FORMAT_COMPACT = 1
 SUPPORTED_VERSIONS = (2, 3)
 
 MANIFEST_NAME = "MANIFEST.json"
+#: Commit-sequence sidecar: "<sequence> <crc32 of the manifest>" at a
+#: fixed width, overwritten before every manifest rename (see the
+#: module docstring).
+COMMIT_MARK_NAME = "COMMIT.seq"
 JOURNAL_NAME = "drain.wal"
 QUARANTINE_DIR = "quarantine"
 
@@ -212,11 +242,10 @@ def _safe_name(image_name):
     return image_name.replace("/", "_").strip("_") or "unknown"
 
 
-def _atomic_write(path, data, binary=True):
-    """Write *data* to *path* via temp file + atomic rename."""
+def _atomic_write(path, data):
+    """Write bytes *data* to *path*: temp file, fsync, atomic rename."""
     tmp = path + ".tmp"
-    mode = "wb" if binary else "w"
-    with open(tmp, mode) as handle:
+    with open(tmp, "wb") as handle:
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
@@ -228,8 +257,8 @@ class ProfileDatabase:
 
     All mutations are shadow-paging: new generation-numbered files are
     written first, then a single atomic manifest rename commits them
-    and unreferenced files are garbage-collected.  A crash at any
-    point leaves the previous committed state intact.
+    and the files it stopped referencing are garbage-collected.  A
+    crash at any point leaves the previous committed state intact.
     """
 
     def __init__(self, root, fmt=FORMAT_COMPACT, faults=None):
@@ -241,15 +270,69 @@ class ProfileDatabase:
         self.warnings = []
         os.makedirs(self.root, exist_ok=True)
         self._manifest = None
+        #: ``COMMIT.seq`` content the cached manifest corresponds to.
+        self._mark = None
+        #: Files referenced by the last manifest this handle committed;
+        #: None before its first commit and after a failed one, when
+        #: only the full sweep can find what must go.
+        self._committed_files = None
+        #: Epoch directories this handle has already created.
+        self._epoch_dirs = set()
 
     # -- manifest ----------------------------------------------------------
 
     def _manifest_path(self):
         return os.path.join(self.root, MANIFEST_NAME)
 
+    def _read_mark(self):
+        """The commit sidecar's bytes; None when there is none."""
+        try:
+            with open(os.path.join(self.root, COMMIT_MARK_NAME),
+                      "rb") as handle:
+                return handle.read()
+        except OSError:
+            return None
+
+    def _advance_mark(self, payload):
+        """Rewrite the sidecar for a commit of *payload*; return it.
+
+        Not fsynced and not renamed into place: the mark only has to
+        *differ* from what any live handle recorded, and a torn one
+        does.  The sequence restarts at 1 after such damage; the CRC
+        keeps the new marks distinct from the old.  Fixed width, so
+        overwriting in place needs no truncate (a journalled metadata
+        operation that would cost more than the rest of the commit's
+        bookkeeping together).
+        """
+        head = (self._read_mark() or b"").split()[:1]
+        sequence = int(head[0]) + 1 if head and head[0].isdigit() else 1
+        mark = b"%020d %08x" % (sequence, zlib.crc32(payload))
+        fd = os.open(os.path.join(self.root, COMMIT_MARK_NAME),
+                     os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, mark)
+        finally:
+            os.close(fd)
+        return mark
+
+    def is_current(self):
+        """True when no handle has committed since this one loaded or
+        last committed its manifest.
+
+        Only meaningful while the caller excludes concurrent
+        committers (the fleet shard's ingest lock): a commit in flight
+        has rewritten the sidecar but not yet the manifest.
+        """
+        return (self._manifest is not None
+                and self._read_mark() == self._mark)
+
     def _load_manifest(self):
         if self._manifest is not None:
             return self._manifest
+        # Mark before manifest: a commit landing in between leaves an
+        # old mark beside a new manifest -- a needless reload later,
+        # never a missed one.
+        self._mark = self._read_mark()
         path = self._manifest_path()
         damaged = False
         if os.path.exists(path):
@@ -344,27 +427,51 @@ class ProfileDatabase:
         return manifest
 
     def _commit(self, manifest):
-        """Atomically publish *manifest*; then GC unreferenced files.
+        """Atomically publish *manifest*; then GC what it dropped.
 
-        If the commit dies (an injected crash between writing files
-        and renaming the manifest), the cached manifest is invalidated
-        so the next access reloads the last *committed* state from
-        disk -- staged in-memory mutations must not survive a failed
-        commit.
+        The sidecar is rewritten first (every other handle's cached
+        view is now stale, whether or not the rename follows), the
+        manifest rename is the commit point, and only then are the
+        files the previous manifest referenced and this one does not
+        unlinked.  If the commit dies (an injected crash between
+        writing files and renaming the manifest), the cached manifest
+        is invalidated so the next access reloads the last *committed*
+        state from disk -- staged in-memory mutations must not survive
+        a failed commit -- and the next commit sweeps the orphans.
         """
-        try:
-            self.faults.check("db.checkpoint")
-            payload = json.dumps(manifest, indent=1, sort_keys=True)
-            _atomic_write(self._manifest_path(), payload, binary=False)
-        except BaseException:
-            self._manifest = None
-            raise
-        self._manifest = manifest
-        self._gc(manifest)
-
-    def _gc(self, manifest):
         referenced = {record["file"]
                       for record in manifest["records"].values()}
+        try:
+            self.faults.check("db.checkpoint")
+            payload = json.dumps(manifest, sort_keys=True,
+                                 separators=(",", ":")).encode("ascii")
+            mark = self._advance_mark(payload)
+            _atomic_write(self._manifest_path(), payload)
+        except BaseException:
+            self._manifest = None
+            self._committed_files = None
+            raise
+        self._manifest = manifest
+        self._mark = mark
+        if self._committed_files is None:
+            self._gc(referenced)
+        else:
+            for rel in sorted(self._committed_files - referenced):
+                self._unlink(os.path.join(self.root, rel))
+        self._committed_files = referenced
+
+    @staticmethod
+    def _unlink(path):
+        try:
+            os.unlink(path)
+        # GC is best-effort: a file already quarantined is gone, and
+        # one held open by a racing reader goes with the next sweep.
+        except OSError:  # dcpicheck: ignore[swallowed-exception]
+            pass
+
+    def _gc(self, referenced):
+        """Sweep every epoch directory for files not in *referenced*
+        (stale generations, crash orphans, ``.tmp`` leftovers)."""
         for name in os.listdir(self.root):
             if not name.startswith("epoch"):
                 continue
@@ -374,14 +481,8 @@ class ProfileDatabase:
             for fname in os.listdir(epoch_dir):
                 if not (fname.endswith(".prof") or fname.endswith(".tmp")):
                     continue
-                rel = os.path.join(name, fname)
-                if rel not in referenced:
-                    try:
-                        os.unlink(os.path.join(epoch_dir, fname))
-                    # GC is best-effort: a shard held open by a racing
-                    # reader is retried on the next sweep.
-                    except OSError:  # dcpicheck: ignore[swallowed-exception]
-                        pass
+                if os.path.join(name, fname) not in referenced:
+                    self._unlink(os.path.join(epoch_dir, fname))
 
     @staticmethod
     def _key(epoch, image_name, event):
@@ -432,7 +533,9 @@ class ProfileDatabase:
         manifest["generation"] += 1
         gen = manifest["generation"]
         epoch_dir = os.path.join(self.root, "epoch%04d" % epoch)
-        os.makedirs(epoch_dir, exist_ok=True)
+        if epoch_dir not in self._epoch_dirs:
+            os.makedirs(epoch_dir, exist_ok=True)
+            self._epoch_dirs.add(epoch_dir)
         fname = "%s@%s.g%d.prof" % (_safe_name(image_name), event, gen)
         rel = os.path.join("epoch%04d" % epoch, fname)
         data = encode_profile(counts, image_name, event, period,

@@ -102,16 +102,24 @@ def compact(store, policy):
     manifest commit), windows are processed in ascending order, each
     exactly once (the shard ledger's ``compacted_windows`` marks
     finished windows, committed atomically with the replacement).
+    Each shard is compacted under its ingest lock, so a contended
+    shard can raise :class:`~repro.fleet.store.FleetStoreBusyError`.
     """
     report = {"windows": [], "epochs_removed": 0, "residue": 0,
               "pre_samples": 0, "post_samples": 0}
     for shard in store.shards:
-        _compact_shard(shard, policy, report)
+        # One writer section per shard, like an ingest: the windows
+        # are chosen from, and the replacement committed against, the
+        # shard's current manifest and ledger -- never a view that
+        # predates another writer's commit -- and no ingest interleaves.
+        with shard.writer():
+            _compact_shard(shard, policy, report)
     return report
 
 
 def _compact_shard(shard, policy, report):
-    """Compact one shard in place, folding into *report*."""
+    """Compact one shard in place, folding into *report*; the caller
+    holds :meth:`FleetShard.writer`."""
     epochs = shard.db.epochs()
     done = set(shard.ledger["compacted_windows"])
     for start in compactable_windows(policy, epochs):

@@ -38,6 +38,30 @@ Writer contention is no longer fail-loud: a locked shard is retried on
 a bounded, seeded-jitter exponential backoff schedule
 (:class:`IngestRetry`); only an exhausted schedule raises
 :class:`FleetStoreBusyError`.
+
+Staleness protocol: every mutation of a shard -- an ingest, a
+retention compaction -- runs inside :meth:`FleetShard.writer`, the one
+place that decides whether this handle's cached manifest + ledger are
+still the shard's committed state.  Under the lock it keeps them only
+when the handle's previous locked section ended cleanly *and* the
+database's commit sidecar still shows the mark this handle recorded
+(:meth:`ProfileDatabase.is_current` -- any commit by any other handle,
+locked or not, rewrites it); otherwise it reloads from disk, counted
+by reason in ``fleet.shard_refreshes.<reason>``:
+
+* ``open`` -- the first locked section of a handle: what it loaded at
+  open was read outside the lock, possibly in the middle of a commit;
+* ``foreign_commit`` -- the sidecar moved (including a crash between
+  sidecar and manifest rename: a needless but harmless reload);
+* ``failed_commit`` -- the previous locked section raised (a failed
+  commit, an injected ``fleet.store.ingest`` crash): the staged ledger
+  is discarded with the rest of the view;
+* ``no_fcntl`` -- no lock, no exclusion, so always reload.
+
+An unchanged view costs one small file read instead of re-parsing the
+manifest the handle itself just wrote (``fleet.shard_refresh_skips``),
+which is what keeps a long-lived ingest handle's per-delta cost from
+growing with the store.
 """
 
 import contextlib
@@ -54,7 +78,7 @@ except ImportError:  # non-POSIX: locking degrades to a no-op
 
 from dataclasses import dataclass
 
-from repro.collect.database import ProfileDatabase
+from repro.collect.database import ProfileDatabase, _atomic_write
 from repro.collect.parallel import MergedProfiles
 from repro.faults.injector import FLEET_STORE_INGEST, NULL_INJECTOR
 from repro.obs import NULL_OBS
@@ -159,16 +183,26 @@ class FleetShard:
         self.index = index
         self.obs = obs or NULL_OBS
         self.retry = retry or IngestRetry()
+        self._backoff = self.retry.backoff_schedule()
         self._sleep = _SLEEP
+        #: Open ``INGEST.lock`` and the process that opened it (a
+        #: forked child must not share the parent's file description:
+        #: flock would not exclude the two).
+        self._lock_file = None
+        self._lock_pid = None
+        #: Why the next locked section must reload regardless of the
+        #: commit sidecar; None once one has ended cleanly.
+        self._stale = "open"
         self._refresh()
 
     def _refresh(self):
         """(Re)load the shard's manifest and ledger from disk.
 
-        Called at open and again under the ingest lock: another
-        process may have committed since this handle last looked, and
-        applying against a stale manifest would silently overwrite its
-        records (the lost-update race the lock exists to prevent).
+        Called at open and, when :meth:`writer` finds the cached view
+        stale, again under the ingest lock: another process may have
+        committed since this handle last looked, and applying against
+        a stale manifest would silently overwrite its records (the
+        lost-update race the lock exists to prevent).
         """
         self.db = ProfileDatabase(os.path.join(self.root, "db"))
         ledger = self.db.get_meta("fleet")
@@ -189,7 +223,7 @@ class FleetShard:
         :class:`FleetStoreBusyError` only once the whole
         :class:`IngestRetry` schedule is exhausted.
         """
-        schedule = self.retry.backoff_schedule()
+        schedule = self._backoff
         for attempt in range(self.retry.attempts):
             try:
                 fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -214,20 +248,56 @@ class FleetShard:
 
         ``flock`` on ``<shard>/INGEST.lock`` -- non-blocking attempts
         on a bounded, seeded-jitter backoff schedule, held only for
-        the ingest's read-modify-write window, released (and the
-        descriptor closed) on the way out even when the merge raises.
-        On platforms without ``fcntl`` the lock degrades to a no-op,
+        the ingest's read-modify-write window, released on the way out
+        even when the merge raises.  The lock file stays open for the
+        handle's lifetime (one open file description per handle per
+        process, so two handles still exclude each other).  On
+        platforms without ``fcntl`` the lock degrades to a no-op,
         matching the documented single-writer-per-shard assumption.
         """
         if fcntl is None:
             yield 0
             return
-        os.makedirs(self.root, exist_ok=True)
-        handle = open(os.path.join(self.root, INGEST_LOCK_NAME), "a+")
+        if self._lock_pid != os.getpid():
+            os.makedirs(self.root, exist_ok=True)
+            self._lock_file = open(
+                os.path.join(self.root, INGEST_LOCK_NAME), "a+")
+            self._lock_pid = os.getpid()
+        retries = self._acquire_with_backoff(self._lock_file)
         try:
-            yield self._acquire_with_backoff(handle)
+            yield retries
         finally:
-            handle.close()
+            fcntl.flock(self._lock_file, fcntl.LOCK_UN)
+
+    @contextlib.contextmanager
+    def writer(self):
+        """Hold the ingest lock with a current view of the shard.
+
+        Every mutation of the shard goes through here (see the module
+        docstring's staleness protocol).  A body that raises leaves
+        the handle marked stale, so whatever it staged in
+        ``self.ledger`` or the cached manifest is reloaded away by the
+        next locked section.
+        """
+        with self._ingest_lock() as retries:
+            if fcntl is None:
+                reason = "no_fcntl"
+            elif self._stale:
+                reason = self._stale
+            elif not self.db.is_current():
+                reason = "foreign_commit"
+            else:
+                reason = None
+            if reason is None:
+                self.obs.counter("fleet.shard_refresh_skips").inc()
+            else:
+                self._refresh()
+                self.obs.counter("fleet.shard_refreshes." + reason).inc()
+            if retries:
+                self.ledger["lock_retries"] += retries
+            self._stale = "failed_commit"
+            yield
+            self._stale = None
 
     # -- ingest ------------------------------------------------------------
 
@@ -242,12 +312,7 @@ class FleetShard:
         ledger, before the commit) -- the staged mutation dies with
         the process; a reopened store sees the pre-crash manifest.
         """
-        with self._ingest_lock() as retries:
-            # Only now is this writer's view authoritative: reload
-            # whatever a concurrent winner committed while we waited.
-            self._refresh()
-            if retries:
-                self.ledger["lock_retries"] += retries
+        with self.writer():
             return self._ingest_locked(delta, faults or NULL_INJECTOR)
 
     def _ingest_locked(self, delta, faults):
@@ -359,13 +424,11 @@ class FleetStore:
         return shards
 
     def _write_store_meta(self, shards):
+        # fsynced before the rename: an unparsable STORE.json refuses
+        # the store forever, so a power cut must not leave one behind.
         os.makedirs(self.root, exist_ok=True)
-        path = self._store_meta_path()
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump({"schema": 1, "shards": shards}, handle)
-            handle.write("\n")
-        os.replace(tmp, path)
+        layout = json.dumps({"schema": 1, "shards": shards}) + "\n"
+        _atomic_write(self._store_meta_path(), layout.encode("ascii"))
 
     def shard_for(self, machine_id):
         """The shard that owns *machine_id* (stable across processes)."""

@@ -25,6 +25,7 @@ overflow drops the oldest entry with exact loss accounting so fleet
 conservation still balances to the sample.
 """
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -87,6 +88,12 @@ class Delta:
 
     def encoded_bytes(self):
         """Wire size: canonical v3-compact encoding of every profile."""
+        return self._wire_size
+
+    @functools.cached_property
+    def _wire_size(self):
+        # A delta is immutable and is sized at every hop (ship, each
+        # delivered copy, ingest): encode once per object.
         total = 0
         for image, by_event in self.profiles.items():
             for event, by_offset in by_event.items():
@@ -176,12 +183,11 @@ class DeltaTransport:
             deliveries.extend((delta, delta))
         else:
             deliveries.append(delta)
-        for delivery in deliveries:
-            self.stats.delivered += 1
-            self.stats.bytes_shipped += delivery.encoded_bytes()
         if deliveries:
-            self.obs.counter("fleet.bytes_shipped").inc(
-                sum(d.encoded_bytes() for d in deliveries))
+            size = sum(d.encoded_bytes() for d in deliveries)
+            self.stats.delivered += len(deliveries)
+            self.stats.bytes_shipped += size
+            self.obs.counter("fleet.bytes_shipped").inc(size)
         return deliveries
 
     def flush(self):

@@ -354,6 +354,182 @@ class TestCheckpoint:
         assert fresh.quarantined_samples() == 8
 
 
+def _files_on_disk(db):
+    """Every profile or temp file under the epoch directories."""
+    return {os.path.join(name, fname)
+            for name in os.listdir(db.root) if name.startswith("epoch")
+            for fname in os.listdir(os.path.join(db.root, name))}
+
+
+def _files_in_manifest(db):
+    with open(os.path.join(db.root, MANIFEST_NAME)) as handle:
+        manifest = json.load(handle)
+    return {record["file"] for record in manifest["records"].values()}
+
+
+class TestGarbageCollection:
+    """GC by difference: a commit unlinks what the previous manifest
+    referenced and the new one does not; the directory sweep is for a
+    handle's first commit and for the one after a failed commit."""
+
+    CYCLES = EventType.CYCLES
+    PERIODS = {EventType.CYCLES: 100}
+
+    def test_disk_matches_manifest_after_every_kind_of_commit(
+            self, tmp_path, monkeypatch):
+        db = ProfileDatabase(str(tmp_path))
+        delta = {"app": {self.CYCLES: {0: 5, 4: 3}},
+                 "lib": {self.CYCLES: {8: 2}}}
+        steps = [
+            lambda: db.merge_epoch(delta, self.PERIODS, 0),
+            lambda: db.merge_epoch(delta, self.PERIODS, 0),
+            lambda: db.merge_epoch(delta, self.PERIODS, 1),
+            lambda: db.checkpoint({"app": {self.CYCLES: {0: 9}}},
+                                  self.PERIODS, epoch=1),
+            lambda: db.save("app", self.CYCLES, {0: 1}, 100, epoch=2),
+            lambda: db.save("app", self.CYCLES, {0: 1}, 100, epoch=2),
+            lambda: db.save("app", self.CYCLES, {4: 7}, 100, epoch=2,
+                            replace=True),
+            lambda: db.compact_epochs([0, 1], delta, self.PERIODS, 0),
+            lambda: db.drop_epoch(2),
+        ]
+        sweeps = []
+        real_gc = db._gc
+        monkeypatch.setattr(
+            db, "_gc", lambda ref: (sweeps.append(1), real_gc(ref)))
+        for step in steps:
+            step()
+            assert _files_on_disk(db) == _files_in_manifest(db)
+        assert len(sweeps) == 1         # the first commit, only
+        assert db.epochs() == [0]
+        # A quarantine (file gone missing) commits from the read path.
+        victim = sorted(_files_in_manifest(db))[0]
+        os.unlink(os.path.join(db.root, victim))
+        assert len(list(db.load_all(0))) == 1
+        assert db.quarantined_samples() == 8
+        assert _files_on_disk(db) == _files_in_manifest(db)
+        assert victim not in _files_in_manifest(db)
+
+    def test_first_commit_of_a_handle_sweeps_orphans(self, tmp_path):
+        db = ProfileDatabase(str(tmp_path))
+        db.save("app", self.CYCLES, {0: 5}, 100)
+        epoch_dir = os.path.join(db.root, "epoch0000")
+        for orphan in ("app@cycles.g99.prof", "app@cycles.g100.prof.tmp"):
+            with open(os.path.join(epoch_dir, orphan), "wb") as handle:
+                handle.write(b"left behind by a crashed writer")
+        # The handle that was already committing does not look ...
+        db.save("lib", self.CYCLES, {0: 1}, 100)
+        assert len(_files_on_disk(db)) == 4
+        # ... a fresh one does, once.
+        fresh = ProfileDatabase(str(tmp_path))
+        fresh.save("lib", self.CYCLES, {0: 1}, 100)
+        assert _files_on_disk(fresh) == _files_in_manifest(fresh)
+        assert fresh.total_samples() == 7
+
+    def test_commit_after_a_failed_commit_sweeps_its_orphans(
+            self, tmp_path):
+        from repro.faults.injector import FaultPlan, FaultSpec
+
+        plan = FaultPlan(specs=(
+            FaultSpec("db.checkpoint", "crash", hits=(2,)),), seed=1)
+        db = ProfileDatabase(str(tmp_path), faults=plan.build())
+        db.save("app", self.CYCLES, {0: 5}, 100)
+        with pytest.raises(Exception, match="injected crash"):
+            db.save("app", self.CYCLES, {0: 1}, 100)
+        assert len(_files_on_disk(db)) == 2       # the orphan is there
+        db.save("app", self.CYCLES, {0: 2}, 100)
+        assert _files_on_disk(db) == _files_in_manifest(db)
+        assert db.total_samples() == 7
+
+    def test_manifest_is_compact_and_survives_a_tear(self, tmp_path):
+        db = ProfileDatabase(str(tmp_path))
+        db.save("app", self.CYCLES, {0: 5, 4: 3}, 100)
+        path = os.path.join(db.root, MANIFEST_NAME)
+
+        def assert_compact():
+            with open(path) as handle:
+                text = handle.read()
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      separators=(",", ":"))
+
+        assert_compact()
+        with open(path, "r+") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        rebuilt = ProfileDatabase(str(tmp_path))
+        assert rebuilt.total_samples() == 8 and rebuilt.warnings
+        rebuilt.update_checkpoint({"epoch": 0})
+        assert_compact()
+        assert ProfileDatabase(str(tmp_path)).total_samples() == 8
+
+
+class TestCommitMark:
+    """``COMMIT.seq``: what lets a handle under the writers' lock keep
+    its cached manifest (see the module docstring)."""
+
+    CYCLES = EventType.CYCLES
+
+    def test_any_commit_by_another_handle_is_noticed(self, tmp_path):
+        mine = ProfileDatabase(str(tmp_path))
+        mine.save("app", self.CYCLES, {0: 5}, 100)
+        assert mine.is_current()
+        mine.save("app", self.CYCLES, {0: 1}, 100)
+        assert mine.is_current()                # own commits keep it
+        other = ProfileDatabase(str(tmp_path))
+        assert other.total_samples() == 6 and other.is_current()
+        other.update_checkpoint({"epoch": 0})   # profiles untouched
+        assert other.is_current() and not mine.is_current()
+
+    def test_unloaded_or_failed_handle_is_never_current(self, tmp_path):
+        from repro.faults.injector import FaultPlan, FaultSpec
+
+        plan = FaultPlan(specs=(
+            FaultSpec("db.checkpoint", "crash", hits=(2,)),), seed=1)
+        db = ProfileDatabase(str(tmp_path), faults=plan.build())
+        assert not db.is_current()
+        db.save("app", self.CYCLES, {0: 5}, 100)
+        assert db.is_current()
+        with pytest.raises(Exception, match="injected crash"):
+            db.save("app", self.CYCLES, {0: 1}, 100)
+        assert not db.is_current()
+
+    def test_damaged_mark_reads_as_changed_and_never_repeats(
+            self, tmp_path):
+        from repro.collect.database import COMMIT_MARK_NAME
+
+        path = os.path.join(str(tmp_path), COMMIT_MARK_NAME)
+        db = ProfileDatabase(str(tmp_path))
+        db.save("app", self.CYCLES, {0: 5}, 100)
+        with open(path, "rb") as handle:
+            first = handle.read()
+        db.save("app", self.CYCLES, {0: 1}, 100)
+        with open(path, "wb") as handle:
+            handle.write(b"\xff torn")
+        assert not db.is_current()
+        # The sequence restarts, but the mark carries the manifest's
+        # CRC, so it cannot come back round to one a handle still holds.
+        ProfileDatabase(str(tmp_path)).update_checkpoint({"epoch": 0})
+        with open(path, "rb") as handle:
+            restarted = handle.read()
+        assert restarted.split()[0] == first.split()[0]
+        assert restarted != first
+
+    def test_same_history_same_bytes(self, tmp_path):
+        """The sidecar is a pure function of the commits made, so
+        byte-identity gates over whole database trees still hold."""
+        from repro.collect.database import COMMIT_MARK_NAME
+
+        marks = []
+        for name in ("a", "b"):
+            db = ProfileDatabase(str(tmp_path / name))
+            db.save("app", self.CYCLES, {0: 5}, 100)
+            db.save("lib", self.CYCLES, {4: 1}, 100)
+            with open(os.path.join(db.root, COMMIT_MARK_NAME),
+                      "rb") as handle:
+                marks.append(handle.read())
+        assert marks[0] == marks[1]
+        assert int(marks[0].split()[0]) == 2
+
+
 class TestImageProfile:
     def make(self):
         from repro.alpha.assembler import assemble

@@ -7,6 +7,10 @@ code paths carry).  The audit module encodes the robustness contract:
 no *unaccounted* loss, ever.
 """
 
+import json
+import os
+import shutil
+
 import pytest
 
 from repro.faults import audit
@@ -252,12 +256,34 @@ class TestRunCase:
         assert case["faulted"]["quarantined_samples"] > 0
         assert case["corrupted_file"]
 
-    def test_torn_manifest_rebuild_loses_nothing(self):
+    def test_torn_manifest_rebuild_loses_nothing(self, tmp_path):
+        from repro.collect.database import MANIFEST_NAME, ProfileDatabase
         from repro.faults.scenarios import get_scenario, run_case
 
+        kept = [str(tmp_path)]      # run_case appends its own directory
         case = run_case(get_scenario("torn-manifest"), "gcc",
-                        budget=16_000)
-        assert case["ok"], case["comparison"]
-        assert (case["faulted"]["db_samples"]
-                == case["reference"]["db_samples"])
-        assert case["corrupted_file"] == "MANIFEST.json"
+                        budget=16_000, keep_dirs=kept)
+        try:
+            assert case["ok"], case["comparison"]
+            assert (case["faulted"]["db_samples"]
+                    == case["reference"]["db_samples"])
+            assert case["corrupted_file"] == "MANIFEST.json"
+            # What was torn is the one-line compact manifest, and the
+            # rebuild publishes the same format again.
+            root = os.path.join(kept[-1], "fault")
+            path = os.path.join(root, MANIFEST_NAME)
+            with open(path) as handle:
+                torn = handle.read()
+            assert "\n" not in torn and ": " not in torn
+            with pytest.raises(ValueError):
+                json.loads(torn)
+            rebuilt = ProfileDatabase(root)
+            rebuilt.update_checkpoint({"epoch": 0})
+            with open(path) as handle:
+                text = handle.read()
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      separators=(",", ":"))
+            assert (rebuilt.total_samples()
+                    == case["reference"]["db_samples"])
+        finally:
+            shutil.rmtree(kept[-1], ignore_errors=True)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (Delta, FleetConfig, FleetMachine, FleetSession,
                          FleetStore, IngestRetry, ShipSpool)
+from repro.obs import Observability, flatten_metrics, merge_metrics
 
 MACHINES = 4
 EPOCHS = 2
@@ -145,18 +146,25 @@ def test_data_without_store_meta_is_refused(tmp_path, stray):
         FleetStore(str(root))
 
 
-def _ingest_worker(root, deltas):
-    store = FleetStore(root, retry=IngestRetry(
+def _ingest_worker(root, deltas, in_step, metrics):
+    obs = Observability()
+    store = FleetStore(root, obs=obs, retry=IngestRetry(
         attempts=12, base_ms=1.0, cap_ms=40.0, seed=0))
     for delta in deltas:
+        # In step: whoever committed first to a shared shard last
+        # round now holds a view the other writer has since replaced.
+        in_step.wait()
         store.ingest(delta)
+    metrics.put(obs.snapshot())
 
 
 def test_four_process_concurrent_ingest_matches_serial(fleet_deltas,
                                                        tmp_path):
     """Four real OS processes ingest concurrently into one 4-shard
     store; contention rides the bounded lock retry, and the result is
-    byte-identical to the serial single-shard store."""
+    byte-identical to the serial single-shard store.  Machines m00/m02
+    and m01/m03 share a shard, so each process must notice the commits
+    of another (``foreign_commit`` refreshes) to get there."""
     deltas, shipped = fleet_deltas
     serial = FleetStore(str(tmp_path / "serial"))
     for delta in deltas:
@@ -164,16 +172,21 @@ def test_four_process_concurrent_ingest_matches_serial(fleet_deltas,
     root = str(tmp_path / "concurrent")
     FleetStore(root, shards=4)   # create layout + persist shard meta
     ctx = multiprocessing.get_context("fork")
+    in_step = ctx.Barrier(4)
+    metrics = ctx.SimpleQueue()
     workers = [
         ctx.Process(target=_ingest_worker,
-                    args=(root, deltas[index::4]))
+                    args=(root, deltas[index::4], in_step, metrics))
         for index in range(4)
     ]
     for worker in workers:
         worker.start()
+    flat = flatten_metrics(merge_metrics(
+        [metrics.get() for _ in workers]))
     for worker in workers:
         worker.join(timeout=120)
     assert all(worker.exitcode == 0 for worker in workers)
+    assert flat["fleet.shard_refreshes.foreign_commit"] > 0
     store = FleetStore(root)
     assert store.total_samples() == shipped
     assert _store_bytes(store) == _store_bytes(serial)
