@@ -54,19 +54,11 @@ class CounterUnit:
     def live_slots(self, event):
         """The slot list for *event*, created on demand so the returned
         list object stays valid (it is mutated in place) across later
-        ``configure``/``set_event`` calls.  The pipeline binds this once
-        per run and scans it inline for replay headroom."""
+        ``configure``/``set_event`` calls.  The pipeline binds the
+        CYCLES list once per run, scans it in line for replay headroom
+        and adds spans that overflow no slot straight to ``count``;
+        :meth:`add` is only called when an overflow is due."""
         return self._by_event.setdefault(event, [])
-
-    def headroom(self, event):
-        """Smallest count any slot tracking *event* can absorb without
-        overflowing, or None when no slot tracks it.  The fast path
-        uses this to prove a whole block cannot overflow a CYCLES
-        counter before batching the block's cycles into one update."""
-        slots = self._by_event.get(event)
-        if not slots:
-            return None
-        return min(slot.period - slot.count for slot in slots)
 
     def add(self, event, amount, end_time):
         """Count *amount* occurrences of *event*, the last at *end_time*.

@@ -47,9 +47,46 @@ Design notes (see README "Performance"):
   debt, and enough headroom on every CYCLES counter that the whole
   block cannot overflow one (a block's cycles form one contiguous span,
   so batching them into a single counter update is exact).
+* Compiled replay functions are shared process-wide
+  (``_replay_cache``).  The key is the generated *source text*: it
+  embeds every address, operand field, schedule constant and cache
+  geometry the function depends on, so it is its own content address --
+  no image fingerprint, nothing to invalidate.  Every function lives
+  in one shared globals dict, so a second ``Machine`` running the same
+  code holds references, not copies.  The cache is bounded by entry
+  count (``REPLAY_CACHE_MAX``, cleared when full) and changes *time
+  only*: tier-up still waits for ``COMPILE_USES``,
+  ``compiled_variants`` still counts the variants *this* Machine tiered
+  up, and no ``sim.fastpath.*`` counter or snapshot key depends on what
+  an earlier Machine left behind.  Hit and miss counts are process
+  history; they are reported by :func:`replay_cache_stats`, never by
+  :meth:`FastPath.snapshot`.
 """
 
 from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
+
+#: Bound on cached replay functions; the cache is cleared when full.
+#: An entry measures ~5.6 KiB (1.6 source key + 3.9 code object); one
+#: 200k-instruction gcc session leaves 240, the eight programs
+#: analyze-wide profiles 356, so the bound is far from ordinary use.
+REPLAY_CACHE_MAX = 4096
+
+_replay_cache = {}                   # generated source text -> function
+_replay_globals = dict(EXPR_GLOBALS)  # shared by every replay function
+_replay_cache_hits = 0
+_replay_cache_misses = 0
+
+
+def replay_cache_stats():
+    """``(hits, misses, entries)`` of the process-wide replay-code
+    cache since import.  Process history, not a property of any one
+    simulation: keep it out of snapshots and fact sheets."""
+    return _replay_cache_hits, _replay_cache_misses, len(_replay_cache)
+
+
+def clear_replay_cache():
+    """Drop every cached replay function (live variants keep theirs)."""
+    _replay_cache.clear()
 
 
 def cache_geometry(cache_config):
@@ -127,8 +164,8 @@ class Variant:
 
     def __init__(self, steps, sb, key, term_next):
         # Tiered: ``fn`` stays None (and the slow path keeps executing
-        # the block) until the variant recurs enough times to be worth
-        # ~0.5 ms of compile().
+        # the block) until the variant recurs ``COMPILE_USES`` times
+        # (see there for what a compile() costs).
         self.fn = None
         self.uses = 0
         self.steps = steps
@@ -206,9 +243,13 @@ def _compile_replay(steps, line_shift, page_bits, sb,
     * ``(2, i, dtb_pen, dlat, dmiss, dtb_miss)`` -- load *i* completed
       with a D-cache/D-TLB miss;
     * ``(3, i)``           -- store *i* completed with a D-TLB miss.
+
+    Functions are cached process-wide by their generated source text
+    (module design notes): a variant another ``Machine`` already tiered
+    up costs the text generation, not the ``compile()``.
     """
+    global _replay_cache_hits, _replay_cache_misses
     pm = (1 << page_bits) - 1
-    ns = dict(EXPR_GLOBALS)
     body = []
     L = body.append
     has_mem = any(4 <= s[0][0] <= 9 for s in steps)
@@ -450,9 +491,21 @@ def _compile_replay(steps, line_shift, page_bits, sb,
         head.append("    _icl = core.ihier.l1")
         head.append("    _ics = _icl.sets")
         head.append("    _ist = core._istream")
-    code = compile("\n".join(head + body), "<fastpath-variant>", "exec")
-    exec(code, ns)
-    return ns["_replay"]
+    source = "\n".join(head + body)
+    fn = _replay_cache.get(source)
+    if fn is not None:
+        _replay_cache_hits += 1
+        return fn
+    _replay_cache_misses += 1
+    # The def binds into *scope*; the function's globals stay shared.
+    scope = {}
+    exec(compile(source, "<fastpath-variant>", "exec"),
+         _replay_globals, scope)
+    fn = scope["_replay"]
+    if len(_replay_cache) >= REPLAY_CACHE_MAX:
+        _replay_cache.clear()
+    _replay_cache[source] = fn
+    return fn
 
 
 class FastPath:
@@ -470,10 +523,15 @@ class FastPath:
     #: blacklisted (e.g. streaming code whose loads always miss).
     MAX_FAILED = 12
     #: Recorded-variant re-uses before tiering up to a compiled replay.
-    #: One compile() costs about as much as 25 slow instructions, so
-    #: code with many lukewarm variants (gcc) loses at low thresholds
-    #: on short runs; 4 keeps short-budget wins without measurably
-    #: hurting steady-state throughput.
+    #: One compile() measures 0.42-0.45 ms, 200-220 slow-path
+    #: instructions at 2.0 us each (generating its source text: 0.03
+    #: ms), so code with many lukewarm variants (gcc) loses
+    #: at low thresholds on short runs; 4 keeps short-budget wins
+    #: without measurably hurting steady-state throughput.  The
+    #: threshold is the same whether or not the process-wide replay
+    #: cache already holds the function -- by design: tier-up decides
+    #: which instructions replay, hence every sim.fastpath.* count, and
+    #: those must not depend on process history.
     COMPILE_USES = 4
 
     def __init__(self, decode_map, line_shift=5, page_bits=13,

@@ -227,6 +227,10 @@ class Core:
         fp = machine.fastpath
         fp_on = fp is not None
         fp_blocks = fp.blocks if fp_on else None
+        # Folded into fp where flush_deferred runs, at run exit.
+        fp_replays = 0
+        fp_replayed = 0
+        fp_links = 0
         at_head = fp_on  # a run entry is always a block boundary
         carry_fetch = None  # fetch result a replay bail hands to the slow path
         replay_var = None  # schedule selected by the gate this iteration
@@ -386,14 +390,14 @@ class Core:
                                iregs, fregs, reg_ready,
                                reg_ready_static, reg_dyn_reason,
                                asn, translate_data, t0)
-                    fp.replays += 1
+                    fp_replays += 1
                     if res is not None and res[0] != 4:
                         bailed = True
                         break
                     # Clean replay (res carries the terminator's
                     # dynamic direction for non-virtual blocks).
                     n = v.n
-                    fp.replayed_instructions += n
+                    fp_replayed += n
                     insts_left -= n
                     retired += n
                     if v.hits == 0:
@@ -408,12 +412,11 @@ class Core:
                         leader_pc = v.leader_addr
                     total_rel = v.total_rel
                     prev_issue = t0 + total_rel
-                    if total_rel and cycles_slots:
+                    if total_rel:
                         # One contiguous CYCLES span; the headroom gate
-                        # guarantees no overflow.
-                        for ev, otime in counters.add(
-                                _EV_CYCLES, total_rel, prev_issue):
-                            pending.append((otime + skew, ev))
+                        # proved it overflows no slot.
+                        for _slot in cycles_slots:
+                            _slot.count += total_rel
                     if res is None:
                         pair_open = v.term_open
                         pc = v.term_next
@@ -487,7 +490,7 @@ class Core:
                         fp.link_mismatches += 1
                         at_head = True
                         break
-                    fp.links_followed += 1
+                    fp_links += 1
                     v = nv
                 if not bailed:
                     continue
@@ -562,10 +565,10 @@ class Core:
                     srec_i = step[0]
                     issue = t0 + step[1]
                     delta = issue - t0
-                    if delta and cycles_slots:
-                        for ev, otime in counters.add(
-                                _EV_CYCLES, delta, issue):
-                            pending.append((otime + skew, ev))
+                    if delta:
+                        # A prefix of the span the gate cleared.
+                        for _slot in cycles_slots:
+                            _slot.count += delta
                     row = gt_events.get(srec_i[14])
                     if row is None:
                         row = {}
@@ -597,11 +600,10 @@ class Core:
                     bail_pc = srec_i[14] + 4
                 if not flushed:
                     delta = prev_issue - t0
-                    if delta and cycles_slots:
-                        for ev, otime in counters.add(
-                                _EV_CYCLES, delta, prev_issue):
-                            pending.append((otime + skew, ev))
-                fp.replayed_instructions += count
+                    if delta:
+                        for _slot in cycles_slots:
+                            _slot.count += delta
+                fp_replayed += count
                 fp.bails += 1
                 insts_left -= count
                 retired += count
@@ -940,9 +942,18 @@ class Core:
 
             # ---- performance counters ------------------------------------
             delta = issue - prev_issue
-            if delta and cycles_slots:
-                for ev, otime in counters.add(_EV_CYCLES, delta, issue):
-                    pending.append((otime + skew, ev))
+            if delta:
+                # No call unless an overflow is due: counters.add only
+                # when some slot would reach its period.
+                for _slot in cycles_slots:
+                    if delta >= _slot.period - _slot.count:
+                        for ev, otime in counters.add(
+                                _EV_CYCLES, delta, issue):
+                            pending.append((otime + skew, ev))
+                        break
+                else:
+                    for _slot in cycles_slots:
+                        _slot.count += delta
             if events_now:
                 for ev, etime in events_now:
                     row = gt_events.get(addr)
@@ -1017,6 +1028,9 @@ class Core:
         # read the maps (pure addition, so totals match the slow path).
         if fp_on:
             fp.flush_deferred(gt_count, gt_head, gt_stall)
+            fp.replays += fp_replays
+            fp.replayed_instructions += fp_replayed
+            fp.links_followed += fp_links
 
         # Save resumable state.
         proc.pc = pc

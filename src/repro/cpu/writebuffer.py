@@ -37,7 +37,8 @@ class WriteBuffer:
         self._expire(now)
         if len(self._entries) < self.capacity:
             return now
-        return min(self._entries.values())
+        # Full: the store waits for the oldest drain, the first entry.
+        return next(iter(self._entries.values()))
 
     def commit(self, block_addr, issue_time):
         """Record a store issued at *issue_time*; return True if it merged."""
@@ -47,6 +48,8 @@ class WriteBuffer:
             self.merges += 1
             return True
         self.allocations += 1
+        # Drains are sequential, so completion times strictly increase
+        # in insertion order: the dict is a FIFO by completion time.
         start = max(issue_time, self._port_free)
         done = start + self.drain_cycles
         self._port_free = done
@@ -54,12 +57,14 @@ class WriteBuffer:
         return False
 
     def _expire(self, now):
-        """Retire entries whose drain completed before *now*."""
-        if not self._entries:
-            return
-        done = [b for b, t in self._entries.items() if t <= now]
-        for block in done:
-            del self._entries[block]
+        """Retire entries whose drain completed before *now*, oldest
+        first (see :meth:`commit`)."""
+        entries = self._entries
+        while entries:
+            block = next(iter(entries))
+            if entries[block] > now:
+                return
+            del entries[block]
 
     def occupancy(self, now):
         self._expire(now)

@@ -5,11 +5,15 @@ performance optimization: with it on or off, a profiling session must
 produce byte-identical profile databases, event-sample totals, and
 ground-truth attributions (counts, head-of-queue cycles, per-reason
 stall breakdowns, per-instruction event counts, edge counts).  This
-tool runs every registered workload twice -- fast path forced on, then
-forced off -- canonicalizes both observable states to bytes, and exits
-nonzero on the first byte that differs.  The nightly CI job runs it
-across the full workload registry; it is also handy after any pipeline
-change ("did I just fork the two paths?").
+tool runs every registered workload three times -- fast path on with
+the process-wide replay-code cache emptied first (cold), on again with
+the cache the first leg filled (warm), then forced off -- canonicalizes
+the observable states to bytes, and fails a workload on the first byte
+that differs.  The warm leg must also leave the very same
+``FastPath.snapshot()`` as the cold one: the cache may change time,
+never a count.  CI runs it across the full workload registry on every
+push and, with a larger budget, nightly; it is also handy after any
+pipeline change ("did I just fork the two paths?").
 
 Usage::
 
@@ -22,6 +26,7 @@ import time
 
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
+from repro.cpu.fastpath import clear_replay_cache, replay_cache_stats
 
 
 def _canonical(value):
@@ -65,21 +70,33 @@ def run_session(workload, fastpath, seed, max_instructions, mode):
 
 def check_workload(workload, seed=1, max_instructions=80_000,
                    mode="default"):
-    """Return (identical, summary line) for one workload A/B pair."""
+    """Return (identical, summary line) for one workload's three
+    legs: cold-cache fast, warm-cache fast, slow."""
+    clear_replay_cache()
     fast, fast_wall = run_session(workload, True, seed,
+                                  max_instructions, mode)
+    warm, warm_wall = run_session(workload, True, seed,
                                   max_instructions, mode)
     slow, slow_wall = run_session(workload, False, seed,
                                   max_instructions, mode)
-    identical = fingerprint(fast) == fingerprint(slow)
+    fast_print = fingerprint(fast)
     snap = fast.machine.fastpath.snapshot()
+    differs = []
+    if fingerprint(slow) != fast_print:
+        differs.append("slow")
+    if (fingerprint(warm) != fast_print
+            or warm.machine.fastpath.snapshot() != snap):
+        differs.append("warm")
     replay_pct = (100.0 * snap["replayed_instructions"]
                   / max(fast.machine.instructions_retired, 1))
-    line = ("%-22s %-9s slow=%.3fs fast=%.3fs x%.2f replay=%.0f%%"
+    line = ("%-22s %-9s slow=%.3fs fast=%.3fs warm=%.3fs x%.2f "
+            "replay=%.0f%%"
             % (getattr(workload, "name", str(workload)),
-               "identical" if identical else "DIFFERS",
-               slow_wall, fast_wall,
+               "DIFFERS(%s)" % ",".join(differs) if differs
+               else "identical",
+               slow_wall, fast_wall, warm_wall,
                slow_wall / fast_wall if fast_wall else 0.0, replay_pct))
-    return identical, line
+    return not differs, line
 
 
 def main(argv=None):
@@ -88,8 +105,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="dcpiab",
         description="A/B-check the simulator fast path: profile each "
-                    "workload with the block issue cache on and off and "
-                    "fail unless every observable is byte-identical")
+                    "workload with the block issue cache on (cold and "
+                    "warm replay-code cache) and off, and fail unless "
+                    "every observable is byte-identical")
     parser.add_argument("workloads", nargs="*",
                         help="workload names (default: every registered "
                              "workload)")
@@ -114,8 +132,11 @@ def main(argv=None):
         print(line)
         if not identical:
             failures += 1
-    print("dcpiab: %d/%d workloads byte-identical"
-          % (len(names) - failures, len(names)))
+    # Process history, read from the module: never part of a snapshot.
+    hits, misses, _ = replay_cache_stats()
+    print("dcpiab: %d/%d workloads byte-identical on 3 legs "
+          "(cold fast, warm fast, slow); replay cache %d hits, %d misses"
+          % (len(names) - failures, len(names), hits, misses))
     if failures:
         print("dcpiab: fast path diverged on %d workload(s)" % failures,
               file=sys.stderr)

@@ -1,5 +1,7 @@
 """Tests for performance counters and the Carta PRNG."""
 
+import itertools
+
 from hypothesis import given, strategies as st
 
 from repro.collect.prng import CartaRandom, period_sampler
@@ -101,3 +103,54 @@ class TestCounterUnit:
             now += delta
             total_overflows += len(unit.add(EventType.CYCLES, delta, now))
         assert total_overflows == sum(deltas) // 37
+
+
+def count_cycles_inline(unit, slots, delta, end_time):
+    """``Core.run``'s slow-path CYCLES accounting, verbatim: add in
+    line unless some slot is due to overflow, then ``CounterUnit.add``."""
+    for slot in slots:
+        if delta >= slot.period - slot.count:
+            return list(unit.add(EventType.CYCLES, delta, end_time))
+    for slot in slots:
+        slot.count += delta
+    return []
+
+
+class TestInlineCyclesGuard:
+    """The call-free CYCLES path of ``Core.run`` against
+    ``CounterUnit.add`` on every span, overflow or not."""
+
+    @staticmethod
+    def unit(periods):
+        unit = CounterUnit()
+        for seq in periods:
+            # Each slot reloads from its own cycling period sequence.
+            unit.configure(EventType.CYCLES, itertools.cycle(seq).__next__)
+        return unit
+
+    @given(st.lists(st.lists(st.integers(min_value=1, max_value=40),
+                             min_size=1, max_size=4),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(min_value=1, max_value=90),
+                    min_size=1, max_size=80))
+    def test_equals_counter_unit_add(self, periods, deltas):
+        inline = self.unit(periods)
+        slots = inline.live_slots(EventType.CYCLES)
+        reference = self.unit(periods)
+        now = 0
+        for delta in deltas:
+            now += delta
+            got = count_cycles_inline(inline, slots, delta, now)
+            want = list(reference.add(EventType.CYCLES, delta, now))
+            assert got == want
+            assert ([(s.count, s.period, s.overflows)
+                     for s in inline.slots]
+                    == [(s.count, s.period, s.overflows)
+                        for s in reference.slots])
+
+    def test_no_call_below_headroom(self):
+        unit = self.unit([[100], [50]])
+        slots = unit.live_slots(EventType.CYCLES)
+        unit.add = None  # any call would raise
+        assert count_cycles_inline(unit, slots, 49, 49) == []
+        assert [s.count for s in slots] == [49, 49]

@@ -1,14 +1,23 @@
 """Unit tests for the simulator fast path (block-level issue cache)."""
 
 import os
+import re
 from unittest import mock
 
+import pytest
+
 from repro.alpha.assembler import assemble
+from repro.collect.session import ProfileSession, SessionConfig
+from repro.cpu import fastpath as fastpath_module
 from repro.cpu.config import CacheConfig, MachineConfig
-from repro.cpu.fastpath import FastPath, cache_geometry
+from repro.cpu.events import EventType
+from repro.cpu.fastpath import (FastPath, cache_geometry,
+                                clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
 from repro.obs.schema import derive, session_metrics
+from repro.tools.abcheck import fingerprint
 from repro.workloads.asmgen import loop_proc
+from repro.workloads.registry import get_workload
 
 
 def run_loop(iters=400, flavor="int", fastpath=True, data="", **kw):
@@ -147,9 +156,6 @@ class TestSnapshotAndObs:
         assert snap["variants"] >= 1
 
     def test_session_metrics_include_fastpath(self):
-        from repro.collect.session import ProfileSession, SessionConfig
-        from repro.workloads.registry import get_workload
-
         session = ProfileSession(MachineConfig(), SessionConfig(seed=1))
         result = session.run(get_workload("wave5"),
                              max_instructions=20_000)
@@ -157,3 +163,160 @@ class TestSnapshotAndObs:
         assert flat["sim.fastpath.replays"] > 0
         assert 0.0 <= flat["sim.fastpath.replay_fraction"] <= 1.0
         assert flat["sim.fastpath.bail_rate"] >= 0.0
+
+
+def profiled(name="gcc", fastpath=True, l1d=None):
+    """One profiled session at the bench period; returns
+    (fingerprint bytes, FastPath or None)."""
+    workload = get_workload(name)
+    config = MachineConfig(num_cpus=workload.num_cpus)
+    config.fastpath = fastpath
+    if l1d is not None:
+        config.l1d = l1d
+    session = ProfileSession(
+        config, SessionConfig(mode="default", cycles_period=(240, 256),
+                              event_period=64, seed=1))
+    result = session.run(workload, max_instructions=30_000)
+    return fingerprint(result), result.machine.fastpath
+
+
+def compiled_fns(fp):
+    return {variant.fn for block in fp.blocks.values() if block
+            for variant in block.variants.values()
+            if variant.fn is not None}
+
+
+def inlines_l1_probe(fn):
+    return "_l1s" in fn.__code__.co_varnames
+
+
+class TestReplayCodeCache:
+    """The process-wide replay-code cache may change time only."""
+
+    def test_cold_warm_and_cleared_runs_are_identical(self):
+        clear_replay_cache()
+        _, misses0, _ = replay_cache_stats()
+        cold_print, cold = profiled()
+        hits1, misses1, entries = replay_cache_stats()
+        assert cold.compiled_variants > 0
+        assert 0 < entries <= misses1 - misses0
+        warm_print, warm = profiled()
+        hits2, misses2, _ = replay_cache_stats()
+        # The second Machine compiled nothing and still tiered up the
+        # same variants after the same COMPILE_USES visits.
+        assert misses2 == misses1
+        assert hits2 - hits1 == warm.compiled_variants
+        clear_replay_cache()
+        assert replay_cache_stats()[2] == 0
+        again_print, again = profiled()
+        assert cold_print == warm_print == again_print
+        assert cold.snapshot() == warm.snapshot() == again.snapshot()
+
+    def test_machines_share_functions_not_copies(self):
+        clear_replay_cache()
+        fns = [compiled_fns(profiled()[1]) for _ in range(2)]
+        assert fns[0] and fns[0] == fns[1]
+        assert len({id(fn.__globals__) for fn in fns[0]}) == 1
+
+    def test_other_cache_geometry_shares_nothing_wrongly(self):
+        clear_replay_cache()
+        # Fill the cache from the direct-mapped default.
+        assert any(map(inlines_l1_probe, compiled_fns(profiled()[1])))
+        _, misses0, _ = replay_cache_stats()
+        two_way = CacheConfig(8192, 32, 2, 2)
+        fast_print, fast = profiled(l1d=two_way)
+        assert fast.l1d_geom is None
+        assert fast.compiled_variants > 0
+        # Same program, same addresses -- but every block that touches
+        # memory has a different source text, so it compiled its own.
+        assert replay_cache_stats()[1] > misses0
+        assert not any(map(inlines_l1_probe, compiled_fns(fast)))
+        slow_print, _ = profiled(fastpath=False, l1d=two_way)
+        assert fast_print == slow_print
+
+    def test_filling_past_the_bound_clears_and_keeps_running(
+            self, monkeypatch):
+        clear_replay_cache()
+        unbounded_print, unbounded = profiled()
+        assert replay_cache_stats()[2] > 3
+        clear_replay_cache()
+        monkeypatch.setattr(fastpath_module, "REPLAY_CACHE_MAX", 3)
+        _, misses0, _ = replay_cache_stats()
+        bounded_print, bounded = profiled()
+        _, misses1, entries = replay_cache_stats()
+        assert 0 < entries <= 3
+        assert misses1 - misses0 > 3
+        assert bounded_print == unbounded_print
+        assert bounded.snapshot() == unbounded.snapshot()
+
+
+class TestDcpiabThreeLegs:
+    def test_summary_line_reports_legs_and_cache(self, capsys):
+        from repro.tools.abcheck import main
+
+        assert main(["wave5", "--max-instructions", "20000"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(
+            r"wave5 +identical +slow=\S+s fast=\S+s warm=\S+s x\S+ "
+            r"replay=\d+%", out[0])
+        summary = re.fullmatch(
+            r"dcpiab: 1/1 workloads byte-identical on 3 legs "
+            r"\(cold fast, warm fast, slow\); "
+            r"replay cache (\d+) hits, (\d+) misses", out[-1])
+        assert summary
+        # The warm leg found what the cold leg compiled.
+        assert int(summary.group(1)) > 0 and int(summary.group(2)) > 0
+
+    def test_warm_leg_divergence_is_named(self, monkeypatch):
+        from repro.tools import abcheck
+
+        # A cache that changed a count, not only time: the warm leg's
+        # Machine reports one replay too many.
+        real = abcheck.run_session
+        legs = []
+
+        def run_session(*args):
+            result, wall = real(*args)
+            legs.append(result)
+            if len(legs) == 2:
+                result.machine.fastpath.replays += 1
+            return result, wall
+        monkeypatch.setattr(abcheck, "run_session", run_session)
+        identical, line = abcheck.check_workload(
+            get_workload("wave5"), max_instructions=20_000)
+        assert not identical
+        assert "DIFFERS(warm)" in line
+
+
+class TestCyclesCountedInLine:
+    """``Core.run`` adds CYCLES spans to the slots in line and calls
+    ``CounterUnit.add`` only when an overflow is due: every cycle must
+    still be counted exactly once in every slot, on both paths."""
+
+    @pytest.mark.parametrize("periods", [(256,), (61, 97), (64, 97, 1)])
+    def test_every_cycle_counted_once_per_slot(self, periods):
+        streams = []
+        for fast in (True, False):
+            config = MachineConfig()
+            config.fastpath = fast
+            machine = Machine(config, seed=1)
+            core = machine.cores[0]
+            for period in periods:
+                core.counters.configure(EventType.CYCLES,
+                                        lambda period=period: period)
+            samples = []
+            core.sample_sink = (
+                lambda cpu, pid, pc, event, when:
+                samples.append((pc, event, when)) or 0)
+            image = machine.load_image(assemble(
+                ".image t\n" + loop_proc("work", 300, "branchy")))
+            machine.spawn(image)
+            machine.run(max_instructions=500_000)
+            for slot in core.counters.slots:
+                assert slot.count < slot.period
+                assert (slot.overflows * slot.period + slot.count
+                        == core.time - 1)
+            if fast and min(periods) > 1:
+                assert machine.fastpath.replays > 0
+            streams.append(samples)
+        assert streams[0] == streams[1]

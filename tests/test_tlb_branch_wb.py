@@ -1,5 +1,7 @@
 """Tests for the TLB, branch predictor and write buffer."""
 
+from hypothesis import given, strategies as st
+
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.tlb import TLB
 from repro.cpu.writebuffer import WriteBuffer
@@ -127,3 +129,55 @@ class TestWriteBuffer:
         wb.commit(0x000, 0)
         wb.commit(0x200, 0)
         assert wb.allocations == 2
+
+
+class REFERENCE(WriteBuffer):
+    """The write buffer as first written: expiry scans every entry and
+    a full buffer waits for ``min()`` over all of them.  The FIFO form
+    in :mod:`repro.cpu.writebuffer` must be indistinguishable."""
+
+    def earliest_issue(self, block_addr, now):
+        block = block_addr >> self.BLOCK_SHIFT
+        if block in self._entries:
+            return now
+        self._expire(now)
+        if len(self._entries) < self.capacity:
+            return now
+        return min(self._entries.values())
+
+    def _expire(self, now):
+        done = [b for b, t in self._entries.items() if t <= now]
+        for block in done:
+            del self._entries[block]
+
+
+class TestWriteBufferFifo:
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=30),
+           st.lists(st.tuples(
+               st.sampled_from(("probe", "store", "occupancy")),
+               st.integers(min_value=0, max_value=11),    # 32-byte block
+               st.integers(min_value=0, max_value=25)),   # time step
+               min_size=1, max_size=120))
+    def test_equals_reference_on_random_store_streams(
+            self, entries, drain, ops):
+        fifo = WriteBuffer(entries, drain)
+        ref = REFERENCE(entries, drain)
+        now = 0
+        for op, block, step in ops:
+            now += step
+            addr = block << WriteBuffer.BLOCK_SHIFT | 8
+            if op == "occupancy":
+                assert fifo.occupancy(now) == ref.occupancy(now)
+                continue
+            issue = fifo.earliest_issue(addr, now)
+            assert issue == ref.earliest_issue(addr, now)
+            if op == "store":
+                # The pipeline commits at the issue time it was given.
+                assert fifo.commit(addr, issue) == ref.commit(addr, issue)
+                now = issue
+            assert fifo._entries == ref._entries
+            assert ((fifo.merges, fifo.allocations)
+                    == (ref.merges, ref.allocations))
+            done = list(fifo._entries.values())
+            assert all(a < b for a, b in zip(done, done[1:]))
