@@ -1,7 +1,7 @@
 """The on-disk profile database and the in-memory profile container.
 
 Profiles are organized into non-overlapping *epochs*; within an epoch
-one file stores the samples for a given (image, event) combination
+the database keeps the samples of each (image, event) combination
 (paper section 4.3.3).  Two binary formats are implemented:
 
 * ``raw``      -- fixed 8-byte records (u32 offset, u32 count);
@@ -11,27 +11,54 @@ one file stores the samples for a given (image, event) combination
 
 ``benchmarks/bench_table5_space.py`` measures both.
 
+A segment per commit.  Every mutating call (:meth:`~ProfileDatabase.save`,
+``checkpoint``, ``merge_epoch``, ``compact_epochs``) encodes its
+profiles in memory and ``_commit`` writes them as **one** immutable,
+generation-numbered file ``epochNNNN/seg.g<gen>.prof``: the encoded
+profiles back to back, no framing bytes.  A manifest record names its
+profile as ``file`` + ``offset`` + ``length``; a record without the
+last two means the whole file, so a legacy one-profile file *is* a
+one-profile segment and there is one read path.  A commit that writes
+profiles therefore costs two fsyncs (segment, manifest) however many
+(image, event) profiles it carries, and one otherwise;
+:meth:`ProfileDatabase.io_counts` keeps the exact counts.
+
 Crash safety (the continuous-profiling promise: the database survives
 daemon death and machine restarts):
 
-* every profile write goes to a fresh generation-numbered file via
-  write-to-temp + atomic rename -- stored files are immutable, so a
-  torn write can never damage committed data;
+* the invariant: *every byte a manifest names was fsynced before the
+  manifest naming it was renamed into place*.  A segment goes to disk
+  by write-to-temp + fsync + atomic rename and is never modified, so a
+  torn write can never damage committed data.  (Directory entries are
+  not fsynced, now or before: after a power cut a rename may not have
+  happened, which reads as a missing file and is quarantined.)
 * the profile format (version 3) carries a CRC32 trailer, and the
-  manifest records an independent whole-file CRC, so corruption is
-  detected rather than decoded into garbage;
+  manifest records an independent CRC of each record's bytes; both are
+  checked on every read, so corruption is detected rather than decoded
+  into garbage;
 * a single ``MANIFEST.json``, itself committed by atomic rename, is
   the linearization point: a crash at any instant leaves either the
-  old or the new manifest, each referencing only complete files;
-* corrupt or missing files are *quarantined* on load -- moved aside,
-  their manifest-declared sample totals recorded as accounted loss --
-  and iteration (:meth:`profiles`, :meth:`epochs`, :meth:`load_all`)
-  keeps going;
-* a damaged manifest is rebuilt by scanning the files it committed
-  (highest generation per key wins); only when no manifest ever
-  existed are generation files treated as uncommitted crash orphans;
+  old or the new manifest, each referencing only complete segments;
+* a corrupt or missing record is *quarantined* on load -- its bytes
+  copied aside (the segment is left alone: other live records may name
+  it, and GC removes it once none does), its manifest-declared sample
+  total recorded as accounted loss -- and iteration (:meth:`profiles`,
+  :meth:`epochs`, :meth:`load_all`) keeps going;
+* a damaged manifest is rebuilt by walking the segments it committed
+  blob by blob -- each blob is self-delimiting (header count, then
+  trailer) -- resynchronising after a damaged span on the next ``DCPI``
+  magic that parses and checksums (highest generation per key wins);
+  only when no manifest ever existed are generation files treated as
+  uncommitted crash orphans;
 * decode failures raise the typed :class:`CorruptProfileError`
   (a ``ValueError``) instead of raw struct/varint errors.
+
+The price of sharing a file: a bit flip still costs exactly the
+profile it lands in, but an at-rest *truncation* now costs the tail of
+one commit's segment rather than one (image, event), and a segment
+stays on disk -- superseded slices included -- until its last record
+is superseded (``checkpoint``, ``compact_epochs`` and ``drop_epoch``
+replace an epoch whole, so that is bounded by the epoch).
 
 A commit costs the delta, not the store.  The manifest is serialised
 compactly by the C JSON encoder (``sort_keys``, no indent: readers
@@ -238,8 +265,60 @@ def _salvage_total(data):
     return total
 
 
-def _safe_name(image_name):
-    return image_name.replace("/", "_").strip("_") or "unknown"
+def _blob_at(data, start):
+    """Decode the profile that starts at ``data[start]``; return
+    ``(decoded, end)``.
+
+    A blob is self-delimiting -- the header gives the record count,
+    the records give their own lengths, version 3 adds the 4-byte
+    trailer -- so a segment needs no framing to be walked.
+    """
+    try:
+        buf = io.BytesIO(data)
+        buf.seek(start + 4)
+        version, fmt, _ = struct.unpack("<HBH", buf.read(5))
+        for _ in range(2):                      # image name, event
+            (size,) = struct.unpack("<H", buf.read(2))
+            buf.seek(size, io.SEEK_CUR)
+        _, n = struct.unpack("<II", buf.read(8))
+        if fmt == FORMAT_RAW:
+            buf.seek(8 * n, io.SEEK_CUR)
+        else:
+            for _ in range(2 * n):
+                _read_varint(buf)
+    except (struct.error, EOFError) as exc:
+        raise CorruptProfileError("corrupt profile: %s" % exc) from exc
+    end = buf.tell() + (4 if version >= 3 else 0)
+    return decode_profile(data[start:end]), end
+
+
+def _walk_segment(data):
+    """Yield ``(start, end, decoded, error)`` for each span of *data*.
+
+    Intact blobs come back decoded with ``error`` None.  After a blob
+    that fails, the walk resynchronises on the next ``DCPI`` magic that
+    parses and checksums, and the bytes in between are one damaged
+    span (``decoded`` None, ``error`` the first failure).
+    """
+    start = 0
+    while start < len(data):
+        try:
+            decoded, end = _blob_at(data, start)
+            error = None
+        except CorruptProfileError as exc:
+            decoded, end, error = None, start, exc
+            while end < len(data):
+                end = data.find(MAGIC, end + 1)
+                if end < 0:
+                    end = len(data)
+                    break
+                try:
+                    _blob_at(data, end)
+                    break
+                except CorruptProfileError:
+                    continue
+        yield start, end, decoded, error
+        start = end
 
 
 def _atomic_write(path, data):
@@ -255,10 +334,11 @@ def _atomic_write(path, data):
 class ProfileDatabase:
     """Directory-backed profile storage with epochs and merging.
 
-    All mutations are shadow-paging: new generation-numbered files are
-    written first, then a single atomic manifest rename commits them
-    and the files it stopped referencing are garbage-collected.  A
-    crash at any point leaves the previous committed state intact.
+    All mutations are shadow-paging: the commit's profiles are written
+    first, as one new generation-numbered segment, then a single
+    atomic manifest rename commits them and the files it stopped
+    referencing are garbage-collected.  A crash at any point leaves
+    the previous committed state intact.
     """
 
     def __init__(self, root, fmt=FORMAT_COMPACT, faults=None):
@@ -276,8 +356,8 @@ class ProfileDatabase:
         #: None before its first commit and after a failed one, when
         #: only the full sweep can find what must go.
         self._committed_files = None
-        #: Epoch directories this handle has already created.
-        self._epoch_dirs = set()
+        self._io = dict.fromkeys(("files_written", "segment_bytes",
+                                  "manifest_bytes", "unlinks"), 0)
 
     # -- manifest ----------------------------------------------------------
 
@@ -356,15 +436,17 @@ class ProfileDatabase:
         """Rebuild a manifest by decoding the profile files on disk.
 
         The fallback for pre-manifest databases and for a destroyed
-        manifest.  Files that fail to decode are quarantined with a
-        best-effort salvaged total so their loss is still accounted.
+        manifest.  Every file is walked as a segment, blob by blob
+        (:func:`_walk_segment`; a legacy file is a segment of one); a
+        damaged span is quarantined with a best-effort salvaged total
+        so its loss is still accounted.
 
         Generation-suffixed files (``*.g<N>.prof``) are only ever
         written by manifest-era code, so their meaning depends on *why*
         there is no manifest to read:
 
         * Manifest absent (``adopt_generations=False``): a crash landed
-          between writing shadow files and the manifest rename.  Those
+          between writing the segment and the manifest rename.  Those
           are uncommitted orphans -- their samples live in the drain
           journal for replay -- so adopting them here would
           double-count.  They are skipped (the next commit's GC removes
@@ -399,54 +481,75 @@ class ProfileDatabase:
                     continue
                 with open(os.path.join(epoch_dir, fname), "rb") as handle:
                     data = handle.read()
-                try:
-                    counts, image_name, event, period, epoch = (
-                        decode_profile(data))
-                except CorruptProfileError as exc:
-                    self._move_to_quarantine(rel)
-                    manifest["quarantined"].append({
-                        "key": rel, "file": rel,
-                        "declared_total": _salvage_total(data),
-                        "reason": str(exc)})
-                    self.warnings.append(
-                        "quarantined %s during rebuild (%s)" % (rel, exc))
-                    continue
-                key = self._key(epoch, image_name, event)
-                if gen < adopted_gens.get(key, -1):
-                    continue
-                adopted_gens[key] = gen
-                manifest["records"][key] = {
-                    "file": rel,
-                    "image": image_name,
-                    "event": str(event),
-                    "epoch": epoch,
-                    "period": period,
-                    "total": sum(counts.values()),
-                    "crc": zlib.crc32(data),
-                }
+                for start, end, decoded, error in _walk_segment(data):
+                    blob = data[start:end]
+                    if error is not None:
+                        self._set_aside(rel, start, blob)
+                        manifest["quarantined"].append({
+                            "key": rel, "file": rel, "offset": start,
+                            "declared_total": _salvage_total(blob),
+                            "reason": str(error)})
+                        self.warnings.append(
+                            "quarantined %s@%d during rebuild (%s)"
+                            % (rel, start, error))
+                        continue
+                    counts, image_name, event, period, epoch = decoded
+                    key = self._key(epoch, image_name, event)
+                    if gen < adopted_gens.get(key, -1):
+                        continue
+                    adopted_gens[key] = gen
+                    manifest["records"][key] = {
+                        "file": rel,
+                        "offset": start,
+                        "length": end - start,
+                        "image": image_name,
+                        "event": str(event),
+                        "epoch": epoch,
+                        "period": period,
+                        "total": sum(counts.values()),
+                        "crc": zlib.crc32(blob),
+                    }
         return manifest
 
-    def _commit(self, manifest):
-        """Atomically publish *manifest*; then GC what it dropped.
+    def _commit(self, manifest, staged=()):
+        """Write *staged* as one segment, atomically publish
+        *manifest*, then GC what it dropped.
 
-        The sidecar is rewritten first (every other handle's cached
+        *staged* -- the ``(record, bytes)`` pairs of :meth:`_stage` --
+        goes to disk back to back as one immutable generation file and
+        each record learns its ``file`` / ``offset`` / ``length``.
+        Then the sidecar is rewritten (every other handle's cached
         view is now stale, whether or not the rename follows), the
-        manifest rename is the commit point, and only then are the
+        manifest rename is the commit point, and only after it are the
         files the previous manifest referenced and this one does not
-        unlinked.  If the commit dies (an injected crash between
-        writing files and renaming the manifest), the cached manifest
-        is invalidated so the next access reloads the last *committed*
-        state from disk -- staged in-memory mutations must not survive
-        a failed commit -- and the next commit sweeps the orphans.
+        unlinked.  If the commit dies (an injected crash between the
+        segment and the rename), the cached manifest is invalidated so
+        the next access reloads the last *committed* state -- staged
+        in-memory mutations must not survive a failed commit -- and
+        the next commit sweeps the orphans.
         """
-        referenced = {record["file"]
-                      for record in manifest["records"].values()}
         try:
+            if staged:
+                manifest["generation"] += 1
+                epoch_name = "epoch%04d" % staged[0][0]["epoch"]
+                os.makedirs(os.path.join(self.root, epoch_name),
+                            exist_ok=True)
+                rel = os.path.join(
+                    epoch_name, "seg.g%d.prof" % manifest["generation"])
+                offset = 0
+                for record, payload in staged:
+                    record.update(file=rel, offset=offset,
+                                  length=len(payload))
+                    offset += len(payload)
+                self._write("segment_bytes", os.path.join(self.root, rel),
+                            b"".join(payload for _, payload in staged))
+            referenced = {record["file"]
+                          for record in manifest["records"].values()}
             self.faults.check("db.checkpoint")
             payload = json.dumps(manifest, sort_keys=True,
                                  separators=(",", ":")).encode("ascii")
             mark = self._advance_mark(payload)
-            _atomic_write(self._manifest_path(), payload)
+            self._write("manifest_bytes", self._manifest_path(), payload)
         except BaseException:
             self._manifest = None
             self._committed_files = None
@@ -460,14 +563,28 @@ class ProfileDatabase:
                 self._unlink(os.path.join(self.root, rel))
         self._committed_files = referenced
 
-    @staticmethod
-    def _unlink(path):
+    def _write(self, kind, path, data):
+        """:func:`_atomic_write`, counted (see :meth:`io_counts`)."""
+        _atomic_write(path, data)
+        self._io["files_written"] += 1
+        self._io[kind] += len(data)
+
+    def io_counts(self):
+        """Exact I/O this handle has done to commit: ``files_written``
+        (segments + manifests), ``fsyncs`` (one per file written: temp
+        + fsync + rename), ``segment_bytes``, ``manifest_bytes``,
+        ``unlinks``."""
+        return dict(self._io, fsyncs=self._io["files_written"])
+
+    def _unlink(self, path):
         try:
             os.unlink(path)
-        # GC is best-effort: a file already quarantined is gone, and
-        # one held open by a racing reader goes with the next sweep.
+        # GC is best-effort: a file another handle already collected
+        # is gone, and one held open by a racing reader goes with the
+        # next sweep.
         except OSError:  # dcpicheck: ignore[swallowed-exception]
-            pass
+            return
+        self._io["unlinks"] += 1
 
     def _gc(self, referenced):
         """Sweep every epoch directory for files not in *referenced*
@@ -490,21 +607,31 @@ class ProfileDatabase:
 
     # -- quarantine --------------------------------------------------------
 
-    def _move_to_quarantine(self, rel):
+    def _set_aside(self, rel, offset, data):
+        """Keep a copy of damaged bytes under ``quarantine/``.
+
+        A copy, never a move: other live records may name the same
+        segment.  GC unlinks the segment once no record does.
+        """
         qdir = os.path.join(self.root, QUARANTINE_DIR)
         os.makedirs(qdir, exist_ok=True)
-        src = os.path.join(self.root, rel)
-        dst = os.path.join(qdir, rel.replace(os.sep, "_"))
+        dst = os.path.join(
+            qdir, "%s@%d" % (rel.replace(os.sep, "_"), offset))
         try:
-            os.replace(src, dst)
+            with open(dst, "wb") as handle:
+                handle.write(data)
         # Quarantine is advisory: the record is already dropped from
-        # the live set, so a failed move only leaves a stale file.
+        # the live set, so a failed copy only loses the evidence.
         except OSError:  # dcpicheck: ignore[swallowed-exception]
             pass
 
     def _quarantine(self, manifest, key, record, reason):
         """Pull *record* out of the live set; account its samples."""
-        self._move_to_quarantine(record["file"])
+        try:
+            damaged = self._record_bytes(record)
+        except OSError:
+            damaged = b""       # the file is gone: an empty marker
+        self._set_aside(record["file"], record.get("offset", 0), damaged)
         manifest["records"].pop(key, None)
         manifest["quarantined"].append({
             "key": key,
@@ -526,24 +653,16 @@ class ProfileDatabase:
 
     # -- write path --------------------------------------------------------
 
-    def _write_profile(self, manifest, image_name, event, counts,
-                       period, epoch):
-        """Write one immutable generation file; return its record."""
+    def _stage(self, staged, image_name, event, counts, period, epoch):
+        """Encode one profile onto *staged*; return its record.
+
+        :meth:`_commit` writes the staged bytes and completes the
+        record with where they landed.
+        """
         event = str(event)
-        manifest["generation"] += 1
-        gen = manifest["generation"]
-        epoch_dir = os.path.join(self.root, "epoch%04d" % epoch)
-        if epoch_dir not in self._epoch_dirs:
-            os.makedirs(epoch_dir, exist_ok=True)
-            self._epoch_dirs.add(epoch_dir)
-        fname = "%s@%s.g%d.prof" % (_safe_name(image_name), event, gen)
-        rel = os.path.join("epoch%04d" % epoch, fname)
         data = encode_profile(counts, image_name, event, period,
                               self.fmt, epoch)
-        payload = self.faults.corrupt_bytes("db.write", data)
-        _atomic_write(os.path.join(epoch_dir, fname), payload)
-        return {
-            "file": rel,
+        record = {
             "image": image_name,
             "event": event,
             "epoch": epoch,
@@ -551,6 +670,9 @@ class ProfileDatabase:
             "total": sum(counts.values()),
             "crc": zlib.crc32(data),
         }
+        staged.append((record,
+                       self.faults.corrupt_bytes("db.write", data)))
+        return record
 
     def save(self, image_name, event, counts, period, epoch=0,
              replace=False):
@@ -572,10 +694,11 @@ class ProfileDatabase:
             else:
                 for offset, count in existing.items():
                     merged[offset] = merged.get(offset, 0) + count
-        new_record = self._write_profile(manifest, image_name, event,
-                                         merged, period, epoch)
+        staged = []
+        new_record = self._stage(staged, image_name, event, merged,
+                                 period, epoch)
         manifest["records"][key] = new_record
-        self._commit(manifest)
+        self._commit(manifest, staged)
         return os.path.join(self.root, new_record["file"])
 
     def checkpoint(self, profiles, periods, epoch, meta=None, ctx=None):
@@ -589,18 +712,19 @@ class ProfileDatabase:
         like the fleet ledger) carries the request-context ledger;
         None -- the only value when the context dimension is off --
         leaves the manifest untouched, keeping ctx-less databases
-        byte-identical to pre-context output.  All files are written
-        first; the single manifest rename is the commit point, so a
-        crash anywhere leaves the previous checkpoint intact and
-        re-running is idempotent.
+        byte-identical to pre-context output.  The profiles are
+        written first, as one segment; the single manifest rename is
+        the commit point, so a crash anywhere leaves the previous
+        checkpoint intact and re-running is idempotent.
         """
         manifest = self._load_manifest()
+        staged = []
         new_records = {}
         for image_name in sorted(profiles):
             for event, counts in sorted(profiles[image_name].items(),
                                         key=lambda item: str(item[0])):
-                record = self._write_profile(
-                    manifest, image_name, event, counts,
+                record = self._stage(
+                    staged, image_name, event, counts,
                     periods.get(event, 1), epoch)
                 new_records[self._key(epoch, image_name,
                                       str(event))] = record
@@ -613,7 +737,7 @@ class ProfileDatabase:
             manifest["checkpoint"] = dict(meta)
         if ctx is not None:
             manifest["ctx"] = ctx
-        self._commit(manifest)
+        self._commit(manifest, staged)
 
     def update_checkpoint(self, meta):
         """Commit new checkpoint *meta* without touching profiles."""
@@ -634,6 +758,8 @@ class ProfileDatabase:
         idempotent even across a crash between merge and ledger write.
         """
         manifest = self._load_manifest()
+        staged = []
+        segments = {}
         for image_name in sorted(profiles):
             by_event = profiles[image_name]
             for event in sorted(by_event, key=str):
@@ -643,18 +769,19 @@ class ProfileDatabase:
                 record = manifest["records"].get(key)
                 if record is not None:
                     try:
-                        existing, _, _, _, _ = self._read_record(record)
+                        existing, _, _, _, _ = self._read_record(
+                            record, segments)
                     except CorruptProfileError as exc:
                         self._quarantine(manifest, key, record, str(exc))
                     else:
                         for offset, count in existing.items():
                             merged[offset] = merged.get(offset, 0) + count
-                manifest["records"][key] = self._write_profile(
-                    manifest, image_name, event, merged,
+                manifest["records"][key] = self._stage(
+                    staged, image_name, event, merged,
                     periods.get(event, 1), epoch)
         if meta is not None:
             manifest[meta_key] = meta
-        self._commit(manifest)
+        self._commit(manifest, staged)
 
     def drop_epoch(self, epoch, meta=None, meta_key="fleet"):
         """Remove every committed profile of *epoch* in one commit.
@@ -680,20 +807,21 @@ class ProfileDatabase:
         *target_epoch*, all under one manifest commit.
 
         The retention path of the fleet store uses this to
-        merge-downsample a window of old epochs: the compacted files
-        are written first, then a single atomic manifest rename both
-        publishes them and drops every source-epoch record, so a crash
+        merge-downsample a window of old epochs: the compacted segment
+        is written first, then a single atomic manifest rename both
+        publishes it and drops every source-epoch record, so a crash
         at any instant leaves either the original epochs or the
         compacted window -- never both (double counting) and never
         neither (silent loss).
         """
         manifest = self._load_manifest()
+        staged = []
         new_records = {}
         for image_name in sorted(profiles):
             by_event = profiles[image_name]
             for event in sorted(by_event, key=str):
-                record = self._write_profile(
-                    manifest, image_name, event, by_event[event],
+                record = self._stage(
+                    staged, image_name, event, by_event[event],
                     periods.get(event, 1), target_epoch)
                 new_records[self._key(target_epoch, image_name,
                                       str(event))] = record
@@ -706,7 +834,7 @@ class ProfileDatabase:
         manifest["records"].update(new_records)
         if meta is not None:
             manifest[meta_key] = meta
-        self._commit(manifest)
+        self._commit(manifest, staged)
 
     def get_meta(self, meta_key="fleet"):
         """The last committed *meta_key* blob (see :meth:`merge_epoch`).
@@ -726,12 +854,30 @@ class ProfileDatabase:
 
     # -- read path ---------------------------------------------------------
 
-    def _read_record(self, record):
+    def _record_bytes(self, record, segments=None):
+        """The bytes *record* names: its slice of the segment, or the
+        whole file for a record without ``offset`` / ``length``.
+
+        *segments* (``{file: bytes}``, owned by the caller) lets one
+        scan read each segment once however many records share it.
+        """
+        if segments is None:
+            segments = {}
+        rel = record["file"]
+        data = segments.get(rel)
+        if data is None:
+            with open(os.path.join(self.root, rel), "rb") as handle:
+                data = segments[rel] = handle.read()
+        offset = record.get("offset")
+        if offset is None:
+            return data
+        return data[offset:offset + record["length"]]
+
+    def _read_record(self, record, segments=None):
         """Read + verify one manifest record; raise CorruptProfileError."""
         path = os.path.join(self.root, record["file"])
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            data = self._record_bytes(record, segments)
         except FileNotFoundError as exc:
             raise CorruptProfileError(
                 "profile file missing", path=path) from exc
@@ -771,18 +917,21 @@ class ProfileDatabase:
     def load_all(self, epoch=0):
         """Yield (image_name, event, counts, period) for *epoch*.
 
-        Robust iteration: corrupt files are quarantined (their loss
-        accounted) and skipped rather than aborting the scan.
+        Robust iteration: corrupt records are quarantined (their loss
+        accounted) and skipped rather than aborting the scan.  Each
+        segment is read once.
         """
         manifest = self._load_manifest()
         dirty = False
+        segments = {}
         prefix = "%04d/" % epoch
         for key in sorted(manifest["records"]):
             if not key.startswith(prefix):
                 continue
             record = manifest["records"][key]
             try:
-                counts, _, _, period, _ = self._read_record(record)
+                counts, _, _, period, _ = self._read_record(record,
+                                                            segments)
             except CorruptProfileError as exc:
                 self._quarantine(manifest, key, record, str(exc))
                 dirty = True
@@ -862,7 +1011,7 @@ class ProfileDatabase:
 
 
 def _parse_generation(fname):
-    """'app@cycles.g12.prof' -> 12; ungenerated names -> 0."""
+    """'seg.g12.prof' -> 12; ungenerated names -> 0."""
     stem = fname[:-len(".prof")] if fname.endswith(".prof") else fname
     _, _, tail = stem.rpartition(".g")
     return int(tail) if tail.isdigit() else 0

@@ -164,7 +164,9 @@ def _run_session(workload_name: str, seed: int, budget: int,
 
 def _corrupt_at_rest(db_root: str, kind: str,
                      seed: int) -> Optional[str]:
-    """Corrupt the largest committed profile file in *db_root*.
+    """Corrupt the segment file that holds the largest committed
+    profile in *db_root* (the damage lands anywhere in the file, so a
+    truncation also takes the records behind it).
 
     ``kind="manifest"`` instead damages ``MANIFEST.json`` itself: the
     cold re-open must rebuild it by adopting the committed generation

@@ -73,6 +73,15 @@ def run_plain(workload: Any,
               transform: Optional[Callable[..., Any]] = None,
               max_instructions: Optional[int] = None) -> Machine:
     """Run *workload* on an unprofiled machine; return the machine."""
+    machine = _loaded_machine(workload, machine_config, seed, transform)
+    machine.run(max_instructions=max_instructions)
+    return machine
+
+
+def _loaded_machine(workload: Any,
+                    machine_config: Optional[MachineConfig], seed: int,
+                    transform: Optional[Callable[..., Any]]) -> Machine:
+    """An unprofiled machine with *workload* set up, not yet run."""
     machine = Machine(machine_config or MachineConfig(), seed=seed)
     if transform is not None:
         machine.image_transform = transform
@@ -81,7 +90,6 @@ def run_plain(workload: Any,
         setup(machine)
     else:
         workload(machine)
-    machine.run(max_instructions=max_instructions)
     return machine
 
 
@@ -106,7 +114,11 @@ def build_translation(baseline_machine: Machine,
     """Map optimized-run code addresses back to baseline addresses.
 
     Returns ``(translation, problems, skipped)``: every surviving
-    instruction's new absolute address maps to its original one; for
+    instruction's new absolute address maps to its original one; each
+    emitted block's new top maps to the block's original start, and
+    wins over the instruction the scheduler placed there, because a
+    live code pointer (``pv``, a materialized procedure address) names
+    a block entry -- the rewriter resolves targets the same way; for
     each call site the slot after the (possibly moved) call maps to the
     slot after the original call, because that is the value ``ra``
     receives regardless of which instruction the scheduler placed
@@ -141,6 +153,8 @@ def build_translation(baseline_machine: Machine,
             continue
         base = original.base
         for old, new in result.old2new.items():
+            translation[base + new] = base + old
+        for old, new in result.new_start.items():
             translation[base + new] = base + old
         for inst in original.instructions:
             if inst.op in _CALL_OPS:
@@ -223,19 +237,29 @@ def verify_identity(workload: Any, plans: Iterable[RewritePlan],
 
     Mismatch strings double as the rejection reasons ``dcpiopt``
     prints; an empty list means the rewritten program is
-    architecturally indistinguishable from the original.
+    architecturally indistinguishable from the original.  A simulator
+    fault in the optimized run is such a mismatch (``"optimized run
+    faulted: ..."``); one in the baseline run is the workload's own
+    bug and still raises.
     """
     baseline = run_plain(workload, machine_config, seed=seed,
                          max_instructions=max_instructions)
     rewriter = ImageRewriter(plans, obs=obs)
-    optimized = run_plain(workload, machine_config, seed=seed,
-                          transform=rewriter,
-                          max_instructions=max_instructions)
-    translation, problems, skipped = build_translation(
-        baseline, optimized, rewriter)
-    mismatches = list(problems)
-    mismatches += compare_states(capture_state(baseline),
-                                 capture_state(optimized), translation)
+    optimized = _loaded_machine(workload, machine_config, seed, rewriter)
+    try:
+        optimized.run(max_instructions=max_instructions)
+    except RuntimeError as exc:
+        # The baseline ran clean, so a simulator fault here is the
+        # rewrite's doing: a verdict, not a crash of the oracle.
+        mismatches = ["optimized run faulted: %s" % exc]
+        skipped: List[str] = []
+    else:
+        translation, problems, skipped = build_translation(
+            baseline, optimized, rewriter)
+        mismatches = list(problems)
+        mismatches += compare_states(capture_state(baseline),
+                                     capture_state(optimized),
+                                     translation)
     return OracleReport(not mismatches, mismatches, baseline, optimized,
                         rewriter, skipped=skipped)
 

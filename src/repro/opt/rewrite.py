@@ -134,11 +134,12 @@ class RewritePlan:
 class RewriteResult:
     """What one rewrite produced (or why it refused)."""
 
-    __slots__ = ("image", "applied", "reason", "old2new", "stub_targets",
-                 "stats")
+    __slots__ = ("image", "applied", "reason", "old2new", "new_start",
+                 "stub_targets", "stats")
 
     def __init__(self, image: Image, applied: bool, reason: str = "",
                  old2new: Optional[Dict[int, int]] = None,
+                 new_start: Optional[Dict[int, int]] = None,
                  stub_targets: Optional[Dict[int, int]] = None,
                  stats: Optional[Dict[str, int]] = None) -> None:
         #: the rewritten image when applied, else the untouched input.
@@ -149,6 +150,11 @@ class RewriteResult:
         #: instruction (elided branches map to their target's new
         #: start, where control actually continues).
         self.old2new = old2new or {}
+        #: {original block start: new offset of the emitted block's
+        #: top} -- where a code pointer to that block lands, which a
+        #: schedule that moved the block's first instruction makes
+        #: differ from ``old2new``.
+        self.new_start = new_start or {}
         #: {new stub offset: original fallthrough offset}.
         self.stub_targets = stub_targets or {}
         self.stats = stats or {}
@@ -364,6 +370,7 @@ def rewrite_image(image: Image, plan: RewritePlan,
     obs.counter("opt.stubs_inserted").inc(stats["stubs_inserted"])
     stats.update(plan.stats)
     return RewriteResult(new_image, True, old2new=old2new,
+                         new_start=new_start,
                          stub_targets=stub_targets, stats=stats)
 
 

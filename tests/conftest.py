@@ -1,11 +1,46 @@
 """Shared fixtures for the test suite."""
 
+import json
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.alpha.assembler import assemble
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.machine import Machine
+
+# Tier-1 is a function of the commit: the default profile derives every
+# example from the test itself (no fresh randomness, no ``.hypothesis/``
+# memory).  Exploration runs nightly under ``--hypothesis-profile
+# explore``, where a failure prints the blob that reproduces it.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", max_examples=1000, print_blob=True)
+settings.load_profile("tier1")
+
+
+def examples(count):
+    """*count* for ``@settings(max_examples=...)``, scaled by the loaded
+    profile's own ratio to Hypothesis's stock 100 -- so ``explore``
+    multiplies the tests that cap their examples like the ones that
+    do not."""
+    return count * settings.default.max_examples // 100
+
+
+def files_on_disk(db):
+    """Every profile or temp file under *db*'s epoch directories."""
+    return {os.path.join(name, fname)
+            for name in os.listdir(db.root) if name.startswith("epoch")
+            for fname in os.listdir(os.path.join(db.root, name))}
+
+
+def files_in_manifest(db):
+    """Every file the manifest on disk names."""
+    with open(os.path.join(db.root, "MANIFEST.json")) as handle:
+        manifest = json.load(handle)
+    return {record["file"] for record in manifest["records"].values()}
+
 
 #: The paper's Figure 2 copy loop (4x unrolled), used by many tests.
 COPY_LOOP_ASM = """

@@ -10,6 +10,7 @@ tests for real defects ``dcpicheck`` surfaced in the seed workloads.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.alpha.instruction import Instruction
 from repro.check import ERROR, INFO, WARNING
@@ -95,7 +96,7 @@ top:
 
 
 class TestRoundtripProperty:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(_programs())
     def test_assembled_images_pass_layer1(self, text):
         findings = check_image(linked(text))

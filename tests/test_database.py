@@ -6,6 +6,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import files_in_manifest, files_on_disk
 from repro.collect.database import (FORMAT_COMPACT, FORMAT_RAW,
                                     MANIFEST_NAME, CorruptProfileError,
                                     ImageProfile, ProfileDatabase,
@@ -168,28 +169,38 @@ class TestCorruptionHandling:
         assert fresh.total_samples() == 7  # app's 5+2 survive
 
     def test_v2_files_still_load(self, tmp_path):
-        """Pre-checksum (version 2) profiles remain readable."""
+        """Pre-checksum (version 2) profiles remain readable: a file
+        per profile, named by a record that has no ``offset`` /
+        ``length`` (a segment of one, read by the one read path)."""
         db = self.fill(tmp_path)
         record = db._load_manifest()["records"]["0000/app@cycles"]
-        path = os.path.join(db.root, record["file"])
-        with open(path, "rb") as handle:
+        with open(os.path.join(db.root, record["file"]), "rb") as handle:
             data = handle.read()
         import struct
         import zlib
         body = data[:-4]                      # strip the CRC trailer
         v2 = body[:4] + struct.pack("<H", 2) + body[6:]
-        with open(path, "wb") as handle:
+        legacy = os.path.join("epoch0000", "app@cycles.prof")
+        with open(os.path.join(db.root, legacy), "wb") as handle:
             handle.write(v2)
-        # Fix the manifest's whole-file CRC to match the rewrite.
+        # Point the record at the legacy file the way a pre-segment
+        # manifest did: whole file, whole-file CRC.
         manifest_path = os.path.join(db.root, MANIFEST_NAME)
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        manifest["records"]["0000/app@cycles"]["crc"] = zlib.crc32(v2)
+        legacy_record = manifest["records"]["0000/app@cycles"]
+        del legacy_record["offset"], legacy_record["length"]
+        legacy_record.update(file=legacy, crc=zlib.crc32(v2))
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
-        counts, _ = ProfileDatabase(str(tmp_path)).load(
-            "app", EventType.CYCLES)
+        fresh = ProfileDatabase(str(tmp_path))
+        counts, _ = fresh.load("app", EventType.CYCLES)
         assert counts == {0: 5, 8: 2}
+        assert fresh.total_samples() == 14 and not fresh.quarantined()
+        # ... and merging into it moves it into a segment.
+        fresh.save("app", EventType.CYCLES, {0: 1}, 100)
+        assert fresh.load("app", EventType.CYCLES)[0] == {0: 6, 8: 2}
+        assert not os.path.exists(os.path.join(db.root, legacy))
 
 
 class TestCheckpoint:
@@ -354,19 +365,6 @@ class TestCheckpoint:
         assert fresh.quarantined_samples() == 8
 
 
-def _files_on_disk(db):
-    """Every profile or temp file under the epoch directories."""
-    return {os.path.join(name, fname)
-            for name in os.listdir(db.root) if name.startswith("epoch")
-            for fname in os.listdir(os.path.join(db.root, name))}
-
-
-def _files_in_manifest(db):
-    with open(os.path.join(db.root, MANIFEST_NAME)) as handle:
-        manifest = json.load(handle)
-    return {record["file"] for record in manifest["records"].values()}
-
-
 class TestGarbageCollection:
     """GC by difference: a commit unlinks what the previous manifest
     referenced and the new one does not; the directory sweep is for a
@@ -399,16 +397,23 @@ class TestGarbageCollection:
             db, "_gc", lambda ref: (sweeps.append(1), real_gc(ref)))
         for step in steps:
             step()
-            assert _files_on_disk(db) == _files_in_manifest(db)
+            assert files_on_disk(db) == files_in_manifest(db)
         assert len(sweeps) == 1         # the first commit, only
         assert db.epochs() == [0]
-        # A quarantine (file gone missing) commits from the read path.
-        victim = sorted(_files_in_manifest(db))[0]
+        # A segment lives until its last record is superseded: merging
+        # "lib" alone leaves the compacted segment (it still holds
+        # "app") beside the new one ...
+        db.merge_epoch({"lib": delta["lib"]}, self.PERIODS, 0)
+        assert files_on_disk(db) == files_in_manifest(db)
+        assert len(files_on_disk(db)) == 2
+        # ... and a quarantine (that file gone missing) commits from
+        # the read path without touching its neighbour.
+        victim = db._load_manifest()["records"]["0000/app@cycles"]["file"]
         os.unlink(os.path.join(db.root, victim))
-        assert len(list(db.load_all(0))) == 1
+        assert [name for name, _, _, _ in db.load_all(0)] == ["lib"]
         assert db.quarantined_samples() == 8
-        assert _files_on_disk(db) == _files_in_manifest(db)
-        assert victim not in _files_in_manifest(db)
+        assert files_on_disk(db) == files_in_manifest(db)
+        assert victim not in files_in_manifest(db)
 
     def test_first_commit_of_a_handle_sweeps_orphans(self, tmp_path):
         db = ProfileDatabase(str(tmp_path))
@@ -419,11 +424,11 @@ class TestGarbageCollection:
                 handle.write(b"left behind by a crashed writer")
         # The handle that was already committing does not look ...
         db.save("lib", self.CYCLES, {0: 1}, 100)
-        assert len(_files_on_disk(db)) == 4
+        assert len(files_on_disk(db)) == 4
         # ... a fresh one does, once.
         fresh = ProfileDatabase(str(tmp_path))
         fresh.save("lib", self.CYCLES, {0: 1}, 100)
-        assert _files_on_disk(fresh) == _files_in_manifest(fresh)
+        assert files_on_disk(fresh) == files_in_manifest(fresh)
         assert fresh.total_samples() == 7
 
     def test_commit_after_a_failed_commit_sweeps_its_orphans(
@@ -436,9 +441,9 @@ class TestGarbageCollection:
         db.save("app", self.CYCLES, {0: 5}, 100)
         with pytest.raises(Exception, match="injected crash"):
             db.save("app", self.CYCLES, {0: 1}, 100)
-        assert len(_files_on_disk(db)) == 2       # the orphan is there
+        assert len(files_on_disk(db)) == 2       # the orphan is there
         db.save("app", self.CYCLES, {0: 2}, 100)
-        assert _files_on_disk(db) == _files_in_manifest(db)
+        assert files_on_disk(db) == files_in_manifest(db)
         assert db.total_samples() == 7
 
     def test_manifest_is_compact_and_survives_a_tear(self, tmp_path):

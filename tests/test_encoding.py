@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.alpha.encoding import (EncodingError, decode_image,
                                   decode_instruction, encode_image,
@@ -85,14 +86,14 @@ class TestInstructionRoundtrip:
 
     @given(st.integers(-(1 << 13), (1 << 13) - 1), st.integers(0, 30),
            st.integers(0, 30))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_memory_roundtrip_property(self, disp, ra, rb):
         inst = Instruction("ldq", ra=ra, rb=rb, imm=disp)
         decoded = roundtrip(inst)
         assert (decoded.ra, decoded.rb, decoded.imm) == (ra, rb, disp)
 
     @given(st.integers(-(1 << 22), (1 << 22) - 1))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_extension_word_property(self, disp):
         inst = Instruction("ldq", ra=1, rb=2, imm=disp)
         assert roundtrip(inst).imm == disp

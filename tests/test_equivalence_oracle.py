@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.core.cfg import CFG, EXIT, BasicBlock, Edge, build_cfg
 from repro.core.equivalence import compute_equivalence
 from repro.cpu.config import MachineConfig
@@ -93,7 +94,7 @@ def successor_lists(draw):
                          min_size=count, max_size=count))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(successor_lists(), st.booleans())
 # Parallel taken/fall edges to one target.
 @example([[1, 1], [EXIT]], False)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
@@ -89,7 +90,7 @@ def run_program(text, fastpath):
     return machine
 
 
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=examples(25), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
 def test_fastpath_is_observationally_identical(text):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.check.analysis_checks import check_fleet_conservation
 from repro.faults import (DELAY, DROP, DUPLICATE, FLEET_SHIP, FaultPlan,
                           FaultSpec)
@@ -58,7 +59,7 @@ def _store_bytes(store):
 # -- order independence (the PR 1 invariant, fleet-scale) ------------------
 
 
-@settings(max_examples=12, deadline=None,
+@settings(max_examples=examples(12), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_store_bytes_identical_under_reordering(fleet_deltas, tmp_path_factory,
@@ -72,7 +73,7 @@ def test_store_bytes_identical_under_reordering(fleet_deltas, tmp_path_factory,
     assert _store_bytes(base) == _store_bytes(shuffled)
 
 
-@settings(max_examples=12, deadline=None,
+@settings(max_examples=examples(12), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_store_bytes_identical_under_duplication(fleet_deltas,

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (Delta, FleetConfig, FleetMachine, FleetSession,
                          FleetStore, IngestRetry, ShipSpool)
@@ -62,7 +63,7 @@ def _tiny_delta(batch, samples=10):
 # -- sharded == serial (the tentpole identity) ------------------------------
 
 
-@settings(max_examples=10, deadline=None,
+@settings(max_examples=examples(10), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_sharded_ingest_byte_identical_to_serial(fleet_deltas,

@@ -4,7 +4,8 @@ Deterministic *counts*, never clocks:
 
 * a long-lived ingest handle parses its manifest once, sweeps its
   directories once, sizes each delta once -- and still fsyncs every
-  profile file and every manifest (durability is not what got cheaper);
+  byte a manifest names before that manifest (one segment per delta,
+  then the manifest: two fsyncs however many profiles it carries);
 * the cached view is dropped exactly when it must be: another handle
   committed, or this handle's previous locked section failed;
 * retention compaction runs under the same lock + staleness check as
@@ -118,10 +119,9 @@ def test_one_handle_pays_per_delta_not_per_store(tmp_path, monkeypatch):
         for delivered in transport.ship(delta):
             was_applied = store.ingest(delivered)
         applied += was_applied
-        # Durability not traded: one fsync per profile file written
-        # plus one for the manifest; a duplicate commits its counter.
-        written = _profiles_in(delta) if was_applied else 0
-        assert calls.fsyncs - fsyncs == written + 1
+        # Durability not traded: the delta's profiles are one fsynced
+        # segment, then the manifest; a duplicate commits its counter.
+        assert calls.fsyncs - fsyncs == (2 if was_applied else 1)
         # The directory sweep belongs to the first commit only.
         if shard.index in committed:
             assert len(calls.listdirs) == listdirs
@@ -135,7 +135,7 @@ def test_one_handle_pays_per_delta_not_per_store(tmp_path, monkeypatch):
     assert sorted(calls.manifest_loads) == sorted(
         os.path.join(shard.db.root, database.MANIFEST_NAME)
         for shard in store.shards)
-    # One encode per profile file written, one per profile carried by
+    # One encode per profile stored, one per profile carried by
     # a delta object (its wire size) -- shipped, delivered, duplicated
     # and ingested without being sized again.
     carried = sum(_profiles_in(delta) for delta in deltas)

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
@@ -127,7 +128,7 @@ class TestInterpreterCrossCheck:
                   st.integers(0, 255),     # literal
                   st.integers(0, 7)),      # rc
         min_size=1, max_size=25))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_matches_reference(self, program):
         lines = [".image p", ".proc main"]
         instructions = []

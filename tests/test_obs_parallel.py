@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.collect.parallel import (ParallelSessionRunner, ShardSpec,
                                     merge_shard_obs, run_shard)
 from repro.obs import COUNTER, GAUGE, derive, merge_metrics
@@ -31,7 +32,7 @@ SNAPSHOT = st.dictionaries(
 
 class TestReductionProperties:
     @given(st.lists(SNAPSHOT, max_size=6), st.randoms())
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_any_permutation_reduces_identically(self, snapshots, rng):
         shuffled = list(snapshots)
         rng.shuffle(shuffled)
@@ -39,7 +40,7 @@ class TestReductionProperties:
 
     @given(st.lists(SNAPSHOT, min_size=2, max_size=6),
            st.integers(min_value=1, max_value=5))
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_any_grouping_reduces_identically(self, snapshots, split):
         split = min(split, len(snapshots) - 1)
         two_level = merge_metrics([merge_metrics(snapshots[:split]),

@@ -19,6 +19,7 @@ on programs it was never tuned for.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.opt import OptConfig, optimize_workload
 from repro.workloads.asmgen import caller_proc, loop_proc
@@ -74,7 +75,7 @@ class GeneratedWorkload(Workload):
         machine.spawn(image, entry="t:main", name=self.name)
 
 
-@settings(max_examples=10, deadline=None,
+@settings(max_examples=examples(10), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs(), st.sampled_from(PASS_SUBSETS))
 def test_any_pass_preserves_the_program(text, config):

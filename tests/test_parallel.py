@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.collect.database import ProfileDatabase
 from repro.collect.driver import DriverConfig
 from repro.collect.parallel import (MergedProfiles, ParallelSessionRunner,
@@ -45,7 +46,7 @@ def merged_bytes(results):
 # -- order-independence on real profiling shards ---------------------------
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(order=st.permutations(range(3)))
 def test_merge_order_never_changes_profile(shard_results, order):
     """Any merge order yields byte-identical canonical profiles."""
@@ -74,7 +75,7 @@ def _profile_maps():
                            by_event, max_size=3)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(shards=st.lists(_profile_maps(), max_size=6), data=st.data())
 def test_reducer_is_order_and_grouping_independent(shards, data):
     expected = merge_shards(shards)
@@ -100,7 +101,7 @@ def ctx_shard_results():
     return [run_shard(spec) for spec in shards]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(order=st.permutations(range(3)))
 def test_ctx_merge_is_order_independent_byte_for_byte(
         ctx_shard_results, order):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from repro.faults import audit
 from repro.faults.injector import FaultPlan, FaultSpec
 from repro.faults.scenarios import _run_session
@@ -45,7 +46,7 @@ CRASH_POINTS = ("daemon.drain.cpu", "daemon.drain.merge",
                 "daemon.checkpoint", "db.checkpoint", "session.restart")
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=examples(12), deadline=None)
 @given(point=st.sampled_from(CRASH_POINTS), hit=st.integers(1, 4))
 def test_random_crash_conserves_samples(reference, tmp_path_factory,
                                         point, hit):
