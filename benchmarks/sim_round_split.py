@@ -18,11 +18,17 @@ time of a warm round four ways:
 * *replay dispatch*: the remainder -- the gate's key build, link
   validation, the bulk bookkeeping after each replay, and bails.
 
+It also prints where the round's replays stopped: ``sim.fastpath.bails``
+by the probe that did not hit (a replay is a clean prefix; the slow
+path runs the instruction that missed), next to the gate's refusals.
+``sim-stream`` as the argument runs that workload's programs instead.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/sim_round_split.py
+    PYTHONPATH=src python benchmarks/sim_round_split.py [sim-stream]
 """
 
+import sys
 import time
 
 from repro.collect.session import ProfileSession, SessionConfig
@@ -30,8 +36,14 @@ from repro.cpu import fastpath
 from repro.cpu.config import MachineConfig
 from repro.workloads.registry import get_workload
 
-PROGRAMS = ("gcc", "x11perf", "wave5", "specint95", "specfp95",
-            "parallel-specfp", "timesharing")
+ROUNDS = {
+    "sim-replay": ("gcc", "x11perf", "wave5", "specint95", "specfp95",
+                   "parallel-specfp", "timesharing"),
+    "sim-stream": ("mccalpin-assign", "mccalpin-scale", "mccalpin-sum",
+                   "mccalpin-saxpy", "bigcode", "altavista", "dss"),
+}
+STOPS = ["bails." + reason for reason in fastpath.BAIL_REASONS] + [
+    "headroom_skips", "variant_misses"]
 BUDGET = 200_000
 PERIOD = dict(mode="default", cycles_period=(240, 256), event_period=64)
 
@@ -60,12 +72,13 @@ def timed_tier_up(self, variant):
     variant.fn = body
 
 
-def one_round(fast, time_bodies=False):
+def one_round(programs, fast, time_bodies=False):
     fastpath.FastPath.compile_variant = (
         timed_tier_up if time_bodies else tier_up)
     spent.update(compile=0.0, compiles=0, bodies=0.0)
     out = dict(wall=0.0, n=0, replayed=0, replays=0)
-    for name in PROGRAMS:
+    out.update(dict.fromkeys(STOPS, 0))
+    for name in programs:
         program = get_workload(name)
         config = MachineConfig(num_cpus=program.num_cpus)
         config.fastpath = fast
@@ -78,17 +91,20 @@ def one_round(fast, time_bodies=False):
             snap = result.machine.fastpath.snapshot()
             out["replayed"] += snap["replayed_instructions"]
             out["replays"] += snap["replays"]
+            for key in STOPS:
+                out[key] += snap[key]
     return dict(out, **spent)
 
 
 def main():
+    programs = ROUNDS[sys.argv[1] if len(sys.argv) > 1 else "sim-replay"]
     fastpath.compile = timed_compile   # shadows the builtin in fastpath
-    one_round(True)                    # imports settle, the cache fills
-    slow = min((one_round(False) for _ in range(3)),
+    one_round(programs, True)          # imports settle, the cache fills
+    slow = min((one_round(programs, False) for _ in range(3)),
                key=lambda r: r["wall"])
-    fast = min((one_round(True) for _ in range(3)),
+    fast = min((one_round(programs, True) for _ in range(3)),
                key=lambda r: r["wall"])
-    bodies = one_round(True, time_bodies=True)["bodies"]
+    bodies = one_round(programs, True, time_bodies=True)["bodies"]
     per_slow = slow["wall"] / slow["n"]
     unreplayed = fast["n"] - fast["replayed"]
     slow_s = unreplayed * per_slow
@@ -103,6 +119,8 @@ def main():
           % (slow_s, unreplayed))
     print("  replay dispatch    %.3f s (the remainder)"
           % (fast["wall"] - fast["compile"] - bodies - slow_s))
+    print("replays stopped or refused: "
+          + ", ".join("%s %d" % (key, fast[key]) for key in STOPS))
 
 
 if __name__ == "__main__":

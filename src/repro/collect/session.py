@@ -58,8 +58,6 @@ class SessionConfig:
     checkpoint_drains: Optional[int] = None
     #: Keep a drain journal next to the database (crash replay).
     journal: bool = True
-    #: Rebuild the daemon and keep going when it crashes (vs raising).
-    auto_recover: bool = True
     #: Per-request attribution (repro.ctx): thread workload request
     #: classes through the driver/daemon path and persist the context
     #: ledger with every checkpoint.  Off = zero-cost, byte-identical.
@@ -271,8 +269,6 @@ class ProfileSession:
                         with obs.span("session.checkpoint"):
                             daemon.merge_to_disk(database)
                 except InjectedCrash as crash:
-                    if not config.auto_recover:
-                        raise
                     daemon = self._recover_daemon(
                         crash, machine, driver, daemon, database,
                         journal, obs, faults)
@@ -294,8 +290,6 @@ class ProfileSession:
                         daemon.merge_to_disk(database)
                         break
                     except InjectedCrash as crash:
-                        if not config.auto_recover:
-                            raise
                         daemon = self._recover_daemon(
                             crash, machine, driver, daemon, database,
                             journal, obs, faults)

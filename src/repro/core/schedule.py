@@ -12,8 +12,11 @@ branches predicted).  The schedule yields, per instruction:
   which previously-issued instruction caused each.
 
 The issue-class table and pairing predicate are shared with the cycle
-simulator (:mod:`repro.alpha.opcodes`, :mod:`repro.cpu.issue`), so the
-static model has zero skew with respect to the simulated hardware.
+simulator (:mod:`repro.alpha.opcodes`, :mod:`repro.cpu.issue`); the
+loop itself is written here a second time, and what keeps it equal to
+the simulator's is ``tests/test_schedule.py``: every stall-free
+schedule the fast path records from a clean entry must equal this
+function's, instruction by instruction.
 
 Blocks are scheduled independently with clean machine state: as the
 paper notes, when a block has multiple predecessors there is no single
@@ -22,9 +25,7 @@ of estimation error).
 """
 
 from repro.alpha.opcodes import ISSUE_CLASSES
-from repro.cpu.issue import PAIR_OK
-
-_DEP_REASON = ("ra_dep", "rb_dep", "rc_dep", "rc_dep")
+from repro.cpu.issue import DEP_REASON, PAIR_OK
 
 
 class InstSchedule:
@@ -56,9 +57,15 @@ class BlockSchedule:
         return self.by_addr[addr].m
 
 
-def schedule_block(instructions):
+def schedule_block(instructions, extra=None):
     """Statically schedule one basic block's *instructions* (a
-    sequence, in program order); return a :class:`BlockSchedule`."""
+    sequence, in program order); return a :class:`BlockSchedule`.
+
+    *extra* optionally maps a producer's address to additional cycles
+    before its result is usable -- a profile's measurement of its
+    dynamic stalls (:mod:`repro.opt.passes`); the static model proper
+    passes none.
+    """
     rows = []
     reg_ready = {}
     reg_writer = {}
@@ -92,7 +99,10 @@ def schedule_block(instructions):
             res = fdiv_free
             res_reason = "fu_dep"
 
+        # A store asks the write buffer for a slot in the cycle after
+        # the previous issue (Core.run), so it never joins an open pair.
         if (pair_open and rdy <= prev_issue and res <= prev_issue
+                and cls_name != "ST"
                 and PAIR_OK[(prev_cls, cls_name)]):
             issue = prev_issue
             row.paired = True
@@ -106,7 +116,7 @@ def schedule_block(instructions):
             if rdy > base:
                 span = min(rdy, issue) - base
                 if span > 0:
-                    reason = _DEP_REASON[dep_index]
+                    reason = DEP_REASON[dep_index]
                     if (dep_writer is not None
                             and dep_writer.info.cls in ("IMUL", "FDIV",
                                                         "FADD", "FMUL")):
@@ -136,6 +146,8 @@ def schedule_block(instructions):
 
         if inst.dst is not None:
             reg_ready[inst.dst] = issue + icls.latency
+            if extra:
+                reg_ready[inst.dst] += extra.get(inst.addr, 0)
             reg_writer[inst.dst] = inst
         if cls_name == "IMUL":
             imul_free = issue + icls.busy

@@ -127,19 +127,3 @@ class Hierarchy:
         if self.board.lookup(paddr, allocate):
             return latency, True
         return latency + self.memory_latency, True
-
-    def miss_path(self, paddr, allocate=True):
-        """Continue an access whose L1 miss was already counted.
-
-        The fast path's compiled replays inline the direct-mapped L1
-        probe (tag compare + hit/miss counters + install) and call this
-        for the L2-and-beyond remainder; the split must charge exactly
-        what :meth:`access` would.
-        """
-        latency = self.l1.latency + self.l2.latency
-        if self.l2.lookup(paddr, allocate):
-            return latency, True
-        latency += self.board.latency
-        if self.board.lookup(paddr, allocate):
-            return latency, True
-        return latency + self.memory_latency, True

@@ -26,7 +26,6 @@ class MachineConfig:
 
     name: str = "simstation-500/333"
     num_cpus: int = 1
-    clock_mhz: int = 333
 
     # Memory hierarchy.
     l1i: CacheConfig = field(
@@ -62,9 +61,6 @@ class MachineConfig:
     # Branch handling.
     mispredict_penalty: int = 5
     branch_table_size: int = 2048
-
-    # Issue model.
-    issue_width: int = 2
 
     # Interrupt delivery skew (paper section 4.1.2).
     interrupt_skew: int = 6

@@ -5,10 +5,12 @@ counter updates for every dynamic instruction.  But straight-line code
 whose entry conditions repeat -- same open issue slot, same *relative*
 operand-readiness of the live-in registers, same functional-unit
 backlog -- schedules identically every time.  :class:`FastPath` caches
-that schedule per (block, entry key) and lets ``Core.run()`` replay it,
-falling back to the slow path the moment a dynamic event
-(I-cache/ITB miss, D-cache/DTB miss, write-buffer conflict, counter
-overflow, interrupt delivery, branch mispredict) perturbs the block.
+that schedule per (block, entry key) and lets ``Core.run()`` replay it.
+*A replay is a clean prefix*: compiled replay code holds hit paths
+only, and every dynamic event (I-fetch that is not a same-page L1 hit,
+D-TLB or D-cache miss, write buffer busy) stops it *before* the
+instruction, with nothing of that instruction applied; the slow path
+-- the reference -- then fetches, translates and misses by itself.
 
 Design notes (see README "Performance"):
 
@@ -16,8 +18,8 @@ Design notes (see README "Performance"):
   at an entry PC the core actually reached at a block boundary.  It
   includes its terminating control transfer, whose *schedule* (issue
   slot, pairing) is entry-invariant even though its direction is
-  dynamic; runs longer than ``MAX_BODY`` are split at a *virtual*
-  boundary instead, and the continuation becomes its own block.
+  dynamic.  Straight-line runs longer than ``MAX_BODY`` are not
+  cached.
 * Variant keys are *relative* to the entry cycle, so context switches
   need no invalidation: everything time-like in the key (operand
   readiness, IMUL/FDIV backlog) is an offset from the entry cycle, and
@@ -26,9 +28,15 @@ Design notes (see README "Performance"):
   cached block.
 * Each cached variant is *compiled* to a specialized Python function
   (:func:`_compile_replay`): operand fields, issue offsets, fetch-line
-  crossings and miss checks become straight-line code with inlined
-  constants, so a replayed instruction costs one open-coded expression
-  plus a register write instead of the slow path's full dispatch.
+  crossings and the I-fetch / D-TLB / L1D *hit* probes become
+  straight-line code with inlined constants, so a replayed instruction
+  costs one open-coded expression plus a register write instead of the
+  slow path's full dispatch.  The probes are inlined tag compares, so
+  the fast path exists only for direct-mapped power-of-two L1s
+  (:func:`cache_geometry`); any other ``Machine`` has ``fastpath =
+  None``.  Generated code never calls ``Core._fetch``,
+  ``TLB.translate``, ``Hierarchy.access`` or ``Cache.lookup``
+  (``tests/test_fastpath.py::TestCleanPrefix``).
   Opcode semantics are derived from :mod:`repro.alpha.opcodes`
   (``open_code`` of the record's own callable), never restated here:
   this module holds no opcode arithmetic of its own.
@@ -89,6 +97,15 @@ def clear_replay_cache():
     _replay_cache.clear()
 
 
+#: The probe that stopped a replay.  A bail is ``(reason index, i)``
+#: and the index only *names* the probe for ``sim.fastpath.bails.*``:
+#: ``Core.run`` handles every value identically.
+BAIL_REASONS = ("fetch", "wb", "dtb", "dcache")
+_FETCH, _WB, _DTB, _DCACHE = range(len(BAIL_REASONS))
+#: First element of a clean replay's terminator tuple.
+CLEAN = len(BAIL_REASONS)
+
+
 def cache_geometry(cache_config):
     """(line_shift, set_mask) when the codegen can inline the tag
     probe (direct-mapped, power-of-two sets), else None."""
@@ -102,19 +119,15 @@ def cache_geometry(cache_config):
 class Block:
     """One discovered straight-line block and its cached schedules."""
 
-    __slots__ = ("head", "body", "term_addr", "term_rec", "live_ins",
-                 "has_imul", "has_fdiv", "virtual", "variants", "failed")
+    __slots__ = ("head", "recs", "live_ins", "has_imul", "has_fdiv",
+                 "variants", "failed")
 
-    def __init__(self, head, body, term_addr, term_rec, live_ins,
-                 has_imul, has_fdiv, virtual):
+    def __init__(self, head, recs, live_ins, has_imul, has_fdiv):
         self.head = head
-        self.body = body              # tuple of predecode records
-        self.term_addr = term_addr    # pc after the body
-        self.term_rec = term_rec      # terminator record (None if virtual)
+        self.recs = recs              # predecode records, terminator last
         self.live_ins = live_ins      # registers read before written
         self.has_imul = has_imul
         self.has_fdiv = has_fdiv
-        self.virtual = virtual        # split at MAX_BODY, not a branch
         self.variants = {}            # entry key -> Variant
         self.failed = 0               # consecutive aborted recordings
 
@@ -159,10 +172,10 @@ class Variant:
     __slots__ = ("fn", "uses", "steps", "n", "total_rel", "count_addrs",
                  "head_items", "stall_items", "sb", "imul_rel",
                  "fdiv_rel", "prev_cls_end", "term_open", "leader_addr",
-                 "term_addr", "term_next", "term_edge_always", "hits",
-                 "links", "wset", "pin_regs")
+                 "term_addr", "term_edge_always", "hits", "links",
+                 "wset", "pin_regs")
 
-    def __init__(self, steps, sb, key, term_next):
+    def __init__(self, steps, sb, key):
         # Tiered: ``fn`` stays None (and the slow path keeps executing
         # the block) until the variant recurs ``COMPILE_USES`` times
         # (see there for what a compile() costs).
@@ -203,12 +216,10 @@ class Variant:
                 leader = s[0][14]
                 break
         self.leader_addr = leader
-        term = last[0] if last[0][13] else None
-        self.term_addr = term[14] if term is not None else None
-        self.term_next = term_next   # exit pc of a virtual block
+        self.term_addr = last[0][14]
         # cbr/fbr/br/bsr record their edge unconditionally; indirect
         # jumps skip the edge into the process exit stub.
-        self.term_edge_always = term is not None and term[0] <= 14
+        self.term_edge_always = last[0][0] <= 14
         self.hits = 0
         self.links = {}
         self.wset = frozenset(dst for dst, _ in sb)
@@ -217,32 +228,27 @@ class Variant:
                          if pins else frozenset())
 
 
-def _compile_replay(steps, line_shift, page_bits, sb,
-                    l1d_geom=None, l1i_geom=None):
+def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
     """Compile *steps* into a specialized replay function.
 
-    The generated function executes the block's semantics and model
-    probes (fetch lines, D-TLB/D-cache, write buffer, branch predictor)
-    with every schedule-derived constant inlined; on the clean path it
-    also applies the final scoreboard *sb* (entry-relative constants)
-    before any value-dependent return.  Operate and branch semantics
-    are open-coded from the record's own callable
-    (:func:`repro.alpha.opcodes.open_code`), and (for direct-mapped
-    power-of-two caches) the D-TLB, L1 and I-fetch *hit* paths are
-    inlined too -- their side effects on a hit are exactly a hit
-    counter bump, so the probes replicate the model byte-for-byte and
-    everything else falls back to the model's own methods.  It
-    returns:
+    The generated function executes the block's semantics and the
+    model's *hit* paths (same-page I-L1 tag hit, D-TLB entry present,
+    L1D tag hit, write buffer free, branch predictor) with every
+    schedule-derived constant inlined.  A hit's only side effect is a
+    hit counter bump, so the inlined probes replicate the model
+    byte-for-byte; a probe that does not hit returns *before* any
+    counter, ``_last_fetch_line`` or model state of its instruction is
+    touched (the write-buffer probe is idempotent at a fixed time).
+    Operate and branch semantics are open-coded from the record's own
+    callable (:func:`repro.alpha.opcodes.open_code`).  It returns
+    either
 
-    * ``None``             -- clean replay, no terminator (virtual block);
-    * ``(4, next_pc, taken, mispredicted)`` -- clean replay through the
-      terminator;
-    * ``(0, i, fetch)``    -- dirty fetch before instruction *i*;
-    * ``(1, i)``           -- write buffer busy at store *i* (no side
-      effects for *i* were applied);
-    * ``(2, i, dtb_pen, dlat, dmiss, dtb_miss)`` -- load *i* completed
-      with a D-cache/D-TLB miss;
-    * ``(3, i)``           -- store *i* completed with a D-TLB miss.
+    * ``(CLEAN, next_pc, taken, mispredicted)`` -- the whole block
+      replayed; the final scoreboard *sb* (entry-relative constants)
+      was applied before the terminator's value-dependent return; or
+    * ``(reason, i)`` -- a bail: exactly ``steps[:i]`` were applied and
+      the slow path must run instruction *i* itself.  *reason* indexes
+      :data:`BAIL_REASONS`.
 
     Functions are cached process-wide by their generated source text
     (module design notes): a variant another ``Machine`` already tiered
@@ -250,95 +256,54 @@ def _compile_replay(steps, line_shift, page_bits, sb,
     """
     global _replay_cache_hits, _replay_cache_misses
     pm = (1 << page_bits) - 1
+    ishift, imask = l1i_geom
+    dshift, dmask = l1d_geom
     body = []
     L = body.append
     has_mem = any(4 <= s[0][0] <= 9 for s in steps)
 
-    # Scoreboard epilogue: emitted after the last possible dirty bail
-    # (so a bailing replay leaves the prefix fixup in charge) but
-    # before the terminator's value-dependent return.
-    sb_lines = []
-    for dst, rel in sb:
-        sb_lines.append("    reg_ready[%d] = reg_ready_static[%d]"
-                        " = t0 + %d" % (dst, dst, rel))
-        sb_lines.append("    reg_dyn_reason[%d] = None" % dst)
+    def emit_fetch(i, addr, pre):
+        # Hit path only: same code page, I-L1 tag hit, not a
+        # stream-buffer line -- the one fetch that charges nothing.
+        L(pre + "if core._last_code_page != %d: return (%d, %d)"
+          % (addr >> page_bits, _FETCH, i))
+        L(pre + "_il = ((core._last_code_ppage << %d) | %d) >> %d"
+          % (page_bits, addr & pm, ishift))
+        L(pre + "if _ics[_il & %d] != _il or _il in _ist:"
+          " return (%d, %d)" % (imask, _FETCH, i))
+        L(pre + "_icl.hits += 1")
+        L(pre + "core._last_fetch_line = %d" % (addr >> ishift))
 
-    def emit_fetch(i, addr, fline, ftime, indent):
-        # The slow fallback (core._fetch) redoes the whole line fetch;
-        # the inline path may only be taken when it provably charges
-        # nothing: same code page, I-L1 tag hit, not a stream-buffer
-        # line (probes are side-effect free; a hit's only side effect
-        # is the hit counter).
-        pre = " " * indent
-        if l1i_geom is not None:
-            ishift, imask = l1i_geom
-            L(pre + "if core._last_code_page == %d:" % (addr >> page_bits))
-            L(pre + "    _il = ((core._last_code_ppage << %d) | %d)"
-              " >> %d" % (page_bits, addr & pm, ishift))
-            L(pre + "    if _ics[_il & %d] == _il and _il not in _ist:"
-              % imask)
-            L(pre + "        _icl.hits += 1")
-            L(pre + "    else:")
-            L(pre + "        _f = core._fetch(%d, %s)" % (addr, ftime))
-            L(pre + "        if _f[0] or _f[1] or _f[2]:")
-            L(pre + "            return (0, %d, _f)" % i)
-            L(pre + "else:")
-            L(pre + "    _f = core._fetch(%d, %s)" % (addr, ftime))
-            L(pre + "    if _f[0] or _f[1] or _f[2]:")
-            L(pre + "        return (0, %d, _f)" % i)
-        else:
-            L(pre + "_f = core._fetch(%d, %s)" % (addr, ftime))
-            L(pre + "if _f[0] or _f[1] or _f[2]:")
-            L(pre + "    return (0, %d, _f)" % i)
-
-    def load_value_lines(kind, dst, indent):
-        pre = " " * indent
-        out = []
-        if dst is None:
-            return out
-        if kind == 4:  # ldq
-            out.append(pre + "iregs[%d] = mem.get(_va & -8, 0)" % dst)
-        elif kind == 5:  # ldl
-            out.append(pre + "_v = mem.get(_va & -4, 0) & 0xFFFFFFFF")
-            out.append(pre + "if _v >> 31:"
-                       " _v = (_v | -4294967296) & MASK64")
-            out.append(pre + "iregs[%d] = _v" % dst)
-        else:  # ldt
-            out.append(pre + "_v = mem.get(_va & -8, 0)")
-            out.append(pre + "if not isinstance(_v, float):"
-                       " _v = float(_v)")
-            out.append(pre + "fregs[%d] = _v" % (dst - 32))
-        return out
-
-    def store_value_line(kind, f1, indent):
-        pre = " " * indent
-        if kind == 7:  # stq
-            return pre + "mem[_va & -8] = iregs[%d]" % f1
-        if kind == 8:  # stl
-            return pre + "mem[_va & -4] = iregs[%d] & 0xFFFFFFFF" % f1
-        return pre + "mem[_va & -8] = fregs[%d]" % f1  # stt
+    def emit_translate(i):
+        # D-TLB hit path: the entry is present.  The hit is counted by
+        # the caller, after the instruction's last probe.
+        L("    _pp = _dte.get((asn, _va >> %d))" % page_bits)
+        L("    if _pp is None: return (%d, %d)" % (_DTB, i))
+        L("    _ln = ((_pp << %d) | (_va & %d)) >> %d"
+          % (page_bits, pm, dshift))
 
     prev_line = None
     prev_rel = 0
     for i, step in enumerate(steps):
         rec = step[0]
         addr = rec[14]
-        fline = addr >> line_shift
+        fline = addr >> ishift
         if fline != prev_line:
             if prev_line is None:
                 # Only the entry line can match the last fetched line;
                 # later crossings are unconditional (addresses ascend).
                 L("    if core._last_fetch_line != %d:" % fline)
-                L("        core._last_fetch_line = %d" % fline)
-                emit_fetch(i, addr, fline, "t0", 8)
+                emit_fetch(i, addr, " " * 8)
             else:
-                L("    core._last_fetch_line = %d" % fline)
-                emit_fetch(i, addr, fline, "t0 + %d" % prev_rel, 4)
+                emit_fetch(i, addr, " " * 4)
             prev_line = fline
         if rec[13]:
             # The terminator can no longer bail: settle the scoreboard
             # before its (direction-dependent) return.
-            body.extend(sb_lines)
+            for reg, done in sb:
+                L("    reg_ready[%d] = reg_ready_static[%d] = t0 + %d"
+                  % (reg, reg, done))
+                L("    reg_dyn_reason[%d] = None" % reg)
         kind = rec[0]
         dst = rec[7]
         f1 = rec[4]
@@ -369,75 +334,46 @@ def _compile_replay(steps, line_shift, page_bits, sb,
                     L("    iregs[%d] = %d" % (dst, imm & MASK64))
         elif kind <= 6:  # loads
             L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
-            if l1d_geom is not None:
-                dshift, dmask = l1d_geom
-                L("    _pp = _dte.get((asn, _va >> %d))" % page_bits)
-                L("    if _pp is None:")
-                L("        _pp, _pen, _tm = dtb.translate(asn,"
-                  " _va >> %d, tdata)" % page_bits)
-                L("        _lat, _dm = dhier.access((_pp << %d)"
-                  " | (_va & %d))" % (page_bits, pm))
-                body.extend(load_value_lines(kind, dst, 8))
-                L("        return (2, %d, _pen, _lat, _dm, True)" % i)
-                L("    dtb.hits += 1")
-                L("    _ln = ((_pp << %d) | (_va & %d)) >> %d"
-                  % (page_bits, pm, dshift))
-                L("    _ix = _ln & %d" % dmask)
-                L("    if _l1s[_ix] == _ln:")
-                L("        l1d.hits += 1")
-                body.extend(load_value_lines(kind, dst, 8))
-                L("    else:")
-                L("        l1d.misses += 1")
-                L("        _l1s[_ix] = _ln")
-                L("        _lat, _dm = dhier.miss_path((_pp << %d)"
-                  " | (_va & %d))" % (page_bits, pm))
-                body.extend(load_value_lines(kind, dst, 8))
-                L("        return (2, %d, 0, _lat, True, False)" % i)
-            else:
-                L("    _pp, _pen, _tm = dtb.translate(asn,"
-                  " _va >> %d, tdata)" % page_bits)
-                L("    _lat, _dm = dhier.access((_pp << %d)"
-                  " | (_va & %d))" % (page_bits, pm))
-                body.extend(load_value_lines(kind, dst, 4))
-                L("    if _dm or _tm:")
-                L("        return (2, %d, _pen, _lat, _dm, _tm)" % i)
+            emit_translate(i)
+            L("    if _l1s[_ln & %d] != _ln: return (%d, %d)"
+              % (dmask, _DCACHE, i))
+            L("    dtb.hits += 1")
+            L("    l1d.hits += 1")
+            if dst is None:  # the zero register: probes only
+                pass
+            elif kind == 4:  # ldq
+                L("    iregs[%d] = mem.get(_va & -8, 0)" % dst)
+            elif kind == 5:  # ldl
+                L("    _v = mem.get(_va & -4, 0) & 0xFFFFFFFF")
+                L("    if _v >> 31: _v = (_v | -4294967296) & MASK64")
+                L("    iregs[%d] = _v" % dst)
+            else:  # ldt
+                L("    _v = mem.get(_va & -8, 0)")
+                L("    if not isinstance(_v, float): _v = float(_v)")
+                L("    fregs[%d] = _v" % (dst - 32))
         elif kind <= 9:  # stores
             L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
-            # The write-buffer probe is idempotent at a fixed time, so
-            # a busy bail leaves no trace and the slow path redoes the
-            # store exactly.
+            # The write-buffer probe is idempotent at a fixed time (the
+            # cycle after the previous issue, as in the slow path), so
+            # the slow path redoes a busy store exactly.
             L("    _pr = t0 + %d" % (prev_rel + 1))
-            L("    if wb.earliest_issue(_va, _pr) != _pr:")
-            L("        return (1, %d)" % i)
-            if l1d_geom is not None:
-                dshift, dmask = l1d_geom
-                L("    _pp = _dte.get((asn, _va >> %d))" % page_bits)
-                L("    if _pp is None:")
-                L("        _pp, _pen, _tm = dtb.translate(asn,"
-                  " _va >> %d, tdata)" % page_bits)
-                L("        l1d.lookup((_pp << %d) | (_va & %d),"
-                  " allocate=False)" % (page_bits, pm))
-                L("        wb.commit(_va, t0 + %d)" % rel)
-                L(store_value_line(kind, f1, 8))
-                L("        return (3, %d)" % i)
-                L("    dtb.hits += 1")
-                L("    _ln = ((_pp << %d) | (_va & %d)) >> %d"
-                  % (page_bits, pm, dshift))
-                L("    if _l1s[_ln & %d] == _ln:" % dmask)
-                L("        l1d.hits += 1")
-                L("    else:")
-                L("        l1d.misses += 1")
-                L("    wb.commit(_va, t0 + %d)" % rel)
-                L(store_value_line(kind, f1, 4))
-            else:
-                L("    _pp, _pen, _tm = dtb.translate(asn,"
-                  " _va >> %d, tdata)" % page_bits)
-                L("    l1d.lookup((_pp << %d) | (_va & %d),"
-                  " allocate=False)" % (page_bits, pm))
-                L("    wb.commit(_va, t0 + %d)" % rel)
-                L(store_value_line(kind, f1, 4))
-                L("    if _tm:")
-                L("        return (3, %d)" % i)
+            L("    if wb.earliest_issue(_va, _pr) != _pr:"
+              " return (%d, %d)" % (_WB, i))
+            emit_translate(i)
+            L("    dtb.hits += 1")
+            # Write-through, no-write-allocate: a store that misses the
+            # L1 is counted, installs nothing and is no event.
+            L("    if _l1s[_ln & %d] == _ln:" % dmask)
+            L("        l1d.hits += 1")
+            L("    else:")
+            L("        l1d.misses += 1")
+            L("    wb.commit(_va, t0 + %d)" % rel)
+            if kind == 7:  # stq
+                L("    mem[_va & -8] = iregs[%d]" % f1)
+            elif kind == 8:  # stl
+                L("    mem[_va & -4] = iregs[%d] & 0xFFFFFFFF" % f1)
+            else:  # stt
+                L("    mem[_va & -8] = fregs[%d]" % f1)
         elif kind == 10:  # nop / call_pal: timing only
             pass
         elif kind == 11 or kind == 12:  # cbranch / fbranch
@@ -456,13 +392,13 @@ def _compile_replay(steps, line_shift, page_bits, sb,
             L("    bp.predictions += 1")
             L("    _mp = (_c >= 2) != _t")
             L("    if _mp: bp.mispredictions += 1")
-            L("    return (4, _np, _t, _mp)")
+            L("    return (%d, _np, _t, _mp)" % CLEAN)
         elif kind == 13 or kind == 14:  # br / bsr
             if dst is not None:
                 L("    iregs[%d] = %d" % (dst, addr + 4))
             if kind == 14:
                 L("    bp.push_call(%d)" % (addr + 4))
-            L("    return (4, %d, True, False)" % rec[9])
+            L("    return (%d, %d, True, False)" % (CLEAN, rec[9]))
         else:  # jmp / jsr / ret
             L("    _tg = iregs[%d] & -4" % f2)
             if dst is not None:
@@ -474,23 +410,18 @@ def _compile_replay(steps, line_shift, page_bits, sb,
                 L("    _mp = not bp.predict_return(_tg)")
             else:
                 L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
-            L("    return (4, _tg, True, _mp)")
+            L("    return (%d, _tg, True, _mp)" % CLEAN)
         prev_rel = rel
-    if not steps[-1][0][13]:   # virtual block: clean fall-through exit
-        body.extend(sb_lines)
-    L("    return None")
 
     # Hoisted probe handles for the inlined hit paths.
-    head = ["def _replay(core, bp, dtb, dhier, l1d, wb, mem, iregs,"
-            " fregs, reg_ready, reg_ready_static, reg_dyn_reason,"
-            " asn, tdata, t0):"]
-    if has_mem and l1d_geom is not None:
+    head = ["def _replay(core, bp, dtb, l1d, wb, mem, iregs, fregs,"
+            " reg_ready, reg_ready_static, reg_dyn_reason, asn, t0):",
+            "    _icl = core.ihier.l1",
+            "    _ics = _icl.sets",
+            "    _ist = core._istream"]
+    if has_mem:
         head.append("    _dte = dtb._entries")
         head.append("    _l1s = l1d.sets")
-    if l1i_geom is not None:
-        head.append("    _icl = core.ihier.l1")
-        head.append("    _ics = _icl.sets")
-        head.append("    _ist = core._istream")
     source = "\n".join(head + body)
     fn = _replay_cache.get(source)
     if fn is not None:
@@ -511,9 +442,7 @@ def _compile_replay(steps, line_shift, page_bits, sb,
 class FastPath:
     """Machine-level block table + issue-schedule variant cache."""
 
-    #: Blocks shorter than this are not worth the key-building overhead.
-    MIN_BODY = 1
-    #: Longer straight-line runs are split at virtual boundaries.
+    #: Longer straight-line runs are not cached.
     MAX_BODY = 48
     #: Bound on distinct entry PCs tracked (False entries included).
     MAX_BLOCKS = 65536
@@ -534,13 +463,12 @@ class FastPath:
     #: those must not depend on process history.
     COMPILE_USES = 4
 
-    def __init__(self, decode_map, line_shift=5, page_bits=13,
-                 l1d_latency=2, l1d_geom=None, l1i_geom=None):
+    def __init__(self, decode_map, page_bits, l1d_latency, l1d_geom,
+                 l1i_geom):
         self.decode_map = decode_map  # shared with the Machine, live
-        self.line_shift = line_shift  # I-fetch line granularity
         self.page_bits = page_bits
         self.l1d_latency = l1d_latency
-        self.l1d_geom = l1d_geom      # see cache_geometry()
+        self.l1d_geom = l1d_geom      # see cache_geometry(); never None
         self.l1i_geom = l1i_geom
         self.blocks = {}              # head pc -> Block | False
         self.variant_count = 0
@@ -550,7 +478,9 @@ class FastPath:
         # Counters surfaced through repro.obs (sim.fastpath.*).
         self.replays = 0              # cached schedules replayed
         self.replayed_instructions = 0
-        self.bails = 0                # replays cut short by an event
+        #: Replays cut short, per probe that stopped them (indexed
+        #: like BAIL_REASONS).
+        self.bails = [0] * len(BAIL_REASONS)
         self.recordings = 0           # schedules captured
         self.compiled_variants = 0    # schedules tiered up to compiled
         self.aborted_recordings = 0   # recordings spoiled by an event
@@ -569,23 +499,26 @@ class FastPath:
         if len(self.blocks) >= self.MAX_BLOCKS:
             return False
         decode_map = self.decode_map
-        body = []
+        recs = []
         addr = head
         rec = decode_map.get(addr)
         while (rec is not None and not rec[13]          # R_CTRL
-               and len(body) < self.MAX_BODY):
-            body.append(rec)
+               and len(recs) < self.MAX_BODY):
+            recs.append(rec)
             addr += 4
             rec = decode_map.get(addr)
-        if rec is None or len(body) < self.MIN_BODY:
+        if rec is None or not recs or not rec[13]:
+            # Unmapped code, a bare control transfer (not worth the
+            # key-building overhead) or a run longer than MAX_BODY.
             self.blocks[head] = False
             return False
-        virtual = not rec[13]
-        term_rec = None if virtual else rec
+        # The terminator replays too: its issue slot depends on its own
+        # operands, so they join the entry key's live-ins.
+        recs.append(rec)
         live = []
         written = set()
         has_imul = has_fdiv = False
-        for record in body:
+        for record in recs:
             for src in record[3]:                       # R_SRCS
                 if src not in written and src not in live:
                     live.append(src)
@@ -597,14 +530,7 @@ class FastPath:
                 has_imul = True
             elif unit == 2:
                 has_fdiv = True
-        if term_rec is not None:
-            # The terminator replays too: its issue slot depends on its
-            # own operands, so they join the entry key's live-ins.
-            for src in term_rec[3]:
-                if src not in written and src not in live:
-                    live.append(src)
-        block = Block(head, tuple(body), addr, term_rec, tuple(live),
-                      has_imul, has_fdiv, virtual)
+        block = Block(head, tuple(recs), tuple(live), has_imul, has_fdiv)
         self.blocks[head] = block
         return block
 
@@ -614,25 +540,21 @@ class FastPath:
         """Cache a recorded schedule for (*block*, *key*).
 
         *entries* is one ``(rel_issue, cycles_head, paired, stalls)``
-        per instruction -- the body plus, for non-virtual blocks, the
-        terminator.  The schedule is compiled to a specialized replay
-        function and its bulk effects are precomputed (see
-        :class:`Variant`).
+        per instruction of the block, terminator included.  Its bulk
+        effects are precomputed (see :class:`Variant`); compilation
+        waits for :meth:`compile_variant`.
         """
         if self.variant_count >= self.MAX_VARIANTS:
             self.dropped_variants += 1
             return False
-        recs = block.body
-        if block.term_rec is not None:
-            recs = recs + (block.term_rec,)
+        recs = block.recs
         if len(entries) != len(recs):
             return False
         steps = tuple(
             (rec, entry[0], entry[1], entry[2], entry[3])
             for rec, entry in zip(recs, entries))
         sb = _final_scoreboard(steps, self.l1d_latency)
-        term_next = block.term_addr if block.term_rec is None else None
-        block.variants[key] = Variant(steps, sb, key, term_next)
+        block.variants[key] = Variant(steps, sb, key)
         block.failed = 0
         self.variant_count += 1
         self.recordings += 1
@@ -642,8 +564,8 @@ class FastPath:
         """Tier-up: compile *variant*'s recorded schedule to its
         specialized replay function (see :func:`_compile_replay`)."""
         variant.fn = _compile_replay(
-            variant.steps, self.line_shift, self.page_bits, variant.sb,
-            self.l1d_geom, self.l1i_geom)
+            variant.steps, self.page_bits, variant.sb, self.l1d_geom,
+            self.l1i_geom)
         self.compiled_variants += 1
 
     def abort_recording(self, block):
@@ -709,10 +631,10 @@ class FastPath:
 
     def snapshot(self):
         """Raw counters for the obs schema (sim.fastpath.*)."""
-        return {
+        snap = {
             "replays": self.replays,
             "replayed_instructions": self.replayed_instructions,
-            "bails": self.bails,
+            "bails": sum(self.bails),
             "recordings": self.recordings,
             "compiled_variants": self.compiled_variants,
             "aborted_recordings": self.aborted_recordings,
@@ -726,3 +648,6 @@ class FastPath:
             "invalidations": self.invalidations,
             "context_switches": self.context_switches,
         }
+        for reason, count in zip(BAIL_REASONS, self.bails):
+            snap["bails." + reason] = count
+        return snap

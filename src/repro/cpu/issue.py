@@ -2,10 +2,13 @@
 analysis tools' static scheduler.
 
 Two adjacent instructions may issue in the same cycle only if they can be
-slotted onto two distinct pipes.  Because the same table answers both the
+slotted onto two distinct pipes.  The same table answers both the
 simulator's "did this pair dual-issue?" and the static scheduler's
-"could this pair dual-issue with no dynamic stalls?", the analysis has no
-model skew relative to the simulated hardware.
+"could this pair dual-issue with no dynamic stalls?".  The two issue
+loops around it are still separate code; that they agree is checked,
+not assumed: ``tests/test_schedule.py`` compares every clean-entry
+schedule the simulator's fast path records with
+:func:`repro.core.schedule.schedule_block` of the same instructions.
 """
 
 from repro.alpha.opcodes import ISSUE_CLASSES
@@ -28,10 +31,8 @@ PAIR_OK = {
     for b in ISSUE_CLASSES
 }
 
-
-def can_pair(cls_a, cls_b):
-    """Return True if issue classes *cls_a* and *cls_b* can dual-issue."""
-    return PAIR_OK[(cls_a, cls_b)]
+#: Stall reason of a register dependence, by source-operand position.
+DEP_REASON = ("ra_dep", "rb_dep", "rc_dep", "rc_dep")
 
 
 def result_latency(opname):
@@ -45,10 +46,3 @@ def result_latency(opname):
     from repro.alpha.opcodes import issue_class
 
     return issue_class(opname).latency
-
-
-def issue_pipes(opname):
-    """The function-unit pipes *opname* may issue on (slotting rule)."""
-    from repro.alpha.opcodes import issue_class
-
-    return issue_class(opname).pipes

@@ -37,15 +37,17 @@ class Machine:
         #: addr -> flat predecode record (repro.alpha.predecode); the
         #: pipeline's hot loop reads only these, never Instruction.
         self.decode_map = {}
-        #: Block-level issue cache (None when config.fastpath is off).
+        l1d_geom = cache_geometry(config.l1d)
+        l1i_geom = cache_geometry(config.l1i)
+        #: Block-level issue cache.  None when config.fastpath is off,
+        #: and for an L1 that is not direct-mapped power-of-two: replay
+        #: code inlines the tag probes, and the slow path is the model.
         self.fastpath = (
-            FastPath(self.decode_map,
-                     line_shift=config.l1i.line_size.bit_length() - 1,
-                     page_bits=config.page_bits,
-                     l1d_latency=config.l1d.latency,
-                     l1d_geom=cache_geometry(config.l1d),
-                     l1i_geom=cache_geometry(config.l1i))
-            if getattr(config, "fastpath", True) else None)
+            FastPath(self.decode_map, config.page_bits,
+                     config.l1d.latency, l1d_geom, l1i_geom)
+            if (getattr(config, "fastpath", True)
+                and l1d_geom is not None and l1i_geom is not None)
+            else None)
         self._decoded_images = set()
         self.processes = []
         #: Optional callable(image) -> image applied to unlinked images

@@ -31,10 +31,12 @@ Two execution paths share this accounting:
 * the **fast path** replays a cached per-block issue schedule
   (:mod:`repro.cpu.fastpath`) when the block's entry conditions match a
   prior visit, batching the block's CYCLES counter updates into one
-  contiguous span.  It bails back to the slow path the moment a dynamic
-  event (fetch miss, D-miss, write-buffer conflict, counter overflow,
-  interrupt delivery) perturbs the cached schedule, so counters,
-  samples and ground-truth attributions stay byte-identical.
+  contiguous span.  A replay is a clean prefix: the compiled code holds
+  hit paths only and stops *before* the first instruction whose fetch,
+  translation, D-cache probe or write-buffer probe does not hit, with
+  nothing of that instruction applied.  The slow path -- the only
+  implementation of what a miss does -- takes over from there, so
+  counters, samples and ground-truth attributions stay byte-identical.
 """
 
 from repro.alpha.opcodes import MASK64
@@ -43,6 +45,8 @@ from repro.cpu.branch import BranchPredictor
 from repro.cpu.caches import Cache, Hierarchy
 from repro.cpu.counters import CounterUnit
 from repro.cpu.events import EventType
+from repro.cpu.fastpath import CLEAN
+from repro.cpu.issue import DEP_REASON
 from repro.cpu.tlb import TLB
 from repro.cpu.writebuffer import WriteBuffer
 
@@ -57,8 +61,6 @@ _EV_DMISS = EventType.DMISS
 _EV_BRANCHMP = EventType.BRANCHMP
 _EV_DTBMISS = EventType.DTBMISS
 _EV_ITBMISS = EventType.ITBMISS
-
-_DEP_REASON = ("ra_dep", "rb_dep", "rc_dep", "rc_dep")
 
 
 class Core:
@@ -109,10 +111,10 @@ class Core:
     def _fetch(self, pc, prev_issue):
         """Fetch the line holding *pc* (the caller saw a line cross).
 
-        Shared by the fast and slow paths so both charge identical
-        ITB/I-cache penalties and count identical events.  Returns
-        ``(itb_penalty, icache_penalty, events_or_None)``; the caller
-        has already updated ``_last_fetch_line``.
+        Returns ``(itb_penalty, icache_penalty, events_or_None)``; the
+        caller has already updated ``_last_fetch_line``.  Replay code
+        inlines only the fetch that charges nothing (same page, L1 hit)
+        and leaves every other one to the slow path and this method.
         """
         config = self.config
         page_bits = config.page_bits
@@ -198,8 +200,8 @@ class Core:
         dhier = self.dhier
         wb = self.wb
         bp = self.bp
-        l1d_latency = dhier.l1.latency
-        dhier_l1 = dhier.l1
+        l1d = dhier.l1
+        l1d_latency = l1d.latency
 
         iregs = proc.iregs
         fregs = proc.fregs
@@ -232,14 +234,12 @@ class Core:
         fp_replayed = 0
         fp_links = 0
         at_head = fp_on  # a run entry is always a block boundary
-        carry_fetch = None  # fetch result a replay bail hands to the slow path
         replay_var = None  # schedule selected by the gate this iteration
         link_src = None  # variant whose clean exit the gate may link
         rec_list = None  # schedule being recorded for (rec_block, rec_key)
         rec_block = None
         rec_key = None
         rec_t0 = 0
-        rec_term = -1
 
         deadline = None
         if cycle_limit is not None:
@@ -297,7 +297,6 @@ class Core:
                                 rec_block = block
                                 rec_key = key
                                 rec_t0 = t0
-                                rec_term = block.term_addr
                         else:
                             if var.fn is None:
                                 # Cold variant: the slow path keeps
@@ -372,8 +371,9 @@ class Core:
             if replay_var is not None:
                 # ---- replay ----------------------------------------
                 # The compiled function executes the whole block's
-                # semantics and model probes with schedule constants
-                # and the final scoreboard inlined; everything else
+                # semantics and the model's hit paths with schedule
+                # constants and the final scoreboard inlined, or stops
+                # before the first probe that misses; everything else
                 # (pairing state, deferred ground truth, the block's
                 # contiguous CYCLES span) is applied in bulk from the
                 # variant's precomputed structures.  Clean exits chase
@@ -386,16 +386,15 @@ class Core:
                 replay_var = None
                 bailed = False
                 while True:
-                    res = v.fn(self, bp, dtb, dhier, dhier_l1, wb, mem,
-                               iregs, fregs, reg_ready,
-                               reg_ready_static, reg_dyn_reason,
-                               asn, translate_data, t0)
+                    res = v.fn(self, bp, dtb, l1d, wb, mem, iregs, fregs,
+                               reg_ready, reg_ready_static,
+                               reg_dyn_reason, asn, t0)
                     fp_replays += 1
-                    if res is not None and res[0] != 4:
+                    if res[0] != CLEAN:
                         bailed = True
                         break
-                    # Clean replay (res carries the terminator's
-                    # dynamic direction for non-virtual blocks).
+                    # Clean replay: res carries the terminator's
+                    # dynamic direction.
                     n = v.n
                     fp_replayed += n
                     insts_left -= n
@@ -417,30 +416,25 @@ class Core:
                         # proved it overflows no slot.
                         for _slot in cycles_slots:
                             _slot.count += total_rel
-                    if res is None:
-                        pair_open = v.term_open
-                        pc = v.term_next
-                    else:
-                        pc = res[1]
-                        pair_open = v.term_open and not res[2]
-                        if v.term_edge_always or pc != exit_addr:
-                            edge = (v.term_addr, pc)
-                            gt_edges[edge] = gt_edges.get(edge, 0) + 1
-                        if res[3]:
-                            front_extra = mispredict_penalty
-                            front_reason = "branchmp"
-                            row = gt_events.get(v.term_addr)
-                            if row is None:
-                                row = {}
-                                gt_events[v.term_addr] = row
-                            row[_EV_BRANCHMP] = row.get(
-                                _EV_BRANCHMP, 0) + 1
-                            for oev, otime in counters.add(
-                                    _EV_BRANCHMP, 1, prev_issue):
-                                pending.append((otime + skew, oev))
-                            # Front-end debt: no chaining.
-                            at_head = True
-                            break
+                    pc = res[1]
+                    pair_open = v.term_open and not res[2]
+                    if v.term_edge_always or pc != exit_addr:
+                        edge = (v.term_addr, pc)
+                        gt_edges[edge] = gt_edges.get(edge, 0) + 1
+                    if res[3]:
+                        front_extra = mispredict_penalty
+                        front_reason = "branchmp"
+                        row = gt_events.get(v.term_addr)
+                        if row is None:
+                            row = {}
+                            gt_events[v.term_addr] = row
+                        row[_EV_BRANCHMP] = row.get(_EV_BRANCHMP, 0) + 1
+                        for oev, otime in counters.add(
+                                _EV_BRANCHMP, 1, prev_issue):
+                            pending.append((otime + skew, oev))
+                        # Front-end debt: no chaining.
+                        at_head = True
+                        break
                     link = v.links.get(pc)
                     if link is None or pending:
                         at_head = True
@@ -495,15 +489,13 @@ class Core:
                 if not bailed:
                     continue
 
-                # ---- bail: a dynamic event cut the replay short ----
-                tag = res[0]
+                # ---- bail: the replay stopped before instruction i ----
+                # Whatever probe stopped it (res[0] only names it),
+                # exactly steps[:i] ran, all of them clean: apply their
+                # accounting and let the slow path run instruction i.
                 i = res[1]
                 steps = v.steps
-                # A dirty load/store (tags 2/3) completed before
-                # bailing; fetch and write-buffer bails (tags 0/1)
-                # stop *before* instruction i.
-                count = i + 1 if tag >= 2 else i
-                for j in range(count):
+                for j in range(i):
                     step = steps[j]
                     srec_j = step[0]
                     addr_j = srec_j[14]
@@ -521,8 +513,6 @@ class Core:
                             srow[reason] = srow.get(reason, 0) + amount
                     dst_j = srec_j[7]
                     if dst_j is not None:
-                        # Clean completion times (the dirty bailing
-                        # instruction is overridden below).
                         done = t0 + step[1] + (srec_j[2]
                                                if srec_j[0] <= 3
                                                else l1d_latency)
@@ -534,93 +524,29 @@ class Core:
                         imul_free = t0 + step[1] + srec_j[12]
                     elif unit_j == 2:
                         fdiv_free = t0 + step[1] + srec_j[12]
-                if count:
-                    last_step = steps[count - 1]
+                if i:
+                    last_step = steps[i - 1]
                     pair_open = not last_step[3]
                     prev_cls = last_step[0][1]
-                    for j in range(count - 1, -1, -1):
+                    for j in range(i - 1, -1, -1):
                         if not steps[j][3]:
                             leader_pc = steps[j][0][14]
                             break
                     prev_issue = t0 + last_step[1]
-                flushed = False
-                if tag == 0:
-                    # Dirty fetch: the slow path takes over this
-                    # instruction with the fetch result carried over.
-                    carry_fetch = res[2]
-                    bail_pc = steps[i][0][14]
-                elif tag == 1:
-                    # Write buffer busy: nothing was mutated for the
-                    # store (earliest_issue is idempotent at a fixed
-                    # time), so the slow path redoes it exactly.
-                    bail_pc = steps[i][0][14]
-                else:
-                    # A load/store finished with a D-cache/D-TLB miss:
-                    # its own issue time is miss-independent (the
-                    # latency lands on the consumer), so the cached
-                    # entry is exact.  Flush the CYCLES span, count
-                    # the events, then hand the perturbed scoreboard
-                    # to the slow path.
-                    step = steps[i]
-                    srec_i = step[0]
-                    issue = t0 + step[1]
-                    delta = issue - t0
+                    delta = last_step[1]
                     if delta:
                         # A prefix of the span the gate cleared.
                         for _slot in cycles_slots:
                             _slot.count += delta
-                    row = gt_events.get(srec_i[14])
-                    if row is None:
-                        row = {}
-                        gt_events[srec_i[14]] = row
-                    if tag == 2:
-                        dst_i = srec_i[7]
-                        if dst_i is not None:
-                            reg_ready[dst_i] = issue + res[2] + res[3]
-                            reg_ready_static[dst_i] = issue + l1d_latency
-                            reg_dyn_reason[dst_i] = ("dcache" if res[4]
-                                                     else "dtb")
-                        if res[4]:
-                            row[_EV_DMISS] = row.get(_EV_DMISS, 0) + 1
-                            for oev, otime in counters.add(
-                                    _EV_DMISS, 1, issue):
-                                pending.append((otime + skew, oev))
-                        if res[5]:
-                            row[_EV_DTBMISS] = row.get(
-                                _EV_DTBMISS, 0) + 1
-                            for oev, otime in counters.add(
-                                    _EV_DTBMISS, 1, issue):
-                                pending.append((otime + skew, oev))
-                    else:
-                        row[_EV_DTBMISS] = row.get(_EV_DTBMISS, 0) + 1
-                        for oev, otime in counters.add(
-                                _EV_DTBMISS, 1, issue):
-                            pending.append((otime + skew, oev))
-                    flushed = True
-                    bail_pc = srec_i[14] + 4
-                if not flushed:
-                    delta = prev_issue - t0
-                    if delta:
-                        for _slot in cycles_slots:
-                            _slot.count += delta
-                fp_replayed += count
-                fp.bails += 1
-                insts_left -= count
-                retired += count
-                pc = bail_pc
+                fp_replayed += i
+                fp.bails[res[0]] += 1
+                insts_left -= i
+                retired += i
+                pc = steps[i][0][14]
                 continue
 
             # ---- slow path -------------------------------------------
             link_src = None  # a slow instruction breaks the chain
-            if rec_list is not None and pc == rec_term:
-                if len(rec_list) != len(rec_block.body):
-                    rec_list = None  # did not walk the block linearly
-                elif rec_block.virtual:
-                    fp.store(rec_block, rec_key, tuple(rec_list))
-                    rec_list = None
-                # Otherwise keep recording through the terminator: its
-                # issue slot and pairing are entry-invariant even
-                # though its direction is dynamic.
 
             insts_left -= 1
             srec = decode_map.get(pc)
@@ -641,18 +567,14 @@ class Core:
             wb_clean = True
 
             # ---- fetch --------------------------------------------------
-            if carry_fetch is not None:
-                itb_fetch_pen, icache_pen, events_now = carry_fetch
-                carry_fetch = None
-            else:
-                itb_fetch_pen = 0
-                icache_pen = 0
-                events_now = None  # [(event, time)] for this instruction
-                fline = pc >> line_shift
-                if fline != self._last_fetch_line:
-                    self._last_fetch_line = fline
-                    itb_fetch_pen, icache_pen, events_now = self._fetch(
-                        pc, prev_issue)
+            itb_fetch_pen = 0
+            icache_pen = 0
+            events_now = None  # [(event, time)] for this instruction
+            fline = pc >> line_shift
+            if fline != self._last_fetch_line:
+                self._last_fetch_line = fline
+                itb_fetch_pen, icache_pen, events_now = self._fetch(
+                    pc, prev_issue)
             fetch_pen = itb_fetch_pen + icache_pen
 
             # ---- operand readiness --------------------------------------
@@ -734,7 +656,7 @@ class Core:
                     base = arrival
                     d_static = min(rdy_static, issue) - base
                     if d_static > 0:
-                        reason = _DEP_REASON[dep_index]
+                        reason = DEP_REASON[dep_index]
                         stall_row[reason] = stall_row.get(reason, 0) + d_static
                         if rec_list is not None:
                             if rec_stalls is None:
@@ -1011,9 +933,9 @@ class Core:
                         (issue - rec_t0, cycles_head, paired,
                          tuple(rec_stalls) if rec_stalls else None))
                     if srec[13]:
-                        # The terminator completes the recording (only
-                        # reachable for non-virtual blocks, whose
-                        # body-length check passed at rec_term).
+                        # The terminator completes the recording: its
+                        # issue slot and pairing are entry-invariant
+                        # even though its direction is dynamic.
                         fp.store(rec_block, rec_key, tuple(rec_list))
                         rec_list = None
 

@@ -38,6 +38,10 @@ name                                     kind      meaning
 ``sim.fastpath.replays``                 counter   block replays started
 ``sim.fastpath.replayed_instructions``   counter   instructions replayed
 ``sim.fastpath.bails``                   counter   replays cut short
+``sim.fastpath.bails.<reason>``          counter   ...by the probe that
+                                                   stopped them (fetch,
+                                                   wb, dtb, dcache; they
+                                                   sum to ``bails``)
 ``sim.fastpath.recordings``              counter   variants recorded
 ``sim.fastpath.compiled_variants``       counter   variants tiered up
 ``sim.fastpath.aborted_recordings``      counter   recordings abandoned

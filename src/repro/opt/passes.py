@@ -26,11 +26,10 @@ else is the rewriter's job (:mod:`repro.opt.rewrite`), including
 refusing plans whose fingerprint no longer matches.
 """
 
-from repro.alpha.opcodes import (CONTROL_KINDS, DIRECT_BRANCH_KINDS,
-                                 ISSUE_CLASSES)
+from repro.alpha.opcodes import CONTROL_KINDS, DIRECT_BRANCH_KINDS
 from repro.core.cfg import EXIT
 from repro.core.schedule import schedule_block
-from repro.cpu.issue import PAIR_OK, result_latency
+from repro.cpu.issue import result_latency
 from repro.obs import NULL_OBS
 from repro.opt.rewrite import (BlockPlan, ProcPlan, RewritePlan,
                                image_fingerprint)
@@ -137,57 +136,6 @@ def _observed_stalls(analysis, block):
     return extra
 
 
-def _effective_cycles(instructions, extra):
-    """Issue-model cycles for one instruction order, with observed
-    stalls folded in.
-
-    Mirrors :func:`repro.core.schedule.schedule_block` (same pairing
-    predicate, same latencies, same IMUL/FDIV interlocks) except that a
-    producer listed in *extra* delivers its result that many cycles
-    later -- the profile's measurement of its cache behavior.  With an
-    empty *extra* this reproduces ``best_case_cycles`` exactly.
-    """
-    reg_ready = {}
-    prev_issue = -1
-    pair_open = False
-    prev_cls = None
-    imul_free = 0
-    fdiv_free = 0
-    for inst in instructions:
-        cls_name = inst.info.cls
-        icls = ISSUE_CLASSES[cls_name]
-        rdy = 0
-        for src in inst.srcs:
-            ready = reg_ready.get(src, 0)
-            if ready > rdy:
-                rdy = ready
-        res = 0
-        if cls_name == "IMUL" and imul_free > 0:
-            res = imul_free
-        elif cls_name == "FDIV" and fdiv_free > 0:
-            res = fdiv_free
-        if (pair_open and rdy <= prev_issue and res <= prev_issue
-                and PAIR_OK[(prev_cls, cls_name)]):
-            issue = prev_issue
-            pair_open = False
-        else:
-            issue = max(prev_issue + 1, rdy, res)
-            pair_open = True
-        if (inst.info.kind in CONTROL_KINDS
-                and inst is instructions[-1]):
-            pair_open = False
-        prev_issue = issue
-        prev_cls = cls_name
-        if inst.dst is not None:
-            reg_ready[inst.dst] = (issue + icls.latency
-                                   + extra.get(inst.addr, 0.0))
-        if cls_name == "IMUL":
-            imul_free = issue + icls.busy
-        elif cls_name == "FDIV":
-            fdiv_free = issue + icls.busy
-    return prev_issue + 1
-
-
 def _schedule_block_order(block, extra):
     """List-schedule *block*; return a better instruction order or None.
 
@@ -196,10 +144,13 @@ def _schedule_block_order(block, extra):
     conservative memory ordering: stores are ordered against every
     earlier memory op, loads against the last store) and greedily emits
     the ready instruction with the longest critical path.  A candidate
-    is accepted only if it scores strictly faster under the
-    stall-weighted issue model AND no worse under the machine's own
-    static scheduler -- hoisting a missing load must never cost
-    best-case cycles.
+    is accepted only if :func:`~repro.core.schedule.schedule_block`
+    scores it strictly faster with the observed stalls folded in (each
+    producer in *extra* delivers that many cycles later) AND no worse
+    without them -- hoisting a missing load must never cost best-case
+    cycles.  One scheduler answers both questions; its agreement with
+    the simulator is checked by
+    ``tests/test_schedule.py::TestAgreesWithTheSimulator``.
     """
     insts = block.instructions
     if len(insts) < 3:
@@ -292,12 +243,11 @@ def _schedule_block_order(block, extra):
     candidate = [body[i] for i in emitted]
     if pinned_term:
         candidate.append(last)
-    original = list(block.instructions)
-    if _effective_cycles(candidate, extra) \
-            >= _effective_cycles(original, extra):
+    if schedule_block(candidate, extra).best_case_cycles \
+            >= schedule_block(insts, extra).best_case_cycles:
         return None
     if schedule_block(candidate).best_case_cycles \
-            > schedule_block(block.instructions).best_case_cycles:
+            > schedule_block(insts).best_case_cycles:
         return None
     return candidate
 

@@ -11,10 +11,11 @@ from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu import fastpath as fastpath_module
 from repro.cpu.config import CacheConfig, MachineConfig
 from repro.cpu.events import EventType
-from repro.cpu.fastpath import (FastPath, cache_geometry,
+from repro.cpu.fastpath import (BAIL_REASONS, cache_geometry,
                                 clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
-from repro.obs.schema import derive, session_metrics
+from repro.obs.schema import (derive, fastpath_metrics,
+                              session_metrics)
 from repro.tools.abcheck import fingerprint
 from repro.workloads.asmgen import loop_proc
 from repro.workloads.registry import get_workload
@@ -63,7 +64,7 @@ class TestConfigKnob:
 
 class TestDiscovery:
     def test_unknown_address_blacklisted(self):
-        fp = FastPath({})
+        fp = Machine(MachineConfig(), seed=1).fastpath
         assert fp.discover(0x1000) is False
         # The negative result is cached.
         assert fp.blocks[0x1000] is False
@@ -164,6 +165,18 @@ class TestSnapshotAndObs:
         assert 0.0 <= flat["sim.fastpath.replay_fraction"] <= 1.0
         assert flat["sim.fastpath.bail_rate"] >= 0.0
 
+    def test_every_bail_carries_a_reason(self):
+        # x11perf's replays are stopped by the I-side, the write
+        # buffer and the D-cache alike.
+        _, fp = profiled("x11perf")
+        flat = derive(fastpath_metrics(fp))
+        by_reason = {key.rpartition(".")[2]: value
+                     for key, value in flat.items()
+                     if key.startswith("sim.fastpath.bails.")}
+        assert sorted(by_reason) == sorted(BAIL_REASONS)
+        assert sum(by_reason.values()) == flat["sim.fastpath.bails"] > 0
+        assert sum(1 for count in by_reason.values() if count) >= 3
+
 
 def profiled(name="gcc", fastpath=True, l1d=None):
     """One profiled session at the bench period; returns
@@ -184,10 +197,6 @@ def compiled_fns(fp):
     return {variant.fn for block in fp.blocks.values() if block
             for variant in block.variants.values()
             if variant.fn is not None}
-
-
-def inlines_l1_probe(fn):
-    return "_l1s" in fn.__code__.co_varnames
 
 
 class TestReplayCodeCache:
@@ -219,18 +228,17 @@ class TestReplayCodeCache:
         assert len({id(fn.__globals__) for fn in fns[0]}) == 1
 
     def test_other_cache_geometry_shares_nothing_wrongly(self):
+        # Replay code inlines direct-mapped tag probes, so a machine
+        # whose L1D the probe cannot describe has no fast path at all
+        # (chosen from the config it is given, not by an option) and
+        # nothing to share or compile.
         clear_replay_cache()
-        # Fill the cache from the direct-mapped default.
-        assert any(map(inlines_l1_probe, compiled_fns(profiled()[1])))
-        _, misses0, _ = replay_cache_stats()
+        assert profiled()[1].compiled_variants > 0
+        stats = replay_cache_stats()
         two_way = CacheConfig(8192, 32, 2, 2)
         fast_print, fast = profiled(l1d=two_way)
-        assert fast.l1d_geom is None
-        assert fast.compiled_variants > 0
-        # Same program, same addresses -- but every block that touches
-        # memory has a different source text, so it compiled its own.
-        assert replay_cache_stats()[1] > misses0
-        assert not any(map(inlines_l1_probe, compiled_fns(fast)))
+        assert fast is None
+        assert replay_cache_stats() == stats
         slow_print, _ = profiled(fastpath=False, l1d=two_way)
         assert fast_print == slow_print
 
@@ -248,6 +256,38 @@ class TestReplayCodeCache:
         assert misses1 - misses0 > 3
         assert bounded_print == unbounded_print
         assert bounded.snapshot() == unbounded.snapshot()
+
+
+class TestCleanPrefix:
+    """A replay function holds hit paths only: whatever a miss does is
+    written once, in the slow path."""
+
+    def test_generated_code_never_calls_the_model(self):
+        clear_replay_cache()
+        _, fp = profiled("gcc")
+        # The replay-code cache is keyed by generated source text.
+        sources = list(fastpath_module._replay_cache)
+        assert len(sources) == fp.compiled_variants > 50
+        for source in sources:
+            for call in ("_fetch(", "translate(", ".access(",
+                         "miss_path(", ".lookup("):
+                assert call not in source, source
+        # ...and the probes that replace those calls are there.
+        for reason in range(len(BAIL_REASONS)):
+            assert any("return (%d, " % reason in s for s in sources)
+
+    def test_run_longer_than_max_body_is_not_cached(self):
+        text = (".image t\n.proc work\n"
+                + "    addq t0, 1, t0\n" * 60 + "    ret\n.end\n")
+        machine = Machine(MachineConfig(), seed=1)
+        image = machine.load_image(assemble(text))
+        machine.spawn(image)
+        machine.run(max_instructions=1_000)
+        fp = machine.fastpath
+        assert fp.blocks[image.entry()] is False
+        # A tail no longer than MAX_BODY is an ordinary block.
+        tail = fp.discover(image.entry() + 4 * 20)
+        assert tail and len(tail.recs) == 41 and tail.recs[-1][13]
 
 
 class TestDcpiabThreeLegs:

@@ -115,7 +115,7 @@ def test_crash_without_database_accounts_memory_as_lost(tmp_path):
 
 def test_crash_during_recovery_recovers_again(reference, tmp_path):
     """A fault that fires again during the recovery catch-up drain
-    triggers another recovery round instead of escaping auto_recover."""
+    triggers another recovery round instead of escaping the session."""
     result, report = faulted_report(
         tmp_path, [FaultSpec("daemon.drain.cpu", "crash", hits=(3, 4))])
     assert report["ok"]

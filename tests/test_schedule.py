@@ -1,8 +1,13 @@
 """Tests for the static scheduler (M_i computation)."""
 
+import pytest
+
 from repro.alpha.assembler import assemble
+from repro.collect.session import ProfileSession, SessionConfig
 from repro.core.cfg import build_cfg
-from repro.core.schedule import schedule_cfg
+from repro.core.schedule import schedule_block, schedule_cfg
+from repro.cpu.config import MachineConfig
+from repro.workloads.registry import get_workload
 
 
 def schedule_for(body):
@@ -94,3 +99,51 @@ top:
     def test_by_addr_lookup(self):
         cfg, schedules = schedule_for("    nop\n    ret")
         assert schedules[0].m_of(0x1000) == 1
+
+
+class TestAgreesWithTheSimulator:
+    """``schedule_block`` and ``Core.run`` are two issue loops over one
+    table.  A fast-path variant recorded from a clean entry (nothing to
+    pair with, no operand pending, units idle) is the simulator's own
+    stall-free schedule of its instructions, so it must equal the
+    static one."""
+
+    CLEAN_ENTRY = (-1, None, 0, 0)
+
+    @pytest.mark.parametrize(
+        "name", ["mccalpin-assign", "gcc", "x11perf", "timesharing"])
+    def test_clean_entry_variants_equal_the_static_schedule(self, name):
+        workload = get_workload(name)
+        session = ProfileSession(
+            MachineConfig(num_cpus=workload.num_cpus),
+            SessionConfig(seed=1))
+        machine = session.run(workload, max_instructions=40_000).machine
+        checked = 0
+        for block in machine.fastpath.blocks.values():
+            variant = block and block.variants.get(self.CLEAN_ENTRY)
+            if not variant:
+                continue
+            insts = [machine.code_map[step[0][14]]
+                     for step in variant.steps]
+            # Variant issue slots count from the entry cycle, the
+            # static schedule's from 0.
+            simulated = [(rel_issue - 1, cycles_head, paired)
+                         for _rec, rel_issue, cycles_head, paired, _stalls
+                         in variant.steps]
+            static = [(row.issue, row.m, row.paired)
+                      for row in schedule_block(insts).rows]
+            assert simulated == static, (
+                "%s:%#x %s" % (name, block.head,
+                               "; ".join(inst.op for inst in insts)))
+            checked += 1
+        assert checked
+
+    def test_store_never_joins_a_pair(self):
+        # Core.run asks the write buffer for the cycle after the
+        # previous issue, so a store starts an issue cycle of its own
+        # even behind a class it could be slotted with; no slotting
+        # stall is charged for that.
+        cfg, schedules = schedule_for(
+            "    cmpult t0, t1, t2\n    stq t3, 0(sp)\n    ret")
+        row = schedules[0].rows[1]
+        assert (row.issue, row.m, row.paired, row.stalls) == (1, 1, False, [])
