@@ -8,7 +8,9 @@ outside the program, so the same script measures any checkout: every
 ``repro.collect.database._atomic_write`` call (temp + fsync + rename)
 by the kind of file it publishes, and every ``os.unlink`` made inside
 a ``ProfileDatabase._commit`` (its garbage collection; the harness
-removing a round's scratch directory is not counted).  One set-up and
+removing a round's scratch directory is not counted).  Manifests also
+get their size per commit, mean and last -- the O(store) part of a
+commit that ROADMAP item 3(c) is about.  One set-up and
 one round at seed 1 (``run.py --smoke``), so the counts are exact; the
 harness's own yardstick writes are not counted.
 
@@ -35,7 +37,7 @@ def main(argv):
     from repro.collect import database
     from repro.fleet import store
 
-    writes, unlinks = {}, []
+    writes, unlinks, manifests = {}, [], []
     atomic_write, unlink = database._atomic_write, os.unlink
     commit = database.ProfileDatabase._commit
     committing = []
@@ -45,6 +47,8 @@ def main(argv):
                     if path.endswith(suffix))
         files, size = writes.get(kind, (0, 0))
         writes[kind] = (files + 1, size + len(data))
+        if kind == "manifests":
+            manifests.append(len(data))
         return atomic_write(path, data)
 
     def counted_unlink(path, *, dir_fd=None):
@@ -64,7 +68,7 @@ def main(argv):
     os.unlink = counted_unlink
     for workload in ("collect-dense", "fleet-ingest"):
         writes.clear()
-        del unlinks[:]
+        del unlinks[:], manifests[:]
         with contextlib.redirect_stdout(io.StringIO()):
             status = run.main(["--workload", workload, "--seed", "1",
                                "--smoke"])
@@ -73,6 +77,8 @@ def main(argv):
                  sum(files for files, _ in writes.values()), len(unlinks)))
         for kind, (files, size) in sorted(writes.items()):
             print("  %-14s %5d written, %9d bytes" % (kind, files, size))
+        print("  manifest bytes per commit: mean %.0f, last %d"
+              % (sum(manifests) / len(manifests), manifests[-1]))
     return 0
 
 

@@ -71,14 +71,7 @@ def load_bundle(path):
             warnings.append("skipped %s@%s: %s"
                             % (image_name, event, exc))
             continue
-        # Pre-manifest databases listed flattened names ('/' -> '_');
-        # match loosely.
         image = images.get(image_name)
-        if image is None:
-            for candidate in images.values():
-                if candidate.name.replace("/", "_").strip("_") == image_name:
-                    image = candidate
-                    break
         if image is None:
             warnings.append("no image metadata for %r; profile skipped"
                             % image_name)

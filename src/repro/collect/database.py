@@ -12,16 +12,17 @@ the database keeps the samples of each (image, event) combination
 ``benchmarks/bench_table5_space.py`` measures both.
 
 A segment per commit.  Every mutating call (:meth:`~ProfileDatabase.save`,
-``checkpoint``, ``merge_epoch``, ``compact_epochs``) encodes its
-profiles in memory and ``_commit`` writes them as **one** immutable,
-generation-numbered file ``epochNNNN/seg.g<gen>.prof``: the encoded
-profiles back to back, no framing bytes.  A manifest record names its
-profile as ``file`` + ``offset`` + ``length``; a record without the
-last two means the whole file, so a legacy one-profile file *is* a
-one-profile segment and there is one read path.  A commit that writes
-profiles therefore costs two fsyncs (segment, manifest) however many
-(image, event) profiles it carries, and one otherwise;
-:meth:`ProfileDatabase.io_counts` keeps the exact counts.
+``checkpoint``, ``merge_epoch``, ``compact_epochs``, ...) is one
+:meth:`ProfileDatabase._apply`: it encodes its profiles in memory and
+``_commit`` writes them as **one** immutable, generation-numbered file
+``epochNNNN/seg.g<gen>.prof``: the encoded profiles back to back, no
+framing bytes.  A manifest record names its profile as ``file`` +
+``offset`` + ``length`` and says what it holds (``image``, ``event``,
+``epoch``, ``period``, ``total``); there is one record shape and one
+read path.  A commit that writes profiles therefore costs two fsyncs
+(segment, manifest) however many (image, event) profiles it carries,
+and one otherwise; :meth:`ProfileDatabase.io_counts` keeps the exact
+counts.
 
 Crash safety (the continuous-profiling promise: the database survives
 daemon death and machine restarts):
@@ -32,13 +33,22 @@ daemon death and machine restarts):
   torn write can never damage committed data.  (Directory entries are
   not fsynced, now or before: after a power cut a rename may not have
   happened, which reads as a missing file and is quarantined.)
-* the profile format (version 3) carries a CRC32 trailer, and the
-  manifest records an independent CRC of each record's bytes; both are
-  checked on every read, so corruption is detected rather than decoded
-  into garbage;
+* the profile format (version 3) carries a CRC32 trailer over the
+  whole blob, checked on every read, so corruption is detected rather
+  than decoded into garbage.  The manifest keeps no second CRC of the
+  same bytes -- the CRC-32 of bytes that end in their own CRC-32 is
+  the constant 0x2144DF1C, so it could only fail when the trailer
+  does -- and every read instead checks what only the manifest can
+  vouch for: the blob at the record's slice decodes to the ``image``,
+  ``event`` and ``epoch`` the record names, so an intact profile under
+  the wrong record is quarantined, not served;
 * a single ``MANIFEST.json``, itself committed by atomic rename, is
   the linearization point: a crash at any instant leaves either the
   old or the new manifest, each referencing only complete segments;
+* the manifest checks itself: its first field, ``CRC``, is the CRC-32
+  of the canonical encoding of the rest, so a manifest damaged at rest
+  that still parses (a flipped bit in a key, a count, a slice) is a
+  damaged manifest like one that does not, never served as committed;
 * a corrupt or missing record is *quarantined* on load -- its bytes
   copied aside (the segment is left alone: other live records may name
   it, and GC removes it once none does), its manifest-declared sample
@@ -61,8 +71,8 @@ is superseded (``checkpoint``, ``compact_epochs`` and ``drop_epoch``
 replace an epoch whole, so that is bounded by the epoch).
 
 A commit costs the delta, not the store.  The manifest is serialised
-compactly by the C JSON encoder (``sort_keys``, no indent: readers
-accept any JSON and nothing hashes ``MANIFEST.json``), and garbage
+compactly by the C JSON encoder (``sort_keys``, no indent -- the
+canonical encoding its ``CRC`` field is taken over), and garbage
 collection is *by difference*: a commit unlinks exactly the files the
 handle's previous committed manifest referenced and the new one does
 not.  The full directory sweep (:meth:`ProfileDatabase._gc`) runs only
@@ -101,9 +111,6 @@ VERSION = 3
 FORMAT_RAW = 0
 FORMAT_COMPACT = 1
 
-#: Versions :func:`decode_profile` accepts (2 = pre-checksum files).
-SUPPORTED_VERSIONS = (2, 3)
-
 MANIFEST_NAME = "MANIFEST.json"
 #: Commit-sequence sidecar: "<sequence> <crc32 of the manifest>" at a
 #: fixed width, overwritten before every manifest rename (see the
@@ -114,11 +121,8 @@ QUARANTINE_DIR = "quarantine"
 
 
 class CorruptProfileError(ValueError):
-    """A profile file failed validation (bad magic, checksum, codec)."""
-
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path
+    """A stored profile failed validation (bad magic, checksum, codec,
+    or a manifest record that does not describe it)."""
 
 
 def _write_varint(out, value):
@@ -132,17 +136,16 @@ def _write_varint(out, value):
             return
 
 
-def _read_varint(buf):
+def _read_varint(data, pos):
+    """Decode the varint at ``data[pos]``; return ``(value, next pos)``."""
     shift = 0
     result = 0
     while True:
-        byte = buf.read(1)
-        if not byte:
-            raise EOFError("truncated varint")
-        b = byte[0]
+        b = data[pos]               # IndexError: truncated
+        pos += 1
         result |= (b & 0x7F) << shift
         if not b & 0x80:
-            return result
+            return result, pos
         shift += 7
 
 
@@ -176,120 +179,80 @@ def encode_profile(counts, image_name, event, period,
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def decode_profile(data):
-    """Inverse of :func:`encode_profile`.
+def _parse_blob(data, start=0, salvage=False):
+    """Walk the profile that starts at ``data[start]``; return
+    ``((counts, image_name, event, period, epoch), end)``.
 
-    Returns (counts, image_name, event, period, epoch).  Any failure
-    -- bad magic, truncation, checksum mismatch, codec error -- raises
-    :class:`CorruptProfileError` (a ``ValueError``), never a raw
-    struct/varint exception.
+    The one reader of the blob layout.  A blob is self-delimiting --
+    the header gives the record count, the records give their own
+    lengths, the 4-byte trailer follows -- so a segment needs no
+    framing to be walked, and the trailer is checked over exactly the
+    bytes walked.  Any failure -- bad magic, unknown version,
+    truncation, checksum mismatch, codec error -- raises
+    :class:`CorruptProfileError`, never a raw struct/varint exception.
+
+    With *salvage* nothing raises: the walk stops at the first thing
+    it cannot decode -- an unknown version (one flipped bit) is not
+    one -- and returns what it read up to there, no counts when even
+    the header is gone.  A manifest rebuild has no declared total to
+    account a damaged span with; the sum of these is its stand-in.
     """
-    try:
-        return _decode_profile(data)
-    except CorruptProfileError:
-        raise
-    except (struct.error, EOFError, UnicodeDecodeError, ValueError,
-            OverflowError, MemoryError) as exc:
-        raise CorruptProfileError("corrupt profile: %s" % exc) from exc
-
-
-def _decode_profile(data):
-    buf = io.BytesIO(data)
-    if buf.read(4) != MAGIC:
-        raise CorruptProfileError("not a DCPI profile")
-    version, fmt, epoch = struct.unpack("<HBH", buf.read(5))
-    if version not in SUPPORTED_VERSIONS:
-        raise CorruptProfileError(
-            "unsupported profile version %d" % version)
-    if version >= 3:
-        if len(data) < 13:
-            raise CorruptProfileError("truncated profile trailer")
-        body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
-        if zlib.crc32(body) != crc:
-            raise CorruptProfileError("profile checksum mismatch")
-        buf = io.BytesIO(body)
-        buf.seek(9)
-    (name_len,) = struct.unpack("<H", buf.read(2))
-    image_name = buf.read(name_len).decode("utf-8")
-    (event_len,) = struct.unpack("<H", buf.read(2))
-    event = EventType(buf.read(event_len).decode("utf-8"))
-    period, n = struct.unpack("<II", buf.read(8))
     counts = {}
-    last = 0
-    for _ in range(n):
-        if fmt == FORMAT_RAW:
-            offset, count = struct.unpack("<II", buf.read(8))
-        else:
-            offset = last + _read_varint(buf)
-            count = _read_varint(buf)
-            last = offset
-        counts[offset] = count
-    return counts, image_name, event, period, epoch
-
-
-def _salvage_total(data):
-    """Best-effort sample total of a possibly-corrupt profile.
-
-    Quarantine during a manifest rebuild has no manifest-declared
-    total to account the loss with, so decode leniently instead --
-    no checksum check, stop at the first undecodable record -- and
-    return the sum of whatever counts were readable (0 when even the
-    header is gone).  Never raises.
-    """
+    image_name = event = None
+    period = epoch = 0
+    pos = start
     try:
-        buf = io.BytesIO(data)
-        if buf.read(4) != MAGIC:
-            return 0
-        version, fmt, _ = struct.unpack("<HBH", buf.read(5))
-        if version >= 3 and len(data) >= 13:
-            buf = io.BytesIO(data[:-4])
-            buf.seek(9)
-        (name_len,) = struct.unpack("<H", buf.read(2))
-        buf.seek(name_len, io.SEEK_CUR)
-        (event_len,) = struct.unpack("<H", buf.read(2))
-        buf.seek(event_len, io.SEEK_CUR)
-        _, n = struct.unpack("<II", buf.read(8))
-    except Exception:
-        return 0
-    total = 0
-    for _ in range(n):
-        try:
-            if fmt == FORMAT_RAW:
-                _, count = struct.unpack("<II", buf.read(8))
-            else:
-                _read_varint(buf)
-                count = _read_varint(buf)
-        except Exception:
-            break
-        total += count
-    return total
-
-
-def _blob_at(data, start):
-    """Decode the profile that starts at ``data[start]``; return
-    ``(decoded, end)``.
-
-    A blob is self-delimiting -- the header gives the record count,
-    the records give their own lengths, version 3 adds the 4-byte
-    trailer -- so a segment needs no framing to be walked.
-    """
-    try:
-        buf = io.BytesIO(data)
-        buf.seek(start + 4)
-        version, fmt, _ = struct.unpack("<HBH", buf.read(5))
+        if data[pos:pos + 4] != MAGIC:
+            raise CorruptProfileError("not a DCPI profile")
+        version, fmt, epoch = struct.unpack_from("<HBH", data, pos + 4)
+        if version != VERSION and not salvage:
+            raise CorruptProfileError(
+                "unsupported profile version %d" % version)
+        pos += 9
+        names = []
         for _ in range(2):                      # image name, event
-            (size,) = struct.unpack("<H", buf.read(2))
-            buf.seek(size, io.SEEK_CUR)
-        _, n = struct.unpack("<II", buf.read(8))
-        if fmt == FORMAT_RAW:
-            buf.seek(8 * n, io.SEEK_CUR)
-        else:
-            for _ in range(2 * n):
-                _read_varint(buf)
-    except (struct.error, EOFError) as exc:
-        raise CorruptProfileError("corrupt profile: %s" % exc) from exc
-    end = buf.tell() + (4 if version >= 3 else 0)
-    return decode_profile(data[start:end]), end
+            (size,) = struct.unpack_from("<H", data, pos)
+            names.append(data[pos + 2:pos + 2 + size].decode("utf-8"))
+            pos += 2 + size
+        image_name, event = names[0], EventType(names[1])
+        period, n = struct.unpack_from("<II", data, pos)
+        pos += 8
+        last = 0
+        for _ in range(n):
+            if fmt == FORMAT_RAW:
+                offset, count = struct.unpack_from("<II", data, pos)
+                pos += 8
+            else:
+                delta, pos = _read_varint(data, pos)
+                count, pos = _read_varint(data, pos)
+                offset = last = last + delta
+            counts[offset] = count
+        (crc,) = struct.unpack_from("<I", data, pos)
+        if zlib.crc32(data[start:pos]) != crc:
+            raise CorruptProfileError("profile checksum mismatch")
+        pos += 4
+    except CorruptProfileError:
+        if not salvage:
+            raise
+    except (struct.error, IndexError, ValueError, OverflowError,
+            MemoryError) as exc:
+        if not salvage:
+            raise CorruptProfileError("corrupt profile: %s" % exc) from exc
+    return (counts, image_name, event, period, epoch), pos
+
+
+def decode_profile(data):
+    """Inverse of :func:`encode_profile`: *data* is one whole blob.
+
+    Returns (counts, image_name, event, period, epoch); raises
+    :class:`CorruptProfileError` (a ``ValueError``) for anything
+    :func:`_parse_blob` rejects and for bytes after the trailer.
+    """
+    decoded, end = _parse_blob(data)
+    if end != len(data):
+        raise CorruptProfileError(
+            "%d bytes after the profile trailer" % (len(data) - end))
+    return decoded
 
 
 def _walk_segment(data):
@@ -303,7 +266,7 @@ def _walk_segment(data):
     start = 0
     while start < len(data):
         try:
-            decoded, end = _blob_at(data, start)
+            decoded, end = _parse_blob(data, start)
             error = None
         except CorruptProfileError as exc:
             decoded, end, error = None, start, exc
@@ -313,12 +276,27 @@ def _walk_segment(data):
                     end = len(data)
                     break
                 try:
-                    _blob_at(data, end)
+                    _parse_blob(data, end)
                     break
                 except CorruptProfileError:
                     continue
         yield start, end, decoded, error
         start = end
+
+
+def _record(counts, image_name, event, period, epoch, **where):
+    """The one shape of a manifest record: what the profile is, and
+    *where* its bytes are (``file`` + ``offset`` + ``length``, which
+    ``_commit`` fills in for a staged profile)."""
+    return dict(where, image=image_name, event=str(event), epoch=epoch,
+                period=int(period), total=sum(counts.values()))
+
+
+def _canonical(manifest):
+    """The one encoding of a manifest: what ``_commit`` writes after
+    the ``CRC`` field, and what that field is the CRC-32 of."""
+    return json.dumps(manifest, sort_keys=True,
+                      separators=(",", ":")).encode("ascii")
 
 
 def _atomic_write(path, data):
@@ -419,16 +397,19 @@ class ProfileDatabase:
             try:
                 with open(path) as handle:
                     manifest = json.load(handle)
-                if isinstance(manifest, dict) and "records" in manifest:
+                # Parsing is not enough: one flipped bit can leave
+                # valid JSON that names another key, slice or total.
+                if (isinstance(manifest, dict)
+                        and manifest.pop("CRC", None)
+                        == zlib.crc32(_canonical(manifest))):
                     self._manifest = manifest
                     return manifest
-                damaged = True
-                self.warnings.append(
-                    "manifest malformed; rebuilt from profile files")
+                reason = "fails its self-check"
             except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-                damaged = True
-                self.warnings.append(
-                    "manifest unreadable; rebuilt from profile files")
+                reason = "unreadable"
+            damaged = True
+            self.warnings.append(
+                "manifest %s; rebuilt from profile files" % reason)
         self._manifest = self._scan(adopt_generations=damaged)
         return self._manifest
 
@@ -464,52 +445,45 @@ class ProfileDatabase:
         manifest = {"version": 1, "generation": 0, "records": {},
                     "checkpoint": None, "quarantined": []}
         adopted_gens = {}
-        for name in sorted(os.listdir(self.root)):
-            if not name.startswith("epoch"):
+        for rel in self._epoch_files():
+            gen = _parse_generation(rel)
+            if gen > manifest["generation"]:
+                manifest["generation"] = gen
+            if gen and not adopt_generations:
                 continue
-            epoch_dir = os.path.join(self.root, name)
-            if not os.path.isdir(epoch_dir):
-                continue
-            for fname in sorted(os.listdir(epoch_dir)):
-                if not fname.endswith(".prof"):
-                    continue
-                rel = os.path.join(name, fname)
-                gen = _parse_generation(fname)
-                if gen > manifest["generation"]:
-                    manifest["generation"] = gen
-                if gen and not adopt_generations:
-                    continue
-                with open(os.path.join(epoch_dir, fname), "rb") as handle:
-                    data = handle.read()
-                for start, end, decoded, error in _walk_segment(data):
+            with open(os.path.join(self.root, rel), "rb") as handle:
+                data = handle.read()
+            for start, end, decoded, error in _walk_segment(data):
+                if error is not None:
                     blob = data[start:end]
-                    if error is not None:
-                        self._set_aside(rel, start, blob)
-                        manifest["quarantined"].append({
-                            "key": rel, "file": rel, "offset": start,
-                            "declared_total": _salvage_total(blob),
-                            "reason": str(error)})
-                        self.warnings.append(
-                            "quarantined %s@%d during rebuild (%s)"
-                            % (rel, start, error))
-                        continue
-                    counts, image_name, event, period, epoch = decoded
-                    key = self._key(epoch, image_name, event)
-                    if gen < adopted_gens.get(key, -1):
-                        continue
-                    adopted_gens[key] = gen
-                    manifest["records"][key] = {
-                        "file": rel,
-                        "offset": start,
-                        "length": end - start,
-                        "image": image_name,
-                        "event": str(event),
-                        "epoch": epoch,
-                        "period": period,
-                        "total": sum(counts.values()),
-                        "crc": zlib.crc32(blob),
-                    }
+                    (salvaged, *_), _ = _parse_blob(blob, salvage=True)
+                    self._set_aside(rel, start, blob)
+                    manifest["quarantined"].append({
+                        "key": rel, "file": rel, "offset": start,
+                        "declared_total": sum(salvaged.values()),
+                        "reason": str(error)})
+                    self.warnings.append(
+                        "quarantined %s@%d during rebuild (%s)"
+                        % (rel, start, error))
+                    continue
+                _, image_name, event, _, epoch = decoded
+                key = self._key(epoch, image_name, event)
+                if gen < adopted_gens.get(key, -1):
+                    continue
+                adopted_gens[key] = gen
+                manifest["records"][key] = _record(
+                    *decoded, file=rel, offset=start, length=end - start)
         return manifest
+
+    def _epoch_files(self, suffixes=(".prof",)):
+        """Yield, in sorted order, the root-relative path of every
+        ``epoch*/`` file whose name ends in one of *suffixes*."""
+        for name in sorted(os.listdir(self.root)):
+            epoch_dir = os.path.join(self.root, name)
+            if name.startswith("epoch") and os.path.isdir(epoch_dir):
+                for fname in sorted(os.listdir(epoch_dir)):
+                    if fname.endswith(suffixes):
+                        yield os.path.join(name, fname)
 
     def _commit(self, manifest, staged=()):
         """Write *staged* as one segment, atomically publish
@@ -546,8 +520,10 @@ class ProfileDatabase:
             referenced = {record["file"]
                           for record in manifest["records"].values()}
             self.faults.check("db.checkpoint")
-            payload = json.dumps(manifest, sort_keys=True,
-                                 separators=(",", ":")).encode("ascii")
+            # "CRC" sorts first, so splicing it in front *is* the
+            # canonical encoding with the field: one encode per commit.
+            body = _canonical(manifest)
+            payload = b'{"CRC":%d,' % zlib.crc32(body) + body[1:]
             mark = self._advance_mark(payload)
             self._write("manifest_bytes", self._manifest_path(), payload)
         except BaseException:
@@ -589,17 +565,9 @@ class ProfileDatabase:
     def _gc(self, referenced):
         """Sweep every epoch directory for files not in *referenced*
         (stale generations, crash orphans, ``.tmp`` leftovers)."""
-        for name in os.listdir(self.root):
-            if not name.startswith("epoch"):
-                continue
-            epoch_dir = os.path.join(self.root, name)
-            if not os.path.isdir(epoch_dir):
-                continue
-            for fname in os.listdir(epoch_dir):
-                if not (fname.endswith(".prof") or fname.endswith(".tmp")):
-                    continue
-                if os.path.join(name, fname) not in referenced:
-                    self._unlink(os.path.join(epoch_dir, fname))
+        for rel in self._epoch_files((".prof", ".tmp")):
+            if rel not in referenced:
+                self._unlink(os.path.join(self.root, rel))
 
     @staticmethod
     def _key(epoch, image_name, event):
@@ -616,7 +584,7 @@ class ProfileDatabase:
         qdir = os.path.join(self.root, QUARANTINE_DIR)
         os.makedirs(qdir, exist_ok=True)
         dst = os.path.join(
-            qdir, "%s@%d" % (rel.replace(os.sep, "_"), offset))
+            qdir, "%s@%s" % (rel.replace(os.sep, "_"), offset))
         try:
             with open(dst, "wb") as handle:
                 handle.write(data)
@@ -627,20 +595,22 @@ class ProfileDatabase:
 
     def _quarantine(self, manifest, key, record, reason):
         """Pull *record* out of the live set; account its samples."""
+        rel = str(record.get("file"))
         try:
-            damaged = self._record_bytes(record)
-        except OSError:
-            damaged = b""       # the file is gone: an empty marker
-        self._set_aside(record["file"], record.get("offset", 0), damaged)
+            damaged = self._record_bytes(record, {})
+        # The file is gone, or the record does not say where its bytes
+        # are: an empty marker.
+        except (OSError, KeyError, TypeError):
+            damaged = b""
+        self._set_aside(rel, record.get("offset", 0), damaged)
         manifest["records"].pop(key, None)
         manifest["quarantined"].append({
             "key": key,
-            "file": record["file"],
+            "file": rel,
             "declared_total": record.get("total", 0),
             "reason": reason,
         })
-        self.warnings.append(
-            "quarantined %s (%s)" % (record["file"], reason))
+        self.warnings.append("quarantined %s (%s)" % (rel, reason))
 
     def quarantined(self):
         """Quarantine ledger entries (key, file, declared_total, reason)."""
@@ -659,47 +629,59 @@ class ProfileDatabase:
         :meth:`_commit` writes the staged bytes and completes the
         record with where they landed.
         """
-        event = str(event)
-        data = encode_profile(counts, image_name, event, period,
+        data = encode_profile(counts, image_name, str(event), period,
                               self.fmt, epoch)
-        record = {
-            "image": image_name,
-            "event": event,
-            "epoch": epoch,
-            "period": int(period),
-            "total": sum(counts.values()),
-            "crc": zlib.crc32(data),
-        }
+        record = _record(counts, image_name, event, period, epoch)
         staged.append((record,
                        self.faults.corrupt_bytes("db.write", data)))
         return record
 
-    def save(self, image_name, event, counts, period, epoch=0,
-             replace=False):
-        """Merge *counts* into the stored profile for (image, event).
-
-        With ``replace=True`` the stored profile is overwritten instead
-        of merged -- the idempotent form the daemon's checkpoints use
-        (re-running a checkpoint never double-counts).
+    def _apply(self, epoch, profiles, periods, merge=False, drop=(),
+               checkpoint=None, ctx=None, fleet=None):
+        """The one mutation, under one :meth:`_commit`: forget the
+        records of the epochs in *drop*, stage *profiles*
+        (``{image: {event: {offset: count}}}``) at *epoch* -- added to
+        what is stored there (*merge*) or in its place -- and set each
+        manifest side blob that is not None.  The profiles are written
+        first, as one segment; the single manifest rename is the
+        commit point, so all of it becomes durable together or not at
+        all.
         """
         manifest = self._load_manifest()
-        key = self._key(epoch, image_name, str(event))
-        merged = dict(counts)
-        record = manifest["records"].get(key)
-        if not replace and record is not None:
-            try:
-                existing, _, _, _, _ = self._read_record(record)
-            except CorruptProfileError as exc:
-                self._quarantine(manifest, key, record, str(exc))
-            else:
-                for offset, count in existing.items():
-                    merged[offset] = merged.get(offset, 0) + count
-        staged = []
-        new_record = self._stage(staged, image_name, event, merged,
-                                 period, epoch)
-        manifest["records"][key] = new_record
+        records = manifest["records"]
+        staged, new_records, segments = [], {}, {}
+        for image_name in sorted(profiles):
+            by_event = profiles[image_name]
+            for event in sorted(by_event, key=str):
+                counts = by_event[event]
+                key = self._key(epoch, image_name, str(event))
+                record = records.get(key) if merge else None
+                if record is not None:
+                    counts = dict(counts)
+                    try:
+                        stored = self._read_record(record, segments)[0]
+                    except CorruptProfileError as exc:
+                        self._quarantine(manifest, key, record, str(exc))
+                    else:
+                        for offset, count in stored.items():
+                            counts[offset] = counts.get(offset, 0) + count
+                new_records[key] = self._stage(
+                    staged, image_name, event, counts,
+                    periods.get(event, 1), epoch)
+        prefixes = tuple("%04d/" % dropped for dropped in drop)
+        for key in [key for key in records if key.startswith(prefixes)]:
+            del records[key]
+        records.update(new_records)
+        for name, blob in (("checkpoint", checkpoint), ("ctx", ctx),
+                           ("fleet", fleet)):
+            if blob is not None:
+                manifest[name] = blob
         self._commit(manifest, staged)
-        return os.path.join(self.root, new_record["file"])
+
+    def save(self, image_name, event, counts, period, epoch=0):
+        """Merge *counts* into the stored profile for (image, event)."""
+        self._apply(epoch, {image_name: {event: counts}}, {event: period},
+                    merge=True)
 
     def checkpoint(self, profiles, periods, epoch, meta=None, ctx=None):
         """Atomically replace *epoch*'s stored state with *profiles*.
@@ -712,78 +694,32 @@ class ProfileDatabase:
         like the fleet ledger) carries the request-context ledger;
         None -- the only value when the context dimension is off --
         leaves the manifest untouched, keeping ctx-less databases
-        byte-identical to pre-context output.  The profiles are
-        written first, as one segment; the single manifest rename is
-        the commit point, so a crash anywhere leaves the previous
-        checkpoint intact and re-running is idempotent.
+        byte-identical to pre-context output.  A crash anywhere leaves
+        the previous checkpoint intact and re-running is idempotent
+        (it replaces, never adds).
         """
-        manifest = self._load_manifest()
-        staged = []
-        new_records = {}
-        for image_name in sorted(profiles):
-            for event, counts in sorted(profiles[image_name].items(),
-                                        key=lambda item: str(item[0])):
-                record = self._stage(
-                    staged, image_name, event, counts,
-                    periods.get(event, 1), epoch)
-                new_records[self._key(epoch, image_name,
-                                      str(event))] = record
-        prefix = "%04d/" % epoch
-        for key in list(manifest["records"]):
-            if key.startswith(prefix) and key not in new_records:
-                del manifest["records"][key]
-        manifest["records"].update(new_records)
-        if meta is not None:
-            manifest["checkpoint"] = dict(meta)
-        if ctx is not None:
-            manifest["ctx"] = ctx
-        self._commit(manifest, staged)
+        self._apply(epoch, profiles, periods, drop=(epoch,),
+                    checkpoint=None if meta is None else dict(meta),
+                    ctx=ctx)
 
     def update_checkpoint(self, meta):
         """Commit new checkpoint *meta* without touching profiles."""
-        manifest = self._load_manifest()
-        manifest["checkpoint"] = dict(meta)
-        self._commit(manifest)
+        self._apply(0, {}, {}, checkpoint=dict(meta))
 
-    def merge_epoch(self, profiles, periods, epoch, meta=None,
-                    meta_key="fleet"):
+    def merge_epoch(self, profiles, periods, epoch, meta=None):
         """Merge a delta's ``{image: {event: {offset: count}}}`` into
         *epoch* under a single manifest commit.
 
-        Unlike :meth:`save` (one commit per (image, event)), the whole
-        delta plus the optional *meta* blob -- committed under
-        ``manifest[meta_key]`` -- becomes durable atomically.  The
-        fleet store rides on this: recording an applied delta id in the
-        same commit as its samples is what makes duplicate delivery
-        idempotent even across a crash between merge and ledger write.
+        The whole delta plus the optional *meta* blob -- committed
+        under the manifest's ``fleet`` key -- becomes durable
+        atomically.  The fleet store rides on this: recording an
+        applied delta id in the same commit as its samples is what
+        makes duplicate delivery idempotent even across a crash
+        between merge and ledger write.
         """
-        manifest = self._load_manifest()
-        staged = []
-        segments = {}
-        for image_name in sorted(profiles):
-            by_event = profiles[image_name]
-            for event in sorted(by_event, key=str):
-                counts = by_event[event]
-                key = self._key(epoch, image_name, str(event))
-                merged = dict(counts)
-                record = manifest["records"].get(key)
-                if record is not None:
-                    try:
-                        existing, _, _, _, _ = self._read_record(
-                            record, segments)
-                    except CorruptProfileError as exc:
-                        self._quarantine(manifest, key, record, str(exc))
-                    else:
-                        for offset, count in existing.items():
-                            merged[offset] = merged.get(offset, 0) + count
-                manifest["records"][key] = self._stage(
-                    staged, image_name, event, merged,
-                    periods.get(event, 1), epoch)
-        if meta is not None:
-            manifest[meta_key] = meta
-        self._commit(manifest, staged)
+        self._apply(epoch, profiles, periods, merge=True, fleet=meta)
 
-    def drop_epoch(self, epoch, meta=None, meta_key="fleet"):
+    def drop_epoch(self, epoch, meta=None):
         """Remove every committed profile of *epoch* in one commit.
 
         Used by the fleet store's retention compaction after an old
@@ -792,17 +728,10 @@ class ProfileDatabase:
         :meth:`merge_epoch`) lets the caller record where the samples
         went so nothing is lost silently.
         """
-        manifest = self._load_manifest()
-        prefix = "%04d/" % epoch
-        for key in list(manifest["records"]):
-            if key.startswith(prefix):
-                del manifest["records"][key]
-        if meta is not None:
-            manifest[meta_key] = meta
-        self._commit(manifest)
+        self._apply(epoch, {}, {}, drop=(epoch,), fleet=meta)
 
     def compact_epochs(self, source_epochs, profiles, periods,
-                       target_epoch, meta=None, meta_key="fleet"):
+                       target_epoch, meta=None):
         """Replace *source_epochs* with *profiles* stored at
         *target_epoch*, all under one manifest commit.
 
@@ -814,37 +743,18 @@ class ProfileDatabase:
         compacted window -- never both (double counting) and never
         neither (silent loss).
         """
-        manifest = self._load_manifest()
-        staged = []
-        new_records = {}
-        for image_name in sorted(profiles):
-            by_event = profiles[image_name]
-            for event in sorted(by_event, key=str):
-                record = self._stage(
-                    staged, image_name, event, by_event[event],
-                    periods.get(event, 1), target_epoch)
-                new_records[self._key(target_epoch, image_name,
-                                      str(event))] = record
-        prefixes = tuple("%04d/" % epoch
-                         for epoch in sorted(set(source_epochs)
-                                             | {target_epoch}))
-        for key in list(manifest["records"]):
-            if key.startswith(prefixes):
-                del manifest["records"][key]
-        manifest["records"].update(new_records)
-        if meta is not None:
-            manifest[meta_key] = meta
-        self._commit(manifest, staged)
+        self._apply(target_epoch, profiles, periods,
+                    drop={*source_epochs, target_epoch}, fleet=meta)
 
-    def get_meta(self, meta_key="fleet"):
-        """The last committed *meta_key* blob (see :meth:`merge_epoch`).
+    def get_meta(self, name="fleet"):
+        """The last committed side blob *name* (see :meth:`_apply`).
 
         Returns None for databases that never committed one, and for
         manifests rebuilt from a destroyed ``MANIFEST.json`` (the scan
         can recover profiles from their files, but side-channel
         metadata only ever lived in the manifest).
         """
-        meta = self._load_manifest().get(meta_key)
+        meta = self._load_manifest().get(name)
         return json.loads(json.dumps(meta)) if meta is not None else None
 
     def checkpoint_meta(self):
@@ -854,42 +764,42 @@ class ProfileDatabase:
 
     # -- read path ---------------------------------------------------------
 
-    def _record_bytes(self, record, segments=None):
-        """The bytes *record* names: its slice of the segment, or the
-        whole file for a record without ``offset`` / ``length``.
+    def _record_bytes(self, record, segments):
+        """The slice of its segment that *record* names.
 
         *segments* (``{file: bytes}``, owned by the caller) lets one
         scan read each segment once however many records share it.
         """
-        if segments is None:
-            segments = {}
         rel = record["file"]
         data = segments.get(rel)
         if data is None:
             with open(os.path.join(self.root, rel), "rb") as handle:
                 data = segments[rel] = handle.read()
-        offset = record.get("offset")
-        if offset is None:
-            return data
-        return data[offset:offset + record["length"]]
+        return data[record["offset"]:record["offset"] + record["length"]]
 
-    def _read_record(self, record, segments=None):
-        """Read + verify one manifest record; raise CorruptProfileError."""
-        path = os.path.join(self.root, record["file"])
+    def _read_record(self, record, segments):
+        """Decode the profile *record* names; raise
+        :class:`CorruptProfileError`.
+
+        The blob's own trailer vouches for its bytes, the record for
+        which blob belongs at that slice (``image``, ``event``,
+        ``epoch``); a record that lacks a field or holds one of the
+        wrong type fails the same way as damaged bytes.
+        """
         try:
-            data = self._record_bytes(record, segments)
+            decoded = decode_profile(self._record_bytes(record, segments))
+            named = record["image"], record["event"], record["epoch"]
         except FileNotFoundError as exc:
+            raise CorruptProfileError("profile file missing") from exc
+        except (KeyError, TypeError) as exc:
             raise CorruptProfileError(
-                "profile file missing", path=path) from exc
-        crc = record.get("crc")
-        if crc is not None and zlib.crc32(data) != crc:
+                "malformed manifest record: %r" % exc) from exc
+        _, image_name, event, _, epoch = decoded
+        if (image_name, str(event), epoch) != named:
             raise CorruptProfileError(
-                "stored checksum mismatch", path=path)
-        try:
-            return decode_profile(data)
-        except CorruptProfileError as exc:
-            exc.path = path
-            raise
+                "slice holds %s@%s of epoch %d, not the profile its "
+                "record names" % (image_name, event, epoch))
+        return decoded
 
     def load(self, image_name, event, epoch=0):
         """Return ({offset: count}, period) for (image, event).
@@ -906,7 +816,7 @@ class ProfileDatabase:
                 "no profile for (%s, %s) in epoch %d"
                 % (image_name, event, epoch))
         try:
-            counts, _, _, period, _ = self._read_record(record)
+            counts, _, _, period, _ = self._read_record(record, {})
         except CorruptProfileError:
             self._quarantine(manifest, key, record,
                              "corrupt on load")
@@ -930,14 +840,13 @@ class ProfileDatabase:
                 continue
             record = manifest["records"][key]
             try:
-                counts, _, _, period, _ = self._read_record(record,
-                                                            segments)
+                counts, image_name, event, period, _ = self._read_record(
+                    record, segments)
             except CorruptProfileError as exc:
                 self._quarantine(manifest, key, record, str(exc))
                 dirty = True
                 continue
-            yield (record["image"], EventType(record["event"]),
-                   counts, period)
+            yield image_name, event, counts, period
         if dirty:
             self._commit(manifest)
 
@@ -998,16 +907,8 @@ class ProfileDatabase:
         excluded: this is the paper's Table 5 storage metric, profile
         payload only.
         """
-        total = 0
-        for dirpath, dirs, files in os.walk(self.root):
-            if os.path.basename(dirpath) == QUARANTINE_DIR:
-                continue
-            dirs[:] = [d for d in dirs if d != QUARANTINE_DIR]
-            for name in files:
-                if not name.endswith(".prof"):
-                    continue
-                total += os.path.getsize(os.path.join(dirpath, name))
-        return total
+        return sum(os.path.getsize(os.path.join(self.root, rel))
+                   for rel in self._epoch_files())
 
 
 def _parse_generation(fname):

@@ -19,6 +19,8 @@ import json
 import os
 import zlib
 
+from repro.collect.database import _atomic_write
+
 
 class DrainJournal:
     """Append/replay/truncate log of drained sample batches."""
@@ -82,8 +84,4 @@ class DrainJournal:
 
     def truncate(self):
         """Drop all records (called after a durable checkpoint)."""
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        _atomic_write(self.path, b"")

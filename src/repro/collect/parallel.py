@@ -264,10 +264,7 @@ class MergedProfiles:
         """
         if isinstance(database, (str, os.PathLike)):
             database = ProfileDatabase(os.fspath(database))
-        for image in self.images():
-            for event, by_offset in self.counts[image].items():
-                database.save(image, event, by_offset,
-                              self.periods.get(event, 1), epoch)
+        database.merge_epoch(self.counts, self.periods, epoch)
 
 
 @dataclass

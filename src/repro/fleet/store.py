@@ -154,7 +154,8 @@ class IngestRetry:
 def _empty_ledger():
     return {
         "version": LEDGER_VERSION,
-        #: delta id -> {machine, epoch, batch, samples, bytes}
+        #: delta id -> 1: the set of applied deltas (only membership
+        #: and size are ever read; per-machine totals are below).
         "applied": {},
         #: machine id -> {deltas, samples, lost (machine-side), workload}
         "machines": {},
@@ -205,14 +206,7 @@ class FleetShard:
         lost-update race the lock exists to prevent).
         """
         self.db = ProfileDatabase(os.path.join(self.root, "db"))
-        ledger = self.db.get_meta("fleet")
-        if ledger is None:
-            ledger = _empty_ledger()
-        else:
-            # Forward-fill keys added after the shard was created.
-            for key, value in _empty_ledger().items():
-                ledger.setdefault(key, value)
-        self.ledger = ledger
+        self.ledger = self.db.get_meta("fleet") or _empty_ledger()
 
     # -- locking -----------------------------------------------------------
 
@@ -324,14 +318,7 @@ class FleetShard:
             return False
         samples = delta.total_samples()
         size = delta.encoded_bytes()
-        self.ledger["applied"][delta.delta_id] = {
-            "machine": delta.machine_id,
-            "epoch": delta.epoch,
-            "batch": delta.batch,
-            "generation": delta.generation,
-            "samples": samples,
-            "bytes": size,
-        }
+        self.ledger["applied"][delta.delta_id] = 1
         machine = self.ledger["machines"].setdefault(
             delta.machine_id, {"deltas": 0, "samples": 0, "lost": 0,
                                "workload": delta.workload,

@@ -9,7 +9,7 @@ reproduction the same introspection as a first-class subsystem:
 * :mod:`repro.obs.trace` -- hierarchical spans emitted as Chrome
   ``about:tracing``/Perfetto-compatible JSONL;
 * :mod:`repro.obs.schema` -- the normalized metric namespace that
-  unifies the old ad-hoc ``stats()`` dicts (which remain as shims);
+  replaced the old ad-hoc ``stats()`` dicts;
 * :mod:`repro.obs.report` -- the ``dcpimon`` report renderer.
 
 Instrumentation is zero-cost when disabled: :data:`NULL_OBS` answers

@@ -2,6 +2,7 @@
 
 import json
 import os
+import zlib
 
 import pytest
 from hypothesis import settings
@@ -40,6 +41,21 @@ def files_in_manifest(db):
     with open(os.path.join(db.root, "MANIFEST.json")) as handle:
         manifest = json.load(handle)
     return {record["file"] for record in manifest["records"].values()}
+
+
+def rewrite_manifest(db, mutate):
+    """Apply *mutate* to the manifest on disk and publish the result
+    with a valid self-check -- what a bug or a tamperer would leave,
+    as opposed to at-rest damage, which the ``CRC`` field catches."""
+    path = os.path.join(db.root, "MANIFEST.json")
+    with open(path) as handle:
+        manifest = json.load(handle)
+    manifest.pop("CRC", None)
+    mutate(manifest)
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    with open(path, "w") as handle:
+        handle.write('{"CRC":%d,%s' % (zlib.crc32(body.encode("ascii")),
+                                        body[1:]))
 
 
 #: The paper's Figure 2 copy loop (4x unrolled), used by many tests.

@@ -2,11 +2,13 @@
 
 import json
 import os
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import files_in_manifest, files_on_disk
+from conftest import files_in_manifest, files_on_disk, rewrite_manifest
 from repro.collect.database import (FORMAT_COMPACT, FORMAT_RAW,
                                     MANIFEST_NAME, CorruptProfileError,
                                     ImageProfile, ProfileDatabase,
@@ -126,6 +128,9 @@ class TestCorruptionHandling:
             decode_profile(data[:-3])
         with pytest.raises(CorruptProfileError):
             decode_profile(bitflip_at_rest(data, seed=1))
+        # One whole blob, nothing behind its trailer.
+        with pytest.raises(CorruptProfileError, match="after the profile"):
+            decode_profile(data + data)
         # ... which is still a ValueError for legacy callers.
         assert issubclass(CorruptProfileError, ValueError)
 
@@ -168,39 +173,69 @@ class TestCorruptionHandling:
         assert report["lost_samples"] == 7
         assert fresh.total_samples() == 7  # app's 5+2 survive
 
-    def test_v2_files_still_load(self, tmp_path):
-        """Pre-checksum (version 2) profiles remain readable: a file
-        per profile, named by a record that has no ``offset`` /
-        ``length`` (a segment of one, read by the one read path)."""
+    def test_unknown_version_is_quarantined_with_its_declared_total(
+            self, tmp_path):
+        """A blob whose version this code does not know -- intact
+        otherwise, trailer included, under an intact record -- is
+        damage like any other: typed, quarantined, accounted."""
         db = self.fill(tmp_path)
         record = db._load_manifest()["records"]["0000/app@cycles"]
-        with open(os.path.join(db.root, record["file"]), "rb") as handle:
+        path = os.path.join(db.root, record["file"])
+        with open(path, "rb") as handle:
             data = handle.read()
-        import struct
-        import zlib
-        body = data[:-4]                      # strip the CRC trailer
-        v2 = body[:4] + struct.pack("<H", 2) + body[6:]
-        legacy = os.path.join("epoch0000", "app@cycles.prof")
-        with open(os.path.join(db.root, legacy), "wb") as handle:
-            handle.write(v2)
-        # Point the record at the legacy file the way a pre-segment
-        # manifest did: whole file, whole-file CRC.
-        manifest_path = os.path.join(db.root, MANIFEST_NAME)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        legacy_record = manifest["records"]["0000/app@cycles"]
-        del legacy_record["offset"], legacy_record["length"]
-        legacy_record.update(file=legacy, crc=zlib.crc32(v2))
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        body = data[:4] + struct.pack("<H", 4) + data[6:-4]
+        future = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(CorruptProfileError, match="version 4"):
+            decode_profile(future)
+        with open(path, "wb") as handle:
+            handle.write(future)
         fresh = ProfileDatabase(str(tmp_path))
-        counts, _ = fresh.load("app", EventType.CYCLES)
-        assert counts == {0: 5, 8: 2}
-        assert fresh.total_samples() == 14 and not fresh.quarantined()
-        # ... and merging into it moves it into a segment.
-        fresh.save("app", EventType.CYCLES, {0: 1}, 100)
-        assert fresh.load("app", EventType.CYCLES)[0] == {0: 6, 8: 2}
-        assert not os.path.exists(os.path.join(db.root, legacy))
+        loaded = {name: counts for name, _, counts, _ in fresh.load_all()}
+        assert loaded == {"lib": {4: 7}}
+        (entry,) = fresh.quarantined()
+        assert entry["declared_total"] == 7 and "version 4" in entry["reason"]
+        assert ProfileDatabase(str(tmp_path)).total_samples() == 7
+
+    def test_intact_profile_under_the_wrong_record_is_quarantined(
+            self, tmp_path):
+        """The blob's trailer vouches for its bytes, not for whose they
+        are: two records with their slices swapped both name intact
+        profiles, and neither may be served."""
+        db = self.fill(tmp_path)
+
+        def swap_slices(manifest):
+            app, lib = (manifest["records"]["0000/%s@cycles" % image]
+                        for image in ("app", "lib"))
+            for field in ("file", "offset", "length"):
+                app[field], lib[field] = lib[field], app[field]
+
+        rewrite_manifest(db, swap_slices)
+        fresh = ProfileDatabase(str(tmp_path))
+        with pytest.raises(CorruptProfileError):
+            fresh.load("app", EventType.CYCLES)
+        report = fresh.verify()
+        assert (report["checked"], report["quarantined"]) == (0, 1)
+        assert report["lost_samples"] == 14 and fresh.total_samples() == 0
+
+    @pytest.mark.parametrize("mutate", [
+        lambda record: record.pop("length"),
+        lambda record: record.pop("file"),
+        lambda record: record.update(length=str(record["length"])),
+    ], ids=["no-length", "no-file", "string-length"])
+    def test_malformed_record_is_a_typed_error_and_the_scan_continues(
+            self, tmp_path, mutate):
+        for name in ("scanned", "loaded"):
+            rewrite_manifest(self.fill(tmp_path / name), lambda manifest: (
+                mutate(manifest["records"]["0000/app@cycles"])))
+        fresh = ProfileDatabase(str(tmp_path / "scanned"))
+        assert [name for name, _, _, _ in fresh.load_all()] == ["lib"]
+        (entry,) = fresh.quarantined()
+        assert entry["declared_total"] == 7 and "malformed" in entry["reason"]
+        assert ProfileDatabase(str(tmp_path / "scanned")).verify() == {
+            "checked": 1, "quarantined": 0, "lost_samples": 7}
+        with pytest.raises(CorruptProfileError, match="malformed"):
+            ProfileDatabase(str(tmp_path / "loaded")).load(
+                "app", EventType.CYCLES)
 
 
 class TestCheckpoint:
@@ -386,8 +421,8 @@ class TestGarbageCollection:
                                   self.PERIODS, epoch=1),
             lambda: db.save("app", self.CYCLES, {0: 1}, 100, epoch=2),
             lambda: db.save("app", self.CYCLES, {0: 1}, 100, epoch=2),
-            lambda: db.save("app", self.CYCLES, {4: 7}, 100, epoch=2,
-                            replace=True),
+            lambda: db.checkpoint({"app": {self.CYCLES: {4: 7}}},
+                                  self.PERIODS, epoch=2),
             lambda: db.compact_epochs([0, 1], delta, self.PERIODS, 0),
             lambda: db.drop_epoch(2),
         ]

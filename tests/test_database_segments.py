@@ -19,8 +19,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import examples, files_in_manifest, files_on_disk
 from repro.collect.database import (MANIFEST_NAME, QUARANTINE_DIR,
-                                    ProfileDatabase, _salvage_total,
-                                    encode_profile)
+                                    ProfileDatabase, _parse_blob,
+                                    _walk_segment, encode_profile)
 from repro.cpu.events import EventType
 from repro.faults.injector import (NULL_INJECTOR, FaultPlan, FaultSpec,
                                    InjectedCrash)
@@ -45,6 +45,12 @@ def _contents(db):
 
 def _records(db):
     return db._load_manifest()["records"]
+
+
+def _salvaged(blob):
+    """The total a manifest rebuild accounts a damaged span with."""
+    (counts, *_), _ = _parse_blob(blob, salvage=True)
+    return sum(counts.values())
 
 
 # -- (a) what a commit costs --------------------------------------------------
@@ -109,6 +115,12 @@ def test_segment_is_encoded_profiles_back_to_back(tmp_path):
         assert record["offset"] == cursor
         cursor += record["length"]
     assert cursor == len(data) == db.disk_bytes()
+    # ... and the walker finds the same tiling with no record to guide
+    # it: k blobs, k spans, each ending where the next begins.
+    assert [(start, end, error) for start, end, _, error
+            in _walk_segment(data)] == [
+        (record["offset"], record["offset"] + record["length"], None)
+        for record in records]
 
 
 # -- (b) every mutator against a model, with a crash --------------------------
@@ -122,8 +134,7 @@ _delta = st.dictionaries(
     _images, st.dictionaries(_events, _counts, min_size=1, max_size=2),
     max_size=3)
 _ops = st.one_of(
-    st.tuples(st.just("save"), _images, _events, _counts, _epochs,
-              st.booleans()),
+    st.tuples(st.just("save"), _images, _events, _counts, _epochs),
     st.tuples(st.just("checkpoint"), _delta, _epochs),
     st.tuples(st.just("merge_epoch"), _delta, _epochs),
     st.tuples(st.just("drop_epoch"), _epochs),
@@ -147,11 +158,8 @@ def _merge_into(model, key, counts):
 def _apply_to_model(model, op):
     kind = op[0]
     if kind == "save":
-        _, image, event, counts, epoch, replace = op
-        if replace:
-            model[(epoch, image, event)] = dict(counts)
-        else:
-            _merge_into(model, (epoch, image, event), counts)
+        _, image, event, counts, epoch = op
+        _merge_into(model, (epoch, image, event), counts)
     elif kind == "merge_epoch":
         for key, counts in _flat(op[1], op[2]).items():
             _merge_into(model, key, counts)
@@ -171,9 +179,8 @@ def _apply_to_model(model, op):
 def _apply_to_db(db, op):
     kind = op[0]
     if kind == "save":
-        _, image, event, counts, epoch, replace = op
-        db.save(image, event, counts, PERIODS[event], epoch=epoch,
-                replace=replace)
+        _, image, event, counts, epoch = op
+        db.save(image, event, counts, PERIODS[event], epoch=epoch)
     elif kind == "checkpoint":
         db.checkpoint(op[1], PERIODS, op[2])
     elif kind == "merge_epoch":
@@ -196,8 +203,14 @@ class DatabaseAgainstModel(RuleBasedStateMachine):
 
     @rule(op=_ops)
     def commit(self, op):
+        before = self.db.io_counts()
         _apply_to_db(self.db, op)
         _apply_to_model(self.model, op)
+        # Every mutator is one commit: one manifest, at most one segment.
+        after = self.db.io_counts()
+        assert after["manifest_bytes"] - before["manifest_bytes"] \
+            == os.path.getsize(os.path.join(self.root, MANIFEST_NAME))
+        assert after["files_written"] - before["files_written"] in (1, 2)
         # Files on disk == files the manifest names, after every commit.
         assert files_on_disk(self.db) == files_in_manifest(self.db)
 
@@ -324,14 +337,8 @@ def test_rebuild_resynchronises_after_a_flipped_byte(index, mask):
         fresh, loaded = seg.damage(damaged, True)
         siblings = {image: SHARED[image][CYCLES]
                     for image in SHARED if image != victim}
-        if victim in loaded:
-            # The one flip a blob survives: version 3 -> 2 reads as a
-            # pre-checksum profile (intact), its trailer as 4 stray bytes.
-            assert loaded.pop(victim) == SHARED[victim][CYCLES]
-            assert fresh.quarantined_samples() == 0
-        else:
-            assert fresh.quarantined_samples() == _salvage_total(
-                seg.slice_of(victim, damaged))
+        assert fresh.quarantined_samples() == _salvaged(
+            seg.slice_of(victim, damaged))
         assert loaded == siblings
         assert fresh.warnings
 
@@ -346,7 +353,7 @@ def test_rebuild_of_a_truncated_segment_accounts_the_torn_tail(cut):
         assert loaded == {image: SHARED[image][CYCLES] for image in whole}
         torn = [seg.slice_of(image, seg.data[:cut])
                 for image in seg.covering(cut - 1) if image not in whole]
-        assert fresh.quarantined_samples() == sum(map(_salvage_total, torn))
+        assert fresh.quarantined_samples() == sum(map(_salvaged, torn))
         assert len(fresh.quarantined()) == len(torn)
 
 
@@ -362,3 +369,34 @@ def test_torn_write_of_one_profile_costs_that_profile(tmp_path):
     assert {image for image, _, _, _ in fresh.load_all(0)} \
         == set(SHARED) - {victim}
     assert fresh.quarantined_samples() == TOTALS[victim]
+
+
+# -- (d) damage to the manifest itself ----------------------------------------
+
+
+def test_no_flipped_manifest_bit_is_served_or_loses_a_sample(tmp_path):
+    """``MANIFEST.json`` with one bit flipped either no longer parses
+    or fails its ``CRC`` field; both are a damaged manifest, rebuilt
+    from the segments.  Never a raw ``KeyError`` (``"puarantined"``),
+    never a record silently dropped (``"1000/app@cycles"``) or served
+    with another slice or total.  One bit of every byte in tier-1, all
+    eight under the ``explore`` profile."""
+    db = ProfileDatabase(str(tmp_path))
+    db.save("app", CYCLES, {0: 5, 8: 2}, 100)
+    db.save("lib", CYCLES, {4: 7}, 100)
+    path = os.path.join(db.root, MANIFEST_NAME)
+    with open(path, "rb") as handle:
+        intact = handle.read()
+    for index in range(len(intact)):
+        for bit in range(index, index + min(8, examples(1))):
+            with open(path, "wb") as handle:
+                handle.write(_flipped(intact, index, 1 << bit % 8))
+            fresh = ProfileDatabase(db.root)
+            report = fresh.verify()
+            assert (report["checked"], report["lost_samples"]) == (2, 0)
+            assert fresh.total_samples() == 14
+            assert "rebuilt" in fresh.warnings[0], (index, bit)
+    with open(path, "wb") as handle:
+        handle.write(intact)
+    intact_again = ProfileDatabase(db.root)
+    assert intact_again.total_samples() == 14 and not intact_again.warnings
