@@ -42,7 +42,9 @@ class CheckConfig:
     """Settings for one ``dcpicheck`` run."""
 
     layers: Tuple[str, ...] = LAYERS
-    workloads: Tuple[str, ...] = ()   # empty = the full registry
+    #: empty = every registered name (``workload_names()``: the Table 2
+    #: lineup plus ``bigcode``, ``mccalpin`` and the ``opt-*`` targets).
+    workloads: Tuple[str, ...] = ()
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
     seed: int = 1
     dyn_threshold: float = 0.25
@@ -58,9 +60,9 @@ class CheckConfig:
     def resolved_workloads(self) -> Tuple[str, ...]:
         if self.workloads:
             return self.workloads
-        from repro.workloads.registry import WORKLOADS
+        from repro.workloads.registry import workload_names
 
-        return tuple(WORKLOADS)
+        return tuple(workload_names())
 
     def resolved_src_root(self) -> str:
         if self.src_root is not None:

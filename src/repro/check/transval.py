@@ -45,7 +45,7 @@ dcpicheck Layer 4 -- as well as the first acceptance gate of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.alpha import regs
 from repro.alpha.image import Image
@@ -90,8 +90,12 @@ def _reg_name(reg: int) -> str:
     return "r%d" % reg
 
 
-def format_expr(expr: Expr) -> str:
-    """Render a symbolic value the way counterexamples print it."""
+def format_expr(expr: Expr, depth: int = 6) -> str:
+    """Render a symbolic value the way counterexamples print it.
+
+    Operands more than *depth* levels down print as ``...``: values
+    are DAGs, and the printed tree doubles with every shared level.
+    """
     tag = expr[0]
     if tag == "const":
         value = expr[1]
@@ -106,38 +110,55 @@ def format_expr(expr: Expr) -> str:
         return "ret@%#x" % expr[1]
     if tag == "sym":
         return "&%s" % expr[1]
+    if depth <= 0:
+        return "..."
     if tag == "load":
-        return "%s[%s]@m%d" % (expr[1], format_expr(expr[2]), expr[3])
+        return "%s[%s]@m%d" % (expr[1], format_expr(expr[2], depth - 1),
+                               expr[3])
     if tag == "op":
-        return "(%s %s %s)" % (expr[1], format_expr(expr[2]),
-                               format_expr(expr[3]))
+        return "(%s %s %s)" % (expr[1], format_expr(expr[2], depth - 1),
+                               format_expr(expr[3], depth - 1))
     if tag == "cmov":
-        return "(%s %s ? %s : %s)" % (expr[1], format_expr(expr[2]),
-                                      format_expr(expr[3]),
-                                      format_expr(expr[4]))
+        return "(%s %s ? %s : %s)" % (
+            expr[1], format_expr(expr[2], depth - 1),
+            format_expr(expr[3], depth - 1),
+            format_expr(expr[4], depth - 1))
     if tag == "aligned":
-        return "(%s & ~3)" % format_expr(expr[1])
+        return "(%s & ~3)" % format_expr(expr[1], depth - 1)
     return repr(expr)
 
 
-def _expr_eq(a: Expr, b: Expr, old2new: Dict[int, int]) -> bool:
+def _expr_eq(a: Expr, b: Expr, old2new: Dict[int, int],
+             proven: Optional[Set[Tuple[int, int]]] = None) -> bool:
     """Structural equality, original vs rewritten side.
 
     ``codeaddr`` leaves are return slots (``instruction offset + 4``);
     they correspond exactly when the instructions that materialized
     them correspond under ``old2new`` -- the oracle's return-slot rule,
     applied statically.
+
+    Values are DAGs, not trees: a long dependence chain shares its
+    operands, so *proven* remembers the node pairs (by identity; both
+    values outlive the comparison) already found equal and each pair
+    is walked once.  An unequal pair ends the whole comparison, so
+    only equalities need remembering.
     """
     if a[0] != b[0] or len(a) != len(b):
         return False
     if a[0] == "codeaddr":
         return old2new.get(a[1] - 4) == b[1] - 4
+    if proven is None:
+        proven = set()
+    pair = (id(a), id(b))
+    if pair in proven:
+        return True
     for x, y in zip(a[1:], b[1:]):
         if isinstance(x, tuple) and isinstance(y, tuple):
-            if not _expr_eq(x, y, old2new):
+            if not _expr_eq(x, y, old2new, proven):
                 return False
         elif x != y:
             return False
+    proven.add(pair)
     return True
 
 

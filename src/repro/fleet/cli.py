@@ -11,17 +11,21 @@ Subcommands::
     dcpifleet verify     shard integrity + conservation audit (exit 1)
 
 ``regress`` exits 2 when any procedure's CPU share increased beyond
-both the sampling-error significance bound and the configured floor;
-CI runs it against a committed baseline (``--write-baseline``
-regenerates one).  All output is deterministic for a given store.
+both the sampling-error significance bound and the configured floor,
+and 1 when either side of the comparison holds no samples; CI runs it
+against a committed baseline (``--write-baseline`` regenerates one).
+Every subcommand but ``run`` only reads: on a path that holds no store
+it exits 1 and creates nothing.  All output is deterministic for a
+given store.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from repro.fleet.query import (DEFAULT_Z, FleetQuery, load_baseline)
-from repro.fleet.store import FleetStore
+from repro.fleet.store import STORE_META_NAME, FleetStore
 
 
 def build_parser():
@@ -279,6 +283,12 @@ def cmd_regress(args, out):
         epochs=args.epochs, base_epochs=args.base_epochs,
         baseline=baseline, by=args.by, z=args.z,
         min_share_delta=args.min_share_delta)
+    if not report["base_total"] or not report["new_total"]:
+        # Every share of an empty side is 0: nothing can "regress".
+        print("regress: nothing to compare (%d baseline samples, %d "
+              "under test)" % (report["base_total"],
+                               report["new_total"]), file=sys.stderr)
+        return 1
     if args.as_json:
         json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -378,6 +388,11 @@ def cmd_verify(args, out):
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    if args.command != "run" and not os.path.isfile(
+            os.path.join(args.store, STORE_META_NAME)):
+        # Only ``run`` creates a store; opening one would.
+        print("no such store: %s" % args.store, file=sys.stderr)
+        return 1
     handler = {
         "run": cmd_run,
         "top": cmd_top,

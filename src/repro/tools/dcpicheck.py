@@ -1,11 +1,10 @@
 """``dcpicheck``: the static-analysis and invariant-verification CLI.
 
 Runs any subset of the four check layers (``image``, ``analysis``,
-``lint``, ``rewrite``) over the seed workload registry, prints the
-findings, and
-exits non-zero when any *unwaived* error-severity finding remains.
-CI uses it as a gate; the JSON report (``--json``) is the normalized
-artifact the nightly run uploads.
+``lint``, ``rewrite``) over every registered workload, prints the
+findings, and exits non-zero when any *unwaived* error-severity
+finding remains.  CI uses it as a gate; the JSON report (``--json``)
+is the normalized artifact it uploads.
 
 Examples::
 
@@ -49,7 +48,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              % ",".join(LAYERS))
     parser.add_argument(
         "--workloads", default="",
-        help="comma-separated workload names (default: full registry)")
+        help="comma-separated workload names (default: every "
+             "registered name, see dcpiab --list)")
     parser.add_argument(
         "--max-instructions", type=int,
         default=DEFAULT_MAX_INSTRUCTIONS,

@@ -12,7 +12,8 @@ Two subcommands:
   cycles per request).
 
 Exit codes: 0 on success; 1 when the database carries no context
-ledger (the session ran without ``context=True``).
+ledger (the session ran without ``context=True``) or does not exist
+(``report`` only reads: it creates nothing).
 
 The report is computed from the committed blob only -- no session
 state -- so it works identically on a single run, a crash-recovered
@@ -21,6 +22,7 @@ database, or a merged multi-epoch history.
 
 import argparse
 import json
+import os
 import sys
 
 from repro.collect.database import ProfileDatabase
@@ -199,6 +201,9 @@ def _run(args):
 
 
 def _report(args):
+    if not os.path.isdir(args.db):
+        print("no such database: %s" % args.db, file=sys.stderr)
+        return 1
     database = ProfileDatabase(args.db)
     merged = _merged_ledger(database)
     if merged is None:

@@ -168,3 +168,11 @@ class TestCli:
         assert main(["report", root, "--json"]) == 1
         err = capsys.readouterr().err
         assert "no context ledger" in err
+
+    def test_missing_database_is_not_created(self, tmp_path, capsys):
+        # Exit 1 for the right reason: a report reads, so a mistyped
+        # path must not become an empty database with no ledger.
+        root = tmp_path / "typo" / "db"
+        assert main(["report", str(root)]) == 1
+        assert "no such database" in capsys.readouterr().err
+        assert not root.parent.exists()

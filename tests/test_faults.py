@@ -235,6 +235,35 @@ class TestChaosCli:
         assert cases[0]["ok"]
         assert cases[0]["recoveries"] == 1
 
+    def test_dropped_accounting_term_fails_the_gate(self, monkeypatch,
+                                                    capsys):
+        # The gate shown red: forget the driver-side drops and a burst
+        # of vanished overflow buffers is unaccounted loss.
+        from repro.tools.dcpichaos import main
+
+        monkeypatch.setattr(
+            audit, "accounted_loss",
+            lambda report: (report["lost"]
+                            + report.get("quarantined_samples", 0)))
+        assert main(["--scenarios", "overflow-burst"]) == 1
+        out = capsys.readouterr().out
+        assert "1 failure(s)" in out and "unaccounted loss" in out
+
+    def test_dropped_fleet_accounting_term_fails_the_gate(
+            self, monkeypatch, capsys):
+        # Same for the fleet books: forget what the transport lost and
+        # a delta that vanished in transit no longer balances.
+        from repro.check import analysis_checks
+        from repro.tools.dcpichaos import main
+
+        balance = analysis_checks.check_fleet_conservation
+        monkeypatch.setattr(
+            analysis_checks, "check_fleet_conservation",
+            lambda **terms: balance(**dict(terms, transit_lost=0)))
+        assert main(["--fleet", "--scenarios", "fleet-ship-drop"]) == 1
+        out = capsys.readouterr().out
+        assert "conservation violated" in out and "silently lost" in out
+
 
 class TestRunCase:
     def test_crash_case_holds_invariant(self):

@@ -507,6 +507,46 @@ def test_cli_regress_exit_codes(fleet_deltas, tmp_path):
     assert code == 1
 
 
+def test_cli_regress_goes_red(tmp_path, capsys):
+    """The fleet gate shown red against the committed baseline: a fleet
+    that only serves altavista shifts the mix (exit 2); a store that
+    is missing or holds nothing is no comparison (exit 1, never 0)."""
+    baseline = os.path.join(os.path.dirname(__file__), "..",
+                            "benchmarks", "baselines", "FLEET_quick.json")
+    root = str(tmp_path / "shifted")
+    code, _ = _run_cli([
+        "run", "--store", root, "--machines", "3", "--epochs", "3",
+        "--seed", "1", "--workloads", "altavista,altavista,altavista"])
+    assert code == 0
+    code, text = _run_cli(["regress", "--store", root,
+                           "--epochs", "0..2", "--baseline", baseline])
+    assert code == 2
+    assert "REGRESSION" in text and "altavista:ScanIndex" in text
+    empty = str(tmp_path / "empty")
+    FleetStore(empty)
+    for root in (empty, str(tmp_path / "typo")):
+        code, text = _run_cli(["regress", "--store", root,
+                               "--epochs", "0..2",
+                               "--baseline", baseline])
+        assert code == 1
+        assert "no significant" not in text
+    err = capsys.readouterr().err
+    assert "nothing to compare" in err and "no such store" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["top"], ["movers", "--base-epochs", "0"], ["timeseries"],
+    ["regress", "--base-epochs", "0"], ["classes"], ["verify"]],
+    ids=lambda argv: argv[0])
+def test_cli_queries_do_not_create_the_store_they_read(argv, tmp_path,
+                                                       capsys):
+    root = tmp_path / "typo"
+    code, text = _run_cli([*argv, "--store", str(root)])
+    assert code == 1 and text == ""
+    assert "no such store" in capsys.readouterr().err
+    assert not root.exists()
+
+
 def test_cli_run_reports_conservation_findings(tmp_path):
     """A run whose invariant fails exits nonzero (the CI contract)."""
     root = str(tmp_path / "store")

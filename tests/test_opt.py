@@ -332,6 +332,15 @@ def test_cli_run_report_and_sweep(tmp_path, capsys):
     assert len(sweep["rows"]) == 1
 
 
+def test_cli_run_exits_nonzero_on_a_rejected_rewrite(capsys):
+    # The gate shown red: an undecidable verify run is a rejection.
+    rc = dcpiopt.main(["run", "--workload", "opt-branchy",
+                       "--max-instructions", "40000",
+                       "--verify-instructions", "1000"])
+    assert rc == 1
+    assert "REJECTED" in capsys.readouterr().out
+
+
 def test_cli_single_pass_selection(capsys):
     rc = dcpiopt.main(["run", "--workload", "opt-stall",
                        "--max-instructions", "40000",

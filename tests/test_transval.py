@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.alpha.assembler import assemble
-from repro.check import run_rewrite_layer
+from repro.check import run_rewrite_layer, transval
 from repro.check.runner import plan_workload
 from repro.check.transval import (R_CTRL, R_DATA, R_FROZEN, R_REG,
                                   R_STRUCTURE, format_expr,
@@ -118,6 +118,33 @@ class TestAccepts:
         for image_name, report in sorted(reports.items()):
             assert report.verdict == "accepted", (
                 image_name, [str(f) for f in report.to_findings()])
+
+    def test_shared_operands_are_walked_once(self, monkeypatch):
+        # bigcode: straight-line blocks of 100-700 operates over eight
+        # registers, so every value is a DAG sharing its operands.
+        # Each instruction's node may be reached once per register
+        # compared at block exit (<= 8 here) over <= 3 edges; walked
+        # as a tree the count is exponential in block length (this
+        # workload never finished before the comparison memoised).
+        workload, plans = plan_workload("bigcode",
+                                        max_instructions=40_000)
+        instructions = sum(len(block.order) for plan in plans
+                           for proc in plan.procs
+                           for block in proc.blocks)
+        limit = 3 * 8 * instructions
+        visits = [0]
+        walk = transval._expr_eq
+
+        def counted(*args):
+            visits[0] += 1
+            assert visits[0] <= limit, "comparison re-walks shared nodes"
+            return walk(*args)
+
+        monkeypatch.setattr(transval, "_expr_eq", counted)
+        reports = validate_workload_plans(workload, plans)
+        assert instructions > 5_000
+        assert [r.verdict for r in reports.values()] == ["accepted"]
+        assert visits[0] > instructions
 
 
 class TestRejects:
@@ -275,6 +302,15 @@ class TestBailsAndReporting:
             "(cmpult (addq r1@entry 0x1) r0@entry)"
         assert format_expr(("postcall", 2, 26)) == "r26@call2"
         assert format_expr(("codeaddr", 8)) == "ret@0x8"
+
+    def test_format_expr_elides_deep_operands(self):
+        # A 200-deep chain sharing its operand prints 2**200 leaves as
+        # a tree; a counterexample must print, not hang.
+        expr = ("reg", 1)
+        for _ in range(200):
+            expr = ("op", "addq", expr, expr)
+        text = format_expr(expr)
+        assert "..." in text and len(text) < 2_000
 
 
 class TestLayerWiring:
