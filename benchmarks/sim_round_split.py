@@ -4,7 +4,7 @@ slow-path instructions / replay dispatch.
 A measurement recipe, not a benchmark (``dcpibench`` does not collect
 it and nothing asserts on it): it regenerates the round split quoted
 in EXPERIMENTS.md "Simulator throughput", which ROADMAP decision rule
-1(e) reads.  It runs perfbench's ``sim-replay`` round -- seven programs
+2(e) reads.  It runs perfbench's ``sim-replay`` round -- seven programs
 at the bench period, 200 000 instructions each -- and splits the wall
 time of a warm round four ways:
 
@@ -17,6 +17,12 @@ time of a warm round four ways:
   ``config.fastpath = False``;
 * *replay dispatch*: the remainder -- the gate's key build, link
   validation, the bulk bookkeeping after each replay, and bails.
+
+*Slow-path instructions* is a lower bound and *replay dispatch* an
+upper bound: the instructions the fast path leaves are the ones with
+misses, write-buffer waits and deliveries, which cost more than the
+mean of an all-slow-path round, and the remainder absorbs the
+difference.
 
 It also prints where the round's replays stopped: ``sim.fastpath.bails``
 by the probe that did not hit (a replay is a clean prefix; the slow

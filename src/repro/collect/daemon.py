@@ -257,13 +257,13 @@ class Daemon:
 
     def _process(self, entries):
         ledger = self.ctx
+        find_image = self._find_image
+        samples = 0
         for key, count in entries:
             pid, pc, event_ord = key[0], key[1], key[2]
             event = ORDINAL_EVENT[event_ord]
-            self.entries_processed += 1
-            self.total_samples += count
-            self.cycles += ENTRY_COST + PER_SAMPLE_COST * count
-            image = self._find_image(pid, pc)
+            samples += count
+            image = find_image(pid, pc)
             if ledger is not None:
                 # 3-tuple keys (pre-context journals, ctx-less CPUs)
                 # land in the "<other>" bucket via OTHER_ID.
@@ -288,6 +288,9 @@ class Daemon:
                     per_pid = ImageProfile(image, periods=self.periods)
                     self.process_profiles[key] = per_pid
                 per_pid.add(event, pc - image.base, count)
+        self.entries_processed += len(entries)
+        self.total_samples += samples
+        self.cycles += ENTRY_COST * len(entries) + PER_SAMPLE_COST * samples
         self._touch_resident()
 
     def _procedure_at(self, image, pc):

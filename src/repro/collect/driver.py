@@ -137,6 +137,11 @@ class Driver:
         #: Fault injection (repro.faults); NULL_INJECTOR is zero-cost.
         self.faults = faults or NULL_INJECTOR
         self.cost_scale = self.config.effective_cost_scale()
+        # What record() would re-read per sample, fixed at construction.
+        self._charge_overhead = self.config.charge_overhead
+        self._overflow_capacity = self.config.overflow_capacity
+        self._double_sampling = (self.config.edge_sampling
+                                 and self.config.edge_mode == "double")
         #: Request-context interning table (repro.ctx); None when the
         #: context dimension is off -- the hot path tests exactly that.
         self.ctx_table = (ContextTable(self.config.ctx_slots)
@@ -228,47 +233,46 @@ class Driver:
         returned cost stalls the interrupted core's front end.
         """
         state = self.cpus[cpu_id]
+        table = state.table
         state.samples += 1
         self.event_samples[event] = self.event_samples.get(event, 0) + 1
         event_ord = EVENT_ORDINAL[event]
         if self.trace is not None:
             self.trace.append((cpu_id, pid, pc, event_ord))
         if self.ctx_table is None:
-            evicted = state.table.record(pid, pc, event_ord)
+            evicted = table.record(pid, pc, event_ord)
         else:
             # The context register joins the hash key (alongside the
             # PID), so per-request attribution survives aggregation.
-            evicted = state.table.record(pid, pc, event_ord,
-                                         ctx=state.ctx_reg)
+            evicted = table.record(pid, pc, event_ord, ctx=state.ctx_reg)
         jitter = ((pc >> 2) * 2654435761 >> 20) & JITTER_MASK
         # A "miss" is any sample that created a new entry; the eviction
         # variant additionally pays for writing the victim to the
         # overflow buffer (an extra cache line).
-        if evicted is not None:
-            cost = INTERRUPT_SETUP + MISS_PATH + jitter
-            state.miss_count += 1
-            state.miss_cycles += cost
-            state.active.append(evicted)
-            if len(state.active) >= self.config.overflow_capacity:
-                self._buffer_full(cpu_id, state)
-        elif state.table.last_was_hit:
+        if table.last_was_hit:
             cost = INTERRUPT_SETUP + HIT_PATH + jitter
             state.hit_count += 1
             state.hit_cycles += cost
-        else:
+        elif evicted is None:
             # Insert into an empty slot: no eviction, but more work than
             # a pure hit.
             cost = INTERRUPT_SETUP + HIT_PATH + 40 + jitter
             state.miss_count += 1
             state.miss_cycles += cost
-        if (self.config.edge_sampling and event is EventType.CYCLES
-                and self.config.edge_mode == "double"):
+        else:
+            cost = INTERRUPT_SETUP + MISS_PATH + jitter
+            state.miss_count += 1
+            state.miss_cycles += cost
+            state.active.append(evicted)
+            if len(state.active) >= self._overflow_capacity:
+                self._buffer_full(cpu_id, state)
+        if self._double_sampling and event is EventType.CYCLES:
             # Double sampling pays for the second interrupt; the
             # interpretation variant only decodes in the handler
             # (negligible next to the setup cost).
             cost += EDGE_PATH
         state.handler_cycles += cost
-        if not self.config.charge_overhead:
+        if not self._charge_overhead:
             return 0
         # Charge the period-scaled cost, carrying fractional cycles so
         # the long-run average is exact.

@@ -11,6 +11,12 @@ Associativity, replacement policy, table size and hash function are all
 parameters here because section 5.4 explores exactly that design space
 (their conclusion: 6-way plus swap-to-front would cut total cost
 10-20%); ``benchmarks/bench_sec54_hashtable.py`` reruns the study.
+
+The bucket array is the model: hits, misses, evictions, victims and
+slot order are what the paper's table would produce.  What the *host*
+pays per sample is kept apart from it: a resident index finds a hit
+with one probe instead of a hash and a bucket scan, and a flush visits
+the buckets in use, not the array.
 """
 
 MOD_COUNTER = "mod-counter"
@@ -52,8 +58,16 @@ class SampleHashTable:
         self.hash_name = hash_name
         self._hash = HASH_FUNCTIONS[hash_name]
         self._mask = buckets - 1
-        # bucket -> list of [key, count] in slot order.
+        # bucket -> list of [key, count, bucket index] in slot order:
+        # the paper's table.  Victim choice and slot order live here.
         self._buckets = [[] for _ in range(buckets)]
+        # The resident index: key -> the bucket's own entry, so a hit is
+        # one probe however the table is shaped.  Holds exactly the
+        # entries the buckets hold.
+        self._index = {}
+        # Indices of the buckets holding something, in first-use order.
+        self._used = []
+        self._reorders = policy != MOD_COUNTER
         self._mod_counter = 0
         self.hits = 0
         self.misses = 0
@@ -75,50 +89,64 @@ class SampleHashTable:
         into the hash and widens the key to a 4-tuple, so per-class
         attribution survives aggregation exactly like the PID does.
         """
+        key = ((pid, pc, event_ord) if ctx is None
+               else (pid, pc, event_ord, ctx))
+        entry = self._index.get(key)
+        if entry is not None:
+            entry[1] += count
+            self.hits += 1
+            self.last_was_hit = True
+            if self._reorders:
+                bucket = self._buckets[entry[2]]
+                if bucket[0] is not entry:
+                    bucket.insert(0, bucket.pop(bucket.index(entry)))
+            return None
+        self.misses += 1
+        self.last_was_hit = False
         if ctx is None:
             index = self._hash(pid, pc, event_ord, self._mask)
-            key = (pid, pc, event_ord)
         else:
             index = self._hash(pid ^ (ctx << 21), pc, event_ord,
                                self._mask)
-            key = (pid, pc, event_ord, ctx)
         bucket = self._buckets[index]
-        for slot, entry in enumerate(bucket):
-            if entry[0] == key:
-                entry[1] += count
-                self.hits += 1
-                self.last_was_hit = True
-                if self.policy in (SWAP_TO_FRONT, LRU) and slot != 0:
-                    bucket.insert(0, bucket.pop(slot))
-                return None
-        self.misses += 1
-        self.last_was_hit = False
+        self._index[key] = entry = [key, count, index]
         if len(bucket) < self.assoc:
-            if self.policy == MOD_COUNTER:
-                bucket.append([key, count])
+            if not bucket:
+                self._used.append(index)
+            if self._reorders:
+                bucket.insert(0, entry)
             else:
-                bucket.insert(0, [key, count])
+                bucket.append(entry)
             return None
         self.evictions += 1
-        if self.policy == MOD_COUNTER:
-            victim_slot = self._mod_counter % self.assoc
-            self._mod_counter += 1
-            victim = bucket[victim_slot]
-            bucket[victim_slot] = [key, count]
-        else:
+        if self._reorders:
             # SWAP_TO_FRONT and LRU both evict the last (least recent)
             # slot and insert the newcomer at the front.
             victim = bucket.pop()
-            bucket.insert(0, [key, count])
+            bucket.insert(0, entry)
+        else:
+            victim_slot = self._mod_counter % self.assoc
+            self._mod_counter += 1
+            victim = bucket[victim_slot]
+            bucket[victim_slot] = entry
+        del self._index[victim[0]]
         return (victim[0], victim[1])
 
     def flush(self):
-        """Return all resident entries as (key, count) pairs and clear."""
+        """Return all resident entries as (key, count) pairs and clear.
+
+        Visits only the buckets in use, in bucket then slot order, so a
+        drain costs what it drains, not the size of the table.
+        """
         entries = []
-        for bucket in self._buckets:
-            for key, count in bucket:
+        buckets = self._buckets
+        for index in sorted(self._used):
+            bucket = buckets[index]
+            for key, count, _ in bucket:
                 entries.append((key, count))
             bucket.clear()
+        self._used.clear()
+        self._index.clear()
         return entries
 
     def metrics(self, prefix="hashtable"):

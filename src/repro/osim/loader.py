@@ -12,6 +12,7 @@ As on the paper's systems, a shared image is mapped at the same address
 in every process that uses it.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
 
 #: Notification sent to listeners when an image is mapped into a process.
@@ -28,6 +29,8 @@ class Loader:
         self._next_base = self.FIRST_BASE
         self._listeners = []
         self.images = []
+        # images[i].base, ascending: link() hands out rising addresses.
+        self._bases = []
 
     def add_listener(self, callback):
         """Register callback(LoadMapEvent); used by the profiling daemon."""
@@ -49,6 +52,7 @@ class Loader:
         end = max(image.end, (image.data_base or 0) + image.data_size)
         self._next_base = (end + self.ALIGN) & ~(self.ALIGN - 1)
         self.images.append(image)
+        self._bases.append(image.base)
         return image
 
     def notify_exec(self, pid, images, source="exec"):
@@ -62,7 +66,7 @@ class Loader:
 
     def image_at(self, addr):
         """Return the image containing *addr*, or None."""
-        for image in self.images:
-            if addr in image:
-                return image
+        slot = bisect_right(self._bases, addr) - 1
+        if slot >= 0 and addr in self.images[slot]:
+            return self.images[slot]
         return None

@@ -1,6 +1,8 @@
 """Tests for the ``dcpimon`` self-monitoring tool."""
 
+import itertools
 import json
+import types
 
 import pytest
 
@@ -86,3 +88,40 @@ class TestOverhead:
                              "--repeats", "1", "--max-pct=-1e9"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_pairs_alternate_and_report_their_median(self, monkeypatch):
+        """A scripted clock: run durations in the order the runs are
+        made.  Had pair 1 not run the enabled side first it would read
+        -23 %, not +30 %."""
+        durations = iter([9.0,              # warm-up
+                          1.0, 1.1,         # disabled, enabled: +10 %
+                          1.3, 1.0,         # enabled, disabled: +30 %
+                          1.0, 1.02])       # disabled, enabled:  +2 %
+        calls = itertools.count()
+
+        def clock():        # a run starts at 0.0 and ends at its duration
+            return next(durations) if next(calls) % 2 else 0.0
+
+        monkeypatch.setattr(dcpimon, "time",
+                            types.SimpleNamespace(perf_counter=clock))
+        result = dcpimon.measure_overhead(
+            "mccalpin-assign", budget=2000, repeats=3)
+        assert result["overhead_pct"] == pytest.approx(10.0)
+        assert result["spread_pct"] == pytest.approx(28.0)
+        assert result["disabled_s"] == pytest.approx(1.0)
+        assert result["enabled_s"] == pytest.approx(1.1)
+
+    @pytest.mark.parametrize("spread, code, verdict", [
+        (1.5, 1, "FAIL"), (2.5, 0, "unresolved")])
+    def test_wide_spread_is_unresolved_not_red(self, monkeypatch, capsys,
+                                               spread, code, verdict):
+        monkeypatch.setattr(
+            dcpimon, "measure_overhead", lambda *args, **kwargs: {
+                "workload": "w", "budget": 1, "repeats": 5,
+                "disabled_s": 1.0, "enabled_s": 1.05,
+                "overhead_pct": 5.0, "spread_pct": spread})
+        assert main_dcpimon(["overhead", "--max-pct", "2.0"]) == code
+        captured = capsys.readouterr()
+        assert verdict in captured.out + captured.err
+        if verdict == "unresolved":
+            assert "2.50 points apart" in captured.out

@@ -168,6 +168,53 @@ class TestTwoPhaseFlush:
         assert kept + state.dropped == state.samples
 
 
+class TestLossAccountingPinned:
+    """Exact spill and drop numbers of one skewed stream through a
+    four-entry table and four-entry overflow buffers: what a change to
+    the table or to the handler's branch order must leave alone."""
+
+    def loaded_driver(self):
+        driver = make_driver(buckets=2, assoc=2, overflow_capacity=4)
+        for i in range(60):
+            if i % 3:       # two in three samples hit one hot key
+                driver.record(0, 1, 0x100, EventType.CYCLES, i)
+            else:
+                driver.record(0, i % 11, 0x100 + 4 * (i % 5),
+                              EventType.CYCLES, i)
+        return driver
+
+    def test_spills_with_no_drain(self):
+        driver = self.loaded_driver()
+        state = driver.cpus[0]
+        assert (state.hit_count, state.miss_count) == (35, 25)
+        assert state.table.evictions == 21
+        assert state.spills == 5
+        assert state.dropped == 29      # three full buffers shed
+        assert state.handler_cycles == 28128
+        assert [len(buf) for buf in state.full] == [4, 4]
+        seq, entries = driver.begin_flush(0)
+        # Oldest full buffer first, then the active one, then the table
+        # in bucket then slot order.
+        assert entries == [
+            ((1, 256, 0), 4), ((8, 256, 0), 1), ((3, 260, 0), 1),
+            ((0, 268, 0), 1), ((5, 264, 0), 1), ((1, 256, 0), 11),
+            ((6, 272, 0), 1), ((7, 260, 0), 1), ((4, 268, 0), 1),
+            ((2, 264, 0), 1), ((9, 264, 0), 1), ((1, 256, 0), 6),
+            ((10, 272, 0), 1)]
+        assert sum(count for _, count in entries) + state.dropped == 60
+
+    def test_drop_pending_after_a_pinned_flush(self):
+        driver = self.loaded_driver()
+        driver.begin_flush(0)           # 31 samples pinned, never acked
+        for i in range(9):
+            driver.record(0, 50 + i, 0x200, EventType.CYCLES, i)
+        assert driver.drop_pending(0) == 40
+        state = driver.cpus[0]
+        assert state.samples == state.dropped == 69
+        assert driver.flush(0) == []
+        assert driver.recover_inflight(0) == []
+
+
 class TestDaemon:
     def make_env(self):
         loader = Loader()

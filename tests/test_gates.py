@@ -313,7 +313,9 @@ def test_dcpimon_report(tmp_path, capsys):
 @required
 def test_dcpimon_overhead(capsys):
     """Performance (a clock, hence not tier-1): self-monitoring costs
-    under 2 % of a 40 k-instruction run, best of five.  Red:
+    under 2 % of a 40 k-instruction run, median of five alternating
+    pairs; pairs whose quartiles are further apart than the 2 % read
+    ``unresolved`` and pass.  Red:
     ``test_dcpimon.py::TestOverhead::test_gate_fails_when_exceeded``."""
     code = cli.main_dcpimon(["overhead", "--budget", "40000",
                              "--repeats", "5", "--max-pct", "2.0"])

@@ -1,9 +1,11 @@
 """Tests for the driver's sample-aggregation hash table."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.collect.hashtable import (LRU, MOD_COUNTER, SWAP_TO_FRONT,
+from conftest import examples
+from repro.collect.hashtable import (HASH_FUNCTIONS, LRU, MOD_COUNTER,
+                                     POLICIES, SWAP_TO_FRONT,
                                      SampleHashTable)
 
 
@@ -115,3 +117,154 @@ class TestConservation:
             table.record(i, 0x100, 0)
         resident = len(table.flush())
         assert resident <= 2 * assoc
+
+
+class ScanTable:
+    """The table as the paper describes it and nothing else: every
+    sample hashes and scans its bucket, every flush walks the whole
+    array.  The reference :class:`SampleHashTable` must agree with,
+    call for call."""
+
+    def __init__(self, buckets, assoc, policy, hash_name="multiplicative"):
+        self.assoc = assoc
+        self.policy = policy
+        self._hash = HASH_FUNCTIONS[hash_name]
+        self._mask = buckets - 1
+        self._buckets = [[] for _ in range(buckets)]
+        self._mod_counter = 0
+        self.hits = self.misses = self.evictions = 0
+        self.last_was_hit = False
+
+    def record(self, pid, pc, event_ord, count=1, ctx=None):
+        if ctx is None:
+            index = self._hash(pid, pc, event_ord, self._mask)
+            key = (pid, pc, event_ord)
+        else:
+            index = self._hash(pid ^ (ctx << 21), pc, event_ord,
+                               self._mask)
+            key = (pid, pc, event_ord, ctx)
+        bucket = self._buckets[index]
+        for slot, entry in enumerate(bucket):
+            if entry[0] == key:
+                entry[1] += count
+                self.hits += 1
+                self.last_was_hit = True
+                if self.policy in (SWAP_TO_FRONT, LRU) and slot != 0:
+                    bucket.insert(0, bucket.pop(slot))
+                return None
+        self.misses += 1
+        self.last_was_hit = False
+        if len(bucket) < self.assoc:
+            if self.policy == MOD_COUNTER:
+                bucket.append([key, count])
+            else:
+                bucket.insert(0, [key, count])
+            return None
+        self.evictions += 1
+        if self.policy == MOD_COUNTER:
+            victim_slot = self._mod_counter % self.assoc
+            self._mod_counter += 1
+            victim = bucket[victim_slot]
+            bucket[victim_slot] = [key, count]
+        else:
+            victim = bucket.pop()
+            bucket.insert(0, [key, count])
+        return (victim[0], victim[1])
+
+    def flush(self):
+        entries = []
+        for bucket in self._buckets:
+            for key, count in bucket:
+                entries.append((key, count))
+            bucket.clear()
+        return entries
+
+
+def assert_index_in_step(table):
+    """The resident index holds exactly the buckets' own entries."""
+    resident = [entry for bucket in table._buckets for entry in bucket]
+    assert len(table._index) == len(resident)
+    for entry in resident:
+        assert table._index[entry[0]] is entry
+    assert sorted(table._used) == [
+        index for index, bucket in enumerate(table._buckets) if bucket]
+
+
+#: One table call: a sample (pid, pc index, event ordinal, count,
+#: context id) or None for a flush.
+CALLS = st.lists(
+    st.one_of(st.none(),
+              st.tuples(st.integers(0, 3), st.integers(0, 24),
+                        st.integers(0, 2), st.integers(1, 3),
+                        st.integers(0, 2))),
+    min_size=1, max_size=200)
+
+
+class TestAgainstScanTable:
+    @settings(max_examples=examples(300), deadline=None)
+    @given(calls=CALLS, policy=st.sampled_from(POLICIES),
+           with_ctx=st.booleans(), assoc=st.sampled_from([1, 2, 4, 6]),
+           buckets=st.sampled_from([1, 2, 4, 8, 16]),
+           hash_name=st.sampled_from(sorted(HASH_FUNCTIONS)))
+    def test_every_call_agrees(self, calls, policy, with_ctx, assoc,
+                               buckets, hash_name):
+        table = SampleHashTable(buckets, assoc, policy, hash_name)
+        reference = ScanTable(buckets, assoc, policy, hash_name)
+        for call in calls:
+            if call is None:
+                assert table.flush() == reference.flush()  # order too
+                assert not table._index
+            else:
+                pid, pc_index, event_ord, count, ctx = call
+                args = (pid, 0x1000 + 4 * pc_index, event_ord, count,
+                        ctx if with_ctx else None)
+                evicted = table.record(*args)
+                assert evicted == reference.record(*args)
+                if evicted is not None:
+                    assert evicted[0] not in table._index
+            assert ((table.hits, table.misses, table.evictions,
+                     table.last_was_hit)
+                    == (reference.hits, reference.misses,
+                        reference.evictions, reference.last_was_hit))
+            assert_index_in_step(table)
+        assert table.flush() == reference.flush()
+
+
+class UnwalkableBuckets(list):
+    """A bucket array that counts lookups and refuses to be walked."""
+
+    lookups = 0
+
+    def __iter__(self):
+        raise AssertionError("flush walked the whole bucket array")
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+class TestFlushCost:
+    KEYS = [(pid, 0x4000 + 4 * pc_index, 0)
+            for pid in range(3) for pc_index in range(20)]
+
+    def loaded(self, cls):
+        table = cls(65536, 4, MOD_COUNTER)
+        for key in self.KEYS:
+            table.record(*key)
+        table._buckets = UnwalkableBuckets(table._buckets)
+        return table
+
+    def test_flush_touches_only_used_buckets(self):
+        table = self.loaded(SampleHashTable)
+        entries = table.flush()
+        assert table._buckets.lookups <= len(self.KEYS)
+        assert sorted(key for key, _ in entries) == sorted(self.KEYS)
+        positions = [table._hash(*key, table._mask) for key, _ in entries]
+        assert positions == sorted(positions)   # bucket-index order
+        assert table.flush() == []
+        assert table._buckets.lookups <= len(self.KEYS)
+
+    def test_a_walk_of_the_array_is_caught(self):
+        """Red path: the whole-array loop trips the same harness."""
+        with pytest.raises(AssertionError, match="walked"):
+            self.loaded(ScanTable).flush()

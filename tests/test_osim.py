@@ -55,6 +55,18 @@ class TestLoader:
         assert loader.image_at(image.base + 4) is image
         assert loader.image_at(0xDEAD0000) is None
 
+    def test_image_at_finds_each_of_several(self):
+        loader = Loader()
+        images = [loader.link(assemble(COUNTER_LOOP.format(n=1),
+                                       image_name="image%d" % i))
+                  for i in range(5)]
+        assert loader.image_at(images[0].base - 4) is None
+        for image in images:
+            assert loader.image_at(image.base) is image
+            assert loader.image_at(image.end - 4) is image
+            # The gap up to the next 64 KB boundary belongs to nobody.
+            assert loader.image_at(image.end) is None
+
 
 class TestProcesses:
     def test_distinct_pids(self):
