@@ -15,8 +15,8 @@ time of a warm round four ways:
 * *slow-path instructions*: the instructions the fast round did not
   replay, charged at the per-instruction rate of the same round with
   ``config.fastpath = False``;
-* *replay dispatch*: the remainder -- the gate's key build, link
-  validation, the bulk bookkeeping after each replay, and bails.
+* *replay dispatch*: the remainder -- the gate's key build, the call,
+  the bulk bookkeeping after each replay, and bails.
 
 *Slow-path instructions* is a lower bound and *replay dispatch* an
 upper bound: the instructions the fast path leaves are the ones with

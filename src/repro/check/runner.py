@@ -11,8 +11,8 @@ The runner knows how to materialize each layer's inputs:
   simulator's ground truth;
 * **lint** -- walk the ``repro`` package source through
   :func:`repro.check.lint.lint_paths`;
-* **rewrite** -- profile each workload, build the same rewrite plans
-  ``dcpiopt`` would, and statically prove each plan
+* **rewrite** -- from the same session's profile, build the rewrite
+  plans ``dcpiopt`` would, and statically prove each plan
   semantics-preserving with :mod:`repro.check.transval` (Layer 4) --
   no optimized run is ever executed.
 
@@ -23,10 +23,12 @@ link the same generated images) and aggregated into a
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.check.findings import (LAYERS, CheckReport, Finding, Waiver,
                                   load_waivers)
@@ -101,28 +103,42 @@ def run_image_layer(workloads: Sequence[str],
     return _dedupe(findings)
 
 
+def profile_workload(name: object, max_instructions: int,
+                     seed: int) -> Tuple[object, Any]:
+    """``(workload, SessionResult)`` of the CYCLES-mode session the
+    analysis and rewrite layers read; neither modifies the result, so
+    :func:`run_checks` profiles each workload once for both."""
+    from repro.collect.session import ProfileSession, SessionConfig
+    from repro.cpu.config import MachineConfig
+    from repro.workloads.registry import get_workload
+
+    workload = get_workload(name) if isinstance(name, str) else name
+    session = ProfileSession(
+        MachineConfig(num_cpus=workload.num_cpus),
+        SessionConfig(mode="cycles", seed=seed))
+    return workload, session.run(workload,
+                                 max_instructions=max_instructions)
+
+
+Profiler = Callable[[object, int, int], Tuple[object, Any]]
+
+
 def run_analysis_layer(workloads: Sequence[str],
                        max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                        seed: int = 1,
-                       dyn_threshold: float = 0.25) -> List[Finding]:
+                       dyn_threshold: float = 0.25,
+                       profiler: Profiler = profile_workload,
+                       ) -> List[Finding]:
     """Layer 2: profile each workload, verify analysis invariants."""
     from repro.check.analysis_checks import (check_equivalence_truth,
                                              check_flow_conservation,
                                              check_merge_determinism,
                                              verify_procedure)
-    from repro.collect.session import ProfileSession, SessionConfig
     from repro.core.analyze import analyze_image
-    from repro.cpu.config import MachineConfig
-    from repro.workloads.registry import get_workload
 
     findings: List[Finding] = []
     for name in workloads:
-        workload = get_workload(name)
-        session = ProfileSession(
-            MachineConfig(num_cpus=workload.num_cpus),
-            SessionConfig(mode="cycles", seed=seed))
-        result = session.run(workload,
-                             max_instructions=max_instructions)
+        _, result = profiler(name, max_instructions, seed)
         machine = result.machine
         for profile in result.profiles.values():
             analyses = analyze_image(profile.image, profile)
@@ -148,7 +164,9 @@ def run_lint_layer(src_root: str) -> List[Finding]:
 
 def plan_workload(name: object,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                  seed: int = 1) -> Tuple[object, List[object]]:
+                  seed: int = 1,
+                  profiler: Profiler = profile_workload,
+                  ) -> Tuple[object, List[object]]:
     """Profile *name* and build its rewrite plans, optimizer-style.
 
     *name* is a registry name or a Workload object.  Returns
@@ -156,19 +174,11 @@ def plan_workload(name: object,
     :func:`repro.check.transval.validate_workload_plans` wants.
     Workloads whose profile captured no cycles produce no plan.
     """
-    from repro.collect.session import ProfileSession, SessionConfig
     from repro.core.analyze import AnalysisConfig, analyze_image
-    from repro.cpu.config import MachineConfig
     from repro.cpu.events import EventType
     from repro.opt import OptConfig, build_plan
-    from repro.workloads.registry import get_workload
 
-    workload = get_workload(name) if isinstance(name, str) else name
-    session = ProfileSession(
-        MachineConfig(num_cpus=workload.num_cpus),
-        SessionConfig(mode="cycles", seed=seed))
-    collected = session.run(workload,
-                            max_instructions=max_instructions)
+    workload, collected = profiler(name, max_instructions, seed)
     plans: List[object] = []
     for image in collected.machine.loader.images:
         profile = collected.profiles.get(image.name)
@@ -182,14 +192,17 @@ def plan_workload(name: object,
 
 def run_rewrite_layer(workloads: Sequence[str],
                       max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                      seed: int = 1) -> List[Finding]:
+                      seed: int = 1,
+                      profiler: Profiler = profile_workload,
+                      ) -> List[Finding]:
     """Layer 4: statically validate each workload's rewrite plans."""
     from repro.check.transval import validate_workload_plans
 
     findings: List[Finding] = []
     for name in workloads:
         workload, plans = plan_workload(
-            name, max_instructions=max_instructions, seed=seed)
+            name, max_instructions=max_instructions, seed=seed,
+            profiler=profiler)
         if not plans:
             continue
         reports = validate_workload_plans(workload, plans, seed=seed)
@@ -208,6 +221,9 @@ def run_checks(config: Optional[CheckConfig] = None) -> CheckReport:
     report = CheckReport(waivers=waivers, layers=tuple(config.layers),
                          workloads=tuple(workloads))
     runtimes: Dict[str, float] = {}
+    # One session per workload, shared by the analysis and rewrite
+    # layers (its time lands on whichever runs first).
+    profiler = functools.lru_cache(maxsize=None)(profile_workload)
     for layer in config.layers:
         started = time.perf_counter()
         if layer == "image":
@@ -215,13 +231,14 @@ def run_checks(config: Optional[CheckConfig] = None) -> CheckReport:
         elif layer == "analysis":
             report.extend(run_analysis_layer(
                 workloads, max_instructions=config.max_instructions,
-                seed=config.seed, dyn_threshold=config.dyn_threshold))
+                seed=config.seed, dyn_threshold=config.dyn_threshold,
+                profiler=profiler))
         elif layer == "lint":
             report.extend(run_lint_layer(config.resolved_src_root()))
         elif layer == "rewrite":
             report.extend(run_rewrite_layer(
                 workloads, max_instructions=config.max_instructions,
-                seed=config.seed))
+                seed=config.seed, profiler=profiler))
         runtimes[layer] = time.perf_counter() - started
     report.runtime_s = runtimes
     return report

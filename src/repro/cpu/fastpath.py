@@ -50,11 +50,13 @@ Design notes (see README "Performance"):
   machine's ground-truth maps at the end of every ``Core.run`` (pure
   commutative addition, so the result is identical to per-instruction
   accounting).
-* Replay is only entered when it provably cannot interact with the
-  sampling machinery: no pending interrupt deliveries, no front-end
-  debt, and enough headroom on every CYCLES counter that the whole
-  block cannot overflow one (a block's cycles form one contiguous span,
-  so batching them into a single counter update is exact).
+* The gate at a block head (``Core.run``) is the only way into a
+  replay, and a clean exit returns to it.  It lets a replay start only
+  when it provably cannot interact with the sampling machinery: no
+  pending interrupt deliveries, no front-end debt, and enough headroom
+  on every CYCLES counter that the whole block cannot overflow one (a
+  block's cycles form one contiguous span, so batching them into a
+  single counter update is exact).
 * Compiled replay functions are shared process-wide
   (``_replay_cache``).  The key is the generated *source text*: it
   embeds every address, operand field, schedule constant and cache
@@ -160,22 +162,14 @@ class Variant:
     ``steps`` keeps the interpretable per-instruction schedule
     ``(record, rel_issue, cycles_head, paired, stalls)`` -- the bail
     path uses it to reconstruct the completed prefix's accounting.
-
-    ``links`` maps an exit pc to a cached successor variant plus the
-    precomputed validation a chained replay must pass (see the replay
-    caller in :mod:`repro.cpu.pipeline`): this variant's entry key and
-    final scoreboard statically determine the successor's entry key
-    except for registers neither written here nor pinned by this key,
-    which are checked explicitly.
     """
 
     __slots__ = ("fn", "uses", "steps", "n", "total_rel", "count_addrs",
                  "head_items", "stall_items", "sb", "imul_rel",
                  "fdiv_rel", "prev_cls_end", "term_open", "leader_addr",
-                 "term_addr", "term_edge_always", "hits", "links",
-                 "wset", "pin_regs")
+                 "term_addr", "term_edge_always", "hits")
 
-    def __init__(self, steps, sb, key):
+    def __init__(self, steps, sb):
         # Tiered: ``fn`` stays None (and the slow path keeps executing
         # the block) until the variant recurs ``COMPILE_USES`` times
         # (see there for what a compile() costs).
@@ -221,11 +215,6 @@ class Variant:
         # jumps skip the edge into the process exit stub.
         self.term_edge_always = last[0][0] <= 14
         self.hits = 0
-        self.links = {}
-        self.wset = frozenset(dst for dst, _ in sb)
-        pins = key[1]
-        self.pin_regs = (frozenset(p[0] for p in pins)
-                         if pins else frozenset())
 
 
 def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
@@ -485,12 +474,9 @@ class FastPath:
         self.compiled_variants = 0    # schedules tiered up to compiled
         self.aborted_recordings = 0   # recordings spoiled by an event
         self.variant_misses = 0       # entry key not cached yet
-        self.links_followed = 0       # chained replays (gate skipped)
-        self.link_mismatches = 0      # chain validation failed
         self.headroom_skips = 0       # replay blocked by counter headroom
         self.dropped_variants = 0     # cache full, schedule discarded
         self.invalidations = 0
-        self.context_switches = 0     # informational; no flush needed
 
     # -- discovery ----------------------------------------------------
 
@@ -554,7 +540,7 @@ class FastPath:
             (rec, entry[0], entry[1], entry[2], entry[3])
             for rec, entry in zip(recs, entries))
         sb = _final_scoreboard(steps, self.l1d_latency)
-        block.variants[key] = Variant(steps, sb, key)
+        block.variants[key] = Variant(steps, sb)
         block.failed = 0
         self.variant_count += 1
         self.recordings += 1
@@ -621,12 +607,6 @@ class FastPath:
         self.blocks.clear()
         self.variant_count = 0
 
-    def note_context_switch(self):
-        """A quantum expired.  Variant keys are entry-relative and the
-        scoreboard lives on the Process, so nothing needs flushing; the
-        counter exists so the A/B suite can assert exactly that."""
-        self.context_switches += 1
-
     # -- reporting ----------------------------------------------------
 
     def snapshot(self):
@@ -639,14 +619,11 @@ class FastPath:
             "compiled_variants": self.compiled_variants,
             "aborted_recordings": self.aborted_recordings,
             "variant_misses": self.variant_misses,
-            "links_followed": self.links_followed,
-            "link_mismatches": self.link_mismatches,
             "headroom_skips": self.headroom_skips,
             "dropped_variants": self.dropped_variants,
             "blocks": len(self.blocks),
             "variants": self.variant_count,
             "invalidations": self.invalidations,
-            "context_switches": self.context_switches,
         }
         for reason, count in zip(BAIL_REASONS, self.bails):
             snap["bails." + reason] = count

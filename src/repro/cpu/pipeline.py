@@ -31,7 +31,8 @@ Two execution paths share this accounting:
 * the **fast path** replays a cached per-block issue schedule
   (:mod:`repro.cpu.fastpath`) when the block's entry conditions match a
   prior visit, batching the block's CYCLES counter updates into one
-  contiguous span.  A replay is a clean prefix: the compiled code holds
+  contiguous span.  The gate at a block head is the only way into a
+  replay; a clean exit returns to it.  A replay is a clean prefix: the compiled code holds
   hit paths only and stops *before* the first instruction whose fetch,
   translation, D-cache probe or write-buffer probe does not hit, with
   nothing of that instruction applied.  The slow path -- the only
@@ -232,10 +233,8 @@ class Core:
         # Folded into fp where flush_deferred runs, at run exit.
         fp_replays = 0
         fp_replayed = 0
-        fp_links = 0
         at_head = fp_on  # a run entry is always a block boundary
         replay_var = None  # schedule selected by the gate this iteration
-        link_src = None  # variant whose clean exit the gate may link
         rec_list = None  # schedule being recorded for (rec_block, rec_key)
         rec_block = None
         rec_key = None
@@ -290,7 +289,6 @@ class Core:
                              if block.has_fdiv and fdiv_free > t0 else 0))
                         var = block.variants.get(key)
                         if var is None:
-                            link_src = None
                             fp.variant_misses += 1
                             if fp.variant_count < fp.MAX_VARIANTS:
                                 rec_list = []
@@ -305,46 +303,7 @@ class Core:
                                 var.uses += 1
                                 if var.uses >= fp.COMPILE_USES:
                                     fp.compile_variant(var)
-                            if var.fn is None:
-                                link_src = None
-                            else:
-                                if link_src is not None:
-                                    # Cache this edge for chained
-                                    # replay.  The source's entry key
-                                    # and final scoreboard statically
-                                    # determine every component of
-                                    # *key* except registers neither
-                                    # written nor key-pinned there (and
-                                    # a unit backlog it left idle) --
-                                    # record those as residual checks a
-                                    # chained hop must revalidate.
-                                    checks = []
-                                    covered = link_src.wset
-                                    pins = link_src.pin_regs
-                                    for reg in block.live_ins:
-                                        if reg in covered or reg in pins:
-                                            continue
-                                        rel = reg_ready[reg] - t0
-                                        if rel > 0:
-                                            checks.append(
-                                                (reg, rel,
-                                                 max(reg_ready_static[reg]
-                                                     - t0, 0),
-                                                 reg_dyn_reason.get(reg)))
-                                        else:
-                                            checks.append(
-                                                (reg, 0, 0, None))
-                                    link_src.links[pc] = (
-                                        var, key[0], tuple(checks),
-                                        key[2]
-                                        if (block.has_imul
-                                            and link_src.imul_rel == 0)
-                                        else None,
-                                        key[3]
-                                        if (block.has_fdiv
-                                            and link_src.fdiv_rel == 0)
-                                        else None)
-                                    link_src = None
+                            if var.fn is not None:
                                 total_rel = var.total_rel
                                 if (0 <= insts_left < var.n
                                         or (deadline is not None
@@ -376,25 +335,16 @@ class Core:
                 # before the first probe that misses; everything else
                 # (pairing state, deferred ground truth, the block's
                 # contiguous CYCLES span) is applied in bulk from the
-                # variant's precomputed structures.  Clean exits chase
-                # cached successor links (chained replay): the exited
-                # variant's entry key and scoreboard statically
-                # determine the successor's entry key except for the
-                # link's precomputed residual checks, so validated hops
-                # skip the gate's key build entirely.
+                # variant's precomputed structures.
                 v = replay_var
                 replay_var = None
-                bailed = False
-                while True:
-                    res = v.fn(self, bp, dtb, l1d, wb, mem, iregs, fregs,
-                               reg_ready, reg_ready_static,
-                               reg_dyn_reason, asn, t0)
-                    fp_replays += 1
-                    if res[0] != CLEAN:
-                        bailed = True
-                        break
-                    # Clean replay: res carries the terminator's
-                    # dynamic direction.
+                res = v.fn(self, bp, dtb, l1d, wb, mem, iregs, fregs,
+                           reg_ready, reg_ready_static, reg_dyn_reason,
+                           asn, t0)
+                fp_replays += 1
+                if res[0] == CLEAN:
+                    # res carries the terminator's dynamic direction;
+                    # its target is a block head, so back to the gate.
                     n = v.n
                     fp_replayed += n
                     insts_left -= n
@@ -432,61 +382,7 @@ class Core:
                         for oev, otime in counters.add(
                                 _EV_BRANCHMP, 1, prev_issue):
                             pending.append((otime + skew, oev))
-                        # Front-end debt: no chaining.
-                        at_head = True
-                        break
-                    link = v.links.get(pc)
-                    if link is None or pending:
-                        at_head = True
-                        link_src = v  # let the gate cache this edge
-                        break
-                    nv = link[0]
-                    if ((prev_cls if pair_open else -1) != link[1]
-                            or 0 <= insts_left < nv.n
-                            or (deadline is not None
-                                and prev_issue + nv.total_rel
-                                >= deadline)):
-                        at_head = True
-                        link_src = v
-                        break
-                    t0 = prev_issue
-                    ok = True
-                    for lreg, lrel, lsrel, lreason in link[2]:
-                        if lrel == 0:
-                            if reg_ready[lreg] > t0:
-                                ok = False
-                                break
-                        elif (reg_ready[lreg] - t0 != lrel
-                              or max(reg_ready_static[lreg] - t0, 0)
-                              != lsrel
-                              or reg_dyn_reason.get(lreg) != lreason):
-                            ok = False
-                            break
-                    if ok:
-                        er = link[3]
-                        if er is not None and er != (
-                                imul_free - t0 if imul_free > t0
-                                else 0):
-                            ok = False
-                        er = link[4]
-                        if er is not None and er != (
-                                fdiv_free - t0 if fdiv_free > t0
-                                else 0):
-                            ok = False
-                    if ok:
-                        tr = nv.total_rel
-                        for _slot in cycles_slots:
-                            if tr >= _slot.period - _slot.count:
-                                fp.headroom_skips += 1
-                                ok = False
-                                break
-                    if not ok:
-                        fp.link_mismatches += 1
-                        at_head = True
-                        break
-                    fp_links += 1
-                    v = nv
-                if not bailed:
+                    at_head = True
                     continue
 
                 # ---- bail: the replay stopped before instruction i ----
@@ -546,8 +442,6 @@ class Core:
                 continue
 
             # ---- slow path -------------------------------------------
-            link_src = None  # a slow instruction breaks the chain
-
             insts_left -= 1
             srec = decode_map.get(pc)
             if srec is None:
@@ -952,7 +846,6 @@ class Core:
             fp.flush_deferred(gt_count, gt_head, gt_stall)
             fp.replays += fp_replays
             fp.replayed_instructions += fp_replayed
-            fp.links_followed += fp_links
 
         # Save resumable state.
         proc.pc = pc

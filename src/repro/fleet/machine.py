@@ -296,6 +296,9 @@ class FleetMachine:
             ctx_seed = ContextLedger()
             if self.driver.ctx_table is not None:
                 ctx_seed.absorb_table(self.driver.ctx_table)
+        # The dead daemon must stop hearing loadmap events: it would
+        # keep filling its maps and overwrite the live daemon's gauges.
+        self.machine.loader.remove_listener(self.daemon.on_loadmap)
         self.daemon = Daemon.recover(
             self.machine.loader, self.database, journal=self.journal,
             periods=self.periods, obs=self.obs, ctx=ctx_seed)

@@ -46,12 +46,9 @@ name                                     kind      meaning
 ``sim.fastpath.compiled_variants``       counter   variants tiered up
 ``sim.fastpath.aborted_recordings``      counter   recordings abandoned
 ``sim.fastpath.variant_misses``          counter   gate lookups that missed
-``sim.fastpath.links_followed``          counter   chained replay hops
-``sim.fastpath.link_mismatches``         counter   chain checks that failed
 ``sim.fastpath.headroom_skips``          counter   counter-overflow skips
 ``sim.fastpath.dropped_variants``        counter   capacity evictions
 ``sim.fastpath.invalidations``           counter   full cache flushes
-``sim.fastpath.context_switches``        counter   switch notifications
 ``sim.fastpath.blocks``                  gauge     blocks discovered
 ``sim.fastpath.variants``                gauge     variants resident
 =======================================  ========  =======================
@@ -219,8 +216,6 @@ def derive(snapshot):
             flat.get("session.instructions", 0))
         flat["sim.fastpath.bail_rate"] = _ratio(
             flat.get("sim.fastpath.bails", 0), replays)
-        flat["sim.fastpath.link_rate"] = _ratio(
-            flat.get("sim.fastpath.links_followed", 0), replays)
     # Fleet-hop accounting (repro.fleet): delivery reliability and
     # dedupe effectiveness of the machine -> central-store shipment.
     if "fleet.deltas_shipped" in flat:

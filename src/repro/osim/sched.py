@@ -74,13 +74,6 @@ class Scheduler:
                 elif status == pipeline.QUANTUM:
                     queue.append(proc)
                     self.context_switches += 1
-                    if machine.fastpath is not None:
-                        # No flush: block-cache keys are entry-relative
-                        # and the scoreboard lives on the Process, so a
-                        # switch cannot stale a cached schedule.  The
-                        # notification keeps an obs counter the A/B
-                        # suite uses to assert exactly that.
-                        machine.fastpath.note_context_switch()
                 else:  # budget exhausted
                     queue.append(proc)
             if not progressed:

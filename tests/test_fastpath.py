@@ -14,6 +14,7 @@ from repro.cpu.events import EventType
 from repro.cpu.fastpath import (BAIL_REASONS, cache_geometry,
                                 clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
+from repro.obs import schema as schema_module
 from repro.obs.schema import (derive, fastpath_metrics,
                               session_metrics)
 from repro.tools.abcheck import fingerprint
@@ -109,24 +110,23 @@ class TestTiering:
         assert fp.compiled_variants <= fp.recordings
 
 
-class TestChaining:
-    def test_hot_loop_links_blocks(self):
-        machine = run_loop(iters=400, flavor="branchy")
-        fp = machine.fastpath
-        assert fp.links_followed > 0
-        # Precomputed residual checks must hold on a steady-state loop.
-        assert fp.link_mismatches <= fp.links_followed
-
-    def test_links_only_target_compiled_variants(self):
-        machine = run_loop(iters=400, flavor="branchy")
-        fp = machine.fastpath
-        for block in fp.blocks.values():
-            if not block:
-                continue
-            for variant in block.variants.values():
-                for target, _key0, _checks, _im, _fd in (
-                        variant.links.values()):
-                    assert target.fn is not None
+class TestHeadroomGate:
+    @pytest.mark.parametrize("name,mode", [
+        ("wave5", "default"), ("gcc", "cycles"), ("timesharing", "mux")])
+    def test_a_refusal_is_counted_once(self, name, mode):
+        # Each refusal hands the block to the slow path, which
+        # overflows the counter inside it: refusals cannot outnumber
+        # CYCLES samples by more than the one block per CPU the budget
+        # cut short.
+        workload = get_workload(name)
+        session = ProfileSession(
+            MachineConfig(num_cpus=workload.num_cpus),
+            SessionConfig(mode=mode, cycles_period=(240, 256),
+                          event_period=64, seed=1))
+        result = session.run(workload, max_instructions=60_000)
+        skips = result.machine.fastpath.headroom_skips
+        assert 0 < skips <= (result.total_samples(EventType.CYCLES)
+                             + workload.num_cpus)
 
 
 class TestDeferredGroundTruth:
@@ -145,14 +145,15 @@ class TestDeferredGroundTruth:
 
 class TestSnapshotAndObs:
     def test_snapshot_keys(self):
+        # The schema's docstring table and snapshot() name the same
+        # sim.fastpath.* rows, in both directions.
         machine = run_loop()
         snap = machine.fastpath.snapshot()
-        for key in ("replays", "replayed_instructions", "bails",
-                    "recordings", "compiled_variants", "variant_misses",
-                    "links_followed", "link_mismatches",
-                    "headroom_skips", "blocks", "variants",
-                    "invalidations", "context_switches"):
-            assert key in snap
+        rows = set(re.findall(r"^``sim\.fastpath\.(\S+)``",
+                              schema_module.__doc__, re.M))
+        rows.remove("bails.<reason>")
+        rows.update("bails." + reason for reason in BAIL_REASONS)
+        assert set(snap) == rows
         assert snap["replays"] >= 1
         assert snap["variants"] >= 1
 

@@ -14,7 +14,7 @@ machine time, and the branch-predictor / cache / TLB model counters.
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
@@ -93,6 +93,9 @@ def run_program(text, fastpath):
 @settings(max_examples=examples(25), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
+# One hot branchy loop: nearly every replay starts where another ended.
+@example(".image t\n%s%s" % (loop_proc("leaf0", 400, "branchy"),
+                             caller_proc("main", ["leaf0"])))
 def test_fastpath_is_observationally_identical(text):
     fast = run_program(text, True)
     slow = run_program(text, False)

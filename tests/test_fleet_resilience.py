@@ -307,6 +307,25 @@ def test_machine_crash_mid_epoch_recovers_losslessly(tmp_path):
     assert faulted.resilience["machine_recoveries"] >= 1
 
 
+def test_recovered_daemon_replaces_the_dead_ones_listener(tmp_path):
+    # Two crashes, then traffic respawns that fire loadmap events: only
+    # the live daemon may hear them, and the resident gauge is its own.
+    obs = Observability()
+    plan = FaultPlan(specs=(FaultSpec("fleet.machine.run", "crash",
+                                      hits=(2, 4)),), seed=5)
+    machine = FleetMachine("m00", "gcc", 7, drain_interval=1_000,
+                           obs=obs, durable_root=tmp_path / "m00",
+                           faults=plan.build())
+    for _ in range(3):
+        machine.run_epoch(4_000)
+    assert machine.recoveries == 2
+    assert machine.machine.loader._listeners == [
+        machine.daemon.on_loadmap]
+    machine._respawn()
+    assert (obs.gauge("daemon.resident_bytes").value
+            == machine.daemon.resident_bytes())
+
+
 def test_preship_crash_reships_the_closed_epoch(tmp_path):
     faulted = _crash_case(tmp_path, "fleet.machine.ship", (2,))
     assert faulted.resilience["machine_recoveries"] >= 1
