@@ -3,13 +3,12 @@
 Every checker rule reports :class:`Finding` objects with a stable rule
 id (``layer/rule-name``), a severity, and a human-readable location.
 :class:`CheckReport` aggregates findings, applies waivers from a
-committed ``checks-waivers.toml``, and serializes to the normalized
-JSON schema the CI gates consume.
+committed ``checks-waivers.toml``, and gives ``dcpicheck`` the body of
+its JSON report (:func:`repro.obs.report.write_report`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,10 +21,6 @@ _SEV_RANK: Dict[str, int] = {sev: i for i, sev in enumerate(SEVERITIES)}
 
 #: Check layers, in execution order.
 LAYERS: Tuple[str, ...] = ("image", "analysis", "lint", "rewrite")
-
-#: JSON report schema version.  2: added the ``rewrite`` layer
-#: (``rewrite/*`` translation-validation rules, ISSUE 10).
-REPORT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -203,18 +198,11 @@ class CheckReport:
                 row["waived_reason"] = waiver.reason
             rows.append(row)
         return {
-            "schema": REPORT_SCHEMA,
-            "generated_by": "dcpicheck",
             "layers": list(self.layers),
             "workloads": list(self.workloads),
-            "runtime_s": {k: round(v, 3)
-                          for k, v in sorted(self.runtime_s.items())},
             "counts": self.counts(),
             "findings": rows,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def summary(self) -> str:
         counts = self.counts()

@@ -12,8 +12,8 @@ sampling-error significance bounds.  ``dcpifleet`` is the CLI.
 
 from repro.fleet.machine import (DEFAULT_WORKLOADS, FleetConfig,
                                  FleetMachine, FleetResult, FleetSession)
-from repro.fleet.query import (DEFAULT_Z, QUERY_SCHEMA, FleetQuery,
-                               load_baseline, parse_epochs, share_error)
+from repro.fleet.query import (DEFAULT_Z, FleetQuery, load_baseline,
+                               parse_epochs, share_error)
 from repro.fleet.retention import (RetentionPolicy, compact,
                                    compactable_windows, downsample)
 from repro.fleet.store import (LEDGER_VERSION, FleetShard, FleetStore,
@@ -36,7 +36,6 @@ __all__ = [
     "FleetStoreBusyError",
     "IngestRetry",
     "LEDGER_VERSION",
-    "QUERY_SCHEMA",
     "RetentionPolicy",
     "ShipSpool",
     "ShipTimeoutError",

@@ -5,7 +5,7 @@ Subcommands::
     dcpifleet run        simulate N machines for E epochs into a store
     dcpifleet top        fleet-wide hot images/procedures
     dcpifleet movers     biggest CPU-share movers between epoch ranges
-    dcpifleet timeseries per-epoch share series (text or JSON)
+    dcpifleet timeseries per-epoch share series
     dcpifleet regress    exit-nonzero regression gate (CI primitive)
     dcpifleet classes    fleet-wide per-request-class attribution
     dcpifleet verify     shard integrity + conservation audit (exit 1)
@@ -15,17 +15,19 @@ both the sampling-error significance bound and the configured floor,
 and 1 when either side of the comparison holds no samples; CI runs it
 against a committed baseline (``--write-baseline`` regenerates one).
 Every subcommand but ``run`` only reads: on a path that holds no store
-it exits 1 and creates nothing.  All output is deterministic for a
-given store.
+it exits 1 and creates nothing.  Every subcommand prints text and,
+with ``--json PATH|-``, writes its report in the one envelope of
+:func:`repro.obs.report.write_report`.  All output is deterministic
+for a given store.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from repro.fleet.query import (DEFAULT_Z, FleetQuery, load_baseline)
+from repro.fleet.query import DEFAULT_Z, FleetQuery, load_baseline
 from repro.fleet.store import STORE_META_NAME, FleetStore
+from repro.obs.report import add_json_flag, text_stream, write_report
 
 
 def build_parser():
@@ -34,9 +36,14 @@ def build_parser():
         description="simulated fleet profiling: run machines, query the "
                     "central epoch store")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--store", required=True, help="store directory")
+    add_json_flag(common)
 
-    run = sub.add_parser("run", help="simulate a fleet into a store")
-    run.add_argument("--store", required=True, help="store directory")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, parents=[common])
+
+    run = command("run", "simulate a fleet into a store")
     run.add_argument("--machines", type=int, default=3)
     run.add_argument("--epochs", type=int, default=3)
     run.add_argument("--seed", type=int, default=1)
@@ -47,10 +54,6 @@ def build_parser():
     run.add_argument("--retention", default=None, metavar="K[:W[:D]]",
                      help="keep K epochs full-res, compact aligned "
                           "W-windows, divide counts by D")
-    run.add_argument("--json", dest="json_path", default=None,
-                     metavar="FILE",
-                     help="write the session report as JSON ('-' = "
-                          "stdout)")
     run.add_argument("--no-check", dest="check", action="store_false",
                      help="skip the fleet-conservation invariant check")
     run.add_argument("--context", action="store_true",
@@ -67,23 +70,22 @@ def build_parser():
                      help="bounded unacked-delta spool per machine "
                           "(default 8)")
 
-    def query_args(cmd, epochs_help="epoch range A..B, single epoch, "
-                                    "or 'all' (default)"):
-        cmd.add_argument("--store", required=True)
+    any_epochs = "epoch range A..B, single epoch, or 'all' (default)"
+
+    def query_command(name, summary, epochs_help=any_epochs):
+        cmd = command(name, summary)
         cmd.add_argument("--event", default="cycles")
         cmd.add_argument("--by", default="procedure",
                          choices=["procedure", "image"])
         cmd.add_argument("--epochs", default=None, help=epochs_help)
-        cmd.add_argument("--json", dest="as_json", action="store_true",
-                         help="emit JSON instead of a table")
+        return cmd
 
-    top = sub.add_parser("top", help="fleet-wide hottest code")
-    query_args(top)
+    top = query_command("top", "fleet-wide hottest code")
     top.add_argument("--limit", type=int, default=20)
 
-    movers = sub.add_parser(
-        "movers", help="biggest share movers between two epoch ranges")
-    query_args(movers, epochs_help="newer epoch range (A..B)")
+    movers = query_command(
+        "movers", "biggest share movers between two epoch ranges",
+        epochs_help="newer epoch range (A..B)")
     movers.add_argument("--base-epochs", required=True,
                         help="older epoch range to compare against")
     movers.add_argument("--z", type=float, default=DEFAULT_Z,
@@ -94,16 +96,13 @@ def build_parser():
                              "significance")
     movers.add_argument("--limit", type=int, default=20)
 
-    series = sub.add_parser(
-        "timeseries", help="per-epoch share series")
-    query_args(series)
+    series = query_command("timeseries", "per-epoch share series")
     series.add_argument("--name", default=None,
                         help="restrict to one image:procedure label")
 
-    regress = sub.add_parser(
-        "regress", help="regression gate: exit 2 on significant share "
-                        "increases")
-    query_args(regress, epochs_help="epoch range under test")
+    regress = query_command(
+        "regress", "regression gate: exit 2 on significant share "
+                   "increases", epochs_help="epoch range under test")
     regress.add_argument("--base-epochs", default=None,
                          help="compare against these epochs of the "
                               "same store")
@@ -119,24 +118,14 @@ def build_parser():
                          help="ignore share increases below this "
                               "(default 0.005)")
 
-    classes = sub.add_parser(
-        "classes", help="per-request-class attribution from shipped "
-                        "context ledgers")
-    classes.add_argument("--store", required=True)
-    classes.add_argument("--epochs", default=None,
-                         help="epoch range A..B, single epoch, or "
-                              "'all' (default)")
+    classes = command("classes", "per-request-class attribution from "
+                                 "shipped context ledgers")
+    classes.add_argument("--epochs", default=None, help=any_epochs)
     classes.add_argument("--limit", type=int, default=5,
                          help="culprit procedures per class")
-    classes.add_argument("--json", dest="as_json", action="store_true",
-                         help="emit JSON instead of a table")
 
-    verify = sub.add_parser(
-        "verify", help="re-validate every shard's committed profiles "
-                       "and audit the store's conservation books")
-    verify.add_argument("--store", required=True)
-    verify.add_argument("--json", dest="as_json", action="store_true",
-                        help="emit the full JSON report")
+    command("verify", "re-validate every shard's committed profiles "
+                      "and audit the store's conservation books")
     return parser
 
 
@@ -207,13 +196,6 @@ def cmd_run(args, out):
     store = FleetStore(args.store, shards=args.shards)
     result = FleetSession(config).run(store, check=args.check)
     report = result.report()
-    if args.json_path == "-":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     stats = report["store"]
     out.write("fleet: %d machine(s) x %d epoch(s), %d deltas, "
               "%d samples -> %s (%d bytes)\n"
@@ -222,19 +204,15 @@ def cmd_run(args, out):
                  stats["disk_bytes"]))
     for finding in result.findings:
         out.write("FINDING %s\n" % finding)
-    return 0 if report["ok"] else 1
+    return (0 if report["ok"] else 1), report
 
 
 def cmd_top(args, out):
     query = FleetQuery(FleetStore(args.store), event=args.event)
     report = query.top(epochs=args.epochs, by=args.by,
                        limit=args.limit)
-    if args.as_json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        render_top(report, out)
-    return 0
+    render_top(report, out)
+    return 0, report
 
 
 def cmd_movers(args, out):
@@ -243,41 +221,31 @@ def cmd_movers(args, out):
                           z=args.z,
                           min_share_delta=args.min_share_delta,
                           limit=args.limit)
-    if args.as_json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        render_movers(report, out)
-    return 0
+    render_movers(report, out)
+    return 0, report
 
 
 def cmd_timeseries(args, out):
     query = FleetQuery(FleetStore(args.store), event=args.event)
     report = query.timeseries(name=args.name, by=args.by,
                               epochs=args.epochs)
-    if args.as_json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        render_timeseries(report, out)
-    return 0
+    render_timeseries(report, out)
+    return 0, report
 
 
 def cmd_regress(args, out):
     query = FleetQuery(FleetStore(args.store), event=args.event)
     if args.write_baseline:
         baseline = query.baseline(epochs=args.epochs, by=args.by)
-        with open(args.write_baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_report(args.write_baseline, "dcpifleet", baseline)
         out.write("wrote baseline (%d samples, %d names) -> %s\n"
                   % (baseline["total_samples"],
                      len(baseline["samples"]), args.write_baseline))
-        return 0
+        return 0, None
     if (args.baseline is None) == (args.base_epochs is None):
         out.write("regress needs exactly one of --baseline / "
                   "--base-epochs\n")
-        return 1
+        return 1, None
     baseline = load_baseline(args.baseline) if args.baseline else None
     report = query.regress(
         epochs=args.epochs, base_epochs=args.base_epochs,
@@ -288,12 +256,8 @@ def cmd_regress(args, out):
         print("regress: nothing to compare (%d baseline samples, %d "
               "under test)" % (report["base_total"],
                                report["new_total"]), file=sys.stderr)
-        return 1
-    if args.as_json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        render_movers(report, out, limit=20)
+        return 1, None
+    render_movers(report, out, limit=20)
     regressions = report["regressions"]
     if regressions:
         out.write("\nREGRESSION: %d procedure(s) gained significant "
@@ -303,9 +267,9 @@ def cmd_regress(args, out):
                       % (row["name"], _share(row["share_base"]),
                          _share(row["share_new"]), row["delta"] * 100.0,
                          row["bound"] * 100.0))
-        return 2
+        return 2, report
     out.write("\nno significant share regressions\n")
-    return 0
+    return 0, report
 
 
 def cmd_classes(args, out):
@@ -321,17 +285,12 @@ def cmd_classes(args, out):
     if merged is None:
         out.write("no context ledgers in %s (run the fleet with "
                   "--context)\n" % args.store)
-        return 1
+        return 1, None
     period = max(_cycles_period(shard.db) for shard in store.shards)
     report = build_report(merged, period=period, db=args.store,
                           limit=args.limit)
-    if args.as_json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write(format_report(report, title="dcpifleet classes"))
-        out.write("\n")
-    return 0
+    out.write(format_report(report, title="dcpifleet classes") + "\n")
+    return 0, report
 
 
 def cmd_verify(args, out):
@@ -357,36 +316,27 @@ def cmd_verify(args, out):
         quarantined=stats["quarantined_samples"],
         label="store:%s" % args.store)
     report = {
-        "schema": 1,
         "store": args.store,
         "shards": shard_reports,
         "stats": stats,
         "findings": [finding.to_dict() for finding in findings],
         "ok": not findings,
     }
-    if args.as_json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write("fleet verify %s: %d shard(s), %d epoch(s), "
-                  "%d samples\n"
-                  % (args.store, stats["shards"], stats["epochs"],
-                     stats["stored_samples"]))
-        for name, verify in sorted(shard_reports.items()):
-            out.write("  %s: checked %d, quarantined %d "
-                      "(%d samples in quarantine)\n"
-                      % (name, verify["checked"],
-                         verify["quarantined"],
-                         verify["lost_samples"]))
-        for finding in findings:
-            out.write("FINDING %s\n" % finding)
-        out.write("conservation %s\n"
-                  % ("ok" if not findings else "VIOLATED"))
-    return 0 if not findings else 1
+    out.write("fleet verify %s: %d shard(s), %d epoch(s), %d samples\n"
+              % (args.store, stats["shards"], stats["epochs"],
+                 stats["stored_samples"]))
+    for name, verify in sorted(shard_reports.items()):
+        out.write("  %s: checked %d, quarantined %d "
+                  "(%d samples in quarantine)\n"
+                  % (name, verify["checked"], verify["quarantined"],
+                     verify["lost_samples"]))
+    for finding in findings:
+        out.write("FINDING %s\n" % finding)
+    out.write("conservation %s\n" % ("ok" if not findings else "VIOLATED"))
+    return (0 if not findings else 1), report
 
 
 def main(argv=None, out=None):
-    out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     if args.command != "run" and not os.path.isfile(
             os.path.join(args.store, STORE_META_NAME)):
@@ -402,7 +352,10 @@ def main(argv=None, out=None):
         "classes": cmd_classes,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args, out)
+    code, report = handler(args, text_stream(args.json, out))
+    if args.json and report is not None:
+        write_report(args.json, "dcpifleet", report, out=out)
+    return code
 
 
 if __name__ == "__main__":

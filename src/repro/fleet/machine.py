@@ -372,9 +372,8 @@ class FleetResult:
         return sum(m["shipped_samples"] for m in self.machines)
 
     def report(self):
-        """The machine-readable session report (dcpifleet --json)."""
+        """The body of ``dcpifleet run``'s JSON report."""
         return {
-            "schema": 1,
             "config": {
                 "machines": self.config.machines,
                 "epochs": self.config.epochs,

@@ -18,9 +18,6 @@ import json
 
 from repro.cpu.events import EventType
 
-#: Query/baseline JSON schema version.
-QUERY_SCHEMA = 1
-
 #: Default two-sided 95% z-score for significance bounds.
 DEFAULT_Z = 1.96
 
@@ -85,6 +82,9 @@ class FleetQuery:
         self.symbols = SymbolIndex(store.symbols())
 
     def epochs(self, spec=None):
+        """*spec* parsed against the store; a list is already epochs."""
+        if isinstance(spec, list):
+            return spec
         return parse_epochs(spec, self.store.epochs())
 
     # -- aggregation -------------------------------------------------------
@@ -111,39 +111,14 @@ class FleetQuery:
                     grand += count
         return totals, grand
 
-    # -- queries -----------------------------------------------------------
+    def _compare(self, base, base_total, epochs, by, z, min_share_delta):
+        """Per-name share rows of *epochs* against *base* samples.
 
-    def top(self, epochs=None, by="procedure", limit=None):
-        """Fleet-wide hottest images/procedures for an epoch range."""
-        epochs = self.epochs(epochs) if not isinstance(epochs, list) \
-            else epochs
-        totals, grand = self._totals(epochs, by=by)
-        rows = [{
-            "name": name,
-            "samples": samples,
-            "share": samples / grand if grand else 0.0,
-        } for name, samples in sorted(totals.items(),
-                                      key=lambda kv: (-kv[1], kv[0]))]
-        if limit:
-            rows = rows[:limit]
-        return {"schema": QUERY_SCHEMA, "query": "top", "by": by,
-                "event": str(self.event), "epochs": epochs,
-                "total_samples": grand, "rows": rows}
-
-    def movers(self, base_epochs, epochs, by="procedure", z=DEFAULT_Z,
-               min_share_delta=0.0, limit=None):
-        """Procedures whose CPU share moved most between two ranges.
-
-        Every row carries the share in both ranges, the delta, and the
+        Every row carries the share on both sides, the delta and its
         significance bound; ``significant`` is True when the absolute
-        delta clears both the sampling-error bound and the caller's
-        *min_share_delta* floor.
+        delta clears both the sampling-error bound and the
+        *min_share_delta* floor.  Rows are ordered by |delta|.
         """
-        base_epochs = self.epochs(base_epochs) \
-            if not isinstance(base_epochs, list) else base_epochs
-        epochs = self.epochs(epochs) if not isinstance(epochs, list) \
-            else epochs
-        base, base_total = self._totals(base_epochs, by=by)
         new, new_total = self._totals(epochs, by=by)
         rows = []
         for name in sorted(set(base) | set(new)):
@@ -166,19 +141,44 @@ class FleetQuery:
                                 and abs(delta) >= min_share_delta),
             })
         rows.sort(key=lambda row: (-abs(row["delta"]), row["name"]))
-        if limit:
-            rows = rows[:limit]
-        return {"schema": QUERY_SCHEMA, "query": "movers", "by": by,
-                "event": str(self.event), "z": z,
-                "min_share_delta": min_share_delta,
-                "base_epochs": base_epochs, "epochs": epochs,
+        return {"by": by, "event": str(self.event), "z": z,
+                "min_share_delta": min_share_delta, "epochs": epochs,
                 "base_total": base_total, "new_total": new_total,
                 "rows": rows}
 
+    # -- queries -----------------------------------------------------------
+
+    def top(self, epochs=None, by="procedure", limit=None):
+        """Fleet-wide hottest images/procedures for an epoch range."""
+        epochs = self.epochs(epochs)
+        totals, grand = self._totals(epochs, by=by)
+        rows = [{
+            "name": name,
+            "samples": samples,
+            "share": samples / grand if grand else 0.0,
+        } for name, samples in sorted(totals.items(),
+                                      key=lambda kv: (-kv[1], kv[0]))]
+        if limit:
+            rows = rows[:limit]
+        return {"query": "top", "by": by, "event": str(self.event),
+                "epochs": epochs, "total_samples": grand, "rows": rows}
+
+    def movers(self, base_epochs, epochs, by="procedure", z=DEFAULT_Z,
+               min_share_delta=0.0, limit=None):
+        """Procedures whose CPU share moved most between two ranges
+        (rows as in :meth:`_compare`)."""
+        base_epochs = self.epochs(base_epochs)
+        base, base_total = self._totals(base_epochs, by=by)
+        report = self._compare(base, base_total, self.epochs(epochs), by,
+                               z, min_share_delta)
+        if limit:
+            report["rows"] = report["rows"][:limit]
+        report.update(query="movers", base_epochs=base_epochs)
+        return report
+
     def timeseries(self, name=None, by="procedure", epochs=None):
         """Per-epoch share series, fleet-wide or for one name."""
-        epochs = self.epochs(epochs) if not isinstance(epochs, list) \
-            else epochs
+        epochs = self.epochs(epochs)
         series = {}
         for epoch in epochs:
             totals, grand = self._totals([epoch], by=by)
@@ -192,19 +192,17 @@ class FleetQuery:
                                "share": samples / grand if grand
                                else 0.0}}
             series[epoch] = {"total_samples": grand, "rows": rows}
-        return {"schema": QUERY_SCHEMA, "query": "timeseries", "by": by,
-                "event": str(self.event), "name": name,
-                "epochs": epochs, "series": series}
+        return {"query": "timeseries", "by": by, "event": str(self.event),
+                "name": name, "epochs": epochs, "series": series}
 
     # -- regression detection ----------------------------------------------
 
     def baseline(self, epochs=None, by="procedure"):
         """The committed-baseline form ``regress`` compares against."""
-        epochs = self.epochs(epochs) if not isinstance(epochs, list) \
-            else epochs
+        epochs = self.epochs(epochs)
         totals, grand = self._totals(epochs, by=by)
-        return {"schema": QUERY_SCHEMA, "kind": "fleet-baseline",
-                "by": by, "event": str(self.event), "epochs": epochs,
+        return {"kind": "fleet-baseline", "by": by,
+                "event": str(self.event), "epochs": epochs,
                 "total_samples": grand,
                 "samples": dict(sorted(totals.items()))}
 
@@ -221,41 +219,15 @@ class FleetQuery:
         is non-empty.
         """
         if baseline is not None:
-            base = dict(baseline["samples"])
-            base_total = baseline["total_samples"]
-            by = baseline.get("by", by)
-            epochs = self.epochs(epochs) \
-                if not isinstance(epochs, list) else epochs
-            new, new_total = self._totals(epochs, by=by)
-            rows = []
-            for name in sorted(set(base) | set(new)):
-                samples_a = base.get(name, 0)
-                samples_b = new.get(name, 0)
-                share_a = samples_a / base_total if base_total else 0.0
-                share_b = samples_b / new_total if new_total else 0.0
-                delta = share_b - share_a
-                bound = z * (share_error(samples_a, base_total) ** 2
-                             + share_error(samples_b,
-                                           new_total) ** 2) ** 0.5
-                rows.append({
-                    "name": name, "samples_base": samples_a,
-                    "samples_new": samples_b, "share_base": share_a,
-                    "share_new": share_b, "delta": delta,
-                    "bound": bound,
-                    "significant": (abs(delta) > bound
-                                    and abs(delta) >= min_share_delta),
-                })
-            rows.sort(key=lambda row: (-abs(row["delta"]), row["name"]))
-            report = {"schema": QUERY_SCHEMA, "query": "regress",
-                      "by": by, "event": str(self.event), "z": z,
-                      "min_share_delta": min_share_delta,
-                      "base": "baseline-file", "epochs": epochs,
-                      "base_total": base_total, "new_total": new_total,
-                      "rows": rows}
+            report = self._compare(
+                baseline["samples"], baseline["total_samples"],
+                self.epochs(epochs), baseline.get("by", by), z,
+                min_share_delta)
+            report["base"] = "baseline-file"
         else:
             report = self.movers(base_epochs, epochs, by=by, z=z,
                                  min_share_delta=min_share_delta)
-            report["query"] = "regress"
+        report["query"] = "regress"
         report["regressions"] = [
             row for row in report["rows"]
             if row["significant"] and row["delta"] > 0]

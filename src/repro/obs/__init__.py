@@ -10,7 +10,8 @@ reproduction the same introspection as a first-class subsystem:
   ``about:tracing``/Perfetto-compatible JSONL;
 * :mod:`repro.obs.schema` -- the normalized metric namespace that
   replaced the old ad-hoc ``stats()`` dicts;
-* :mod:`repro.obs.report` -- the ``dcpimon`` report renderer.
+* :mod:`repro.obs.report` -- the one ``dcpi*`` JSON report writer
+  and the ``dcpimon`` report renderer.
 
 Instrumentation is zero-cost when disabled: :data:`NULL_OBS` answers
 every call with shared no-op objects and never reads a clock.

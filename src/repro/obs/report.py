@@ -1,18 +1,74 @@
-"""Rendering for the ``dcpimon`` self-profile report.
+"""Reports: the one JSON writer every ``dcpi*`` tool uses, and the
+``dcpimon`` self-profile renderer.
 
-Takes the derived flat metrics (:func:`repro.obs.schema.derive`), the
-per-shard run facts, and the span aggregation
-(:func:`repro.obs.trace.span_durations`) and renders the terminal
-report: collection rates, per-CPU spill pressure, daemon memory, shard
-wall times, and the per-analysis-phase time breakdown.
+:func:`write_report` is the envelope.  ``dcpicheck``, ``dcpichaos``,
+``dcpifleet``, ``dcpitrace`` and ``dcpiopt`` take one flag,
+``--json PATH|-`` (:func:`add_json_flag`), and route every report
+through it: ``schema`` and ``tool`` at the top level next to the
+tool's body keys, host-clock values under ``timing`` (so two runs of
+the same inputs are byte-equal once ``timing`` is dropped), dumped
+with sorted keys.  With ``-`` the report owns stdout and the tool's
+human text goes to stderr (:func:`text_stream`).
+
+:func:`render_report` takes the derived flat metrics
+(:func:`repro.obs.schema.derive`), the per-shard run facts, and the
+span aggregation (:func:`repro.obs.trace.span_durations`) and renders
+the terminal report: collection rates, per-CPU spill pressure, daemon
+memory, shard wall times, and the per-analysis-phase time breakdown.
 """
 
+import argparse
+import json
+import os
 import re
+import sys
+from typing import IO, Any, Dict, List, Mapping, Optional, Sequence
+
+#: Version of the report envelope.  Above every number a tool wrote
+#: before there was one envelope, so an old file is refused, not
+#: misread.
+REPORT_SCHEMA = 3
+
+
+def add_json_flag(parser: argparse.ArgumentParser) -> None:
+    """The ``--json PATH|-`` flag of every report-writing tool."""
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="write the JSON report to PATH ('-' = stdout; the text "
+             "output then goes to stderr)")
+
+
+def text_stream(json_path: Optional[str],
+                out: Optional[IO[str]] = None) -> IO[str]:
+    """Where human text goes: stderr when the report owns stdout."""
+    if json_path == "-":
+        return sys.stderr
+    return out if out is not None else sys.stdout
+
+
+def write_report(path: str, tool: str, body: Mapping[str, Any],
+                 timing: Optional[Mapping[str, Any]] = None,
+                 out: Optional[IO[str]] = None) -> None:
+    """Write *tool*'s report: *body* in the envelope, to *path*.
+
+    ``-`` writes to *out* (default stdout); a missing parent directory
+    of *path* is created.  Values must be JSON values already.
+    """
+    report = dict(body, schema=REPORT_SCHEMA, tool=tool,
+                  timing=dict(timing or {}))
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        (out if out is not None else sys.stdout).write(text)
+        return
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
 
 _CPU_KEY = re.compile(r"^driver\.cpu(\d+)\.(.+)$")
 
 
-def _fmt_bytes(value):
+def _fmt_bytes(value: float) -> str:
     for unit in ("B", "KB", "MB", "GB"):
         if abs(value) < 1024 or unit == "GB":
             return ("%d %s" % (value, unit) if unit == "B"
@@ -21,13 +77,13 @@ def _fmt_bytes(value):
     return "%d B" % value
 
 
-def _fmt_pct(ratio):
+def _fmt_pct(ratio: float) -> str:
     return "%.2f%%" % (ratio * 100.0)
 
 
-def per_cpu_rows(flat):
+def per_cpu_rows(flat: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """[{cpu, samples, spills, evictions}] from the flat metrics."""
-    by_cpu = {}
+    by_cpu: Dict[int, Dict[str, Any]] = {}
     for name, value in flat.items():
         match = _CPU_KEY.match(name)
         if match:
@@ -40,8 +96,11 @@ def per_cpu_rows(flat):
             for cpu, values in sorted(by_cpu.items())]
 
 
-def render_report(flat, shards=(), merge_s=None, phases=None,
-                  title="self-profile"):
+def render_report(flat: Mapping[str, Any],
+                  shards: Sequence[Mapping[str, Any]] = (),
+                  merge_s: Optional[float] = None,
+                  phases: Optional[Mapping[str, Mapping[str, Any]]] = None,
+                  title: str = "self-profile") -> str:
     """Render the full dcpimon report; returns the text."""
     lines = ["dcpimon %s" % title, "=" * max(24, len(title) + 8), ""]
 

@@ -105,7 +105,7 @@ class OptReport:
         return self.oracle.speedup
 
     def report(self) -> Dict[str, Any]:
-        """Plain-dict summary (the dcpiopt report schema, version 2)."""
+        """Plain-dict summary: the body of ``dcpiopt run``'s report."""
         oracle = self.oracle
         if oracle is not None:
             baseline = oracle.baseline_machine
@@ -138,7 +138,6 @@ class OptReport:
             mismatches = []
             skipped = []
         return {
-            "schema": 2,
             "workload": self.workload_name,
             "accepted": self.accepted,
             "static_ok": self.static_ok,

@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+from repro.obs.report import add_json_flag, text_stream, write_report
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -40,9 +42,7 @@ def build_parser():
     parser.add_argument(
         "--max-instructions", type=int, default=None,
         help="instruction budget per run (default: matrix preset)")
-    parser.add_argument(
-        "--json", dest="json_path", default=None, metavar="FILE",
-        help="also write the full case reports as JSON ('-' = stdout)")
+    add_json_flag(parser)
     parser.add_argument(
         "--list", action="store_true",
         help="list registered scenarios and exit")
@@ -135,10 +135,10 @@ def _explain_failure(case, out):
 
 
 def main(argv=None, out=None):
-    out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    text_out = text_stream(args.json, out)
     if args.list:
-        _list_scenarios(out)
+        _list_scenarios(text_out)
         return 0
 
     from repro.faults.scenarios import (get_fleet_scenario, get_scenario,
@@ -157,34 +157,32 @@ def main(argv=None, out=None):
         cases = run_fleet_matrix(quick=args.quick, seed=args.seed,
                                  budget=args.max_instructions,
                                  names=names)
-        render_fleet_table(cases, out)
+        render_fleet_table(cases, text_out)
     else:
         workloads = [name.strip() for name in args.workloads.split(",")
                      if name.strip()]
         cases = run_matrix(workloads=workloads, quick=args.quick,
                            seed=args.seed, budget=args.max_instructions,
                            names=names)
-        render_table(cases, out)
+        render_table(cases, text_out)
     failures = [case for case in cases if not case["ok"]]
-    out.write("\n%d case(s), %d failure(s), %d recoveries, "
-              "max loss rate %.2f%%\n"
-              % (len(cases), len(failures),
-                 sum(case["recoveries"] for case in cases),
-                 max((case["loss_rate"] for case in cases), default=0.0)
-                 * 100.0))
+    text_out.write("\n%d case(s), %d failure(s), %d recoveries, "
+                   "max loss rate %.2f%%\n"
+                   % (len(cases), len(failures),
+                      sum(case["recoveries"] for case in cases),
+                      max((case["loss_rate"] for case in cases),
+                          default=0.0) * 100.0))
     for case in failures:
         if case.get("fleet"):
-            _explain_fleet_failure(case, out)
+            _explain_fleet_failure(case, text_out)
         else:
-            _explain_failure(case, out)
-    if args.json_path:
-        payload = json.dumps(cases, indent=2, sort_keys=True,
-                             default=str)
-        if args.json_path == "-":
-            out.write(payload + "\n")
-        else:
-            with open(args.json_path, "w") as handle:
-                handle.write(payload + "\n")
+            _explain_failure(case, text_out)
+    if args.json:
+        elapsed = {"/".join(filter(None, (case["scenario"],
+                                          case.get("workload")))):
+                   case.pop("elapsed_s") for case in cases}
+        write_report(args.json, "dcpichaos", {"cases": cases},
+                     timing={"elapsed_s": elapsed}, out=out)
     return 1 if failures else 0
 
 

@@ -3,8 +3,9 @@
 Runs any subset of the four check layers (``image``, ``analysis``,
 ``lint``, ``rewrite``) over every registered workload, prints the
 findings, and exits non-zero when any *unwaived* error-severity
-finding remains.  CI uses it as a gate; the JSON report (``--json``)
-is the normalized artifact it uploads.
+finding remains.  CI uses it as a gate; ``--json PATH|-`` writes the
+report in the one envelope of :func:`repro.obs.report.write_report`
+(per-layer runtimes under ``timing``).
 
 Examples::
 
@@ -23,6 +24,7 @@ from typing import List, Optional
 from repro.check.findings import ERROR, LAYERS, SEVERITIES
 from repro.check.runner import (DEFAULT_MAX_INSTRUCTIONS, CheckConfig,
                                 run_checks)
+from repro.obs.report import add_json_flag, text_stream, write_report
 
 #: Waiver file looked up relative to the current directory by default.
 DEFAULT_WAIVERS = "checks-waivers.toml"
@@ -37,7 +39,7 @@ def _parse_layers(text: str) -> List[str]:
     return layers
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcpicheck",
         description="static analysis & invariant checks "
@@ -62,16 +64,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--src", default=None,
         help="source root for the lint layer (default: the installed "
              "repro package)")
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the normalized JSON report to PATH ('-' = stdout)")
+    add_json_flag(parser)
     parser.add_argument(
         "--severity", default=ERROR, choices=list(SEVERITIES),
         help="minimum severity that fails the run (default: error)")
     parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="print only the summary line")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     waivers_path = args.waivers
     if waivers_path is None and os.path.exists(DEFAULT_WAIVERS):
@@ -91,17 +95,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_checks(config)
 
     if args.json:
-        payload = report.to_json()
-        if args.json == "-":
-            print(payload)
-        else:
-            out_dir = os.path.dirname(os.path.abspath(args.json))
-            os.makedirs(out_dir, exist_ok=True)
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-
-    # With the report on stdout, keep human output off it.
-    text_out = sys.stderr if args.json == "-" else sys.stdout
+        write_report(args.json, "dcpicheck", report.to_dict(),
+                     timing={"runtime_s": {
+                         layer: round(seconds, 3)
+                         for layer, seconds in report.runtime_s.items()}})
+    text_out = text_stream(args.json)
     gating = report.unwaived(args.severity)
     if not args.quiet:
         shown = sorted(report.findings, key=lambda f: f.sort_key())

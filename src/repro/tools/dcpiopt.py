@@ -5,25 +5,28 @@ Three subcommands close the paper's loop from the command line:
 * ``dcpiopt run``    -- profile a registry workload, build the rewrite
   plan, statically prove it semantics-preserving (Layer 4,
   :mod:`repro.check.transval`), then verify architectural identity
-  plus zero new Layer-1 findings dynamically, re-run, and print (or
-  save) the realized-speedup report.  Exits 0 only when the rewrite
-  was accepted; a static rejection prints its per-block
-  counterexamples and skips the A/B runs entirely.
+  plus zero new Layer-1 findings dynamically, re-run, and print the
+  realized-speedup report.  Exits 0 only when the rewrite was
+  accepted; a static rejection prints its per-block counterexamples
+  and skips the A/B runs entirely.
 * ``dcpiopt report`` -- render a saved run report as before/after
   cycles, CPI and I-cache-miss deltas.
 * ``dcpiopt sweep``  -- realized speedup as a function of profile
   quality (sampling period x injected collection loss) across one or
-  more workloads; emits the JSON rows the nightly curve artifact is
-  built from.
+  more workloads; its JSON rows are what the speedup curve is built
+  from.
 
-The run report is schema-versioned (:mod:`repro.opt.optimizer`
-schema 2; 1 is still readable) so CI can assert on its shape.
+``run`` and ``sweep`` write their JSON report with ``--json PATH|-``
+in the one envelope of :func:`repro.obs.report.write_report`;
+``report`` reads only that envelope.
 """
 
 import argparse
 import json
 import sys
 
+from repro.obs.report import (REPORT_SCHEMA, add_json_flag, text_stream,
+                              write_report)
 from repro.opt import (OptConfig, optimize_workload, pass_contributions,
                        sweep_workload)
 from repro.workloads import OPT_TARGETS
@@ -123,27 +126,21 @@ def _run(args):
             max_instructions=args.max_instructions,
             cycles_period=args.period, loss=args.loss,
             verify_instructions=args.verify_instructions)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_run(payload))
+        write_report(args.json, "dcpiopt", payload)
+    print(format_run(payload), file=text_stream(args.json))
     return 0 if payload["accepted"] else 1
 
 
 def _report(args):
     with open(args.report) as handle:
         payload = json.load(handle)
-    if payload.get("schema") not in (1, 2):
-        print("unsupported dcpiopt report schema %r"
-              % payload.get("schema"), file=sys.stderr)
+    found = (payload.get("schema"), payload.get("tool"))
+    if found != (REPORT_SCHEMA, "dcpiopt"):
+        print("not a dcpiopt report (schema %r, tool %r)" % found,
+              file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_run(payload))
+    print(format_run(payload))
     return 0
 
 
@@ -155,25 +152,21 @@ def _sweep(args):
             mode=args.mode, seed=args.seed,
             max_instructions=args.max_instructions,
             verify_instructions=args.verify_instructions))
-    payload = {"schema": 1, "rows": rows}
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("%-14s %8s %6s %9s %9s %s"
-              % ("workload", "period", "loss", "speedup", "samples",
-                 "accepted"))
-        for row in rows:
-            print("%-14s %8.0f %5.0f%% %8.2f%% %9d %s"
-                  % (row["workload"], row["period"],
-                     row["loss"] * 100.0, row["speedup"] * 100.0,
-                     row["samples"], row["accepted"]))
+        write_report(args.json, "dcpiopt", {"rows": rows})
+    out = text_stream(args.json)
+    print("%-14s %8s %6s %9s %9s %s"
+          % ("workload", "period", "loss", "speedup", "samples",
+             "accepted"), file=out)
+    for row in rows:
+        print("%-14s %8.0f %5.0f%% %8.2f%% %9d %s"
+              % (row["workload"], row["period"],
+                 row["loss"] * 100.0, row["speedup"] * 100.0,
+                 row["samples"], row["accepted"]), file=out)
     return 0
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="dcpiopt",
         description="profile-guided optimizer (repro.opt)")
@@ -201,15 +194,11 @@ def main(argv=None):
                        % (PASS_NAMES,))
     run_p.add_argument("--contributions", action="store_true",
                        help="also measure each pass in isolation")
-    run_p.add_argument("--out", default=None,
-                       help="write the JSON report here")
-    run_p.add_argument("--json", action="store_true",
-                       help="print the JSON payload instead of text")
+    add_json_flag(run_p)
 
     rep_p = sub.add_parser(
         "report", help="render a saved dcpiopt run report")
     rep_p.add_argument("report", help="JSON file written by dcpiopt run")
-    rep_p.add_argument("--json", action="store_true")
 
     sweep_p = sub.add_parser(
         "sweep", help="realized speedup vs sampling period and loss")
@@ -226,11 +215,12 @@ def main(argv=None):
     sweep_p.add_argument("--max-instructions", type=int,
                          default=200_000)
     sweep_p.add_argument("--verify-instructions", type=int, default=None)
-    sweep_p.add_argument("--out", default=None,
-                         help="write {schema, rows} JSON here")
-    sweep_p.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
+    add_json_flag(sweep_p)
+    return parser
 
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     if args.command == "run":
         return _run(args)
     if args.command == "report":

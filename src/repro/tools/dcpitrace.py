@@ -5,11 +5,12 @@ Two subcommands:
 * ``dcpitrace run``     -- profile a registry workload with the
   request-context dimension enabled and commit the context ledger to
   a profile database (alongside the samples, atomically).
-* ``dcpitrace report``  -- read a database's context ledger and emit
-  the per-class report as JSON: CYCLES samples and estimated cycles,
-  exact per-class CPI from the OS's per-request accounting, the top
-  culprit procedures, and request tail percentiles (p50/p95/p99 of
-  cycles per request).
+* ``dcpitrace report``  -- read a database's context ledger and print
+  the per-class report (``--json PATH|-`` also writes it in the one
+  envelope of :func:`repro.obs.report.write_report`): CYCLES samples
+  and estimated cycles, exact per-class CPI from the OS's per-request
+  accounting, the top culprit procedures, and request tail percentiles
+  (p50/p95/p99 of cycles per request).
 
 Exit codes: 0 on success; 1 when the database carries no context
 ledger (the session ran without ``context=True``) or does not exist
@@ -21,16 +22,13 @@ database, or a merged multi-epoch history.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from repro.collect.database import ProfileDatabase
 from repro.cpu.events import EventType
 from repro.ctx import CTX_SCHEMA, merge_ledger_meta, span_id
-
-#: Report schema version (the CI smoke test asserts on it).
-REPORT_SCHEMA = 1
+from repro.obs.report import add_json_flag, text_stream, write_report
 
 
 def percentile(sorted_values, pct):
@@ -113,7 +111,6 @@ def build_report(ledger_meta, period=1, db="", limit=5):
             "tail": tail_stats(req_cycles),
         }
     return {
-        "schema": REPORT_SCHEMA,
         "db": db,
         "period": period,
         "classes": classes,
@@ -148,7 +145,7 @@ def format_report(report, title="dcpitrace report"):
     return "\n".join(lines)
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="dcpitrace",
         description="per-request-class attribution (repro.ctx)")
@@ -168,11 +165,14 @@ def main(argv=None):
     rep_p = sub.add_parser("report", help="per-class report from a "
                            "context-enabled database")
     rep_p.add_argument("db", help="profile database directory")
-    rep_p.add_argument("--json", action="store_true",
-                       help="emit the raw JSON payload")
+    add_json_flag(rep_p)
     rep_p.add_argument("--limit", type=int, default=5,
                        help="culprit procedures per class")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
 
     if args.command == "run":
         return _run(args)
@@ -214,9 +214,8 @@ def _report(args):
     report = build_report(merged, period=_cycles_period(database),
                           db=args.db, limit=args.limit)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_report(report))
+        write_report(args.json, "dcpitrace", report)
+    print(format_report(report), file=text_stream(args.json))
     return 0
 
 

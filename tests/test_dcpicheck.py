@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.check.findings import REPORT_SCHEMA
+from repro.obs.report import REPORT_SCHEMA
 from repro.tools.dcpicheck import main
 
 BAD_MODULE = """\
@@ -65,7 +65,7 @@ class TestJsonReport:
         assert code == 1
         payload = json.loads(report_path.read_text())
         assert payload["schema"] == REPORT_SCHEMA
-        assert payload["generated_by"] == "dcpicheck"
+        assert payload["tool"] == "dcpicheck"
         assert payload["layers"] == ["lint"]
         assert payload["counts"]["error"] == 1
         assert payload["counts"]["waived"] == 0
@@ -74,12 +74,13 @@ class TestJsonReport:
         assert finding["severity"] == "error"
         assert finding["waived"] is False
         assert "noise.py" in finding["location"]
-        assert "lint" in payload["runtime_s"]
+        assert "lint" in payload["timing"]["runtime_s"]
 
     def test_rewrite_layer_report_is_deterministic(self, capsys):
         # Two Layer-4 runs over the same seeded profile must serialize
-        # byte-identically (modulo wall-clock runtimes): the epoch
-        # store and CI diffing both key on stable report bytes.
+        # byte-identically once ``timing`` (wall-clock runtimes) is
+        # dropped: the epoch store and CI diffing both key on stable
+        # report bytes.
         payloads = []
         for _ in range(2):
             code = main(["--layers", "rewrite",
@@ -89,8 +90,8 @@ class TestJsonReport:
             payload = json.loads(capsys.readouterr().out)
             assert payload["schema"] == REPORT_SCHEMA
             assert payload["layers"] == ["rewrite"]
-            payload.pop("runtime_s")
-            payloads.append(json.dumps(payload, sort_keys=False))
+            payload.pop("timing")
+            payloads.append(json.dumps(payload, indent=2, sort_keys=True))
         assert payloads[0] == payloads[1]
 
     def test_json_to_stdout_is_parseable(self, bad_src, capsys):

@@ -13,8 +13,8 @@ import pytest
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.ctx import span_id
-from repro.tools.dcpitrace import (REPORT_SCHEMA, build_report, main,
-                                   percentile, tail_stats)
+from repro.obs.report import REPORT_SCHEMA
+from repro.tools.dcpitrace import build_report, main, percentile, tail_stats
 from repro.workloads.registry import get_workload
 
 BUDGET = 15_000
@@ -86,7 +86,8 @@ def _meta():
 class TestBuildReport:
     def test_schema_and_shares(self):
         report = build_report(_meta(), period=2048, db="x")
-        assert report["schema"] == REPORT_SCHEMA
+        # The envelope (schema, tool) is the writer's, not the body's.
+        assert "schema" not in report
         assert report["period"] == 2048
         assert set(report["classes"]) == {"req.a", "req.b"}
         a, b = report["classes"]["req.a"], report["classes"]["req.b"]
@@ -137,9 +138,10 @@ def traced_db(tmp_path_factory):
 class TestCli:
     def test_report_json_covers_the_workload_classes(self, traced_db,
                                                      capsys):
-        assert main(["report", traced_db, "--json"]) == 0
+        assert main(["report", traced_db, "--json", "-"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == REPORT_SCHEMA
+        assert report["tool"] == "dcpitrace"
         assert {"client.fast", "client.slow"} <= set(report["classes"])
         fast = report["classes"]["client.fast"]
         assert fast["requests"] > 0
@@ -147,9 +149,9 @@ class TestCli:
         assert fast["tail"]["p50"] <= fast["tail"]["p99"]
 
     def test_report_json_is_deterministic(self, traced_db, capsys):
-        main(["report", traced_db, "--json"])
+        main(["report", traced_db, "--json", "-"])
         first = capsys.readouterr().out
-        main(["report", traced_db, "--json"])
+        main(["report", traced_db, "--json", "-"])
         assert capsys.readouterr().out == first
 
     def test_human_report_renders_every_class(self, traced_db, capsys):
@@ -165,7 +167,7 @@ class TestCli:
                                  SessionConfig(db_root=root))
         session.run(get_workload("slow-client"),
                     max_instructions=BUDGET)
-        assert main(["report", root, "--json"]) == 1
+        assert main(["report", root, "--json", "-"]) == 1
         err = capsys.readouterr().err
         assert "no context ledger" in err
 

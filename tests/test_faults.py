@@ -17,6 +17,7 @@ from repro.faults import audit
 from repro.faults.injector import (NULL_INJECTOR, FaultPlan, FaultSpec,
                                    InjectedCrash, TransientDrainError,
                                    bitflip_at_rest, truncate_at_rest)
+from repro.obs.report import REPORT_SCHEMA
 
 
 class TestFaultSpec:
@@ -231,7 +232,10 @@ class TestChaosCli:
         assert "machine-restart" in out
         import json as json_module
         with open(json_path) as handle:
-            cases = json_module.load(handle)
+            report = json_module.load(handle)
+        assert (report["schema"], report["tool"]) == (REPORT_SCHEMA,
+                                                      "dcpichaos")
+        cases = report["cases"]
         assert cases[0]["ok"]
         assert cases[0]["recoveries"] == 1
 

@@ -467,10 +467,10 @@ def test_cli_query_output_is_deterministic(fleet_deltas, tmp_path):
     for name in ("a", "b"):
         root = str(tmp_path / name)
         _fill(root, deltas)
-        _, top = _run_cli(["top", "--store", root, "--json"])
+        _, top = _run_cli(["top", "--store", root, "--json", "-"])
         _, movers = _run_cli(["movers", "--store", root,
                               "--base-epochs", "0", "--epochs", "1..2",
-                              "--json"])
+                              "--json", "-"])
         outputs.append(top + movers)
     assert outputs[0] == outputs[1]
 

@@ -8,12 +8,14 @@ per-request-class queries via :meth:`FleetStore.ctx_meta` and the
 """
 
 import io
+import json
 
 from repro.ctx import canonical_ledger_bytes
 from repro.fleet.cli import main as fleet_main
 from repro.fleet.machine import FleetConfig, FleetMachine, FleetSession
 from repro.fleet.store import FleetStore
 from repro.fleet.transport import Delta, DeltaTransport
+from repro.obs.report import REPORT_SCHEMA
 
 
 def _machine(seed=1, context=True):
@@ -101,9 +103,12 @@ def test_session_end_to_end_with_context(tmp_path):
     # JSON path, epoch-filtered.
     out = io.StringIO()
     rc = fleet_main(["classes", "--store", str(tmp_path / "store"),
-                     "--epochs", "0", "--json"], out=out)
+                     "--epochs", "0", "--json", "-"], out=out)
     assert rc == 0
-    assert '"classes"' in out.getvalue()
+    report = json.loads(out.getvalue())
+    assert (report["schema"], report["tool"]) == (REPORT_SCHEMA,
+                                                  "dcpifleet")
+    assert report["classes"]
 
 
 def test_classes_without_context_exits_one(tmp_path):

@@ -37,6 +37,7 @@ import pytest
 
 import repro
 from repro.faults.scenarios import fleet_scenario_names, scenario_names
+from repro.obs.report import REPORT_SCHEMA
 from repro.tools import cli
 from repro.workloads.registry import workload_names
 
@@ -62,6 +63,14 @@ def _subprocess(argv, timeout):
         capture_output=True, env=dict(os.environ, PYTHONPATH=path))
 
 
+def _report(text, tool):
+    """A report as the one writer emits it, envelope checked."""
+    report = json.loads(text)
+    assert report["schema"] == REPORT_SCHEMA
+    assert report["tool"] == tool
+    return report
+
+
 # -- dcpicheck ----------------------------------------------------------------
 
 
@@ -83,7 +92,7 @@ def test_check(layers, tmp_path, capsys):
         "--layers", layers, "-q", "--json", str(report),
         "--waivers", os.path.join(ROOT, "checks-waivers.toml")])
     assert code == 0, capsys.readouterr().err
-    payload = json.loads(report.read_text())
+    payload = _report(report.read_text(), "dcpicheck")
     assert payload["workloads"] == REGISTRY
     assert payload["counts"]["error"] == 0
     assert payload["counts"]["waived"] == 0
@@ -137,7 +146,7 @@ def test_chaos(argv, cases, tmp_path, capsys):
     report = tmp_path / "CHAOS.json"
     code = cli.main_dcpichaos([*argv, "--json", str(report)])
     assert code == 0, capsys.readouterr().out
-    payload = json.loads(report.read_text())
+    payload = _report(report.read_text(), "dcpichaos")["cases"]
     assert len(payload) == cases
     assert all(case["ok"] for case in payload)
 
@@ -156,7 +165,7 @@ def test_fleet_regress(tmp_path, capsys):
     assert cli.main_dcpifleet([
         "run", "--store", store, "--machines", "3", "--epochs", "3",
         "--seed", "1", "--json", str(tmp_path / "FLEET.json")]) == 0
-    report = json.loads((tmp_path / "FLEET.json").read_text())
+    report = _report((tmp_path / "FLEET.json").read_text(), "dcpifleet")
     assert report["ok"] and not report["findings"]
     assert report["store"]["stored_samples"] > 0
     code = cli.main_dcpifleet([
@@ -177,17 +186,17 @@ def test_fleet_retention(tmp_path, capsys):
         "run", "--store", store, "--machines", "6", "--epochs", "8",
         "--seed", "1", "--retention", "3:2:4",
         "--json", str(tmp_path / "FLEET.json")]) == 0
-    report = json.loads((tmp_path / "FLEET.json").read_text())
+    report = _report((tmp_path / "FLEET.json").read_text(), "dcpifleet")
     assert report["ok"] and report["store"]["downsample_residue"] > 0
     capsys.readouterr()
     assert cli.main_dcpifleet([
         "movers", "--store", store, "--base-epochs", "0..3",
-        "--epochs", "4..7", "--json"]) == 0
-    movers = json.loads(capsys.readouterr().out)
+        "--epochs", "4..7", "--json", "-"]) == 0
+    movers = _report(capsys.readouterr().out, "dcpifleet")
     assert movers["base_total"] > 0 and movers["new_total"] > 0
     assert cli.main_dcpifleet(
-        ["timeseries", "--store", store, "--json"]) == 0
-    series = json.loads(capsys.readouterr().out)["series"]
+        ["timeseries", "--store", store, "--json", "-"]) == 0
+    series = _report(capsys.readouterr().out, "dcpifleet")["series"]
     assert series and all(point["total_samples"] > 0
                           for point in series.values())
 
@@ -212,11 +221,10 @@ def test_trace(workload, classes, tmp_path, capsys):
         "run", "--workload", workload, "--out", db, "--seed", "1"]) == 0
     assert cli.main_dcpitrace(["report", db]) == 0
     capsys.readouterr()
-    assert cli.main_dcpitrace(["report", db, "--json"]) == 0
+    assert cli.main_dcpitrace(["report", db, "--json", "-"]) == 0
     text = capsys.readouterr().out
     (tmp_path / "TRACE.json").write_text(text)
-    report = json.loads(text)
-    assert report["schema"] == 1
+    report = _report(text, "dcpitrace")
     assert set(report["classes"]) == classes
     for name, cls in report["classes"].items():
         assert cls["requests"] > 0, name
@@ -257,11 +265,10 @@ def test_opt_run(tmp_path, capsys):
     out = tmp_path / "OPT.json"
     assert cli.main_dcpiopt([
         "run", "--workload", "opt-branchy", "--max-instructions",
-        "60000", "--out", str(out)]) == 0
+        "60000", "--json", str(out)]) == 0
     assert cli.main_dcpiopt(["report", str(out)]) == 0
     assert "ACCEPTED" in capsys.readouterr().out
-    report = json.loads(out.read_text())
-    assert report["schema"] == 2
+    report = _report(out.read_text(), "dcpiopt")
     assert report["accepted"], report["mismatches"]
     assert report["static_ok"], report["static"]
     assert report["identical"], report["mismatches"]
@@ -277,9 +284,8 @@ def test_opt_sweep(tmp_path):
     speedup-vs-period curve next to the rows.  Red:
     ``test_opt.py::test_optimize_rejects_are_not_speedups``."""
     out = tmp_path / "OPT_sweep.json"
-    assert cli.main_dcpiopt(["sweep", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["schema"] == 1
+    assert cli.main_dcpiopt(["sweep", "--json", str(out)]) == 0
+    payload = _report(out.read_text(), "dcpiopt")
     curve = {}
     for row in payload["rows"]:
         assert row["accepted"], row

@@ -15,6 +15,7 @@ from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
 from repro.core.analyze import AnalysisConfig, analyze_image
+from repro.obs.report import REPORT_SCHEMA
 from repro.opt import (BlockPlan, ImageRewriter, OptConfig, ProcPlan,
                        RewritePlan, build_plan, image_fingerprint,
                        optimize_workload, rewrite_image, sweep_workload,
@@ -261,7 +262,7 @@ def test_optimize_workload_end_to_end(name):
     assert report.accepted, (report.oracle.mismatches, report.findings)
     assert report.speedup >= 0.05, report.speedup
     payload = report.report()
-    assert payload["schema"] == 2
+    assert "schema" not in payload      # the envelope is the writer's
     assert payload["workload"] == name
     assert payload["baseline"]["cycles"] > payload["optimized"]["cycles"]
 
@@ -309,26 +310,32 @@ def test_cli_run_report_and_sweep(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = dcpiopt.main(["run", "--workload", "opt-branchy",
                        "--max-instructions", "40000",
-                       "--out", str(out)])
+                       "--json", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
     assert "ACCEPTED" in text
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 2
+    assert (payload["schema"], payload["tool"]) == (REPORT_SCHEMA,
+                                                    "dcpiopt")
     assert payload["accepted"]
 
     rc = dcpiopt.main(["report", str(out)])
     assert rc == 0
     assert "speedup" in capsys.readouterr().out
+    # A report from before the envelope is refused, not misread.
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(dict(payload, schema=2)))
+    assert dcpiopt.main(["report", str(old)]) == 1
+    assert "not a dcpiopt report" in capsys.readouterr().err
 
     sweep_out = tmp_path / "sweep.json"
     rc = dcpiopt.main(["sweep", "--workloads", "opt-branchy",
                        "--period", "240:256", "--loss", "0.0",
                        "--max-instructions", "40000",
-                       "--out", str(sweep_out)])
+                       "--json", str(sweep_out)])
     assert rc == 0
     sweep = json.loads(sweep_out.read_text())
-    assert sweep["schema"] == 1
+    assert (sweep["schema"], sweep["tool"]) == (REPORT_SCHEMA, "dcpiopt")
     assert len(sweep["rows"]) == 1
 
 
@@ -344,7 +351,7 @@ def test_cli_run_exits_nonzero_on_a_rejected_rewrite(capsys):
 def test_cli_single_pass_selection(capsys):
     rc = dcpiopt.main(["run", "--workload", "opt-stall",
                        "--max-instructions", "40000",
-                       "--passes", "schedule", "--json"])
+                       "--passes", "schedule", "--json", "-"])
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert rc == 0

@@ -19,6 +19,7 @@ from repro.check.transval import (R_CTRL, R_DATA, R_FROZEN, R_REG,
                                   R_STRUCTURE, format_expr,
                                   validate_plan, validate_result,
                                   validate_workload_plans)
+from repro.obs.report import REPORT_SCHEMA
 from repro.opt import (BlockPlan, ProcPlan, RewritePlan,
                        image_fingerprint, rewrite_image)
 from repro.tools import dcpicheck
@@ -326,6 +327,7 @@ class TestLayerWiring:
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert rc == 0
-        assert payload["schema"] == 2
+        assert payload["schema"] == REPORT_SCHEMA
+        assert payload["tool"] == "dcpicheck"
         assert payload["layers"] == ["rewrite"]
         assert payload["counts"]["error"] == 0
