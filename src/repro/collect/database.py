@@ -292,6 +292,18 @@ def _record(counts, image_name, event, period, epoch, **where):
                 period=int(period), total=sum(counts.values()))
 
 
+#: The record fields a read relies on, with their types.
+_RECORD_TYPES = {"file": str, "offset": int, "length": int,
+                 "image": str, "event": str, "epoch": int}
+
+
+def _malformed(record):
+    """The first :data:`_RECORD_TYPES` field *record* lacks or holds
+    with the wrong type, or None."""
+    return next((name for name, kind in _RECORD_TYPES.items()
+                 if not isinstance(record.get(name), kind)), None)
+
+
 def _canonical(manifest):
     """The one encoding of a manifest: what ``_commit`` writes after
     the ``CRC`` field, and what that field is the CRC-32 of."""
@@ -786,16 +798,17 @@ class ProfileDatabase:
         ``epoch``); a record that lacks a field or holds one of the
         wrong type fails the same way as damaged bytes.
         """
+        field = _malformed(record)
+        if field is not None:
+            raise CorruptProfileError(
+                "malformed manifest record: bad %r" % field)
         try:
             decoded = decode_profile(self._record_bytes(record, segments))
-            named = record["image"], record["event"], record["epoch"]
         except FileNotFoundError as exc:
             raise CorruptProfileError("profile file missing") from exc
-        except (KeyError, TypeError) as exc:
-            raise CorruptProfileError(
-                "malformed manifest record: %r" % exc) from exc
         _, image_name, event, _, epoch = decoded
-        if (image_name, str(event), epoch) != named:
+        if (image_name, str(event), epoch) != (
+                record["image"], record["event"], record["epoch"]):
             raise CorruptProfileError(
                 "slice holds %s@%s of epoch %d, not the profile its "
                 "record names" % (image_name, event, epoch))
@@ -851,18 +864,20 @@ class ProfileDatabase:
             self._commit(manifest)
 
     def epochs(self):
-        """Sorted epoch numbers with at least one committed profile."""
+        """Sorted epoch numbers with at least one committed profile
+        (skipping malformed records, like :meth:`profiles`)."""
         manifest = self._load_manifest()
         return sorted({record["epoch"]
-                       for record in manifest["records"].values()})
+                       for record in manifest["records"].values()
+                       if _malformed(record) is None})
 
     def profiles(self, epoch=0):
         """Yield (image_name, event) pairs stored for *epoch*."""
         manifest = self._load_manifest()
         prefix = "%04d/" % epoch
         for key in sorted(manifest["records"]):
-            if key.startswith(prefix):
-                record = manifest["records"][key]
+            record = manifest["records"][key]
+            if key.startswith(prefix) and _malformed(record) is None:
                 yield record["image"], EventType(record["event"])
 
     def total_samples(self, epoch=None, event=None):

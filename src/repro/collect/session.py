@@ -7,6 +7,10 @@ periods, the driver's hash tables, the daemon's drain/merge cycle --
 and returns the profiles plus every statistic the paper's evaluation
 tables need.
 
+The collection system is written once, as :class:`CollectionStack`: a
+session steps one to its instruction budget, a fleet machine
+(:mod:`repro.fleet.machine`) steps one epoch by epoch.
+
 ``run_baseline`` runs the identical workload with profiling disabled,
 so Table 3's slowdown is (profiled cycles - base cycles) / base cycles
 on bit-identical instruction streams.
@@ -24,8 +28,8 @@ from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
 from repro.cpu.machine import Machine
 from repro.ctx import NULL_CTX, OTHER_CLASS, ContextLedger, span_id
-from repro.faults.injector import (NULL_INJECTOR, FaultInjector, FaultPlan,
-                                   InjectedCrash)
+from repro.faults.injector import (NULL_INJECTOR, SESSION_RESTART,
+                                   FaultInjector, FaultPlan, InjectedCrash)
 from repro.obs import NULL_OBS, ObsConfig, merge_metrics, session_metrics
 
 #: Collection modes a session understands (paper sections 4.2 and 6).
@@ -113,18 +117,213 @@ class SessionConfig:
         )
 
 
-class SessionResult:
-    """Everything a profiling run produced."""
+class CollectionStack:
+    """One machine's live collection system: machine + driver + daemon
+    (+ database + drain journal when ``config.db_root`` is set), with
+    *workload*'s processes spawned on top.
 
-    def __init__(self, machine, driver, daemon, database,
-                 instructions, cycles, obs=NULL_OBS):
-        self.machine = machine
-        self.driver = driver
-        self.daemon = daemon
-        self.database = database
-        self.instructions = instructions
-        self.cycles = cycles
+    *crash_point* is the fault point consulted after every chunk, before
+    the drain: a crash there kills the daemon between two drains.
+    """
+
+    def __init__(self, machine_config, config, workload, seed=None,
+                 obs=NULL_OBS, faults=NULL_INJECTOR,
+                 crash_point=SESSION_RESTART):
+        self.config = config
         self.obs = obs
+        self.faults = faults
+        self.crash_point = crash_point
+        self.machine = Machine(machine_config,
+                               seed=seed if seed is not None else config.seed)
+        self.driver = Driver(machine_config.num_cpus,
+                             config.make_driver_config(), obs=obs,
+                             faults=faults)
+        self.driver.install(self.machine)
+        self.database = (ProfileDatabase(config.db_root, faults=faults)
+                         if config.db_root else None)
+        self.journal = None
+        if self.database is not None and config.journal:
+            self.journal = DrainJournal(self.database.journal_path())
+            self.journal.truncate()
+        lo, hi = config.cycles_period
+        self.periods = {EventType.CYCLES: (lo + hi) / 2.0}
+        for event in (EventType.IMISS, EventType.DMISS,
+                      EventType.BRANCHMP, EventType.DTBMISS,
+                      EventType.ITBMISS):
+            self.periods[event] = float(config.event_period)
+        # The daemon subscribes to loadmap events before any process
+        # is spawned (the paper's daemon additionally scans already-
+        # running processes at startup; our fallback path in
+        # _find_image covers that case).
+        self.daemon = self._new_daemon()
+        (getattr(workload, "setup", None) or workload)(self.machine)
+        self.instructions = 0
+        self._drains = 0
+
+    @property
+    def cycles(self):
+        return self.machine.time
+
+    def _new_daemon(self):
+        return Daemon(self.machine.loader, periods=self.periods,
+                      per_process_images=self.config.per_process_images,
+                      obs=self.obs, faults=self.faults, journal=self.journal,
+                      ctx=ContextLedger() if self.config.context else None)
+
+    def step(self, chunk):
+        """Run up to *chunk* instructions, then drain (and checkpoint
+        every ``config.checkpoint_drains`` drains); return how many ran.
+
+        A crash is recovered before the mux counter rotates and exited
+        processes are reaped, so the step ends as a fault-free one does.
+        """
+        obs = self.obs
+        with obs.timeit("session.chunk_s"):
+            ran = self.machine.run(max_instructions=chunk)
+        self.instructions += ran
+        try:
+            # The daemon dies between two drains (a machine restart
+            # also kills the driver's buffers); the database (disk)
+            # survives.
+            self.faults.check(self.crash_point)
+            with obs.timeit("session.drain_s"):
+                self.daemon.drain(self.driver)
+            self._drains += 1
+            every = self.config.checkpoint_drains
+            if (self.database is not None and every
+                    and self._drains % every == 0):
+                with obs.span("session.checkpoint"):
+                    self.daemon.merge_to_disk(self.database)
+        except InjectedCrash as crash:
+            self.recover(crash)
+        self.driver.rotate_mux()
+        for proc in self.machine.processes:
+            if proc.exited:
+                self.daemon.reap(proc.pid)
+        return ran
+
+    def recover(self, crash):
+        """Stand up a replacement daemon after an injected crash.
+
+        With a database, recovery rebuilds from the last durable
+        checkpoint plus the drain journal and then re-drains the
+        batches the dead daemon left pinned in the driver.  Without
+        one there is nothing durable: the old daemon's in-memory
+        samples are accounted as lost and a fresh daemon takes over.
+        A restart crash additionally wipes the driver's volatile
+        state (accounted in its ``dropped`` counters).
+
+        Recovery itself runs under the same crash protection: a fault
+        that fires again during the catch-up re-drain (or the journal
+        replay) triggers another recovery round rather than
+        propagating, so any bounded fault plan converges on a live
+        daemon.  (An unbounded always-crash plan recovers forever --
+        by construction it never lets a daemon live.)
+        """
+        config = self.config
+        driver = self.driver
+        old = self.daemon
+        while True:
+            # The dead daemon must stop hearing loadmap events: it
+            # would keep filling its maps and overwrite the live
+            # daemon's gauges.
+            self.machine.loader.remove_listener(old.on_loadmap)
+            if crash.point == SESSION_RESTART:
+                driver.drop_all_pending()
+            daemon = None
+            try:
+                if self.database is not None:
+                    ctx_seed = None
+                    if config.context:
+                        # The driver (kernel side) survives a daemon
+                        # crash, and its context table holds every id
+                        # binding -- including ones newer than the
+                        # last checkpoint, which the journal replay
+                        # inside recover() needs to attribute.
+                        ctx_seed = ContextLedger()
+                        if driver.ctx_table is not None:
+                            ctx_seed.absorb_table(driver.ctx_table)
+                    daemon = Daemon.recover(
+                        self.machine.loader, self.database,
+                        journal=self.journal, periods=self.periods,
+                        per_process_images=config.per_process_images,
+                        obs=self.obs, faults=self.faults, ctx=ctx_seed)
+                    if self.journal is None:
+                        # No journal to replay: whatever the old daemon
+                        # held beyond the checkpoint is gone -- account
+                        # it.
+                        daemon.lost_samples += max(
+                            0, old.total_samples - daemon.total_samples)
+                    daemon.recoveries = max(daemon.recoveries,
+                                            old.recoveries + 1)
+                else:
+                    daemon = self._new_daemon()
+                    daemon.epoch = old.epoch
+                    daemon.recoveries = old.recoveries + 1
+                    daemon.lost_samples = (old.lost_samples
+                                           + old.total_samples)
+                    daemon.drains = old.drains
+                    daemon.drain_retries = old.drain_retries
+                    daemon.drain_failures = old.drain_failures
+                    daemon.loadmaps_dropped = old.loadmaps_dropped
+                daemon.redrain_inflight(driver)
+                # Catch-up drain: the crashed drain would have flushed
+                # the driver's hash tables at this chunk boundary; do
+                # it now so the table's hit/miss pattern -- and
+                # therefore the charged handler cycles and the sample
+                # stream -- stay identical to a fault-free run, and
+                # the chunk's samples land in the epoch they ran in.
+                # Collection faults must never perturb the machine,
+                # only the collection side.
+                daemon.drain(driver)
+                self.daemon = daemon
+                return
+            except InjectedCrash as next_crash:
+                crash = next_crash
+                if daemon is not None:
+                    old = daemon
+
+    def fold_requests(self):
+        """Fold per-process request totals into the context ledger.
+
+        Each process is one "request" of its class (the workload's
+        ctx label); its lifetime cycles/instructions feed the tail
+        percentiles dcpitrace reports.  Keys are ``seed:pid`` so
+        shards run with distinct seeds union cleanly, and the fold
+        is a keyed assignment -- running it again (after a crash
+        recovery, say) is a no-op, never a double count.
+        """
+        ledger = self.daemon.ctx
+        if ledger is None:
+            return
+        machine = self.machine
+        for proc in machine.processes:
+            ctx = proc.ctx
+            name = str(ctx) if ctx is not NULL_CTX else OTHER_CLASS
+            key = "%d:%d" % (machine.seed, proc.pid)
+            ledger.add_request(name, key, proc.cpu_cycles,
+                               proc.instructions, process=proc.name,
+                               done=proc.exited)
+
+    def checkpoint(self):
+        """Fold request totals, then merge the daemon into the database.
+
+        Redone after any crash: the recovered ledger reflects the last
+        checkpoint, the fold is a keyed assignment and the merge an
+        idempotent replace, so a redo never double-counts.
+        """
+        while True:
+            try:
+                self.fold_requests()
+                if self.database is not None:
+                    self.daemon.merge_to_disk(self.database)
+                return
+            except InjectedCrash as crash:
+                self.recover(crash)
+
+
+class SessionResult(CollectionStack):
+    """Everything a profiling run produced: the stack it ran on."""
 
     @property
     def profiles(self):
@@ -186,27 +385,33 @@ class BaselineResult:
 
 
 class ProfileSession:
-    """Run workloads under the continuous-profiling infrastructure."""
+    """Run workloads under the continuous-profiling infrastructure.
+
+    :meth:`run` builds one :class:`SessionResult` -- the live
+    :class:`CollectionStack` -- steps it one drain interval at a time
+    to the instruction budget and checkpoints it; :meth:`run_baseline`
+    spends the same budget in the same chunks on a bare machine.
+    """
 
     def __init__(self, machine_config=None, config=None):
         self.machine_config = machine_config or MachineConfig()
         self.config = config or SessionConfig()
 
-    def _periods(self):
-        lo, hi = self.config.cycles_period
-        periods = {EventType.CYCLES: (lo + hi) / 2.0}
-        for event in (EventType.IMISS, EventType.DMISS,
-                      EventType.BRANCHMP, EventType.DTBMISS,
-                      EventType.ITBMISS):
-            periods[event] = float(self.config.event_period)
-        return periods
-
-    def _setup(self, workload, machine):
-        setup = getattr(workload, "setup", None)
-        if setup is not None:
-            setup(machine)
-        else:
-            workload(machine)
+    def _spend(self, step, max_instructions):
+        """Call ``step(chunk)`` one drain interval at a time until
+        *max_instructions* ran or a chunk ran none; return the total."""
+        total = 0
+        while True:
+            chunk = self.config.drain_interval
+            if max_instructions is not None:
+                chunk = min(chunk, max_instructions - total)
+                if chunk <= 0:
+                    break
+            ran = step(chunk)
+            total += ran
+            if ran == 0:
+                break
+        return total
 
     def run(self, workload, max_instructions=None, seed=None):
         """Profile *workload*; return a :class:`SessionResult`.
@@ -221,207 +426,31 @@ class ProfileSession:
         faults = config.make_faults()
         started = obs.clock() if obs.enabled else None
         with obs.span("session.setup"):
-            machine = Machine(self.machine_config,
-                              seed=seed if seed is not None else config.seed)
-            driver = Driver(self.machine_config.num_cpus,
-                            config.make_driver_config(), obs=obs,
-                            faults=faults)
-            driver.install(machine)
-            database = (ProfileDatabase(config.db_root, faults=faults)
-                        if config.db_root else None)
-            journal = None
-            if database is not None and config.journal:
-                journal = DrainJournal(database.journal_path())
-                journal.truncate()
-            # The daemon subscribes to loadmap events before any process
-            # is spawned (the paper's daemon additionally scans already-
-            # running processes at startup; our fallback path in
-            # _find_image covers that case).
-            daemon = Daemon(machine.loader, periods=self._periods(),
-                            per_process_images=config.per_process_images,
-                            obs=obs, faults=faults, journal=journal,
-                            ctx=ContextLedger() if config.context
-                            else None)
-            self._setup(workload, machine)
-
-        total = 0
-        drains = 0
+            result = SessionResult(self.machine_config, config, workload,
+                                   seed=seed, obs=obs, faults=faults)
         with obs.span("session.execute"):
-            while True:
-                chunk = config.drain_interval
-                if max_instructions is not None:
-                    chunk = min(chunk, max_instructions - total)
-                    if chunk <= 0:
-                        break
-                with obs.timeit("session.chunk_s"):
-                    ran = machine.run(max_instructions=chunk)
-                total += ran
-                try:
-                    # A machine restart kills everything volatile: the
-                    # driver's buffers and the daemon's memory.  The
-                    # database (disk) survives.
-                    faults.check("session.restart")
-                    with obs.timeit("session.drain_s"):
-                        daemon.drain(driver)
-                    drains += 1
-                    if (database is not None and config.checkpoint_drains
-                            and drains % config.checkpoint_drains == 0):
-                        with obs.span("session.checkpoint"):
-                            daemon.merge_to_disk(database)
-                except InjectedCrash as crash:
-                    daemon = self._recover_daemon(
-                        crash, machine, driver, daemon, database,
-                        journal, obs, faults)
-                driver.rotate_mux()
-                for proc in machine.processes:
-                    if proc.exited:
-                        daemon.reap(proc.pid)
-                if ran == 0:
-                    break
-        self._fold_requests(machine, daemon)
-        if database is not None:
+            self._spend(result.step, max_instructions)
+        if result.database is None:
+            result.fold_requests()
+        else:
             with obs.span("session.merge_to_disk"):
-                while True:
-                    try:
-                        # Re-fold after any recovery: the recovered
-                        # ledger reflects the last checkpoint, and the
-                        # fold is idempotent (keyed assignment).
-                        self._fold_requests(machine, daemon)
-                        daemon.merge_to_disk(database)
-                        break
-                    except InjectedCrash as crash:
-                        daemon = self._recover_daemon(
-                            crash, machine, driver, daemon, database,
-                            journal, obs, faults)
+                result.checkpoint()
         if obs.enabled:
-            if daemon.ctx is not None:
+            if result.daemon.ctx is not None:
                 # Span linkage: one instant per request class carrying
                 # its deterministic span id, so dcpimon traces and the
                 # sample profiles share identity (repro.ctx).
-                for name in sorted(daemon.ctx.classes):
+                for name in sorted(result.daemon.ctx.classes):
                     obs.trace.instant("ctx.class", cls=name,
                                       span=span_id(name))
             obs.gauge("session.wall_s").set(obs.clock() - started)
             obs.finish()
-        return SessionResult(machine, driver, daemon, database,
-                             total, machine.time, obs=obs)
-
-    @staticmethod
-    def _fold_requests(machine, daemon):
-        """Fold per-process request totals into the context ledger.
-
-        Each process is one "request" of its class (the workload's
-        ctx label); its lifetime cycles/instructions feed the tail
-        percentiles dcpitrace reports.  Keys are ``seed:pid`` so
-        shards run with distinct seeds union cleanly, and the fold
-        is a keyed assignment -- running it again (after a crash
-        recovery, say) is a no-op, never a double count.
-        """
-        ledger = daemon.ctx
-        if ledger is None:
-            return
-        for proc in machine.processes:
-            ctx = proc.ctx
-            name = str(ctx) if ctx is not NULL_CTX else OTHER_CLASS
-            key = "%d:%d" % (machine.seed, proc.pid)
-            ledger.add_request(name, key, proc.cpu_cycles,
-                               proc.instructions, process=proc.name,
-                               done=proc.exited)
-
-    def _recover_daemon(self, crash, machine, driver, old, database,
-                        journal, obs, faults):
-        """Stand up a replacement daemon after an injected crash.
-
-        With a database, recovery rebuilds from the last durable
-        checkpoint plus the drain journal and then re-drains the
-        batches the dead daemon left pinned in the driver.  Without
-        one there is nothing durable: the old daemon's in-memory
-        samples are accounted as lost and a fresh daemon takes over.
-        A restart crash additionally wipes the driver's volatile
-        state (accounted in its ``dropped`` counters).
-
-        Recovery itself runs under the same crash protection: a fault
-        that fires again during the catch-up re-drain (or the journal
-        replay) triggers another recovery round rather than
-        propagating, so any bounded fault plan converges on a live
-        daemon.  (An unbounded always-crash plan recovers forever --
-        by construction it never lets a daemon live.)
-        """
-        config = self.config
-        while True:
-            machine.loader.remove_listener(old.on_loadmap)
-            if crash.point == "session.restart":
-                driver.drop_all_pending()
-            daemon = None
-            try:
-                if database is not None:
-                    ctx_seed = None
-                    if config.context:
-                        # The driver (kernel side) survives a daemon
-                        # crash, and its context table holds every id
-                        # binding -- including ones newer than the
-                        # last checkpoint, which the journal replay
-                        # inside recover() needs to attribute.
-                        ctx_seed = ContextLedger()
-                        if driver.ctx_table is not None:
-                            ctx_seed.absorb_table(driver.ctx_table)
-                    daemon = Daemon.recover(
-                        machine.loader, database, journal=journal,
-                        periods=self._periods(),
-                        per_process_images=config.per_process_images,
-                        obs=obs, faults=faults, ctx=ctx_seed)
-                    if journal is None:
-                        # No journal to replay: whatever the old daemon
-                        # held beyond the checkpoint is gone -- account
-                        # it.
-                        daemon.lost_samples += max(
-                            0, old.total_samples - daemon.total_samples)
-                    daemon.recoveries = max(daemon.recoveries,
-                                            old.recoveries + 1)
-                else:
-                    daemon = Daemon(
-                        machine.loader, periods=self._periods(),
-                        per_process_images=config.per_process_images,
-                        obs=obs, faults=faults,
-                        ctx=ContextLedger() if config.context
-                        else None)
-                    daemon.epoch = old.epoch
-                    daemon.recoveries = old.recoveries + 1
-                    daemon.lost_samples = (old.lost_samples
-                                           + old.total_samples)
-                    daemon.drains = old.drains
-                    daemon.drain_retries = old.drain_retries
-                    daemon.drain_failures = old.drain_failures
-                    daemon.loadmaps_dropped = old.loadmaps_dropped
-                daemon.redrain_inflight(driver)
-                # Catch-up drain: the crashed drain would have flushed
-                # the driver's hash tables at this chunk boundary; do
-                # it now so the table's hit/miss pattern -- and
-                # therefore the charged handler cycles and the sample
-                # stream -- stay identical to a fault-free run.
-                # Collection faults must never perturb the machine,
-                # only the collection side.
-                daemon.drain(driver)
-                return daemon
-            except InjectedCrash as next_crash:
-                crash = next_crash
-                if daemon is not None:
-                    old = daemon
+        return result
 
     def run_baseline(self, workload, max_instructions=None, seed=None):
         """Run *workload* without any profiling (same seed, same stream)."""
         machine = Machine(self.machine_config,
                           seed=seed if seed is not None else self.config.seed)
-        self._setup(workload, machine)
-        total = 0
-        while True:
-            chunk = self.config.drain_interval
-            if max_instructions is not None:
-                chunk = min(chunk, max_instructions - total)
-                if chunk <= 0:
-                    break
-            ran = machine.run(max_instructions=chunk)
-            total += ran
-            if ran == 0:
-                break
+        (getattr(workload, "setup", None) or workload)(machine)
+        total = self._spend(machine.run, max_instructions)
         return BaselineResult(machine, total, machine.time)

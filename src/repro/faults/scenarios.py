@@ -16,7 +16,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults import audit
@@ -356,9 +356,10 @@ FLEET_SCENARIOS = (
         spool_capacity=1),
     FleetScenario(
         "fleet-machine-crash",
-        "a durable machine's daemon dies mid-epoch; journal replay + "
-        "in-flight redrain resume the epoch without losing a sample",
-        specs=(FaultSpec("fleet.machine.run", "crash", hits=(3,)),),
+        "a durable machine's daemon dies on an epoch's last drain chunk; "
+        "journal replay + in-flight redrain + catch-up drain close the "
+        "epoch without losing a sample or moving one to the next",
+        specs=(FaultSpec("fleet.machine.run", "crash", hits=(4,)),),
         durable=True),
     FleetScenario(
         "fleet-preship-crash",
@@ -423,10 +424,15 @@ def _run_fleet_session(scenario: FleetScenario, seed: int, budget: int,
     return FleetSession(config).run(root)
 
 
-def _store_bytes(store: Any) -> bytes:
-    """Canonical merged-profile bytes of a fleet store."""
-    blobs = store.merged().encode_all()
+def _store_bytes(store: Any, epochs: Optional[List[int]] = None) -> bytes:
+    """Canonical merged-profile bytes of a fleet store (over *epochs*)."""
+    blobs = store.merged(epochs).encode_all()
     return b"".join(blobs[key] for key in sorted(blobs))
+
+
+def _epoch_bytes(store: Any) -> Dict[int, bytes]:
+    """Each epoch's canonical merged-profile bytes."""
+    return {epoch: _store_bytes(store, [epoch]) for epoch in store.epochs()}
 
 
 def _fleet_fingerprint(result: Any) -> Dict[str, Any]:
@@ -452,6 +458,9 @@ def run_fleet_case(scenario: FleetScenario, budget: int = FLEET_FULL_BUDGET,
     the fleet conservation identity still exactly balanced.
     ``serial_check`` scenarios additionally re-run with ``shards=1``
     and require byte-identical merged profiles (sharded == serial).
+    ``durable`` scenarios additionally run without their faults and
+    require every epoch's stored bytes to equal the fault-free run's
+    (``crash_transparent``): a recovered crash moves no sample.
     """
     from repro.check.analysis_checks import check_fleet_conservation
     from repro.fleet.store import FleetStore
@@ -508,8 +517,16 @@ def run_fleet_case(scenario: FleetScenario, budget: int = FLEET_FULL_BUDGET,
             serial_identical = (_store_bytes(serial.store)
                                 == bytes.fromhex(fingerprint["merged"]))
 
+        crash_transparent = None
+        if scenario.durable:
+            clean = _run_fleet_session(replace(scenario, specs=()), seed,
+                                       budget, os.path.join(tmp, "clean"))
+            crash_transparent = (_epoch_bytes(clean.store)
+                                 == _epoch_bytes(result.store))
+
         ok = (conservation_ok and deterministic
-              and serial_identical is not False)
+              and serial_identical is not False
+              and crash_transparent is not False)
         return {
             "scenario": scenario.name,
             "fleet": True,
@@ -535,6 +552,7 @@ def run_fleet_case(scenario: FleetScenario, budget: int = FLEET_FULL_BUDGET,
             "conservation_ok": conservation_ok,
             "deterministic": deterministic,
             "serial_identical": serial_identical,
+            "crash_transparent": crash_transparent,
             "findings": findings,
             "ok": ok,
         }

@@ -3,24 +3,25 @@
 A :class:`FleetMachine` is one machine of the fleet: a simulated
 :class:`~repro.cpu.machine.Machine` running a traffic-source workload
 (AltaVista/timesharing/DSS by default) under the full collection stack
--- driver hash tables, daemon drains -- exactly like a
-:class:`~repro.collect.session.ProfileSession`, except that instead of
-merging into a local database it closes an epoch after every
-``epoch_instructions`` and ships the epoch's samples upstream as a
-:class:`~repro.fleet.transport.Delta`.  Traffic is continuous: when the
-workload's processes finish, the traffic source respawns them (a new
-loadmap generation), so every epoch carries samples.
+-- driver hash tables, daemon drains -- and it *is* the
+:class:`~repro.collect.session.CollectionStack` a
+:class:`~repro.collect.session.ProfileSession` runs, except that
+instead of merging into a local database it closes an epoch after
+every ``epoch_instructions`` and ships the epoch's samples upstream as
+a :class:`~repro.fleet.transport.Delta`.  Traffic is continuous: when
+the workload's processes finish, the traffic source respawns them (a
+new loadmap generation), so every epoch carries samples.
 
 Resilience (PR 9): a *durable* machine keeps a local
 :class:`~repro.collect.database.ProfileDatabase` + write-ahead
 :class:`~repro.collect.journal.DrainJournal` under the store's
 ``machines/<id>`` directory.  Its daemon can die mid-epoch
 (``fleet.machine.run``) or between closing an epoch and shipping it
-(``fleet.machine.ship``) and recover via
-:meth:`~repro.collect.daemon.Daemon.recover` -- journal replay plus
-in-flight redrain -- without losing a sample; closed epochs stay in
-the local database until the store acknowledges them, so a restarted
-machine re-extracts and re-ships unacked epochs (the store's
+(``fleet.machine.ship``) and recovers through the session's path --
+journal replay, in-flight redrain, catch-up drain -- so a crash moves
+no sample across epochs and no cycle of machine time; closed epochs
+stay in the local database until the store acknowledges them, so a
+restarted machine re-extracts and re-ships unacked epochs (the store's
 idempotent ``(machine, epoch, batch)`` dedupe absorbs replays).
 Shipping rides a bounded :class:`~repro.fleet.transport.ShipSpool`
 with deterministic seeded-jitter exponential backoff on timeouts and
@@ -39,12 +40,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.collect.daemon import Daemon
-from repro.collect.driver import Driver
-from repro.collect.session import SessionConfig
+from repro.collect.session import CollectionStack, SessionConfig
 from repro.cpu.config import MachineConfig
-from repro.cpu.events import EventType
-from repro.cpu.machine import Machine
 from repro.faults.injector import (DROP, FLEET_ACK, FLEET_MACHINE_CRASH,
                                    FLEET_PRESHIP_CRASH, InjectedCrash,
                                    NULL_INJECTOR)
@@ -113,53 +110,38 @@ class FleetConfig:
         return self.workloads[index % len(self.workloads)]
 
 
-class FleetMachine:
-    """One machine: workload + collection stack + delta extraction."""
+class FleetMachine(CollectionStack):
+    """One machine: a collection stack run epoch by epoch into deltas.
+
+    Build, drain-interval step and crash recovery are the
+    :class:`~repro.collect.session.CollectionStack`'s; this class adds
+    what is fleet: epochs, traffic respawn, delta extraction and the
+    ship spool.
+    """
 
     def __init__(self, machine_id, workload_name, seed,
                  mode="default", cycles_period=(240, 256),
                  event_period=64, drain_interval=6_000, context=False,
                  ctx_slots=64, obs=None, durable_root=None,
                  faults=None, spool_capacity=DEFAULT_SPOOL_CAPACITY):
-        from repro.ctx import ContextLedger
         from repro.workloads.registry import get_workload
 
         self.machine_id = machine_id
         self.workload_name = workload_name
         self.seed = seed
-        self.drain_interval = drain_interval
-        self.obs = obs or NULL_OBS
-        self.faults = faults or NULL_INJECTOR
-        self.context = context
         self.workload = get_workload(workload_name)
-        session_config = SessionConfig(
+        durable = durable_root is not None
+        config = SessionConfig(
             mode=mode, seed=seed, cycles_period=cycles_period,
             event_period=event_period, context=context,
-            ctx_slots=ctx_slots)
-        self.machine = Machine(
-            MachineConfig(num_cpus=self.workload.num_cpus), seed=seed)
-        self.driver = Driver(self.workload.num_cpus,
-                             session_config.make_driver_config())
-        self.driver.install(self.machine)
-        periods = {EventType.CYCLES: sum(cycles_period) / 2.0}
-        for event in (EventType.IMISS, EventType.DMISS,
-                      EventType.BRANCHMP, EventType.DTBMISS,
-                      EventType.ITBMISS):
-            periods[event] = float(event_period)
-        self.periods = periods
-        self.database = None
-        self.journal = None
-        if durable_root is not None:
-            from repro.collect.database import ProfileDatabase
-            from repro.collect.journal import DrainJournal
-            self.database = ProfileDatabase(os.fspath(durable_root))
-            self.journal = DrainJournal(self.database.journal_path())
-            self.journal.truncate()
-        self.daemon = Daemon(self.machine.loader, periods=periods,
-                             journal=self.journal,
-                             obs=self.obs,
-                             ctx=ContextLedger() if context else None)
-        self.workload.setup(self.machine)
+            ctx_slots=ctx_slots, drain_interval=drain_interval,
+            db_root=os.fspath(durable_root) if durable else None)
+        # Crash faults only make sense on a durable machine.
+        super().__init__(
+            MachineConfig(num_cpus=self.workload.num_cpus), config,
+            self.workload, obs=obs or NULL_OBS,
+            faults=(faults or NULL_INJECTOR) if durable else NULL_INJECTOR,
+            crash_point=FLEET_MACHINE_CRASH)
         #: bounded unacked-delta outbox, seeded per machine so the
         #: backoff jitter is deterministic fleet-wide.
         self.spool = ShipSpool(capacity=spool_capacity, seed=seed)
@@ -167,15 +149,9 @@ class FleetMachine:
         self.generation = 1
         self._symbols_shipped_gen = 0
         self.batch = 0
-        self.instructions = 0
         self.shipped_samples = 0
         self.respawns = 0
         self.recoveries = 0
-        self._epoch_ran = 0
-
-    def _crashes_armed(self):
-        """Crash faults only make sense on a durable machine."""
-        return self.database is not None and self.faults.enabled
 
     def _symbols(self):
         """Offset-relative procedure tables of every loaded image."""
@@ -196,38 +172,18 @@ class FleetMachine:
     def run_epoch(self, instructions):
         """Run one epoch's worth of traffic; return its Delta.
 
-        A durable machine survives injected daemon crashes here: the
-        crash is caught, the daemon is rebuilt from its checkpoint +
-        journal (:meth:`_recover`), the driver's in-flight batches are
-        redrained, and the epoch resumes where the traffic left off.
+        A durable machine survives injected daemon crashes here: one
+        between two drains is recovered inside that step, exactly as
+        in a ProfileSession; one between closing the epoch and
+        shipping it rebuilds the daemon from the local database and
+        closes the same epoch again.
         """
-        self._epoch_ran = 0
-        while True:
-            try:
-                self._run_traffic(instructions)
-                return self._close_epoch()
-            except InjectedCrash:
-                self._recover()
-
-    def _run_traffic(self, instructions):
-        """The epoch's traffic loop (resumable across crashes)."""
+        ran_epoch = 0
         idle_streak = 0
-        while self._epoch_ran < instructions:
-            chunk = min(self.drain_interval,
-                        instructions - self._epoch_ran)
-            ran = self.machine.run(max_instructions=chunk)
-            self._epoch_ran += ran
-            self.instructions += ran
-            if self._crashes_armed():
-                # The daemon dying between two drain chunks: the
-                # machine and driver (kernel side) survive; pinned
-                # batches and the journal carry the samples across.
-                self.faults.check(FLEET_MACHINE_CRASH)
-            self.daemon.drain(self.driver)
-            self.driver.rotate_mux()
-            for proc in self.machine.processes:
-                if proc.exited:
-                    self.daemon.reap(proc.pid)
+        while ran_epoch < instructions:
+            ran = self.step(min(self.config.drain_interval,
+                                instructions - ran_epoch))
+            ran_epoch += ran
             if ran == 0:
                 idle_streak += 1
                 if idle_streak > 1:
@@ -237,23 +193,21 @@ class FleetMachine:
                 self._respawn()
             else:
                 idle_streak = 0
+        while True:
+            try:
+                return self._close_epoch()
+            except InjectedCrash as crash:
+                self.recover(crash)
 
     def _close_epoch(self):
         """Checkpoint (durable), extract, and wrap the epoch's Delta."""
-        if self.daemon.ctx is not None:
-            # Fold per-process request totals (keyed, idempotent) into
-            # the epoch's ledger before it closes, exactly as a local
-            # ProfileSession does at shutdown.
-            from repro.collect.session import ProfileSession
-            ProfileSession._fold_requests(self.machine, self.daemon)
-        if self.database is not None:
-            # Make the epoch durable *before* shipping: a pre-ship
-            # crash recovers the full epoch from the local database
-            # and redoes the close (same delta id -> dedupe-safe).
-            self.daemon.merge_to_disk(self.database)
-            if self._crashes_armed():
-                self.faults.check(FLEET_PRESHIP_CRASH)
-        epoch, profiles, periods, ctx_meta = self.daemon.extract_delta()
+        # Fold the per-process request totals into the epoch's ledger
+        # and make the epoch durable *before* shipping: a pre-ship
+        # crash recovers the full epoch from the local database and
+        # redoes the close (same delta id -> dedupe-safe).
+        self.checkpoint()
+        self.faults.check(FLEET_PRESHIP_CRASH)
+        epoch, profiles, _, ctx_meta = self.daemon.extract_delta()
         if self.database is not None:
             # Commit the advanced-epoch watermarks so a later crash
             # recovers into the new epoch instead of resurrecting the
@@ -266,43 +220,33 @@ class FleetMachine:
         # One delta per epoch: the batch number is derived, not
         # counted, so a crash-and-redo closes on the same delta id.
         self.batch = epoch + 1
-        delta = Delta(
+        delta = self._delta(epoch, profiles, symbols=symbols, ctx=ctx_meta)
+        self.shipped_samples += delta.total_samples()
+        return delta
+
+    def _delta(self, epoch, profiles, symbols=None, ctx=None):
+        """Closed *epoch*'s Delta, carrying the machine's losses so far."""
+        return Delta(
             machine_id=self.machine_id,
             epoch=epoch,
-            batch=self.batch,
+            batch=epoch + 1,
             generation=self.generation,
             workload=self.workload_name,
             seed=self.seed,
             profiles=profiles,
-            periods=periods,
+            periods=dict(self.daemon.periods),
             symbols=symbols,
             machine_lost=(self.daemon.lost_samples
-                          + sum(cpu.dropped
-                                for cpu in self.driver.cpus)),
-            ctx=ctx_meta)
-        self.shipped_samples += delta.total_samples()
-        return delta
+                          + sum(cpu.dropped for cpu in self.driver.cpus)),
+            ctx=ctx)
 
     # -- crash recovery ----------------------------------------------------
 
-    def _recover(self):
-        """Rebuild the daemon after an injected crash (durable only)."""
-        from repro.ctx import ContextLedger
-
+    def recover(self, crash):
+        """The session's recovery, then re-spool unacked closed epochs."""
+        super().recover(crash)
         self.recoveries += 1
         self.obs.counter("fleet.machine_recoveries").inc()
-        ctx_seed = None
-        if self.context:
-            ctx_seed = ContextLedger()
-            if self.driver.ctx_table is not None:
-                ctx_seed.absorb_table(self.driver.ctx_table)
-        # The dead daemon must stop hearing loadmap events: it would
-        # keep filling its maps and overwrite the live daemon's gauges.
-        self.machine.loader.remove_listener(self.daemon.on_loadmap)
-        self.daemon = Daemon.recover(
-            self.machine.loader, self.database, journal=self.journal,
-            periods=self.periods, obs=self.obs, ctx=ctx_seed)
-        self.daemon.redrain_inflight(self.driver)
         self._respool_unacked()
 
     def _delta_from_database(self, epoch):
@@ -315,21 +259,9 @@ class FleetMachine:
         was counted when first extracted.
         """
         profiles = {}
-        for image, event, counts, _period in self.database.load_all(
-                epoch):
+        for image, event, counts, _ in self.database.load_all(epoch):
             profiles.setdefault(image, {})[event] = dict(counts)
-        return Delta(
-            machine_id=self.machine_id,
-            epoch=epoch,
-            batch=epoch + 1,
-            generation=self.generation,
-            workload=self.workload_name,
-            seed=self.seed,
-            profiles=profiles,
-            periods=dict(self.periods),
-            machine_lost=(self.daemon.lost_samples
-                          + sum(cpu.dropped
-                                for cpu in self.driver.cpus)))
+        return self._delta(epoch, profiles)
 
     def _respool_unacked(self):
         """Re-spool closed-but-unacked epochs after a restart.

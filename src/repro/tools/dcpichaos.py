@@ -93,6 +93,9 @@ def _explain_fleet_failure(case, out):
         out.write("  sharded merge != serial merge: %d-shard store "
                   "is not byte-identical to shards=1\n"
                   % case["shards"])
+    if case["crash_transparent"] is False:
+        out.write("  crash not transparent: an epoch's stored bytes "
+                  "differ from the fault-free run's\n")
 
 
 def render_table(cases, out):

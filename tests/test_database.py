@@ -221,13 +221,20 @@ class TestCorruptionHandling:
         lambda record: record.pop("length"),
         lambda record: record.pop("file"),
         lambda record: record.update(length=str(record["length"])),
-    ], ids=["no-length", "no-file", "string-length"])
+        lambda record: record.pop("epoch"),
+        lambda record: record.pop("image"),
+        lambda record: record.pop("event"),
+    ], ids=["no-length", "no-file", "string-length", "no-epoch", "no-image",
+            "no-event"])
     def test_malformed_record_is_a_typed_error_and_the_scan_continues(
             self, tmp_path, mutate):
         for name in ("scanned", "loaded"):
             rewrite_manifest(self.fill(tmp_path / name), lambda manifest: (
                 mutate(manifest["records"]["0000/app@cycles"])))
         fresh = ProfileDatabase(str(tmp_path / "scanned"))
+        # The listings skip the record before any scan quarantines it.
+        assert fresh.epochs() == [0]
+        assert list(fresh.profiles(0)) == [("lib", EventType.CYCLES)]
         assert [name for name, _, _, _ in fresh.load_all()] == ["lib"]
         (entry,) = fresh.quarantined()
         assert entry["declared_total"] == 7 and "malformed" in entry["reason"]

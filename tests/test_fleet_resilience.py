@@ -11,7 +11,8 @@ The load-bearing invariants:
 * every backoff schedule (ingest-lock retry and ship retry) is a pure
   function of its seed;
 * an injected machine / store crash recovers to byte-identical store
-  contents with the conservation identity exactly balanced.
+  contents, epoch by epoch, with the conservation identity exactly
+  balanced -- and never moves a cycle of machine time.
 """
 
 import multiprocessing
@@ -288,23 +289,71 @@ def _run(root, config):
     return FleetSession(config).run(str(root))
 
 
-def _crash_case(tmp_path, point, hits, **overrides):
-    """Run clean and crash-faulted twins; both must store identical
-    bytes with conservation balanced and at least one recovery."""
-    clean = _run(tmp_path / "clean", _fleet_config(**overrides))
+def _epoch_bytes(store):
+    return {epoch: store.merged(epochs=[epoch]).encode_all()
+            for epoch in store.epochs()}
+
+
+@pytest.fixture(scope="module")
+def clean_fleet(tmp_path_factory):
+    return _run(tmp_path_factory.mktemp("clean"), _fleet_config())
+
+
+def _crash_case(clean, tmp_path, point, hits):
+    """Run the crash-faulted twin of *clean*: it must store identical
+    bytes, epoch by epoch, with conservation balanced."""
     plan = FaultPlan(specs=(FaultSpec(point, "crash", hits=hits),),
                      seed=5)
-    faulted = _run(tmp_path / "faulted",
-                   _fleet_config(faults=plan, **overrides))
+    faulted = _run(tmp_path / "faulted", _fleet_config(faults=plan))
     assert clean.findings == [] and faulted.findings == []
     assert _store_bytes(faulted.store) == _store_bytes(clean.store)
+    assert _epoch_bytes(faulted.store) == _epoch_bytes(clean.store)
     assert faulted.store.total_samples() == clean.store.total_samples()
     return faulted
 
 
-def test_machine_crash_mid_epoch_recovers_losslessly(tmp_path):
-    faulted = _crash_case(tmp_path, "fleet.machine.run", (3,))
+def test_machine_crash_mid_epoch_recovers_losslessly(clean_fleet,
+                                                     tmp_path):
+    faulted = _crash_case(clean_fleet, tmp_path, "fleet.machine.run", (3,))
     assert faulted.resilience["machine_recoveries"] >= 1
+
+
+#: Every crash position of the crash-case fleet: 2 machines x 2 epochs
+#: x 4 drain chunks of ``fleet.machine.run`` (hits 4, 8, 12 and 16 end
+#: an epoch), 2 x 2 epoch closes of ``fleet.machine.ship``, and one
+#: double crash of each.
+CRASH_POSITIONS = (
+    [("fleet.machine.run", (hit,)) for hit in range(1, 17)]
+    + [("fleet.machine.ship", (hit,)) for hit in range(1, 5)]
+    + [("fleet.machine.run", (2, 4)), ("fleet.machine.ship", (2, 4))])
+
+
+@pytest.mark.parametrize(
+    "point, hits", CRASH_POSITIONS,
+    ids=["%s@%s" % (point.rsplit(".", 1)[1], "+".join(map(str, hits)))
+         for point, hits in CRASH_POSITIONS])
+def test_crash_at_any_chunk_position_keeps_every_epoch(clean_fleet,
+                                                       tmp_path, point,
+                                                       hits):
+    """A crash on an epoch's last chunk must not ship that chunk's
+    samples with the next epoch."""
+    faulted = _crash_case(clean_fleet, tmp_path, point, hits)
+    assert faulted.resilience["machine_recoveries"] == len(hits)
+
+
+def test_collection_crash_never_moves_a_machine_cycle(tmp_path):
+    """A daemon crash is a collection fault: the machine runs on as if
+    nothing happened, so every delta and the final machine time equal
+    the clean run's."""
+    def run(name, faults):
+        machine = FleetMachine("m00", "dss", 7, drain_interval=1_000,
+                               durable_root=tmp_path / name, faults=faults)
+        deltas = [machine.run_epoch(4_000) for _ in range(3)]
+        return deltas, machine.machine.time
+
+    plan = FaultPlan(specs=(FaultSpec("fleet.machine.run", "crash",
+                                      hits=(3,)),), seed=5)
+    assert run("crashed", plan.build()) == run("clean", None)
 
 
 def test_recovered_daemon_replaces_the_dead_ones_listener(tmp_path):
@@ -318,7 +367,7 @@ def test_recovered_daemon_replaces_the_dead_ones_listener(tmp_path):
                            faults=plan.build())
     for _ in range(3):
         machine.run_epoch(4_000)
-    assert machine.recoveries == 2
+    assert machine.daemon.recoveries == machine.recoveries == 2
     assert machine.machine.loader._listeners == [
         machine.daemon.on_loadmap]
     machine._respawn()
@@ -326,13 +375,14 @@ def test_recovered_daemon_replaces_the_dead_ones_listener(tmp_path):
             == machine.daemon.resident_bytes())
 
 
-def test_preship_crash_reships_the_closed_epoch(tmp_path):
-    faulted = _crash_case(tmp_path, "fleet.machine.ship", (2,))
+def test_preship_crash_reships_the_closed_epoch(clean_fleet, tmp_path):
+    faulted = _crash_case(clean_fleet, tmp_path, "fleet.machine.ship", (2,))
     assert faulted.resilience["machine_recoveries"] >= 1
 
 
-def test_store_crash_mid_ingest_recovers_on_reopen(tmp_path):
-    faulted = _crash_case(tmp_path, "fleet.store.ingest", (2,))
+def test_store_crash_mid_ingest_recovers_on_reopen(clean_fleet, tmp_path):
+    faulted = _crash_case(clean_fleet, tmp_path, "fleet.store.ingest",
+                          (2,))
     assert faulted.resilience["store_recoveries"] >= 1
 
 
