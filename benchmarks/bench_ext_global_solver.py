@@ -9,16 +9,18 @@ not regress -- quantifying whether the experiment was worth shipping.
 """
 
 from conftest import profile_workload, run_once, write_result
-from repro.core.analyze import AnalysisConfig
-from repro.core.analyze import analyze_procedure
+from repro.core.analyze import AnalysisConfig, analyze_image
 from repro.core.solver import flow_residual
-from repro.core.validate import frequency_errors, weight_within
-from repro.cpu.events import EventType
+from repro.core.validate import score, weight_within
 from repro.workloads.generator import generate_suite
 
 SUITE = 8
 BUDGET = 400_000
 PERIOD = (60, 64)
+
+
+def _residual(analysis):
+    return flow_residual(analysis.cfg, analysis.freq.classes, analysis.freq)
 
 
 def run_solver_experiment():
@@ -36,23 +38,15 @@ def run_solver_experiment():
             continue
         image = result.daemon.images[workload.name]
         machine = result.machine
-        points_plain.extend(frequency_errors(machine, image, profile))
-        points_solved.extend(frequency_errors(
-            machine, image, profile,
-            config=AnalysisConfig(global_solver=True)))
+        plain = analyze_image(image, profile)
+        solved = analyze_image(image, profile,
+                               AnalysisConfig(global_solver=True))
+        points_plain.extend(score(machine, plain)[0])
+        points_solved.extend(score(machine, solved)[0])
         for proc in image.procedures:
-            if not profile.samples_for(proc, EventType.CYCLES):
-                continue
-            plain = analyze_procedure(image, proc, profile)
-            solved = analyze_procedure(
-                image, proc, profile,
-                AnalysisConfig(global_solver=True))
-            residual_plain += flow_residual(plain.cfg,
-                                            plain.freq.classes,
-                                            plain.freq)
-            residual_solved += flow_residual(solved.cfg,
-                                             solved.freq.classes,
-                                             solved.freq)
+            if proc.name in plain:
+                residual_plain += _residual(plain[proc.name])
+                residual_solved += _residual(solved[proc.name])
     return points_plain, points_solved, residual_plain, residual_solved
 
 

@@ -15,7 +15,8 @@ relationships that make the substitution sound:
 
 from conftest import (baseline_workload, profile_workload, run_once,
                       write_result)
-from repro.core.validate import frequency_errors, weight_within
+from repro.core.analyze import analyze_image
+from repro.core.validate import score, weight_within
 from repro.workloads import mccalpin
 from repro.workloads.generator import GeneratedProgram
 
@@ -44,7 +45,8 @@ def run_sweep():
         samples = 0
         if profile is not None:
             image = result.daemon.images[accuracy_workload.name]
-            points = frequency_errors(result.machine, image, profile)
+            points = score(result.machine,
+                           analyze_image(image, profile))[0]
             within10 = weight_within(points, 10)
             samples = sum(w for _, w, _ in points)
         rows.append({"period": period, "overhead": overhead,

@@ -10,7 +10,8 @@ collapse -- the points slide below the correlation line.
 """
 
 from conftest import profile_workload, run_once, write_result
-from repro.core.validate import icache_correlation_points
+from repro.core.analyze import analyze_image
+from repro.core.validate import score
 from repro.cpu.config import MachineConfig
 from repro.workloads import bigcode
 
@@ -28,9 +29,9 @@ def _run(istream_entries):
                               event_period=16, machine_config=config)
     image = result.daemon.images[workload.name]
     profile = result.profile_for(workload.name)
-    points = [p for p in icache_correlation_points(
-        result.machine, image, profile)
-        if p["procedure"].startswith("leaf")]
+    points = [p for p in score(result.machine,
+                               analyze_image(image, profile))[2]
+              if p["procedure"].startswith("leaf")]
     total_imiss = sum(p["imiss"] for p in points)
     total_stall = sum(p["hi"] for p in points)
     return result.cycles, total_imiss, total_stall

@@ -10,7 +10,8 @@ midpoint); this benchmark reruns that validation.
 """
 
 from conftest import profile_workload, run_once, write_result
-from repro.core.validate import correlation, icache_correlation_points
+from repro.core.analyze import analyze_image
+from repro.core.validate import correlation, score
 from repro.workloads import bigcode
 
 BUDGET = 1_000_000
@@ -28,7 +29,7 @@ def run_fig10():
                               event_period=16)
     image = result.daemon.images[workload.name]
     profile = result.profile_for(workload.name)
-    return icache_correlation_points(result.machine, image, profile)
+    return score(result.machine, analyze_image(image, profile))[2]
 
 
 def render(points, r_top, r_bottom, r_mid):

@@ -13,8 +13,8 @@ profiles over more runs tightens the distribution.
 """
 
 from conftest import profile_workload, run_once, write_result
-from repro.core.validate import (BUCKETS, bucketize, frequency_errors,
-                                 weight_within)
+from repro.core.analyze import analyze_image
+from repro.core.validate import BUCKETS, bucketize, score, weight_within
 from repro.cpu.events import EventType
 from repro.workloads.generator import generate_suite
 
@@ -60,7 +60,9 @@ def collect_points(runs=1):
             for offset, count in merged.counts[EventType.CYCLES].items():
                 scaled[offset] = count / runs
             merged.counts[EventType.CYCLES] = scaled
-        points.extend(frequency_errors(machine, image, merged))
+        # Averaged counts can total under one sample per procedure.
+        analyses = analyze_image(image, merged, min_samples=0)
+        points.extend(score(machine, analyses)[0])
     return points
 
 

@@ -8,7 +8,8 @@ Weights are true edge executions, as in the paper.
 """
 
 from conftest import profile_workload, run_once, write_result
-from repro.core.validate import BUCKETS, bucketize, edge_errors, weight_within
+from repro.core.analyze import analyze_image
+from repro.core.validate import BUCKETS, bucketize, score, weight_within
 from repro.workloads.generator import generate_suite
 
 SUITE = 10
@@ -27,7 +28,8 @@ def run_fig9():
         if profile is None:
             continue
         image = result.daemon.images[workload.name]
-        points.extend(edge_errors(result.machine, image, profile))
+        points.extend(score(result.machine,
+                            analyze_image(image, profile))[1])
     return points
 
 

@@ -22,17 +22,15 @@ that are never compared).  Two environment knobs drive it:
   ``benchmarks/results``).
 """
 
-import json
 import math
 import os
 import platform
 import time
 
-import pytest
-
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.obs import derive, merge_metrics
+from repro.obs.report import write_report
 
 RESULTS_DIR = os.environ.get(
     "DCPIBENCH_RESULTS",
@@ -181,12 +179,6 @@ def run_once(benchmark, func):
                               warmup_rounds=0)
 
 
-@pytest.fixture
-def results_dir():
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
-
-
 # -- the machine-readable result harness (dcpibench) -----------------------
 
 
@@ -225,23 +217,24 @@ def _overheads(records):
 def _obs_block(profiled):
     """Aggregate per-session obs snapshots into the payload's "obs"
     block: merge the raw counts, derive rates from the merged totals,
-    and keep the aggregate (non-per-CPU) scalars."""
+    and keep the aggregate scalars -- not per-CPU keys, and not the
+    ``sim.*`` fast-path counters ``dcpiab`` and perfbench gate."""
     snapshots = [r["obs"] for r in profiled if r.get("obs")]
     if not snapshots:
         return None
     flat = derive(merge_metrics(snapshots))
     block = {}
     for name, value in flat.items():
-        if name.startswith("driver.cpu"):
+        if name.startswith(("driver.cpu", "sim.")):
             continue
         block[name] = (round(value, 6)
                        if isinstance(value, float) else value)
     return block
 
 
-def bench_payload(stem, tests, records):
-    """One module's fact sheet: everything outside a "timing" key is
-    deterministic under a given (quick, clamp) setup."""
+def bench_payload(stem, tests, records, exitstatus):
+    """One module's fact sheet as ``(body, timing)``: everything in
+    *body* is deterministic under a given (quick, clamp) setup."""
     profiled = [r for r in records if r["kind"] == "profile"]
     overheads = _overheads(records)
     metrics = {
@@ -265,20 +258,20 @@ def bench_payload(stem, tests, records):
         timing["cpu_s"] = round(sum(r["cpu_s"] for r in timed), 6)
         timing["instructions_per_sec"] = round(
             sum(r["instructions"] for r in timed) / timing["cpu_s"], 1)
-    payload = {
+    body = {
         "benchmark": stem,
         "file": "bench_%s.py" % stem,
         "quick": QUICK,
         "max_instructions_clamp": _CLAMP,
-        "passed": all(t["outcome"] == "passed" for t in tests),
+        "passed": exitstatus == 0 and all(
+            t["outcome"] == "passed" for t in tests),
         "tests": {t["id"]: t["outcome"] for t in tests},
         "metrics": metrics,
         "obs": _obs_block(profiled),
         "text_results": sorted(set(_TEXTS.get(stem, []))),
-        "timing": timing,
     }
-    payload.update(_BLOCKS.get(stem, {}))
-    return payload
+    body.update(_BLOCKS.get(stem, {}))
+    return body, timing
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -293,12 +286,9 @@ def pytest_sessionfinish(session, exitstatus):
     for record in _SESSIONS:
         sessions_by_module.setdefault(
             _module_stem(record["test"]), []).append(record)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
     for stem, tests in sorted(by_module.items()):
-        payload = bench_payload(
+        body, timing = bench_payload(
             stem, sorted(tests, key=lambda t: t["id"]),
-            sessions_by_module.get(stem, []))
-        path = os.path.join(RESULTS_DIR, "BENCH_%s.json" % stem)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            sessions_by_module.get(stem, []), exitstatus)
+        write_report(os.path.join(RESULTS_DIR, "BENCH_%s.json" % stem),
+                     "dcpibench", body, timing=timing)

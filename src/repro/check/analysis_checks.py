@@ -309,22 +309,6 @@ def check_estimate_flow(cfg: object, freq: object,
 
 # -- merge determinism -------------------------------------------------------
 
-def _merged_bytes(shards: Sequence[Dict[str, Dict[object, Dict[int, int]]]],
-                  periods: Dict[object, float]) -> bytes:
-    """Merge *shards* and serialize the result deterministically."""
-    from repro.collect.database import encode_profile
-    from repro.collect.parallel import merge_shards
-
-    merged = merge_shards(shards)
-    chunks: List[bytes] = []
-    for image_name in sorted(merged):
-        for event in sorted(merged[image_name], key=str):
-            chunks.append(encode_profile(
-                merged[image_name][event], image_name, event,
-                periods.get(event, 1)))
-    return b"".join(chunks)
-
-
 def split_profiles(profiles: Dict[str, Dict[object, Dict[int, int]]],
                    ways: int = 3) -> List[Dict[str, Dict[object,
                                                          Dict[int, int]]]]:
@@ -360,21 +344,24 @@ def check_merge_determinism(
     (pre-merged pair) variant; all four serializations must be
     byte-identical.
     """
+    from repro.collect.parallel import MergedProfiles, merge_shards
+
+    def encoded(variant: Sequence[object]) -> Dict[Tuple[str, str], bytes]:
+        return MergedProfiles(merge_shards(variant), periods).encode_all()
+
     shards = split_profiles(profiles)
-    reference = _merged_bytes(shards, periods)
+    reference = encoded(shards)
     findings: List[Finding] = []
     variants: List[Tuple[str, List[object]]] = [
         ("reversed", list(reversed(shards))),
         ("rotated", shards[1:] + shards[:1]),
     ]
     if len(shards) >= 2:
-        from repro.collect.parallel import merge_shards
-
         regrouped: List[object] = [merge_shards(shards[:2])]
         regrouped.extend(shards[2:])
         variants.append(("regrouped", regrouped))
     for name, variant in variants:
-        if _merged_bytes(variant, periods) != reference:  # type: ignore[arg-type]
+        if encoded(variant) != reference:
             findings.append(Finding(
                 "analysis/merge-nondeterminism", ERROR, label,
                 "shard merge under %s order serialized differently"

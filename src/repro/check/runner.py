@@ -166,7 +166,7 @@ def plan_workload(name: object,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                   seed: int = 1,
                   profiler: Profiler = profile_workload,
-                  ) -> Tuple[object, List[object]]:
+                  ) -> Tuple[object, List[Any]]:
     """Profile *name* and build its rewrite plans, optimizer-style.
 
     *name* is a registry name or a Workload object.  Returns
@@ -174,19 +174,10 @@ def plan_workload(name: object,
     :func:`repro.check.transval.validate_workload_plans` wants.
     Workloads whose profile captured no cycles produce no plan.
     """
-    from repro.core.analyze import AnalysisConfig, analyze_image
-    from repro.cpu.events import EventType
-    from repro.opt import OptConfig, build_plan
+    from repro.opt.optimizer import plan_session
 
     workload, collected = profiler(name, max_instructions, seed)
-    plans: List[object] = []
-    for image in collected.machine.loader.images:
-        profile = collected.profiles.get(image.name)
-        if profile is None or not profile.total(EventType.CYCLES):
-            continue
-        analyses = analyze_image(image, profile, AnalysisConfig())
-        if analyses:
-            plans.append(build_plan(image, analyses, OptConfig()))
+    plans, _ = plan_session(collected)
     return workload, plans
 
 

@@ -58,8 +58,7 @@ class Daemon:
     """Extracts, maps and merges samples."""
 
     def __init__(self, loader, periods=None, per_process_images=(),
-                 obs=None, faults=None, journal=None,
-                 max_drain_retries=MAX_DRAIN_RETRIES, ctx=None):
+                 obs=None, faults=None, journal=None, ctx=None):
         """*periods* maps EventType -> mean sampling period (for the
         profile metadata the analysis needs).  *per_process_images*
         names images for which separate per-PID profiles are kept in
@@ -95,7 +94,6 @@ class Daemon:
         self.drain_failures = 0
         self.loadmaps_dropped = 0
         self.loadmaps_delayed = 0
-        self.max_drain_retries = max_drain_retries
         self.journal = journal
         self._pending_loadmaps = []
         self._drained_seq = {}     # cpu_id -> highest merged flush seq
@@ -198,7 +196,7 @@ class Daemon:
             except TransientDrainError:
                 self.drain_retries += 1
                 attempts += 1
-                if attempts >= self.max_drain_retries:
+                if attempts >= MAX_DRAIN_RETRIES:
                     # Persistent failure: shed this CPU's backlog so the
                     # rest of the system keeps profiling.  The driver
                     # accounts the loss in its `dropped` counter.  No
@@ -444,8 +442,7 @@ class Daemon:
 
     @classmethod
     def recover(cls, loader, database, journal=None, periods=None,
-                per_process_images=(), obs=None, faults=None,
-                max_drain_retries=MAX_DRAIN_RETRIES, ctx=None):
+                per_process_images=(), obs=None, faults=None, ctx=None):
         """Rebuild a daemon from *database*'s last durable checkpoint.
 
         Reloads the current epoch's committed profiles, seeds counters
@@ -467,8 +464,7 @@ class Daemon:
         """
         daemon = cls(loader, periods=periods,
                      per_process_images=per_process_images, obs=obs,
-                     faults=faults, journal=journal,
-                     max_drain_retries=max_drain_retries)
+                     faults=faults, journal=journal)
         meta = database.checkpoint_meta() or {}
         daemon.epoch = meta.get("epoch", 0)
         daemon.total_samples = meta.get("total_samples", 0)

@@ -60,8 +60,6 @@ class SessionConfig:
     faults: Optional[FaultPlan] = None
     #: Checkpoint the database every N drains (None = only at the end).
     checkpoint_drains: Optional[int] = None
-    #: Keep a drain journal next to the database (crash replay).
-    journal: bool = True
     #: Per-request attribution (repro.ctx): thread workload request
     #: classes through the driver/daemon path and persist the context
     #: ledger with every checkpoint.  Off = zero-cost, byte-identical.
@@ -142,7 +140,7 @@ class CollectionStack:
         self.database = (ProfileDatabase(config.db_root, faults=faults)
                          if config.db_root else None)
         self.journal = None
-        if self.database is not None and config.journal:
+        if self.database is not None:
             self.journal = DrainJournal(self.database.journal_path())
             self.journal.truncate()
         lo, hi = config.cycles_period
@@ -248,12 +246,6 @@ class CollectionStack:
                         journal=self.journal, periods=self.periods,
                         per_process_images=config.per_process_images,
                         obs=self.obs, faults=self.faults, ctx=ctx_seed)
-                    if self.journal is None:
-                        # No journal to replay: whatever the old daemon
-                        # held beyond the checkpoint is gone -- account
-                        # it.
-                        daemon.lost_samples += max(
-                            0, old.total_samples - daemon.total_samples)
                     daemon.recoveries = max(daemon.recoveries,
                                             old.recoveries + 1)
                 else:

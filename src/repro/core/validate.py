@@ -3,19 +3,15 @@
 
 The paper validated frequency estimates against dcpix-instrumented
 execution counts; here the simulator's exact per-instruction and
-per-edge counts play that role.  These helpers produce the raw series
-behind Figures 8, 9 and 10:
-
-* :func:`frequency_errors` -- per-instruction relative error of the
-  estimated execution count, weighted by CYCLES samples;
-* :func:`edge_errors` -- per-CFG-edge relative error, weighted by true
-  edge executions;
-* :func:`icache_correlation_points` -- per-procedure (IMISS events,
-  attributed I-cache stall-cycle range) pairs.
+per-edge counts play that role.  :func:`score` turns the analyses a
+caller already built into the raw series behind Figures 8, 9 and 10:
+per-instruction and per-CFG-edge relative errors of the estimated
+execution counts, and per-procedure (IMISS events, attributed I-cache
+stall-cycle range) pairs.
 """
 
-from repro.core.analyze import analyze_procedure
-from repro.core.cfg import EXIT, build_cfg
+from repro.core.cfg import EXIT
+from repro.core.culprits import identify_culprits
 from repro.cpu.events import EventType
 
 #: Histogram bucket edges used by the paper's Figures 8 and 9 (percent).
@@ -36,63 +32,6 @@ def true_edge_count(machine, cfg, edge):
     # Single-successor block (fallthrough, call): the edge runs exactly
     # as often as the block's last instruction.
     return machine.gt_count.get(last.addr, 0)
-
-
-def frequency_errors(machine, image, profile, procedures=None,
-                     config=None, min_true=5):
-    """Relative frequency-estimate errors, sample-weighted.
-
-    Returns a list of (relative_error, weight_samples, confidence)
-    tuples, one per instruction with at least *min_true* true
-    executions (tiny counts are pure noise in both systems).
-    """
-    points = []
-    for proc in image.procedures:
-        if procedures is not None and proc.name not in procedures:
-            continue
-        samples = profile.samples_for(proc, EventType.CYCLES)
-        if not samples:
-            continue
-        analysis = analyze_procedure(image, proc, profile, config)
-        for row in analysis.instructions:
-            true = machine.gt_count.get(row.inst.addr, 0)
-            if true < min_true:
-                continue
-            weight = row.samples
-            if weight == 0:
-                continue
-            error = (row.count - true) / true
-            points.append((error, weight, row.confidence))
-    return points
-
-
-def edge_errors(machine, image, profile, procedures=None, config=None,
-                min_true=5):
-    """Relative edge-frequency errors, weighted by true edge executions.
-
-    Returns (relative_error, weight, confidence) tuples.
-    """
-    points = []
-    for proc in image.procedures:
-        if procedures is not None and proc.name not in procedures:
-            continue
-        samples = profile.samples_for(proc, EventType.CYCLES)
-        if not samples:
-            continue
-        analysis = analyze_procedure(image, proc, profile, config)
-        cfg = analysis.cfg
-        freq = analysis.freq
-        for edge in cfg.edges:
-            if edge.dst == EXIT:
-                continue
-            true = true_edge_count(machine, cfg, edge)
-            if true < min_true:
-                continue
-            estimate = freq.edge_count(edge.index)
-            error = (estimate - true) / true
-            points.append((error, true,
-                           freq.edge_confidence(edge.index)))
-    return points
 
 
 def bucketize(points):
@@ -159,50 +98,59 @@ class FixedFrequency:
 HIGH_CONFIDENCE = "high"
 
 
-def icache_correlation_points(machine, image, profile, config=None,
-                              min_samples=10, use_true_counts=True):
-    """Per-procedure (true IMISS events, attributed icache range).
+def score(machine, analyses):
+    """Score *analyses* against *machine*'s ground truth in one pass.
 
-    Returns a list of dicts with the procedure name, the ground-truth
-    IMISS event count, and the [lo, hi] I-cache stall cycles attributed
-    by culprit analysis -- the paper's Figure 10 scatter.  With
-    *use_true_counts* (the paper's footnote-6 methodology) culprit
-    analysis runs on exact execution counts instead of estimates."""
-    from repro.core.culprits import identify_culprits
-    from repro.core.schedule import schedule_cfg
+    *analyses* is the ``{procedure: ProcedureAnalysis}`` mapping
+    :func:`~repro.core.analyze.analyze_image` returns; nothing is
+    analysed again.  Returns ``(frequency, edges, icache)``, each in
+    the image's procedure order:
 
-    points = []
-    for proc in image.procedures:
-        samples = profile.samples_for(proc, EventType.CYCLES)
-        if sum(samples.values()) < min_samples:
+    * *frequency* -- ``(relative_error, samples, confidence)`` per
+      instruction with CYCLES samples and at least five true
+      executions (tiny counts are pure noise in both systems);
+    * *edges* -- ``(relative_error, true_executions, confidence)`` per
+      CFG edge with at least five true executions;
+    * *icache* -- one ``{"procedure", "imiss", "lo", "hi"}`` dict per
+      procedure with at least ten CYCLES samples: the true IMISS
+      events and the [lo, hi] I-cache stall cycles culprit analysis
+      attributes when it runs on exact execution counts (the paper's
+      footnote 6) over the analysis's own CFG and schedules.
+    """
+    frequency, edges, icache = [], [], []
+    for analysis in sorted(analyses.values(), key=lambda a: a.proc.start):
+        for row in analysis.instructions:
+            true = machine.gt_count.get(row.inst.addr, 0)
+            if true >= 5 and row.samples:
+                frequency.append(((row.count - true) / true, row.samples,
+                                  row.confidence))
+        cfg, freq = analysis.cfg, analysis.freq
+        for edge in cfg.edges:
+            if edge.dst == EXIT:
+                continue
+            true = true_edge_count(machine, cfg, edge)
+            if true >= 5:
+                edges.append(((freq.edge_count(edge.index) - true) / true,
+                              true, freq.edge_confidence(edge.index)))
+        proc = analysis.proc
+        samples = analysis.profile.samples_for(proc, EventType.CYCLES)
+        if sum(samples.values()) < 10:
             continue
-        period = profile.periods.get(EventType.CYCLES, 1.0)
-        if use_true_counts:
-            cfg = build_cfg(proc)
-            schedules = schedule_cfg(cfg)
-            freq = FixedFrequency(cfg, machine.gt_count, period)
-            culprit_map = identify_culprits(cfg, schedules, freq,
-                                            samples, profile, proc)
-            culprit_lists = culprit_map.values()
-        else:
-            analysis = analyze_procedure(image, proc, profile, config)
-            culprit_lists = [row.culprits
-                             for row in analysis.instructions]
-        lo = 0.0
-        hi = 0.0
-        for culprits in culprit_lists:
+        culprit_map = identify_culprits(
+            cfg, analysis.schedules,
+            FixedFrequency(cfg, machine.gt_count, analysis.period),
+            samples, analysis.profile, proc)
+        lo = hi = 0.0
+        for culprits in culprit_map.values():
             for culprit in culprits:
                 if culprit.reason == "icache":
                     lo += culprit.min_cycles
                     hi += culprit.max_cycles
-        true_imiss = 0
-        for inst in proc.instructions():
-            events = machine.gt_events.get(inst.addr)
-            if events:
-                true_imiss += events.get(EventType.IMISS, 0)
-        points.append({"procedure": proc.name, "imiss": true_imiss,
+        imiss = sum(machine.gt_events.get(inst.addr, {}).get(
+            EventType.IMISS, 0) for inst in proc.instructions())
+        icache.append({"procedure": proc.name, "imiss": imiss,
                        "lo": lo, "hi": hi})
-    return points
+    return frequency, edges, icache
 
 
 def correlation(xs, ys):

@@ -217,6 +217,33 @@ def _subsample_profile(profile: ImageProfile, loss: float,
     return thinned
 
 
+def plan_session(collected: Any, opt_config: Optional[OptConfig] = None,
+                 loss: float = 0.0, seed: int = 1,
+                 obs: Any = None) -> Tuple[List[RewritePlan], int]:
+    """Rewrite plans from a profiled session's CYCLES samples.
+
+    *collected* is a :class:`~repro.collect.session.SessionResult`;
+    every loaded image with CYCLES samples (after *loss* thinning, see
+    :func:`_subsample_profile`) is analysed and planned.  Returns
+    ``(plans, analysed CYCLES samples)``.
+    """
+    plans: List[RewritePlan] = []
+    analyzed_samples = 0
+    for image in collected.machine.loader.images:
+        profile = collected.profiles.get(image.name)
+        if profile is None or not profile.total(EventType.CYCLES):
+            continue
+        profile = _subsample_profile(profile, loss, seed)
+        if not profile.total(EventType.CYCLES):
+            continue
+        analyses = analyze_image(image, profile, AnalysisConfig())
+        if not analyses:
+            continue
+        analyzed_samples += sum(a.total_samples for a in analyses.values())
+        plans.append(build_plan(image, analyses, opt_config, obs=obs))
+    return plans, analyzed_samples
+
+
 def optimize_workload(workload: Any, mode: str = "cycles",
                       seed: int = 1, max_instructions: int = 200_000,
                       cycles_period: Tuple[int, int] = (240, 256),
@@ -255,26 +282,13 @@ def optimize_workload(workload: Any, mode: str = "cycles",
         collected = session.run(workload,
                                 max_instructions=max_instructions)
 
-    plans: List[RewritePlan] = []
     pass_stats: Dict[str, int] = {}
-    analyzed_samples = 0
     with obs.span("opt.plan", workload=workload.name):
-        for image in collected.machine.loader.images:
-            profile = collected.profiles.get(image.name)
-            if profile is None or not profile.total(EventType.CYCLES):
-                continue
-            profile = _subsample_profile(profile, loss, seed)
-            if not profile.total(EventType.CYCLES):
-                continue
-            analyses = analyze_image(image, profile, AnalysisConfig())
-            if not analyses:
-                continue
-            analyzed_samples += sum(a.total_samples
-                                    for a in analyses.values())
-            plan = build_plan(image, analyses, opt_config, obs=obs)
-            plans.append(plan)
-            for key, value in plan.stats.items():
-                pass_stats[key] = pass_stats.get(key, 0) + value
+        plans, analyzed_samples = plan_session(collected, opt_config,
+                                               loss, seed, obs)
+    for plan in plans:
+        for key, value in plan.stats.items():
+            pass_stats[key] = pass_stats.get(key, 0) + value
 
     profile_stats: Dict[str, Any] = {
         "mode": mode,

@@ -131,8 +131,8 @@ def run_bench(job):
         output_tail=output[-2000:])
 
 
-def _attach_results(outcomes, results_dir, workers):
-    """Load each benchmark's JSON and stamp the runner's view into it."""
+def _attach_results(outcomes, results_dir):
+    """Read each benchmark's fact sheet into its outcome."""
     for outcome in outcomes:
         path = os.path.join(results_dir, "BENCH_%s.json" % outcome.name)
         if os.path.exists(path):
@@ -142,13 +142,6 @@ def _attach_results(outcomes, results_dir, workers):
             # The module ran but the harness produced nothing -- treat
             # as a failure so CI notices broken plumbing.
             outcome.returncode = 1
-        if outcome.result is not None:
-            outcome.result["passed"] = outcome.passed
-            outcome.result.setdefault("timing", {}).update(
-                runner_wall_s=round(outcome.elapsed_s, 3), workers=workers)
-            with open(path, "w") as handle:
-                json.dump(outcome.result, handle, indent=2, sort_keys=True)
-                handle.write("\n")
 
 
 def run_suite(args):
@@ -188,7 +181,7 @@ def run_suite(args):
              if max_instructions else ""))
     started = time.perf_counter()
     outcomes = runner.map(run_bench, jobs)
-    _attach_results(outcomes, results_dir, runner.workers)
+    _attach_results(outcomes, results_dir)
 
     failed = [o for o in outcomes if not o.passed]
     for outcome in outcomes:

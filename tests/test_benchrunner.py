@@ -210,11 +210,11 @@ def test_run_single_benchmark_end_to_end(tmp_path):
         payload = json.load(handle)
     assert payload["passed"] is True
     assert payload["quick"] is True
+    assert payload["tool"] == "dcpibench"
     assert payload["benchmark"] == "fig1_dcpiprof"
     assert payload["metrics"]["samples"] > 0
     assert payload["timing"]["elapsed_s"] > 0
     assert payload["timing"]["instructions_per_sec"] > 0
-    assert payload["timing"]["runner_wall_s"] > 0
     assert payload["tests"] and all(
         outcome == "passed" for outcome in payload["tests"].values())
     # The human-readable rendering still lands next to the JSON.
@@ -243,7 +243,8 @@ def test_committed_baselines_match_the_current_writer():
     comparison = compare_results(baselines, baselines)
     assert comparison.ok and not comparison.notes
 
-    writer_keys = set(_load_bench_conftest().bench_payload("x", [], []))
+    body, _ = _load_bench_conftest().bench_payload("x", [], [], 0)
+    writer_keys = set(body) | {"schema", "tool", "timing"}
     for name, path in benchmarks.items():
         with open(path) as handle:
             blocks = set(re.findall(r'record_block\(\s*"(\w+)"',
@@ -252,3 +253,17 @@ def test_committed_baselines_match_the_current_writer():
         assert set(baseline) == writer_keys | blocks, name
         assert baseline["passed"] and baseline["quick"], name
         assert all(isinstance(baseline[block], dict) for block in blocks)
+        # Fact sheets gate the collection system, not the simulator's
+        # fast-path counters.
+        assert not [key for key in baseline["obs"] or ()
+                    if key.startswith("sim.")], name
+
+
+def test_fact_sheet_fails_when_pytest_fails():
+    """A module whose tests all passed still fails its sheet when pytest
+    exits nonzero (an error outside any test, say)."""
+    conftest = _load_bench_conftest()
+    tests = [{"id": "bench_x.py::test", "outcome": "passed",
+              "duration_s": 0.1}]
+    assert conftest.bench_payload("x", tests, [], 0)[0]["passed"] is True
+    assert conftest.bench_payload("x", tests, [], 1)[0]["passed"] is False

@@ -4,9 +4,9 @@ import pytest
 
 from repro.alpha.assembler import assemble
 from repro.core.cfg import build_cfg
-from repro.core.validate import (BUCKETS, bucketize, correlation,
-                                 frequency_errors, true_edge_count,
-                                 weight_within)
+from repro.core.analyze import analyze_image
+from repro.core.validate import (BUCKETS, bucketize, correlation, score,
+                                 true_edge_count, weight_within)
 from repro.cpu.config import MachineConfig
 from repro.cpu.machine import Machine
 
@@ -106,8 +106,8 @@ class TestFrequencyErrors:
             SessionConfig(mode="cycles", cycles_period=(60, 64)))
         result = session.run(workload)
         image = result.daemon.images["v"]
-        points = frequency_errors(result.machine, image,
-                                  result.profile_for("v"))
+        points, _, _ = score(result.machine,
+                             analyze_image(image, result.profile_for("v")))
         assert points
         # This loop mispredicts nearly every iteration, so blocks whose
         # only issue point eats the mispredict bubble are overestimated
@@ -119,3 +119,36 @@ class TestFrequencyErrors:
         good = [p for p in points if p[2] in ("medium", "high")]
         assert good
         assert weight_within(good, 30) > 0.7
+
+
+class TestScore:
+    def test_one_cfg_per_procedure(self, monkeypatch):
+        """Scoring reuses the caller's analyses: analyze_image followed
+        by score builds each procedure's CFG exactly once."""
+        from collections import Counter
+
+        from repro.collect.session import ProfileSession, SessionConfig
+        from repro.core import analyze
+        from repro.workloads.generator import GeneratedProgram
+
+        workload = GeneratedProgram(seed=5, procedures=3, rounds=20)
+        result = ProfileSession(
+            MachineConfig(),
+            SessionConfig(mode="cycles", cycles_period=(60, 64))).run(
+                workload, max_instructions=40_000)
+        image = result.daemon.images[workload.name]
+        built = Counter()
+        original = analyze.build_cfg
+
+        def counting(proc, **kwargs):
+            built[proc.name] += 1
+            return original(proc, **kwargs)
+
+        monkeypatch.setattr(analyze, "build_cfg", counting)
+        analyses = analyze_image(image, result.profile_for(workload.name))
+        frequency, edges, icache = score(result.machine, analyses)
+        # Three generated procedures plus their driver, all sampled.
+        names = [proc.name for proc in image.procedures]
+        assert len(names) == 4 and sorted(analyses) == sorted(names)
+        assert frequency and edges and icache
+        assert built == Counter(names)
