@@ -10,9 +10,11 @@ explain wave5's run-to-run variance.
 class Cache:
     """A set-associative cache with LRU replacement.
 
-    Associativity 1 degenerates to a direct-mapped cache with a cheap
-    array lookup; that fast path matters because L1 lookups dominate the
-    simulator's own running time.
+    Associativity 1 degenerates to a direct-mapped cache whose set holds
+    one tag.  For a direct-mapped L1 with a power-of-two set count both
+    ``Core.run`` paths compare that tag in line and call :meth:`lookup`
+    only when it does not match, so lookups here are L1 misses, L2 and
+    board accesses, and every access to an L1 of any other geometry.
     """
 
     def __init__(self, config):
@@ -38,11 +40,6 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
-    def _index(self, line):
-        if self._set_mask is not None:
-            return line & self._set_mask
-        return line % self.num_sets
-
     def lookup(self, addr, allocate=True):
         """Access the line containing *addr*; return True on hit.
 
@@ -50,7 +47,8 @@ class Cache:
         stores), a miss does not install the line.
         """
         line = addr >> self._line_shift
-        index = self._index(line)
+        mask = self._set_mask
+        index = line & mask if mask is not None else line % self.num_sets
         if self.assoc == 1:
             if self.sets[index] == line:
                 self.hits += 1
@@ -76,17 +74,20 @@ class Cache:
     def contains(self, addr):
         """Return True if the line holding *addr* is resident (no update)."""
         line = addr >> self._line_shift
-        index = self._index(line)
+        mask = self._set_mask
+        index = line & mask if mask is not None else line % self.num_sets
         if self.assoc == 1:
             return self.sets[index] == line
         return line in self.sets[index]
 
     def flush(self):
-        """Invalidate the entire cache."""
+        """Invalidate the entire cache.  ``sets`` is cleared in place:
+        ``Core.run`` and replay code hold it across calls."""
         if self.assoc == 1:
-            self.sets = [None] * self.num_sets
+            self.sets[:] = [None] * self.num_sets
         else:
-            self.sets = [[] for _ in range(self.num_sets)]
+            for ways in self.sets:
+                ways.clear()
 
     def evict_random(self, rng, count):
         """Evict *count* pseudo-random lines (interrupt-handler pollution)."""

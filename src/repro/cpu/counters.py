@@ -11,6 +11,10 @@ function; the profiling driver installs the Carta minimal-standard PRNG
 (paper reference [4]) to decorrelate sampling from program structure.
 """
 
+#: :meth:`CounterUnit.headroom` of an event no slot counts: more
+#: occurrences than any simulation adds.
+UNBOUNDED = 1 << 62
+
 
 class CounterSlot:
     """One hardware performance counter."""
@@ -51,14 +55,19 @@ class CounterUnit:
     def counts_event(self, event):
         return bool(self._by_event.get(event))
 
-    def live_slots(self, event):
-        """The slot list for *event*, created on demand so the returned
-        list object stays valid (it is mutated in place) across later
-        ``configure``/``set_event`` calls.  The pipeline binds the
-        CYCLES list once per run, scans it in line for replay headroom
-        and adds spans that overflow no slot straight to ``count``;
-        :meth:`add` is only called when an overflow is due."""
-        return self._by_event.setdefault(event, [])
+    def headroom(self, event):
+        """The smallest *amount* for which :meth:`add` overflows a slot
+        counting *event* (``UNBOUNDED`` when none counts it).
+
+        ``Core.run`` keeps this for CYCLES in one local: it holds back
+        the cycles of spans that stay below it and hands them to
+        :meth:`add` together with the span that reaches it, or at run
+        exit.  Overflow times depend only on the final count and the
+        span's end, so the deferral is exact."""
+        slots = self._by_event.get(event)
+        if not slots:
+            return UNBOUNDED
+        return min(slot.period - slot.count for slot in slots)
 
     def add(self, event, amount, end_time):
         """Count *amount* occurrences of *event*, the last at *end_time*.

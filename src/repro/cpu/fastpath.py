@@ -441,9 +441,10 @@ class FastPath:
     #: blacklisted (e.g. streaming code whose loads always miss).
     MAX_FAILED = 12
     #: Recorded-variant re-uses before tiering up to a compiled replay.
-    #: One compile() measures 0.42-0.45 ms, 200-220 slow-path
-    #: instructions at 2.0 us each (generating its source text: 0.03
-    #: ms), so code with many lukewarm variants (gcc) loses
+    #: One compile() measures 0.19-0.33 ms (quartiles over gcc's
+    #: variants), about 150 slow-path instructions at 1.4-1.7 us each
+    #: on branchy code whose probes hit (generating its source text:
+    #: 0.03 ms), so code with many lukewarm variants (gcc) loses
     #: at low thresholds on short runs; 4 keeps short-budget wins
     #: without measurably hurting steady-state throughput.  The
     #: threshold is the same whether or not the process-wide replay

@@ -23,30 +23,41 @@ time, reproducing the paper's section 4.1.2 semantics (IMISS samples
 land on the missing instruction; DMISS/BRANCHMP samples skew a few
 instructions down the stream).
 
-Two execution paths share this accounting:
+Two execution paths share this accounting, and both inline the same
+hit probes -- a same-page I-L1 tag hit at a fetch-line cross, a D-TLB
+entry, an L1D tag hit, a store to a write-buffer block still draining
+-- as a hit-counter bump.  Only a probe that does not hit calls the
+model (``_fetch``, ``TLB.translate``, ``Hierarchy.access``,
+``Cache.lookup``, ``WriteBuffer.earliest_issue`` / ``commit``):
 
 * the **slow path** walks predecoded records
   (:mod:`repro.alpha.predecode`) one instruction at a time and handles
   every dynamic event;
 * the **fast path** replays a cached per-block issue schedule
   (:mod:`repro.cpu.fastpath`) when the block's entry conditions match a
-  prior visit, batching the block's CYCLES counter updates into one
-  contiguous span.  The gate at a block head is the only way into a
-  replay; a clean exit returns to it.  A replay is a clean prefix: the compiled code holds
+  prior visit, batching the block's CYCLES into one contiguous span.
+  The gate at a block head is the only way into a replay; a clean exit
+  returns to it.  A replay is a clean prefix: the compiled code holds
   hit paths only and stops *before* the first instruction whose fetch,
   translation, D-cache probe or write-buffer probe does not hit, with
   nothing of that instruction applied.  The slow path -- the only
   implementation of what a miss does -- takes over from there, so
   counters, samples and ground-truth attributions stay byte-identical.
+
+CYCLES are counted against one local on both paths: ``cyc_room`` is
+the fewest cycles that overflow a CYCLES slot
+(:meth:`CounterUnit.headroom`) and ``cyc_acc`` the cycles not yet
+added to the slots; a span that reaches ``cyc_room`` hands both to
+``CounterUnit.add``, and run exit hands over the rest.
 """
 
 from repro.alpha.opcodes import MASK64
 from repro.alpha.predecode import PAIR_OK_ID
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.caches import Cache, Hierarchy
-from repro.cpu.counters import CounterUnit
+from repro.cpu.counters import UNBOUNDED, CounterUnit
 from repro.cpu.events import EventType
-from repro.cpu.fastpath import CLEAN
+from repro.cpu.fastpath import CLEAN, cache_geometry
 from repro.cpu.issue import DEP_REASON
 from repro.cpu.tlb import TLB
 from repro.cpu.writebuffer import WriteBuffer
@@ -62,6 +73,19 @@ _EV_DMISS = EventType.DMISS
 _EV_BRANCHMP = EventType.BRANCHMP
 _EV_DTBMISS = EventType.DTBMISS
 _EV_ITBMISS = EventType.ITBMISS
+
+#: The sets of an L1 tag probe that never hits (set mask 0).
+_NEVER_HITS = (None,)
+
+
+def _tag_probe(cache):
+    """``(sets, set_mask)`` for ``Core.run``'s inlined L1 tag probe;
+    an L1 that :func:`cache_geometry` cannot describe gets one that
+    never hits, so every access takes the model call."""
+    geom = cache_geometry(cache.config)
+    if geom is None:
+        return _NEVER_HITS, 0
+    return cache.sets, geom[1]
 
 
 class Core:
@@ -113,9 +137,10 @@ class Core:
         """Fetch the line holding *pc* (the caller saw a line cross).
 
         Returns ``(itb_penalty, icache_penalty, events_or_None)``; the
-        caller has already updated ``_last_fetch_line``.  Replay code
-        inlines only the fetch that charges nothing (same page, L1 hit)
-        and leaves every other one to the slow path and this method.
+        caller has already updated ``_last_fetch_line``.  Both paths
+        of :meth:`run` inline the fetch that charges nothing (same
+        code page, I-L1 tag hit, not a stream-buffer line); every other
+        fetch comes here.
         """
         config = self.config
         page_bits = config.page_bits
@@ -184,7 +209,10 @@ class Core:
         gt_events = machine.gt_events
         gt_edges = machine.gt_edges
         counters = self.counters
-        cycles_slots = counters.live_slots(_EV_CYCLES)
+        # Cycles not yet added to the CYCLES slots, and the fewest that
+        # overflow one of them (module docstring).
+        cyc_acc = 0
+        cyc_room = counters.headroom(_EV_CYCLES)
         pending = self._pending
         sink = self.sample_sink
         edge_sink = self.edge_sink
@@ -194,15 +222,26 @@ class Core:
         skew = config.interrupt_skew
         page_bits = config.page_bits
         page_mask = (1 << page_bits) - 1
-        line_shift = self.ihier.l1._line_shift
         mispredict_penalty = config.mispredict_penalty
         pair_ok = PAIR_OK_ID
         dtb = self.dtb
         dhier = self.dhier
         wb = self.wb
         bp = self.bp
+        l1i = self.ihier.l1
         l1d = dhier.l1
         l1d_latency = l1d.latency
+        line_shift = l1i._line_shift
+        dline_shift = l1d._line_shift
+        # The slow path's inlined hit probes, bound once: Cache.flush
+        # and TLB.flush clear in place, and the write buffer's dict is
+        # never replaced.
+        ics, imask = _tag_probe(l1i)
+        dcs, dmask = _tag_probe(l1d)
+        istream = self._istream
+        dtb_entries = dtb._entries
+        wb_entries = wb._entries
+        wb_shift = wb.BLOCK_SHIFT
 
         iregs = proc.iregs
         fregs = proc.fregs
@@ -240,9 +279,8 @@ class Core:
         rec_key = None
         rec_t0 = 0
 
-        deadline = None
-        if cycle_limit is not None:
-            deadline = prev_issue + cycle_limit
+        deadline = (prev_issue + cycle_limit if cycle_limit is not None
+                    else UNBOUNDED)
         insts_left = inst_limit if inst_limit is not None else -1
         status = BUDGET
 
@@ -253,7 +291,7 @@ class Core:
             if insts_left == 0:
                 status = BUDGET
                 break
-            if deadline is not None and prev_issue >= deadline:
+            if prev_issue >= deadline:
                 status = QUANTUM
                 break
 
@@ -306,26 +344,19 @@ class Core:
                             if var.fn is not None:
                                 total_rel = var.total_rel
                                 if (0 <= insts_left < var.n
-                                        or (deadline is not None
-                                            and t0 + total_rel
-                                            >= deadline)):
+                                        or t0 + total_rel >= deadline):
                                     # Too close to a budget edge to
                                     # commit to a whole block; the slow
                                     # path paces itself per
                                     # instruction.
                                     pass
+                                elif total_rel >= cyc_room:
+                                    # The block could overflow a
+                                    # CYCLES counter mid-replay; let
+                                    # the slow path pace the delivery.
+                                    fp.headroom_skips += 1
                                 else:
                                     replay_var = var
-                                    for _slot in cycles_slots:
-                                        if (total_rel >= _slot.period
-                                                - _slot.count):
-                                            # The block could overflow
-                                            # a CYCLES counter
-                                            # mid-replay; let the slow
-                                            # path pace the delivery.
-                                            fp.headroom_skips += 1
-                                            replay_var = None
-                                            break
 
             if replay_var is not None:
                 # ---- replay ----------------------------------------
@@ -361,11 +392,10 @@ class Core:
                         leader_pc = v.leader_addr
                     total_rel = v.total_rel
                     prev_issue = t0 + total_rel
-                    if total_rel:
-                        # One contiguous CYCLES span; the headroom gate
-                        # proved it overflows no slot.
-                        for _slot in cycles_slots:
-                            _slot.count += total_rel
+                    # One contiguous CYCLES span; the headroom gate
+                    # proved it overflows no slot.
+                    cyc_acc += total_rel
+                    cyc_room -= total_rel
                     pc = res[1]
                     pair_open = v.term_open and not res[2]
                     if v.term_edge_always or pc != exit_addr:
@@ -428,12 +458,11 @@ class Core:
                         if not steps[j][3]:
                             leader_pc = steps[j][0][14]
                             break
-                    prev_issue = t0 + last_step[1]
                     delta = last_step[1]
-                    if delta:
-                        # A prefix of the span the gate cleared.
-                        for _slot in cycles_slots:
-                            _slot.count += delta
+                    prev_issue = t0 + delta
+                    # A prefix of the span the gate cleared.
+                    cyc_acc += delta
+                    cyc_room -= delta
                 fp_replayed += i
                 fp.bails[res[0]] += 1
                 insts_left -= i
@@ -467,8 +496,14 @@ class Core:
             fline = pc >> line_shift
             if fline != self._last_fetch_line:
                 self._last_fetch_line = fline
-                itb_fetch_pen, icache_pen, events_now = self._fetch(
-                    pc, prev_issue)
+                il = ((self._last_code_ppage << page_bits)
+                      | (pc & page_mask)) >> line_shift
+                if (pc >> page_bits == self._last_code_page
+                        and ics[il & imask] == il and il not in istream):
+                    l1i.hits += 1
+                else:
+                    itb_fetch_pen, icache_pen, events_now = self._fetch(
+                        pc, prev_issue)
             fetch_pen = itb_fetch_pen + icache_pen
 
             # ---- operand readiness --------------------------------------
@@ -507,9 +542,14 @@ class Core:
             if 4 <= kind <= 9:
                 vaddr = (iregs[srec[5]] + srec[8]) & MASK64
                 if kind >= 7:
-                    wb_ready = wb.earliest_issue(vaddr, prev_issue + 1)
-                    if wb_ready != prev_issue + 1:
-                        wb_clean = False
+                    # A store to a resident block issues at once.
+                    wb_done = wb_entries.get(vaddr >> wb_shift)
+                    if wb_done is not None:
+                        wb_ready = prev_issue + 1
+                    else:
+                        wb_ready = wb.earliest_issue(vaddr, prev_issue + 1)
+                        if wb_ready != prev_issue + 1:
+                            wb_clean = False
                     if wb_ready > res:
                         res = wb_ready
                         res_reason = "wb"
@@ -548,7 +588,8 @@ class Core:
                         stall_row["icache"] = (
                             stall_row.get("icache", 0) + icache_pen)
                     base = arrival
-                    d_static = min(rdy_static, issue) - base
+                    d_static = (rdy_static if rdy_static < issue
+                                else issue) - base
                     if d_static > 0:
                         reason = DEP_REASON[dep_index]
                         stall_row[reason] = stall_row.get(reason, 0) + d_static
@@ -557,7 +598,7 @@ class Core:
                                 rec_stalls = []
                             rec_stalls.append((reason, d_static))
                         base += d_static
-                    d_dyn = min(rdy, issue) - base
+                    d_dyn = rdy - base  # issue >= rdy
                     if d_dyn > 0:
                         reason = reg_dyn_reason.get(dyn_reg) or "dcache"
                         stall_row[reason] = stall_row.get(reason, 0) + d_dyn
@@ -565,7 +606,7 @@ class Core:
                             if rec_stalls is None:
                                 rec_stalls = []
                             rec_stalls.append((reason, d_dyn))
-                        base = min(rdy, issue)
+                        base = rdy
                     if res > base and res_reason:
                         stall_row[res_reason] = (
                             stall_row.get(res_reason, 0) + (res - base))
@@ -639,10 +680,23 @@ class Core:
                 if unit == 2:
                     fdiv_free = issue + srec[12]
             elif kind <= 6:  # loads
-                ppage, dtb_pen, dtb_miss = dtb.translate(
-                    asn, vaddr >> page_bits, translate_data)
+                vpage = vaddr >> page_bits
+                ppage = dtb_entries.get((asn, vpage))
+                if ppage is None:
+                    ppage, dtb_pen, dtb_miss = dtb.translate(
+                        asn, vpage, translate_data)
+                else:
+                    dtb.hits += 1
+                    dtb_pen = 0
+                    dtb_miss = False
                 paddr = (ppage << page_bits) | (vaddr & page_mask)
-                dlat, dmiss = dhier.access(paddr)
+                dline = paddr >> dline_shift
+                if dcs[dline & dmask] == dline:
+                    l1d.hits += 1
+                    dlat = l1d_latency
+                    dmiss = False
+                else:
+                    dlat, dmiss = dhier.access(paddr)
                 dst = srec[7]
                 if kind == 4:  # ldq
                     value = mem.get(vaddr & ~7, 0)
@@ -677,12 +731,26 @@ class Core:
                     if dtb_miss:
                         events_now.append((_EV_DTBMISS, issue))
             elif kind <= 9:  # stores
-                ppage, dtb_pen, dtb_miss = dtb.translate(
-                    asn, vaddr >> page_bits, translate_data)
+                vpage = vaddr >> page_bits
+                ppage = dtb_entries.get((asn, vpage))
+                if ppage is None:
+                    ppage, dtb_pen, dtb_miss = dtb.translate(
+                        asn, vpage, translate_data)
+                else:
+                    dtb.hits += 1
+                    dtb_miss = False
                 paddr = (ppage << page_bits) | (vaddr & page_mask)
                 # Write-through, no-write-allocate: probe without filling.
-                dhier.l1.lookup(paddr, allocate=False)
-                wb.commit(vaddr, issue)
+                dline = paddr >> dline_shift
+                if dcs[dline & dmask] == dline:
+                    l1d.hits += 1
+                else:
+                    l1d.lookup(paddr, allocate=False)
+                if wb_done is not None and wb_done > issue:
+                    # Still draining at issue: the store merges.
+                    wb.merges += 1
+                else:
+                    wb.commit(vaddr, issue)
                 if kind == 7:  # stq
                     mem[vaddr & ~7] = iregs[srec[4]]
                 elif kind == 8:  # stl
@@ -759,17 +827,17 @@ class Core:
             # ---- performance counters ------------------------------------
             delta = issue - prev_issue
             if delta:
-                # No call unless an overflow is due: counters.add only
-                # when some slot would reach its period.
-                for _slot in cycles_slots:
-                    if delta >= _slot.period - _slot.count:
-                        for ev, otime in counters.add(
-                                _EV_CYCLES, delta, issue):
-                            pending.append((otime + skew, ev))
-                        break
+                if delta >= cyc_room:
+                    # An overflow is due: the slots take the held-back
+                    # cycles with this span (all one contiguous run).
+                    for ev, otime in counters.add(
+                            _EV_CYCLES, cyc_acc + delta, issue):
+                        pending.append((otime + skew, ev))
+                    cyc_acc = 0
+                    cyc_room = counters.headroom(_EV_CYCLES)
                 else:
-                    for _slot in cycles_slots:
-                        _slot.count += delta
+                    cyc_acc += delta
+                    cyc_room -= delta
             if events_now:
                 for ev, etime in events_now:
                     row = gt_events.get(addr)
@@ -840,6 +908,8 @@ class Core:
             if srec[13]:
                 at_head = fp_on
 
+        # Below cyc_room, so this overflows no slot.
+        counters.add(_EV_CYCLES, cyc_acc, prev_issue)
         # Fold deferred fast-path ground truth in before anything can
         # read the maps (pure addition, so totals match the slow path).
         if fp_on:

@@ -17,13 +17,17 @@ class WriteBuffer:
     def __init__(self, entries=6, drain_cycles=24):
         self.capacity = entries
         self.drain_cycles = drain_cycles
-        # block -> completion time of the drain of that entry.
+        # block -> completion time of the drain of that entry.  Expired
+        # lazily: a finished drain left here changes nothing, because
+        # every reader but a probe of that block expires first.
+        # ``Core.run`` probes it in line: a store to a resident block
+        # skips earliest_issue, and merges without commit when the
+        # block's drain ends after the store issues.
         self._entries = {}
         # Time at which the memory port finishes the last scheduled drain.
         self._port_free = 0
         self.merges = 0
         self.allocations = 0
-        self.overflow_stalls = 0
 
     def earliest_issue(self, block_addr, now):
         """Return the earliest cycle a store to *block_addr* can issue.

@@ -2,9 +2,10 @@
 
 The block-level issue cache (:mod:`repro.cpu.fastpath`) is a pure
 performance optimization: with it on or off, a profiling session must
-produce byte-identical profile databases, event-sample totals, and
+produce byte-identical profile databases, event-sample totals,
 ground-truth attributions (counts, head-of-queue cycles, per-reason
-stall breakdowns, per-instruction event counts, edge counts).  This
+stall breakdowns, per-instruction event counts, edge counts) and, per
+core, the cache / TLB / write-buffer / predictor counters.  This
 tool runs every registered workload three times -- fast path on with
 the process-wide replay-code cache emptied first (cold), on again with
 the cache the first leg filled (warm), then forced off -- canonicalizes
@@ -56,6 +57,23 @@ def fingerprint(result):
     })
 
 
+def model_counters(machine):
+    """Per core, the hit / miss counts of every model the pipeline
+    probes: both paths inline the hit probes, so these are where a hit
+    counted twice or not at all shows.  Kept out of
+    :func:`fingerprint`, whose digest perfbench records."""
+    return [{
+        "l1i": (core.ihier.l1.hits, core.ihier.l1.misses),
+        "l1d": (core.dhier.l1.hits, core.dhier.l1.misses),
+        "l2": (core.l2.hits, core.l2.misses),
+        "board": (core.board.hits, core.board.misses),
+        "itb": (core.itb.hits, core.itb.misses),
+        "dtb": (core.dtb.hits, core.dtb.misses),
+        "wb": (core.wb.merges, core.wb.allocations),
+        "bp": (core.bp.predictions, core.bp.mispredictions),
+    } for core in machine.cores]
+
+
 def run_session(workload, fastpath, seed, max_instructions, mode):
     """One profiled run with the fast path forced on or off."""
     config = MachineConfig(num_cpus=workload.num_cpus)
@@ -79,12 +97,15 @@ def check_workload(workload, seed=1, max_instructions=80_000,
                                   max_instructions, mode)
     slow, slow_wall = run_session(workload, False, seed,
                                   max_instructions, mode)
-    fast_print = fingerprint(fast)
+
+    def observed(result):
+        return fingerprint(result), model_counters(result.machine)
+    fast_seen = observed(fast)
     snap = fast.machine.fastpath.snapshot()
     differs = []
-    if fingerprint(slow) != fast_print:
+    if observed(slow) != fast_seen:
         differs.append("slow")
-    if (fingerprint(warm) != fast_print
+    if (observed(warm) != fast_seen
             or warm.machine.fastpath.snapshot() != snap):
         differs.append("warm")
     replay_pct = (100.0 * snap["replayed_instructions"]

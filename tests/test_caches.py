@@ -42,9 +42,13 @@ class TestDirectMapped:
 
     def test_flush(self):
         cache = make_cache()
+        sets = cache.sets
         cache.lookup(0x100)
         cache.flush()
         assert cache.contains(0x100) is False
+        # Cleared in place: Core.run binds ``sets`` once per run.
+        assert cache.sets is sets
+        assert sets == [None] * cache.num_sets
 
     def test_stats(self):
         cache = make_cache()
@@ -88,6 +92,14 @@ class TestSetAssociative:
         hits = sum(cache.lookup(addr)
                    for addr in range(0, 96 * 1024, 64))
         assert hits == 96 * 1024 // 64  # everything fits
+
+    def test_flush_keeps_the_set_lists(self):
+        cache = make_cache(size=2048, line=32, assoc=2)
+        sets = cache.sets
+        cache.lookup(0)
+        cache.flush()
+        assert cache.sets is sets
+        assert cache.contains(0) is False
 
     def test_evict_random(self):
         cache = make_cache(size=2048, line=32, assoc=2)

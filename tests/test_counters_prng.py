@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, strategies as st
 
 from repro.collect.prng import CartaRandom, period_sampler
-from repro.cpu.counters import CounterUnit
+from repro.cpu.counters import UNBOUNDED, CounterUnit
 from repro.cpu.events import EventType
 
 
@@ -105,19 +105,30 @@ class TestCounterUnit:
         assert total_overflows == sum(deltas) // 37
 
 
-def count_cycles_inline(unit, slots, delta, end_time):
-    """``Core.run``'s slow-path CYCLES accounting, verbatim: add in
-    line unless some slot is due to overflow, then ``CounterUnit.add``."""
-    for slot in slots:
-        if delta >= slot.period - slot.count:
-            return list(unit.add(EventType.CYCLES, delta, end_time))
-    for slot in slots:
-        slot.count += delta
-    return []
+class HeldBackCycles:
+    """``Core.run``'s CYCLES accounting, verbatim: spans below
+    ``CounterUnit.headroom`` are held back in ``acc``; the span that
+    reaches it goes to ``CounterUnit.add`` together with them."""
+
+    def __init__(self, unit):
+        self.unit = unit
+        self.acc = 0
+        self.room = unit.headroom(EventType.CYCLES)
+
+    def add(self, delta, end_time):
+        if delta >= self.room:
+            got = list(self.unit.add(EventType.CYCLES, self.acc + delta,
+                                     end_time))
+            self.acc = 0
+            self.room = self.unit.headroom(EventType.CYCLES)
+            return got
+        self.acc += delta
+        self.room -= delta
+        return []
 
 
 class TestInlineCyclesGuard:
-    """The call-free CYCLES path of ``Core.run`` against
+    """The held-back CYCLES path of ``Core.run`` against
     ``CounterUnit.add`` on every span, overflow or not."""
 
     @staticmethod
@@ -135,22 +146,33 @@ class TestInlineCyclesGuard:
                     min_size=1, max_size=80))
     def test_equals_counter_unit_add(self, periods, deltas):
         inline = self.unit(periods)
-        slots = inline.live_slots(EventType.CYCLES)
+        held = HeldBackCycles(inline)
         reference = self.unit(periods)
         now = 0
         for delta in deltas:
             now += delta
-            got = count_cycles_inline(inline, slots, delta, now)
+            got = held.add(delta, now)
             want = list(reference.add(EventType.CYCLES, delta, now))
             assert got == want
-            assert ([(s.count, s.period, s.overflows)
+            assert ([(s.count + held.acc, s.period, s.overflows)
                      for s in inline.slots]
                     == [(s.count, s.period, s.overflows)
                         for s in reference.slots])
+        # Run exit: the held-back cycles overflow nothing.
+        assert inline.add(EventType.CYCLES, held.acc, now) == []
+        assert ([(s.count, s.period, s.overflows) for s in inline.slots]
+                == [(s.count, s.period, s.overflows)
+                    for s in reference.slots])
 
     def test_no_call_below_headroom(self):
         unit = self.unit([[100], [50]])
-        slots = unit.live_slots(EventType.CYCLES)
+        held = HeldBackCycles(unit)
+        assert held.room == 50
         unit.add = None  # any call would raise
-        assert count_cycles_inline(unit, slots, 49, 49) == []
-        assert [s.count for s in slots] == [49, 49]
+        assert held.add(49, 49) == []
+        assert [s.count for s in unit.slots] == [0, 0]
+        assert (held.acc, held.room) == (49, 1)
+
+    def test_headroom_of_an_uncounted_event(self):
+        unit = self.unit([[100]])
+        assert unit.headroom(EventType.IMISS) == UNBOUNDED

@@ -328,11 +328,34 @@ class TestDcpiabThreeLegs:
         assert not identical
         assert "DIFFERS(warm)" in line
 
+    def test_model_counter_divergence_is_named(self, monkeypatch):
+        from repro.tools import abcheck
+
+        # Same profiles and ground truth, one D-TLB hit counted twice on
+        # the slow leg's second core: only model_counters can see it.
+        real = abcheck.run_session
+        legs = []
+
+        def run_session(*args):
+            result, wall = real(*args)
+            legs.append(result)
+            if len(legs) == 3:
+                result.machine.cores[1].dtb.hits += 1
+            return result, wall
+        monkeypatch.setattr(abcheck, "run_session", run_session)
+        identical, line = abcheck.check_workload(
+            get_workload("altavista"), max_instructions=20_000)
+        assert not identical
+        assert "DIFFERS(slow)" in line
+        assert (abcheck.fingerprint(legs[2])
+                == abcheck.fingerprint(legs[0]))
+
 
 class TestCyclesCountedInLine:
-    """``Core.run`` adds CYCLES spans to the slots in line and calls
-    ``CounterUnit.add`` only when an overflow is due: every cycle must
-    still be counted exactly once in every slot, on both paths."""
+    """``Core.run`` holds CYCLES spans back below the slots' headroom
+    and calls ``CounterUnit.add`` only when an overflow is due and at
+    run exit: every cycle must still be counted exactly once in every
+    slot, on both paths."""
 
     @pytest.mark.parametrize("periods", [(256,), (61, 97), (64, 97, 1)])
     def test_every_cycle_counted_once_per_slot(self, periods):

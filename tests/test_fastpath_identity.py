@@ -8,7 +8,8 @@ issue cache on, once with it off.  Every observable the profiler or
 the validation experiments can see must match byte for byte: execution
 counts, head-of-queue cycles, per-reason stall attributions,
 per-instruction event counts, edge counts, retired-instruction totals,
-machine time, and the branch-predictor / cache / TLB model counters.
+machine time, and every core's cache / TLB / write-buffer / predictor
+counters (``abcheck.model_counters``).
 """
 
 import re
@@ -23,7 +24,7 @@ from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
 from repro.cpu.config import MachineConfig
 from repro.cpu.machine import Machine
-from repro.tools.abcheck import _canonical, check_workload
+from repro.tools.abcheck import _canonical, check_workload, model_counters
 from repro.workloads.asmgen import caller_proc, loop_proc
 from repro.workloads.registry import get_workload, workload_names
 
@@ -60,7 +61,6 @@ def programs(draw):
 
 def observables(machine):
     """Canonical bytes of everything the fast path must not change."""
-    core = machine.cores[0]
     return _canonical({
         "gt_count": machine.gt_count,
         "gt_head": machine.gt_head,
@@ -69,11 +69,7 @@ def observables(machine):
         "gt_edges": machine.gt_edges,
         "retired": machine.instructions_retired,
         "time": machine.time,
-        "bp": (core.bp.predictions, core.bp.mispredictions),
-        "l1i": (core.ihier.l1.hits, core.ihier.l1.misses),
-        "l1d": (core.dhier.l1.hits, core.dhier.l1.misses),
-        "l2": (core.ihier.l2.hits, core.ihier.l2.misses),
-        "dtb": (core.dtb.hits, core.dtb.misses),
+        "models": model_counters(machine),
         "regs": machine.processes[0].iregs,
         "fregs": machine.processes[0].fregs,
         "memory": machine.processes[0].memory,
