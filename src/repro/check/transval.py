@@ -964,13 +964,11 @@ def validate_result(original: Image, plan: Any,
                           blocks_checked=blocks)
 
 
-def validate_plan(image: Image, plan: Any,
-                  obs: Any = None) -> TransvalReport:
+def validate_plan(image: Image, plan: Any) -> TransvalReport:
     """Rewrite unlinked *image* under *plan* and validate the result."""
     from repro.opt.rewrite import rewrite_image
 
-    result = rewrite_image(image, plan, obs=obs)
-    return validate_result(image, plan, result)
+    return validate_result(image, plan, rewrite_image(image, plan))
 
 
 def validate_workload_plans(workload: Any, plans: Any,

@@ -462,7 +462,6 @@ def run_fleet_case(scenario: FleetScenario, budget: int = FLEET_FULL_BUDGET,
     require every epoch's stored bytes to equal the fault-free run's
     (``crash_transparent``): a recovered crash moves no sample.
     """
-    from repro.check.analysis_checks import check_fleet_conservation
     from repro.fleet.store import FleetStore
 
     started = time.perf_counter()
@@ -493,15 +492,8 @@ def run_fleet_case(scenario: FleetScenario, budget: int = FLEET_FULL_BUDGET,
                 reopened.db.verify()
             store = FleetStore(store.root, shards=store.num_shards)
             quarantined = store.quarantined_samples()
-            post_findings = check_fleet_conservation(
-                shipped=fingerprint["shipped"],
-                stored=store.total_samples(),
-                transit_lost=result.transport_stats["lost_samples"],
-                residue=store.downsample_residue(),
-                quarantined=quarantined,
-                spool_dropped=result.resilience[
-                    "spool_dropped_samples"],
-                label="fleet-chaos/%s" % scenario.name)
+            post_findings = result.conservation(
+                "fleet-chaos/%s" % scenario.name, store)
             conservation_ok = conservation_ok and not post_findings
             findings += [f.to_dict() for f in post_findings]
             if scenario.post == "bitflip" and not quarantined:
@@ -545,10 +537,7 @@ def run_fleet_case(scenario: FleetScenario, budget: int = FLEET_FULL_BUDGET,
             "corrupted_file": corrupted_file,
             "recoveries": (result.resilience["machine_recoveries"]
                            + result.resilience["store_recoveries"]),
-            "loss_rate": ((result.transport_stats["lost_samples"]
-                           + result.resilience["spool_dropped_samples"])
-                          / fingerprint["shipped"]
-                          if fingerprint["shipped"] else 0.0),
+            "loss_rate": result.loss_rate(),
             "conservation_ok": conservation_ok,
             "deterministic": deterministic,
             "serial_identical": serial_identical,

@@ -151,7 +151,6 @@ class FleetMachine(CollectionStack):
         self.batch = 0
         self.shipped_samples = 0
         self.respawns = 0
-        self.recoveries = 0
 
     def _symbols(self):
         """Offset-relative procedure tables of every loaded image."""
@@ -245,8 +244,6 @@ class FleetMachine(CollectionStack):
     def recover(self, crash):
         """The session's recovery, then re-spool unacked closed epochs."""
         super().recover(crash)
-        self.recoveries += 1
-        self.obs.counter("fleet.machine_recoveries").inc()
         self._respool_unacked()
 
     def _delta_from_database(self, epoch):
@@ -303,6 +300,34 @@ class FleetResult:
     def shipped_samples(self):
         return sum(m["shipped_samples"] for m in self.machines)
 
+    def conservation(self, label, store=None):
+        """Findings of the fleet conservation identity
+        (:func:`repro.check.analysis_checks.check_fleet_conservation`)
+        over *store*, by default the run's own.
+
+        Shipped, transit-lost and spool-dropped samples are the run's;
+        stored, residue and quarantined are read from *store*, so a
+        reopened store re-checks the same run's books.
+        """
+        from repro.check import analysis_checks
+
+        store = self.store if store is None else store
+        return analysis_checks.check_fleet_conservation(
+            shipped=self.shipped_samples(),
+            stored=store.total_samples(),
+            transit_lost=self.transport_stats["lost_samples"],
+            residue=store.downsample_residue(),
+            quarantined=store.quarantined_samples(),
+            spool_dropped=self.resilience["spool_dropped_samples"],
+            label=label)
+
+    def loss_rate(self):
+        """Shipped samples lost in transit or dropped from a spool."""
+        shipped = self.shipped_samples()
+        lost = (self.transport_stats["lost_samples"]
+                + self.resilience["spool_dropped_samples"])
+        return lost / shipped if shipped else 0.0
+
     def report(self):
         """The body of ``dcpifleet run``'s JSON report."""
         return {
@@ -333,11 +358,8 @@ class FleetResult:
 class FleetSession:
     """Run a whole simulated fleet into one store."""
 
-    def __init__(self, config=None, obs=None):
+    def __init__(self, config=None):
         self.config = config or FleetConfig()
-        self.obs = obs or NULL_OBS
-        self._store_recoveries = 0
-        self._acks_lost = 0
 
     def run(self, store, check=True):
         """Simulate the fleet; return a :class:`FleetResult`.
@@ -346,20 +368,19 @@ class FleetSession:
         *check* (the default), the fleet-conservation invariant --
         stored samples + transit losses + spool drops + downsample
         residue + quarantined equals the sum of per-machine shipped
-        samples -- is verified via
-        :func:`repro.check.analysis_checks.check_fleet_conservation`
-        and any violation lands in ``result.findings``.
+        samples -- is verified via :meth:`FleetResult.conservation` and
+        any violation lands in ``result.findings``.
         """
-        from repro.check.analysis_checks import check_fleet_conservation
-
         config = self.config
+        # Per run: a second run() of this session reports its own.
+        self._store_recoveries = 0
+        self._acks_lost = 0
         if not isinstance(store, FleetStore):
-            store = FleetStore(store, obs=self.obs,
-                               shards=config.shards)
+            store = FleetStore(store, shards=config.shards)
         faults = (config.faults.build()
                   if getattr(config.faults, "build", None)
                   else (config.faults or NULL_INJECTOR))
-        transport = DeltaTransport(faults=faults, obs=self.obs)
+        transport = DeltaTransport(faults=faults)
         machines = [
             FleetMachine(
                 "m%02d" % index,
@@ -371,7 +392,6 @@ class FleetSession:
                 drain_interval=config.drain_interval,
                 context=config.context,
                 ctx_slots=config.ctx_slots,
-                obs=self.obs,
                 durable_root=(os.path.join(store.root, "machines",
                                            "m%02d" % index)
                               if config.durable else None),
@@ -387,9 +407,6 @@ class FleetSession:
                     # Overflow drop is terminal (and accounted): also
                     # release the epoch from the machine's local
                     # database so a restart cannot re-spool it.
-                    self.obs.counter(
-                        "fleet.spool_dropped_samples").inc(
-                        victim.total_samples())
                     machine.on_acked(victim)
                 store = self._ship_spooled(machine, transport, store,
                                            faults)
@@ -408,40 +425,31 @@ class FleetSession:
             "shipped_samples": machine.shipped_samples,
             "respawns": machine.respawns,
             "deltas": machine.batch,
-            "recoveries": machine.recoveries,
+            "recoveries": machine.daemon.recoveries,
             "spool": machine.spool.to_dict(),
         } for machine in machines]
-        spool_dropped = sum(machine.spool.dropped_samples
-                            for machine in machines)
         resilience = {
             "spool_dropped_deltas": sum(machine.spool.dropped_deltas
                                         for machine in machines),
-            "spool_dropped_samples": spool_dropped,
+            "spool_dropped_samples": sum(machine.spool.dropped_samples
+                                         for machine in machines),
             "ship_retries": sum(machine.spool.retries
                                 for machine in machines),
             "backoff_ms": round(sum(machine.spool.backoff_ms
                                     for machine in machines), 3),
-            "machine_recoveries": sum(machine.recoveries
+            "machine_recoveries": sum(machine.daemon.recoveries
                                       for machine in machines),
             "store_recoveries": self._store_recoveries,
             "acks_lost": self._acks_lost,
         }
-        findings = []
-        if check:
-            findings = check_fleet_conservation(
-                shipped=sum(row["shipped_samples"]
-                            for row in machine_rows),
-                stored=store.total_samples(),
-                transit_lost=transport.stats.lost_samples,
-                residue=store.downsample_residue(),
-                quarantined=store.quarantined_samples(),
-                spool_dropped=spool_dropped,
-                label="fleet/%dx%d" % (config.machines, config.epochs))
-        return FleetResult(
+        result = FleetResult(
             config=config, store=store, machines=machine_rows,
             transport_stats=transport.stats.to_dict(),
-            retention_reports=retention_reports, findings=findings,
-            resilience=resilience)
+            retention_reports=retention_reports, resilience=resilience)
+        if check:
+            result.findings = result.conservation(
+                "fleet/%dx%d" % (config.machines, config.epochs))
+        return result
 
     # -- shipping ----------------------------------------------------------
 
@@ -458,9 +466,7 @@ class FleetSession:
                 return store, store.ingest(delivery, faults=faults)
             except InjectedCrash:
                 self._store_recoveries += 1
-                self.obs.counter("fleet.store_recoveries").inc()
-                store = FleetStore(store.root, obs=self.obs,
-                                   shards=store.num_shards,
+                store = FleetStore(store.root, shards=store.num_shards,
                                    retry=store.retry)
         return store, store.ingest(delivery, faults=faults)
 
@@ -476,10 +482,7 @@ class FleetSession:
             try:
                 deliveries = transport.ship(entry.delta)
             except ShipTimeoutError:
-                delay = machine.spool.backoff_for_retry(entry)
-                self.obs.counter("fleet.ship_retries").inc()
-                self.obs.counter("fleet.ship_backoff_ms").inc(
-                    int(delay))
+                machine.spool.backoff_for_retry(entry)
                 break
             for delivery in deliveries:
                 store, _applied = self._deliver(store, delivery, faults)
@@ -492,7 +495,6 @@ class FleetSession:
                     # vanished: the sender keeps it spooled and
                     # re-ships; dedupe absorbs the replay.
                     self._acks_lost += 1
-                    self.obs.counter("fleet.acks_lost").inc()
                     continue
             # Delivered-and-acked, or terminally dropped/delayed by
             # the transport (both accounted there): off the spool.
@@ -516,6 +518,5 @@ class FleetSession:
                                                store, faults)
         for machine in machines:
             for delta in machine.spool.abandon():
-                self.obs.counter("fleet.spool_abandoned").inc()
                 machine.on_acked(delta)
         return store

@@ -148,11 +148,8 @@ def _compact_shard(shard, policy, report):
         shard.ledger["compactions"] += 1
         shard.ledger["downsample_residue"] += residue
         shard.ledger["compacted_windows"] = sorted(done | {start})
-        with shard.obs.timeit("fleet.compact_s"):
-            shard.db.compact_epochs(window, merged, periods, start,
-                                    meta=shard.ledger)
-        shard.obs.counter("fleet.compactions").inc()
-        shard.obs.counter("fleet.residue_samples").inc(residue)
+        shard.db.compact_epochs(window, merged, periods, start,
+                                meta=shard.ledger)
         done.add(start)
         report["windows"].append({
             "shard": shard.index,

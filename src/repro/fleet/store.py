@@ -47,7 +47,7 @@ when the handle's previous locked section ended cleanly *and* the
 database's commit sidecar still shows the mark this handle recorded
 (:meth:`ProfileDatabase.is_current` -- any commit by any other handle,
 locked or not, rewrites it); otherwise it reloads from disk, counted
-by reason in ``fleet.shard_refreshes.<reason>``:
+by reason in :attr:`FleetShard.refreshes`:
 
 * ``open`` -- the first locked section of a handle: what it loaded at
   open was read outside the lock, possibly in the middle of a commit;
@@ -59,11 +59,12 @@ by reason in ``fleet.shard_refreshes.<reason>``:
 * ``no_fcntl`` -- no lock, no exclusion, so always reload.
 
 An unchanged view costs one small file read instead of re-parsing the
-manifest the handle itself just wrote (``fleet.shard_refresh_skips``),
+manifest the handle itself just wrote (counted under ``"skip"``),
 which is what keeps a long-lived ingest handle's per-delta cost from
 growing with the store.
 """
 
+import collections
 import contextlib
 import json
 import os
@@ -81,7 +82,6 @@ from dataclasses import dataclass
 from repro.collect.database import ProfileDatabase, _atomic_write
 from repro.collect.parallel import MergedProfiles
 from repro.faults.injector import FLEET_STORE_INGEST, NULL_INJECTOR
-from repro.obs import NULL_OBS
 
 #: Ledger schema version (stored in each shard manifest's "fleet" key,
 #: committed atomically with every ingest).
@@ -179,10 +179,9 @@ def _empty_ledger():
 class FleetShard:
     """One shard: a database + ledger + lock, single-writer-at-a-time."""
 
-    def __init__(self, root, index=0, obs=None, retry=None):
+    def __init__(self, root, index=0, retry=None):
         self.root = os.fspath(root)
         self.index = index
-        self.obs = obs or NULL_OBS
         self.retry = retry or IngestRetry()
         self._backoff = self.retry.backoff_schedule()
         self._sleep = _SLEEP
@@ -194,6 +193,9 @@ class FleetShard:
         #: Why the next locked section must reload regardless of the
         #: commit sidecar; None once one has ended cleanly.
         self._stale = "open"
+        #: Locked sections by refresh reason (``"skip"``: the cached
+        #: view was current) -- this handle's, not the stored data's.
+        self.refreshes = collections.Counter()
         self._refresh()
 
     def _refresh(self):
@@ -230,7 +232,6 @@ class FleetShard:
                         % (self.root, INGEST_LOCK_NAME,
                            self.retry.attempts,
                            self.retry.budget_ms())) from None
-                self.obs.counter("fleet.ingest_lock_retries").inc()
                 self._sleep(schedule[attempt] / 1000.0)
             else:
                 return attempt
@@ -282,11 +283,9 @@ class FleetShard:
                 reason = "foreign_commit"
             else:
                 reason = None
-            if reason is None:
-                self.obs.counter("fleet.shard_refresh_skips").inc()
-            else:
+            if reason is not None:
                 self._refresh()
-                self.obs.counter("fleet.shard_refreshes." + reason).inc()
+            self.refreshes[reason or "skip"] += 1
             if retries:
                 self.ledger["lock_retries"] += retries
             self._stale = "failed_commit"
@@ -312,7 +311,6 @@ class FleetShard:
     def _ingest_locked(self, delta, faults):
         if delta.delta_id in self.ledger["applied"]:
             self.ledger["duplicates_dropped"] += 1
-            self.obs.counter("fleet.deltas_deduped").inc()
             # Commit the dedupe counter without touching any profile.
             self.db.merge_epoch({}, {}, delta.epoch, meta=self.ledger)
             return False
@@ -347,20 +345,16 @@ class FleetShard:
         # delta is simply re-shipped.
         if faults.enabled:
             faults.check(FLEET_STORE_INGEST)
-        with self.obs.timeit("fleet.merge_s"):
-            self.db.merge_epoch(delta.profiles, delta.periods,
-                                delta.epoch, meta=self.ledger)
-        self.obs.counter("fleet.deltas_ingested").inc()
-        self.obs.counter("fleet.samples_ingested").inc(samples)
+        self.db.merge_epoch(delta.profiles, delta.periods, delta.epoch,
+                            meta=self.ledger)
         return True
 
 
 class FleetStore:
     """Sharded append-only fleet profile store with epoch queries."""
 
-    def __init__(self, root, obs=None, shards=None, retry=None):
+    def __init__(self, root, shards=None, retry=None):
         self.root = os.fspath(root)
-        self.obs = obs or NULL_OBS
         self.retry = retry or IngestRetry()
         persisted = self._read_store_meta()
         if persisted is None:
@@ -382,7 +376,7 @@ class FleetStore:
         self.num_shards = shards
         self.shards = [
             FleetShard(os.path.join(self.root, "shards", "s%02d" % index),
-                       index, obs=self.obs, retry=self.retry)
+                       index, retry=self.retry)
             for index in range(shards)
         ]
 

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional
 from repro.collect.database import FORMAT_COMPACT, encode_profile
 from repro.faults.injector import (DELAY, DROP, DUPLICATE, FLEET_SHIP,
                                    NULL_INJECTOR, TRANSIENT)
-from repro.obs import NULL_OBS
 
 #: Default bounded spool capacity (deltas) per machine.
 DEFAULT_SPOOL_CAPACITY = 8
@@ -139,9 +138,8 @@ class DeltaTransport:
     invariant (``repro.check``) extends over this hop.
     """
 
-    def __init__(self, faults=None, obs=None):
+    def __init__(self, faults=None):
         self.faults = faults or NULL_INJECTOR
-        self.obs = obs or NULL_OBS
         self.stats = TransportStats()
         self._delayed: List[Delta] = []
 
@@ -153,7 +151,6 @@ class DeltaTransport:
         contain the same delta twice (duplicate delivery).
         """
         self.stats.shipped += 1
-        self.obs.counter("fleet.deltas_shipped").inc()
         spec = self.faults.fires(FLEET_SHIP) if self.faults.enabled else None
         if spec is not None and spec.action == TRANSIENT:
             # A retryable timeout: nothing was delivered or lost, the
@@ -161,7 +158,6 @@ class DeltaTransport:
             # delayed by earlier shipments stay held for the next
             # successful ship (or the final flush).
             self.stats.timeouts += 1
-            self.obs.counter("fleet.ship_timeouts").inc()
             raise ShipTimeoutError(delta.delta_id)
         deliveries: List[Delta] = []
         if self._delayed:
@@ -170,24 +166,17 @@ class DeltaTransport:
         if spec is not None and spec.action == DROP:
             self.stats.lost_deltas += 1
             self.stats.lost_samples += delta.total_samples()
-            self.obs.counter("fleet.deltas_lost").inc()
-            self.obs.counter("fleet.samples_lost").inc(
-                delta.total_samples())
         elif spec is not None and spec.action == DELAY:
             self.stats.delayed += 1
-            self.obs.counter("fleet.deltas_delayed").inc()
             self._delayed.append(delta)
         elif spec is not None and spec.action == DUPLICATE:
             self.stats.duplicated += 1
-            self.obs.counter("fleet.deltas_duplicated").inc()
             deliveries.extend((delta, delta))
         else:
             deliveries.append(delta)
-        if deliveries:
-            size = sum(d.encoded_bytes() for d in deliveries)
-            self.stats.delivered += len(deliveries)
-            self.stats.bytes_shipped += size
-            self.obs.counter("fleet.bytes_shipped").inc(size)
+        self.stats.delivered += len(deliveries)
+        self.stats.bytes_shipped += sum(d.encoded_bytes()
+                                        for d in deliveries)
         return deliveries
 
     def flush(self):

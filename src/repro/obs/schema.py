@@ -58,6 +58,12 @@ rates -- ``driver.hash.miss_rate``, ``daemon.aggregation_factor``,
 ``collection.samples_per_sec`` and friends -- come from
 :func:`derive`, computed from merged counts, so a sharded run's rates
 are exact, not averages of averages.
+
+Fleet and optimizer counts are not in this namespace: each has one
+home, the object that does the work, and reaches its consumers through
+that object's report -- ``FleetResult.report()`` (transport, spool,
+store ledger, resilience), ``FleetShard.refreshes`` (per handle) and
+``OptReport.report()`` (plan and rewrite stats, bailout reasons).
 """
 
 from repro.obs.metrics import COUNTER, GAUGE, flatten_metrics
@@ -216,19 +222,6 @@ def derive(snapshot):
             flat.get("session.instructions", 0))
         flat["sim.fastpath.bail_rate"] = _ratio(
             flat.get("sim.fastpath.bails", 0), replays)
-    # Fleet-hop accounting (repro.fleet): delivery reliability and
-    # dedupe effectiveness of the machine -> central-store shipment.
-    if "fleet.deltas_shipped" in flat:
-        shipped = flat["fleet.deltas_shipped"]
-        flat["fleet.delta_loss_rate"] = _ratio(
-            flat.get("fleet.deltas_lost", 0), shipped)
-        flat["fleet.duplicate_rate"] = _ratio(
-            flat.get("fleet.deltas_duplicated", 0), shipped)
-    if "fleet.samples_ingested" in flat:
-        flat["fleet.bytes_per_sample"] = _ratio(
-            flat.get("fleet.bytes_shipped",
-                     flat.get("fleet.bytes_ingested", 0)),
-            flat["fleet.samples_ingested"])
     wall = flat.get("session.wall_s.peak", flat.get("session.wall_s", 0.0))
     if wall:
         flat["collection.samples_per_sec"] = samples / wall

@@ -42,7 +42,6 @@ from repro.collect.session import ProfileSession, SessionConfig
 from repro.core.analyze import AnalysisConfig, analyze_image
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
-from repro.obs import NULL_OBS
 from repro.opt.oracle import OracleReport, event_total, verify_identity
 from repro.opt.passes import OptConfig, build_plan
 from repro.opt.rewrite import RewritePlan
@@ -218,8 +217,8 @@ def _subsample_profile(profile: ImageProfile, loss: float,
 
 
 def plan_session(collected: Any, opt_config: Optional[OptConfig] = None,
-                 loss: float = 0.0, seed: int = 1,
-                 obs: Any = None) -> Tuple[List[RewritePlan], int]:
+                 loss: float = 0.0, seed: int = 1
+                 ) -> Tuple[List[RewritePlan], int]:
     """Rewrite plans from a profiled session's CYCLES samples.
 
     *collected* is a :class:`~repro.collect.session.SessionResult`;
@@ -240,7 +239,7 @@ def plan_session(collected: Any, opt_config: Optional[OptConfig] = None,
         if not analyses:
             continue
         analyzed_samples += sum(a.total_samples for a in analyses.values())
-        plans.append(build_plan(image, analyses, opt_config, obs=obs))
+        plans.append(build_plan(image, analyses, opt_config))
     return plans, analyzed_samples
 
 
@@ -250,8 +249,8 @@ def optimize_workload(workload: Any, mode: str = "cycles",
                       opt_config: Optional[OptConfig] = None,
                       machine_config: Optional[MachineConfig] = None,
                       loss: float = 0.0,
-                      verify_instructions: Optional[int] = None,
-                      obs: Any = None) -> OptReport:
+                      verify_instructions: Optional[int] = None
+                      ) -> OptReport:
     """Run the full profile-guided loop on *workload*.
 
     *workload* is a registry name or a Workload object; *loss* injects
@@ -268,24 +267,19 @@ def optimize_workload(workload: Any, mode: str = "cycles",
     # this module mid-initialization of transval itself.
     from repro.check.transval import validate_workload_plans
 
-    obs = obs or NULL_OBS
     if isinstance(workload, str):
         workload = get_workload(workload)
     machine_config = machine_config or MachineConfig()
     opt_config = opt_config or OptConfig()
 
-    with obs.span("opt.profile", workload=workload.name):
-        session = ProfileSession(
-            machine_config,
-            SessionConfig(mode=mode, seed=seed,
-                          cycles_period=cycles_period))
-        collected = session.run(workload,
-                                max_instructions=max_instructions)
+    session = ProfileSession(
+        machine_config,
+        SessionConfig(mode=mode, seed=seed, cycles_period=cycles_period))
+    collected = session.run(workload, max_instructions=max_instructions)
 
     pass_stats: Dict[str, int] = {}
-    with obs.span("opt.plan", workload=workload.name):
-        plans, analyzed_samples = plan_session(collected, opt_config,
-                                               loss, seed, obs)
+    plans, analyzed_samples = plan_session(collected, opt_config, loss,
+                                           seed)
     for plan in plans:
         for key, value in plan.stats.items():
             pass_stats[key] = pass_stats.get(key, 0) + value
@@ -301,27 +295,16 @@ def optimize_workload(workload: Any, mode: str = "cycles",
     }
 
     # Gate 1: static translation validation (never runs anything).
-    with obs.span("opt.transval", workload=workload.name):
-        static = validate_workload_plans(
-            workload, plans, machine_config=machine_config, seed=seed)
-    statically_rejected = [name for name, rep in sorted(static.items())
-                           if not rep.ok]
-    if statically_rejected:
-        for name in statically_rejected:
-            obs.counter("opt.transval_rejected").inc()
-        obs.counter("opt.runs").inc()
-        obs.counter("opt.runs_rejected").inc()
-        obs.gauge("opt.last_speedup").set(0.0)
+    static = validate_workload_plans(
+        workload, plans, machine_config=machine_config, seed=seed)
+    if not all(report.ok for report in static.values()):
         return OptReport(workload.name, plans, None, {},
                          profile_stats, pass_stats, static=static)
 
     # Gate 2: the dynamic A/B oracle.
-    with obs.span("opt.verify", workload=workload.name):
-        oracle = verify_identity(workload, plans,
-                                 machine_config=machine_config,
-                                 seed=seed,
-                                 max_instructions=verify_instructions,
-                                 obs=obs)
+    oracle = verify_identity(workload, plans,
+                             machine_config=machine_config, seed=seed,
+                             max_instructions=verify_instructions)
 
     # Cross-check: the static gate vouched for every plan, so any
     # *decidable* dynamic divergence is a verifier bug, not a result.
@@ -348,15 +331,8 @@ def optimize_workload(workload: Any, mode: str = "cycles",
                 findings[name] = _new_findings(before, check_image(image))
                 break
 
-    report = OptReport(workload.name, plans, oracle, findings,
-                       profile_stats, pass_stats, static=static)
-    obs.counter("opt.runs").inc()
-    if report.accepted:
-        obs.counter("opt.runs_accepted").inc()
-    else:
-        obs.counter("opt.runs_rejected").inc()
-    obs.gauge("opt.last_speedup").set(report.speedup)
-    return report
+    return OptReport(workload.name, plans, oracle, findings,
+                     profile_stats, pass_stats, static=static)
 
 
 #: The per-pass configurations `contributions` measures in isolation.

@@ -231,8 +231,8 @@ def compare_states(baseline: Dict[int, ProcState],
 def verify_identity(workload: Any, plans: Iterable[RewritePlan],
                     machine_config: Optional[MachineConfig] = None,
                     seed: int = 1,
-                    max_instructions: Optional[int] = None,
-                    obs: Any = None) -> "OracleReport":
+                    max_instructions: Optional[int] = None
+                    ) -> "OracleReport":
     """Run the A/B identity check; return an :class:`OracleReport`.
 
     Mismatch strings double as the rejection reasons ``dcpiopt``
@@ -244,7 +244,7 @@ def verify_identity(workload: Any, plans: Iterable[RewritePlan],
     """
     baseline = run_plain(workload, machine_config, seed=seed,
                          max_instructions=max_instructions)
-    rewriter = ImageRewriter(plans, obs=obs)
+    rewriter = ImageRewriter(plans)
     optimized = _loaded_machine(workload, machine_config, seed, rewriter)
     try:
         optimized.run(max_instructions=max_instructions)

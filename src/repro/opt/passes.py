@@ -30,7 +30,6 @@ from repro.alpha.opcodes import CONTROL_KINDS, DIRECT_BRANCH_KINDS
 from repro.core.cfg import EXIT
 from repro.core.schedule import schedule_block
 from repro.cpu.issue import result_latency
-from repro.obs import NULL_OBS
 from repro.opt.rewrite import (BlockPlan, ProcPlan, RewritePlan,
                                image_fingerprint)
 
@@ -252,7 +251,7 @@ def _schedule_block_order(block, extra):
     return candidate
 
 
-def build_plan(image, analyses, config=None, obs=None):
+def build_plan(image, analyses, config=None):
     """Plan one image's rewrite from its per-procedure analyses.
 
     *image* is the **linked** image that was profiled; *analyses* the
@@ -261,7 +260,6 @@ def build_plan(image, analyses, config=None, obs=None):
     applicable to any instruction-identical rebuild of the image.
     """
     config = config or OptConfig()
-    obs = obs or NULL_OBS
     base = image.base or 0
 
     # Any direct branch into the middle of a block freezes its
@@ -346,11 +344,6 @@ def build_plan(image, analyses, config=None, obs=None):
     data_offset = None
     if image.data_base is not None:
         data_offset = image.data_base - base
-    plan = RewritePlan(
+    return RewritePlan(
         image.name, image_fingerprint(image),
         [entry[2] for entry in entries], data_offset, stats=stats)
-    obs.counter("opt.plans_built").inc()
-    obs.counter("opt.blocks_moved").inc(stats["blocks_moved"])
-    obs.counter("opt.blocks_scheduled").inc(stats["scheduled_blocks"])
-    obs.counter("opt.procs_moved").inc(stats["procs_moved"])
-    return plan

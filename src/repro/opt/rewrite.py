@@ -18,8 +18,8 @@ semantically identical to the original:
 The plan is fingerprinted against the image it was computed from:
 workloads rebuild images fresh on every ``setup`` call, and the
 fingerprint guarantees the plan is only ever applied to an
-instruction-identical rebuild (anything else is a counted bailout that
-returns the image untouched).
+instruction-identical rebuild (anything else is a bailout that returns
+the image untouched, with its reason).
 
 Data is pinned at its original image-relative offset
 (:attr:`repro.alpha.image.Image.data_offset`) so data addresses -- and
@@ -35,7 +35,6 @@ from repro.alpha import regs
 from repro.alpha.image import Image
 from repro.alpha.instruction import Instruction
 from repro.alpha.opcodes import BRANCH_INVERSES, DIRECT_BRANCH_KINDS
-from repro.obs import NULL_OBS
 
 #: Opcodes after which control cannot reach the next address.
 NO_FALLTHROUGH_OPS = ("br", "ret", "jmp")
@@ -160,25 +159,22 @@ class RewriteResult:
         self.stats = stats or {}
 
 
-def _bail(image: Image, reason: str, obs: Any) -> RewriteResult:
-    obs.counter("opt.rewrite_bailouts").inc()
+def _bail(image: Image, reason: str) -> RewriteResult:
     return RewriteResult(image, False, reason=reason)
 
 
-def rewrite_image(image: Image, plan: RewritePlan,
-                  obs: Any = None) -> RewriteResult:
+def rewrite_image(image: Image, plan: RewritePlan) -> RewriteResult:
     """Apply *plan* to unlinked *image*; return a :class:`RewriteResult`.
 
     Never raises on a plan/image mismatch: any inconsistency is a
-    counted bailout returning the input untouched, so a stale plan can
-    degrade performance work but can never corrupt a program.
+    bailout returning the input untouched with its ``reason``, so a
+    stale plan can degrade performance work but can never corrupt a
+    program.
     """
-    obs = obs or NULL_OBS
     if image.base is not None:
-        return _bail(image, "image already linked", obs)
+        return _bail(image, "image already linked")
     if image_fingerprint(image) != plan.fingerprint:
-        return _bail(image, "image does not match the profiled build",
-                     obs)
+        return _bail(image, "image does not match the profiled build")
     instructions = image.instructions
 
     # Upfront plan sanity: every block the plan names must be a real,
@@ -189,8 +185,7 @@ def rewrite_image(image: Image, plan: RewritePlan,
     procs_by_name = {proc.name: proc for proc in image.procedures}
     if sorted(plan_proc.name for plan_proc in plan.procs) \
             != sorted(procs_by_name):
-        return _bail(image, "plan procedures do not match the image",
-                     obs)
+        return _bail(image, "plan procedures do not match the image")
     for proc_plan in plan.procs:
         proc = procs_by_name[proc_plan.name]
         for block in proc_plan.blocks:
@@ -200,20 +195,20 @@ def rewrite_image(image: Image, plan: RewritePlan,
                 return _bail(
                     image,
                     "plan references unknown block [%#x, %#x) in %s"
-                    % (block.start, block.end, proc_plan.name), obs)
+                    % (block.start, block.end, proc_plan.name))
             if sorted(block.order) != list(range(block.start,
                                                  block.end, 4)):
                 return _bail(
                     image,
                     "block order is not a permutation of [%#x, %#x)"
-                    % (block.start, block.end), obs)
+                    % (block.start, block.end))
         emitted_offsets = [off for block in proc_plan.blocks
                            for off in block.order]
         if len(emitted_offsets) != len(set(emitted_offsets)):
             return _bail(
                 image,
                 "plan emits an instruction of %s more than once"
-                % proc_plan.name, obs)
+                % proc_plan.name)
         if proc_plan.frozen:
             starts = [block.start for block in proc_plan.blocks]
             identity = (
@@ -225,7 +220,7 @@ def rewrite_image(image: Image, plan: RewritePlan,
                 return _bail(
                     image,
                     "frozen procedure %s plan is not identity"
-                    % proc_plan.name, obs)
+                    % proc_plan.name)
 
     def at(off: int) -> Instruction:
         return instructions[off >> 2]
@@ -295,14 +290,14 @@ def rewrite_image(image: Image, plan: RewritePlan,
     for off, target in elided:
         resolved = new_start.get(target, old2new.get(target))
         if resolved is None:
-            return _bail(image, "elided branch target unmapped", obs)
+            return _bail(image, "elided branch target unmapped")
         old2new[off] = resolved
 
     if plan.data_offset is not None and cursor > plan.data_offset:
         return _bail(
             image,
             "rewritten code (%d bytes) overruns the pinned data "
-            "offset %#x" % (cursor, plan.data_offset), obs)
+            "offset %#x" % (cursor, plan.data_offset))
 
     def remap(target: int) -> Optional[int]:
         # Block starts first: a branch to a rescheduled block must
@@ -326,7 +321,7 @@ def rewrite_image(image: Image, plan: RewritePlan,
             if item[0] == "stub":
                 target = remap(item[1])
                 if target is None:
-                    return _bail(image, "stub target unmapped", obs)
+                    return _bail(image, "stub target unmapped")
                 copies.append(Instruction("br", ra=regs.ZERO_REG,
                                           target=target))
                 stub_targets[item[2]] = item[1]
@@ -344,7 +339,7 @@ def rewrite_image(image: Image, plan: RewritePlan,
             if (inst.info.kind in DIRECT_BRANCH_KINDS
                     and inst.target is not None and target is None):
                 return _bail(image, "branch target %#x unmapped"
-                             % inst.target, obs)
+                             % inst.target)
             copy = Instruction(op, ra=inst.ra, rb=inst.rb, rc=inst.rc,
                                imm=inst.imm, target=target,
                                line=inst.line)
@@ -360,14 +355,10 @@ def rewrite_image(image: Image, plan: RewritePlan,
     for inst, symbol in image.fixups:
         copy = copy_of.get(id(inst))
         if copy is None:
-            return _bail(image, "fixup instruction was not emitted", obs)
+            return _bail(image, "fixup instruction was not emitted")
         fixups.append((copy, symbol))
     new_image.fixups = fixups
 
-    obs.counter("opt.images_rewritten").inc()
-    obs.counter("opt.branches_inverted").inc(stats["branches_inverted"])
-    obs.counter("opt.branches_elided").inc(stats["branches_elided"])
-    obs.counter("opt.stubs_inserted").inc(stats["stubs_inserted"])
     stats.update(plan.stats)
     return RewriteResult(new_image, True, old2new=old2new,
                          new_start=new_start,
@@ -382,16 +373,14 @@ class ImageRewriter:
     oracle's address-translation input) under the image name.
     """
 
-    def __init__(self, plans: Iterable[RewritePlan],
-                 obs: Any = None) -> None:
+    def __init__(self, plans: Iterable[RewritePlan]) -> None:
         self.plans = {plan.image_name: plan for plan in plans}
-        self.obs = obs or NULL_OBS
         self.results: Dict[str, RewriteResult] = {}
 
     def __call__(self, image: Image) -> Image:
         plan = self.plans.get(image.name)
         if plan is None:
             return image
-        result = rewrite_image(image, plan, obs=self.obs)
+        result = rewrite_image(image, plan)
         self.results[image.name] = result
         return result.image

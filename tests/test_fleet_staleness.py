@@ -15,6 +15,7 @@ Deterministic *counts*, never clocks:
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,6 @@ from repro.faults.injector import InjectedCrash
 from repro.fleet import Delta, FleetStore
 from repro.fleet.retention import RetentionPolicy, compact
 from repro.fleet.transport import DeltaTransport
-from repro.obs import Observability, flatten_metrics
 
 pytestmark = pytest.mark.skipif(
     store_module.fcntl is None,
@@ -48,14 +48,9 @@ def _profiles_in(delta):
     return sum(len(by_event) for by_event in delta.profiles.values())
 
 
-def _refreshes(obs):
-    """{reason: count} plus "skips" from a live Observability."""
-    flat = flatten_metrics(obs.snapshot())
-    prefix = "fleet.shard_refreshes."
-    counts = {name[len(prefix):]: value for name, value in flat.items()
-              if name.startswith(prefix)}
-    counts["skips"] = flat.get("fleet.shard_refresh_skips", 0)
-    return counts
+def _refreshes(store):
+    """{reason: count} ("skip": no reload) over *store*'s shards."""
+    return sum((shard.refreshes for shard in store.shards), Counter())
 
 
 class _Calls:
@@ -102,8 +97,7 @@ def test_one_handle_pays_per_delta_not_per_store(tmp_path, monkeypatch):
     seeded = FleetStore(root, shards=2)
     for machine in machines:            # every shard has a manifest
         seeded.ingest(_delta(machine, 0))
-    obs = Observability()
-    store = FleetStore(root, obs=obs)
+    store = FleetStore(root)
     transport = DeltaTransport()
     deltas = [_delta(machine, epoch)
               for epoch in range(1, 11) for machine in machines]
@@ -140,7 +134,7 @@ def test_one_handle_pays_per_delta_not_per_store(tmp_path, monkeypatch):
     # and ingested without being sized again.
     carried = sum(_profiles_in(delta) for delta in deltas)
     assert calls.encodes == carried + carried
-    assert _refreshes(obs) == {"open": 2, "skips": len(shipments) - 2}
+    assert _refreshes(store) == Counter(open=2, skip=len(shipments) - 2)
     assert store.stats()["duplicates_dropped"] == 5
     assert FleetStore(root).total_samples() == (
         sum(d.total_samples() for d in deltas)
@@ -159,8 +153,7 @@ def test_alternating_handles_lose_nothing(tmp_path):
         serial.ingest(delta)
 
     root = str(tmp_path / "shared")
-    obs = [Observability(), Observability()]
-    handles = [FleetStore(root, obs=obs[0]), FleetStore(root, obs=obs[1])]
+    handles = [FleetStore(root), FleetStore(root)]
     for index, delta in enumerate(deltas):
         assert handles[index % 2].ingest(delta) is True
     # A duplicate offered to the *other* handle is still recognized.
@@ -170,21 +163,20 @@ def test_alternating_handles_lose_nothing(tmp_path):
     assert fresh.merged().encode_all() == serial.merged().encode_all()
     assert fresh.total_samples() == sum(d.total_samples() for d in deltas)
     assert len(fresh.ledger["applied"]) == len(deltas)
-    for counts in map(_refreshes, obs):
+    for counts in map(_refreshes, handles):
         assert counts["open"] == 1
         assert counts["foreign_commit"] >= 5
-        assert counts["skips"] == 0
+        assert counts["skip"] == 0
 
 
 def test_unlocked_commit_by_another_handle_invalidates(tmp_path):
     """A reader's quarantine commit goes through no lock, yet the
     writer must notice it: detection rides on ``_commit`` itself."""
     root = str(tmp_path / "store")
-    obs = Observability()
-    writer = FleetStore(root, obs=obs)
+    writer = FleetStore(root)
     writer.ingest(_delta("m00", 0))
     writer.ingest(_delta("m00", 1))
-    assert _refreshes(obs) == {"open": 1, "skips": 1}
+    assert _refreshes(writer) == Counter(open=1, skip=1)
 
     reader = FleetStore(root)
     record = next(iter(
@@ -195,7 +187,7 @@ def test_unlocked_commit_by_another_handle_invalidates(tmp_path):
     assert lost > 0
 
     writer.ingest(_delta("m00", 2))
-    assert _refreshes(obs)["foreign_commit"] == 1
+    assert _refreshes(writer)["foreign_commit"] == 1
     # The writer republished the reader's quarantine, not its own
     # pre-quarantine view.
     assert FleetStore(root).quarantined_samples() == lost
@@ -203,14 +195,13 @@ def test_unlocked_commit_by_another_handle_invalidates(tmp_path):
 
 def test_crash_between_sidecar_and_rename_only_costs_a_reload(tmp_path):
     root = str(tmp_path / "store")
-    obs = Observability()
-    first = FleetStore(root, obs=obs)
+    first = FleetStore(root)
     first.ingest(_delta("m00", 0))
     # Another writer dies after moving the sidecar, before the rename.
     second = FleetStore(root)
     second.shards[0].db._advance_mark(b"never published")
     assert first.ingest(_delta("m00", 1)) is True
-    assert _refreshes(obs)["foreign_commit"] == 1
+    assert _refreshes(first)["foreign_commit"] == 1
     assert FleetStore(root).total_samples() == (
         _delta("m00", 0).total_samples() + _delta("m00", 1).total_samples())
 
@@ -223,8 +214,7 @@ def test_failed_section_reloads_the_committed_ledger(tmp_path, point):
     """A commit that dies before the rename, and a writer crash after
     staging the ledger, both leave the handle's view untrusted."""
     root = str(tmp_path / "store")
-    obs = Observability()
-    store = FleetStore(root, obs=obs)
+    store = FleetStore(root)
     first, lost, after = (_delta("m00", epoch) for epoch in range(3))
     store.ingest(first)
     faults = FaultPlan(specs=(FaultSpec(point, "crash", hits=(1,)),),
@@ -237,7 +227,7 @@ def test_failed_section_reloads_the_committed_ledger(tmp_path, point):
     # and on disk alike.
     assert store.ingest(after) is True
     # (The one skip is the failed section itself: its view was fine.)
-    assert _refreshes(obs) == {"open": 1, "failed_commit": 1, "skips": 1}
+    assert _refreshes(store) == Counter(open=1, failed_commit=1, skip=1)
     for view in (store, FleetStore(root)):
         assert sorted(view.ledger["applied"]) == [first.delta_id,
                                                   after.delta_id]
@@ -259,11 +249,10 @@ def test_failed_section_reloads_the_committed_ledger(tmp_path, point):
 def test_without_fcntl_every_section_reloads(tmp_path, monkeypatch):
     """No lock, no exclusion: keep reload-always."""
     monkeypatch.setattr(store_module, "fcntl", None)
-    obs = Observability()
-    store = FleetStore(str(tmp_path / "store"), obs=obs)
+    store = FleetStore(str(tmp_path / "store"))
     for epoch in range(3):
         assert store.ingest(_delta("m00", epoch)) is True
-    assert _refreshes(obs) == {"no_fcntl": 3, "skips": 0}
+    assert _refreshes(store) == Counter(no_fcntl=3, skip=0)
 
 
 # -- retention goes through the same entry point -----------------------------

@@ -1,11 +1,15 @@
 """Tests for the ``repro.obs`` self-monitoring subsystem."""
 
+import ast
 import json
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.fleet
+import repro.opt
 from repro.alpha.assembler import assemble
 from repro.collect.daemon import Daemon
 from repro.collect.driver import Driver, DriverConfig
@@ -313,3 +317,50 @@ class TestSchemaViews:
         table_stats = driver.cpus[0].table.metrics()
         assert set(table_stats) == {"hashtable.hits", "hashtable.misses",
                                     "hashtable.evictions"}
+
+
+#: Live-registry calls: a count made through one of them is a second
+#: tally beside the object that already keeps it.
+_TALLY_CALLS = ("counter", "gauge", "histogram", "timeit", "span")
+
+
+def _obs_tally_calls(package):
+    """``file:line obs.<call>`` for every live-registry call in *package*
+    made on an ``obs`` receiver (``obs``, ``self.obs``, ``x.obs``)."""
+    root = os.path.dirname(package.__file__)
+    found = []
+    for dirpath, _, names in os.walk(root):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in _TALLY_CALLS):
+                    continue
+                receiver = node.func.value
+                if (isinstance(receiver, ast.Name) and receiver.id == "obs"
+                        or isinstance(receiver, ast.Attribute)
+                        and receiver.attr == "obs"):
+                    found.append("%s:%d obs.%s" % (
+                        os.path.relpath(path, root), node.lineno,
+                        node.func.attr))
+    return found
+
+
+@pytest.mark.parametrize("package", [repro.fleet, repro.opt],
+                         ids=["fleet", "opt"])
+def test_fleet_and_opt_keep_one_tally(package):
+    """Fleet and optimizer counts live in their reports (transport and
+    spool stats, the shard ledger, plan and rewrite stats), never also
+    in the live registry, where the two tallies drift apart."""
+    assert _obs_tally_calls(package) == []
+
+
+def test_derive_adds_nothing_for_fleet_keys():
+    snapshot = {"fleet.deltas_shipped": {"type": COUNTER, "value": 4}}
+    assert [key for key in derive(snapshot)
+            if key.startswith("fleet.")] == ["fleet.deltas_shipped"]
