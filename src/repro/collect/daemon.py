@@ -58,7 +58,7 @@ class Daemon:
     """Extracts, maps and merges samples."""
 
     def __init__(self, loader, periods=None, per_process_images=(),
-                 obs=None, faults=None, journal=None, ctx=None):
+                 faults=None, journal=None, ctx=None):
         """*periods* maps EventType -> mean sampling period (for the
         profile metadata the analysis needs).  *per_process_images*
         names images for which separate per-PID profiles are kept in
@@ -69,8 +69,6 @@ class Daemon:
         session runs with the request-context dimension (None = off:
         nothing context-related is computed or persisted).
         """
-        from repro.obs import NULL_OBS
-
         self.loader = loader
         loader.add_listener(self.on_loadmap)
         self.periods = dict(periods or {})
@@ -108,9 +106,6 @@ class Daemon:
         self._proc_index = {}
         #: Fault injection (repro.faults); NULL_INJECTOR is zero-cost.
         self.faults = faults or NULL_INJECTOR
-        #: Self-monitoring hooks (repro.obs); NULL_OBS is zero-cost.
-        self.obs = obs or NULL_OBS
-        self._resident_gauge = self.obs.gauge("daemon.resident_bytes")
 
     def _touch_resident(self):
         """Sample resident memory at an allocation-relevant point.
@@ -123,7 +118,6 @@ class Daemon:
         resident = self.resident_bytes()
         if resident > self._peak_resident:
             self._peak_resident = resident
-        self._resident_gauge.set(resident)
 
     # -- loadmap path ------------------------------------------------------
 
@@ -437,12 +431,11 @@ class Daemon:
             # from here recovers into the new (empty) epoch instead of
             # resurrecting the closed one.
             database.update_checkpoint(self._checkpoint_meta())
-        self._resident_gauge.set(self.resident_bytes())
         return self.epoch
 
     @classmethod
     def recover(cls, loader, database, journal=None, periods=None,
-                per_process_images=(), obs=None, faults=None, ctx=None):
+                per_process_images=(), faults=None, ctx=None):
         """Rebuild a daemon from *database*'s last durable checkpoint.
 
         Reloads the current epoch's committed profiles, seeds counters
@@ -463,7 +456,7 @@ class Daemon:
         are safe because ids are monotonic and never reused.
         """
         daemon = cls(loader, periods=periods,
-                     per_process_images=per_process_images, obs=obs,
+                     per_process_images=per_process_images,
                      faults=faults, journal=journal)
         meta = database.checkpoint_meta() or {}
         daemon.epoch = meta.get("epoch", 0)

@@ -36,9 +36,6 @@ JITTER_MASK = 63           # deterministic per-PC cache-behaviour jitter
 #: The paper's mean CYCLES sampling period (uniform on [60K, 64K]).
 PAPER_MEAN_PERIOD = 62 * 1024
 
-#: Histogram bounds for per-flush entry counts (repro.obs).
-FLUSH_BOUNDS = tuple(4 ** i for i in range(10))
-
 
 @dataclass
 class DriverConfig:
@@ -129,9 +126,8 @@ class _CpuState:
 class Driver:
     """The performance-counter device driver."""
 
-    def __init__(self, num_cpus, config=None, obs=None, faults=None):
+    def __init__(self, num_cpus, config=None, faults=None):
         from repro.faults.injector import NULL_INJECTOR
-        from repro.obs import NULL_OBS
 
         self.config = config or DriverConfig()
         #: Fault injection (repro.faults); NULL_INJECTOR is zero-cost.
@@ -153,8 +149,6 @@ class Driver:
         self._mux_slot = None
         self._machine = None
         self.event_samples = {}
-        #: Self-monitoring hooks (repro.obs); NULL_OBS is zero-cost.
-        self.obs = obs or NULL_OBS
 
     # -- installation -----------------------------------------------------
 
@@ -328,9 +322,6 @@ class Driver:
         seq = state.flush_seq
         if entries:
             state.inflight[seq] = entries
-        if self.obs.enabled:
-            self.obs.histogram("driver.flush.entries",
-                               bounds=FLUSH_BOUNDS).observe(len(entries))
         return seq, entries
 
     def ack(self, cpu_id, seq):

@@ -49,7 +49,8 @@ class ShardSpec:
     #: also run the unprofiled baseline (same seed) for overhead math.
     baseline: bool = False
     #: run with self-monitoring enabled (repro.obs): the shard ships
-    #: back its trace spans and a richer metric registry.
+    #: back its trace spans and its wall time (``session.wall_s``);
+    #: every count in its snapshot is the same either way.
     obs: bool = False
     #: fault injection (repro.faults.FaultPlan); chaos shards carry
     #: their plan into the worker process -- plans are frozen/picklable.
@@ -148,8 +149,7 @@ def run_shard(spec):
         elapsed=time.perf_counter() - started,
         obs=export["obs"],
         trace_events=(list(result.obs.trace.events)
-                      if result.obs.enabled and result.obs.trace.enabled
-                      else None),
+                      if result.obs.enabled else None),
         ctx=export["ctx"])
 
 
@@ -176,11 +176,11 @@ def merge_shards(shards):
 
 
 def merge_shard_obs(shards):
-    """Reduce per-shard metric registries into one typed snapshot.
+    """Reduce per-shard metric snapshots into one typed snapshot.
 
-    Counters sum, gauges keep the maximum, histograms add bucket-wise
+    Counters sum and gauges keep the maximum
     (:func:`repro.obs.merge_metrics`) -- commutative and associative,
-    so the reduced registry is independent of shard order and grouping
+    so the reduced snapshot is independent of shard order and grouping
     exactly like the profile merge.
     """
     return merge_metrics([getattr(shard, "obs", shard)

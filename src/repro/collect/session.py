@@ -30,7 +30,7 @@ from repro.cpu.machine import Machine
 from repro.ctx import NULL_CTX, OTHER_CLASS, ContextLedger, span_id
 from repro.faults.injector import (NULL_INJECTOR, SESSION_RESTART,
                                    FaultInjector, FaultPlan, InjectedCrash)
-from repro.obs import NULL_OBS, ObsConfig, merge_metrics, session_metrics
+from repro.obs import NULL_OBS, ObsConfig, session_metrics
 
 #: Collection modes a session understands (paper sections 4.2 and 6).
 SESSION_MODES = ("cycles", "default", "mux")
@@ -134,8 +134,7 @@ class CollectionStack:
         self.machine = Machine(machine_config,
                                seed=seed if seed is not None else config.seed)
         self.driver = Driver(machine_config.num_cpus,
-                             config.make_driver_config(), obs=obs,
-                             faults=faults)
+                             config.make_driver_config(), faults=faults)
         self.driver.install(self.machine)
         self.database = (ProfileDatabase(config.db_root, faults=faults)
                          if config.db_root else None)
@@ -165,7 +164,7 @@ class CollectionStack:
     def _new_daemon(self):
         return Daemon(self.machine.loader, periods=self.periods,
                       per_process_images=self.config.per_process_images,
-                      obs=self.obs, faults=self.faults, journal=self.journal,
+                      faults=self.faults, journal=self.journal,
                       ctx=ContextLedger() if self.config.context else None)
 
     def step(self, chunk):
@@ -175,22 +174,19 @@ class CollectionStack:
         A crash is recovered before the mux counter rotates and exited
         processes are reaped, so the step ends as a fault-free one does.
         """
-        obs = self.obs
-        with obs.timeit("session.chunk_s"):
-            ran = self.machine.run(max_instructions=chunk)
+        ran = self.machine.run(max_instructions=chunk)
         self.instructions += ran
         try:
             # The daemon dies between two drains (a machine restart
             # also kills the driver's buffers); the database (disk)
             # survives.
             self.faults.check(self.crash_point)
-            with obs.timeit("session.drain_s"):
-                self.daemon.drain(self.driver)
+            self.daemon.drain(self.driver)
             self._drains += 1
             every = self.config.checkpoint_drains
             if (self.database is not None and every
                     and self._drains % every == 0):
-                with obs.span("session.checkpoint"):
+                with self.obs.span("session.checkpoint"):
                     self.daemon.merge_to_disk(self.database)
         except InjectedCrash as crash:
             self.recover(crash)
@@ -245,7 +241,7 @@ class CollectionStack:
                         self.machine.loader, self.database,
                         journal=self.journal, periods=self.periods,
                         per_process_images=config.per_process_images,
-                        obs=self.obs, faults=self.faults, ctx=ctx_seed)
+                        faults=self.faults, ctx=ctx_seed)
                     daemon.recoveries = max(daemon.recoveries,
                                             old.recoveries + 1)
                 else:
@@ -317,6 +313,10 @@ class CollectionStack:
 class SessionResult(CollectionStack):
     """Everything a profiling run produced: the stack it ran on."""
 
+    #: host wall-clock seconds of the run, timed only when it was
+    #: observed (``SessionConfig.obs``); None otherwise.
+    wall_s = None
+
     @property
     def profiles(self):
         """{image name: ImageProfile}"""
@@ -337,14 +337,12 @@ class SessionResult(CollectionStack):
     def metrics(self):
         """Typed self-monitoring snapshot under the normalized schema.
 
-        Always available -- the schema half reads counters the
-        collection system maintains anyway; the live registry (drain
-        timings, resident-gauge peaks) is merged in when the session
-        ran with observability enabled.  Mergeable across shards via
-        :func:`repro.obs.merge_metrics`.
+        Read off the counts the driver, daemon and machine keep anyway,
+        so it is the same with observability on or off -- except for
+        ``session.wall_s``, which only an observed run times.
+        Mergeable across shards via :func:`repro.obs.merge_metrics`.
         """
-        return merge_metrics([session_metrics(self),
-                              self.obs.registry.to_dict()])
+        return session_metrics(self)
 
     @property
     def ctx_ledger(self):
@@ -435,8 +433,7 @@ class ProfileSession:
                 for name in sorted(result.daemon.ctx.classes):
                     obs.trace.instant("ctx.class", cls=name,
                                       span=span_id(name))
-            obs.gauge("session.wall_s").set(obs.clock() - started)
-            obs.finish()
+            result.wall_s = obs.clock() - started
         return result
 
     def run_baseline(self, workload, max_instructions=None, seed=None):

@@ -13,6 +13,7 @@ from repro.core.culprits import identify_culprits
 from repro.core.frequency import FrequencyConfig, estimate_frequencies
 from repro.core.schedule import schedule_cfg
 from repro.cpu.events import EventType
+from repro.obs import NULL_OBS
 
 
 @dataclass
@@ -25,7 +26,7 @@ class AnalysisConfig:
     # estimates where they violate flow constraints.
     global_solver: bool = False
     # Self-monitoring (a repro.obs Observability): every pass runs
-    # under a trace span and registers its counters.  None = disabled.
+    # under a trace span named for it.  None = disabled.
     obs: object = None
     # Collection loss above this rate flags results as low-confidence
     # instead of crashing the analysis: frequency/CPI estimates built
@@ -157,8 +158,6 @@ def analyze_procedure(image, proc, profile, config=None):
         profile: the image's :class:`ImageProfile`.
         config: optional :class:`AnalysisConfig`.
     """
-    from repro.obs import NULL_OBS
-
     config = config or AnalysisConfig()
     obs = config.obs or NULL_OBS
     if isinstance(proc, str):
@@ -166,23 +165,31 @@ def analyze_procedure(image, proc, profile, config=None):
     period = profile.periods.get(EventType.CYCLES, 1.0)
     samples = profile.samples_for(proc, EventType.CYCLES)
 
-    with obs.span("analyze.procedure", proc=proc.name):
-        cfg = build_cfg(proc, obs=obs)
-        schedules = schedule_cfg(cfg, obs=obs)
+    def phase(name):
+        return obs.span(name, proc=proc.name)
+
+    with phase("analyze.procedure"):
+        with phase("analyze.cfg"):
+            cfg = build_cfg(proc)
+        with phase("analyze.schedule"):
+            schedules = schedule_cfg(cfg)
         edge_samples = (profile.edges_by_addr()
                         if profile.edge_counts else None)
-        freq = estimate_frequencies(cfg, schedules, samples, period,
-                                    config.frequency,
-                                    edge_samples=edge_samples, obs=obs)
+        with phase("analyze.frequency"):
+            freq = estimate_frequencies(cfg, schedules, samples, period,
+                                        config.frequency,
+                                        edge_samples=edge_samples)
         if config.global_solver:
             from repro.core.solver import refine_global
 
-            refine_global(cfg, freq.classes, freq, obs=obs)
-        culprits = identify_culprits(cfg, schedules, freq, samples,
-                                     profile, proc, config.dyn_threshold,
-                                     obs=obs)
+            with phase("analyze.solver"):
+                refine_global(cfg, freq.classes, freq)
+        with phase("analyze.culprits"):
+            culprits = identify_culprits(cfg, schedules, freq, samples,
+                                         profile, proc,
+                                         config.dyn_threshold)
 
-        with obs.span("analyze.attribute", proc=proc.name):
+        with phase("analyze.attribute"):
             instructions = []
             for block in cfg.blocks:
                 count = freq.block_count(block.index)
@@ -194,18 +201,14 @@ def analyze_procedure(image, proc, profile, config=None):
                     instructions.append(InstructionAnalysis(
                         row.inst, s, row.m, count, cpi, row.stalls,
                         culprits.get(addr, []), row.paired, confidence))
-    obs.counter("analyze.procedures").inc()
-    obs.counter("analyze.instructions").inc(len(instructions))
     analysis = ProcedureAnalysis(image, proc, profile, cfg, schedules,
                                  freq, instructions, period)
     if config.verify_invariants:
         from repro.check.analysis_checks import verify_procedure
 
-        with obs.span("analyze.verify", proc=proc.name):
+        with phase("analyze.verify"):
             analysis.check_findings = verify_procedure(
                 analysis, dyn_threshold=config.dyn_threshold)
-        obs.counter("analyze.check_findings").inc(
-            len(analysis.check_findings))
     return analysis
 
 

@@ -79,24 +79,8 @@ class CFG:
         return self.blocks[index]
 
 
-def build_cfg(proc, obs=None):
-    """Build the CFG for procedure *proc* (a :class:`Procedure`).
-
-    *obs* is an optional :class:`repro.obs.Observability`; when given,
-    the pass runs under an ``analyze.cfg`` span and registers block and
-    edge counters.
-    """
-    from repro.obs import NULL_OBS
-
-    obs = obs or NULL_OBS
-    with obs.span("analyze.cfg", proc=proc.name):
-        cfg = _build_cfg(proc)
-    obs.counter("analyze.cfg.blocks").inc(len(cfg.blocks))
-    obs.counter("analyze.cfg.edges").inc(len(cfg.edges))
-    return cfg
-
-
-def _build_cfg(proc):
+def build_cfg(proc):
+    """Build the CFG for procedure *proc* (a :class:`Procedure`)."""
     instructions = proc.instructions()
     if not instructions:
         raise ValueError("empty procedure %s" % proc.name)

@@ -130,7 +130,7 @@ def _fu_busy_possible(pos, block, unit_cls):
 
 
 def identify_culprits(cfg, schedules, freq, samples, profile, proc,
-                      dyn_threshold=0.25, obs=None):
+                      dyn_threshold=0.25):
     """Explain each instruction's dynamic stall.
 
     Args:
@@ -140,25 +140,9 @@ def identify_culprits(cfg, schedules, freq, samples, profile, proc,
         proc: the procedure.
         dyn_threshold: per-execution dynamic-stall cycles below which no
             explanation is attempted.
-        obs: optional :class:`repro.obs.Observability`; wraps the pass
-            in an ``analyze.culprits`` span and counts explanations.
 
     Returns {addr: list of Culprit} (addresses with stalls only).
     """
-    from repro.obs import NULL_OBS
-
-    obs = obs or NULL_OBS
-    with obs.span("analyze.culprits", proc=proc.name):
-        result = _identify_culprits(cfg, schedules, freq, samples,
-                                    profile, proc, dyn_threshold)
-    obs.counter("analyze.culprits.stalled_instructions").inc(len(result))
-    obs.counter("analyze.culprits.explanations").inc(
-        sum(len(culprits) for culprits in result.values()))
-    return result
-
-
-def _identify_culprits(cfg, schedules, freq, samples, profile, proc,
-                       dyn_threshold):
     period = profile.periods.get(EventType.CYCLES, 1.0)
     imiss_samples = (profile.samples_for(proc, EventType.IMISS)
                      if EventType.IMISS in profile.counts else None)

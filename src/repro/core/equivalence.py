@@ -69,25 +69,6 @@ class EquivalenceClasses:
         return len(self.members)
 
 
-def compute_equivalence(cfg, obs=None):
-    """Compute cycle-equivalence classes of blocks and edges of *cfg*.
-
-    With missing CFG edges (unresolved indirect jumps) flow conservation
-    cannot be trusted, so every block and edge is its own class, exactly
-    as in the paper.  *obs* (optional
-    :class:`repro.obs.Observability`) wraps the pass in an
-    ``analyze.equivalence`` span and counts the resulting classes.
-    """
-    from repro.obs import NULL_OBS
-
-    obs = obs or NULL_OBS
-    with obs.span("analyze.equivalence", proc=cfg.proc.name):
-        classes = _compute_equivalence(cfg)
-    obs.counter("analyze.equivalence.classes").inc(len(classes.members))
-    obs.counter("analyze.equivalence.zero_flow").inc(len(classes.zero))
-    return classes
-
-
 def _cycle_sets(ends, num_nodes):
     """Return, per edge of the undirected multigraph *ends* (a list of
     ``(u, v)`` node pairs), the bitset of non-tree edges whose cycle
@@ -140,7 +121,13 @@ def _cycle_sets(ends, num_nodes):
     return sets
 
 
-def _compute_equivalence(cfg):
+def compute_equivalence(cfg):
+    """Compute cycle-equivalence classes of blocks and edges of *cfg*.
+
+    With missing CFG edges (unresolved indirect jumps) flow conservation
+    cannot be trusted, so every block and edge is its own class, exactly
+    as in the paper.
+    """
     nodes = ([block.index for block in cfg.blocks]
              + [("e", edge.index) for edge in cfg.edges])
     if cfg.missing_edges:

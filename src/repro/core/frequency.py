@@ -153,7 +153,7 @@ def _cluster_estimate(ratios, config):
 
 
 def estimate_frequencies(cfg, schedules, samples, period, config=None,
-                         edge_samples=None, obs=None):
+                         edge_samples=None):
     """Estimate execution counts for every class of *cfg*.
 
     Args:
@@ -166,27 +166,11 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
             double-sampling prototype (paper section 7); branch-sourced
             pairs split a known block count between a conditional
             branch's two out-edges by their sampled ratio.
-        obs: optional :class:`repro.obs.Observability`; wraps the pass
-            in an ``analyze.frequency`` span (with the equivalence
-            phase nested inside as ``analyze.equivalence``).
 
     Returns a :class:`FrequencyAnalysis`.
     """
-    from repro.obs import NULL_OBS
-
-    obs = obs or NULL_OBS
-    with obs.span("analyze.frequency", proc=cfg.proc.name):
-        analysis = _estimate_frequencies(cfg, schedules, samples, period,
-                                         config, edge_samples, obs)
-    obs.counter("analyze.frequency.classes_estimated").inc(
-        len(analysis.class_count))
-    return analysis
-
-
-def _estimate_frequencies(cfg, schedules, samples, period, config,
-                          edge_samples, obs):
     config = config or FrequencyConfig()
-    classes = compute_equivalence(cfg, obs=obs)
+    classes = compute_equivalence(cfg)
     analysis = FrequencyAnalysis(cfg, classes, period)
 
     # Phase 1: direct estimates from issue points, class by class.

@@ -159,18 +159,7 @@ def schedule_block(instructions, extra=None):
     return BlockSchedule(rows, best_case)
 
 
-def schedule_cfg(cfg, obs=None):
-    """Schedule every block of *cfg*; return {block index: BlockSchedule}.
-
-    *obs* (optional :class:`repro.obs.Observability`) wraps the pass in
-    an ``analyze.schedule`` span and counts scheduled instructions.
-    """
-    from repro.obs import NULL_OBS
-
-    obs = obs or NULL_OBS
-    with obs.span("analyze.schedule", proc=cfg.proc.name):
-        schedules = {block.index: schedule_block(block.instructions)
-                     for block in cfg.blocks}
-    obs.counter("analyze.schedule.instructions").inc(
-        sum(len(s.rows) for s in schedules.values()))
-    return schedules
+def schedule_cfg(cfg):
+    """Schedule every block of *cfg*; return {block index: BlockSchedule}."""
+    return {block.index: schedule_block(block.instructions)
+            for block in cfg.blocks}

@@ -49,25 +49,12 @@ def _flow_matrix(cfg, classes, class_index):
     return np.array(rows) if rows else np.zeros((0, n))
 
 
-def refine_global(cfg, classes, analysis, obs=None):
+def refine_global(cfg, classes, analysis):
     """Adjust *analysis* class counts to respect flow constraints.
 
     Mutates ``analysis.class_count`` in place and returns the maximum
-    relative adjustment applied to any previously-known class.  *obs*
-    (optional :class:`repro.obs.Observability`) wraps the solve in an
-    ``analyze.solver`` span and records the adjustment magnitude.
+    relative adjustment applied to any previously-known class.
     """
-    from repro.obs import NULL_OBS
-
-    obs = obs or NULL_OBS
-    with obs.span("analyze.solver", proc=cfg.proc.name):
-        adjustment = _refine_global(cfg, classes, analysis)
-    obs.counter("analyze.solver.calls").inc()
-    obs.gauge("analyze.solver.max_adjustment").set(adjustment)
-    return adjustment
-
-
-def _refine_global(cfg, classes, analysis):
     class_ids = sorted(classes.members)
     class_index = {cid: i for i, cid in enumerate(class_ids)}
     n = len(class_ids)

@@ -50,7 +50,6 @@ from repro.fleet.store import FleetStore
 from repro.fleet.transport import (DEFAULT_SPOOL_CAPACITY, Delta,
                                    DeltaTransport, ShipSpool,
                                    ShipTimeoutError)
-from repro.obs import NULL_OBS
 
 #: Default traffic sources: the paper's multi-process server workloads.
 DEFAULT_WORKLOADS = ("altavista", "timesharing", "dss")
@@ -122,7 +121,7 @@ class FleetMachine(CollectionStack):
     def __init__(self, machine_id, workload_name, seed,
                  mode="default", cycles_period=(240, 256),
                  event_period=64, drain_interval=6_000, context=False,
-                 ctx_slots=64, obs=None, durable_root=None,
+                 ctx_slots=64, durable_root=None,
                  faults=None, spool_capacity=DEFAULT_SPOOL_CAPACITY):
         from repro.workloads.registry import get_workload
 
@@ -139,7 +138,7 @@ class FleetMachine(CollectionStack):
         # Crash faults only make sense on a durable machine.
         super().__init__(
             MachineConfig(num_cpus=self.workload.num_cpus), config,
-            self.workload, obs=obs or NULL_OBS,
+            self.workload,
             faults=(faults or NULL_INJECTOR) if durable else NULL_INJECTOR,
             crash_point=FLEET_MACHINE_CRASH)
         #: bounded unacked-delta outbox, seeded per machine so the

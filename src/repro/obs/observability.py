@@ -1,20 +1,24 @@
-"""The observability bundle: one object a component instruments into.
+"""The observability bundle: one object a component records spans into.
 
 :class:`ObsConfig` rides on :class:`~repro.collect.session.SessionConfig`
 and decides whether a run is observed at all; :meth:`ObsConfig.build`
-returns either a live :class:`Observability` (registry + trace
-recorder sharing one injected clock) or the :data:`NULL_OBS` singleton
-whose every operation is a no-op -- components hold the same reference
-either way, so instrumentation sites never branch on configuration.
+returns either a live :class:`Observability` (a trace recorder on an
+injected clock) or the :data:`NULL_OBS` singleton whose spans are
+no-ops -- components hold the same reference either way, so
+instrumentation sites never branch on configuration.  Counts are not
+kept here: each lives in the object that does the work and reaches a
+report through :mod:`repro.obs.schema`.
 """
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.obs.metrics import (NULL_CONTEXT, NULL_METRIC, NULL_REGISTRY,
-                               MetricsRegistry, merge_metrics)
-from repro.obs.trace import NULL_TRACE, TraceRecorder
+from repro.obs.trace import TraceRecorder
+
+#: The shared, reusable no-op context of every disabled span.
+NULL_CONTEXT = nullcontext()
 
 
 @dataclass
@@ -22,11 +26,6 @@ class ObsConfig:
     """Self-monitoring settings for one profiling session."""
 
     enabled: bool = False
-    #: record trace spans (requires reading the wall clock per span).
-    trace: bool = True
-    #: write the trace here when the session finishes (JSONL, or a
-    #: JSON array for ``.json`` paths).
-    trace_path: Optional[str] = None
     #: injected time source (tests pass a fake; None = perf_counter).
     clock: Optional[Callable[[], float]] = None
 
@@ -38,73 +37,25 @@ class ObsConfig:
 
 
 class Observability:
-    """A live metrics registry plus trace recorder on a shared clock."""
+    """A trace recorder plus the clock it reads."""
 
     enabled = True
 
-    def __init__(self, config=None, pid=0):
-        self.config = config or ObsConfig(enabled=True)
-        self.clock = self.config.clock or time.perf_counter
-        self.registry = MetricsRegistry(clock=self.clock)
-        self.trace = (TraceRecorder(clock=self.clock, pid=pid)
-                      if self.config.trace else NULL_TRACE)
-
-    # Metric accessors delegate so call sites read naturally.
-
-    def counter(self, name):
-        return self.registry.counter(name)
-
-    def gauge(self, name):
-        return self.registry.gauge(name)
-
-    def histogram(self, name, **kwargs):
-        return self.registry.histogram(name, **kwargs)
-
-    def timeit(self, name):
-        return self.registry.timeit(name)
+    def __init__(self, config):
+        self.clock = config.clock or time.perf_counter
+        self.trace = TraceRecorder(clock=self.clock)
 
     def span(self, name, **args):
         return self.trace.span(name, **args)
 
-    def snapshot(self, extra=()):
-        """Typed metrics snapshot (registry merged with *extra* maps)."""
-        return merge_metrics([self.registry.to_dict(), *extra])
-
-    def finish(self):
-        """Flush the trace to ``config.trace_path``, if configured."""
-        if self.config.trace_path and self.trace.enabled:
-            self.trace.write(self.config.trace_path)
-        return self
-
 
 class _NullObs:
-    """The disabled bundle: shared no-op registry, trace, and spans."""
+    """The disabled bundle: no trace, no clock, spans that do nothing."""
 
     enabled = False
-    config = ObsConfig(enabled=False)
-    registry = NULL_REGISTRY
-    trace = NULL_TRACE
-
-    def counter(self, name):
-        return NULL_METRIC
-
-    def gauge(self, name):
-        return NULL_METRIC
-
-    def histogram(self, name, **kwargs):
-        return NULL_METRIC
-
-    def timeit(self, name):
-        return NULL_CONTEXT
 
     def span(self, name, **args):
         return NULL_CONTEXT
-
-    def snapshot(self, extra=()):
-        return merge_metrics(extra)
-
-    def finish(self):
-        return self
 
 
 NULL_OBS = _NullObs()

@@ -53,6 +53,15 @@ name                                     kind      meaning
 ``sim.fastpath.variants``                gauge     variants resident
 =======================================  ========  =======================
 
+A typed snapshot maps each name to ``{"type": "counter", "value"}``
+or ``{"type": "gauge", "value", "peak"}``.  It is read off the objects
+that keep the counts -- the driver's per-CPU state, the daemon, the
+fast path, the session result -- when it is asked for; nothing
+tallies a count a second time beside them.  This module is the whole
+snapshot format: the views below build one, :func:`merge_metrics`
+reduces shards' snapshots, :func:`flatten_metrics` and :func:`derive`
+flatten one.
+
 Raw counts only are stored and merged (rates do not sum); derived
 rates -- ``driver.hash.miss_rate``, ``daemon.aggregation_factor``,
 ``collection.samples_per_sec`` and friends -- come from
@@ -66,7 +75,8 @@ store ledger, resilience), ``FleetShard.refreshes`` (per handle) and
 ``OptReport.report()`` (plan and rewrite stats, bailout reasons).
 """
 
-from repro.obs.metrics import COUNTER, GAUGE, flatten_metrics
+COUNTER = "counter"
+GAUGE = "gauge"
 
 
 def _counter(value):
@@ -157,20 +167,60 @@ def fastpath_metrics(fastpath):
 def session_metrics(result):
     """Typed snapshot of a whole run: driver + daemon + totals.
 
-    *result* is a :class:`~repro.collect.session.SessionResult`; the
-    live registry (drain timings, span-adjacent histograms) is merged
-    in by :meth:`SessionResult.metrics`, not here.
+    *result* is a :class:`~repro.collect.session.SessionResult`;
+    ``session.wall_s`` is there only when the run was observed.
     """
     metrics = {
         "session.instructions": _counter(result.instructions),
         "session.cycles": _counter(result.cycles),
     }
+    if result.wall_s is not None:
+        metrics["session.wall_s"] = _gauge(result.wall_s)
     metrics.update(driver_metrics(result.driver))
     metrics.update(daemon_metrics(result.daemon))
     fastpath = getattr(getattr(result, "machine", None), "fastpath", None)
     if fastpath is not None:
         metrics.update(fastpath_metrics(fastpath))
     return metrics
+
+
+def merge_metrics(snapshots):
+    """Reduce typed snapshots into one; order never matters.
+
+    Counters sum and gauges keep the maximum value and peak -- both
+    commutative and associative, so any permutation or regrouping of
+    *snapshots* gives the same result (property-tested in
+    ``tests/test_obs.py`` and ``tests/test_obs_parallel.py``), the
+    invariant :func:`repro.collect.parallel.merge_shards` relies on for
+    profiles too.
+    """
+    merged = {}
+    for snapshot in snapshots:
+        for name, entry in snapshot.items():
+            dest = merged.get(name)
+            if dest is None:
+                merged[name] = dict(entry)
+            elif dest["type"] != entry["type"]:
+                raise TypeError("cannot merge %s %r into a %s"
+                                % (entry["type"], name, dest["type"]))
+            elif entry["type"] == COUNTER:
+                dest["value"] += entry["value"]
+            else:
+                dest["value"] = max(dest["value"], entry["value"])
+                dest["peak"] = max(dest["peak"], entry["peak"])
+    return merged
+
+
+def flatten_metrics(snapshot):
+    """Collapse a typed snapshot into {name: scalar} for display/JSON:
+    every metric flattens to its value, and a gauge also emits
+    ``<name>.peak``."""
+    flat = {}
+    for name, entry in snapshot.items():
+        flat[name] = entry["value"]
+        if entry["type"] == GAUGE:
+            flat[name + ".peak"] = entry["peak"]
+    return flat
 
 
 def _ratio(numer, denom):

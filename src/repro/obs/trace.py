@@ -4,18 +4,18 @@ Spans record where a run spends its wall time -- ``span("analyze")``
 around ``span("analyze.solver")`` nests naturally, and the emitted
 events use the Chrome ``about:tracing`` / Perfetto JSON event schema
 ("ph", "ts", "dur" in microseconds), one JSON object per line (JSONL).
-Wrap the lines in ``[...]`` (``jq -s .``) or use
-:meth:`TraceRecorder.write` with a ``.json`` path to get a file those
-viewers open directly.
+Wrap the lines in ``[...]`` (``jq -s .``) or give
+:func:`write_events` a ``.json`` path to get a file those viewers open
+directly.
 
 The recorder takes an injected ``clock`` so tests control time
-exactly; the disabled path (:data:`NULL_TRACE`) reads no clock at all.
+exactly; the disabled path (:data:`repro.obs.NULL_OBS`) has no
+recorder and reads no clock at all.
 """
 
 import json
+import time
 from contextlib import contextmanager
-
-from repro.obs.metrics import NULL_CONTEXT
 
 #: Chrome trace-event phases used here: complete spans, instant
 #: events, counter series, and metadata.
@@ -26,21 +26,13 @@ PH_METADATA = "M"
 
 
 class TraceRecorder:
-    """Collects trace events; hierarchical via nested ``span()``."""
+    """Collects one process's trace events (pid 0, tid 0);
+    hierarchical via nested ``span()``."""
 
-    enabled = True
-
-    def __init__(self, clock=None, pid=0, tid=0):
-        if clock is None:
-            import time
-
-            clock = time.perf_counter
+    def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self._t0 = clock()
-        self.pid = pid
-        self.tid = tid
         self.events = []
-        self._depth = 0
 
     def _now_us(self):
         return (self._clock() - self._t0) * 1e6
@@ -49,74 +41,21 @@ class TraceRecorder:
     def span(self, name, **args):
         """Record a complete ("X") event around the enclosed block."""
         started = self._now_us()
-        self._depth += 1
         try:
             yield self
         finally:
-            self._depth -= 1
             event = {"ph": PH_SPAN, "name": name, "ts": started,
-                     "dur": self._now_us() - started,
-                     "pid": self.pid, "tid": self.tid}
+                     "dur": self._now_us() - started, "pid": 0, "tid": 0}
             if args:
                 event["args"] = args
             self.events.append(event)
 
     def instant(self, name, **args):
         event = {"ph": PH_INSTANT, "name": name, "ts": self._now_us(),
-                 "pid": self.pid, "tid": self.tid, "s": "t"}
+                 "pid": 0, "tid": 0, "s": "t"}
         if args:
             event["args"] = args
         self.events.append(event)
-
-    def counter(self, name, value):
-        """Record one point of a counter series ("C" event)."""
-        self.events.append({
-            "ph": PH_COUNTER, "name": name, "ts": self._now_us(),
-            "pid": self.pid, "tid": self.tid, "args": {"value": value}})
-
-    def metadata(self, name, **args):
-        self.events.append({"ph": PH_METADATA, "name": name, "ts": 0,
-                            "pid": self.pid, "tid": self.tid,
-                            "args": args})
-
-    # -- output ------------------------------------------------------------
-
-    def to_jsonl(self, extra_events=()):
-        lines = [json.dumps(event, sort_keys=True)
-                 for event in list(self.events) + list(extra_events)]
-        return "\n".join(lines) + "\n" if lines else ""
-
-    def write(self, path, extra_events=()):
-        """:func:`write_events` of this recorder's events."""
-        return write_events(path, list(self.events) + list(extra_events))
-
-
-class NullTrace:
-    """The disabled recorder: spans cost one attribute lookup."""
-
-    enabled = False
-    events = ()
-
-    def span(self, name, **args):
-        return NULL_CONTEXT
-
-    def instant(self, name, **args):
-        pass
-
-    def counter(self, name, value):
-        pass
-
-    def metadata(self, name, **args):
-        pass
-
-    def to_jsonl(self, extra_events=()):
-        return ""
-
-    def write(self, path, extra_events=()):
-        return
-
-
-NULL_TRACE = NullTrace()
 
 
 def write_events(path, events):

@@ -12,7 +12,9 @@ reproduction, from the ``repro.obs`` metrics and trace spans:
   ``about:tracing`` / Perfetto, or feed back via ``--from-trace``).
 * ``dcpimon report --from-trace FILE`` rebuilds the same report
   post-hoc from a trace file alone -- the derived metrics ride along
-  as counter events, the shard facts as metadata events.
+  as counter events, the shard facts as metadata events.  The live
+  report is rendered from that same event list by the same code, so
+  the two agree line for line below the title.
 * ``dcpimon overhead`` measures the wall-clock cost of enabling
   self-monitoring against the identical disabled run, in alternating
   pairs, and can assert a ceiling (``--max-pct``), which CI gates at
@@ -24,9 +26,10 @@ import statistics
 import sys
 import time
 
-from repro.obs import derive, merge_metrics, span_durations, trace_counters
+from repro.obs import derive, span_durations, trace_counters
 from repro.obs.report import render_report
-from repro.obs.trace import PH_METADATA, read_events, write_events
+from repro.obs.trace import (PH_COUNTER, PH_METADATA, read_events,
+                             write_events)
 
 #: Metadata event names used to make traces self-describing.
 META_SHARD = "dcpimon.shard"
@@ -48,7 +51,7 @@ def _analysis_phases(events):
             if name.startswith(("analyze.", "session."))}
 
 
-def _combined_events(obs, run, flat, shard_rows):
+def _combined_events(obs, run, flat):
     """One self-describing event list: in-process spans (pid 0), each
     shard's spans re-stamped to its own pid, derived metrics as counter
     series, and shard/merge facts as metadata -- everything
@@ -65,15 +68,15 @@ def _combined_events(obs, run, flat, shard_rows):
             stamped = dict(event)
             stamped["pid"] = pid
             events.append(stamped)
-    for row in shard_rows:
+    for row in _shard_rows(run):
         events.append({"ph": PH_METADATA, "name": META_SHARD, "ts": 0,
                        "pid": 0, "tid": 0, "args": dict(row)})
     events.append({"ph": PH_METADATA, "name": META_MERGE, "ts": 0,
                    "pid": 0, "tid": 0, "args": {"merge_s": run.merge_s}})
     for name, value in sorted(flat.items()):
         if isinstance(value, (int, float)):
-            events.append({"ph": "C", "name": name, "ts": 0, "pid": 0,
-                           "tid": 0, "args": {"value": value}})
+            events.append({"ph": PH_COUNTER, "name": name, "ts": 0,
+                           "pid": 0, "tid": 0, "args": {"value": value}})
     return events
 
 
@@ -123,18 +126,14 @@ def run_report(args):
     obs = result.obs
     analyzed = _analyze_hottest(result, obs)
 
-    flat = derive(merge_metrics([run.obs]))
-    shard_rows = _shard_rows(run)
-    phases = _analysis_phases(obs.trace.events)
-    events = _combined_events(obs, run, flat, shard_rows)
+    events = _combined_events(obs, run, derive(run.obs))
     if args.trace:
         write_events(args.trace, events)
 
     title = "%s (%d shards%s)" % (
         args.workload, args.shards,
         ", analyzed %s" % analyzed if analyzed else "")
-    text = render_report(flat, shards=shard_rows, merge_s=run.merge_s,
-                         phases=phases, title=title)
+    text = _render(events, title)
     if args.trace:
         text += "\ntrace: %s (%d events)\n" % (args.trace, len(events))
     return text
@@ -142,7 +141,11 @@ def run_report(args):
 
 def report_from_trace(path):
     """Rebuild the report from a trace written by ``dcpimon report``."""
-    events = read_events(path)
+    return _render(read_events(path), "(from %s)" % path)
+
+
+def _render(events, title):
+    """The report of one combined event list (both report paths)."""
     flat = trace_counters(events)
     phases = _analysis_phases(events)
     shard_rows = [event["args"] for event in events
@@ -154,7 +157,7 @@ def report_from_trace(path):
                 and event.get("name") == META_MERGE):
             merge_s = event["args"].get("merge_s")
     return render_report(flat, shards=shard_rows, merge_s=merge_s,
-                         phases=phases, title="(from %s)" % path)
+                         phases=phases, title=title)
 
 
 def measure_overhead(workload_name, mode="default", budget=40_000,

@@ -57,6 +57,18 @@ class TestReport:
             assert live == post
         assert "Shards" in rebuilt and "merge cost" in rebuilt
 
+    def test_live_and_rebuilt_reports_agree_line_for_line(self, report_run):
+        """Both paths render the one combined event list, so below the
+        title (and above the live run's ``trace:`` footer) every line
+        agrees -- the phase table's call counts included, which count
+        the shards' session spans as well as the in-process ones."""
+        text, trace = report_run
+        live = text.split("\ntrace: ")[0].splitlines()
+        rebuilt = dcpimon.report_from_trace(trace).splitlines()
+        assert live[2:] == rebuilt[2:]
+        execute = next(ln for ln in live if "session.execute" in ln)
+        assert execute.split()[1] == "3"    # two shards + in-process
+
     def test_cli_entry_point(self, capsys, tmp_path):
         code = main_dcpimon(["report", *QUICK, "--shards", "1"])
         out = capsys.readouterr().out

@@ -27,7 +27,6 @@ from conftest import examples
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (Delta, FleetConfig, FleetMachine, FleetSession,
                          FleetStore, IngestRetry, ShipSpool)
-from repro.obs import Observability
 
 MACHINES = 4
 EPOCHS = 2
@@ -358,21 +357,22 @@ def test_collection_crash_never_moves_a_machine_cycle(tmp_path):
 
 def test_recovered_daemon_replaces_the_dead_ones_listener(tmp_path):
     # Two crashes, then traffic respawns that fire loadmap events: only
-    # the live daemon may hear them, and the resident gauge is its own.
-    obs = Observability()
+    # the live daemon may hear them, and they grow its resident gauge.
     plan = FaultPlan(specs=(FaultSpec("fleet.machine.run", "crash",
                                       hits=(2, 4)),), seed=5)
     machine = FleetMachine("m00", "gcc", 7, drain_interval=1_000,
-                           obs=obs, durable_root=tmp_path / "m00",
+                           durable_root=tmp_path / "m00",
                            faults=plan.build())
     for _ in range(3):
         machine.run_epoch(4_000)
     assert machine.daemon.recoveries == 2
     assert machine.machine.loader._listeners == [
         machine.daemon.on_loadmap]
+    before = machine.daemon.metrics()["daemon.resident_bytes"]
     machine._respawn()
-    assert (obs.gauge("daemon.resident_bytes").value
-            == machine.daemon.resident_bytes())
+    after = machine.daemon.metrics()["daemon.resident_bytes"]
+    assert after["value"] > before["value"]
+    assert after["peak"] >= after["value"]
 
 
 def test_preship_crash_reships_the_closed_epoch(clean_fleet, tmp_path):

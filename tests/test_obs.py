@@ -1,6 +1,7 @@
 """Tests for the ``repro.obs`` self-monitoring subsystem."""
 
 import ast
+import inspect
 import json
 import os
 
@@ -8,17 +9,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 import repro.fleet
 import repro.opt
 from repro.alpha.assembler import assemble
 from repro.collect.daemon import Daemon
 from repro.collect.driver import Driver, DriverConfig
+from repro.collect.session import ProfileSession, SessionConfig
+from repro.core.cfg import build_cfg
+from repro.core.culprits import identify_culprits
+from repro.core.equivalence import compute_equivalence
+from repro.core.frequency import estimate_frequencies
+from repro.core.schedule import schedule_cfg
+from repro.core.solver import refine_global
+from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
-from repro.obs import (COUNTER, GAUGE, HISTOGRAM, NULL_OBS,
-                       MetricsRegistry, ObsConfig, TraceRecorder,
+from repro.faults.injector import FaultPlan, FaultSpec
+from repro.fleet.machine import FleetMachine
+from repro.obs import (COUNTER, GAUGE, NULL_OBS, ObsConfig, TraceRecorder,
                        derive, flatten_metrics, merge_metrics, read_events,
                        span_durations, trace_counters)
+from repro.obs.trace import write_events
 from repro.osim.loader import Loader
+from repro.workloads.registry import get_workload
 
 
 class FakeClock:
@@ -37,66 +50,23 @@ class FakeClock:
 
 
 class TestMetrics:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("x")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        assert registry.counter("x") is counter
-        assert counter.snapshot() == {"type": COUNTER, "value": 5}
-
-    def test_gauge_tracks_peak(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(10)
-        gauge.set(3)
-        snap = gauge.snapshot()
-        assert snap["type"] == GAUGE
-        assert snap["value"] == 3
-        assert snap["peak"] == 10
-
-    def test_histogram_buckets(self):
-        hist = MetricsRegistry().histogram("h", bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["type"] == HISTOGRAM
-        assert snap["count"] == 3
-        assert snap["total"] == pytest.approx(55.5)
-        assert sum(snap["buckets"]) == 3
+    def test_flatten(self):
+        flat = flatten_metrics({
+            "c": {"type": COUNTER, "value": 2},
+            "g": {"type": GAUGE, "value": 7, "peak": 9}})
+        assert flat == {"c": 2, "g": 7, "g.peak": 9}
 
     def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("name")
         with pytest.raises(TypeError):
-            registry.gauge("name")
-
-    def test_timeit_uses_injected_clock(self):
-        clock = FakeClock(step=0.25)
-        registry = MetricsRegistry(clock=clock)
-        with registry.timeit("t"):
-            pass
-        snap = registry.histogram("t").snapshot()
-        assert snap["count"] == 1
-        assert snap["total"] == pytest.approx(0.25)
-
-    def test_flatten(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(7)
-        flat = flatten_metrics(registry.to_dict())
-        assert flat["c"] == 2
-        assert flat["g"] == 7
-        assert flat["g.peak"] == 7
+            merge_metrics([{"name": {"type": COUNTER, "value": 1}},
+                           {"name": {"type": GAUGE, "value": 1,
+                                     "peak": 1}}])
 
 
-def _registry_from(spec):
-    """Build a registry from {name: [int deltas]} (counters only)."""
-    registry = MetricsRegistry()
-    for name, deltas in spec.items():
-        for delta in deltas:
-            registry.counter(name).inc(delta)
-    return registry.to_dict()
+def _snapshot_from(spec):
+    """A typed snapshot from {name: [int deltas]} (counters only)."""
+    return {name: {"type": COUNTER, "value": sum(deltas)}
+            for name, deltas in spec.items()}
 
 
 SNAPSHOT_SPECS = st.dictionaries(
@@ -107,27 +77,18 @@ SNAPSHOT_SPECS = st.dictionaries(
 
 class TestMerge:
     def test_counters_sum_gauges_max(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.counter("n").inc(3)
-        r2.counter("n").inc(4)
-        r1.gauge("g").set(10)
-        r2.gauge("g").set(2)
-        merged = merge_metrics([r1.to_dict(), r2.to_dict()])
+        merged = merge_metrics([
+            {"n": {"type": COUNTER, "value": 3},
+             "g": {"type": GAUGE, "value": 10, "peak": 10}},
+            {"n": {"type": COUNTER, "value": 4},
+             "g": {"type": GAUGE, "value": 2, "peak": 12}}])
         assert merged["n"]["value"] == 7
         assert merged["g"]["value"] == 10
-        assert merged["g"]["peak"] == 10
-
-    def test_histograms_add_bucketwise(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.histogram("h", bounds=(1.0,)).observe(0.5)
-        r2.histogram("h", bounds=(1.0,)).observe(2.0)
-        merged = merge_metrics([r1.to_dict(), r2.to_dict()])
-        assert merged["h"]["count"] == 2
-        assert merged["h"]["buckets"] == [1, 1]
+        assert merged["g"]["peak"] == 12
 
     @given(st.lists(SNAPSHOT_SPECS, max_size=5), st.randoms())
     def test_merge_is_order_independent(self, specs, rng):
-        snapshots = [_registry_from(spec) for spec in specs]
+        snapshots = [_snapshot_from(spec) for spec in specs]
         shuffled = list(snapshots)
         rng.shuffle(shuffled)
         assert merge_metrics(snapshots) == merge_metrics(shuffled)
@@ -135,7 +96,7 @@ class TestMerge:
     @given(st.lists(SNAPSHOT_SPECS, min_size=2, max_size=5),
            st.integers(min_value=1, max_value=4))
     def test_merge_is_grouping_independent(self, specs, split):
-        snapshots = [_registry_from(spec) for spec in specs]
+        snapshots = [_snapshot_from(spec) for spec in specs]
         split = min(split, len(snapshots) - 1)
         left = merge_metrics(snapshots[:split])
         right = merge_metrics(snapshots[split:])
@@ -150,22 +111,17 @@ class TestNullObs:
     def test_null_obs_is_inert_and_clock_free(self):
         clock = FakeClock()
         obs = ObsConfig(enabled=False, clock=clock).build()
-        obs.counter("c").inc(5)
-        obs.gauge("g").set(1)
-        obs.histogram("h").observe(2.0)
-        with obs.timeit("t"):
+        with obs.span("outer"):
             with obs.span("s", detail=1):
                 pass
         assert clock.reads == 0
-        assert obs.registry.to_dict() == {}
-        assert obs.trace.events == ()
-        assert obs.snapshot() == {}
 
     def test_enabled_config_builds_live(self):
         obs = ObsConfig(enabled=True, clock=FakeClock()).build()
-        obs.counter("c").inc()
+        with obs.span("s"):
+            pass
         assert obs.enabled
-        assert obs.snapshot()["c"]["value"] == 1
+        assert [event["name"] for event in obs.trace.events] == ["s"]
 
 
 class TestTrace:
@@ -186,12 +142,12 @@ class TestTrace:
         trace = TraceRecorder(clock=FakeClock())
         with trace.span("s"):
             pass
-        trace.counter("metric", 42)
+        events = trace.events + [{"ph": "C", "name": "metric", "ts": 0,
+                                  "args": {"value": 42}}]
         for name in ("t.jsonl", "t.json"):
             path = tmp_path / name
-            trace.write(str(path))
-            events = read_events(str(path))
-            assert [e["name"] for e in events] == ["s", "metric"]
+            write_events(str(path), events)
+            assert read_events(str(path)) == events
         # the .json form is a single loadable array
         assert isinstance(json.loads((tmp_path / "t.json").read_text()),
                           list)
@@ -219,19 +175,9 @@ class TestTrace:
         assert phases["a"]["self_us"] == 100.0
 
     def test_trace_counters_keeps_last_value(self):
-        trace = TraceRecorder(clock=FakeClock())
-        trace.counter("x", 1)
-        trace.counter("x", 9)
-        assert trace_counters(trace.events) == {"x": 9}
-
-    def test_observability_finish_writes_trace(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        obs = ObsConfig(enabled=True, trace_path=str(path),
-                        clock=FakeClock()).build()
-        with obs.span("only"):
-            pass
-        obs.finish()
-        assert [e["name"] for e in read_events(str(path))] == ["only"]
+        events = [{"ph": "C", "name": "x", "ts": ts, "args": {"value": v}}
+                  for ts, v in ((2.0, 9), (1.0, 1))]
+        assert trace_counters(events) == {"x": 9}
 
 
 def make_driver(**overrides):
@@ -275,18 +221,6 @@ class TestDaemonPeakResident:
         loader.notify_exec(8, [extra])
         assert daemon.peak_resident_bytes() > before
 
-    def test_resident_gauge_follows_when_enabled(self):
-        loader = Loader()
-        obs = ObsConfig(enabled=True, clock=FakeClock()).build()
-        daemon = Daemon(loader, periods={EventType.CYCLES: 100.0},
-                        obs=obs)
-        image = loader.link(assemble(
-            ".image app\n.proc main\n    nop\n    ret\n.end"))
-        loader.notify_exec(7, [image])
-        snap = obs.registry.to_dict()["daemon.resident_bytes"]
-        assert snap["value"] == daemon.resident_bytes()
-        assert snap["peak"] == daemon.peak_resident_bytes()
-
 
 class TestSchemaViews:
     def test_driver_stats_match_schema(self):
@@ -321,12 +255,13 @@ class TestSchemaViews:
 
 #: Live-registry calls: a count made through one of them is a second
 #: tally beside the object that already keeps it.
-_TALLY_CALLS = ("counter", "gauge", "histogram", "timeit", "span")
+_TALLY_CALLS = ("counter", "gauge", "histogram", "timeit")
 
 
-def _obs_tally_calls(package):
-    """``file:line obs.<call>`` for every live-registry call in *package*
-    made on an ``obs`` receiver (``obs``, ``self.obs``, ``x.obs``)."""
+def _obs_calls(package, calls):
+    """``file:line obs.<call>`` for every call named in *calls* that
+    *package* makes on an ``obs`` receiver (``obs``, ``self.obs``,
+    ``x.obs``)."""
     root = os.path.dirname(package.__file__)
     found = []
     for dirpath, _, names in os.walk(root):
@@ -339,7 +274,7 @@ def _obs_tally_calls(package):
             for node in ast.walk(tree):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _TALLY_CALLS):
+                        and node.func.attr in calls):
                     continue
                 receiver = node.func.value
                 if (isinstance(receiver, ast.Name) and receiver.id == "obs"
@@ -351,13 +286,63 @@ def _obs_tally_calls(package):
     return found
 
 
-@pytest.mark.parametrize("package", [repro.fleet, repro.opt],
-                         ids=["fleet", "opt"])
-def test_fleet_and_opt_keep_one_tally(package):
-    """Fleet and optimizer counts live in their reports (transport and
-    spool stats, the shard ledger, plan and rewrite stats), never also
-    in the live registry, where the two tallies drift apart."""
-    assert _obs_tally_calls(package) == []
+@pytest.mark.parametrize("package, calls", [
+    pytest.param(repro.fleet, _TALLY_CALLS + ("span",), id="fleet"),
+    pytest.param(repro.opt, _TALLY_CALLS + ("span",), id="opt"),
+    pytest.param(repro, _TALLY_CALLS, id="repro"),
+])
+def test_fleet_and_opt_keep_one_tally(package, calls):
+    """A count lives in the object that keeps it (the driver's per-CPU
+    state, the daemon, fleet transport and spool stats, the shard
+    ledger, plan and rewrite stats), never also in a live registry,
+    where the two tallies drift apart.  Fleet and optimizer report
+    through their result objects and open no span either."""
+    assert _obs_calls(package, calls) == []
+
+
+@pytest.mark.parametrize("func", [
+    build_cfg, schedule_cfg, compute_equivalence, estimate_frequencies,
+    refine_global, identify_culprits, Driver, Daemon, Daemon.recover,
+    FleetMachine], ids=lambda func: func.__qualname__)
+def test_no_pass_or_collector_takes_obs(func):
+    """Only a session's collection stack and ``analyze_procedure``
+    record spans; the passes and collectors they call take no hook."""
+    assert "obs" not in inspect.signature(func).parameters
+
+
+def _counts(flat):
+    """*flat* minus the keys that read the host clock: the only ones
+    an observed run may add or change."""
+    return {key: value for key, value in flat.items()
+            if not key.startswith(("session.wall_s", "collection."))}
+
+
+@pytest.mark.parametrize("point, hit", [
+    ("session.restart", 3), ("daemon.drain.cpu", 3),
+    ("daemon.checkpoint", 1)])
+def test_observing_a_crashed_run_changes_no_count(tmp_path, point, hit):
+    """With self-monitoring on, a run across a daemon crash reports
+    the same counts as with it off: the resident peak is the live
+    daemon's, not that of a gauge it shared with the dead one."""
+    workload = get_workload("gcc")
+
+    def flat(enabled):
+        config = SessionConfig(
+            cycles_period=(240, 256), event_period=64,
+            drain_interval=4_000, checkpoint_drains=2,
+            db_root=str(tmp_path / ("on" if enabled else "off")),
+            obs=ObsConfig(enabled=True) if enabled else None,
+            faults=FaultPlan(specs=(FaultSpec(point, "crash",
+                                              hits=(hit,)),), seed=1))
+        session = ProfileSession(
+            MachineConfig(num_cpus=workload.num_cpus), config)
+        return derive(session.run(workload,
+                                  max_instructions=24_000).metrics())
+
+    on, off = flat(True), flat(False)
+    assert on["daemon.recoveries"] == 1
+    assert on["session.wall_s"] > 0 and "session.wall_s" not in off
+    assert _counts(on) == _counts(off)
 
 
 def test_derive_adds_nothing_for_fleet_keys():

@@ -1,4 +1,4 @@
-"""Self-monitoring under the sharded runner: the registry reduction
+"""Self-monitoring under the sharded runner: the snapshot reduction
 must be order-independent, and serial vs pooled runs must agree."""
 
 import pickle
@@ -85,8 +85,8 @@ class TestShardObs:
     def test_serial_and_pooled_runs_report_identical_totals(self):
         serial = ParallelSessionRunner(workers=1).run(_specs())
         pooled = ParallelSessionRunner(workers=3).run(_specs())
-        # Wall-clock gauges/histograms legitimately differ between
-        # runs; every counter total must match exactly.
+        # The wall-clock gauge legitimately differs between runs;
+        # every counter total must match exactly.
         def counters(snapshot):
             return {name: entry["value"]
                     for name, entry in snapshot.items()
