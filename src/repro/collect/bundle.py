@@ -18,6 +18,7 @@ import os
 from repro.alpha.serialize import load_images, save_images
 from repro.collect.database import (CorruptProfileError, ImageProfile,
                                     ProfileDatabase)
+from repro.faults import audit
 from repro.obs import derive
 
 
@@ -35,23 +36,36 @@ def save_bundle(result, path):
                     for ev, period in result.daemon.periods.items()},
         "stats": stats,
         # Loss accounting for graceful analysis degradation.
-        "loss": {
-            "samples_dropped": stats["collect.samples_dropped"],
-            "loss_rate": stats["collect.loss_rate"],
-            "recoveries": stats["collect.recoveries"],
-            "quarantined_samples": database.quarantined_samples(),
-        },
+        "loss": _loss(stats, database),
     }
     with open(os.path.join(path, "meta.json"), "w") as handle:
         json.dump(meta, handle, indent=2)
     return path
 
 
+def _loss(stats, database):
+    """The ``loss`` block: the run's dropped + lost samples and what
+    *database* has quarantined, over the samples the driver took --
+    the definition ``dcpichaos`` uses (:func:`audit.loss_rate`)."""
+    quarantined = database.quarantined_samples()
+    return {
+        "samples_dropped": stats["collect.samples_dropped"],
+        "loss_rate": audit.loss_rate({
+            "driver_samples": stats.get("driver.samples", 0),
+            "dropped": stats.get("driver.overflow.dropped", 0),
+            "lost": stats.get("daemon.lost_samples", 0),
+            "quarantined_samples": quarantined}),
+        "recoveries": stats["collect.recoveries"],
+        "quarantined_samples": quarantined,
+    }
+
+
 def load_bundle(path):
     """Load a bundle; returns ({image name: ImageProfile}, meta dict).
 
     Corrupt profiles are skipped (and quarantined by the database);
-    the names of skipped files are returned in ``meta["warnings"]``.
+    the names of skipped files are returned in ``meta["warnings"]``,
+    and ``meta["loss"]`` counts what this load set aside too.
     """
     from repro.cpu.events import EventType
 
@@ -82,4 +96,5 @@ def load_bundle(path):
             profile.add(event, offset, count)
     warnings.extend(database.warnings)
     meta["warnings"] = warnings
+    meta["loss"] = _loss(meta["stats"], database)
     return profiles, meta

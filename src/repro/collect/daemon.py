@@ -87,7 +87,6 @@ class Daemon:
         # Robustness accounting.
         self.recoveries = 0
         self.lost_samples = 0      # daemon-side accounted loss
-        self.samples_dropped = 0   # driver-side loss, as last observed
         self.drain_retries = 0
         self.drain_failures = 0
         self.loadmaps_dropped = 0
@@ -177,7 +176,6 @@ class Daemon:
             edges = driver.flush_edges(cpu_id)
             if edges:
                 self._process_edges(edges)
-        self.samples_dropped = sum(s.dropped for s in driver.cpus)
         self._touch_resident()
 
     def _drain_cpu(self, driver, cpu_id):
@@ -228,7 +226,6 @@ class Daemon:
                     driver.ack(cpu_id, seq)
                     continue
                 self._ingest(driver, cpu_id, seq, entries)
-        self.samples_dropped = sum(s.dropped for s in driver.cpus)
 
     def _process_edges(self, edges):
         """Merge double-sampling edge samples into image profiles.

@@ -69,6 +69,14 @@ def accounted_loss(report: Dict[str, Any]) -> int:
             + report.get("quarantined_samples", 0))
 
 
+def loss_rate(report: Dict[str, Any]) -> float:
+    """The loss side of the books over the samples the driver took:
+    (dropped + lost + quarantined) / driver samples.  ``dcpichaos``
+    and the bundle readers use this one definition."""
+    samples = report["driver_samples"]
+    return accounted_loss(report) / samples if samples else 0.0
+
+
 def _kept(report: Dict[str, Any]) -> int:
     """Samples that survived into committed/attributed profiles."""
     if "db_samples" in report:

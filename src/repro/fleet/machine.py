@@ -299,33 +299,41 @@ class FleetResult:
     def shipped_samples(self):
         return sum(m["shipped_samples"] for m in self.machines)
 
-    def conservation(self, label, store=None):
-        """Findings of the fleet conservation identity
-        (:func:`repro.check.analysis_checks.check_fleet_conservation`)
-        over *store*, by default the run's own.
+    def _books(self, store=None):
+        """The terms of the fleet conservation identity over *store*,
+        by default the run's own.
 
         Shipped, transit-lost and spool-dropped samples are the run's;
         stored, residue and quarantined are read from *store*, so a
         reopened store re-checks the same run's books.
         """
+        store = self.store if store is None else store
+        return {
+            "shipped": self.shipped_samples(),
+            "stored": store.total_samples(),
+            "transit_lost": self.transport_stats["lost_samples"],
+            "residue": store.downsample_residue(),
+            "quarantined": store.quarantined_samples(),
+            "spool_dropped": self.resilience["spool_dropped_samples"],
+        }
+
+    def conservation(self, label, store=None):
+        """Findings of the fleet conservation identity
+        (:func:`repro.check.analysis_checks.check_fleet_conservation`)
+        over *store*, by default the run's own."""
         from repro.check import analysis_checks
 
-        store = self.store if store is None else store
         return analysis_checks.check_fleet_conservation(
-            shipped=self.shipped_samples(),
-            stored=store.total_samples(),
-            transit_lost=self.transport_stats["lost_samples"],
-            residue=store.downsample_residue(),
-            quarantined=store.quarantined_samples(),
-            spool_dropped=self.resilience["spool_dropped_samples"],
-            label=label)
+            label=label, **self._books(store))
 
-    def loss_rate(self):
-        """Shipped samples lost in transit or dropped from a spool."""
-        shipped = self.shipped_samples()
-        lost = (self.transport_stats["lost_samples"]
-                + self.resilience["spool_dropped_samples"])
-        return lost / shipped if shipped else 0.0
+    def loss_rate(self, store=None):
+        """The loss side of the identity over the samples shipped:
+        (transit-lost + spool-dropped + residue + quarantined) /
+        shipped."""
+        books = self._books(store)
+        shipped = books.pop("shipped")
+        books.pop("stored")
+        return sum(books.values()) / shipped if shipped else 0.0
 
     def report(self):
         """The body of ``dcpifleet run``'s JSON report."""

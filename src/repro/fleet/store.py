@@ -82,6 +82,7 @@ from dataclasses import dataclass
 from repro.collect.database import ProfileDatabase, _atomic_write
 from repro.collect.parallel import MergedProfiles
 from repro.faults.injector import FLEET_STORE_INGEST, NULL_INJECTOR
+from repro.fleet.transport import seeded_backoff
 
 #: Ledger schema version (stored in each shard manifest's "fleet" key,
 #: committed atomically with every ingest).
@@ -132,19 +133,14 @@ class IngestRetry:
             raise ValueError("retry policy needs >= 1 attempt")
 
     def backoff_schedule(self):
-        """Delays (ms) slept between attempts: ``attempts - 1`` values.
-
-        Exponential doubling from *base_ms*, capped at *cap_ms*, each
-        scaled into ``[0.5, 1.0)`` of itself by a PRNG seeded with
-        *seed* (decorrelates concurrent writers without wall-clock
-        randomness).
-        """
+        """Delays (ms) slept between attempts: ``attempts - 1`` values
+        of :func:`~repro.fleet.transport.seeded_backoff` under a PRNG
+        seeded with *seed* (decorrelates concurrent writers without
+        wall-clock randomness)."""
         rng = random.Random(self.seed)
-        schedule = []
-        for attempt in range(self.attempts - 1):
-            delay = min(self.cap_ms, self.base_ms * (2 ** attempt))
-            schedule.append(delay * (0.5 + 0.5 * rng.random()))
-        return tuple(schedule)
+        return tuple(seeded_backoff(attempt, self.base_ms, self.cap_ms,
+                                    rng)
+                     for attempt in range(self.attempts - 1))
 
     def budget_ms(self):
         """Worst-case total backoff (the effective lock timeout)."""

@@ -199,6 +199,19 @@ class SpoolEntry:
     delivered: bool = False
 
 
+def seeded_backoff(retry, base_ms, cap_ms, rng):
+    """The delay (ms) before retry number *retry* (0-based).
+
+    Exponential doubling from *base_ms* capped at *cap_ms*, scaled
+    into ``[0.5, 1.0)`` of itself by the caller's seeded PRNG -- no
+    wall clock, no unseeded jitter (the ``lint/unseeded-backoff`` rule
+    keeps it that way).  The exponent stops at 16 so a delta retried
+    for a long time never overflows a float.
+    """
+    delay = min(cap_ms, base_ms * (2 ** min(retry, 16)))
+    return delay * (0.5 + 0.5 * rng.random())
+
+
 @dataclass
 class ShipSpool:
     """Bounded sender-side outbox of unacked deltas.
@@ -270,18 +283,11 @@ class ShipSpool:
                 entry.delivered = True
 
     def backoff_for_retry(self, entry):
-        """Charge one retry's backoff; return the modelled delay (ms).
-
-        Exponential doubling from ``base_ms`` capped at ``cap_ms``,
-        scaled into ``[0.5, 1.0)`` of itself by the spool's seeded
-        PRNG -- no wall clock, no unseeded jitter (the
-        ``lint/unseeded-backoff`` rule keeps it that way).
-        """
+        """Charge one retry's backoff; return the modelled delay (ms)."""
         entry.attempts += 1
         self.retries += 1
-        exponent = min(entry.attempts - 1, 16)
-        delay = min(self.cap_ms, self.base_ms * (2 ** exponent))
-        delay *= 0.5 + 0.5 * self._rng.random()
+        delay = seeded_backoff(entry.attempts - 1, self.base_ms,
+                               self.cap_ms, self._rng)
         self.backoff_ms += delay
         return delay
 

@@ -37,6 +37,24 @@ from repro.cpu.events import EventType
 from repro.obs import derive
 
 
+def _load_bundle(path):
+    """:func:`load_bundle`'s profiles.  What the bundle says about
+    itself goes to stderr: its warnings, and one low-confidence line
+    when its accounted loss exceeds the analysis threshold."""
+    from repro.core.analyze import AnalysisConfig
+
+    profiles, meta = load_bundle(path)
+    for warning in meta["warnings"]:
+        print("%s: warning: %s" % (path, warning), file=sys.stderr)
+    rate = meta["loss"]["loss_rate"]
+    threshold = AnalysisConfig().loss_rate_threshold
+    if rate > threshold:
+        print("%s: low confidence: collection lost %.2f%% of samples "
+              "(dropped, lost or quarantined; threshold %.2f%%)"
+              % (path, rate * 100.0, threshold * 100.0), file=sys.stderr)
+    return profiles
+
+
 def main_dcpid(argv=None):
     """Profile a named workload and write a session bundle."""
     from repro.workloads.registry import get_workload, workload_names
@@ -78,7 +96,7 @@ def main_dcpiprof(argv=None):
 
     from repro.tools.dcpiprof import dcpiprof
 
-    profiles, _ = load_bundle(args.bundle)
+    profiles = _load_bundle(args.bundle)
     print(dcpiprof(profiles.values(), event=EventType(args.event),
                    limit=args.limit))
     return 0
@@ -95,7 +113,7 @@ def main_dcpicalc(argv=None):
 
     from repro.tools.dcpicalc import dcpicalc
 
-    profiles, _ = load_bundle(args.bundle)
+    profiles = _load_bundle(args.bundle)
     matches = []
     for profile in profiles.values():
         for proc in profile.image.procedures:
@@ -124,7 +142,7 @@ def main_dcpix(argv=None):
 
     from repro.tools.dcpix import dcpix
 
-    profiles, _ = load_bundle(args.bundle)
+    profiles = _load_bundle(args.bundle)
     profile = profiles.get(args.image)
     if profile is None:
         print("image %r not in bundle; have: %s"
@@ -144,7 +162,7 @@ def main_dcpicfg(argv=None):
 
     from repro.tools.dcpicfg import dcpicfg
 
-    profiles, _ = load_bundle(args.bundle)
+    profiles = _load_bundle(args.bundle)
     for profile in profiles.values():
         if args.image and profile.image.name != args.image:
             continue
@@ -218,7 +236,7 @@ def main_dcpistats(argv=None):
 
     profile_sets = []
     for path in args.bundles:
-        profiles, _ = load_bundle(path)
+        profiles = _load_bundle(path)
         profile_sets.append(list(profiles.values()))
     print(dcpistats(profile_sets, event=EventType(args.event),
                     limit=args.limit))

@@ -24,9 +24,8 @@ from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
 from repro.cpu.config import MachineConfig
 from repro.cpu.machine import Machine
-from repro.tools.abcheck import _canonical, check_workload, model_counters
+from repro.tools.abcheck import _canonical, model_counters
 from repro.workloads.asmgen import caller_proc, loop_proc
-from repro.workloads.registry import get_workload, workload_names
 
 FLAVORS = ("int", "mem", "fp", "branchy", "stream")
 
@@ -186,15 +185,3 @@ def test_every_semantic_opcode_replays_open_coded(op):
     for variant in compiled:
         assert not [name for name in variant.fn.__code__.co_names
                     if re.fullmatch(r"_f\d+", name)]
-
-
-# -- the dcpiab gate, reachable from tier-1 ----------------------------------
-
-
-@pytest.mark.parametrize("name", workload_names())
-def test_dcpiab_identical_on_registry_workload(name):
-    """What nightly ``dcpiab`` checks at 400k instructions, at a
-    budget small enough to run on every push."""
-    identical, line = check_workload(get_workload(name),
-                                     max_instructions=20_000)
-    assert identical, line

@@ -9,7 +9,6 @@ no *unaccounted* loss, ever.
 
 import json
 import os
-import shutil
 
 import pytest
 
@@ -264,28 +263,49 @@ class TestChaosCli:
         monkeypatch.setattr(
             analysis_checks, "check_fleet_conservation",
             lambda **terms: balance(**dict(terms, transit_lost=0)))
-        assert main(["--fleet", "--scenarios", "fleet-ship-drop"]) == 1
+        assert main(["--scenarios", "fleet-ship-drop"]) == 1
         out = capsys.readouterr().out
         assert "conservation violated" in out and "silently lost" in out
+        assert "FAIL fleet-ship-drop: conservation violated" in out
+
+    def test_machine_and_fleet_rows_share_the_common_keys(self, capsys):
+        """One report, one table: both families' rows carry the same
+        keys the renderer reads, and a fleet row's quarantine is
+        loss like a machine row's."""
+        from repro.tools.dcpichaos import main
+
+        capsys.readouterr()
+        assert main(["--scenarios", "torn-db-write,fleet-shard-corrupt",
+                     "--max-instructions", "8000", "--json", "-"]) == 0
+        machine, fleet = json.loads(capsys.readouterr().out)["cases"]
+        common = {"scenario", "workload", "seed", "budget", "samples",
+                  "kept", "quarantined", "recoveries", "loss_rate",
+                  "failures", "ok"}
+        assert common <= set(machine) and common <= set(fleet)
+        assert (machine["workload"], fleet["workload"]) == ("gcc", None)
+        for case in (machine, fleet):
+            assert case["ok"] and case["failures"] == []
+            assert case["quarantined"] > 0
+            assert case["loss_rate"] >= case["quarantined"] / case["samples"]
 
 
 class TestRunCase:
-    def test_crash_case_holds_invariant(self):
+    def test_crash_case_holds_invariant(self, tmp_path):
         from repro.faults.scenarios import get_scenario, run_case
 
         case = run_case(get_scenario("crash-mid-drain"), "gcc",
-                        budget=16_000)
-        assert case["ok"], case["comparison"]
+                        str(tmp_path), budget=16_000)
+        assert case["ok"], case["failures"]
         assert case["recoveries"] >= 1
         assert case["faulted"]["pipeline_balanced"]
         assert case["faulted"]["db_balanced"]
 
-    def test_torn_write_is_quarantined_not_decoded(self):
+    def test_torn_write_is_quarantined_not_decoded(self, tmp_path):
         from repro.faults.scenarios import get_scenario, run_case
 
         case = run_case(get_scenario("torn-db-write"), "gcc",
-                        budget=16_000)
-        assert case["ok"], case["comparison"]
+                        str(tmp_path), budget=16_000)
+        assert case["ok"], case["failures"]
         assert case["faulted"]["quarantined_samples"] > 0
         assert case["corrupted_file"]
 
@@ -293,30 +313,25 @@ class TestRunCase:
         from repro.collect.database import MANIFEST_NAME, ProfileDatabase
         from repro.faults.scenarios import get_scenario, run_case
 
-        kept = [str(tmp_path)]      # run_case appends its own directory
         case = run_case(get_scenario("torn-manifest"), "gcc",
-                        budget=16_000, keep_dirs=kept)
-        try:
-            assert case["ok"], case["comparison"]
-            assert (case["faulted"]["db_samples"]
-                    == case["reference"]["db_samples"])
-            assert case["corrupted_file"] == "MANIFEST.json"
-            # What was torn is the one-line compact manifest, and the
-            # rebuild publishes the same format again.
-            root = os.path.join(kept[-1], "fault")
-            path = os.path.join(root, MANIFEST_NAME)
-            with open(path) as handle:
-                torn = handle.read()
-            assert "\n" not in torn and ": " not in torn
-            with pytest.raises(ValueError):
-                json.loads(torn)
-            rebuilt = ProfileDatabase(root)
-            rebuilt.update_checkpoint({"epoch": 0})
-            with open(path) as handle:
-                text = handle.read()
-            assert text == json.dumps(json.loads(text), sort_keys=True,
-                                      separators=(",", ":"))
-            assert (rebuilt.total_samples()
-                    == case["reference"]["db_samples"])
-        finally:
-            shutil.rmtree(kept[-1], ignore_errors=True)
+                        str(tmp_path), budget=16_000)
+        assert case["ok"], case["failures"]
+        assert (case["faulted"]["db_samples"]
+                == case["reference"]["db_samples"])
+        assert case["corrupted_file"] == "MANIFEST.json"
+        # What was torn is the one-line compact manifest, and the
+        # rebuild publishes the same format again.
+        root = str(tmp_path / "fault")
+        path = os.path.join(root, MANIFEST_NAME)
+        with open(path) as handle:
+            torn = handle.read()
+        assert "\n" not in torn and ": " not in torn
+        with pytest.raises(ValueError):
+            json.loads(torn)
+        rebuilt = ProfileDatabase(root)
+        rebuilt.update_checkpoint({"epoch": 0})
+        with open(path) as handle:
+            text = handle.read()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":"))
+        assert rebuilt.total_samples() == case["reference"]["db_samples"]

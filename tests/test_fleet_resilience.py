@@ -273,6 +273,53 @@ def test_ship_backoff_is_pure_function_of_seed(seed):
     assert abs(first.backoff_ms - sum(delays)) < 1e-9
 
 
+#: The schedules the two backoff loops produced before they shared
+#: ``seeded_backoff``: the default policies and every policy these
+#: tests build (the spool's at its default base and cap).
+PINNED_INGEST = [
+    ({}, (1.8444218515250481, 3.515908805880605, 5.68228632332338,
+          10.071334002343708, 24.180395541897738, 35.12335343626036,
+          44.59496472586931)),
+    (dict(attempts=12, base_ms=1.0, cap_ms=40.0, seed=0),
+     (0.9222109257625241, 1.7579544029403025, 2.84114316166169,
+      5.035667001171854, 12.090197770948869, 22.47894619920663,
+      35.67597178069545, 26.06625452157855, 29.531939083047117,
+      31.667640789100624, 38.162257703906704)),
+    (dict(attempts=6, base_ms=2.0, cap_ms=20.0, seed=0),
+     (1.8444218515250481, 3.515908805880605, 5.68228632332338,
+      10.071334002343708, 15.112747213686086)),
+    (dict(attempts=3, base_ms=2.0, cap_ms=8.0, seed=7),
+     (1.3238327648331625, 2.301698347849004)),
+    (dict(attempts=4, base_ms=1.0, cap_ms=4.0, seed=3),
+     (0.6189823135459457, 1.5442292252959517, 2.7399103330961587)),
+]
+PINNED_SPOOL = {
+    0: [3.6888437030500962, 7.03181761176121, 11.36457264664676,
+        20.142668004687415, 48.360791083795476, 89.91578479682651,
+        222.97482362934656, 162.91409075986593],
+    1: [2.268728488224802, 7.389734947748931, 14.110196951812913,
+        20.081104411830747, 47.85392278694211, 92.76742814647923,
+        206.44912159034536, 223.59041889193915],
+    3: [2.4759292541837827, 6.176916901183807, 10.959641332384635,
+        25.66272061753911, 52.02304973145773, 68.19384699134804,
+        126.64599894435926, 229.6836352620575],
+}
+
+
+@pytest.mark.parametrize("policy, schedule", PINNED_INGEST)
+def test_ingest_backoff_schedule_is_pinned(policy, schedule):
+    assert IngestRetry(**policy).backoff_schedule() == schedule
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SPOOL))
+def test_ship_backoff_is_pinned(seed):
+    spool = ShipSpool(seed=seed)
+    spool.offer(_tiny_delta(1))
+    entry = spool.pending()[0]
+    assert ([spool.backoff_for_retry(entry) for _ in range(8)]
+            == PINNED_SPOOL[seed])
+
+
 # -- crash recovery, end to end ---------------------------------------------
 
 

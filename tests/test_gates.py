@@ -21,7 +21,9 @@ pytest is the runner::
 
 A row keeps one budget unless a measurement says two (2-core box, in
 process): ``dcpiab`` 50 k 6 s against 400 k 17 s + mux 10 s;
-``dcpichaos --quick`` 1 s against the two-workload matrix 9 s;
+``dcpichaos --quick`` (7 machine + all 10 fleet scenarios) 6 s
+against the whole registry with two workloads 15 s, and a ``fleet``
+row that names the 10 fleet scenarios alone;
 ``dcpibench --quick`` 44 s against full budgets; and the fleet pair,
 because the committed ``FLEET_quick.json`` is the 3x3 seed-1 fleet's
 shape and the 6x8 retention fleet reads as a regression against it
@@ -36,7 +38,7 @@ import sys
 import pytest
 
 import repro
-from repro.faults.scenarios import fleet_scenario_names, scenario_names
+from repro.faults.scenarios import SCENARIOS
 from repro.obs.report import REPORT_SCHEMA
 from repro.tools import cli
 from repro.workloads.registry import workload_names
@@ -127,20 +129,34 @@ def test_dcpiab(argv, capsys):
 # -- dcpichaos ----------------------------------------------------------------
 
 
+FLEET_SCENARIOS = [scenario.name for scenario in SCENARIOS
+                   if scenario.fleet is not None]
+
+
+def _chaos_cases(workloads, quick=False):
+    """Rows the matrix runs: machine scenarios once per workload,
+    fleet scenarios once."""
+    return sum(len(workloads) if scenario.fleet is None else 1
+               for scenario in SCENARIOS
+               if scenario.quick or not quick)
+
+
 @pytest.mark.parametrize("argv, cases", [
-    pytest.param(["--quick"], len(scenario_names(quick=True)),
+    pytest.param(["--quick"], _chaos_cases(["gcc"], quick=True),
                  id="quick"),
     pytest.param(["--workloads", "gcc,mccalpin"],
-                 2 * len(scenario_names()), id="gcc+mccalpin",
+                 _chaos_cases(["gcc", "mccalpin"]), id="gcc+mccalpin",
                  marks=required),
-    pytest.param(["--fleet"], len(fleet_scenario_names()), id="fleet"),
+    pytest.param(["--scenarios", ",".join(FLEET_SCENARIOS)],
+                 len(FLEET_SCENARIOS), id="fleet"),
 ])
 def test_chaos(argv, cases, tmp_path, capsys):
-    """Robustness: every fault scenario next to a fault-free twin with
-    the same seed -- no unaccounted sample loss, no torn record, no
-    double count; the fleet family also twice for bit-determinism,
-    balancing stored + transit-lost + spool-dropped + residue +
-    quarantined == shipped.  Red, in ``test_faults.py::TestChaosCli``:
+    """Robustness: every machine fault scenario next to a fault-free
+    twin with the same seed -- no unaccounted sample loss, no torn
+    record, no double count; every fleet scenario twice for
+    bit-determinism, balancing stored + transit-lost + spool-dropped +
+    residue + quarantined == shipped.  Red, in
+    ``test_faults.py::TestChaosCli``:
     ``test_dropped_accounting_term_fails_the_gate`` and
     ``test_dropped_fleet_accounting_term_fails_the_gate``."""
     report = tmp_path / "CHAOS.json"
@@ -148,7 +164,7 @@ def test_chaos(argv, cases, tmp_path, capsys):
     assert code == 0, capsys.readouterr().out
     payload = _report(report.read_text(), "dcpichaos")["cases"]
     assert len(payload) == cases
-    assert all(case["ok"] for case in payload)
+    assert all(case["ok"] and not case["failures"] for case in payload)
 
 
 # -- dcpifleet ----------------------------------------------------------------

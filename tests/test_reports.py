@@ -48,7 +48,8 @@ def _trace_argv(work):
 
 @pytest.mark.parametrize("tool, setup", [
     ("dcpicheck", _check_argv),
-    ("dcpichaos", lambda work: ["--quick", "--json", "-"]),
+    ("dcpichaos", lambda work: [
+        "--scenarios", "crash-mid-drain", "--json", "-"]),
     ("dcpifleet", lambda work: [
         "run", "--store", str(work / "store"), "--machines", "2",
         "--epochs", "2", "--epoch-instructions", "6000", "--json", "-"]),

@@ -117,3 +117,46 @@ class TestBundleRoundtrip:
         assert (loaded.total(EventType.CYCLES)
                 == original.total(EventType.CYCLES))
         assert loaded.periods[EventType.CYCLES] == pytest.approx(124.0)
+
+    @pytest.mark.parametrize("tool, argv", [
+        ("dcpiprof", []),
+        ("dcpicalc", ["--procedure", "copy"]),
+        ("dcpix", ["--image", "copy.prog"]),
+        ("dcpicfg", ["--procedure", "copy"]),
+        ("dcpistats", []),
+    ])
+    def test_readers_flag_a_truncated_profile(self, tool, argv, tmp_path,
+                                              capsys):
+        """A reader of a bundle whose profile file was torn prints the
+        bundle's warnings and one low-confidence line to stderr: the
+        quarantined samples are loss, as ``dcpichaos`` counts it."""
+        import json
+        import os
+
+        from repro.collect.bundle import save_bundle
+        from repro.tools import cli
+
+        result = make_session().run(make_copy_workload(n=2000))
+        clean, torn = str(tmp_path / "clean"), str(tmp_path / "torn")
+        for path in (clean, torn):
+            save_bundle(result, path)
+        with open(os.path.join(torn, "db", "MANIFEST.json")) as handle:
+            records = json.load(handle)["records"]
+        segment = os.path.join(torn, "db",
+                               next(iter(records.values()))["file"])
+        with open(segment, "r+b") as handle:
+            handle.truncate(os.path.getsize(segment) // 2)
+
+        run = getattr(cli, "main_" + tool)
+        outputs = []
+        for path in (clean, torn):
+            capsys.readouterr()
+            code = run([path, *argv])
+            outputs.append((code, *capsys.readouterr()))
+        (_, clean_out, clean_err), (_, torn_out, torn_err) = outputs
+        assert clean_err == ""
+        assert "%s: warning: quarantined" % torn in torn_err
+        assert ("%s: low confidence: collection lost 100.00%%" % torn
+                in torn_err)
+        assert "low confidence" not in torn_out
+        assert "warning" not in torn_out
