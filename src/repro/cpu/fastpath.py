@@ -74,6 +74,7 @@ Design notes (see README "Performance"):
 """
 
 from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
+from repro.cpu.writebuffer import WriteBuffer
 
 #: Bound on cached replay functions; the cache is cleared when full.
 #: An entry measures ~5.6 KiB (1.6 source key + 3.9 code object); one
@@ -250,6 +251,8 @@ def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
     body = []
     L = body.append
     has_mem = any(4 <= s[0][0] <= 9 for s in steps)
+    has_store = any(7 <= s[0][0] <= 9 for s in steps)
+    wb_shift = WriteBuffer.BLOCK_SHIFT
 
     def emit_fetch(i, addr, pre):
         # Hit path only: same code page, I-L1 tag hit, not a
@@ -342,11 +345,14 @@ def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
                 L("    fregs[%d] = _v" % (dst - 32))
         elif kind <= 9:  # stores
             L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
-            # The write-buffer probe is idempotent at a fixed time (the
-            # cycle after the previous issue, as in the slow path), so
+            # A store to a resident block issues at once, as in the
+            # slow path.  Otherwise the write-buffer probe is idempotent
+            # at a fixed time (the cycle after the previous issue), so
             # the slow path redoes a busy store exactly.
-            L("    _pr = t0 + %d" % (prev_rel + 1))
-            L("    if wb.earliest_issue(_va, _pr) != _pr:"
+            L("    _wd = _wbe.get(_va >> %d)" % wb_shift)
+            L("    if _wd is None:")
+            L("        _pr = t0 + %d" % (prev_rel + 1))
+            L("        if wb.earliest_issue(_va, _pr) != _pr:"
               " return (%d, %d)" % (_WB, i))
             emit_translate(i)
             L("    dtb.hits += 1")
@@ -356,7 +362,10 @@ def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
             L("        l1d.hits += 1")
             L("    else:")
             L("        l1d.misses += 1")
-            L("    wb.commit(_va, t0 + %d)" % rel)
+            # Still draining at issue: the store merges.
+            L("    if _wd is not None and _wd > t0 + %d: wb.merges += 1"
+              % rel)
+            L("    else: wb.commit(_va, t0 + %d)" % rel)
             if kind == 7:  # stq
                 L("    mem[_va & -8] = iregs[%d]" % f1)
             elif kind == 8:  # stl
@@ -411,6 +420,8 @@ def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
     if has_mem:
         head.append("    _dte = dtb._entries")
         head.append("    _l1s = l1d.sets")
+    if has_store:
+        head.append("    _wbe = wb._entries")
     source = "\n".join(head + body)
     fn = _replay_cache.get(source)
     if fn is not None:

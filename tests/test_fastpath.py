@@ -14,6 +14,7 @@ from repro.cpu.events import EventType
 from repro.cpu.fastpath import (BAIL_REASONS, cache_geometry,
                                 clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
+from repro.cpu.writebuffer import WriteBuffer
 from repro.obs import schema as schema_module
 from repro.obs.schema import (derive, fastpath_metrics,
                               session_metrics)
@@ -276,6 +277,35 @@ class TestCleanPrefix:
         # ...and the probes that replace those calls are there.
         for reason in range(len(BAIL_REASONS)):
             assert any("return (%d, " % reason in s for s in sources)
+
+    def test_store_merge_calls_no_write_buffer_method(self, monkeypatch):
+        # A store to a resident block still draining at issue merges
+        # in line, on both paths: no earliest_issue, commit or _expire.
+        calls = {"earliest_issue": 0, "commit": 0, "_expire": 0}
+        merging = []
+
+        def spy(name):
+            real = getattr(WriteBuffer, name)
+
+            def method(self, *args):
+                calls[name] += 1
+                if name != "_expire":
+                    done = self._entries.get(args[0] >> self.BLOCK_SHIFT)
+                    if done is not None and done > args[1]:
+                        merging.append((name, args))
+                return real(self, *args)
+            monkeypatch.setattr(WriteBuffer, name, method)
+        for name in calls:
+            spy(name)
+        machine = run_loop(iters=600, flavor="mem", buf="buf", stride=8,
+                           data=".data buf, 8192\n")
+        wb = machine.cores[0].wb
+        assert machine.fastpath.replayed_instructions > 1000
+        assert wb.merges > 100
+        assert not merging
+        # Only the two model methods expire, and every commit allocates.
+        assert calls["_expire"] == calls["earliest_issue"] + calls["commit"]
+        assert calls["commit"] == wb.allocations
 
     def test_run_longer_than_max_body_is_not_cached(self):
         text = (".image t\n.proc work\n"
