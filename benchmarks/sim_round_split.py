@@ -4,19 +4,21 @@ slow-path instructions / replay dispatch.
 A measurement recipe, not a benchmark (``dcpibench`` does not collect
 it and nothing asserts on it): it regenerates the round split quoted
 in EXPERIMENTS.md "Simulator throughput", which ROADMAP decision rule
-2(e) reads.  It runs perfbench's ``sim-replay`` round -- seven programs
+3(e) reads.  It runs perfbench's ``sim-replay`` round -- seven programs
 at the bench period, 200 000 instructions each -- and splits the wall
 time of a warm round four ways:
 
 * *compile*: time inside ``compile()`` as :mod:`repro.cpu.fastpath`
   calls it (the module-level name is shadowed by a timing wrapper);
 * *replay bodies*: time inside the compiled replay functions, from a
-  second round in which every ``variant.fn`` is bracketed;
+  second round in which every variant's and trace's ``fn`` is
+  bracketed;
 * *slow-path instructions*: the instructions the fast round did not
   replay, charged at the per-instruction rate of the same round with
   ``config.fastpath = False``;
 * *replay dispatch*: the remainder -- the gate's key build, the call,
-  the bulk bookkeeping after each replay, and bails.
+  the bulk bookkeeping after each replay, and bails.  A dispatch is one
+  gate entry into a block or a trace (``sim.fastpath.dispatches``).
 
 *Slow-path instructions* is a lower bound and *replay dispatch* an
 upper bound: the instructions the fast path leaves are the ones with
@@ -26,7 +28,10 @@ difference.
 
 It also prints where the round's replays stopped: ``sim.fastpath.bails``
 by the probe that did not hit (a replay is a clean prefix; the slow
-path runs the instruction that missed), next to the gate's refusals.
+path runs the instruction that missed), next to the gate's refusals;
+how the trace entries ended (``sim.fastpath.trace_exits.<kind>``); and
+the instructions the slow path ran, by the refusal that began their
+segment (``sim.fastpath.slow_instructions.<cause>``).
 ``sim-stream`` as the argument runs that workload's programs instead.
 
 Usage::
@@ -50,12 +55,17 @@ ROUNDS = {
 }
 STOPS = ["bails." + reason for reason in fastpath.BAIL_REASONS] + [
     "headroom_skips", "variant_misses"]
+EXITS = ["trace_exits." + kind for kind in fastpath.TRACE_EXITS]
+CAUSES = ["slow_instructions." + cause for cause in fastpath.SLOW_CAUSES]
+COUNTS = STOPS + EXITS + CAUSES + [
+    "dispatches", "traces", "trace_entries"]
 BUDGET = 200_000
 PERIOD = dict(mode="default", cycles_period=(240, 256), event_period=64)
 
 clock = time.perf_counter
 spent = {"compile": 0.0, "compiles": 0, "bodies": 0.0}
 tier_up = fastpath.FastPath.compile_variant
+form_trace = fastpath.FastPath.form_trace
 
 
 def timed_compile(*args):
@@ -66,24 +76,36 @@ def timed_compile(*args):
     return code
 
 
-def timed_tier_up(self, variant):
-    tier_up(self, variant)
-    fn = variant.fn
+def bracket(unit):
+    fn = unit.fn
 
     def body(*args):
         started = clock()
         res = fn(*args)
         spent["bodies"] += clock() - started
         return res
-    variant.fn = body
+    unit.fn = body
+
+
+def timed_tier_up(self, variant):
+    tier_up(self, variant)
+    bracket(variant)
+
+
+def timed_form_trace(self, head):
+    form_trace(self, head)
+    if head.trace is not None and head.trace.fn is not None:
+        bracket(head.trace)
 
 
 def one_round(programs, fast, time_bodies=False):
     fastpath.FastPath.compile_variant = (
         timed_tier_up if time_bodies else tier_up)
+    fastpath.FastPath.form_trace = (
+        timed_form_trace if time_bodies else form_trace)
     spent.update(compile=0.0, compiles=0, bodies=0.0)
     out = dict(wall=0.0, n=0, replayed=0, replays=0)
-    out.update(dict.fromkeys(STOPS, 0))
+    out.update(dict.fromkeys(COUNTS, 0))
     for name in programs:
         program = get_workload(name)
         config = MachineConfig(num_cpus=program.num_cpus)
@@ -97,7 +119,7 @@ def one_round(programs, fast, time_bodies=False):
             snap = result.machine.fastpath.snapshot()
             out["replayed"] += snap["replayed_instructions"]
             out["replays"] += snap["replays"]
-            for key in STOPS:
+            for key in COUNTS:
                 out[key] += snap[key]
     return dict(out, **spent)
 
@@ -125,8 +147,16 @@ def main():
           % (slow_s, unreplayed))
     print("  replay dispatch    %.3f s (the remainder)"
           % (fast["wall"] - fast["compile"] - bodies - slow_s))
+    print("dispatches %d (%.1f instructions each), %d replays; "
+          "%d traces, %d trace entries"
+          % (fast["dispatches"], fast["replayed"] / max(fast["dispatches"], 1),
+             fast["replays"], fast["traces"], fast["trace_entries"]))
     print("replays stopped or refused: "
           + ", ".join("%s %d" % (key, fast[key]) for key in STOPS))
+    print("trace exits: " + ", ".join(
+        "%s %d" % (key.partition(".")[2], fast[key]) for key in EXITS))
+    print("slow-path instructions by cause: " + ", ".join(
+        "%s %d" % (key.partition(".")[2], fast[key]) for key in CAUSES))
 
 
 if __name__ == "__main__":

@@ -56,21 +56,44 @@ Design notes (see README "Performance"):
   pending interrupt deliveries, no front-end debt, and enough headroom
   on every CYCLES counter that the whole block cannot overflow one (a
   block's cycles form one contiguous span, so batching them into a
-  single counter update is exact).
+  single counter update is exact).  A refusal names its cause, and the
+  slow-path instructions up to the next gate are counted under it
+  (``SLOW_CAUSES``).
+* Hot chains of variants compile into *traces* (:class:`Trace`): one
+  function whose steps span several blocks, so the gate, the call and
+  the bookkeeping are paid once per chain, not once per block.  The
+  gate records which variant it picked after each clean, correctly
+  predicted exit (``Variant.succ``); once a successor has repeated
+  ``COMPILE_USES`` times, :meth:`FastPath.form_trace` follows the links
+  and keeps each block whose entry key the trace's entry state
+  provably reproduces (:class:`_EntryState`), up to
+  ``MAX_TRACE_BLOCKS`` / ``MAX_TRACE_STEPS``.  Links that lead back to
+  the head make a *loop* trace, which runs laps within one call.  At
+  each interior terminator the trace guards the recorded direction, no
+  mispredict and the next block's end against the CYCLES headroom and
+  deadline, and otherwise returns an exit the caller applies as that
+  prefix's clean exit; a bail stays ``(reason, i)`` over the
+  concatenated steps.  The gate enters a head's trace instead of its
+  block when the head's own checks pass and the budget covers a lap:
+  traces change how replayed instructions are dispatched, never which,
+  so every count but ``dispatches`` and the trace counts is the same
+  without them.
 * Compiled replay functions are shared process-wide
-  (``_replay_cache``).  The key is the generated *source text*: it
-  embeds every address, operand field, schedule constant and cache
-  geometry the function depends on, so it is its own content address --
-  no image fingerprint, nothing to invalidate.  Every function lives
-  in one shared globals dict, so a second ``Machine`` running the same
-  code holds references, not copies.  The cache is bounded by entry
+  (``_replay_cache``).  A variant's key is the generator's input -- its
+  steps (every address, operand field and schedule constant), final
+  scoreboard and the page and cache geometry -- so it is its own
+  content address: no image fingerprint, nothing to invalidate.  A
+  trace's key is its members' functions plus its guards, which stand
+  for its input.  Every function lives in one shared globals dict, so
+  a second ``Machine`` running the same code holds references, not
+  copies, and generates no source text.  The cache is bounded by entry
   count (``REPLAY_CACHE_MAX``, cleared when full) and changes *time
   only*: tier-up still waits for ``COMPILE_USES``,
-  ``compiled_variants`` still counts the variants *this* Machine tiered
-  up, and no ``sim.fastpath.*`` counter or snapshot key depends on what
-  an earlier Machine left behind.  Hit and miss counts are process
-  history; they are reported by :func:`replay_cache_stats`, never by
-  :meth:`FastPath.snapshot`.
+  ``compiled_variants`` and ``traces`` still count what *this* Machine
+  tiered up and formed, and no ``sim.fastpath.*`` counter or snapshot
+  key depends on what an earlier Machine left behind.  Hit and miss
+  counts are process history; they are reported by
+  :func:`replay_cache_stats`, never by :meth:`FastPath.snapshot`.
 """
 
 from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
@@ -82,8 +105,10 @@ from repro.cpu.writebuffer import WriteBuffer
 #: analyze-wide profiles 356, so the bound is far from ordinary use.
 REPLAY_CACHE_MAX = 4096
 
-_replay_cache = {}                   # generated source text -> function
+_replay_cache = {}                   # generator input (key) -> function
 _replay_globals = dict(EXPR_GLOBALS)  # shared by every replay function
+# A 2-bit saturating counter after a taken / not-taken outcome.
+_replay_globals.update(_UP=(1, 2, 3, 3), _DOWN=(0, 0, 1, 2))
 _replay_cache_hits = 0
 _replay_cache_misses = 0
 
@@ -107,6 +132,36 @@ BAIL_REASONS = ("fetch", "wb", "dtb", "dcache")
 _FETCH, _WB, _DTB, _DCACHE = range(len(BAIL_REASONS))
 #: First element of a clean replay's terminator tuple.
 CLEAN = len(BAIL_REASONS)
+#: First element of a trace's exit at an interior terminator.
+EXIT = CLEAN + 1
+
+#: Why the slow path ran an instruction: the gate refusal (or the bail)
+#: that began its segment.  ``no_block``: unmapped code, a bare control
+#: transfer or a full block table; ``bigcode``: a straight-line run
+#: longer than ``MAX_BODY``; ``blacklisted``: ``MAX_FAILED`` spoiled
+#: recordings; ``bail_tail``: the rest of a block after a bail;
+#: ``front_extra``: mispredict or handler cycles owed; ``pending``: an
+#: interrupt delivery or the second half of a double sample due;
+#: ``headroom``: the block could overflow a CYCLES counter;
+#: ``budget_edge``: too close to the instruction or cycle budget;
+#: ``variant_miss``: no schedule for this entry key yet;
+#: ``cold_variant``: one recorded but not yet compiled.
+SLOW_CAUSES = ("no_block", "bigcode", "blacklisted", "bail_tail",
+               "front_extra", "pending", "headroom", "budget_edge",
+               "variant_miss", "cold_variant")
+(NO_BLOCK, BIGCODE, BLACKLISTED, BAIL_TAIL, FRONT_EXTRA, PENDING, HEADROOM,
+ BUDGET_EDGE, VARIANT_MISS, COLD_VARIANT) = range(len(SLOW_CAUSES))
+
+#: How a gate pick of a trace's head ended: every member (of the last
+#: lap) ran; an interior terminator mispredicted, or went the other way
+#: without one; the next block would not fit the CYCLES headroom or the
+#: cycle deadline; only the head block ran (the instruction budget did
+#: not cover a lap, or a residual live-in was not ready); a bail in the
+#: head block or in a later one.
+TRACE_EXITS = ("full", "mispredict", "guard", "headroom", "fallback",
+               "bail_head", "bail_later")
+FULL, MISPREDICT, GUARD, ROOM, FALLBACK, BAIL_HEAD, BAIL_LATER = range(
+    len(TRACE_EXITS))
 
 
 def cache_geometry(cache_config):
@@ -163,14 +218,18 @@ class Variant:
     ``steps`` keeps the interpretable per-instruction schedule
     ``(record, rel_issue, cycles_head, paired, stalls)`` -- the bail
     path uses it to reconstruct the completed prefix's accounting.
+    ``Core.run`` dispatches a :class:`Trace` through the same
+    attributes, so the two share every field it reads.
     """
 
     __slots__ = ("fn", "uses", "steps", "n", "total_rel", "count_addrs",
                  "head_items", "stall_items", "sb", "imul_rel",
                  "fdiv_rel", "prev_cls_end", "term_open", "leader_addr",
-                 "term_addr", "term_edge_always", "hits")
+                 "term_addr", "term_edge_always", "hits", "block", "key",
+                 "parts", "edge_items", "tail", "loop", "trace", "succ",
+                 "succ_taken", "succ_uses")
 
-    def __init__(self, steps, sb):
+    def __init__(self, steps, sb, block, key):
         # Tiered: ``fn`` stays None (and the slow path keeps executing
         # the block) until the variant recurs ``COMPILE_USES`` times
         # (see there for what a compile() costs).
@@ -216,53 +275,284 @@ class Variant:
         # jumps skip the edge into the process exit stub.
         self.term_edge_always = last[0][0] <= 14
         self.hits = 0
+        self.block = block
+        self.key = key
+        # As a dispatch unit: the blocks whose ground truth a hit
+        # defers, the interior edges it adds, where later blocks begin
+        # (none), and the variant a clean exit leaves from.
+        self.parts = (self,)
+        self.edge_items = ()
+        self.tail = self
+        self.loop = False
+        #: The trace headed by this variant, once one is formed.
+        self.trace = None
+        # The variant the gate picked after this one's last clean,
+        # correctly predicted exit, that exit's direction, and how many
+        # times in a row it did (frozen at COMPILE_USES).
+        self.succ = None
+        self.succ_taken = False
+        self.succ_uses = 0
 
 
-def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
-    """Compile *steps* into a specialized replay function.
+class Trace:
+    """Blocks the gate would pick back to back, replayed by one call.
 
-    The generated function executes the block's semantics and the
+    ``parts`` are the member variants in order; member *k* starts
+    ``starts[k]`` cycles and ``firsts[k - 1]`` steps after the trace's
+    entry and ends ``ends[k]`` cycles after it.  Everything ``Core.run``
+    reads after a clean exit is the last member's, shifted onto the
+    trace's clock; ``sb`` is the members' final scoreboard, which the
+    trace settles once, at its last terminator; and a hit defers every
+    member's ground truth plus the edges between members.  A ``loop``
+    trace's last member leads back to its head, and the function runs
+    laps until it cannot provably start another one (see
+    :func:`_compile_replay`).
+
+    :meth:`exit_unit` *k* is the dispatch unit of members ``0..k`` (the
+    head variant itself for ``k == 0``), which an exit at member *k*'s
+    terminator, or a bail in member *k + 1*, applies.  Only a trace
+    :meth:`FastPath.form_trace` built has ``fn``; its prefixes are built
+    on first use and carry no per-member layout.
+    """
+
+    __slots__ = ("fn", "n", "total_rel", "imul_rel", "fdiv_rel", "sb",
+                 "prev_cls_end", "term_open", "leader_addr", "term_addr",
+                 "term_edge_always", "hits", "parts", "edge_items",
+                 "tail", "loop", "starts", "ends", "firsts", "exits",
+                 "shifted")
+
+    def __init__(self, parts, loop=False, shifted=None):
+        self.fn = None
+        self.parts = parts
+        self.loop = loop
+        self.hits = 0
+        last = parts[-1]
+        self.tail = last
+        self.prev_cls_end = last.prev_cls_end
+        self.term_open = last.term_open
+        self.leader_addr = last.leader_addr
+        self.term_addr = last.term_addr
+        self.term_edge_always = last.term_edge_always
+        self.imul_rel = self.fdiv_rel = 0
+        starts = []
+        rel = 0
+        for part in parts:
+            starts.append(rel)
+            if part.imul_rel:
+                self.imul_rel = rel + part.imul_rel
+            if part.fdiv_rel:
+                self.fdiv_rel = rel + part.fdiv_rel
+            rel += part.total_rel
+        self.total_rel = rel
+        self.n = sum(part.n for part in parts)
+        if shifted is None:
+            # Each member's final scoreboard on the trace's clock; the
+            # prefixes share the pairs.
+            shifted = [tuple((reg, start + done) for reg, done in part.sb)
+                       for part, start in zip(parts, starts)]
+        final = {}
+        for pairs in shifted[:len(parts)]:
+            for pair in pairs:
+                final[pair[0]] = pair
+        self.sb = tuple(final.values())
+        self.edge_items = tuple(
+            (part.term_addr, after.block.head)
+            for part, after in zip(parts, parts[1:]))
+        self.starts = self.ends = self.firsts = self.exits = None
+        self.shifted = shifted
+
+    def layout(self):
+        """Record where each member starts and ends (a formed trace)."""
+        self.starts = []
+        self.ends = []
+        self.firsts = []
+        rel = index = 0
+        for part in self.parts:
+            self.starts.append(rel)
+            rel += part.total_rel
+            self.ends.append(rel)
+            if index:
+                self.firsts.append(index)
+            index += part.n
+        self.exits = [self.parts[0]] + [None] * (len(self.parts) - 2)
+
+    def exit_unit(self, k):
+        """The dispatch unit of members ``0..k``."""
+        unit = self.exits[k]
+        if unit is None:
+            unit = self.exits[k] = Trace(self.parts[:k + 1],
+                                         shifted=self.shifted)
+        return unit
+
+
+class _EntryState:
+    """What a trace's entry fixes about each member's entry key.
+
+    ``ready`` maps a register to ``None`` (ready by the trace's entry
+    cycle) or ``(ready, static, dynamic reason)`` on the trace's clock:
+    the head's key fixes its live-ins, and a member's final scoreboard
+    is a constant.  ``units`` holds the IMUL / FDIV busy-until offsets
+    once a member set them.  ``checks`` are the ``(reg, rel)`` entry
+    tests of "residual" live-ins, read before any member writes them
+    and not the head's: the trace assumes each ready by its block's
+    start, and checks it before leaving the head.
+    """
+
+    def __init__(self, head):
+        self.ready = dict.fromkeys(head.block.live_ins)
+        for part in head.key[1] or ():
+            self.ready[part[0]] = part[1:]
+        self.units = [None, None]
+        self.checks = []
+
+    def ran(self, variant, start):
+        """*variant* ran clean from offset *start*."""
+        for reg, done in variant.sb:
+            self.ready[reg] = (start + done, start + done, None)
+        if variant.imul_rel:
+            self.units[0] = start + variant.imul_rel
+        if variant.fdiv_rel:
+            self.units[1] = start + variant.fdiv_rel
+
+    def admits(self, prev, variant, start):
+        """Whether the gate, entered at offset *start* after *prev* left
+        on its recorded path, computes exactly *variant*'s key."""
+        term = prev.steps[-1][0]
+        if term[0] in (11, 12) and term[9] == term[14] + 4:
+            return False        # both directions reach the same head
+        pair = (prev.prev_cls_end
+                if prev.term_open and not prev.succ_taken else -1)
+        live = []
+        residual = []
+        for reg in variant.block.live_ins:
+            if reg not in self.ready:
+                residual.append(reg)
+                continue
+            state = self.ready[reg]
+            if state is not None and state[0] > start:
+                live.append((reg, state[0] - start,
+                             max(state[1] - start, 0), state[2]))
+        backlog = []
+        for free, has in ((self.units[0], variant.block.has_imul),
+                          (self.units[1], variant.block.has_fdiv)):
+            if not has:
+                backlog.append(0)
+            elif free is None:
+                return False    # the entry's backlog: unknown
+            else:
+                backlog.append(free - start if free > start else 0)
+        if (pair, tuple(live) or None, backlog[0], backlog[1]) != (
+                variant.key):
+            return False
+        for reg in residual:
+            self.ready[reg] = None
+            self.checks.append((reg, start))
+        return True
+
+    def relative(self, start):
+        """The state as seen from offset *start*, to compare laps."""
+        ready = {}
+        for reg, state in self.ready.items():
+            if state is not None and state[0] > start:
+                state = (state[0] - start, max(state[1] - start, 0),
+                         state[2])
+            else:
+                state = None
+            ready[reg] = state
+        return ready, [None if free is None else max(free - start, 0)
+                       for free in self.units]
+
+
+def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key=None,
+                    checks=(), loop=False):
+    """Compile a block's, or a trace's, steps into one replay function.
+
+    *segments* holds one ``(steps, sb, guard)`` per member block, in
+    order: *steps* with issue offsets relative to the function's entry
+    cycle ``t0``, *sb* the final scoreboard settled at that block's
+    terminator on the same clock, and *guard* ``None`` for the last
+    block or ``(next_head, taken, end)``: the path the trace recorded
+    at the block's terminator, and where the next block ends (which
+    must stay below ``room``, the CYCLES headroom or cycle deadline,
+    whichever is closer).  *checks* are the trace's ``(reg, rel)``
+    residual live-in tests (:class:`_EntryState`), made before it
+    leaves the head.  With *loop*, the last block's guard leads back to
+    the head and ``end`` is where the head ends on the next lap: the
+    function then starts laps while the path holds, ``room`` allows
+    and fewer than ``laps`` followed, and every result gains the
+    number of laps completed before it as a last element.
+
+    The generated function executes the steps' semantics and the
     model's *hit* paths (same-page I-L1 tag hit, D-TLB entry present,
-    L1D tag hit, write buffer free, branch predictor) with every
-    schedule-derived constant inlined.  A hit's only side effect is a
-    hit counter bump, so the inlined probes replicate the model
-    byte-for-byte; a probe that does not hit returns *before* any
-    counter, ``_last_fetch_line`` or model state of its instruction is
-    touched (the write-buffer probe is idempotent at a fixed time).
-    Operate and branch semantics are open-coded from the record's own
-    callable (:func:`repro.alpha.opcodes.open_code`).  It returns
-    either
+    L1D tag hit, write buffer free or the store's block still
+    draining, branch predictor) with every schedule-derived constant
+    inlined.  A hit's only side effect is a hit counter bump, so the
+    inlined probes replicate the model byte-for-byte; a probe that does
+    not hit returns *before* any counter, ``_last_fetch_line`` or model
+    state of its instruction is touched (the write-buffer probe is
+    idempotent at a fixed time).  Operate and branch semantics are
+    open-coded from the record's own callable
+    (:func:`repro.alpha.opcodes.open_code`).  It returns one of
 
-    * ``(CLEAN, next_pc, taken, mispredicted)`` -- the whole block
-      replayed; the final scoreboard *sb* (entry-relative constants)
-      was applied before the terminator's value-dependent return; or
-    * ``(reason, i)`` -- a bail: exactly ``steps[:i]`` were applied and
-      the slow path must run instruction *i* itself.  *reason* indexes
-      :data:`BAIL_REASONS`.
+    * ``(CLEAN, next_pc, taken, mispredicted)`` -- every step ran, and
+      the final scoreboard was applied before the last terminator's
+      value-dependent code;
+    * ``(EXIT, next_pc, taken, mispredicted, k)`` -- blocks ``0..k``
+      ran and block *k*'s terminator left the recorded path: it
+      mispredicted, went the other way, the next block would not fit
+      ``room``, or (``k == 0``) a residual check failed.  Nothing of
+      the scoreboard was settled; or
+    * ``(reason, i)`` -- a bail: exactly the first *i* of the
+      concatenated steps were applied and the slow path must run
+      instruction *i* itself.  *reason* indexes :data:`BAIL_REASONS`.
 
-    Functions are cached process-wide by their generated source text
-    (module design notes): a variant another ``Machine`` already tiered
-    up costs the text generation, not the ``compile()``.
+    Functions are cached process-wide (module design notes) by *key*,
+    which must determine the generated text: a variant's key is the
+    generator's whole input, a trace's stands for it.  A variant or
+    trace another ``Machine`` already compiled costs a lookup, not the
+    text generation and ``compile()`` (*segments* is not read then).
     """
     global _replay_cache_hits, _replay_cache_misses
+    if key is not None and key in _replay_cache:
+        _replay_cache_hits += 1
+        return _replay_cache[key]
     pm = (1 << page_bits) - 1
     ishift, imask = l1i_geom
     dshift, dmask = l1d_geom
     body = []
     L = body.append
-    has_mem = any(4 <= s[0][0] <= 9 for s in steps)
-    has_store = any(7 <= s[0][0] <= 9 for s in steps)
+    kinds = [s[0][0] for steps, _, _ in segments for s in steps]
+    has_mem = any(4 <= kind <= 9 for kind in kinds)
+    has_store = any(7 <= kind <= 9 for kind in kinds)
     wb_shift = WriteBuffer.BLOCK_SHIFT
 
-    def emit_fetch(i, addr, pre):
+    pages = set()
+
+    lap = ", _lap" if loop else ""
+
+    def bail(reason, i):
+        return "return (%d, %d%s)" % (reason, i, lap)
+
+    def emit_fetch(i, addr, nested=False):
         # Hit path only: same code page, I-L1 tag hit, not a
         # stream-buffer line -- the one fetch that charges nothing.
-        L(pre + "if core._last_code_page != %d: return (%d, %d)"
-          % (addr >> page_bits, _FETCH, i))
-        L(pre + "_il = ((core._last_code_ppage << %d) | %d) >> %d"
-          % (page_bits, addr & pm, ishift))
-        L(pre + "if _ics[_il & %d] != _il or _il in _ist:"
-          " return (%d, %d)" % (imask, _FETCH, i))
+        # Nothing here moves the code page, so a page checked outside
+        # the conditional entry fetch stays checked.
+        pre = " " * (8 if nested else 4)
+        page = addr >> page_bits
+        if page not in pages:
+            L(pre + "if core._last_code_page != %d: %s"
+              % (page, bail(_FETCH, i)))
+            if not nested:
+                pages.add(page)
+        # The physical line: the page's lines (_cl, read once; nothing
+        # here moves it) plus the line in the page, whose set index is
+        # a constant when a page spans no more lines than the L1 sets.
+        offset = (addr & pm) >> ishift
+        L(pre + "_il = _cl | %d" % offset)
+        L(pre + "if _ics[%s] != _il or _il in _ist: %s"
+          % (offset & imask if imask >> (page_bits - ishift) == 0
+             else "_il & %d" % imask, bail(_FETCH, i)))
         L(pre + "_icl.hits += 1")
         L(pre + "core._last_fetch_line = %d" % (addr >> ishift))
 
@@ -270,158 +560,204 @@ def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
         # D-TLB hit path: the entry is present.  The hit is counted by
         # the caller, after the instruction's last probe.
         L("    _pp = _dte.get((asn, _va >> %d))" % page_bits)
-        L("    if _pp is None: return (%d, %d)" % (_DTB, i))
+        L("    if _pp is None: %s" % bail(_DTB, i))
         L("    _ln = ((_pp << %d) | (_va & %d)) >> %d"
           % (page_bits, pm, dshift))
 
+    def leave(k, guard, rel, off_path, next_pc, taken, mp):
+        # Stay on the recorded path with the next block inside room,
+        # or return: at an interior terminator an EXIT, at the last
+        # one of a loop the lap's CLEAN result.
+        tests = [off_path] if off_path else []
+        if k == 0 and checks:
+            tests.append("_ck")
+        tests.append("room <= %d" % guard[2])
+        if k == len(segments) - 1:
+            tests.append("_lap >= laps")
+            L("    if %s: return (%d, %s, %s, %s, _lap)"
+              % (" or ".join(tests), CLEAN, next_pc, taken, mp))
+            L("    t0 += %d" % rel)
+            L("    room -= %d" % rel)
+            L("    _lap += 1")
+            if checks:
+                L("    _ck = False")
+        else:
+            L("    if %s: return (%d, %s, %s, %s, %d%s)"
+              % (" or ".join(tests), EXIT, next_pc, taken, mp, k, lap))
+
     prev_line = None
     prev_rel = 0
-    for i, step in enumerate(steps):
-        rec = step[0]
-        addr = rec[14]
-        fline = addr >> ishift
-        if fline != prev_line:
-            if prev_line is None:
-                # Only the entry line can match the last fetched line;
-                # later crossings are unconditional (addresses ascend).
-                L("    if core._last_fetch_line != %d:" % fline)
-                emit_fetch(i, addr, " " * 8)
-            else:
-                emit_fetch(i, addr, " " * 4)
-            prev_line = fline
-        if rec[13]:
-            # The terminator can no longer bail: settle the scoreboard
-            # before its (direction-dependent) return.
-            for reg, done in sb:
-                L("    reg_ready[%d] = reg_ready_static[%d] = t0 + %d"
-                  % (reg, reg, done))
-                L("    reg_dyn_reason[%d] = None" % reg)
-        kind = rec[0]
-        dst = rec[7]
-        f1 = rec[4]
-        f2 = rec[5]
-        imm = rec[8]
-        rel = step[1]
-        if kind == 0:  # op
-            if dst is not None:
-                b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                L("    iregs[%d] = %s"
-                  % (dst, open_code(rec[10], "iregs[%d]" % f1, b)))
-        elif kind == 1:  # cmov (dst is the old-value register)
-            if dst is not None:
-                b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                L("    if %s: iregs[%d] = %s"
-                  % (open_code(rec[10], "iregs[%d]" % f1), dst, b))
-        elif kind == 2:  # fop
-            if dst is not None:
-                a = "fregs[%d]" % f1 if f1 is not None else "0.0"
-                L("    fregs[%d] = %s"
-                  % (dst - 32, open_code(rec[10], a, "fregs[%d]" % f2)))
-        elif kind == 3:  # lda
-            if dst is not None:
-                if f2 is not None:
-                    L("    iregs[%d] = (iregs[%d] + %d) & MASK64"
-                      % (dst, f2, imm))
+    i = 0
+    for k, (steps, sb, guard) in enumerate(segments):
+        for step in steps:
+            rec = step[0]
+            addr = rec[14]
+            fline = addr >> ishift
+            if fline != prev_line:
+                if prev_line is None:
+                    # Only the entry line can match the last fetched
+                    # line; later crossings are unconditional (addresses
+                    # ascend within a block, and a later block's entry
+                    # follows a known terminator).
+                    L("    if core._last_fetch_line != %d:" % fline)
+                    emit_fetch(i, addr, nested=True)
                 else:
-                    L("    iregs[%d] = %d" % (dst, imm & MASK64))
-        elif kind <= 6:  # loads
-            L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
-            emit_translate(i)
-            L("    if _l1s[_ln & %d] != _ln: return (%d, %d)"
-              % (dmask, _DCACHE, i))
-            L("    dtb.hits += 1")
-            L("    l1d.hits += 1")
-            if dst is None:  # the zero register: probes only
+                    emit_fetch(i, addr)
+                prev_line = fline
+            if rec[13]:
+                # The terminator can no longer bail: settle the
+                # scoreboard before its (direction-dependent) code.
+                for reg, done in sb:
+                    L("    reg_ready[%d] = reg_ready_static[%d] = t0 + %d"
+                      % (reg, reg, done))
+                    L("    reg_dyn_reason[%d] = None" % reg)
+            kind = rec[0]
+            dst = rec[7]
+            f1 = rec[4]
+            f2 = rec[5]
+            imm = rec[8]
+            rel = step[1]
+            if kind == 0:  # op
+                if dst is not None:
+                    b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
+                    L("    iregs[%d] = %s"
+                      % (dst, open_code(rec[10], "iregs[%d]" % f1, b)))
+            elif kind == 1:  # cmov (dst is the old-value register)
+                if dst is not None:
+                    b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
+                    L("    if %s: iregs[%d] = %s"
+                      % (open_code(rec[10], "iregs[%d]" % f1), dst, b))
+            elif kind == 2:  # fop
+                if dst is not None:
+                    a = "fregs[%d]" % f1 if f1 is not None else "0.0"
+                    L("    fregs[%d] = %s"
+                      % (dst - 32, open_code(rec[10], a, "fregs[%d]" % f2)))
+            elif kind == 3:  # lda
+                if dst is not None:
+                    if f2 is not None:
+                        L("    iregs[%d] = (iregs[%d] + %d) & MASK64"
+                          % (dst, f2, imm))
+                    else:
+                        L("    iregs[%d] = %d" % (dst, imm & MASK64))
+            elif kind <= 6:  # loads
+                L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
+                emit_translate(i)
+                L("    if _l1s[_ln & %d] != _ln: %s"
+                  % (dmask, bail(_DCACHE, i)))
+                L("    dtb.hits += 1")
+                L("    l1d.hits += 1")
+                if dst is None:  # the zero register: probes only
+                    pass
+                elif kind == 4:  # ldq
+                    L("    iregs[%d] = mem.get(_va & -8, 0)" % dst)
+                elif kind == 5:  # ldl
+                    L("    _v = mem.get(_va & -4, 0) & 0xFFFFFFFF")
+                    L("    if _v >> 31: _v = (_v | -4294967296) & MASK64")
+                    L("    iregs[%d] = _v" % dst)
+                else:  # ldt
+                    L("    _v = mem.get(_va & -8, 0)")
+                    L("    if not isinstance(_v, float): _v = float(_v)")
+                    L("    fregs[%d] = _v" % (dst - 32))
+            elif kind <= 9:  # stores
+                L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
+                # A store to a resident block issues at once, as in the
+                # slow path.  Otherwise the write-buffer probe is
+                # idempotent at a fixed time (the cycle after the
+                # previous issue), so the slow path redoes a busy store
+                # exactly.
+                L("    _wd = _wbe.get(_va >> %d)" % wb_shift)
+                L("    if _wd is None:")
+                L("        _pr = t0 + %d" % (prev_rel + 1))
+                L("        if wb.earliest_issue(_va, _pr) != _pr: %s"
+                  % bail(_WB, i))
+                emit_translate(i)
+                L("    dtb.hits += 1")
+                # Write-through, no-write-allocate: a store that misses
+                # the L1 is counted, installs nothing and is no event.
+                L("    if _l1s[_ln & %d] == _ln:" % dmask)
+                L("        l1d.hits += 1")
+                L("    else:")
+                L("        l1d.misses += 1")
+                # Still draining at issue: the store merges.
+                L("    if _wd is not None and _wd > t0 + %d: wb.merges += 1"
+                  % rel)
+                L("    else: wb.commit(_va, t0 + %d)" % rel)
+                if kind == 7:  # stq
+                    L("    mem[_va & -8] = iregs[%d]" % f1)
+                elif kind == 8:  # stl
+                    L("    mem[_va & -4] = iregs[%d] & 0xFFFFFFFF" % f1)
+                else:  # stt
+                    L("    mem[_va & -8] = fregs[%d]" % f1)
+            elif kind == 10:  # nop / call_pal: timing only
                 pass
-            elif kind == 4:  # ldq
-                L("    iregs[%d] = mem.get(_va & -8, 0)" % dst)
-            elif kind == 5:  # ldl
-                L("    _v = mem.get(_va & -4, 0) & 0xFFFFFFFF")
-                L("    if _v >> 31: _v = (_v | -4294967296) & MASK64")
-                L("    iregs[%d] = _v" % dst)
-            else:  # ldt
-                L("    _v = mem.get(_va & -8, 0)")
-                L("    if not isinstance(_v, float): _v = float(_v)")
-                L("    fregs[%d] = _v" % (dst - 32))
-        elif kind <= 9:  # stores
-            L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
-            # A store to a resident block issues at once, as in the
-            # slow path.  Otherwise the write-buffer probe is idempotent
-            # at a fixed time (the cycle after the previous issue), so
-            # the slow path redoes a busy store exactly.
-            L("    _wd = _wbe.get(_va >> %d)" % wb_shift)
-            L("    if _wd is None:")
-            L("        _pr = t0 + %d" % (prev_rel + 1))
-            L("        if wb.earliest_issue(_va, _pr) != _pr:"
-              " return (%d, %d)" % (_WB, i))
-            emit_translate(i)
-            L("    dtb.hits += 1")
-            # Write-through, no-write-allocate: a store that misses the
-            # L1 is counted, installs nothing and is no event.
-            L("    if _l1s[_ln & %d] == _ln:" % dmask)
-            L("        l1d.hits += 1")
-            L("    else:")
-            L("        l1d.misses += 1")
-            # Still draining at issue: the store merges.
-            L("    if _wd is not None and _wd > t0 + %d: wb.merges += 1"
-              % rel)
-            L("    else: wb.commit(_va, t0 + %d)" % rel)
-            if kind == 7:  # stq
-                L("    mem[_va & -8] = iregs[%d]" % f1)
-            elif kind == 8:  # stl
-                L("    mem[_va & -4] = iregs[%d] & 0xFFFFFFFF" % f1)
-            else:  # stt
-                L("    mem[_va & -8] = fregs[%d]" % f1)
-        elif kind == 10:  # nop / call_pal: timing only
-            pass
-        elif kind == 11 or kind == 12:  # cbranch / fbranch
-            regs = "iregs" if kind == 11 else "fregs"
-            L("    _t = %s" % open_code(rec[10], "%s[%d]" % (regs, f1)))
-            L("    _np = %d if _t else %d" % (rec[9], addr + 4))
-            # Open-coded BranchPredictor.predict_conditional (2-bit
-            # saturating counter update + accounting).
-            L("    _bt = bp._table")
-            L("    _bx = %d & bp._mask" % (addr >> 2))
-            L("    _c = _bt[_bx]")
-            L("    if _t:")
-            L("        if _c < 3: _bt[_bx] = _c + 1")
-            L("    elif _c > 0:")
-            L("        _bt[_bx] = _c - 1")
-            L("    bp.predictions += 1")
-            L("    _mp = (_c >= 2) != _t")
-            L("    if _mp: bp.mispredictions += 1")
-            L("    return (%d, _np, _t, _mp)" % CLEAN)
-        elif kind == 13 or kind == 14:  # br / bsr
-            if dst is not None:
-                L("    iregs[%d] = %d" % (dst, addr + 4))
-            if kind == 14:
-                L("    bp.push_call(%d)" % (addr + 4))
-            L("    return (%d, %d, True, False)" % (CLEAN, rec[9]))
-        else:  # jmp / jsr / ret
-            L("    _tg = iregs[%d] & -4" % f2)
-            if dst is not None:
-                L("    iregs[%d] = %d" % (dst, addr + 4))
-            if kind == 16:
-                L("    bp.push_call(%d)" % (addr + 4))
-                L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
-            elif kind == 17:
-                L("    _mp = not bp.predict_return(_tg)")
-            else:
-                L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
-            L("    return (%d, _tg, True, _mp)" % CLEAN)
-        prev_rel = rel
+            elif kind == 11 or kind == 12:  # cbranch / fbranch
+                regs = "iregs" if kind == 11 else "fregs"
+                L("    _t = %s" % open_code(rec[10], "%s[%d]" % (regs, f1)))
+                # Open-coded BranchPredictor.predict_conditional (2-bit
+                # saturating counter update + accounting).
+                L("    _bx = %d & _bm" % (addr >> 2))
+                L("    _c = _bt[_bx]")
+                L("    _bt[_bx] = _UP[_c] if _t else _DOWN[_c]")
+                L("    bp.predictions += 1")
+                L("    _mp = (_c >= 2) != _t")
+                L("    if _mp: bp.mispredictions += 1")
+                next_pc = "%d if _t else %d" % (rec[9], addr + 4)
+                if guard is None:
+                    L("    return (%d, %s, _t, _mp)" % (CLEAN, next_pc))
+                else:
+                    leave(k, guard, rel, "_mp or %s_t"
+                          % ("not " if guard[1] else ""),
+                          next_pc, "_t", "_mp")
+            elif kind == 13 or kind == 14:  # br / bsr
+                if dst is not None:
+                    L("    iregs[%d] = %d" % (dst, addr + 4))
+                if kind == 14:
+                    L("    bp.push_call(%d)" % (addr + 4))
+                if guard is None:
+                    L("    return (%d, %d, True, False)" % (CLEAN, rec[9]))
+                else:
+                    leave(k, guard, rel, None, rec[9], "True", "False")
+            else:  # jmp / jsr / ret
+                L("    _tg = iregs[%d] & -4" % f2)
+                if dst is not None:
+                    L("    iregs[%d] = %d" % (dst, addr + 4))
+                if kind == 16:
+                    L("    bp.push_call(%d)" % (addr + 4))
+                    L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
+                elif kind == 17:
+                    L("    _mp = not bp.predict_return(_tg)")
+                else:
+                    L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
+                if guard is None:
+                    L("    return (%d, _tg, True, _mp)" % CLEAN)
+                else:
+                    leave(k, guard, rel, "_mp or _tg != %d" % guard[0], "_tg",
+                          "True", "_mp")
+            prev_rel = rel
+            i += 1
 
+    if loop:
+        body = ["    _lap = 0", "    while True:"] + ["    " + line
+                                                    for line in body]
+    if checks:
+        body.insert(0, "    _ck = %s" % " or ".join(
+            "reg_ready[%d] > t0 + %d" % check for check in checks))
     # Hoisted probe handles for the inlined hit paths.
     head = ["def _replay(core, bp, dtb, l1d, wb, mem, iregs, fregs,"
-            " reg_ready, reg_ready_static, reg_dyn_reason, asn, t0):",
+            " reg_ready, reg_ready_static, reg_dyn_reason, asn, t0,"
+            " room, laps):",
             "    _icl = core.ihier.l1",
             "    _ics = _icl.sets",
-            "    _ist = core._istream"]
+            "    _ist = core._istream",
+            "    _cl = core._last_code_ppage << %d" % (page_bits - ishift)]
     if has_mem:
         head.append("    _dte = dtb._entries")
         head.append("    _l1s = l1d.sets")
     if has_store:
         head.append("    _wbe = wb._entries")
+    if 11 in kinds or 12 in kinds:
+        head.append("    _bt = bp._table")
+        head.append("    _bm = bp._mask")
     source = "\n".join(head + body)
     fn = _replay_cache.get(source)
     if fn is not None:
@@ -435,7 +771,7 @@ def _compile_replay(steps, page_bits, sb, l1d_geom, l1i_geom):
     fn = scope["_replay"]
     if len(_replay_cache) >= REPLAY_CACHE_MAX:
         _replay_cache.clear()
-    _replay_cache[source] = fn
+    _replay_cache[source if key is None else key] = fn
     return fn
 
 
@@ -444,6 +780,10 @@ class FastPath:
 
     #: Longer straight-line runs are not cached.
     MAX_BODY = 48
+    #: A trace spans at most this many blocks...
+    MAX_TRACE_BLOCKS = 12
+    #: ...and this many instructions.
+    MAX_TRACE_STEPS = 32
     #: Bound on distinct entry PCs tracked (False entries included).
     MAX_BLOCKS = 65536
     #: Bound on cached schedules across all blocks.
@@ -451,7 +791,8 @@ class FastPath:
     #: Consecutive aborted recordings before a variant-less block is
     #: blacklisted (e.g. streaming code whose loads always miss).
     MAX_FAILED = 12
-    #: Recorded-variant re-uses before tiering up to a compiled replay.
+    #: Recorded-variant re-uses before tiering up to a compiled replay,
+    #: and repeats of a successor before a trace is formed through it.
     #: One compile() measures 0.19-0.33 ms (quartiles over gcc's
     #: variants), about 150 slow-path instructions at 1.4-1.7 us each
     #: on branchy code whose probes hit (generating its source text:
@@ -472,18 +813,29 @@ class FastPath:
         self.l1d_geom = l1d_geom      # see cache_geometry(); never None
         self.l1i_geom = l1i_geom
         self.blocks = {}              # head pc -> Block | False
+        #: Why a head maps to False, when it is not ``NO_BLOCK``.
+        self.refusals = {}
         self.variant_count = 0
-        #: Variants with unflushed ground-truth hits (see
+        #: Variants and traces with unflushed ground-truth hits (see
         #: :meth:`flush_deferred`).
         self.deferred = []
         # Counters surfaced through repro.obs (sim.fastpath.*).
-        self.replays = 0              # cached schedules replayed
+        self.replays = 0              # block replays started
         self.replayed_instructions = 0
+        self.dispatches = 0           # gate entries into a block or trace
         #: Replays cut short, per probe that stopped them (indexed
         #: like BAIL_REASONS).
         self.bails = [0] * len(BAIL_REASONS)
+        #: Instructions the slow path ran, per gate refusal that handed
+        #: it the segment (indexed like SLOW_CAUSES).
+        self.slow_instructions = [0] * len(SLOW_CAUSES)
         self.recordings = 0           # schedules captured
         self.compiled_variants = 0    # schedules tiered up to compiled
+        self.traces = 0               # traces formed and compiled
+        self.trace_entries = 0        # gate picks of a trace's head
+        #: How those entries left, indexed like TRACE_EXITS; the
+        #: ``full`` slot is derived in :meth:`snapshot`.
+        self.trace_exits = [0] * len(TRACE_EXITS)
         self.aborted_recordings = 0   # recordings spoiled by an event
         self.variant_misses = 0       # entry key not cached yet
         self.headroom_skips = 0       # replay blocked by counter headroom
@@ -509,6 +861,8 @@ class FastPath:
             # Unmapped code, a bare control transfer (not worth the
             # key-building overhead) or a run longer than MAX_BODY.
             self.blocks[head] = False
+            if rec is not None and not rec[13]:
+                self.refusals[head] = BIGCODE
             return False
         # The terminator replays too: its issue slot depends on its own
         # operands, so they join the entry key's live-ins.
@@ -552,7 +906,7 @@ class FastPath:
             (rec, entry[0], entry[1], entry[2], entry[3])
             for rec, entry in zip(recs, entries))
         sb = _final_scoreboard(steps, self.l1d_latency)
-        block.variants[key] = Variant(steps, sb)
+        block.variants[key] = Variant(steps, sb, block, key)
         block.failed = 0
         self.variant_count += 1
         self.recordings += 1
@@ -561,9 +915,10 @@ class FastPath:
     def compile_variant(self, variant):
         """Tier-up: compile *variant*'s recorded schedule to its
         specialized replay function (see :func:`_compile_replay`)."""
+        segments = ((variant.steps, variant.sb, None),)
         variant.fn = _compile_replay(
-            variant.steps, self.page_bits, variant.sb, self.l1d_geom,
-            self.l1i_geom)
+            segments, self.page_bits, self.l1d_geom, self.l1i_geom,
+            (segments, self.page_bits, self.l1d_geom, self.l1i_geom))
         self.compiled_variants += 1
 
     def abort_recording(self, block):
@@ -576,24 +931,152 @@ class FastPath:
         if (block.failed >= self.MAX_FAILED and not block.variants
                 and self.blocks.get(block.head) is block):
             self.blocks[block.head] = False
+            self.refusals[block.head] = BLACKLISTED
+
+    # -- traces -------------------------------------------------------
+
+    def link(self, tail, taken, variant):
+        """The gate picked *variant* right after *tail*'s clean,
+        correctly predicted exit in direction *taken*.  A successor that
+        repeats ``COMPILE_USES`` times in a row freezes the link and
+        forms *tail*'s trace (:meth:`form_trace`)."""
+        taken = bool(taken)
+        if tail.succ is variant and tail.succ_taken is taken:
+            tail.succ_uses += 1
+            if tail.succ_uses >= self.COMPILE_USES:
+                self.form_trace(tail)
+        else:
+            tail.succ = variant
+            tail.succ_taken = taken
+            tail.succ_uses = 1
+
+    def form_trace(self, head):
+        """Follow the successor links from *head* and compile the blocks
+        that the gate would provably pick back to back.
+
+        A member joins only if its own entry key is what the trace's
+        entry state produces at its head (:class:`_EntryState`).  With
+        the directions guarded, the residual live-ins checked, the
+        CYCLES headroom, the cycle deadline and the instruction budget
+        checked before each member, and no mispredict in between, each
+        member is then the variant the gate would pick, and the gate
+        would admit it: a trace changes how replayed instructions are
+        dispatched, never which.
+
+        When the links lead back to *head*, the trace is a loop if a
+        second lap admits every member again and leaves the state, seen
+        from its end, as the first lap left it: every later lap is then
+        the same.
+        """
+        if head.trace is not None:
+            return
+        state = _EntryState(head)
+        parts = [head]
+        start = steps = 0
+        loop = False
+        cur = head
+        while True:
+            state.ran(cur, start)
+            start += cur.total_rel
+            steps += cur.n
+            nxt = cur.succ
+            if nxt is None or nxt.fn is None:
+                break
+            if nxt is head:
+                loop = self._laps_repeat(state, parts, start)
+                break
+            if (len(parts) >= self.MAX_TRACE_BLOCKS
+                    or steps + nxt.n > self.MAX_TRACE_STEPS
+                    or not state.admits(cur, nxt, start)):
+                break
+            parts.append(nxt)
+            cur = nxt
+        if len(parts) < 2 and not loop:
+            return
+        trace = Trace(tuple(parts), loop)
+        trace.layout()
+        checks = tuple(state.checks)
+        # A member's function stands for its compiled input (the code
+        # cache is keyed by it), so this key determines the trace's.
+        key = (tuple(p.fn for p in parts),
+               tuple(p.succ_taken for p in parts), checks, loop)
+        segments = []
+        if key not in _replay_cache:
+            for k, (part, start) in enumerate(zip(parts, trace.starts)):
+                if k < len(parts) - 1:
+                    sb = ()
+                    guard = (parts[k + 1].block.head, part.succ_taken,
+                             trace.ends[k + 1])
+                else:
+                    sb = trace.sb
+                    guard = None
+                    if loop:
+                        guard = (head.block.head, part.succ_taken,
+                                 trace.total_rel + trace.ends[0])
+                segments.append((
+                    tuple((s[0], start + s[1]) for s in part.steps),
+                    sb, guard))
+        trace.fn = _compile_replay(segments, self.page_bits,
+                                   self.l1d_geom, self.l1i_geom, key,
+                                   checks, loop)
+        head.trace = trace
+        self.traces += 1
+        # The later members now run inside this trace: freeze their
+        # links, so they do not head overlapping copies of it.
+        for part in parts[1:]:
+            part.succ_uses = self.COMPILE_USES
+
+    @staticmethod
+    def _laps_repeat(state, parts, span):
+        """Run a second lap of *parts* on *state*, from offset *span*:
+        True if it admits every member, needs no new check, and ends
+        in the state the first lap ended in."""
+        before = state.relative(span)
+        checks = len(state.checks)
+        start = span
+        prev = parts[-1]
+        for part in parts:
+            if not state.admits(prev, part, start):
+                return False
+            state.ran(part, start)
+            start += part.total_rel
+            prev = part
+        return len(state.checks) == checks and state.relative(start) == before
 
     # -- deferred ground truth ----------------------------------------
 
-    def flush_deferred(self, gt_count, gt_head, gt_stall):
+    def flush_deferred(self, gt_count, gt_head, gt_stall, gt_edges):
         """Fold the deferred replay hits into the ground-truth maps.
 
-        Clean replays only bump their variant's hit counter; this folds
-        ``hits`` copies of each variant's per-block deltas in.  Pure
-        commutative addition, so the totals are identical to the slow
-        path's per-instruction accounting.  Called at every
-        ``Core.run`` exit, before anything can read the maps.
+        Clean replays only bump their variant's or trace's hit counter;
+        this folds ``hits`` copies of each member variant's per-block
+        deltas and of a trace's interior edges in, and counts the
+        blocks as replays.  Pure commutative addition, so the totals
+        are identical to the slow path's per-instruction accounting.
+        Called at every ``Core.run`` exit, before anything can read the
+        maps.
         """
         deferred = self.deferred
         if not deferred:
             return
+        # A trace hands its hits to its members first, so each variant
+        # is folded once however many units it ran in.
+        for unit in deferred:
+            if unit.parts[0] is not unit:
+                hits = unit.hits
+                unit.hits = 0
+                for edge in unit.edge_items:
+                    gt_edges[edge] = gt_edges.get(edge, 0) + hits
+                for variant in unit.parts:
+                    if variant.hits == 0:
+                        deferred.append(variant)
+                    variant.hits += hits
         for variant in deferred:
             hits = variant.hits
+            if not hits:
+                continue            # a trace, already handed over
             variant.hits = 0
+            self.replays += hits
             for a in variant.count_addrs:
                 gt_count[a] = gt_count.get(a, 0) + hits
             for a, ch in variant.head_items:
@@ -617,6 +1100,7 @@ class FastPath:
         if self.blocks:
             self.invalidations += 1
         self.blocks.clear()
+        self.refusals.clear()
         self.variant_count = 0
 
     # -- reporting ----------------------------------------------------
@@ -626,9 +1110,12 @@ class FastPath:
         snap = {
             "replays": self.replays,
             "replayed_instructions": self.replayed_instructions,
+            "dispatches": self.dispatches,
             "bails": sum(self.bails),
             "recordings": self.recordings,
             "compiled_variants": self.compiled_variants,
+            "traces": self.traces,
+            "trace_entries": self.trace_entries,
             "aborted_recordings": self.aborted_recordings,
             "variant_misses": self.variant_misses,
             "headroom_skips": self.headroom_skips,
@@ -639,4 +1126,10 @@ class FastPath:
         }
         for reason, count in zip(BAIL_REASONS, self.bails):
             snap["bails." + reason] = count
+        for cause, count in zip(SLOW_CAUSES, self.slow_instructions):
+            snap["slow_instructions." + cause] = count
+        exits = list(self.trace_exits)
+        exits[FULL] = self.trace_entries - sum(exits)
+        for kind, count in zip(TRACE_EXITS, exits):
+            snap["trace_exits." + kind] = count
         return snap

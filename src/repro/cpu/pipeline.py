@@ -57,7 +57,10 @@ from repro.cpu.branch import BranchPredictor
 from repro.cpu.caches import Cache, Hierarchy
 from repro.cpu.counters import UNBOUNDED, CounterUnit
 from repro.cpu.events import EventType
-from repro.cpu.fastpath import CLEAN, cache_geometry
+from repro.cpu.fastpath import (
+    BAIL_HEAD, BAIL_LATER, BAIL_TAIL, BUDGET_EDGE, CLEAN, COLD_VARIANT,
+    FALLBACK, FRONT_EXTRA, GUARD, HEADROOM, MISPREDICT, NO_BLOCK, PENDING,
+    ROOM, VARIANT_MISS, cache_geometry)
 from repro.cpu.issue import DEP_REASON
 from repro.cpu.tlb import TLB
 from repro.cpu.writebuffer import WriteBuffer
@@ -270,10 +273,23 @@ class Core:
         fp_on = fp is not None
         fp_blocks = fp.blocks if fp_on else None
         # Folded into fp where flush_deferred runs, at run exit.
-        fp_replays = 0
+        fp_dispatches = 0
+        fp_replays = 0  # blocks begun by replays that bailed
         fp_replayed = 0
+        fp_trace_entries = 0
         at_head = fp_on  # a run entry is always a block boundary
-        replay_var = None  # schedule selected by the gate this iteration
+        replay_var = None  # variant or trace the gate chose this iteration
+        # A trace's cycle room (CYCLES headroom or deadline) and the laps
+        # the instruction budget allows after its first.
+        room = laps = 0
+        # The variant a clean, correctly predicted exit left from, for
+        # the gate's successor link (FastPath.link).
+        link_tail = None
+        link_taken = False
+        # The slow-path segment running since the gate refused at
+        # retired == slow_from (SLOW_CAUSES index, -1 for none).
+        slow_cause = -1
+        slow_from = 0
         rec_list = None  # schedule being recorded for (rec_block, rec_key)
         rec_block = None
         rec_key = None
@@ -298,14 +314,23 @@ class Core:
             # ---- fast path: replay a cached schedule, or record one ----
             if at_head:
                 at_head = False
+                if slow_cause >= 0:
+                    fp.slow_instructions[slow_cause] += retired - slow_from
+                slow_from = retired
                 # Replay may not interact with sampling machinery:
                 # nothing pending, no front-end debt, no half-taken
                 # double sample.
-                if front_extra == 0 and not pending and edge_from is None:
+                if front_extra:
+                    slow_cause = FRONT_EXTRA
+                elif pending or edge_from is not None:
+                    slow_cause = PENDING
+                else:
                     block = fp_blocks.get(pc)
                     if block is None:
                         block = fp.discover(pc)
-                    if block is not False:
+                    if block is False:
+                        slow_cause = fp.refusals.get(pc, NO_BLOCK)
+                    else:
                         t0 = prev_issue
                         live_parts = None
                         for reg in block.live_ins:
@@ -327,6 +352,7 @@ class Core:
                              if block.has_fdiv and fdiv_free > t0 else 0))
                         var = block.variants.get(key)
                         if var is None:
+                            slow_cause = VARIANT_MISS
                             fp.variant_misses += 1
                             if fp.variant_count < fp.MAX_VARIANTS:
                                 rec_list = []
@@ -334,6 +360,7 @@ class Core:
                                 rec_key = key
                                 rec_t0 = t0
                         else:
+                            slow_cause = COLD_VARIANT
                             if var.fn is None:
                                 # Cold variant: the slow path keeps
                                 # executing the block until it recurs
@@ -342,38 +369,118 @@ class Core:
                                 if var.uses >= fp.COMPILE_USES:
                                     fp.compile_variant(var)
                             if var.fn is not None:
+                                tr = var.trace
                                 total_rel = var.total_rel
-                                if (0 <= insts_left < var.n
+                                if (tr is not None
+                                        and (insts_left < 0
+                                             or insts_left >= tr.n)
+                                        and t0 + total_rel < deadline
+                                        and total_rel < cyc_room):
+                                    # The head fits and the instruction
+                                    # budget covers a lap; the trace
+                                    # checks each later block's end
+                                    # against room, and starts another
+                                    # lap only within laps.
+                                    replay_var = tr
+                                    slow_cause = -1
+                                    room = deadline - t0
+                                    if cyc_room < room:
+                                        room = cyc_room
+                                    laps = (insts_left // tr.n - 1
+                                            if insts_left >= 0
+                                            else UNBOUNDED)
+                                elif (0 <= insts_left < var.n
                                         or t0 + total_rel >= deadline):
                                     # Too close to a budget edge to
                                     # commit to a whole block; the slow
                                     # path paces itself per
                                     # instruction.
-                                    pass
+                                    slow_cause = BUDGET_EDGE
                                 elif total_rel >= cyc_room:
                                     # The block could overflow a
                                     # CYCLES counter mid-replay; let
                                     # the slow path pace the delivery.
                                     fp.headroom_skips += 1
+                                    slow_cause = HEADROOM
                                 else:
                                     replay_var = var
+                                    slow_cause = -1
+                                    if tr is not None:
+                                        fp.trace_exits[FALLBACK] += 1
+                                if slow_cause < 0:
+                                    if tr is not None:
+                                        fp_trace_entries += 1
+                                    if (link_tail is not None
+                                            and link_tail.succ_uses
+                                            < fp.COMPILE_USES):
+                                        fp.link(link_tail, link_taken, var)
+                link_tail = None
 
             if replay_var is not None:
                 # ---- replay ----------------------------------------
-                # The compiled function executes the whole block's
-                # semantics and the model's hit paths with schedule
-                # constants and the final scoreboard inlined, or stops
-                # before the first probe that misses; everything else
-                # (pairing state, deferred ground truth, the block's
-                # contiguous CYCLES span) is applied in bulk from the
-                # variant's precomputed structures.
+                # The compiled function executes the whole block's (or
+                # trace's) semantics and the model's hit paths with
+                # schedule constants and the final scoreboard inlined,
+                # or stops before the first probe that misses;
+                # everything else (pairing state, deferred ground truth,
+                # the contiguous CYCLES span) is applied in bulk from
+                # the dispatch unit's precomputed structures.
                 v = replay_var
                 replay_var = None
                 res = v.fn(self, bp, dtb, l1d, wb, mem, iregs, fregs,
                            reg_ready, reg_ready_static, reg_dyn_reason,
-                           asn, t0)
-                fp_replays += 1
-                if res[0] == CLEAN:
+                           asn, t0, room, laps)
+                fp_dispatches += 1
+                if v.loop and res[-1]:
+                    # A loop trace ran res[-1] whole laps before the
+                    # result: apply them as that many clean, correctly
+                    # predicted passes back into its head (the code
+                    # settled the scoreboard each lap).
+                    lapped = res[-1]
+                    if v.hits == 0:
+                        fp.deferred.append(v)
+                    v.hits += lapped
+                    n = v.n * lapped
+                    fp_replayed += n
+                    insts_left -= n
+                    retired += n
+                    total_rel = v.total_rel * lapped
+                    cyc_acc += total_rel
+                    cyc_room -= total_rel
+                    t0 += total_rel
+                    if v.imul_rel:
+                        imul_free = t0 - v.total_rel + v.imul_rel
+                    if v.fdiv_rel:
+                        fdiv_free = t0 - v.total_rel + v.fdiv_rel
+                    prev_issue = t0
+                    prev_cls = v.prev_cls_end
+                    leader_pc = v.leader_addr
+                    first = v.parts[0]
+                    pair_open = first.key[0] >= 0
+                    edge = (v.term_addr, first.block.head)
+                    gt_edges[edge] = gt_edges.get(edge, 0) + lapped
+                r0 = res[0]
+                if r0 >= CLEAN:
+                    if r0 != CLEAN:
+                        # A trace left its path at member k's
+                        # terminator: members 0..k ran, which is the
+                        # unit exit_unit(k) describes.
+                        k = res[4]
+                        if res[3]:
+                            fp.trace_exits[MISPREDICT] += 1
+                        elif res[1] != v.parts[k + 1].block.head:
+                            fp.trace_exits[GUARD] += 1
+                        elif (cyc_room <= v.ends[k + 1]
+                              or deadline - t0 <= v.ends[k + 1]):
+                            fp.trace_exits[ROOM] += 1
+                        else:
+                            fp.trace_exits[FALLBACK] += 1
+                        v = v.exit_unit(k)
+                        for reg, done in v.sb:
+                            done += t0
+                            reg_ready[reg] = done
+                            reg_ready_static[reg] = done
+                            reg_dyn_reason[reg] = None
                     # res carries the terminator's dynamic direction;
                     # its target is a block head, so back to the gate.
                     n = v.n
@@ -412,14 +519,61 @@ class Core:
                         for oev, otime in counters.add(
                                 _EV_BRANCHMP, 1, prev_issue):
                             pending.append((otime + skew, oev))
+                    else:
+                        link_tail = v.tail
+                        link_taken = res[2]
                     at_head = True
                     continue
 
                 # ---- bail: the replay stopped before instruction i ----
                 # Whatever probe stopped it (res[0] only names it),
-                # exactly steps[:i] ran, all of them clean: apply their
-                # accounting and let the slow path run instruction i.
+                # exactly the first i steps ran, all of them clean.  In
+                # a trace, the members before the one that bailed, m,
+                # are the unit exit_unit(m - 1): apply it as a clean,
+                # correctly predicted exit into member m, whose own
+                # steps i counts from then on.
                 i = res[1]
+                if v.parts[0] is not v:
+                    m = 0
+                    for first in v.firsts:
+                        if first > i:
+                            break
+                        m += 1
+                    if m:
+                        u = v.exit_unit(m - 1)
+                        for reg, done in u.sb:
+                            done += t0
+                            reg_ready[reg] = done
+                            reg_ready_static[reg] = done
+                            reg_dyn_reason[reg] = None
+                        if u.hits == 0:
+                            fp.deferred.append(u)
+                        u.hits += 1
+                        if u.imul_rel:
+                            imul_free = t0 + u.imul_rel
+                        if u.fdiv_rel:
+                            fdiv_free = t0 + u.fdiv_rel
+                        prev_cls = u.prev_cls_end
+                        leader_pc = u.leader_addr
+                        edge = v.edge_items[m - 1]
+                        gt_edges[edge] = gt_edges.get(edge, 0) + 1
+                        part = v.parts[m]
+                        pair_open = part.key[0] >= 0
+                        n = v.firsts[m - 1]
+                        fp_replayed += n
+                        insts_left -= n
+                        retired += n
+                        i -= n
+                        total_rel = u.total_rel
+                        t0 += total_rel
+                        prev_issue = t0
+                        cyc_acc += total_rel
+                        cyc_room -= total_rel
+                        v = part
+                        fp.trace_exits[BAIL_LATER] += 1
+                    else:
+                        v = v.parts[0]
+                        fp.trace_exits[BAIL_HEAD] += 1
                 steps = v.steps
                 for j in range(i):
                     step = steps[j]
@@ -463,11 +617,14 @@ class Core:
                     # A prefix of the span the gate cleared.
                     cyc_acc += delta
                     cyc_room -= delta
+                fp_replays += 1
                 fp_replayed += i
-                fp.bails[res[0]] += 1
+                fp.bails[r0] += 1
                 insts_left -= i
                 retired += i
                 pc = steps[i][0][14]
+                slow_cause = BAIL_TAIL
+                slow_from = retired
                 continue
 
             # ---- slow path -------------------------------------------
@@ -913,9 +1070,13 @@ class Core:
         # Fold deferred fast-path ground truth in before anything can
         # read the maps (pure addition, so totals match the slow path).
         if fp_on:
-            fp.flush_deferred(gt_count, gt_head, gt_stall)
+            fp.flush_deferred(gt_count, gt_head, gt_stall, gt_edges)
             fp.replays += fp_replays
             fp.replayed_instructions += fp_replayed
+            fp.dispatches += fp_dispatches
+            fp.trace_entries += fp_trace_entries
+            if slow_cause >= 0:
+                fp.slow_instructions[slow_cause] += retired - slow_from
 
         # Save resumable state.
         proc.pc = pc

@@ -37,13 +37,29 @@ name                                     kind      meaning
 ``session.wall_s``                       gauge     wall time of the run
 ``sim.fastpath.replays``                 counter   block replays started
 ``sim.fastpath.replayed_instructions``   counter   instructions replayed
+``sim.fastpath.dispatches``              counter   gate entries into a
+                                                   block or a trace
 ``sim.fastpath.bails``                   counter   replays cut short
 ``sim.fastpath.bails.<reason>``          counter   ...by the probe that
                                                    stopped them (fetch,
                                                    wb, dtb, dcache; they
                                                    sum to ``bails``)
+``sim.fastpath.slow_instructions.<cause>`` counter instructions not
+                                                   replayed, by the gate
+                                                   refusal or bail that
+                                                   began their segment
+                                                   (``SLOW_CAUSES``; they
+                                                   sum to instructions
+                                                   minus replayed ones)
 ``sim.fastpath.recordings``              counter   variants recorded
 ``sim.fastpath.compiled_variants``       counter   variants tiered up
+``sim.fastpath.traces``                  counter   traces compiled
+``sim.fastpath.trace_entries``           counter   gate picks of a
+                                                   trace's head
+``sim.fastpath.trace_exits.<kind>``      counter   ...by how they ended
+                                                   (``TRACE_EXITS``; they
+                                                   sum to
+                                                   ``trace_entries``)
 ``sim.fastpath.aborted_recordings``      counter   recordings abandoned
 ``sim.fastpath.variant_misses``          counter   gate lookups that missed
 ``sim.fastpath.headroom_skips``          counter   counter-overflow skips

@@ -10,7 +10,9 @@ tool runs every registered workload three times -- fast path on with
 the process-wide replay-code cache emptied first (cold), on again with
 the cache the first leg filled (warm), then forced off -- canonicalizes
 the observable states to bytes, and fails a workload on the first byte
-that differs.  The warm leg must also leave the very same
+that differs.  The summary line adds up how the cold legs' trace
+entries ended (``sim.fastpath.trace_exits.<kind>``), so a gate that
+never took one exit path shows it.  The warm leg must also leave the very same
 ``FastPath.snapshot()`` as the cold one: the cache may change time,
 never a count.  CI runs it across the full workload registry on every
 push and, with a larger budget, nightly; it is also handy after any
@@ -27,7 +29,8 @@ import time
 
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastpath import clear_replay_cache, replay_cache_stats
+from repro.cpu.fastpath import (TRACE_EXITS, clear_replay_cache,
+                                replay_cache_stats)
 
 
 def _canonical(value):
@@ -88,8 +91,9 @@ def run_session(workload, fastpath, seed, max_instructions, mode):
 
 def check_workload(workload, seed=1, max_instructions=80_000,
                    mode="default"):
-    """Return (identical, summary line) for one workload's three
-    legs: cold-cache fast, warm-cache fast, slow."""
+    """Return (identical, summary line, cold leg's
+    ``FastPath.snapshot()``) for one workload's three legs: cold-cache
+    fast, warm-cache fast, slow."""
     clear_replay_cache()
     fast, fast_wall = run_session(workload, True, seed,
                                   max_instructions, mode)
@@ -117,7 +121,7 @@ def check_workload(workload, seed=1, max_instructions=80_000,
                else "identical",
                slow_wall, fast_wall, warm_wall,
                slow_wall / fast_wall if fast_wall else 0.0, replay_pct))
-    return not differs, line
+    return not differs, line, snap
 
 
 def main(argv=None):
@@ -146,18 +150,26 @@ def main(argv=None):
             print(name)
         return 0
     failures = 0
+    traces = dict.fromkeys(["trace_entries"] + [
+        "trace_exits." + kind for kind in TRACE_EXITS], 0)
     for name in names:
-        identical, line = check_workload(
+        identical, line, snap = check_workload(
             get_workload(name), seed=args.seed,
             max_instructions=args.max_instructions, mode=args.mode)
         print(line)
         if not identical:
             failures += 1
+        for key in traces:
+            traces[key] += snap[key]
     # Process history, read from the module: never part of a snapshot.
     hits, misses, _ = replay_cache_stats()
     print("dcpiab: %d/%d workloads byte-identical on 3 legs "
-          "(cold fast, warm fast, slow); replay cache %d hits, %d misses"
-          % (len(names) - failures, len(names), hits, misses))
+          "(cold fast, warm fast, slow); replay cache %d hits, %d misses; "
+          "%d trace entries, exits %s"
+          % (len(names) - failures, len(names), hits, misses,
+             traces["trace_entries"], " ".join(
+                 "%s=%d" % (kind, traces["trace_exits." + kind])
+                 for kind in TRACE_EXITS)))
     if failures:
         print("dcpiab: fast path diverged on %d workload(s)" % failures,
               file=sys.stderr)

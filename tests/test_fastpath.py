@@ -11,8 +11,9 @@ from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu import fastpath as fastpath_module
 from repro.cpu.config import CacheConfig, MachineConfig
 from repro.cpu.events import EventType
-from repro.cpu.fastpath import (BAIL_REASONS, cache_geometry,
-                                clear_replay_cache, replay_cache_stats)
+from repro.cpu.fastpath import (BAIL_REASONS, SLOW_CAUSES, TRACE_EXITS,
+                                cache_geometry, clear_replay_cache,
+                                replay_cache_stats)
 from repro.cpu.machine import Machine
 from repro.cpu.writebuffer import WriteBuffer
 from repro.obs import schema as schema_module
@@ -20,7 +21,7 @@ from repro.obs.schema import (derive, fastpath_metrics,
                               session_metrics)
 from repro.tools.abcheck import fingerprint
 from repro.workloads.asmgen import loop_proc
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload, workload_names
 
 
 def run_loop(iters=400, flavor="int", fastpath=True, data="", **kw):
@@ -130,6 +131,28 @@ class TestHeadroomGate:
                              + workload.num_cpus)
 
 
+class TestSlowCauses:
+    @pytest.mark.parametrize("mode", ["default", "cycles", "mux"])
+    def test_causes_sum_to_the_instructions_not_replayed(self, mode):
+        # Every slow-path instruction belongs to the segment one gate
+        # refusal (or bail) began, on every registered workload.
+        totals = dict.fromkeys(SLOW_CAUSES, 0)
+        for name in workload_names():
+            workload = get_workload(name)
+            session = ProfileSession(
+                MachineConfig(num_cpus=workload.num_cpus),
+                SessionConfig(mode=mode, cycles_period=(240, 256),
+                              event_period=64, seed=1))
+            result = session.run(workload, max_instructions=50_000)
+            snap = result.machine.fastpath.snapshot()
+            for cause in SLOW_CAUSES:
+                totals[cause] += snap["slow_instructions." + cause]
+            assert (sum(snap["slow_instructions." + cause]
+                        for cause in SLOW_CAUSES)
+                    == result.instructions - snap["replayed_instructions"])
+        assert sum(1 for count in totals.values() if count) >= 9, totals
+
+
 class TestDeferredGroundTruth:
     def test_flush_leaves_no_pending_hits(self):
         machine = run_loop()
@@ -152,8 +175,11 @@ class TestSnapshotAndObs:
         snap = machine.fastpath.snapshot()
         rows = set(re.findall(r"^``sim\.fastpath\.(\S+)``",
                               schema_module.__doc__, re.M))
-        rows.remove("bails.<reason>")
-        rows.update("bails." + reason for reason in BAIL_REASONS)
+        for row, names in (("bails.<reason>", BAIL_REASONS),
+                           ("slow_instructions.<cause>", SLOW_CAUSES),
+                           ("trace_exits.<kind>", TRACE_EXITS)):
+            rows.remove(row)
+            rows.update(row.split(".")[0] + "." + name for name in names)
         assert set(snap) == rows
         assert snap["replays"] >= 1
         assert snap["variants"] >= 1
@@ -214,9 +240,11 @@ class TestReplayCodeCache:
         warm_print, warm = profiled()
         hits2, misses2, _ = replay_cache_stats()
         # The second Machine compiled nothing and still tiered up the
-        # same variants after the same COMPILE_USES visits.
+        # same variants, and formed the same traces, after the same
+        # COMPILE_USES visits.
         assert misses2 == misses1
-        assert hits2 - hits1 == warm.compiled_variants
+        assert warm.traces > 0
+        assert hits2 - hits1 == warm.compiled_variants + warm.traces
         clear_replay_cache()
         assert replay_cache_stats()[2] == 0
         again_print, again = profiled()
@@ -264,12 +292,19 @@ class TestCleanPrefix:
     """A replay function holds hit paths only: whatever a miss does is
     written once, in the slow path."""
 
-    def test_generated_code_never_calls_the_model(self):
+    def test_generated_code_never_calls_the_model(self, monkeypatch):
+        sources = []
+
+        def capture(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(fastpath_module, "compile", capture,
+                            raising=False)
         clear_replay_cache()
         _, fp = profiled("gcc")
-        # The replay-code cache is keyed by generated source text.
-        sources = list(fastpath_module._replay_cache)
-        assert len(sources) == fp.compiled_variants > 50
+        # Every variant and every trace compiled its own source text.
+        assert fp.traces > 10
+        assert len(sources) == fp.compiled_variants + fp.traces > 50
         for source in sources:
             for call in ("_fetch(", "translate(", ".access(",
                          "miss_path(", ".lookup("):
@@ -333,10 +368,14 @@ class TestDcpiabThreeLegs:
         summary = re.fullmatch(
             r"dcpiab: 1/1 workloads byte-identical on 3 legs "
             r"\(cold fast, warm fast, slow\); "
-            r"replay cache (\d+) hits, (\d+) misses", out[-1])
+            r"replay cache (\d+) hits, (\d+) misses; "
+            r"(\d+) trace entries, exits (.*)", out[-1])
         assert summary
         # The warm leg found what the cold leg compiled.
         assert int(summary.group(1)) > 0 and int(summary.group(2)) > 0
+        exits = dict(item.split("=") for item in summary.group(4).split())
+        assert list(exits) == list(TRACE_EXITS)
+        assert sum(map(int, exits.values())) == int(summary.group(3)) > 0
 
     def test_warm_leg_divergence_is_named(self, monkeypatch):
         from repro.tools import abcheck
@@ -353,7 +392,7 @@ class TestDcpiabThreeLegs:
                 result.machine.fastpath.replays += 1
             return result, wall
         monkeypatch.setattr(abcheck, "run_session", run_session)
-        identical, line = abcheck.check_workload(
+        identical, line, _ = abcheck.check_workload(
             get_workload("wave5"), max_instructions=20_000)
         assert not identical
         assert "DIFFERS(warm)" in line
@@ -373,7 +412,7 @@ class TestDcpiabThreeLegs:
                 result.machine.cores[1].dtb.hits += 1
             return result, wall
         monkeypatch.setattr(abcheck, "run_session", run_session)
-        identical, line = abcheck.check_workload(
+        identical, line, _ = abcheck.check_workload(
             get_workload("altavista"), max_instructions=20_000)
         assert not identical
         assert "DIFFERS(slow)" in line

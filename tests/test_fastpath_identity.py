@@ -23,6 +23,7 @@ from repro.alpha.assembler import assemble
 from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
 from repro.cpu.config import MachineConfig
+from repro.cpu.fastpath import TRACE_EXITS
 from repro.cpu.machine import Machine
 from repro.tools.abcheck import _canonical, model_counters
 from repro.workloads.asmgen import caller_proc, loop_proc
@@ -85,16 +86,57 @@ def run_program(text, fastpath):
     return machine
 
 
+#: A loop whose branches turn on data: the first after 150 laps, the
+#: second for 24 of every 64.  The predictor has learnt each new
+#: direction by the time the loop trace meets it, so the trace leaves
+#: on its direction guard, not on a mispredict.
+TURNING_LOOP = """
+.image t
+.proc main
+    lda   t0, 0(zero)
+    lda   t3, 150(zero)
+    lda   v0, 400(zero)
+Lloop:
+    addq  t0, 1, t0
+    cmpult t0, t3, t1
+    beq   t1, Lhigh
+    addq  t2, 1, t2
+    br    Ljoin
+Lhigh:
+    subq  t2, 1, t2
+Ljoin:
+    and   t0, 63, t4
+    cmpult t4, 40, t4
+    beq   t4, Lskip
+    addq  t2, 3, t2
+Lskip:
+    cmpult t0, v0, t9
+    bne   t9, Lloop
+    ret
+.end
+"""
+
+
 @settings(max_examples=examples(25), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
 # One hot branchy loop: nearly every replay starts where another ended.
 @example(".image t\n%s%s" % (loop_proc("leaf0", 400, "branchy"),
                              caller_proc("main", ["leaf0"])))
+@example(TURNING_LOOP)
 def test_fastpath_is_observationally_identical(text):
     fast = run_program(text, True)
     slow = run_program(text, False)
     assert observables(fast) == observables(slow)
+
+
+def test_trace_leaves_on_its_direction_guard():
+    # The example above is not vacuous: traces form, loop, and leave
+    # on a branch that turned without mispredicting.
+    fp = run_program(TURNING_LOOP, True).fastpath
+    assert fp.traces > 0
+    assert fp.trace_exits[TRACE_EXITS.index("guard")] > 0
+    assert fp.dispatches < fp.replays
 
 
 def test_fastpath_engages_on_generated_programs():

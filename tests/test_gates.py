@@ -117,13 +117,24 @@ def test_dcpiab(argv, capsys):
     path == slow path, byte for byte, on every registered workload;
     mux mode rotates the counters, so replays meet other headroom and
     overflow timings.  Red: ``test_warm_leg_divergence_is_named`` in
-    ``test_fastpath.py::TestDcpiabThreeLegs``."""
+    ``test_fastpath.py::TestDcpiabThreeLegs``.
+
+    The identity covers trace code only where traces ran: every way a
+    trace entry ends must occur.  The registry's interior branches
+    never turn against their trace without a mispredict, so the
+    direction guard is exercised by
+    ``test_fastpath_identity.py::test_trace_leaves_on_its_direction_guard``
+    instead."""
     code = cli.main_dcpiab(argv)
     out = capsys.readouterr().out
     assert code == 0, out
     assert "%d/%d workloads byte-identical" % (
         len(REGISTRY), len(REGISTRY)) in out
     assert "replay cache 0 hits" not in out
+    exits = dict(item.split("=") for item in
+                 out.rstrip().rpartition(" exits ")[2].split())
+    assert [kind for kind, count in exits.items() if count == "0"] in (
+        [], ["guard"]), exits
 
 
 # -- dcpichaos ----------------------------------------------------------------
