@@ -312,7 +312,7 @@ class Trace:
     head variant itself for ``k == 0``), which an exit at member *k*'s
     terminator, or a bail in member *k + 1*, applies.  Only a trace
     :meth:`FastPath.form_trace` built has ``fn``; its prefixes are built
-    on first use and carry no per-member layout.
+    on first use.
     """
 
     __slots__ = ("fn", "n", "total_rel", "imul_rel", "fdiv_rel", "sb",
@@ -334,22 +334,29 @@ class Trace:
         self.term_addr = last.term_addr
         self.term_edge_always = last.term_edge_always
         self.imul_rel = self.fdiv_rel = 0
-        starts = []
-        rel = 0
+        self.starts = []
+        self.ends = []
+        self.firsts = []
+        rel = n = 0
         for part in parts:
-            starts.append(rel)
+            self.starts.append(rel)
             if part.imul_rel:
                 self.imul_rel = rel + part.imul_rel
             if part.fdiv_rel:
                 self.fdiv_rel = rel + part.fdiv_rel
             rel += part.total_rel
+            self.ends.append(rel)
+            if n:
+                self.firsts.append(n)
+            n += part.n
         self.total_rel = rel
-        self.n = sum(part.n for part in parts)
+        self.n = n
         if shifted is None:
             # Each member's final scoreboard on the trace's clock; the
             # prefixes share the pairs.
             shifted = [tuple((reg, start + done) for reg, done in part.sb)
-                       for part, start in zip(parts, starts)]
+                       for part, start in zip(parts, self.starts)]
+        self.shifted = shifted
         final = {}
         for pairs in shifted[:len(parts)]:
             for pair in pairs:
@@ -358,23 +365,7 @@ class Trace:
         self.edge_items = tuple(
             (part.term_addr, after.block.head)
             for part, after in zip(parts, parts[1:]))
-        self.starts = self.ends = self.firsts = self.exits = None
-        self.shifted = shifted
-
-    def layout(self):
-        """Record where each member starts and ends (a formed trace)."""
-        self.starts = []
-        self.ends = []
-        self.firsts = []
-        rel = index = 0
-        for part in self.parts:
-            self.starts.append(rel)
-            rel += part.total_rel
-            self.ends.append(rel)
-            if index:
-                self.firsts.append(index)
-            index += part.n
-        self.exits = [self.parts[0]] + [None] * (len(self.parts) - 2)
+        self.exits = [parts[0]] + [None] * (len(parts) - 2)
 
     def exit_unit(self, k):
         """The dispatch unit of members ``0..k``."""
@@ -994,7 +985,6 @@ class FastPath:
         if len(parts) < 2 and not loop:
             return
         trace = Trace(tuple(parts), loop)
-        trace.layout()
         checks = tuple(state.checks)
         # A member's function stands for its compiled input (the code
         # cache is keyed by it), so this key determines the trace's.

@@ -37,7 +37,10 @@ model (``_fetch``, ``TLB.translate``, ``Hierarchy.access``,
   (:mod:`repro.cpu.fastpath`) when the block's entry conditions match a
   prior visit, batching the block's CYCLES into one contiguous span.
   The gate at a block head is the only way into a replay; a clean exit
-  returns to it.  A replay is a clean prefix: the compiled code holds
+  returns to it.  When the block heads a trace -- the blocks the gate
+  would pick back to back, compiled into one function -- the gate
+  enters the trace, and an exit or a bail inside it is applied as the
+  clean exit of the members before it.  A replay is a clean prefix: the compiled code holds
   hit paths only and stops *before* the first instruction whose fetch,
   translation, D-cache probe or write-buffer probe does not hit, with
   nothing of that instruction applied.  The slow path -- the only
@@ -50,6 +53,8 @@ the fewest cycles that overflow a CYCLES slot
 added to the slots; a span that reaches ``cyc_room`` hands both to
 ``CounterUnit.add``, and run exit hands over the rest.
 """
+
+from bisect import bisect_right
 
 from repro.alpha.opcodes import MASK64
 from repro.alpha.predecode import PAIR_OK_ID
@@ -534,11 +539,7 @@ class Core:
                 # steps i counts from then on.
                 i = res[1]
                 if v.parts[0] is not v:
-                    m = 0
-                    for first in v.firsts:
-                        if first > i:
-                            break
-                        m += 1
+                    m = bisect_right(v.firsts, i)
                     if m:
                         u = v.exit_unit(m - 1)
                         for reg, done in u.sb:
