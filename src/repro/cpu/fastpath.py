@@ -100,9 +100,10 @@ from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
 from repro.cpu.writebuffer import WriteBuffer
 
 #: Bound on cached replay functions; the cache is cleared when full.
-#: An entry measures ~5.6 KiB (1.6 source key + 3.9 code object); one
-#: 200k-instruction gcc session leaves 240, the eight programs
-#: analyze-wide profiles 356, so the bound is far from ordinary use.
+#: A variant's entry measures ~1.8 KiB of code object (its key is the
+#: recorded steps the variant holds anyway), a trace's ~4.8 KiB; one
+#: 200k-instruction gcc session leaves 304 entries (70 of them
+#: traces), so the bound is far from ordinary use.
 REPLAY_CACHE_MAX = 4096
 
 _replay_cache = {}                   # generator input (key) -> function

@@ -295,6 +295,8 @@ class Core:
         # retired == slow_from (SLOW_CAUSES index, -1 for none).
         slow_cause = -1
         slow_from = 0
+        slow_counts = fp.slow_instructions if fp_on else None
+        compile_uses = fp.COMPILE_USES if fp_on else 0
         rec_list = None  # schedule being recorded for (rec_block, rec_key)
         rec_block = None
         rec_key = None
@@ -320,7 +322,7 @@ class Core:
             if at_head:
                 at_head = False
                 if slow_cause >= 0:
-                    fp.slow_instructions[slow_cause] += retired - slow_from
+                    slow_counts[slow_cause] += retired - slow_from
                 slow_from = retired
                 # Replay may not interact with sampling machinery:
                 # nothing pending, no front-end debt, no half-taken
@@ -371,7 +373,7 @@ class Core:
                                 # executing the block until it recurs
                                 # enough to be worth a compile().
                                 var.uses += 1
-                                if var.uses >= fp.COMPILE_USES:
+                                if var.uses >= compile_uses:
                                     fp.compile_variant(var)
                             if var.fn is not None:
                                 tr = var.trace
@@ -387,7 +389,7 @@ class Core:
                                     # against room, and starts another
                                     # lap only within laps.
                                     replay_var = tr
-                                    slow_cause = -1
+                                    fp_trace_entries += 1
                                     room = deadline - t0
                                     if cyc_room < room:
                                         room = cyc_room
@@ -409,15 +411,14 @@ class Core:
                                     slow_cause = HEADROOM
                                 else:
                                     replay_var = var
-                                    slow_cause = -1
-                                    if tr is not None:
-                                        fp.trace_exits[FALLBACK] += 1
-                                if slow_cause < 0:
                                     if tr is not None:
                                         fp_trace_entries += 1
+                                        fp.trace_exits[FALLBACK] += 1
+                                if replay_var is not None:
+                                    slow_cause = -1
                                     if (link_tail is not None
                                             and link_tail.succ_uses
-                                            < fp.COMPILE_USES):
+                                            < compile_uses):
                                         fp.link(link_tail, link_taken, var)
                 link_tail = None
 
@@ -1077,7 +1078,7 @@ class Core:
             fp.dispatches += fp_dispatches
             fp.trace_entries += fp_trace_entries
             if slow_cause >= 0:
-                fp.slow_instructions[slow_cause] += retired - slow_from
+                slow_counts[slow_cause] += retired - slow_from
 
         # Save resumable state.
         proc.pc = pc
