@@ -68,7 +68,9 @@ Design notes (see README "Performance"):
   and keeps each block whose entry key the trace's entry state
   provably reproduces (:class:`_EntryState`), up to
   ``MAX_TRACE_BLOCKS`` / ``MAX_TRACE_STEPS``.  Links that lead back to
-  the head make a *loop* trace, which runs laps within one call.  At
+  the head make a *loop* trace, which runs laps within one call.  A
+  trace tiers up like a variant: it compiles once the gate has picked
+  its head ``TRACE_USES`` more times.  At
   each interior terminator the trace guards the recorded direction, no
   mispredict and the next block's end against the CYCLES headroom and
   deadline, and otherwise returns an exit the caller applies as that
@@ -227,8 +229,13 @@ class Variant:
                  "head_items", "stall_items", "sb", "imul_rel",
                  "fdiv_rel", "prev_cls_end", "term_open", "leader_addr",
                  "term_addr", "term_edge_always", "hits", "block", "key",
-                 "parts", "edge_items", "tail", "loop", "trace", "succ",
+                 "trace", "succ",
                  "succ_taken", "succ_uses")
+
+    # As a dispatch unit a variant is one block (not a trace's parts),
+    # a clean exit leaves from itself (tail None), and it runs no laps.
+    parts = tail = None
+    loop = False
 
     def __init__(self, steps, sb, block, key):
         # Tiered: ``fn`` stays None (and the slow path keeps executing
@@ -278,13 +285,6 @@ class Variant:
         self.hits = 0
         self.block = block
         self.key = key
-        # As a dispatch unit: the blocks whose ground truth a hit
-        # defers, the interior edges it adds, where later blocks begin
-        # (none), and the variant a clean exit leaves from.
-        self.parts = (self,)
-        self.edge_items = ()
-        self.tail = self
-        self.loop = False
         #: The trace headed by this variant, once one is formed.
         self.trace = None
         # The variant the gate picked after this one's last clean,
@@ -298,32 +298,33 @@ class Variant:
 class Trace:
     """Blocks the gate would pick back to back, replayed by one call.
 
-    ``parts`` are the member variants in order; member *k* starts
-    ``starts[k]`` cycles and ``firsts[k - 1]`` steps after the trace's
-    entry and ends ``ends[k]`` cycles after it.  Everything ``Core.run``
-    reads after a clean exit is the last member's, shifted onto the
-    trace's clock; ``sb`` is the members' final scoreboard, which the
-    trace settles once, at its last terminator; and a hit defers every
-    member's ground truth plus the edges between members.  A ``loop``
-    trace's last member leads back to its head, and the function runs
-    laps until it cannot provably start another one (see
+    ``parts`` are the member variants in order; member *k* begins
+    ``firsts[k - 1]`` steps after the trace's entry and ends ``ends[k]``
+    cycles after it.  Everything ``Core.run`` reads after a clean exit
+    is the last member's, shifted onto the trace's clock, and a hit
+    defers every member's ground truth plus the edges between members.
+    A ``loop`` trace's last member leads back to its head, and the
+    function runs laps until it cannot provably start another one (see
     :func:`_compile_replay`).
 
     :meth:`exit_unit` *k* is the dispatch unit of members ``0..k`` (the
     head variant itself for ``k == 0``), which an exit at member *k*'s
-    terminator, or a bail in member *k + 1*, applies.  Only a trace
-    :meth:`FastPath.form_trace` built has ``fn``; its prefixes are built
-    on first use.
+    terminator, or a bail in member *k + 1*, applies after settling its
+    final scoreboard ``sb``: a trace's code settles the scoreboard only
+    at its last terminator.  Only a trace :meth:`FastPath.form_trace`
+    built has ``fn``, ``ends`` and ``firsts``; its prefixes are built on
+    first use.
     """
 
-    __slots__ = ("fn", "n", "total_rel", "imul_rel", "fdiv_rel", "sb",
-                 "prev_cls_end", "term_open", "leader_addr", "term_addr",
-                 "term_edge_always", "hits", "parts", "edge_items",
-                 "tail", "loop", "starts", "ends", "firsts", "exits",
-                 "shifted")
+    __slots__ = ("fn", "uses", "checks", "n", "total_rel", "imul_rel",
+                 "fdiv_rel", "sb", "prev_cls_end", "term_open",
+                 "leader_addr", "term_addr", "term_edge_always", "hits",
+                 "parts", "tail", "loop", "ends", "firsts", "exits")
 
-    def __init__(self, parts, loop=False, shifted=None):
-        self.fn = None
+    def __init__(self, parts, loop=False):
+        self.fn = self.sb = self.ends = self.firsts = self.exits = None
+        self.checks = ()
+        self.uses = 0
         self.parts = parts
         self.loop = loop
         self.hits = 0
@@ -335,45 +336,42 @@ class Trace:
         self.term_addr = last.term_addr
         self.term_edge_always = last.term_edge_always
         self.imul_rel = self.fdiv_rel = 0
-        self.starts = []
-        self.ends = []
-        self.firsts = []
         rel = n = 0
         for part in parts:
-            self.starts.append(rel)
             if part.imul_rel:
                 self.imul_rel = rel + part.imul_rel
             if part.fdiv_rel:
                 self.fdiv_rel = rel + part.fdiv_rel
             rel += part.total_rel
-            self.ends.append(rel)
-            if n:
-                self.firsts.append(n)
             n += part.n
         self.total_rel = rel
         self.n = n
-        if shifted is None:
-            # Each member's final scoreboard on the trace's clock; the
-            # prefixes share the pairs.
-            shifted = [tuple((reg, start + done) for reg, done in part.sb)
-                       for part, start in zip(parts, self.starts)]
-        self.shifted = shifted
+
+    def starts(self):
+        """Where each member begins on the trace's clock."""
+        starts = [0]
+        for part in self.parts[:-1]:
+            starts.append(starts[-1] + part.total_rel)
+        return starts
+
+    def final_scoreboard(self):
+        """The members' last writes, on the trace's clock."""
         final = {}
-        for pairs in shifted[:len(parts)]:
-            for pair in pairs:
-                final[pair[0]] = pair
-        self.sb = tuple(final.values())
-        self.edge_items = tuple(
-            (part.term_addr, after.block.head)
-            for part, after in zip(parts, parts[1:]))
-        self.exits = [parts[0]] + [None] * (len(parts) - 2)
+        for part, start in zip(self.parts, self.starts()):
+            for reg, done in part.sb:
+                final[reg] = start + done
+        return tuple(final.items())
 
     def exit_unit(self, k):
         """The dispatch unit of members ``0..k``."""
+        if k == 0:
+            return self.parts[0]
+        if self.exits is None:
+            self.exits = [None] * (len(self.parts) - 1)
         unit = self.exits[k]
         if unit is None:
-            unit = self.exits[k] = Trace(self.parts[:k + 1],
-                                         shifted=self.shifted)
+            unit = self.exits[k] = Trace(self.parts[:k + 1])
+            unit.sb = unit.final_scoreboard()
         return unit
 
 
@@ -796,6 +794,13 @@ class FastPath:
     #: which instructions replay, hence every sim.fastpath.* count, and
     #: those must not depend on process history.
     COMPILE_USES = 4
+    #: Gate picks of a formed trace's head before the trace compiles.
+    #: Short-lived chains (set-up code, a loop that runs once) form
+    #: traces that would not repay their code, and trace code is what
+    #: a trace costs in memory: compiled on formation, opt-loop's 380
+    #: traces (two in five entered fewer than ten times) took its
+    #: peak_rss_mb 46.3 -> 49.7; at 32 picks, 48.2 for 151 traces.
+    TRACE_USES = 32
 
     def __init__(self, decode_map, page_bits, l1d_latency, l1d_geom,
                  l1i_geom):
@@ -986,36 +991,46 @@ class FastPath:
         if len(parts) < 2 and not loop:
             return
         trace = Trace(tuple(parts), loop)
-        checks = tuple(state.checks)
+        trace.checks = tuple(state.checks)
+        head.trace = trace
+        # The later members now run inside this trace: freeze their
+        # links, so they do not head overlapping copies of it.
+        for part in parts[1:]:
+            part.succ_uses = self.COMPILE_USES
+
+    def compile_trace(self, trace):
+        """Tier-up: compile *trace* (see :func:`_compile_replay`)."""
+        parts = trace.parts
+        starts = trace.starts()
+        trace.ends = tuple(start + part.total_rel
+                           for start, part in zip(starts, parts))
+        trace.firsts = tuple(sum(part.n for part in parts[:k])
+                             for k in range(1, len(parts)))
         # A member's function stands for its compiled input (the code
         # cache is keyed by it), so this key determines the trace's.
         key = (tuple(p.fn for p in parts),
-               tuple(p.succ_taken for p in parts), checks, loop)
+               tuple(p.succ_taken for p in parts), trace.checks,
+               trace.loop)
         segments = []
         if key not in _replay_cache:
-            for k, (part, start) in enumerate(zip(parts, trace.starts)):
+            for k, (part, start) in enumerate(zip(parts, starts)):
                 if k < len(parts) - 1:
                     sb = ()
                     guard = (parts[k + 1].block.head, part.succ_taken,
                              trace.ends[k + 1])
                 else:
-                    sb = trace.sb
+                    sb = trace.final_scoreboard()
                     guard = None
-                    if loop:
-                        guard = (head.block.head, part.succ_taken,
+                    if trace.loop:
+                        guard = (parts[0].block.head, part.succ_taken,
                                  trace.total_rel + trace.ends[0])
                 segments.append((
                     tuple((s[0], start + s[1]) for s in part.steps),
                     sb, guard))
         trace.fn = _compile_replay(segments, self.page_bits,
                                    self.l1d_geom, self.l1i_geom, key,
-                                   checks, loop)
-        head.trace = trace
+                                   trace.checks, trace.loop)
         self.traces += 1
-        # The later members now run inside this trace: freeze their
-        # links, so they do not head overlapping copies of it.
-        for part in parts[1:]:
-            part.succ_uses = self.COMPILE_USES
 
     @staticmethod
     def _laps_repeat(state, parts, span):
@@ -1053,12 +1068,14 @@ class FastPath:
         # A trace hands its hits to its members first, so each variant
         # is folded once however many units it ran in.
         for unit in deferred:
-            if unit.parts[0] is not unit:
+            parts = unit.parts
+            if parts is not None:
                 hits = unit.hits
                 unit.hits = 0
-                for edge in unit.edge_items:
+                for part, after in zip(parts, parts[1:]):
+                    edge = (part.term_addr, after.block.head)
                     gt_edges[edge] = gt_edges.get(edge, 0) + hits
-                for variant in unit.parts:
+                for variant in parts:
                     if variant.hits == 0:
                         deferred.append(variant)
                     variant.hits += hits

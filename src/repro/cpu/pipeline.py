@@ -297,6 +297,7 @@ class Core:
         slow_from = 0
         slow_counts = fp.slow_instructions if fp_on else None
         compile_uses = fp.COMPILE_USES if fp_on else 0
+        trace_uses = fp.TRACE_USES if fp_on else 0
         rec_list = None  # schedule being recorded for (rec_block, rec_key)
         rec_block = None
         rec_key = None
@@ -377,6 +378,15 @@ class Core:
                                     fp.compile_variant(var)
                             if var.fn is not None:
                                 tr = var.trace
+                                if tr is not None and tr.fn is None:
+                                    # A cold trace: the head replays on
+                                    # its own until the trace recurs
+                                    # enough to be worth its code.
+                                    tr.uses += 1
+                                    if tr.uses >= trace_uses:
+                                        fp.compile_trace(tr)
+                                    else:
+                                        tr = None
                                 total_rel = var.total_rel
                                 if (tr is not None
                                         and (insts_left < 0
@@ -526,7 +536,7 @@ class Core:
                                 _EV_BRANCHMP, 1, prev_issue):
                             pending.append((otime + skew, oev))
                     else:
-                        link_tail = v.tail
+                        link_tail = v.tail or v
                         link_taken = res[2]
                     at_head = True
                     continue
@@ -539,7 +549,7 @@ class Core:
                 # correctly predicted exit into member m, whose own
                 # steps i counts from then on.
                 i = res[1]
-                if v.parts[0] is not v:
+                if v.parts is not None:
                     m = bisect_right(v.firsts, i)
                     if m:
                         u = v.exit_unit(m - 1)
@@ -557,9 +567,9 @@ class Core:
                             fdiv_free = t0 + u.fdiv_rel
                         prev_cls = u.prev_cls_end
                         leader_pc = u.leader_addr
-                        edge = v.edge_items[m - 1]
-                        gt_edges[edge] = gt_edges.get(edge, 0) + 1
                         part = v.parts[m]
+                        edge = (u.term_addr, part.block.head)
+                        gt_edges[edge] = gt_edges.get(edge, 0) + 1
                         pair_open = part.key[0] >= 0
                         n = v.firsts[m - 1]
                         fp_replayed += n
