@@ -229,8 +229,7 @@ class Variant:
                  "head_items", "stall_items", "sb", "imul_rel",
                  "fdiv_rel", "prev_cls_end", "term_open", "leader_addr",
                  "term_addr", "term_edge_always", "hits", "block", "key",
-                 "trace", "succ",
-                 "succ_taken", "succ_uses")
+                 "trace", "succ", "succ_taken", "succ_uses")
 
     # As a dispatch unit a variant is one block (not a trace's parts),
     # a clean exit leaves from itself (tail None), and it runs no laps.
@@ -438,6 +437,22 @@ class _EntryState:
             self.ready[reg] = None
             self.checks.append((reg, start))
         return True
+
+    def laps_repeat(self, parts, span):
+        """Run a second lap of *parts* from offset *span*: True if it
+        admits every member, needs no new check, and ends in the state
+        the first lap ended in, so that every later lap is the same."""
+        before = self.relative(span)
+        checks = len(self.checks)
+        start = span
+        prev = parts[-1]
+        for part in parts:
+            if not self.admits(prev, part, start):
+                return False
+            self.ran(part, start)
+            start += part.total_rel
+            prev = part
+        return len(self.checks) == checks and self.relative(start) == before
 
     def relative(self, start):
         """The state as seen from offset *start*, to compare laps."""
@@ -980,7 +995,7 @@ class FastPath:
             if nxt is None or nxt.fn is None:
                 break
             if nxt is head:
-                loop = self._laps_repeat(state, parts, start)
+                loop = state.laps_repeat(parts, start)
                 break
             if (len(parts) >= self.MAX_TRACE_BLOCKS
                     or steps + nxt.n > self.MAX_TRACE_STEPS
@@ -1031,23 +1046,6 @@ class FastPath:
                                    self.l1d_geom, self.l1i_geom, key,
                                    trace.checks, trace.loop)
         self.traces += 1
-
-    @staticmethod
-    def _laps_repeat(state, parts, span):
-        """Run a second lap of *parts* on *state*, from offset *span*:
-        True if it admits every member, needs no new check, and ends
-        in the state the first lap ended in."""
-        before = state.relative(span)
-        checks = len(state.checks)
-        start = span
-        prev = parts[-1]
-        for part in parts:
-            if not state.admits(prev, part, start):
-                return False
-            state.ran(part, start)
-            start += part.total_rel
-            prev = part
-        return len(state.checks) == checks and state.relative(start) == before
 
     # -- deferred ground truth ----------------------------------------
 

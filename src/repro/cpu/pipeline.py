@@ -296,6 +296,7 @@ class Core:
         slow_cause = -1
         slow_from = 0
         slow_counts = fp.slow_instructions if fp_on else None
+        refusals = fp.refusals if fp_on else None
         compile_uses = fp.COMPILE_USES if fp_on else 0
         trace_uses = fp.TRACE_USES if fp_on else 0
         rec_list = None  # schedule being recorded for (rec_block, rec_key)
@@ -337,7 +338,7 @@ class Core:
                     if block is None:
                         block = fp.discover(pc)
                     if block is False:
-                        slow_cause = fp.refusals.get(pc, NO_BLOCK)
+                        slow_cause = refusals.get(pc, NO_BLOCK)
                     else:
                         t0 = prev_issue
                         live_parts = None
