@@ -65,7 +65,7 @@ PERIOD = dict(mode="default", cycles_period=(240, 256), event_period=64)
 clock = time.perf_counter
 spent = {"compile": 0.0, "compiles": 0, "bodies": 0.0}
 tier_up = fastpath.FastPath.compile_variant
-form_trace = fastpath.FastPath.form_trace
+compile_trace = fastpath.FastPath.compile_trace
 
 
 def timed_compile(*args):
@@ -92,17 +92,16 @@ def timed_tier_up(self, variant):
     bracket(variant)
 
 
-def timed_form_trace(self, head):
-    form_trace(self, head)
-    if head.trace is not None and head.trace.fn is not None:
-        bracket(head.trace)
+def timed_compile_trace(self, trace):
+    compile_trace(self, trace)
+    bracket(trace)
 
 
 def one_round(programs, fast, time_bodies=False):
     fastpath.FastPath.compile_variant = (
         timed_tier_up if time_bodies else tier_up)
-    fastpath.FastPath.form_trace = (
-        timed_form_trace if time_bodies else form_trace)
+    fastpath.FastPath.compile_trace = (
+        timed_compile_trace if time_bodies else compile_trace)
     spent.update(compile=0.0, compiles=0, bodies=0.0)
     out = dict(wall=0.0, n=0, replayed=0, replays=0)
     out.update(dict.fromkeys(COUNTS, 0))

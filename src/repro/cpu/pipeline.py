@@ -40,10 +40,10 @@ model (``_fetch``, ``TLB.translate``, ``Hierarchy.access``,
   returns to it.  When the block heads a trace -- the blocks the gate
   would pick back to back, compiled into one function -- the gate
   enters the trace, and an exit or a bail inside it is applied as the
-  clean exit of the members before it.  A replay is a clean prefix: the compiled code holds
-  hit paths only and stops *before* the first instruction whose fetch,
-  translation, D-cache probe or write-buffer probe does not hit, with
-  nothing of that instruction applied.  The slow path -- the only
+  clean exit of the members before it.  A replay is a clean prefix:
+  the compiled code holds hit paths only and stops *before* the first
+  instruction whose fetch, translation, D-cache probe or write-buffer
+  probe does not hit, with nothing of that instruction applied.  The slow path -- the only
   implementation of what a miss does -- takes over from there, so
   counters, samples and ground-truth attributions stay byte-identical.
 
