@@ -963,8 +963,9 @@ class FastPath:
             tail.succ_uses = 1
 
     def form_trace(self, head):
-        """Follow the successor links from *head* and compile the blocks
-        that the gate would provably pick back to back.
+        """Follow the successor links from *head* and form a trace of the
+        blocks the gate would provably pick back to back (compiled by
+        :meth:`compile_trace` once it recurs).
 
         A member joins only if its own entry key is what the trace's
         entry state produces at its head (:class:`_EntryState`).  With
@@ -1014,7 +1015,8 @@ class FastPath:
             part.succ_uses = self.COMPILE_USES
 
     def compile_trace(self, trace):
-        """Tier-up: compile *trace* (see :func:`_compile_replay`)."""
+        """Tier-up: compile *trace* (see :func:`_compile_replay`); the
+        gate calls it on the ``TRACE_USES``-th pick of the head."""
         parts = trace.parts
         starts = trace.starts()
         trace.ends = tuple(start + part.total_rel
