@@ -102,9 +102,9 @@ from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
 from repro.cpu.writebuffer import WriteBuffer
 
 #: Bound on cached replay functions; the cache is cleared when full.
-#: A variant's entry measures ~1.8 KiB of code object (its key is the
-#: recorded steps the variant holds anyway), a trace's ~4.8 KiB; one
-#: 200k-instruction gcc session leaves 304 entries (70 of them
+#: A variant's entry measures ~1.6 KiB of code object (its key is the
+#: recorded steps the variant holds anyway), a trace's ~3.5 KiB; one
+#: 200k-instruction gcc session leaves 288 entries (48 of them
 #: traces), so the bound is far from ordinary use.
 REPLAY_CACHE_MAX = 4096
 
