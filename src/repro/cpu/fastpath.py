@@ -67,7 +67,7 @@ Design notes (see README "Performance"):
   ``COMPILE_USES`` times, :meth:`FastPath.form_trace` follows the links
   and keeps each block whose entry key the trace's entry state
   provably reproduces (:class:`_EntryState`), up to
-  ``MAX_TRACE_BLOCKS`` / ``MAX_TRACE_STEPS``.  Links that lead back to
+  ``MAX_TRACE_STEPS`` instructions.  Links that lead back to
   the head make a *loop* trace, which runs laps within one call.  A
   trace tiers up like a variant: it compiles once the gate has picked
   its head ``TRACE_USES`` more times.  At
@@ -468,7 +468,7 @@ class _EntryState:
                        for free in self.units]
 
 
-def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key=None,
+def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                     checks=(), loop=False):
     """Compile a block's, or a trace's, steps into one replay function.
 
@@ -518,9 +518,10 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key=None,
     text generation and ``compile()`` (*segments* is not read then).
     """
     global _replay_cache_hits, _replay_cache_misses
-    if key is not None and key in _replay_cache:
+    fn = _replay_cache.get(key)
+    if fn is not None:
         _replay_cache_hits += 1
-        return _replay_cache[key]
+        return fn
     pm = (1 << page_bits) - 1
     ishift, imask = l1i_geom
     dshift, dmask = l1d_geom
@@ -764,10 +765,6 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key=None,
         head.append("    _bt = bp._table")
         head.append("    _bm = bp._mask")
     source = "\n".join(head + body)
-    fn = _replay_cache.get(source)
-    if fn is not None:
-        _replay_cache_hits += 1
-        return fn
     _replay_cache_misses += 1
     # The def binds into *scope*; the function's globals stay shared.
     scope = {}
@@ -776,7 +773,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key=None,
     fn = scope["_replay"]
     if len(_replay_cache) >= REPLAY_CACHE_MAX:
         _replay_cache.clear()
-    _replay_cache[source if key is None else key] = fn
+    _replay_cache[key] = fn
     return fn
 
 
@@ -785,9 +782,7 @@ class FastPath:
 
     #: Longer straight-line runs are not cached.
     MAX_BODY = 48
-    #: A trace spans at most this many blocks...
-    MAX_TRACE_BLOCKS = 12
-    #: ...and this many instructions.
+    #: A trace spans at most this many instructions.
     MAX_TRACE_STEPS = 32
     #: Bound on distinct entry PCs tracked (False entries included).
     MAX_BLOCKS = 65536
@@ -998,8 +993,7 @@ class FastPath:
             if nxt is head:
                 loop = state.laps_repeat(parts, start)
                 break
-            if (len(parts) >= self.MAX_TRACE_BLOCKS
-                    or steps + nxt.n > self.MAX_TRACE_STEPS
+            if (steps + nxt.n > self.MAX_TRACE_STEPS
                     or not state.admits(cur, nxt, start)):
                 break
             parts.append(nxt)

@@ -23,10 +23,10 @@ from repro.alpha.assembler import assemble
 from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastpath import TRACE_EXITS
 from repro.cpu.machine import Machine
-from repro.tools.abcheck import _canonical, model_counters
+from repro.tools.abcheck import _canonical, check_workload, model_counters
 from repro.workloads.asmgen import caller_proc, loop_proc
+from repro.workloads.base import Workload
 
 FLAVORS = ("int", "mem", "fp", "branchy", "stream")
 
@@ -130,13 +130,25 @@ def test_fastpath_is_observationally_identical(text):
     assert observables(fast) == observables(slow)
 
 
-def test_trace_leaves_on_its_direction_guard():
+class TurningLoop(Workload):
+    name = "turning-loop"
+
+    def setup(self, machine):
+        image = machine.load_image(assemble(TURNING_LOOP))
+        machine.spawn(image, entry="t:main")
+
+
+@pytest.mark.parametrize("mode", ["default", "cycles", "mux"])
+def test_trace_leaves_on_its_direction_guard(mode):
     # The example above is not vacuous: traces form, loop, and leave
-    # on a branch that turned without mispredicting.
-    fp = run_program(TURNING_LOOP, True).fastpath
-    assert fp.traces > 0
-    assert fp.trace_exits[TRACE_EXITS.index("guard")] > 0
-    assert fp.dispatches < fp.replays
+    # on a branch that turned without mispredicting -- and they do so
+    # under every sampling mode, on dcpiab's three legs (cold fast,
+    # warm fast, slow), which the registry rows never make them do.
+    identical, line, snap = check_workload(TurningLoop(), mode=mode)
+    assert identical, line
+    assert snap["traces"] > 0
+    assert snap["trace_exits.guard"] > 0
+    assert snap["dispatches"] < snap["replays"]
 
 
 def test_fastpath_engages_on_generated_programs():

@@ -122,8 +122,8 @@ def test_dcpiab(argv, capsys):
     The identity covers trace code only where traces ran: every way a
     trace entry ends must occur.  The registry's interior branches
     never turn against their trace without a mispredict, so the
-    direction guard is exercised by
-    ``test_fastpath_identity.py::test_trace_leaves_on_its_direction_guard``
+    direction guard is exercised, on the same three legs in each mode,
+    by ``test_fastpath_identity.py::test_trace_leaves_on_its_direction_guard``
     instead."""
     code = cli.main_dcpiab(argv)
     out = capsys.readouterr().out
