@@ -310,10 +310,9 @@ class Trace:
     head variant itself for ``k == 0``), which an exit at member *k*'s
     terminator, or a bail in member *k + 1*, applies after settling its
     final scoreboard ``sb``: a trace's code settles the scoreboard only
-    when it returns clean, so ``Core.run`` also settles a loop trace's
-    own ``sb`` for the last lap before an exit or a bail.  Only a trace
-    :meth:`FastPath.form_trace` built has ``fn``, ``ends`` and
-    ``firsts``; its prefixes are built on first use.
+    at its last terminator.  Only a trace :meth:`FastPath.form_trace`
+    built has ``fn``, ``ends`` and ``firsts``; its prefixes are built on
+    first use.
     """
 
     __slots__ = ("fn", "uses", "checks", "n", "total_rel", "imul_rel",
@@ -486,10 +485,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     the head and ``end`` is where the head ends on the next lap: the
     function then starts laps while the path holds, ``room`` allows
     and fewer than ``laps`` followed, and every result gains the
-    number of laps completed before it as a last element.  The laps
-    settle no scoreboard: the lap that returns clean settles its own
-    *sb*, and the caller settles the last lap's before any other
-    result.
+    number of laps completed before it as a last element.
 
     The generated function executes the steps' semantics and the
     model's *hit* paths (same-page I-L1 tag hit, D-TLB entry present,
@@ -504,8 +500,8 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     (:func:`repro.alpha.opcodes.open_code`).  It returns one of
 
     * ``(CLEAN, next_pc, taken, mispredicted)`` -- every step ran, and
-      the final scoreboard was applied (before the last terminator's
-      value-dependent code, or a loop's return);
+      the final scoreboard was applied before the last terminator's
+      value-dependent code;
     * ``(EXIT, next_pc, taken, mispredicted, k)`` -- blocks ``0..k``
       ran and block *k*'s terminator left the recorded path: it
       mispredicted, went the other way, the next block would not fit
@@ -574,27 +570,18 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
         L("    _ln = ((_pp << %d) | (_va & %d)) >> %d"
           % (page_bits, pm, dshift))
 
-    def settle(sb, pre):
-        for reg, done in sb:
-            L(pre + "reg_ready[%d] = reg_ready_static[%d] = t0 + %d"
-              % (reg, reg, done))
-            L(pre + "reg_dyn_reason[%d] = None" % reg)
-
-    def leave(k, guard, sb, rel, off_path, next_pc, taken, mp):
+    def leave(k, guard, rel, off_path, next_pc, taken, mp):
         # Stay on the recorded path with the next block inside room,
         # or return: at an interior terminator an EXIT, at the last
-        # one of a loop the lap's CLEAN result, settling its scoreboard
-        # (a lap that another follows leaves that to the caller).
+        # one of a loop the lap's CLEAN result.
         tests = [off_path] if off_path else []
         if k == 0 and checks:
             tests.append("_ck")
         tests.append("room <= %d" % guard[2])
         if k == len(segments) - 1:
             tests.append("_lap >= laps")
-            L("    if %s:" % " or ".join(tests))
-            settle(sb, "        ")
-            L("        return (%d, %s, %s, %s, _lap)"
-              % (CLEAN, next_pc, taken, mp))
+            L("    if %s: return (%d, %s, %s, %s, _lap)"
+              % (" or ".join(tests), CLEAN, next_pc, taken, mp))
             L("    t0 += %d" % rel)
             L("    room -= %d" % rel)
             L("    _lap += 1")
@@ -623,10 +610,13 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 else:
                     emit_fetch(i, addr)
                 prev_line = fline
-            if rec[13] and guard is None:
+            if rec[13]:
                 # The terminator can no longer bail: settle the
                 # scoreboard before its (direction-dependent) code.
-                settle(sb, "    ")
+                for reg, done in sb:
+                    L("    reg_ready[%d] = reg_ready_static[%d] = t0 + %d"
+                      % (reg, reg, done))
+                    L("    reg_dyn_reason[%d] = None" % reg)
             kind = rec[0]
             dst = rec[7]
             f1 = rec[4]
@@ -721,7 +711,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 if guard is None:
                     L("    return (%d, %s, _t, _mp)" % (CLEAN, next_pc))
                 else:
-                    leave(k, guard, sb, rel, "_mp or %s_t"
+                    leave(k, guard, rel, "_mp or %s_t"
                           % ("not " if guard[1] else ""),
                           next_pc, "_t", "_mp")
             elif kind == 13 or kind == 14:  # br / bsr
@@ -732,7 +722,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 if guard is None:
                     L("    return (%d, %d, True, False)" % (CLEAN, rec[9]))
                 else:
-                    leave(k, guard, sb, rel, None, rec[9], "True", "False")
+                    leave(k, guard, rel, None, rec[9], "True", "False")
             else:  # jmp / jsr / ret
                 L("    _tg = iregs[%d] & -4" % f2)
                 if dst is not None:
@@ -747,8 +737,8 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 if guard is None:
                     L("    return (%d, _tg, True, _mp)" % CLEAN)
                 else:
-                    leave(k, guard, sb, rel, "_mp or _tg != %d" % guard[0],
-                          "_tg", "True", "_mp")
+                    leave(k, guard, rel, "_mp or _tg != %d" % guard[0], "_tg",
+                          "True", "_mp")
             prev_rel = rel
             i += 1
 
@@ -1027,7 +1017,6 @@ class FastPath:
                            for start, part in zip(starts, parts))
         trace.firsts = tuple(sum(part.n for part in parts[:k])
                              for k in range(1, len(parts)))
-        trace.sb = trace.final_scoreboard()
         # A member's function stands for its compiled input (the code
         # cache is keyed by it), so this key determines the trace's.
         key = (tuple(p.fn for p in parts),
@@ -1041,7 +1030,7 @@ class FastPath:
                     guard = (parts[k + 1].block.head, part.succ_taken,
                              trace.ends[k + 1])
                 else:
-                    sb = trace.sb
+                    sb = trace.final_scoreboard()
                     guard = None
                     if trace.loop:
                         guard = (parts[0].block.head, part.succ_taken,

@@ -448,11 +448,11 @@ class Core:
                            reg_ready, reg_ready_static, reg_dyn_reason,
                            asn, t0, room, laps)
                 fp_dispatches += 1
-                r0 = res[0]
                 if v.loop and res[-1]:
                     # A loop trace ran res[-1] whole laps before the
                     # result: apply them as that many clean, correctly
-                    # predicted passes back into its head.
+                    # predicted passes back into its head (the code
+                    # settled the scoreboard each lap).
                     lapped = res[-1]
                     if v.hits == 0:
                         fp.deferred.append(v)
@@ -465,11 +465,10 @@ class Core:
                     cyc_acc += total_rel
                     cyc_room -= total_rel
                     t0 += total_rel
-                    t1 = t0 - v.total_rel   # where the last lap began
                     if v.imul_rel:
-                        imul_free = t1 + v.imul_rel
+                        imul_free = t0 - v.total_rel + v.imul_rel
                     if v.fdiv_rel:
-                        fdiv_free = t1 + v.fdiv_rel
+                        fdiv_free = t0 - v.total_rel + v.fdiv_rel
                     prev_issue = t0
                     prev_cls = v.prev_cls_end
                     leader_pc = v.leader_addr
@@ -477,15 +476,7 @@ class Core:
                     pair_open = first.key[0] >= 0
                     edge = (v.term_addr, first.block.head)
                     gt_edges[edge] = gt_edges.get(edge, 0) + lapped
-                    if r0 != CLEAN:
-                        # The code settles the scoreboard only when it
-                        # returns clean: settle the last whole lap's,
-                        # which the exit or bail below updates.
-                        for reg, done in v.sb:
-                            done += t1
-                            reg_ready[reg] = done
-                            reg_ready_static[reg] = done
-                            reg_dyn_reason[reg] = None
+                r0 = res[0]
                 if r0 >= CLEAN:
                     if r0 != CLEAN:
                         # A trace left its path at member k's

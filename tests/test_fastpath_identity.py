@@ -23,7 +23,6 @@ from repro.alpha.assembler import assemble
 from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastpath import TRACE_EXITS
 from repro.cpu.machine import Machine
 from repro.tools.abcheck import _canonical, check_workload, model_counters
 from repro.workloads.asmgen import caller_proc, loop_proc
@@ -118,37 +117,6 @@ Lskip:
 """
 
 
-#: A loop whose divide, issued late in a lap, is read at the top of the
-#: next, and whose load misses on every fourth lap.  The loop trace
-#: bails on that load after whole laps, with the last lap's divide
-#: still pending: the scoreboard those laps leave must be settled.
-DIVIDING_LOOP = """
-.image t
-.data buf, 8192
-.proc main
-    lda   t1, =buf
-    lda   t4, 7(zero)
-    lda   t3, -3(zero)
-    stq   t4, 0(t1)
-    ldt   f1, 0(t1)
-    stq   t3, 8(t1)
-    ldt   f2, 8(t1)
-    lda   t2, 64(t1)
-    lda   t0, 0(zero)
-    lda   v0, 600(zero)
-Lloop:
-    ldq   t4, 0(t2)
-    addt  f3, f1, f4
-    addq  t2, 8, t2
-    addq  t0, 1, t0
-    divt  f1, f2, f3
-    cmpult t0, v0, t9
-    bne   t9, Lloop
-    ret
-.end
-"""
-
-
 @settings(max_examples=examples(25), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
@@ -156,7 +124,6 @@ Lloop:
 @example(".image t\n%s%s" % (loop_proc("leaf0", 400, "branchy"),
                              caller_proc("main", ["leaf0"])))
 @example(TURNING_LOOP)
-@example(DIVIDING_LOOP)
 def test_fastpath_is_observationally_identical(text):
     fast = run_program(text, True)
     slow = run_program(text, False)
@@ -182,15 +149,6 @@ def test_trace_leaves_on_its_direction_guard(mode):
     assert snap["traces"] > 0
     assert snap["trace_exits.guard"] > 0
     assert snap["dispatches"] < snap["replays"]
-
-
-def test_loop_trace_bails_after_whole_laps():
-    # DIVIDING_LOOP is not vacuous either: its loop trace runs laps
-    # and then bails in a later one.
-    fp = run_program(DIVIDING_LOOP, True).fastpath
-    assert fp.traces > 0
-    assert fp.trace_exits[TRACE_EXITS.index("bail_head")] > 0
-    assert fp.dispatches * 2 < fp.replays
 
 
 def test_fastpath_engages_on_generated_programs():
