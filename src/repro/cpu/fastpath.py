@@ -809,7 +809,7 @@ class FastPath:
     #: traces that would not repay their code, and trace code is what
     #: a trace costs in memory: compiled on formation, opt-loop's 380
     #: traces (two in five entered fewer than ten times) took its
-    #: peak_rss_mb 46.3 -> 49.7; at 32 picks, 48.2 for 151 traces.
+    #: peak_rss_mb 46.3 -> 49.7; at 32 picks, 47.97 for 151 traces.
     TRACE_USES = 32
 
     def __init__(self, decode_map, page_bits, l1d_latency, l1d_geom,
