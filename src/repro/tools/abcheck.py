@@ -77,13 +77,15 @@ def model_counters(machine):
     } for core in machine.cores]
 
 
-def run_session(workload, fastpath, seed, max_instructions, mode):
-    """One profiled run with the fast path forced on or off."""
+def run_session(workload, fastpath, seed, max_instructions, mode,
+                **options):
+    """One profiled run with the fast path forced on or off; *options*
+    are further :class:`SessionConfig` fields (edge sampling)."""
     config = MachineConfig(num_cpus=workload.num_cpus)
     config.fastpath = fastpath
     session = ProfileSession(
         config, SessionConfig(mode=mode, cycles_period=(240, 256),
-                              event_period=64, seed=seed))
+                              event_period=64, seed=seed, **options))
     started = time.perf_counter()
     result = session.run(workload, max_instructions=max_instructions)
     return result, time.perf_counter() - started
