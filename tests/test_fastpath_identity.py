@@ -24,9 +24,11 @@ from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
 from repro.cpu.config import MachineConfig
 from repro.cpu.machine import Machine
-from repro.tools.abcheck import _canonical, check_workload, model_counters
+from repro.tools.abcheck import (_canonical, check_workload, fingerprint,
+                                 model_counters, run_session)
 from repro.workloads.asmgen import caller_proc, loop_proc
 from repro.workloads.base import Workload
+from repro.workloads.registry import get_workload
 
 FLAVORS = ("int", "mem", "fp", "branchy", "stream")
 
@@ -149,6 +151,24 @@ def test_trace_leaves_on_its_direction_guard(mode):
     assert snap["traces"] > 0
     assert snap["trace_exits.guard"] > 0
     assert snap["dispatches"] < snap["replays"]
+
+
+@pytest.mark.parametrize("edge_mode", ["double", "interpret"])
+@pytest.mark.parametrize("name", ["gcc", "mccalpin-scale"])
+def test_fastpath_is_identical_under_edge_sampling(name, edge_mode):
+    # The slow path owns both edge-sampling branches -- the second half
+    # of a double sample, and the interpreted control transfer -- and
+    # the gate refuses to replay around a pending one (``pending``).
+    def observed(fastpath):
+        result, _ = run_session(get_workload(name), fastpath, 1, 60_000,
+                                "default", edge_sampling=True,
+                                edge_mode=edge_mode)
+        edges = {image: profile.edge_counts
+                 for image, profile in result.daemon.profiles.items()}
+        return fingerprint(result), model_counters(result.machine), edges
+    fast = observed(True)
+    assert any(fast[2].values())
+    assert fast == observed(False)
 
 
 def test_fastpath_engages_on_generated_programs():
