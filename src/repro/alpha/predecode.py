@@ -9,10 +9,10 @@ computed once at image-load time:
 * the operand shape and issue class as small integers (``K_*`` kind
   codes, issue-class ids indexing :data:`PAIR_OK_ID`);
 * result latency, functional-unit needs and busy cycles;
-* source registers, the *normalized* destination register (``None``
-  when the architectural target is a zero register), and pre-resolved
-  operand fields (float-register indices already rebased, ``ldah``
-  displacements pre-shifted);
+* source registers and their count, the *normalized* destination
+  register (``None`` when the architectural target is a zero register),
+  and pre-resolved operand fields (float-register indices already
+  rebased, ``ldah`` displacements pre-shifted);
 * the semantics callable and static branch target.
 
 The records are pure data: executing from them is byte-identical to
@@ -45,6 +45,7 @@ R_UNIT = 11   # busy unit: 0 none, 1 imul, 2 fdiv
 R_BUSY = 12   # unit busy cycles
 R_CTRL = 13   # True for control transfers (block terminators)
 R_ADDR = 14   # absolute instruction address
+R_NSRC = 15   # len(srcs): the slow path's readiness is unrolled by it
 
 # -- kind codes -------------------------------------------------------------
 
@@ -165,4 +166,4 @@ def decode(inst: Instruction) -> Tuple[object, ...]:
         code = K_NOP
     return (code, cls_id, icls.latency, inst.srcs, f1, f2, f3, dst,
             imm, target, fn, _UNIT_ID[icls.unit], icls.busy,
-            code >= K_FIRST_CONTROL, inst.addr)
+            code >= K_FIRST_CONTROL, inst.addr, len(inst.srcs))

@@ -59,11 +59,12 @@ class CounterUnit:
         """The smallest *amount* for which :meth:`add` overflows a slot
         counting *event* (``UNBOUNDED`` when none counts it).
 
-        ``Core.run`` keeps this for CYCLES in one local: it holds back
-        the cycles of spans that stay below it and hands them to
-        :meth:`add` together with the span that reaches it, or at run
-        exit.  Overflow times depend only on the final count and the
-        span's end, so the deferral is exact."""
+        ``Core.run`` holds CYCLES back as a watermark: the first cycle
+        at or after ``cyc_base`` plus this amount overflows, so spans
+        ending below that mark only move the issue clock, and the span
+        that reaches it (or run exit) hands :meth:`add` every cycle
+        since ``cyc_base`` at once.  Overflow times depend only on the
+        final count and the span's end, so the deferral is exact."""
         slots = self._by_event.get(event)
         if not slots:
             return UNBOUNDED

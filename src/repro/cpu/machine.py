@@ -37,6 +37,9 @@ class Machine:
         #: addr -> flat predecode record (repro.alpha.predecode); the
         #: pipeline's hot loop reads only these, never Instruction.
         self.decode_map = {}
+        #: pc -> the straight-line run Core.run's slow path walks from
+        #: there (repro.cpu.pipeline._Run), built on first visit.
+        self.runs = {}
         l1d_geom = cache_geometry(config.l1d)
         l1i_geom = cache_geometry(config.l1i)
         #: Block-level issue cache.  None when config.fastpath is off,
@@ -81,9 +84,10 @@ class Machine:
             for inst in image.instructions:
                 code_map[inst.addr] = inst
                 decode_map[inst.addr] = decode(inst)
+            # The static code map changed: conservatively drop every
+            # cached run and block (they are cheap to rediscover).
+            self.runs.clear()
             if self.fastpath is not None:
-                # The static code map changed: conservatively drop every
-                # cached block (they are cheap to rediscover).
                 self.fastpath.invalidate()
         return image
 
