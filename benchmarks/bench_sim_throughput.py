@@ -13,9 +13,9 @@ Two properties are asserted:
   databases, event-sample totals, and ground-truth attributions
   (the same fingerprint ``dcpiab`` checks nightly);
 * the fast path is *worth having*: the multiplier clears a
-  conservative floor on every workload where straight-line replay
-  applies (streaming workloads that blacklist themselves are reported
-  but not gated).
+  conservative floor on every workload in ``WORKLOADS``, all of them
+  code where straight-line replay applies.  Streaming workloads, whose
+  blocks blacklist themselves, have no row.
 
 The recorded ``timing.instructions_per_sec`` is for humans: timing
 regressions are gated by ``python3 perfbench/run.py`` (``work_per_s``

@@ -14,18 +14,19 @@ instruction, with nothing of that instruction applied; the slow path
 
 Design notes (see README "Performance"):
 
-* A block is a maximal run of straight-line predecode records starting
-  at an entry PC the core actually reached at a block boundary.  It
-  includes its terminating control transfer, whose *schedule* (issue
-  slot, pairing) is entry-invariant even though its direction is
-  dynamic.  Straight-line runs longer than ``MAX_BODY`` are not
-  cached.
+* The unit is the slow path's straight-line run
+  (:class:`repro.cpu.pipeline._Run`): one walker, one cache, one
+  bound.  A *block* is a run with a body that ends in a control
+  transfer, whose *schedule* (issue slot, pairing) is entry-invariant
+  even though its direction is dynamic.  The gate classifies a run the
+  first time it meets it (:meth:`FastPath.discover`); the run then
+  carries the block's live-ins, schedules and refusal cause.
 * Variant keys are *relative* to the entry cycle, so context switches
   need no invalidation: everything time-like in the key (operand
   readiness, IMUL/FDIV backlog) is an offset from the entry cycle, and
   all per-process scoreboard state lives on the Process.  Loading an
   image rebuilds the static code map, so it conservatively drops every
-  cached block.
+  cached run, as a full run cache does (``Machine.invalidate_runs``).
 * Each cached variant is *compiled* to a specialized Python function
   (:func:`_compile_replay`): operand fields, issue offsets, fetch-line
   crossings and the I-fetch / D-TLB / L1D *hit* probes become
@@ -139,9 +140,9 @@ CLEAN = len(BAIL_REASONS)
 EXIT = CLEAN + 1
 
 #: Why the slow path ran an instruction: the gate refusal (or the bail)
-#: that began its segment.  ``no_block``: unmapped code, a bare control
-#: transfer or a full block table; ``bigcode``: a straight-line run
-#: longer than ``MAX_BODY``; ``blacklisted``: ``MAX_FAILED`` spoiled
+#: that began its segment.  ``no_block``: a run that reaches unmapped
+#: code or is a bare control transfer; ``bigcode``: a run cut by
+#: ``MAX_RUN``; ``blacklisted``: ``MAX_FAILED`` spoiled
 #: recordings; ``bail_tail``: the rest of a block after a bail;
 #: ``front_extra``: mispredict or handler cycles owed; ``pending``: an
 #: interrupt delivery or the second half of a double sample due;
@@ -154,6 +155,11 @@ SLOW_CAUSES = ("no_block", "bigcode", "blacklisted", "bail_tail",
                "variant_miss", "cold_variant")
 (NO_BLOCK, BIGCODE, BLACKLISTED, BAIL_TAIL, FRONT_EXTRA, PENDING, HEADROOM,
  BUDGET_EDGE, VARIANT_MISS, COLD_VARIANT) = range(len(SLOW_CAUSES))
+
+#: Longest straight-line run (:class:`repro.cpu.pipeline._Run`): a
+#: block's 48-instruction body and its terminator.  A longer straight
+#: line continues in the next run, and a run cut here is ``bigcode``.
+MAX_RUN = 49
 
 #: How a gate pick of a trace's head ended: every member (of the last
 #: lap) ran; an interior terminator mispredicted, or went the other way
@@ -175,22 +181,6 @@ def cache_geometry(cache_config):
     if cache_config.assoc == 1 and num_sets & (num_sets - 1) == 0:
         return (cache_config.line_size.bit_length() - 1, num_sets - 1)
     return None
-
-
-class Block:
-    """One discovered straight-line block and its cached schedules."""
-
-    __slots__ = ("head", "recs", "live_ins", "has_imul", "has_fdiv",
-                 "variants", "failed")
-
-    def __init__(self, head, recs, live_ins, has_imul, has_fdiv):
-        self.head = head
-        self.recs = recs              # predecode records, terminator last
-        self.live_ins = live_ins      # registers read before written
-        self.has_imul = has_imul
-        self.has_fdiv = has_fdiv
-        self.variants = {}            # entry key -> Variant
-        self.failed = 0               # consecutive aborted recordings
 
 
 def _final_scoreboard(steps, l1d_latency):
@@ -225,18 +215,18 @@ class Variant:
     attributes, so the two share every field it reads.
     """
 
-    __slots__ = ("fn", "uses", "steps", "n", "total_rel", "count_addrs",
-                 "head_items", "stall_items", "sb", "imul_rel",
-                 "fdiv_rel", "prev_cls_end", "term_open", "leader_addr",
-                 "term_addr", "term_edge_always", "hits", "block", "key",
-                 "trace", "succ", "succ_taken", "succ_uses")
+    __slots__ = ("fn", "uses", "steps", "n", "total_rel", "head_items",
+                 "stall_items", "sb", "imul_rel", "fdiv_rel",
+                 "prev_cls_end", "term_open", "leader_addr", "term_addr",
+                 "term_edge_always", "hits", "run", "key", "trace", "succ",
+                 "succ_taken", "succ_uses")
 
     # As a dispatch unit a variant is one block (not a trace's parts),
     # a clean exit leaves from itself (tail None), and it runs no laps.
     parts = tail = None
     loop = False
 
-    def __init__(self, steps, sb, block, key):
+    def __init__(self, steps, sb, run, key):
         # Tiered: ``fn`` stays None (and the slow path keeps executing
         # the block) until the variant recurs ``COMPILE_USES`` times
         # (see there for what a compile() costs).
@@ -246,7 +236,6 @@ class Variant:
         self.n = len(steps)
         last = steps[-1]
         self.total_rel = last[1]
-        self.count_addrs = tuple(s[0][14] for s in steps)
         self.head_items = tuple((s[0][14], s[2]) for s in steps if s[2])
         stall_acc = {}
         for s in steps:
@@ -282,7 +271,7 @@ class Variant:
         # jumps skip the edge into the process exit stub.
         self.term_edge_always = last[0][0] <= 14
         self.hits = 0
-        self.block = block
+        self.run = run                # the block's run: its addresses
         self.key = key
         #: The trace headed by this variant, once one is formed.
         self.trace = None
@@ -388,7 +377,7 @@ class _EntryState:
     """
 
     def __init__(self, head):
-        self.ready = dict.fromkeys(head.block.live_ins)
+        self.ready = dict.fromkeys(head.run.live_ins)
         for part in head.key[1] or ():
             self.ready[part[0]] = part[1:]
         self.units = [None, None]
@@ -413,7 +402,7 @@ class _EntryState:
                 if prev.term_open and not prev.succ_taken else -1)
         live = []
         residual = []
-        for reg in variant.block.live_ins:
+        for reg in variant.run.live_ins:
             if reg not in self.ready:
                 residual.append(reg)
                 continue
@@ -422,8 +411,8 @@ class _EntryState:
                 live.append((reg, state[0] - start,
                              max(state[1] - start, 0), state[2]))
         backlog = []
-        for free, has in ((self.units[0], variant.block.has_imul),
-                          (self.units[1], variant.block.has_fdiv)):
+        for free, has in ((self.units[0], variant.run.has_imul),
+                          (self.units[1], variant.run.has_fdiv)):
             if not has:
                 backlog.append(0)
             elif free is None:
@@ -778,15 +767,13 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
 
 
 class FastPath:
-    """Machine-level block table + issue-schedule variant cache."""
+    """Machine-level issue-schedule variant cache over the runs of
+    ``Machine.runs``."""
 
-    #: Longer straight-line runs are not cached.
-    MAX_BODY = 48
     #: A trace spans at most this many instructions.
     MAX_TRACE_STEPS = 32
-    #: Bound on distinct entry PCs tracked (False entries included).
-    MAX_BLOCKS = 65536
-    #: Bound on cached schedules across all blocks.
+    #: Bound on cached schedules across all blocks; the gate records no
+    #: new one while it is reached.
     MAX_VARIANTS = 16384
     #: Consecutive aborted recordings before a variant-less block is
     #: blacklisted (e.g. streaming code whose loads always miss).
@@ -812,16 +799,14 @@ class FastPath:
     #: peak_rss_mb 46.3 -> 49.7; at 32 picks, 47.97 for 151 traces.
     TRACE_USES = 32
 
-    def __init__(self, decode_map, page_bits, l1d_latency, l1d_geom,
-                 l1i_geom):
-        self.decode_map = decode_map  # shared with the Machine, live
+    def __init__(self, page_bits, l1d_latency, l1d_geom, l1i_geom):
         self.page_bits = page_bits
         self.l1d_latency = l1d_latency
         self.l1d_geom = l1d_geom      # see cache_geometry(); never None
         self.l1i_geom = l1i_geom
-        self.blocks = {}              # head pc -> Block | False
-        #: Why a head maps to False, when it is not ``NO_BLOCK``.
-        self.refusals = {}
+        # Runs classified and variants stored since the last
+        # invalidation.
+        self.classified = 0
         self.variant_count = 0
         #: Variants and traces with unflushed ground-truth hits (see
         #: :meth:`flush_deferred`).
@@ -846,34 +831,23 @@ class FastPath:
         self.aborted_recordings = 0   # recordings spoiled by an event
         self.variant_misses = 0       # entry key not cached yet
         self.headroom_skips = 0       # replay blocked by counter headroom
-        self.dropped_variants = 0     # cache full, schedule discarded
+        self.dropped_variants = 0     # cache full, schedule not recorded
         self.invalidations = 0
 
     # -- discovery ----------------------------------------------------
 
-    def discover(self, head):
-        """Scan forward from *head*; cache and return Block or False."""
-        if len(self.blocks) >= self.MAX_BLOCKS:
-            return False
-        decode_map = self.decode_map
-        recs = []
-        addr = head
-        rec = decode_map.get(addr)
-        while (rec is not None and not rec[13]          # R_CTRL
-               and len(recs) < self.MAX_BODY):
-            recs.append(rec)
-            addr += 4
-            rec = decode_map.get(addr)
-        if rec is None or not recs or not rec[13]:
-            # Unmapped code, a bare control transfer (not worth the
-            # key-building overhead) or a run longer than MAX_BODY.
-            self.blocks[head] = False
-            if rec is not None and not rec[13]:
-                self.refusals[head] = BIGCODE
-            return False
+    def discover(self, run):
+        """Classify *run* the first time the gate meets it; return its
+        ``refusal``: -1 for a block, else the ``SLOW_CAUSES`` index that
+        keeps it from replaying.  A bare control transfer is not worth
+        the key-building overhead."""
+        self.classified += 1
+        recs = run.recs
+        if run.n == 1 or not recs[-1][13]:              # R_CTRL
+            run.refusal = BIGCODE if run.n == MAX_RUN else NO_BLOCK
+            return run.refusal
         # The terminator replays too: its issue slot depends on its own
         # operands, so they join the entry key's live-ins.
-        recs.append(rec)
         live = []
         written = set()
         has_imul = has_fdiv = False
@@ -889,35 +863,32 @@ class FastPath:
                 has_imul = True
             elif unit == 2:
                 has_fdiv = True
-        block = Block(head, tuple(recs), tuple(live), has_imul, has_fdiv)
-        self.blocks[head] = block
-        return block
+        run.live_ins = tuple(live)    # registers read before written
+        run.has_imul = has_imul
+        run.has_fdiv = has_fdiv
+        run.variants = {}             # entry key -> Variant
+        run.failed = 0                # consecutive aborted recordings
+        run.refusal = -1
+        return -1
 
     # -- schedule cache -----------------------------------------------
 
-    def store(self, block, key, entries):
-        """Cache a recorded schedule for (*block*, *key*).
+    def store(self, run, key, entries):
+        """Cache the schedule a complete visit of block *run* recorded
+        from entry *key*.
 
         *entries* is one ``(rel_issue, cycles_head, paired, stalls)``
-        per instruction of the block, terminator included.  Its bulk
+        per instruction of the run, terminator included.  Its bulk
         effects are precomputed (see :class:`Variant`); compilation
         waits for :meth:`compile_variant`.
         """
-        if self.variant_count >= self.MAX_VARIANTS:
-            self.dropped_variants += 1
-            return False
-        recs = block.recs
-        if len(entries) != len(recs):
-            return False
-        steps = tuple(
-            (rec, entry[0], entry[1], entry[2], entry[3])
-            for rec, entry in zip(recs, entries))
+        steps = tuple((rec,) + entry
+                      for rec, entry in zip(run.recs, entries))
         sb = _final_scoreboard(steps, self.l1d_latency)
-        block.variants[key] = Variant(steps, sb, block, key)
-        block.failed = 0
+        run.variants[key] = Variant(steps, sb, run, key)
+        run.failed = 0
         self.variant_count += 1
         self.recordings += 1
-        return True
 
     def compile_variant(self, variant):
         """Tier-up: compile *variant*'s recorded schedule to its
@@ -928,17 +899,15 @@ class FastPath:
             (segments, self.page_bits, self.l1d_geom, self.l1i_geom))
         self.compiled_variants += 1
 
-    def abort_recording(self, block):
-        """A dynamic event spoiled a recording of *block*.  Blocks that
-        repeatedly fail with nothing cached yet (streaming code whose
-        loads always miss) are blacklisted to stop paying the
+    def abort_recording(self, run):
+        """A dynamic event spoiled a recording of block *run*.  Blocks
+        that repeatedly fail with nothing cached yet (streaming code
+        whose loads always miss) are blacklisted to stop paying the
         recording overhead on every visit."""
         self.aborted_recordings += 1
-        block.failed += 1
-        if (block.failed >= self.MAX_FAILED and not block.variants
-                and self.blocks.get(block.head) is block):
-            self.blocks[block.head] = False
-            self.refusals[block.head] = BLACKLISTED
+        run.failed += 1
+        if run.failed >= self.MAX_FAILED and not run.variants:
+            run.refusal = BLACKLISTED
 
     # -- traces -------------------------------------------------------
 
@@ -1027,13 +996,13 @@ class FastPath:
             for k, (part, start) in enumerate(zip(parts, starts)):
                 if k < len(parts) - 1:
                     sb = ()
-                    guard = (parts[k + 1].block.head, part.succ_taken,
+                    guard = (parts[k + 1].run.pc, part.succ_taken,
                              trace.ends[k + 1])
                 else:
                     sb = trace.final_scoreboard()
                     guard = None
                     if trace.loop:
-                        guard = (parts[0].block.head, part.succ_taken,
+                        guard = (parts[0].run.pc, part.succ_taken,
                                  trace.total_rel + trace.ends[0])
                 segments.append((
                     tuple((s[0], start + s[1]) for s in part.steps),
@@ -1067,7 +1036,7 @@ class FastPath:
                 hits = unit.hits
                 unit.hits = 0
                 for part, after in zip(parts, parts[1:]):
-                    edge = (part.term_addr, after.block.head)
+                    edge = (part.term_addr, after.run.pc)
                     gt_edges[edge] = gt_edges.get(edge, 0) + hits
                 for variant in parts:
                     if variant.hits == 0:
@@ -1079,7 +1048,8 @@ class FastPath:
                 continue            # a trace, already handed over
             variant.hits = 0
             self.replays += hits
-            for a in variant.count_addrs:
+            run = variant.run
+            for a in range(run.pc, run.end, 4):
                 gt_count[a] = gt_count.get(a, 0) + hits
             for a, ch in variant.head_items:
                 gt_head[a] = gt_head.get(a, 0) + ch * hits
@@ -1094,15 +1064,13 @@ class FastPath:
     # -- invalidation -------------------------------------------------
 
     def invalidate(self):
-        """Drop every cached block (the static code map changed).
-
-        Deferred hit counters survive on the Variant objects still
-        referenced by ``self.deferred``, so no ground truth is lost.
-        """
-        if self.blocks:
+        """The run cache was emptied (``Machine.invalidate_runs``), and
+        every classified run and its variants with it.  Deferred hit
+        counters survive on the Variant objects still referenced by
+        ``self.deferred``, so no ground truth is lost."""
+        if self.classified:
             self.invalidations += 1
-        self.blocks.clear()
-        self.refusals.clear()
+        self.classified = 0
         self.variant_count = 0
 
     # -- reporting ----------------------------------------------------
@@ -1122,7 +1090,7 @@ class FastPath:
             "variant_misses": self.variant_misses,
             "headroom_skips": self.headroom_skips,
             "dropped_variants": self.dropped_variants,
-            "blocks": len(self.blocks),
+            "blocks": self.classified,
             "variants": self.variant_count,
             "invalidations": self.invalidations,
         }

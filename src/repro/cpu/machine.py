@@ -37,8 +37,9 @@ class Machine:
         #: addr -> flat predecode record (repro.alpha.predecode); the
         #: pipeline's hot loop reads only these, never Instruction.
         self.decode_map = {}
-        #: pc -> the straight-line run Core.run's slow path walks from
-        #: there (repro.cpu.pipeline._Run), built on first visit.
+        #: pc -> the straight-line run from there (repro.cpu.pipeline._Run),
+        #: built on first visit: the unit Core.run's slow path walks and
+        #: its fast path caches schedules for.
         self.runs = {}
         l1d_geom = cache_geometry(config.l1d)
         l1i_geom = cache_geometry(config.l1i)
@@ -46,9 +47,9 @@ class Machine:
         #: and for an L1 that is not direct-mapped power-of-two: replay
         #: code inlines the tag probes, and the slow path is the model.
         self.fastpath = (
-            FastPath(self.decode_map, config.page_bits,
-                     config.l1d.latency, l1d_geom, l1i_geom)
-            if (getattr(config, "fastpath", True)
+            FastPath(config.page_bits, config.l1d.latency, l1d_geom,
+                     l1i_geom)
+            if (config.fastpath
                 and l1d_geom is not None and l1i_geom is not None)
             else None)
         self._decoded_images = set()
@@ -85,11 +86,17 @@ class Machine:
                 code_map[inst.addr] = inst
                 decode_map[inst.addr] = decode(inst)
             # The static code map changed: conservatively drop every
-            # cached run and block (they are cheap to rediscover).
-            self.runs.clear()
-            if self.fastpath is not None:
-                self.fastpath.invalidate()
+            # cached run (they are cheap to rediscover).
+            self.invalidate_runs()
         return image
+
+    def invalidate_runs(self):
+        """Empty the run cache, and the fast path's schedules with it:
+        the static code map changed, or the cache is full
+        (``pipeline.MAX_RUNS``)."""
+        self.runs.clear()
+        if self.fastpath is not None:
+            self.fastpath.invalidate()
 
     def spawn(self, images, entry=None, name=None, pid=None,
               ctx=NULL_CTX):

@@ -23,17 +23,19 @@ time, reproducing the paper's section 4.1.2 semantics (IMISS samples
 land on the missing instruction; DMISS/BRANCHMP samples skew a few
 instructions down the stream).
 
-Two execution paths share this accounting, and both inline the same
-hit probes -- a same-page I-L1 tag hit at a fetch-line cross, a D-TLB
-entry, an L1D tag hit, a store to a write-buffer block still draining
--- as a hit-counter bump.  Only a probe that does not hit calls the
-model (``_fetch``, ``TLB.translate``, ``Hierarchy.access``,
-``Cache.lookup``, ``WriteBuffer.earliest_issue`` / ``commit``):
+Both execution paths work on one unit of straight-line code, the run
+(:class:`_Run`, cached per start address in ``Machine.runs``, looked
+up once per loop iteration).  They share this accounting, and both
+inline the same hit probes -- a same-page I-L1 tag hit at a fetch-line
+cross, a D-TLB entry, an L1D tag hit, a store to a write-buffer block
+still draining -- as a hit-counter bump.  Only a probe that does not
+hit calls the model (``_fetch``, ``TLB.translate``,
+``Hierarchy.access``, ``Cache.lookup``, ``WriteBuffer.earliest_issue``
+/ ``commit``):
 
 * the **slow path** walks predecoded records
-  (:mod:`repro.alpha.predecode`) a straight-line run at a time -- from
-  the PC to the next control transfer (:class:`_Run`, cached per start
-  address in ``Machine.runs``) -- and handles every dynamic event.
+  (:mod:`repro.alpha.predecode`) a run at a time -- from the PC to the
+  next control transfer -- and handles every dynamic event.
   The loop-top exit, budget and gate tests, the run lookup and the
   fetch-line test are paid once per run (the line test once per I-cache
   line in it); the deadline is still checked after every instruction,
@@ -42,9 +44,10 @@ model (``_fetch``, ``TLB.translate``, ``Hierarchy.access``,
   ``hits``, expanded into ``gt_count`` at run exit like the replays'
   deferred hits, and a visit stopped inside the run counts its prefix
   per instruction;
-* the **fast path** replays a cached per-block issue schedule
-  (:mod:`repro.cpu.fastpath`) when the block's entry conditions match a
-  prior visit, batching the block's CYCLES into one contiguous span.
+* the **fast path** replays an issue schedule, recorded by one
+  complete slow-path visit of a block -- a run with a body that ends in
+  a control transfer (:mod:`repro.cpu.fastpath`) -- when the block's
+  entry conditions match, batching its CYCLES into one contiguous span.
   The gate at a block head is the only way into a replay; a clean exit
   returns to it.  When the block heads a trace -- the blocks the gate
   would pick back to back, compiled into one function -- the gate
@@ -77,7 +80,7 @@ from repro.cpu.counters import UNBOUNDED, CounterUnit
 from repro.cpu.events import EventType
 from repro.cpu.fastpath import (
     BAIL_HEAD, BAIL_LATER, BAIL_TAIL, BUDGET_EDGE, CLEAN, COLD_VARIANT,
-    FALLBACK, FRONT_EXTRA, GUARD, HEADROOM, MISPREDICT, NO_BLOCK, PENDING,
+    FALLBACK, FRONT_EXTRA, GUARD, HEADROOM, MAX_RUN, MISPREDICT, PENDING,
     ROOM, VARIANT_MISS, cache_geometry)
 from repro.cpu.issue import DEP_REASON
 from repro.cpu.tlb import TLB
@@ -109,30 +112,31 @@ def _tag_probe(cache):
     return cache.sets, geom[1]
 
 
-#: Longest run :class:`_Run` holds; a longer straight line continues
-#: in the next run.  Bounds a run's size, as ``MAX_RUNS`` bounds their
-#: number.
-MAX_RUN = 64
-#: Bound on cached runs (``Machine.runs``); a full cache is emptied.
+#: Bound on cached runs (``Machine.runs``); a full cache is emptied
+#: (``Machine.invalidate_runs``), as ``MAX_RUN`` bounds a run's size.
 MAX_RUNS = 1 << 15
 
 
 class _Run:
-    """The predecoded records the slow path walks in one go: from
-    ``pc`` through the next control transfer, or up to ``MAX_RUN``
-    records, unmapped code or the exit address.
+    """The one unit of straight-line code: the predecoded records
+    ``recs`` from ``pc`` through the next control transfer, or up to
+    ``MAX_RUN`` records, unmapped code or the exit address.
 
     ``chunks`` groups them by I-cache line, ``((line, records), ...)``:
     only a chunk's first record can cross a fetch line.  ``hits``
     counts the complete visits whose execution counts are not yet in
-    ``gt_count`` (:func:`_count_visits`).
+    ``gt_count`` (:func:`_count_visits`).  The fast path's slots are
+    unset until its gate first meets the run and ``refusal`` stops being
+    None (:meth:`repro.cpu.fastpath.FastPath.discover`).
     """
 
-    __slots__ = ("pc", "n", "end", "chunks", "hits")
+    __slots__ = ("pc", "n", "end", "recs", "chunks", "hits", "refusal",
+                 "live_ins", "has_imul", "has_fdiv", "variants", "failed")
 
     def __init__(self, recs, line_shift):
         self.pc = recs[0][14]                           # R_ADDR
         self.n = len(recs)
+        self.recs = tuple(recs)
         self.end = self.pc + 4 * self.n
         chunks = []
         for rec in recs:
@@ -143,6 +147,7 @@ class _Run:
                 chunks.append((line, [rec]))
         self.chunks = tuple((line, tuple(rs)) for line, rs in chunks)
         self.hits = 0
+        self.refusal = None
 
     def prefix(self, k):
         """``chunks`` cut after the first *k* records."""
@@ -376,7 +381,6 @@ class Core:
 
         fp = machine.fastpath
         fp_on = fp is not None
-        fp_blocks = fp.blocks if fp_on else None
         # Folded into fp where flush_deferred runs, at run exit.
         fp_dispatches = 0
         fp_replays = 0  # blocks begun by replays that bailed
@@ -396,13 +400,11 @@ class Core:
         slow_cause = -1
         slow_from = 0
         slow_counts = fp.slow_instructions if fp_on else None
-        refusals = fp.refusals if fp_on else None
         compile_uses = fp.COMPILE_USES if fp_on else 0
         trace_uses = fp.TRACE_USES if fp_on else 0
-        rec_list = None  # schedule being recorded for (rec_block, rec_key)
-        rec_block = None
-        rec_key = None
-        rec_t0 = 0
+        # The schedule this iteration's run visit records for the gate's
+        # (run, key), issue cycles relative to its t0.
+        rec_list = None
 
         deadline = (prev_issue + cycle_limit if cycle_limit is not None
                     else UNBOUNDED)
@@ -424,6 +426,18 @@ class Core:
                 status = QUANTUM
                 break
 
+            # ---- the run at pc: the gate's unit and the slow path's ----
+            run = runs.get(pc)
+            if run is None:
+                run = _walk(decode_map, pc, exit_addr, line_shift)
+                if run is None:
+                    _count_visits(visited, gt_count)
+                    raise RuntimeError(
+                        "pid %d jumped to unmapped pc %#x" % (proc.pid, pc))
+                if len(runs) >= MAX_RUNS:
+                    machine.invalidate_runs()
+                runs[pc] = run
+
             # ---- fast path: replay a cached schedule, or record one ----
             if at_head:
                 at_head = False
@@ -438,15 +452,13 @@ class Core:
                 elif pending or edge_from is not None:
                     slow_cause = PENDING
                 else:
-                    block = fp_blocks.get(pc)
-                    if block is None:
-                        block = fp.discover(pc)
-                    if block is False:
-                        slow_cause = refusals.get(pc, NO_BLOCK)
-                    else:
+                    slow_cause = run.refusal
+                    if slow_cause is None:
+                        slow_cause = fp.discover(run)
+                    if slow_cause < 0:
                         t0 = prev_issue
                         live_parts = None
-                        for reg in block.live_ins:
+                        for reg in run.live_ins:
                             rel = reg_ready[reg] - t0
                             if rel > 0:
                                 part = (reg, rel,
@@ -460,19 +472,18 @@ class Core:
                             prev_cls if pair_open else -1,
                             tuple(live_parts) if live_parts else None,
                             (imul_free - t0
-                             if block.has_imul and imul_free > t0 else 0),
+                             if run.has_imul and imul_free > t0 else 0),
                             (fdiv_free - t0
-                             if block.has_fdiv and fdiv_free > t0 else 0))
-                        var = block.variants.get(key)
+                             if run.has_fdiv and fdiv_free > t0 else 0))
+                        var = run.variants.get(key)
                         if var is None:
                             slow_cause = VARIANT_MISS
                             fp.variant_misses += 1
                             if fp.variant_count < fp.MAX_VARIANTS:
                                 rec_list = []
                                 rec_stalls = None
-                                rec_block = block
-                                rec_key = key
-                                rec_t0 = t0
+                            else:
+                                fp.dropped_variants += 1
                         else:
                             slow_cause = COLD_VARIANT
                             if var.fn is None:
@@ -575,7 +586,7 @@ class Core:
                     leader_pc = v.leader_addr
                     first = v.parts[0]
                     pair_open = first.key[0] >= 0
-                    edge = (v.term_addr, first.block.head)
+                    edge = (v.term_addr, first.run.pc)
                     gt_edges[edge] = gt_edges.get(edge, 0) + lapped
                 r0 = res[0]
                 if r0 >= CLEAN:
@@ -586,7 +597,7 @@ class Core:
                         k = res[4]
                         if res[3]:
                             fp.trace_exits[MISPREDICT] += 1
-                        elif res[1] != v.parts[k + 1].block.head:
+                        elif res[1] != v.parts[k + 1].run.pc:
                             fp.trace_exits[GUARD] += 1
                         elif (cyc_mark - t0 <= v.ends[k + 1]
                               or deadline - t0 <= v.ends[k + 1]):
@@ -667,7 +678,7 @@ class Core:
                         prev_cls = u.prev_cls_end
                         leader_pc = u.leader_addr
                         part = v.parts[m]
-                        edge = (u.term_addr, part.block.head)
+                        edge = (u.term_addr, part.run.pc)
                         gt_edges[edge] = gt_edges.get(edge, 0) + 1
                         pair_open = part.key[0] >= 0
                         n = v.firsts[m - 1]
@@ -733,16 +744,6 @@ class Core:
                 continue
 
             # ---- slow path: one straight-line run ------------------------
-            run = runs.get(pc)
-            if run is None:
-                run = _walk(decode_map, pc, exit_addr, line_shift)
-                if run is None:
-                    _count_visits(visited, gt_count)
-                    raise RuntimeError(
-                        "pid %d jumped to unmapped pc %#x" % (proc.pid, pc))
-                if len(runs) >= MAX_RUNS:
-                    runs.clear()
-                runs[pc] = run
             if edge_from is not None:
                 # Second half of a double sample: this is the next PC
                 # executed after the first interrupt returned.
@@ -823,7 +824,7 @@ class Core:
                                 # The store waited: this visit's
                                 # schedule is not the stall-free one.
                                 rec_list = None
-                                fp.abort_recording(rec_block)
+                                fp.abort_recording(run)
                         res_reason = "wb"
 
                     # ---- issue / pairing ------------------------------
@@ -1105,7 +1106,7 @@ class Core:
                             # this visit's schedule is not the
                             # stall-free one.
                             rec_list = None
-                            fp.abort_recording(rec_block)
+                            fp.abort_recording(run)
                         row = gt_events.get(pc)
                         if row is None:
                             row = {}
@@ -1120,7 +1121,7 @@ class Core:
                         if ready:
                             if rec_list is not None:
                                 rec_list = None
-                                fp.abort_recording(rec_block)
+                                fp.abort_recording(run)
                             pending[:] = [p for p in pending if p[0] > issue]
                             for dtime, ev in ready:
                                 # Deliveries while the previous
@@ -1162,17 +1163,10 @@ class Core:
                     if rec_list is not None:
                         paired = issue == prev_issue
                         rec_list.append(
-                            (issue - rec_t0, 0 if paired else cycles_head,
+                            (issue - t0, 0 if paired else cycles_head,
                              paired,
                              tuple(rec_stalls) if rec_stalls else None))
                         rec_stalls = None
-                        if ctrl:
-                            # The terminator completes the recording:
-                            # its issue slot and pairing are
-                            # entry-invariant even though its direction
-                            # is dynamic.
-                            fp.store(rec_block, rec_key, tuple(rec_list))
-                            rec_list = None
 
                     # ---- advance --------------------------------------
                     prev_issue = issue
@@ -1190,6 +1184,13 @@ class Core:
             else:
                 pc += 4
                 k = (pc - run.pc) >> 2
+            if rec_list is not None:
+                # A recording is one complete visit of the block's run.
+                # The terminator's issue slot and pairing are
+                # entry-invariant even though its direction is dynamic.
+                if ctrl:
+                    fp.store(run, key, rec_list)
+                rec_list = None
             if k == n:
                 if not run.hits:
                     visited.append(run)

@@ -63,9 +63,12 @@ name                                     kind      meaning
 ``sim.fastpath.aborted_recordings``      counter   recordings abandoned
 ``sim.fastpath.variant_misses``          counter   gate lookups that missed
 ``sim.fastpath.headroom_skips``          counter   counter-overflow skips
-``sim.fastpath.dropped_variants``        counter   capacity evictions
-``sim.fastpath.invalidations``           counter   full cache flushes
-``sim.fastpath.blocks``                  gauge     blocks discovered
+``sim.fastpath.dropped_variants``        counter   recordings skipped:
+                                                   variant bound reached
+``sim.fastpath.invalidations``           counter   run cache emptied
+``sim.fastpath.blocks``                  gauge     runs the gate
+                                                   classified since the
+                                                   last invalidation
 ``sim.fastpath.variants``                gauge     variants resident
 =======================================  ========  =======================
 

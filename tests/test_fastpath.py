@@ -11,9 +11,9 @@ from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu import fastpath as fastpath_module
 from repro.cpu.config import CacheConfig, MachineConfig
 from repro.cpu.events import EventType
-from repro.cpu.fastpath import (BAIL_REASONS, SLOW_CAUSES, TRACE_EXITS,
-                                cache_geometry, clear_replay_cache,
-                                replay_cache_stats)
+from repro.cpu.fastpath import (BAIL_REASONS, BIGCODE, MAX_RUN,
+                                SLOW_CAUSES, TRACE_EXITS, cache_geometry,
+                                clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
 from repro.cpu.writebuffer import WriteBuffer
 from repro.obs import schema as schema_module
@@ -34,6 +34,12 @@ def run_loop(iters=400, flavor="int", fastpath=True, data="", **kw):
     machine.spawn(image)
     machine.run(max_instructions=500_000)
     return machine
+
+
+def variants(machine):
+    """Every schedule the fast path holds: the blocks' in the run cache."""
+    return [variant for run in machine.runs.values() if run.refusal == -1
+            for variant in run.variants.values()]
 
 
 class TestCacheGeometry:
@@ -66,26 +72,34 @@ class TestConfigKnob:
 
 
 class TestDiscovery:
-    def test_unknown_address_blacklisted(self):
-        fp = Machine(MachineConfig(), seed=1).fastpath
-        assert fp.discover(0x1000) is False
-        # The negative result is cached.
-        assert fp.blocks[0x1000] is False
+    def test_jump_to_unmapped_code_raises(self):
+        # The gate and the slow path share one run lookup: there is no
+        # run at an unmapped address, so the lookup raises and nothing
+        # is cached for it.
+        machine = Machine(MachineConfig(), seed=1)
+        image = machine.load_image(assemble(
+            ".image t\n.proc main\n    lda t0, =0x900000\n"
+            "    jmp (t0)\n.end\n"))
+        machine.spawn(image)
+        with pytest.raises(RuntimeError, match="unmapped pc 0x900000"):
+            machine.run(max_instructions=100)
+        assert 0x900000 not in machine.runs
+        assert machine.runs[image.entry()].refusal == -1
 
     def test_hot_loop_discovers_blocks(self):
         machine = run_loop()
         fp = machine.fastpath
-        assert any(block for block in fp.blocks.values() if block)
+        assert any(run.refusal == -1 for run in machine.runs.values())
         assert fp.replays > 0
         assert fp.replayed_instructions > 0
 
     def test_load_image_invalidates(self):
         machine = run_loop()
         fp = machine.fastpath
-        assert fp.blocks
+        assert machine.runs and fp.snapshot()["blocks"]
         machine.load_image(
             assemble(".image u\n" + loop_proc("other", 3, "int")))
-        assert not fp.blocks
+        assert not machine.runs and not fp.snapshot()["blocks"]
         assert fp.invalidations >= 1
 
 
@@ -93,10 +107,8 @@ class TestTiering:
     def test_hot_variants_compile_cold_stay_interpreted(self):
         machine = run_loop(iters=400)
         fp = machine.fastpath
-        compiled = [v for b in fp.blocks.values() if b
-                    for v in b.variants.values() if v.fn is not None]
-        cold = [v for b in fp.blocks.values() if b
-                for v in b.variants.values() if v.fn is None]
+        compiled = [v for v in variants(machine) if v.fn is not None]
+        cold = [v for v in variants(machine) if v.fn is None]
         # The loop body recurs hundreds of times: it must tier up.
         assert compiled
         assert fp.compiled_variants == len(compiled)
@@ -160,11 +172,8 @@ class TestDeferredGroundTruth:
         # Core.run flushed the deferred per-variant hit counts into
         # the ground-truth dicts before returning.
         assert not fp.deferred
-        for block in fp.blocks.values():
-            if not block:
-                continue
-            for variant in block.variants.values():
-                assert variant.hits == 0
+        for variant in variants(machine):
+            assert variant.hits == 0
 
 
 class TestSnapshotAndObs:
@@ -206,9 +215,8 @@ class TestSnapshotAndObs:
         assert sum(1 for count in by_reason.values() if count) >= 3
 
 
-def profiled(name="gcc", fastpath=True, l1d=None):
-    """One profiled session at the bench period; returns
-    (fingerprint bytes, FastPath or None)."""
+def run_profiled(name="gcc", fastpath=True, l1d=None):
+    """One profiled session at the bench period."""
     workload = get_workload(name)
     config = MachineConfig(num_cpus=workload.num_cpus)
     config.fastpath = fastpath
@@ -217,13 +225,17 @@ def profiled(name="gcc", fastpath=True, l1d=None):
     session = ProfileSession(
         config, SessionConfig(mode="default", cycles_period=(240, 256),
                               event_period=64, seed=1))
-    result = session.run(workload, max_instructions=30_000)
+    return session.run(workload, max_instructions=30_000)
+
+
+def profiled(name="gcc", fastpath=True, l1d=None):
+    """(fingerprint bytes, FastPath or None) of :func:`run_profiled`."""
+    result = run_profiled(name, fastpath, l1d)
     return fingerprint(result), result.machine.fastpath
 
 
-def compiled_fns(fp):
-    return {variant.fn for block in fp.blocks.values() if block
-            for variant in block.variants.values()
+def compiled_fns(machine):
+    return {variant.fn for variant in variants(machine)
             if variant.fn is not None}
 
 
@@ -253,7 +265,7 @@ class TestReplayCodeCache:
 
     def test_machines_share_functions_not_copies(self):
         clear_replay_cache()
-        fns = [compiled_fns(profiled()[1]) for _ in range(2)]
+        fns = [compiled_fns(run_profiled().machine) for _ in range(2)]
         assert fns[0] and fns[0] == fns[1]
         assert len({id(fn.__globals__) for fn in fns[0]}) == 1
 
@@ -342,18 +354,21 @@ class TestCleanPrefix:
         assert calls["_expire"] == calls["earliest_issue"] + calls["commit"]
         assert calls["commit"] == wb.allocations
 
-    def test_run_longer_than_max_body_is_not_cached(self):
+    def test_run_cut_by_max_run_is_bigcode(self):
         text = (".image t\n.proc work\n"
                 + "    addq t0, 1, t0\n" * 60 + "    ret\n.end\n")
         machine = Machine(MachineConfig(), seed=1)
         image = machine.load_image(assemble(text))
         machine.spawn(image)
         machine.run(max_instructions=1_000)
-        fp = machine.fastpath
-        assert fp.blocks[image.entry()] is False
-        # A tail no longer than MAX_BODY is an ordinary block.
-        tail = fp.discover(image.entry() + 4 * 20)
-        assert tail and len(tail.recs) == 41 and tail.recs[-1][13]
+        head = machine.runs[image.entry()]
+        assert head.n == MAX_RUN and head.refusal == BIGCODE
+        # The slow path went on in the next run, which the gate never
+        # met; its straight line ends in the ret, so it is a block.
+        tail = machine.runs[head.end]
+        assert tail.refusal is None
+        assert machine.fastpath.discover(tail) == -1
+        assert tail.n == 61 - MAX_RUN and tail.recs[-1][13]
 
 
 class TestDcpiabThreeLegs:

@@ -22,7 +22,9 @@ from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
+from repro.cpu import pipeline
 from repro.cpu.config import MachineConfig
+from repro.cpu.fastpath import FastPath
 from repro.cpu.machine import Machine
 from repro.tools.abcheck import (_canonical, check_workload, fingerprint,
                                  model_counters, run_session)
@@ -171,6 +173,28 @@ def test_fastpath_is_identical_under_edge_sampling(name, edge_mode):
     assert fast == observed(False)
 
 
+@pytest.mark.parametrize("name", ["gcc", "mccalpin-assign"])
+def test_bounds_change_time_never_a_result(name, monkeypatch):
+    # No other test reaches the run cache's bound or the variant bound.
+    # Squeezed, both fire -- and on mccalpin-assign the blacklist still
+    # does between two emptied run caches -- while the fast path
+    # matches the slow path byte for byte: the bounds change time only.
+    def observed(fastpath):
+        result, _ = run_session(get_workload(name), fastpath, 1, 60_000,
+                                "default")
+        return fingerprint(result), model_counters(result.machine), result
+    slow = observed(False)
+    monkeypatch.setattr(pipeline, "MAX_RUNS", 6)
+    monkeypatch.setattr(FastPath, "MAX_VARIANTS", 1)
+    fast = observed(True)
+    assert fast[:2] == slow[:2]
+    snap = fast[2].machine.fastpath.snapshot()
+    assert snap["dropped_variants"] > 0
+    assert snap["invalidations"] > 0
+    if name == "mccalpin-assign":
+        assert snap["slow_instructions.blacklisted"] > 0
+
+
 def test_fastpath_engages_on_generated_programs():
     # A sanity anchor for the property above: the differential test is
     # vacuous if the fast path never actually replays anything.
@@ -250,8 +274,8 @@ def test_every_semantic_opcode_replays_open_coded(op):
     assert fast.fastpath.replayed_instructions > 0
     assert observables(fast) == observables(run_program(text, False))
     compiled = [variant
-                for block in fast.fastpath.blocks.values() if block
-                for variant in block.variants.values()
+                for run in fast.runs.values() if run.refusal == -1
+                for variant in run.variants.values()
                 if variant.fn is not None]
     ops = {fast.code_map[step[0][R_ADDR]].op
            for variant in compiled for step in variant.steps}

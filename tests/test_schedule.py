@@ -119,8 +119,9 @@ class TestAgreesWithTheSimulator:
             SessionConfig(seed=1))
         machine = session.run(workload, max_instructions=40_000).machine
         checked = 0
-        for block in machine.fastpath.blocks.values():
-            variant = block and block.variants.get(self.CLEAN_ENTRY)
+        for run in machine.runs.values():
+            variant = run.refusal == -1 and run.variants.get(
+                self.CLEAN_ENTRY)
             if not variant:
                 continue
             insts = [machine.code_map[step[0][14]]
@@ -133,7 +134,7 @@ class TestAgreesWithTheSimulator:
             static = [(row.issue, row.m, row.paired)
                       for row in schedule_block(insts).rows]
             assert simulated == static, (
-                "%s:%#x %s" % (name, block.head,
+                "%s:%#x %s" % (name, run.pc,
                                "; ".join(inst.op for inst in insts)))
             checked += 1
         assert checked
