@@ -41,16 +41,23 @@ Design notes (see README "Performance"):
   Opcode semantics are derived from :mod:`repro.alpha.opcodes`
   (``open_code`` of the record's own callable), never restated here:
   this module holds no opcode arithmetic of its own.
-* Everything schedule-derived is precomputed at store time and applied
-  in bulk after the compiled function returns: final scoreboard values
+* One replay outcome: every result of a replay is the clean exit of
+  a prefix of its unit's steps -- the whole variant or trace, a
+  trace's members through the interior terminator where it left its
+  path, or the steps before a bail -- and a loop trace's whole laps
+  are hits of the lap.  Each prefix is a dispatch unit
+  (:class:`_Unit`), built once, the first time it occurs
+  (:meth:`FastPath.outcome`), by the constructor that builds variants
+  and traces; it precomputes everything schedule-derived, applied in
+  bulk after the compiled function returns: final scoreboard values
   (clean completion times are entry-relative constants), IMUL/FDIV
-  backlog, pairing state, and the block's ground-truth counts / head
-  cycles / stall decomposition.  Ground truth is further *deferred*: a
-  clean replay only increments the variant's hit counter, and
-  ``flush_deferred`` folds ``hits * per-block-deltas`` into the
-  machine's ground-truth maps at the end of every ``Core.run`` (pure
-  commutative addition, so the result is identical to per-instruction
-  accounting).
+  backlog, pairing state, the edges between blocks and the blocks
+  begun.  Ground truth is *deferred*: a replay only increments its
+  unit's hit counter, and ``flush_deferred`` folds ``hits`` times the
+  unit's steps' counts, head cycles and stalls, and its edges, into
+  the machine's ground-truth maps at the end of every ``Core.run``
+  (pure commutative addition, so the result is identical to
+  per-instruction accounting).
 * The gate at a block head (``Core.run``) is the only way into a
   replay, and a clean exit returns to it.  It lets a replay start only
   when it provably cannot interact with the sampling machinery: no
@@ -74,9 +81,9 @@ Design notes (see README "Performance"):
   its head ``TRACE_USES`` more times.  At
   each interior terminator the trace guards the recorded direction, no
   mispredict and the next block's end against the CYCLES headroom and
-  deadline, and otherwise returns an exit the caller applies as that
-  prefix's clean exit; a bail stays ``(reason, i)`` over the
-  concatenated steps.  The gate enters a head's trace instead of its
+  deadline, and otherwise returns an exit at that terminator; a bail
+  is ``(reason, i)`` over the concatenated steps.  The gate enters a
+  head's trace instead of its
   block when the head's own checks pass and the budget covers a lap:
   traces change how replayed instructions are dispatched, never which,
   so every count but ``dispatches`` and the trace counts is the same
@@ -183,94 +190,126 @@ def cache_geometry(cache_config):
     return None
 
 
-def _final_scoreboard(steps, l1d_latency):
-    """Last-writer completion offsets, entry-relative.
+class _Unit:
+    """What a replay applies: the clean exit of a run of steps.
 
-    All completion times in a *clean* replay are entry-relative
-    constants (a clean load's latency is exactly the L1 hit latency, so
-    its dynamic and static ready times coincide).
-    """
-    writers = {}
-    for s in steps:
-        rec = s[0]
-        dst = rec[7]
-        if dst is not None:
-            kind = rec[0]
-            if kind <= 3:
-                writers[dst] = s[1] + rec[2]
-            elif kind <= 6:
-                writers[dst] = s[1] + l1d_latency
-            else:          # br/bsr/jmp/jsr link register
-                writers[dst] = s[1] + 1
-    return tuple(writers.items())
+    Every result of a replay is the clean exit of a prefix of its
+    unit's steps -- the whole unit, the members through an interior
+    terminator, or the steps before a bail -- so one constructor
+    derives, once, all that ``Core.run`` applies for it.  *steps* are
+    ``(record, rel_issue, cycles_head, paired, stalls)``, each member's
+    ``rel_issue`` on its own block's clock; a terminator other than the
+    last ends a member, and the next member starts where it issued.
+    *entry_cls* is the head's entry key's pairing slot
+    (:class:`Variant`).  With *next_pc* the unit stops before the
+    instruction there (a bail): its last step leaves on its recorded
+    path.  Otherwise it ends at its last terminator, whose direction,
+    edge and mispredict are the caller's, and *tail* is the variant
+    that terminator belongs to.
 
-
-class Variant:
-    """One compiled schedule plus its precomputed bulk effects.
-
-    ``steps`` keeps the interpretable per-instruction schedule
-    ``(record, rel_issue, cycles_head, paired, stalls)`` -- the bail
-    path uses it to reconstruct the completed prefix's accounting.
-    ``Core.run`` dispatches a :class:`Trace` through the same
-    attributes, so the two share every field it reads.
+    ``sb`` is the final scoreboard, entry-relative: a clean load's
+    latency is exactly the L1 hit latency, so the completion times of
+    clean steps are constants.  ``blocks`` counts the blocks begun
+    (``sim.fastpath.replays``), ``edges`` the edges between them, and
+    ``pair_open``, ``prev_cls`` and ``leader`` (None: unchanged) are
+    the pairing state left behind.  The counts, head cycles and stalls
+    are the steps' own, which the unit keeps.
     """
 
-    __slots__ = ("fn", "uses", "steps", "n", "total_rel", "head_items",
-                 "stall_items", "sb", "imul_rel", "fdiv_rel",
-                 "prev_cls_end", "term_open", "leader_addr", "term_addr",
-                 "term_edge_always", "hits", "run", "key", "trace", "succ",
+    __slots__ = ("steps", "n", "total_rel", "sb", "imul_rel", "fdiv_rel",
+                 "pair_open", "prev_cls", "leader", "term_addr",
+                 "term_edge_always", "next_pc", "tail", "blocks", "edges",
+                 "hits")
+
+    def __init__(self, steps, entry_cls, l1d_latency, next_pc=None,
+                 tail=None):
+        self.steps = steps
+        self.n = len(steps)
+        pair_open = entry_cls >= 0
+        prev_cls = entry_cls
+        leader = None
+        start = rel = imul_rel = fdiv_rel = 0
+        writers = {}
+        edges = []
+        blocks = 0 if next_pc is None else 1
+        for j, (rec, srel, _, paired, _) in enumerate(steps):
+            rel = start + srel
+            addr = rec[14]
+            if paired:
+                pair_open = False
+            else:
+                pair_open = True
+                leader = addr
+            prev_cls = rec[1]
+            dst = rec[7]
+            if dst is not None:
+                kind = rec[0]
+                if kind <= 3:
+                    writers[dst] = rel + rec[2]
+                elif kind <= 6:
+                    writers[dst] = rel + l1d_latency
+                else:          # br/bsr/jmp/jsr link register
+                    writers[dst] = rel + 1
+            unit = rec[11]
+            if unit == 1:
+                imul_rel = rel + rec[12]
+            elif unit == 2:
+                fdiv_rel = rel + rec[12]
+            if rec[13]:
+                # A member ends: the next starts at this issue, on the
+                # path the trace recorded.  A transfer that is not a
+                # conditional branch is always taken, and a conditional
+                # one whose target is the fall-through never joins a
+                # trace (_EntryState.admits).
+                blocks += 1
+                start = rel
+                nxt = steps[j + 1][0][14] if j + 1 < self.n else next_pc
+                if nxt is not None:
+                    edges.append((addr, nxt))
+                    if rec[0] >= 13 or nxt != addr + 4:
+                        pair_open = False
+        self.total_rel = rel
+        self.sb = tuple(writers.items())
+        self.imul_rel = imul_rel
+        self.fdiv_rel = fdiv_rel
+        # After its last terminator pair_open is additionally closed by
+        # a *taken* transfer, which only the replay's result knows.
+        self.pair_open = pair_open
+        self.prev_cls = prev_cls
+        self.leader = leader
+        if steps:
+            last = steps[-1][0]
+            self.term_addr = last[14]
+            # cbr/fbr/br/bsr record their edge unconditionally;
+            # indirect jumps skip the edge into the process exit stub.
+            self.term_edge_always = last[0] <= 14
+        self.next_pc = next_pc
+        self.tail = tail
+        self.blocks = blocks
+        self.edges = tuple(edges)
+        self.hits = 0
+
+
+class Variant(_Unit):
+    """One recorded schedule of a block, entered from entry key ``key``.
+
+    ``steps`` keeps the per-instruction schedule, compiled once the
+    variant recurs and cut into the prefixes a bail applies
+    (:meth:`FastPath.outcome`), which ``prefixes`` caches by step count.
+    The whole variant is its own unit: a clean exit leaves from it.
+    """
+
+    __slots__ = ("fn", "uses", "prefixes", "run", "key", "trace", "succ",
                  "succ_taken", "succ_uses")
 
-    # As a dispatch unit a variant is one block (not a trace's parts),
-    # a clean exit leaves from itself (tail None), and it runs no laps.
-    parts = tail = None
-    loop = False
-
-    def __init__(self, steps, sb, run, key):
+    def __init__(self, steps, run, key, l1d_latency):
+        _Unit.__init__(self, steps, key[0], l1d_latency, tail=self)
         # Tiered: ``fn`` stays None (and the slow path keeps executing
         # the block) until the variant recurs ``COMPILE_USES`` times
         # (see there for what a compile() costs).
         self.fn = None
         self.uses = 0
-        self.steps = steps
-        self.n = len(steps)
-        last = steps[-1]
-        self.total_rel = last[1]
-        self.head_items = tuple((s[0][14], s[2]) for s in steps if s[2])
-        stall_acc = {}
-        for s in steps:
-            if s[4]:
-                for reason, amount in s[4]:
-                    k = (s[0][14], reason)
-                    stall_acc[k] = stall_acc.get(k, 0) + amount
-        self.stall_items = tuple(
-            (a, r, amt) for (a, r), amt in stall_acc.items())
-        imul_rel = fdiv_rel = 0
-        for s in steps:
-            unit = s[0][11]
-            if unit == 1:
-                imul_rel = s[1] + s[0][12]
-            elif unit == 2:
-                fdiv_rel = s[1] + s[0][12]
-        self.sb = sb
-        self.imul_rel = imul_rel
-        self.fdiv_rel = fdiv_rel
-        self.prev_cls_end = last[0][1]
-        # After a control transfer pair_open is additionally closed by a
-        # *taken* transfer; the replay caller combines term_open with
-        # the dynamic direction.
-        self.term_open = not last[3]
-        leader = None
-        for s in reversed(steps):
-            if not s[3]:
-                leader = s[0][14]
-                break
-        self.leader_addr = leader
-        self.term_addr = last[0][14]
-        # cbr/fbr/br/bsr record their edge unconditionally; indirect
-        # jumps skip the edge into the process exit stub.
-        self.term_edge_always = last[0][0] <= 14
-        self.hits = 0
+        self.prefixes = {}
         self.run = run                # the block's run: its addresses
         self.key = key
         #: The trace headed by this variant, once one is formed.
@@ -283,84 +322,49 @@ class Variant:
         self.succ_uses = 0
 
 
-class Trace:
+class Trace(_Unit):
     """Blocks the gate would pick back to back, replayed by one call.
 
-    ``parts`` are the member variants in order; member *k* begins
-    ``firsts[k - 1]`` steps after the trace's entry and ends ``ends[k]``
-    cycles after it.  Everything ``Core.run`` reads after a clean exit
-    is the last member's, shifted onto the trace's clock, and a hit
-    defers every member's ground truth plus the edges between members.
-    A ``loop`` trace's last member leads back to its head, and the
-    function runs laps until it cannot provably start another one (see
-    :func:`_compile_replay`).
+    ``parts`` are the member variants in order, and ``steps`` theirs
+    concatenated; member *k* ends ``lengths[k]`` steps and ``ends[k]``
+    cycles after the trace's entry.  As a unit the trace is every
+    member with the edges between them, and ``prefixes`` caches the
+    prefixes a bail or an exit at an interior terminator applies
+    (:meth:`FastPath.outcome`).  A ``loop`` trace's last member leads
+    back to its head, and the function runs laps until it cannot
+    provably start another one (see :func:`_compile_replay`).
 
-    :meth:`exit_unit` *k* is the dispatch unit of members ``0..k`` (the
-    head variant itself for ``k == 0``), which an exit at member *k*'s
-    terminator, or a bail in member *k + 1*, applies after settling its
-    final scoreboard ``sb``: a trace's code settles the scoreboard only
-    at its last terminator.  Only a trace :meth:`FastPath.form_trace`
-    built has ``fn``, ``ends`` and ``firsts``; its prefixes are built on
-    first use.
+    A formed trace holds only its plan -- ``parts``, ``loop`` and the
+    residual ``checks`` -- until it compiles and :meth:`build` makes it
+    a unit: most chains that never recur cost no more.
     """
 
-    __slots__ = ("fn", "uses", "checks", "n", "total_rel", "imul_rel",
-                 "fdiv_rel", "sb", "prev_cls_end", "term_open",
-                 "leader_addr", "term_addr", "term_edge_always", "hits",
-                 "parts", "tail", "loop", "ends", "firsts", "exits")
+    __slots__ = ("fn", "uses", "prefixes", "parts", "loop", "checks",
+                 "lengths", "ends")
 
-    def __init__(self, parts, loop=False):
-        self.fn = self.sb = self.ends = self.firsts = self.exits = None
-        self.checks = ()
+    def __init__(self, parts, loop, checks):
+        self.fn = None
         self.uses = 0
         self.parts = parts
         self.loop = loop
-        self.hits = 0
-        last = parts[-1]
-        self.tail = last
-        self.prev_cls_end = last.prev_cls_end
-        self.term_open = last.term_open
-        self.leader_addr = last.leader_addr
-        self.term_addr = last.term_addr
-        self.term_edge_always = last.term_edge_always
-        self.imul_rel = self.fdiv_rel = 0
-        rel = n = 0
+        self.checks = checks
+
+    def build(self, l1d_latency):
+        """Derive the trace's unit from its members."""
+        parts = self.parts
+        _Unit.__init__(self, tuple(s for part in parts for s in part.steps),
+                       parts[0].key[0], l1d_latency, tail=parts[-1])
+        self.prefixes = {}
+        lengths = []
+        ends = []
+        n = end = 0
         for part in parts:
-            if part.imul_rel:
-                self.imul_rel = rel + part.imul_rel
-            if part.fdiv_rel:
-                self.fdiv_rel = rel + part.fdiv_rel
-            rel += part.total_rel
             n += part.n
-        self.total_rel = rel
-        self.n = n
-
-    def starts(self):
-        """Where each member begins on the trace's clock."""
-        starts = [0]
-        for part in self.parts[:-1]:
-            starts.append(starts[-1] + part.total_rel)
-        return starts
-
-    def final_scoreboard(self):
-        """The members' last writes, on the trace's clock."""
-        final = {}
-        for part, start in zip(self.parts, self.starts()):
-            for reg, done in part.sb:
-                final[reg] = start + done
-        return tuple(final.items())
-
-    def exit_unit(self, k):
-        """The dispatch unit of members ``0..k``."""
-        if k == 0:
-            return self.parts[0]
-        if self.exits is None:
-            self.exits = [None] * (len(self.parts) - 1)
-        unit = self.exits[k]
-        if unit is None:
-            unit = self.exits[k] = Trace(self.parts[:k + 1])
-            unit.sb = unit.final_scoreboard()
-        return unit
+            end += part.total_rel
+            lengths.append(n)
+            ends.append(end)
+        self.lengths = tuple(lengths)
+        self.ends = tuple(ends)
 
 
 class _EntryState:
@@ -398,8 +402,8 @@ class _EntryState:
         term = prev.steps[-1][0]
         if term[0] in (11, 12) and term[9] == term[14] + 4:
             return False        # both directions reach the same head
-        pair = (prev.prev_cls_end
-                if prev.term_open and not prev.succ_taken else -1)
+        pair = (prev.prev_cls
+                if prev.pair_open and not prev.succ_taken else -1)
         live = []
         residual = []
         for reg in variant.run.live_ins:
@@ -473,8 +477,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     leaves the head.  With *loop*, the last block's guard leads back to
     the head and ``end`` is where the head ends on the next lap: the
     function then starts laps while the path holds, ``room`` allows
-    and fewer than ``laps`` followed, and every result gains the
-    number of laps completed before it as a last element.
+    and fewer than ``laps`` followed.
 
     The generated function executes the steps' semantics and the
     model's *hit* paths (same-page I-L1 tag hit, D-TLB entry present,
@@ -486,17 +489,19 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     state of its instruction is touched (the write-buffer probe is
     idempotent at a fixed time).  Operate and branch semantics are
     open-coded from the record's own callable
-    (:func:`repro.alpha.opcodes.open_code`).  It returns one of
+    (:func:`repro.alpha.opcodes.open_code`).  Every result ends with
+    the number of whole laps run before it (0 but in a loop), and is
+    one of
 
-    * ``(CLEAN, next_pc, taken, mispredicted)`` -- every step ran, and
-      the final scoreboard was applied before the last terminator's
-      value-dependent code;
-    * ``(EXIT, next_pc, taken, mispredicted, k)`` -- blocks ``0..k``
-      ran and block *k*'s terminator left the recorded path: it
-      mispredicted, went the other way, the next block would not fit
+    * ``(CLEAN, next_pc, taken, mispredicted, laps)`` -- every step
+      ran, and the final scoreboard was applied before the last
+      terminator's value-dependent code;
+    * ``(EXIT, next_pc, taken, mispredicted, k, laps)`` -- blocks
+      ``0..k`` ran and block *k*'s terminator left the recorded path:
+      it mispredicted, went the other way, the next block would not fit
       ``room``, or (``k == 0``) a residual check failed.  Nothing of
       the scoreboard was settled; or
-    * ``(reason, i)`` -- a bail: exactly the first *i* of the
+    * ``(reason, i, laps)`` -- a bail: exactly the first *i* of the
       concatenated steps were applied and the slow path must run
       instruction *i* itself.  *reason* indexes :data:`BAIL_REASONS`.
 
@@ -523,7 +528,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
 
     pages = set()
 
-    lap = ", _lap" if loop else ""
+    lap = ", _lap" if loop else ", 0"
 
     def bail(reason, i):
         return "return (%d, %d%s)" % (reason, i, lap)
@@ -569,8 +574,8 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
         tests.append("room <= %d" % guard[2])
         if k == len(segments) - 1:
             tests.append("_lap >= laps")
-            L("    if %s: return (%d, %s, %s, %s, _lap)"
-              % (" or ".join(tests), CLEAN, next_pc, taken, mp))
+            L("    if %s: return (%d, %s, %s, %s%s)"
+              % (" or ".join(tests), CLEAN, next_pc, taken, mp, lap))
             L("    t0 += %d" % rel)
             L("    room -= %d" % rel)
             L("    _lap += 1")
@@ -698,7 +703,8 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 L("    if _mp: bp.mispredictions += 1")
                 next_pc = "%d if _t else %d" % (rec[9], addr + 4)
                 if guard is None:
-                    L("    return (%d, %s, _t, _mp)" % (CLEAN, next_pc))
+                    L("    return (%d, %s, _t, _mp%s)"
+                      % (CLEAN, next_pc, lap))
                 else:
                     leave(k, guard, rel, "_mp or %s_t"
                           % ("not " if guard[1] else ""),
@@ -709,7 +715,8 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 if kind == 14:
                     L("    bp.push_call(%d)" % (addr + 4))
                 if guard is None:
-                    L("    return (%d, %d, True, False)" % (CLEAN, rec[9]))
+                    L("    return (%d, %d, True, False%s)"
+                      % (CLEAN, rec[9], lap))
                 else:
                     leave(k, guard, rel, None, rec[9], "True", "False")
             else:  # jmp / jsr / ret
@@ -724,7 +731,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 else:
                     L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
                 if guard is None:
-                    L("    return (%d, _tg, True, _mp)" % CLEAN)
+                    L("    return (%d, _tg, True, _mp%s)" % (CLEAN, lap))
                 else:
                     leave(k, guard, rel, "_mp or _tg != %d" % guard[0], "_tg",
                           "True", "_mp")
@@ -808,7 +815,7 @@ class FastPath:
         # invalidation.
         self.classified = 0
         self.variant_count = 0
-        #: Variants and traces with unflushed ground-truth hits (see
+        #: Units with unflushed ground-truth hits (see
         #: :meth:`flush_deferred`).
         self.deferred = []
         # Counters surfaced through repro.obs (sim.fastpath.*).
@@ -884,8 +891,7 @@ class FastPath:
         """
         steps = tuple((rec,) + entry
                       for rec, entry in zip(run.recs, entries))
-        sb = _final_scoreboard(steps, self.l1d_latency)
-        run.variants[key] = Variant(steps, sb, run, key)
+        run.variants[key] = Variant(steps, run, key, self.l1d_latency)
         run.failed = 0
         self.variant_count += 1
         self.recordings += 1
@@ -969,8 +975,7 @@ class FastPath:
             cur = nxt
         if len(parts) < 2 and not loop:
             return
-        trace = Trace(tuple(parts), loop)
-        trace.checks = tuple(state.checks)
+        trace = Trace(tuple(parts), loop, tuple(state.checks))
         head.trace = trace
         # The later members now run inside this trace: freeze their
         # links, so they do not head overlapping copies of it.
@@ -980,12 +985,9 @@ class FastPath:
     def compile_trace(self, trace):
         """Tier-up: compile *trace* (see :func:`_compile_replay`); the
         gate calls it on the ``TRACE_USES``-th pick of the head."""
+        trace.build(self.l1d_latency)
         parts = trace.parts
-        starts = trace.starts()
-        trace.ends = tuple(start + part.total_rel
-                           for start, part in zip(starts, parts))
-        trace.firsts = tuple(sum(part.n for part in parts[:k])
-                             for k in range(1, len(parts)))
+        ends = trace.ends
         # A member's function stands for its compiled input (the code
         # cache is keyed by it), so this key determines the trace's.
         key = (tuple(p.fn for p in parts),
@@ -993,17 +995,18 @@ class FastPath:
                trace.loop)
         segments = []
         if key not in _replay_cache:
-            for k, (part, start) in enumerate(zip(parts, starts)):
+            for k, part in enumerate(parts):
+                start = ends[k] - part.total_rel
                 if k < len(parts) - 1:
                     sb = ()
                     guard = (parts[k + 1].run.pc, part.succ_taken,
-                             trace.ends[k + 1])
+                             ends[k + 1])
                 else:
-                    sb = trace.final_scoreboard()
+                    sb = trace.sb
                     guard = None
                     if trace.loop:
                         guard = (parts[0].run.pc, part.succ_taken,
-                                 trace.total_rel + trace.ends[0])
+                                 trace.total_rel + ends[0])
                 segments.append((
                     tuple((s[0], start + s[1]) for s in part.steps),
                     sb, guard))
@@ -1012,61 +1015,83 @@ class FastPath:
                                    trace.checks, trace.loop)
         self.traces += 1
 
+    # -- replay outcomes ----------------------------------------------
+
+    def outcome(self, unit, res, room):
+        """The prefix of *unit*'s steps that *res*, a result of its
+        replay other than ``CLEAN``, ran: the steps before a bail's
+        instruction, or a trace's members through the terminator it
+        left its path at.  *room* is what the replay was given.  Tallies
+        the result, and builds the prefix's unit (:class:`_Unit`) the
+        first time it occurs."""
+        trace = isinstance(unit, Trace)
+        if res[0] == EXIT:
+            k = res[4]
+            key = ~k                # bails are keyed by i >= 0
+            left = room - res[-1] * unit.total_rel    # after the laps
+            self.trace_exits[
+                MISPREDICT if res[3]
+                else GUARD if res[1] != unit.parts[k + 1].run.pc
+                else ROOM if left <= unit.ends[k + 1]
+                else FALLBACK] += 1
+        else:
+            key = res[1]
+            self.bails[res[0]] += 1
+            if trace:
+                self.trace_exits[BAIL_HEAD if key < unit.lengths[0]
+                                 else BAIL_LATER] += 1
+        prefix = unit.prefixes.get(key)
+        if prefix is None:
+            steps = unit.steps
+            entry_cls = (unit.parts[0] if trace else unit).key[0]
+            if key < 0:
+                prefix = _Unit(steps[:unit.lengths[k]], entry_cls,
+                               self.l1d_latency, tail=unit.parts[k])
+            else:
+                prefix = _Unit(steps[:key], entry_cls, self.l1d_latency,
+                               next_pc=steps[key][0][14])
+            unit.prefixes[key] = prefix
+        return prefix
+
     # -- deferred ground truth ----------------------------------------
 
     def flush_deferred(self, gt_count, gt_head, gt_stall, gt_edges):
         """Fold the deferred replay hits into the ground-truth maps.
 
-        Clean replays only bump their variant's or trace's hit counter;
-        this folds ``hits`` copies of each member variant's per-block
-        deltas and of a trace's interior edges in, and counts the
-        blocks as replays.  Pure commutative addition, so the totals
-        are identical to the slow path's per-instruction accounting.
-        Called at every ``Core.run`` exit, before anything can read the
-        maps.
+        Replays only bump the hit counter of the unit (:class:`_Unit`)
+        they applied; this folds ``hits`` copies of each unit's steps'
+        counts, head cycles and stalls and of its edges in, and counts
+        the blocks it began as replays.  Pure commutative addition, so
+        the totals are identical to the slow path's per-instruction
+        accounting.  Called at every ``Core.run`` exit, before anything
+        can read the maps.
         """
-        deferred = self.deferred
-        if not deferred:
-            return
-        # A trace hands its hits to its members first, so each variant
-        # is folded once however many units it ran in.
-        for unit in deferred:
-            parts = unit.parts
-            if parts is not None:
-                hits = unit.hits
-                unit.hits = 0
-                for part, after in zip(parts, parts[1:]):
-                    edge = (part.term_addr, after.run.pc)
-                    gt_edges[edge] = gt_edges.get(edge, 0) + hits
-                for variant in parts:
-                    if variant.hits == 0:
-                        deferred.append(variant)
-                    variant.hits += hits
-        for variant in deferred:
-            hits = variant.hits
-            if not hits:
-                continue            # a trace, already handed over
-            variant.hits = 0
-            self.replays += hits
-            run = variant.run
-            for a in range(run.pc, run.end, 4):
+        for unit in self.deferred:
+            hits = unit.hits
+            unit.hits = 0
+            self.replays += unit.blocks * hits
+            for rec, _, ch, _, stalls in unit.steps:
+                a = rec[14]
                 gt_count[a] = gt_count.get(a, 0) + hits
-            for a, ch in variant.head_items:
-                gt_head[a] = gt_head.get(a, 0) + ch * hits
-            for a, reason, amount in variant.stall_items:
-                row = gt_stall.get(a)
-                if row is None:
-                    row = {}
-                    gt_stall[a] = row
-                row[reason] = row.get(reason, 0) + amount * hits
-        del deferred[:]
+                if ch:
+                    gt_head[a] = gt_head.get(a, 0) + ch * hits
+                if stalls:
+                    row = gt_stall.get(a)
+                    if row is None:
+                        row = {}
+                        gt_stall[a] = row
+                    for reason, amount in stalls:
+                        row[reason] = row.get(reason, 0) + amount * hits
+            for edge in unit.edges:
+                gt_edges[edge] = gt_edges.get(edge, 0) + hits
+        del self.deferred[:]
 
     # -- invalidation -------------------------------------------------
 
     def invalidate(self):
         """The run cache was emptied (``Machine.invalidate_runs``), and
         every classified run and its variants with it.  Deferred hit
-        counters survive on the Variant objects still referenced by
+        counters survive on the units still referenced by
         ``self.deferred``, so no ground truth is lost."""
         if self.classified:
             self.invalidations += 1

@@ -51,14 +51,17 @@ hit calls the model (``_fetch``, ``TLB.translate``,
   The gate at a block head is the only way into a replay; a clean exit
   returns to it.  When the block heads a trace -- the blocks the gate
   would pick back to back, compiled into one function -- the gate
-  enters the trace, and an exit or a bail inside it is applied as the
-  clean exit of the members before it.  A replay is a clean prefix:
-  the compiled code holds hit paths only and stops *before* the first
-  instruction whose fetch, translation, D-cache probe or write-buffer
-  probe does not hit, with nothing of that instruction applied.  The
-  slow path -- the only implementation of what a miss does -- takes
-  over from there, so counters, samples and ground-truth attributions
-  stay byte-identical.
+  enters the trace.  A replay is a clean prefix: the compiled code
+  holds hit paths only and stops *before* the first instruction whose
+  fetch, translation, D-cache probe or write-buffer probe does not
+  hit, with nothing of that instruction applied.  So every result is
+  the clean exit of a prefix of the unit's steps -- the whole unit,
+  the members through the terminator where a trace left its path, or
+  the steps before a bail -- and the replay applies that prefix's
+  precomputed unit (:meth:`repro.cpu.fastpath.FastPath.outcome`), a
+  loop trace's whole laps before it.  The slow path -- the only
+  implementation of what a miss does -- takes over after a bail, so
+  counters, samples and ground-truth attributions stay byte-identical.
 
 CYCLES are held as a watermark on both paths: the slots have counted
 every cycle up to ``cyc_base``, and ``cyc_mark`` is ``cyc_base`` plus
@@ -70,8 +73,6 @@ after it hands the cycles since ``cyc_base`` to ``CounterUnit.add``
 and raises both marks, and run exit hands over the rest.
 """
 
-from bisect import bisect_right
-
 from repro.alpha.opcodes import MASK64
 from repro.alpha.predecode import PAIR_OK_ID
 from repro.cpu.branch import BranchPredictor
@@ -79,9 +80,8 @@ from repro.cpu.caches import Cache, Hierarchy
 from repro.cpu.counters import UNBOUNDED, CounterUnit
 from repro.cpu.events import EventType
 from repro.cpu.fastpath import (
-    BAIL_HEAD, BAIL_LATER, BAIL_TAIL, BUDGET_EDGE, CLEAN, COLD_VARIANT,
-    FALLBACK, FRONT_EXTRA, GUARD, HEADROOM, MAX_RUN, MISPREDICT, PENDING,
-    ROOM, VARIANT_MISS, cache_geometry)
+    BAIL_TAIL, BUDGET_EDGE, CLEAN, COLD_VARIANT, FALLBACK, FRONT_EXTRA,
+    HEADROOM, MAX_RUN, PENDING, VARIANT_MISS, cache_geometry)
 from repro.cpu.issue import DEP_REASON
 from repro.cpu.tlb import TLB
 from repro.cpu.writebuffer import WriteBuffer
@@ -383,7 +383,6 @@ class Core:
         fp_on = fp is not None
         # Folded into fp where flush_deferred runs, at run exit.
         fp_dispatches = 0
-        fp_replays = 0  # blocks begun by replays that bailed
         fp_replayed = 0
         fp_trace_entries = 0
         at_head = fp_on  # a run entry is always a block boundary
@@ -550,25 +549,27 @@ class Core:
 
             if replay_var is not None:
                 # ---- replay ----------------------------------------
-                # The compiled function executes the whole block's (or
-                # trace's) semantics and the model's hit paths with
-                # schedule constants and the final scoreboard inlined,
-                # or stops before the first probe that misses;
-                # everything else (pairing state, deferred ground truth,
-                # the contiguous CYCLES span) is applied in bulk from
-                # the dispatch unit's precomputed structures.
+                # The compiled function executes the unit's semantics
+                # and the model's hit paths with schedule constants and
+                # the final scoreboard inlined, or stops before the
+                # first probe that misses.  Every result is the clean
+                # exit of a prefix of the unit's steps, applied in bulk
+                # from that prefix's precomputed unit (pairing state,
+                # deferred ground truth, the contiguous CYCLES span).
                 v = replay_var
                 replay_var = None
                 res = v.fn(self, bp, dtb, l1d, wb, mem, iregs, fregs,
                            reg_ready, reg_ready_static, reg_dyn_reason,
                            asn, t0, room, laps)
                 fp_dispatches += 1
-                if v.loop and res[-1]:
-                    # A loop trace ran res[-1] whole laps before the
-                    # result: apply them as that many clean, correctly
-                    # predicted passes back into its head (the code
-                    # settled the scoreboard each lap).
-                    lapped = res[-1]
+                lapped = res[-1]
+                if lapped:
+                    # A loop trace ran that many whole laps before the
+                    # result: hits of the lap, each closed by its edge
+                    # back into the head (the code settled the
+                    # scoreboard each lap).  The last lap's IMUL / FDIV
+                    # backlog and leader stand unless the result's
+                    # prefix sets its own.
                     if v.hits == 0:
                         fp.deferred.append(v)
                     v.hits += lapped
@@ -576,171 +577,75 @@ class Core:
                     fp_replayed += n
                     insts_left -= n
                     retired += n
-                    t0 += v.total_rel * lapped
-                    if v.imul_rel:
-                        imul_free = t0 - v.total_rel + v.imul_rel
-                    if v.fdiv_rel:
-                        fdiv_free = t0 - v.total_rel + v.fdiv_rel
-                    prev_issue = t0
-                    prev_cls = v.prev_cls_end
-                    leader_pc = v.leader_addr
-                    first = v.parts[0]
-                    pair_open = first.key[0] >= 0
-                    edge = (v.term_addr, first.run.pc)
+                    edge = (v.term_addr, run.pc)
                     gt_edges[edge] = gt_edges.get(edge, 0) + lapped
-                r0 = res[0]
-                if r0 >= CLEAN:
-                    if r0 != CLEAN:
-                        # A trace left its path at member k's
-                        # terminator: members 0..k ran, which is the
-                        # unit exit_unit(k) describes.
-                        k = res[4]
-                        if res[3]:
-                            fp.trace_exits[MISPREDICT] += 1
-                        elif res[1] != v.parts[k + 1].run.pc:
-                            fp.trace_exits[GUARD] += 1
-                        elif (cyc_mark - t0 <= v.ends[k + 1]
-                              or deadline - t0 <= v.ends[k + 1]):
-                            fp.trace_exits[ROOM] += 1
-                        else:
-                            fp.trace_exits[FALLBACK] += 1
-                        v = v.exit_unit(k)
-                        for reg, done in v.sb:
-                            done += t0
-                            reg_ready[reg] = done
-                            reg_ready_static[reg] = done
-                            reg_dyn_reason[reg] = None
-                    # res carries the terminator's dynamic direction;
-                    # its target is a block head, so back to the gate.
-                    n = v.n
-                    fp_replayed += n
-                    insts_left -= n
-                    retired += n
-                    if v.hits == 0:
-                        fp.deferred.append(v)
-                    v.hits += 1
+                    t0 += v.total_rel * (lapped - 1)
                     if v.imul_rel:
                         imul_free = t0 + v.imul_rel
                     if v.fdiv_rel:
                         fdiv_free = t0 + v.fdiv_rel
-                    prev_cls = v.prev_cls_end
-                    if v.leader_addr is not None:
-                        leader_pc = v.leader_addr
-                    # One contiguous CYCLES span; the headroom gate
-                    # proved it ends below cyc_mark.
-                    prev_issue = t0 + v.total_rel
-                    pc = res[1]
-                    pair_open = v.term_open and not res[2]
-                    if v.term_edge_always or pc != exit_addr:
-                        edge = (v.term_addr, pc)
-                        gt_edges[edge] = gt_edges.get(edge, 0) + 1
-                    if res[3]:
-                        front_extra = mispredict_penalty
-                        front_reason = "branchmp"
-                        row = gt_events.get(v.term_addr)
-                        if row is None:
-                            row = {}
-                            gt_events[v.term_addr] = row
-                        row[_EV_BRANCHMP] = row.get(_EV_BRANCHMP, 0) + 1
-                        for oev, otime in counters.add(
-                                _EV_BRANCHMP, 1, prev_issue):
-                            pending.append((otime + skew, oev))
-                    else:
-                        link_tail = v.tail or v
-                        link_taken = res[2]
-                    at_head = True
+                    leader_pc = v.leader
+                    t0 += v.total_rel
+                r0 = res[0]
+                if r0 == CLEAN:
+                    u = v
+                else:
+                    # A bail, or a trace leaving its path at an interior
+                    # terminator: the code settled none of the
+                    # prefix's scoreboard.
+                    u = fp.outcome(v, res, room)
+                    for reg, done in u.sb:
+                        done += t0
+                        reg_ready[reg] = done
+                        reg_ready_static[reg] = done
+                        reg_dyn_reason[reg] = None
+                n = u.n
+                fp_replayed += n
+                insts_left -= n
+                retired += n
+                if u.hits == 0:
+                    fp.deferred.append(u)
+                u.hits += 1
+                if u.imul_rel:
+                    imul_free = t0 + u.imul_rel
+                if u.fdiv_rel:
+                    fdiv_free = t0 + u.fdiv_rel
+                prev_cls = u.prev_cls
+                pair_open = u.pair_open
+                if u.leader is not None:
+                    leader_pc = u.leader
+                # One contiguous CYCLES span, or a prefix of it; the
+                # headroom gate proved it ends below cyc_mark.
+                prev_issue = t0 + u.total_rel
+                if r0 < CLEAN:
+                    # The slow path runs the instruction that missed.
+                    pc = u.next_pc
+                    slow_cause = BAIL_TAIL
+                    slow_from = retired
                     continue
-
-                # ---- bail: the replay stopped before instruction i ----
-                # Whatever probe stopped it (res[0] only names it),
-                # exactly the first i steps ran, all of them clean.  In
-                # a trace, the members before the one that bailed, m,
-                # are the unit exit_unit(m - 1): apply it as a clean,
-                # correctly predicted exit into member m, whose own
-                # steps i counts from then on.
-                i = res[1]
-                if v.parts is not None:
-                    m = bisect_right(v.firsts, i)
-                    if m:
-                        u = v.exit_unit(m - 1)
-                        for reg, done in u.sb:
-                            done += t0
-                            reg_ready[reg] = done
-                            reg_ready_static[reg] = done
-                            reg_dyn_reason[reg] = None
-                        if u.hits == 0:
-                            fp.deferred.append(u)
-                        u.hits += 1
-                        if u.imul_rel:
-                            imul_free = t0 + u.imul_rel
-                        if u.fdiv_rel:
-                            fdiv_free = t0 + u.fdiv_rel
-                        prev_cls = u.prev_cls_end
-                        leader_pc = u.leader_addr
-                        part = v.parts[m]
-                        edge = (u.term_addr, part.run.pc)
-                        gt_edges[edge] = gt_edges.get(edge, 0) + 1
-                        pair_open = part.key[0] >= 0
-                        n = v.firsts[m - 1]
-                        fp_replayed += n
-                        insts_left -= n
-                        retired += n
-                        i -= n
-                        t0 += u.total_rel
-                        prev_issue = t0
-                        v = part
-                        fp.trace_exits[BAIL_LATER] += 1
-                    else:
-                        v = v.parts[0]
-                        fp.trace_exits[BAIL_HEAD] += 1
-                steps = v.steps
-                for j in range(i):
-                    step = steps[j]
-                    srec_j = step[0]
-                    addr_j = srec_j[14]
-                    gt_count[addr_j] = gt_count.get(addr_j, 0) + 1
-                    ch = step[2]
-                    if ch:
-                        gt_head[addr_j] = gt_head.get(addr_j, 0) + ch
-                    sitems = step[4]
-                    if sitems is not None:
-                        srow = gt_stall.get(addr_j)
-                        if srow is None:
-                            srow = {}
-                            gt_stall[addr_j] = srow
-                        for reason, amount in sitems:
-                            srow[reason] = srow.get(reason, 0) + amount
-                    dst_j = srec_j[7]
-                    if dst_j is not None:
-                        done = t0 + step[1] + (srec_j[2]
-                                               if srec_j[0] <= 3
-                                               else l1d_latency)
-                        reg_ready[dst_j] = done
-                        reg_ready_static[dst_j] = done
-                        reg_dyn_reason[dst_j] = None
-                    unit_j = srec_j[11]
-                    if unit_j == 1:
-                        imul_free = t0 + step[1] + srec_j[12]
-                    elif unit_j == 2:
-                        fdiv_free = t0 + step[1] + srec_j[12]
-                if i:
-                    last_step = steps[i - 1]
-                    pair_open = not last_step[3]
-                    prev_cls = last_step[0][1]
-                    for j in range(i - 1, -1, -1):
-                        if not steps[j][3]:
-                            leader_pc = steps[j][0][14]
-                            break
-                    # A prefix of the span the gate cleared.
-                    prev_issue = t0 + last_step[1]
-                fp_replays += 1
-                fp_replayed += i
-                fp.bails[r0] += 1
-                insts_left -= i
-                retired += i
-                pc = steps[i][0][14]
-                slow_cause = BAIL_TAIL
-                slow_from = retired
+                # res carries the terminator's dynamic direction; its
+                # target is a block head, so back to the gate.
+                pc = res[1]
+                if res[2]:
+                    pair_open = False
+                if u.term_edge_always or pc != exit_addr:
+                    edge = (u.term_addr, pc)
+                    gt_edges[edge] = gt_edges.get(edge, 0) + 1
+                if res[3]:
+                    front_extra = mispredict_penalty
+                    front_reason = "branchmp"
+                    row = gt_events.get(u.term_addr)
+                    if row is None:
+                        row = {}
+                        gt_events[u.term_addr] = row
+                    row[_EV_BRANCHMP] = row.get(_EV_BRANCHMP, 0) + 1
+                    for oev, otime in counters.add(
+                            _EV_BRANCHMP, 1, prev_issue):
+                        pending.append((otime + skew, oev))
+                else:
+                    link_tail = u.tail
+                    link_taken = res[2]
+                at_head = True
                 continue
 
             # ---- slow path: one straight-line run ------------------------
@@ -1209,7 +1114,6 @@ class Core:
         _count_visits(visited, gt_count)
         if fp_on:
             fp.flush_deferred(gt_count, gt_head, gt_stall, gt_edges)
-            fp.replays += fp_replays
             fp.replayed_instructions += fp_replayed
             fp.dispatches += fp_dispatches
             fp.trace_entries += fp_trace_entries

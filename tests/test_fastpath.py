@@ -167,13 +167,21 @@ class TestSlowCauses:
 
 class TestDeferredGroundTruth:
     def test_flush_leaves_no_pending_hits(self):
-        machine = run_loop()
+        # A loop whose loads and stores miss now and then: its replays
+        # bail, so prefixes of its variant and its trace are cached.
+        machine = run_loop(flavor="mem", data=".data heap, 4096\n",
+                           buf="heap", wrap=256, stride=16)
         fp = machine.fastpath
-        # Core.run flushed the deferred per-variant hit counts into
-        # the ground-truth dicts before returning.
+        # Core.run flushed the deferred hit counts into the
+        # ground-truth dicts before returning: no variant, compiled
+        # trace or cached prefix still holds any.
         assert not fp.deferred
-        for variant in variants(machine):
-            assert variant.hits == 0
+        units = variants(machine)
+        units += {id(v.trace): v.trace for v in units
+                  if v.trace and v.trace.fn}.values()
+        prefixes = [p for unit in units for p in unit.prefixes.values()]
+        assert prefixes
+        assert not any(unit.hits for unit in units + prefixes)
 
 
 class TestSnapshotAndObs:

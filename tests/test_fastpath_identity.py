@@ -24,7 +24,7 @@ from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
 from repro.cpu import pipeline
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastpath import FastPath
+from repro.cpu.fastpath import EXIT, FastPath, Trace
 from repro.cpu.machine import Machine
 from repro.tools.abcheck import (_canonical, check_workload, fingerprint,
                                  model_counters, run_session)
@@ -134,11 +134,16 @@ def test_fastpath_is_observationally_identical(text):
     assert observables(fast) == observables(slow)
 
 
-class TurningLoop(Workload):
-    name = "turning-loop"
+class Assembled(Workload):
+    """One process running ``t:main`` of assembly *text*."""
+
+    name = "assembled"
+
+    def __init__(self, text):
+        self.text = text
 
     def setup(self, machine):
-        image = machine.load_image(assemble(TURNING_LOOP))
+        image = machine.load_image(assemble(self.text))
         machine.spawn(image, entry="t:main")
 
 
@@ -148,11 +153,101 @@ def test_trace_leaves_on_its_direction_guard(mode):
     # on a branch that turned without mispredicting -- and they do so
     # under every sampling mode, on dcpiab's three legs (cold fast,
     # warm fast, slow), which the registry rows never make them do.
-    identical, line, snap = check_workload(TurningLoop(), mode=mode)
+    identical, line, snap = check_workload(Assembled(TURNING_LOOP),
+                                           mode=mode)
     assert identical, line
     assert snap["traces"] > 0
     assert snap["trace_exits.guard"] > 0
     assert snap["dispatches"] < snap["replays"]
+
+
+#: A loop of four members, each with a load from a buffer that
+#: outgrows the L1D between pointer resets, and a store that now and
+#: then finds the write buffer full; the second member's branch turns
+#: every 16 laps.  A replay of its traces stops at every kind of place.
+MISSING_LOOP = """
+.image t
+.data buf, 16384
+.proc main
+    lda   t0, 0(zero)
+    lda   t3, 3000(zero)
+    lda   a0, =buf
+    lda   a1, =buf
+    lda   a2, =buf
+    lda   a3, =buf
+    lda   a1, 4096(a1)
+    lda   a2, 8192(a2)
+    lda   a3, 12288(a3)
+Lloop:
+    ldl   t5, 0(a0)
+    addq  t0, 1, t0
+    ldq   t7, 0(a3)
+    addq  a0, 4, a0
+    addq  a3, 8, a3
+    and   t0, 255, t8
+    bne   t8, Lb
+    lda   a0, =buf
+    lda   a3, =buf
+    lda   a3, 12288(a3)
+Lb:
+    ldq   t6, 0(a1)
+    addq  a1, 16, a1
+    addq  t2, 1, t2
+    and   t0, 15, t4
+    beq   t4, Lodd
+Lc:
+    addq  t2, t5, t2
+    ldq   t11, 0(a0)
+    stq   t2, 0(a2)
+    addq  a2, 24, a2
+    and   t0, 255, t8
+    bne   t8, Ld
+    lda   a2, =buf
+    lda   a1, =buf
+    lda   a2, 8192(a2)
+    lda   a1, 4096(a1)
+Ld:
+    cmpult t0, t3, t9
+    ldq   t10, 0(a2)
+    bne   t9, Lloop
+    ret
+Lodd:
+    subq  t2, t6, t2
+    br    Lc
+.end
+"""
+
+
+@pytest.mark.parametrize("mode", ["default", "cycles", "mux"])
+def test_every_replay_outcome_is_a_clean_prefix(mode, monkeypatch):
+    # Every result of a replay applies as the clean exit of a prefix of
+    # its unit's steps (FastPath.outcome).  Each shape of prefix occurs
+    # here, and the fast path still matches the slow path.
+    shapes = set()
+    outcome = FastPath.outcome
+
+    def tally(fp, unit, res, room):
+        if res[0] == EXIT:
+            shapes.add("exit" if res[4] else "exit at the head")
+            return outcome(fp, unit, res, room)
+        i = res[1]
+        if i == 0:
+            shapes.add("bail at 0")
+        if res[-1]:
+            shapes.add("bail after laps")
+        if i and isinstance(unit, Trace):
+            lengths = unit.lengths
+            shapes.add("bail in the head" if i < lengths[0]
+                       else "bail at a member" if i in lengths
+                       else "bail in a later member")
+        return outcome(fp, unit, res, room)
+    monkeypatch.setattr(FastPath, "outcome", tally)
+    identical, line, snap = check_workload(Assembled(MISSING_LOOP),
+                                           mode=mode)
+    assert identical, line
+    assert shapes >= {"bail at 0", "bail in the head", "bail at a member",
+                      "bail in a later member", "exit", "bail after laps"}
+    assert snap["bails.dcache"] > 0 and snap["bails.wb"] > 0
 
 
 @pytest.mark.parametrize("edge_mode", ["double", "interpret"])
