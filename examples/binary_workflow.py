@@ -1,10 +1,12 @@
-"""Working with binary executables: the full unmodified-binary story.
+"""Working with executables on disk: the full unmodified-binary story.
 
 DCPI's pitch is that it profiles *unmodified executables*.  This
-example walks the whole binary lifecycle:
+example walks the whole lifecycle of a linked image:
 
-1. assemble a program and write it out as an AEXE binary executable;
-2. load the binary back (no assembler involved) and profile it,
+1. assemble a program and write the linked image to disk with
+   ``repro.alpha.serialize`` -- the format the offline tools
+   (dcpiprof, dcpicalc, dcpistats) read from session bundles;
+2. load the image back (no assembler involved) and profile it,
    unmodified, under the collection system;
 3. estimate basic-block execution counts from the samples (dcpix);
 4. cross-check against the pixie baseline, which *rewrites* the binary
@@ -18,7 +20,7 @@ import os
 import tempfile
 
 from repro import MachineConfig, ProfileSession, SessionConfig
-from repro.alpha.encoding import load_executable, save_executable
+from repro.alpha.serialize import load_images, save_images
 from repro.baselines import PixieProfiler
 from repro.tools import dcpix
 from repro.workloads import mccalpin
@@ -31,20 +33,20 @@ BUDGET = int(os.environ.get("DCPI_EXAMPLE_BUDGET", "0")) or None
 def main():
     workload = mccalpin.build("assign", n=4096, iterations=2)
 
-    # Build and store the binary (normally your compiler's job).
+    # Build and store the image (normally your compiler's job).
     from repro.cpu.machine import Machine
 
     scratch = Machine(MachineConfig(), seed=1)
     workload.setup(scratch)
     image = scratch.processes[0].images[0]
     path = os.path.join(tempfile.mkdtemp(prefix="dcpi-bin-"),
-                        "mccalpin.aexe")
-    save_executable(image, path)
+                        "mccalpin.json")
+    save_images([image], path)
     print("wrote %s (%d bytes, %d instructions)"
           % (path, os.path.getsize(path), len(image.instructions)))
 
-    # Profile the unmodified binary.
-    binary = load_executable(path)
+    # Profile the unmodified image.
+    (binary,) = load_images(path)
 
     def run_binary(machine):
         machine.load_image(binary)

@@ -2,7 +2,7 @@
 
 Four layers (ISSUE 5, Layer 4 in ISSUE 10):
 
-1. **image** -- dataflow + CFG well-formedness + encoding round-trip
+1. **image** -- dataflow + CFG well-formedness + predecode agreement
    checks over :mod:`repro.alpha` images (:mod:`repro.check.
    image_checks`);
 2. **analysis** -- machine-checkable invariants of the paper's analysis

@@ -11,9 +11,8 @@ Three families of rules, all operating on a *linked* image:
   (floating-point reads are errors: garbage bit patterns can trap on
   real hardware; integer scratch reads are warnings), plus intra-block
   dead-write detection;
-* **encoding round-trip** -- ``encode_image``/``decode_image`` must
-  reproduce every instruction, procedure and symbol exactly, and the
-  flat predecode records must agree with the decoded objects.
+* **predecode agreement** -- the flat predecode records the simulator
+  runs must agree with the instruction objects they were built from.
 
 The paper's analysis half assumes all of this silently; these checks
 make the assumptions machine-verified before profiles are trusted.
@@ -24,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.alpha import regs
-from repro.alpha.encoding import EncodingError, decode_image, encode_image
 from repro.alpha.image import Image, Procedure
 from repro.alpha.instruction import Instruction
 from repro.alpha.opcodes import DIRECT_BRANCH_KINDS
@@ -73,7 +71,7 @@ def check_image(image: Image,
     findings.extend(_check_structure(image))
     findings.extend(_check_control_flow(image))
     findings.extend(_check_procedures(image))
-    findings.extend(_check_roundtrip(image))
+    findings.extend(_check_predecode(image))
     return findings
 
 
@@ -303,51 +301,7 @@ def _dead_writes(image: Image, proc: Procedure,
             pending[inst.dst] = inst
 
 
-# -- encoding round-trip -----------------------------------------------------
-
-def _inst_key(inst: Instruction) -> Tuple[object, ...]:
-    return (inst.op, inst.addr, inst.srcs, inst.dst,
-            inst.imm or 0, inst.target)
-
-
-def _check_roundtrip(image: Image) -> List[Finding]:
-    findings: List[Finding] = []
-    try:
-        clone = decode_image(encode_image(image))
-    except EncodingError as exc:
-        return [Finding(
-            "image/encoding-roundtrip", ERROR, image.name,
-            "encode/decode failed: %s" % exc)]
-    if len(clone.instructions) != len(image.instructions):
-        return [Finding(
-            "image/encoding-roundtrip", ERROR, image.name,
-            "decoded image has %d instructions, expected %d"
-            % (len(clone.instructions), len(image.instructions)))]
-    for original, decoded in zip(image.instructions, clone.instructions):
-        if _inst_key(original) != _inst_key(decoded):
-            findings.append(Finding(
-                "image/encoding-roundtrip", ERROR,
-                _loc(image, original.addr),
-                "instruction changed across encode/decode: %r -> %r"
-                % (original.disassemble(), decoded.disassemble())))
-    want_procs = {(p.name, p.start, p.end) for p in image.procedures}
-    have_procs = {(p.name, p.start, p.end) for p in clone.procedures}
-    if want_procs != have_procs:
-        findings.append(Finding(
-            "image/encoding-roundtrip", ERROR, image.name,
-            "procedure table changed across encode/decode",
-            detail="missing=%r extra=%r"
-                   % (sorted(want_procs - have_procs),
-                      sorted(have_procs - want_procs))))
-    want_syms = dict(image.symbols.items())
-    have_syms = dict(clone.symbols.items())
-    if want_syms != have_syms:
-        findings.append(Finding(
-            "image/encoding-roundtrip", ERROR, image.name,
-            "symbol table changed across encode/decode"))
-    findings.extend(_check_predecode(image))
-    return findings
-
+# -- predecode ---------------------------------------------------------------
 
 def _check_predecode(image: Image) -> List[Finding]:
     """The flat predecode records must agree with the Instruction."""

@@ -75,7 +75,6 @@ SERIALIZING_MODULES: Tuple[str, ...] = (
     "collect/bundle.py",
     "collect/journal.py",
     "alpha/serialize.py",
-    "alpha/encoding.py",
     "obs/trace.py",
     "obs/report.py",
     "obs/schema.py",

@@ -35,6 +35,12 @@ from repro.obs import NULL_OBS, ObsConfig, session_metrics
 #: Collection modes a session understands (paper sections 4.2 and 6).
 SESSION_MODES = ("cycles", "default", "mux")
 
+#: DriverConfig fields a session copies from its own fields; a
+#: ``SessionConfig.driver`` may leave them only at their defaults.
+SESSION_OWNED = ("mode", "cycles_period", "event_period", "seed",
+                 "edge_sampling", "edge_mode", "charge_overhead",
+                 "log_trace", "context", "ctx_slots")
+
 
 @dataclass
 class SessionConfig:
@@ -99,20 +105,15 @@ class SessionConfig:
                 self.db_root, (str, os.PathLike)):
             raise TypeError("SessionConfig.db_root must be a path or None, "
                             "not %r" % type(self.db_root).__name__)
-        base = self.driver or DriverConfig()
-        return replace(
-            base,
-            mode=self.mode,
-            cycles_period=self.cycles_period,
-            event_period=self.event_period,
-            charge_overhead=self.charge_overhead,
-            log_trace=self.log_trace,
-            edge_sampling=self.edge_sampling,
-            edge_mode=self.edge_mode,
-            seed=self.seed,
-            context=self.context,
-            ctx_slots=self.ctx_slots,
-        )
+        default = DriverConfig()
+        base = self.driver or default
+        for name in SESSION_OWNED:
+            if getattr(base, name) != getattr(default, name):
+                raise ValueError(
+                    "SessionConfig.driver sets %s, which the session "
+                    "owns; set SessionConfig.%s instead" % (name, name))
+        return replace(base, **{name: getattr(self, name)
+                                for name in SESSION_OWNED})
 
 
 class CollectionStack:

@@ -246,8 +246,9 @@ def export_annotations(analyses):
     *analyses* is the ``{procedure: ProcedureAnalysis}`` mapping
     :func:`analyze_image` returns.  The result maps procedure name to
     ``{"start", "end", "period", "low_confidence", "instructions"}``
-    with offsets image-relative throughout -- the contract consumed by
-    ``dcpiopt`` and stable for external profile-guided tooling.
+    with offsets image-relative throughout, for external
+    profile-guided tooling; ``dcpiopt`` plans from the analyses
+    themselves and does not read it.
     """
     export = {}
     for name, analysis in analyses.items():

@@ -80,7 +80,8 @@ def model_counters(machine):
 def run_session(workload, fastpath, seed, max_instructions, mode,
                 **options):
     """One profiled run with the fast path forced on or off; *options*
-    are further :class:`SessionConfig` fields (edge sampling)."""
+    are further :class:`SessionConfig` fields (edge sampling, drain
+    interval)."""
     config = MachineConfig(num_cpus=workload.num_cpus)
     config.fastpath = fastpath
     session = ProfileSession(
@@ -92,17 +93,17 @@ def run_session(workload, fastpath, seed, max_instructions, mode,
 
 
 def check_workload(workload, seed=1, max_instructions=80_000,
-                   mode="default"):
+                   mode="default", **options):
     """Return (identical, summary line, cold leg's
     ``FastPath.snapshot()``) for one workload's three legs: cold-cache
-    fast, warm-cache fast, slow."""
+    fast, warm-cache fast, slow; *options* go to :func:`run_session`."""
     clear_replay_cache()
     fast, fast_wall = run_session(workload, True, seed,
-                                  max_instructions, mode)
+                                  max_instructions, mode, **options)
     warm, warm_wall = run_session(workload, True, seed,
-                                  max_instructions, mode)
+                                  max_instructions, mode, **options)
     slow, slow_wall = run_session(workload, False, seed,
-                                  max_instructions, mode)
+                                  max_instructions, mode, **options)
 
     def observed(result):
         return fingerprint(result), model_counters(result.machine)

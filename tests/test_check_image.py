@@ -2,9 +2,10 @@
 
 Every rule in :mod:`repro.check.image_checks` gets a known-bad image
 that must produce its finding, plus a hypothesis property that
-assembled-and-linked programs survive the encode/predecode round-trip
-checks.  The call-barrier and FP-initialization cases are regression
-tests for real defects ``dcpicheck`` surfaced in the seed workloads.
+assembled-and-linked programs pass every rule, the predecode agreement
+check included.  The call-barrier and FP-initialization cases are
+regression tests for real defects ``dcpicheck`` surfaced in the seed
+workloads.
 """
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import examples
 from repro.alpha.assembler import assemble
-from repro.alpha.instruction import Instruction
 from repro.check import ERROR, INFO, WARNING
 from repro.check.image_checks import check_image
 from repro.check.runner import run_image_layer
@@ -101,8 +101,8 @@ class TestRoundtripProperty:
     def test_assembled_images_pass_layer1(self, text):
         findings = check_image(linked(text))
         # Generated bodies may contain dead writes (INFO); nothing
-        # more severe is acceptable, and in particular the encode/
-        # decode/predecode round-trip must be exact.
+        # more severe is acceptable, and in particular the predecode
+        # records must agree with the instructions.
         assert rules(findings, severity=ERROR) == []
         assert rules(findings, severity=WARNING) == []
 
@@ -236,15 +236,6 @@ class TestStructure:
         image = linked(CLEAN)
         image.procedures[0].end = image.procedures[0].start
         assert rules(check_image(image), "image/empty-procedure")
-
-
-class TestRoundtripDefects:
-    def test_unencodable_instruction_is_reported(self):
-        image = linked(CLEAN)
-        old = image.instructions[0]
-        image.instructions[0] = Instruction(
-            "lda", ra=1, rb=31, imm=1 << 30, addr=old.addr)
-        assert rules(check_image(image), "image/encoding-roundtrip")
 
 
 class TestSeedWorkloadRegressions:

@@ -400,3 +400,10 @@ class TestRepoIsClean:
         root = pathlib.Path(CheckConfig().resolved_src_root())
         assert [str(path) for path in sorted(root.rglob("*.py"))
                 if banned.search(path.read_text())] == []
+
+    def test_module_lists_name_package_files(self):
+        """A renamed or deleted module must not drop silently out of
+        its rule's scope."""
+        root = pathlib.Path(CheckConfig().resolved_src_root())
+        listed = HOT_PATH_MODULES + SERIALIZING_MODULES
+        assert [rel for rel in listed if not (root / rel).is_file()] == []

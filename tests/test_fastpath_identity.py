@@ -147,6 +147,12 @@ class Assembled(Workload):
         machine.spawn(image, entry="t:main")
 
 
+#: A session rotates the mux counter only at a drain (default every
+#: 200 000 instructions, past ``check_workload``'s budget): drain often
+#: enough that the ``mux`` rows sample more than IMISS.
+DRAIN = {"drain_interval": 10_000}
+
+
 @pytest.mark.parametrize("mode", ["default", "cycles", "mux"])
 def test_trace_leaves_on_its_direction_guard(mode):
     # The example above is not vacuous: traces form, loop, and leave
@@ -154,7 +160,7 @@ def test_trace_leaves_on_its_direction_guard(mode):
     # under every sampling mode, on dcpiab's three legs (cold fast,
     # warm fast, slow), which the registry rows never make them do.
     identical, line, snap = check_workload(Assembled(TURNING_LOOP),
-                                           mode=mode)
+                                           mode=mode, **DRAIN)
     assert identical, line
     assert snap["traces"] > 0
     assert snap["trace_exits.guard"] > 0
@@ -243,11 +249,17 @@ def test_every_replay_outcome_is_a_clean_prefix(mode, monkeypatch):
         return outcome(fp, unit, res, room)
     monkeypatch.setattr(FastPath, "outcome", tally)
     identical, line, snap = check_workload(Assembled(MISSING_LOOP),
-                                           mode=mode)
+                                           mode=mode, **DRAIN)
     assert identical, line
     assert shapes >= {"bail at 0", "bail in the head", "bail at a member",
                       "bail in a later member", "exit", "bail after laps"}
     assert snap["bails.dcache"] > 0 and snap["bails.wb"] > 0
+    if mode == "mux":
+        # The rotated counter's interrupts move replays: the mode is
+        # not a rerun of ``cycles``.
+        cycles, _ = run_session(Assembled(MISSING_LOOP), True, 1, 80_000,
+                                "cycles", **DRAIN)
+        assert cycles.machine.fastpath.snapshot() != snap
 
 
 @pytest.mark.parametrize("edge_mode", ["double", "interpret"])

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.alpha.assembler import assemble
-from repro.alpha.serialize import image_from_dict, image_to_dict
+from repro.alpha.serialize import (image_from_dict, image_to_dict,
+                                   load_images, save_images)
+from repro.cpu.config import MachineConfig
+from repro.cpu.machine import Machine
+from repro.tools.abcheck import fingerprint, run_session
+from repro.workloads.base import Workload
+from repro.workloads.registry import get_workload, workload_names
 
 TWO_PROCS = """
 .image libx
@@ -101,3 +107,55 @@ class TestSerialization:
         clone = image_from_dict(image_to_dict(image))
         addq = clone.instructions[2]
         assert addq.info.sem(5, 1) == 6
+
+
+def linked_images(workload):
+    machine = Machine(MachineConfig(num_cpus=workload.num_cpus), seed=1)
+    workload.setup(machine)
+    return machine.loader.images
+
+
+def saved_fields(image):
+    """Everything :func:`save_images` must carry across the disk."""
+    return {
+        "instructions": [(i.addr, i.op, i.ra, i.rb, i.rc, i.imm, i.target,
+                          i.srcs, i.dst) for i in image.instructions],
+        "procedures": [(p.name, p.start, p.end) for p in image.procedures],
+        "symbols": dict(image.symbols.items()),
+        "data": (image.data_base, image.data_offset, image.data_size),
+    }
+
+
+class Reloaded(Workload):
+    """One process running a linked image as loaded from disk."""
+
+    def __init__(self, image, name):
+        self.image = image
+        self.name = name
+
+    def setup(self, machine):
+        machine.spawn(self.image, name=self.name)
+
+
+class TestSavedImages:
+    """``save_images`` / ``load_images`` is the one on-disk image
+    format: session bundles keep their images in it."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_load_of_save_reproduces_every_image(self, name, tmp_path):
+        images = linked_images(get_workload(name))
+        path = str(tmp_path / "images.json")
+        save_images(images, path)
+        assert ([saved_fields(image) for image in load_images(path)]
+                == [saved_fields(image) for image in images])
+
+    def test_reloaded_image_simulates_identically(self, tmp_path):
+        workload = get_workload("mccalpin-assign")
+        path = str(tmp_path / "images.json")
+        save_images(linked_images(workload), path)
+        (image,) = load_images(path)
+
+        def observed(workload):
+            result, _ = run_session(workload, True, 1, 50_000, "default")
+            return fingerprint(result)
+        assert observed(Reloaded(image, workload.name)) == observed(workload)

@@ -284,6 +284,17 @@ def test_session_config_rejects_bad_driver_type():
         SessionConfig(driver="not-a-config").make_driver_config()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("mode", "mux"), ("event_period", 16), ("cycles_period", (60, 64)),
+    ("seed", 7), ("edge_sampling", True), ("edge_mode", "interpret"),
+    ("charge_overhead", False), ("log_trace", True), ("context", True),
+    ("ctx_slots", 8)])
+def test_session_config_rejects_driver_owned_by_session(field, value):
+    driver = DriverConfig(**{field: value})
+    with pytest.raises(ValueError, match="driver sets %s," % field):
+        SessionConfig(driver=driver).make_driver_config()
+
+
 def test_session_config_rejects_bad_db_root_type():
     with pytest.raises(TypeError, match="db_root"):
         SessionConfig(db_root=42).make_driver_config()
