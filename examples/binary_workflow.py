@@ -39,14 +39,14 @@ def main():
     scratch = Machine(MachineConfig(), seed=1)
     workload.setup(scratch)
     image = scratch.processes[0].images[0]
-    path = os.path.join(tempfile.mkdtemp(prefix="dcpi-bin-"),
-                        "mccalpin.json")
-    save_images([image], path)
-    print("wrote %s (%d bytes, %d instructions)"
-          % (path, os.path.getsize(path), len(image.instructions)))
+    with tempfile.TemporaryDirectory(prefix="dcpi-bin-") as directory:
+        path = os.path.join(directory, "mccalpin.json")
+        save_images([image], path)
+        print("wrote %s (%d bytes, %d instructions)"
+              % (path, os.path.getsize(path), len(image.instructions)))
+        (binary,) = load_images(path)
 
     # Profile the unmodified image.
-    (binary,) = load_images(path)
 
     def run_binary(machine):
         machine.load_image(binary)

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.findings import ERROR, WARNING, Finding
+from repro.core.culprits import DYN_THRESHOLD
 
 #: Absolute slack (executions) allowed before ground-truth flow
 #: imbalance is a finding: procedures interrupted by the instruction
@@ -226,9 +227,10 @@ def check_schedule_invariants(cfg: object,
 def check_culprit_coverage(cfg: object, schedules: Dict[int, object],
                            freq: object, samples: Dict[int, int],
                            culprit_map: Dict[int, List[object]],
-                           period: float,
-                           dyn_threshold: float = 0.25) -> List[Finding]:
-    """Every dynamic stall must be explained or marked unexplained."""
+                           period: float) -> List[Finding]:
+    """Every dynamic stall of ``DYN_THRESHOLD`` cycles per execution or
+    more (the analysis's own threshold) must be explained or marked
+    unexplained."""
     findings: List[Finding] = []
     for block in cfg.blocks:  # type: ignore[attr-defined]
         count = freq.block_count(block.index)  # type: ignore[attr-defined]
@@ -239,7 +241,7 @@ def check_culprit_coverage(cfg: object, schedules: Dict[int, object],
             if s == 0:
                 continue
             dyn = s * period / count - row.m
-            if dyn < dyn_threshold:
+            if dyn < DYN_THRESHOLD:
                 continue
             total_dyn = dyn * count
             loc = _proc_loc(cfg, row.inst.addr)
@@ -369,8 +371,7 @@ def check_merge_determinism(
     return findings
 
 
-def verify_procedure(analysis: object,
-                     dyn_threshold: float = 0.25) -> List[Finding]:
+def verify_procedure(analysis: object) -> List[Finding]:
     """Run the per-procedure invariant checks on a ProcedureAnalysis.
 
     This is the hook :mod:`repro.core.analyze` calls when
@@ -392,7 +393,7 @@ def verify_procedure(analysis: object,
     findings = check_schedule_invariants(cfg, schedules)
     findings.extend(check_culprit_coverage(
         cfg, schedules, freq, samples, culprit_map,
-        analysis.period, dyn_threshold))  # type: ignore[attr-defined]
+        analysis.period))  # type: ignore[attr-defined]
     findings.extend(check_estimate_flow(cfg, freq))
     return findings
 

@@ -59,8 +59,7 @@ def _loc(image: Image, addr: Optional[int] = None,
     return ":".join(parts)
 
 
-def check_image(image: Image,
-                max_instructions: Optional[int] = None) -> List[Finding]:
+def check_image(image: Image) -> List[Finding]:
     """Run every Layer-1 rule on *image*; return the findings."""
     findings: List[Finding] = []
     if image.base is None:

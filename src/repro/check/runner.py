@@ -49,7 +49,6 @@ class CheckConfig:
     workloads: Tuple[str, ...] = ()
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
     seed: int = 1
-    dyn_threshold: float = 0.25
     waivers_path: Optional[str] = None
     src_root: Optional[str] = None    # default: the repro package
 
@@ -126,7 +125,6 @@ Profiler = Callable[[object, int, int], Tuple[object, Any]]
 def run_analysis_layer(workloads: Sequence[str],
                        max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                        seed: int = 1,
-                       dyn_threshold: float = 0.25,
                        profiler: Profiler = profile_workload,
                        ) -> List[Finding]:
     """Layer 2: profile each workload, verify analysis invariants."""
@@ -143,8 +141,7 @@ def run_analysis_layer(workloads: Sequence[str],
         for profile in result.profiles.values():
             analyses = analyze_image(profile.image, profile)
             for analysis in analyses.values():
-                findings.extend(verify_procedure(
-                    analysis, dyn_threshold=dyn_threshold))
+                findings.extend(verify_procedure(analysis))
                 findings.extend(check_flow_conservation(
                     machine, analysis.cfg))
                 findings.extend(check_equivalence_truth(
@@ -222,8 +219,7 @@ def run_checks(config: Optional[CheckConfig] = None) -> CheckReport:
         elif layer == "analysis":
             report.extend(run_analysis_layer(
                 workloads, max_instructions=config.max_instructions,
-                seed=config.seed, dyn_threshold=config.dyn_threshold,
-                profiler=profiler))
+                seed=config.seed, profiler=profiler))
         elif layer == "lint":
             report.extend(run_lint_layer(config.resolved_src_root()))
         elif layer == "rewrite":

@@ -2,7 +2,7 @@
 
 from repro.collect.daemon import Daemon
 from repro.collect.database import ImageProfile, ProfileDatabase
-from repro.collect.driver import Driver, DriverConfig
+from repro.collect.driver import Driver
 from repro.collect.parallel import (MergedProfiles, ParallelSessionRunner,
                                     ShardSpec, merge_shards, shard_matrix)
 from repro.collect.session import ProfileSession, SessionConfig
@@ -11,7 +11,6 @@ __all__ = [
     "ImageProfile",
     "ProfileDatabase",
     "Driver",
-    "DriverConfig",
     "Daemon",
     "MergedProfiles",
     "ParallelSessionRunner",

@@ -14,9 +14,7 @@ cheap hit path, and a miss path that pays for the eviction and an extra
 cache miss.
 """
 
-from dataclasses import dataclass, field
-
-from repro.collect.hashtable import MOD_COUNTER, SampleHashTable
+from repro.collect.hashtable import SampleHashTable
 from repro.collect.prng import period_sampler
 from repro.cpu.events import EventType
 from repro.ctx.context import NULL_CTX, OTHER_ID, ContextTable
@@ -37,53 +35,9 @@ JITTER_MASK = 63           # deterministic per-PC cache-behaviour jitter
 PAPER_MEAN_PERIOD = 62 * 1024
 
 
-@dataclass
-class DriverConfig:
-    """Knobs for the driver (defaults follow the paper)."""
-
-    buckets: int = 4096
-    assoc: int = 4
-    policy: str = MOD_COUNTER
-    hash_name: str = "multiplicative"
-    overflow_capacity: int = 8192
-    charge_overhead: bool = True
-    log_trace: bool = False
-    # Sampling configuration.
-    mode: str = "default"  # "cycles" | "default" | "mux"
-    cycles_period: tuple = (1920, 2048)
-    event_period: int = 256
-    seed: int = 1
-    mux_events: tuple = field(default_factory=lambda: (
-        EventType.IMISS, EventType.DMISS, EventType.BRANCHMP))
-    # Section 7 "double sampling" prototype: every CYCLES interrupt
-    # schedules a second interrupt that captures the next executed PC,
-    # producing (from, to) edge samples at the cost of an extra
-    # interrupt per sample.
-    edge_sampling: bool = False
-    # "double" (second interrupt, edges from every sample) or
-    # "interpret" (decode + evaluate sampled control transfers; fewer
-    # edges but no extra interrupt).
-    edge_mode: str = "double"
-    # Per-request attribution (repro.ctx): when on, the OS publishes
-    # the dispatched process's request class through publish_ctx, and
-    # the interned context id joins the sample hash key.  Off by
-    # default -- the disabled path is byte-identical to a build
-    # without the dimension.
-    context: bool = False
-    ctx_slots: int = 64
-    # Simulations run with periods far below the paper's 60-64K cycles
-    # (pure-Python cycle simulation is slow), which would make handler
-    # cost dominate the run.  Charged handler cycles are therefore
-    # scaled by (simulated period / paper period) so that the measured
-    # *slowdown percentage* matches what the full-rate system would
-    # exhibit.  None = derive automatically; 1.0 = charge full cost.
-    cost_scale: float = None
-
-    def effective_cost_scale(self):
-        if self.cost_scale is not None:
-            return self.cost_scale
-        mean = (self.cycles_period[0] + self.cycles_period[1]) / 2.0
-        return mean / PAPER_MEAN_PERIOD
+#: The events the ``mux`` mode's second counter rotates through, one
+#: step per drain.
+MUX_EVENTS = (EventType.IMISS, EventType.DMISS, EventType.BRANCHMP)
 
 
 class _CpuState:
@@ -96,8 +50,7 @@ class _CpuState:
                  "ctx_reg")
 
     def __init__(self, config):
-        self.table = SampleHashTable(config.buckets, config.assoc,
-                                     config.policy, config.hash_name)
+        self.table = SampleHashTable(config.buckets, config.assoc)
         self.active = []
         self.shadow = []
         self.full = []
@@ -124,15 +77,28 @@ class _CpuState:
 
 
 class Driver:
-    """The performance-counter device driver."""
+    """The performance-counter device driver.
 
-    def __init__(self, num_cpus, config=None, faults=None):
+    *config* is the :class:`~repro.collect.session.SessionConfig` the
+    collection stack is built from: its sampling mode and periods, the
+    table and overflow-buffer sizes, and the trace, context and
+    charge-overhead switches.
+    """
+
+    def __init__(self, num_cpus, config, faults=None):
         from repro.faults.injector import NULL_INJECTOR
 
-        self.config = config or DriverConfig()
+        self.config = config
         #: Fault injection (repro.faults); NULL_INJECTOR is zero-cost.
         self.faults = faults or NULL_INJECTOR
-        self.cost_scale = self.config.effective_cost_scale()
+        # Simulations run with periods far below the paper's 60-64K
+        # cycles (pure-Python cycle simulation is slow), which would
+        # make handler cost dominate the run.  Charged handler cycles
+        # are therefore scaled by (simulated period / paper period) so
+        # that the measured *slowdown percentage* matches what the
+        # full-rate system would exhibit; set 1.0 to charge full cost.
+        lo, hi = config.cycles_period
+        self.cost_scale = (lo + hi) / 2.0 / PAPER_MEAN_PERIOD
         # What record() would re-read per sample, fixed at construction.
         self._charge_overhead = self.config.charge_overhead
         self._overflow_capacity = self.config.overflow_capacity
@@ -144,7 +110,6 @@ class Driver:
                           if self.config.context else None)
         self.cpus = [_CpuState(self.config) for _ in range(num_cpus)]
         self.trace = [] if self.config.log_trace else None
-        self._overflow_listeners = []
         self._mux_index = 0
         self._mux_slot = None
         self._machine = None
@@ -167,7 +132,7 @@ class Driver:
                     period_sampler(config.event_period, config.event_period))
             elif config.mode == "mux":
                 self._mux_slot = core.counters.configure(
-                    config.mux_events[0],
+                    MUX_EVENTS[0],
                     period_sampler(config.event_period, config.event_period))
             if config.edge_sampling:
                 core.edge_sink = self.record_edge
@@ -209,14 +174,10 @@ class Driver:
         """Advance the multiplexed counter to the next event type."""
         if self.config.mode != "mux" or self._machine is None:
             return
-        self._mux_index = (self._mux_index + 1) % len(self.config.mux_events)
-        event = self.config.mux_events[self._mux_index]
+        self._mux_index = (self._mux_index + 1) % len(MUX_EVENTS)
+        event = MUX_EVENTS[self._mux_index]
         for core in self._machine.cores:
             core.counters.set_event(self._mux_slot, event)
-
-    def add_overflow_listener(self, callback):
-        """callback(cpu_id) fires when an overflow buffer fills."""
-        self._overflow_listeners.append(callback)
 
     # -- the interrupt handler ---------------------------------------------
 
@@ -259,7 +220,7 @@ class Driver:
             state.miss_cycles += cost
             state.active.append(evicted)
             if len(state.active) >= self._overflow_capacity:
-                self._buffer_full(cpu_id, state)
+                self._buffer_full(state)
         if self._double_sampling and event is EventType.CYCLES:
             # Double sampling pays for the second interrupt; the
             # interpretation variant only decodes in the handler
@@ -275,7 +236,7 @@ class Driver:
         state.cost_carry = scaled - charged
         return charged
 
-    def _buffer_full(self, cpu_id, state):
+    def _buffer_full(self, state):
         """Swap buffers and notify the daemon (paper section 4.2.1)."""
         state.spills += 1
         state.full.append(state.active)
@@ -296,8 +257,6 @@ class Driver:
             # dropped samples are accounted, never silent.
             lost = state.full.pop(0)
             state.dropped += sum(count for _, count in lost)
-        for listener in self._overflow_listeners:
-            listener(cpu_id)
 
     # -- the flush path (daemon side) ---------------------------------------
 

@@ -17,12 +17,12 @@ on bit-identical instruction streams.
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.collect.daemon import Daemon
 from repro.collect.database import ProfileDatabase
-from repro.collect.driver import Driver, DriverConfig
+from repro.collect.driver import Driver
 from repro.collect.journal import DrainJournal
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
@@ -35,22 +35,22 @@ from repro.obs import NULL_OBS, ObsConfig, session_metrics
 #: Collection modes a session understands (paper sections 4.2 and 6).
 SESSION_MODES = ("cycles", "default", "mux")
 
-#: DriverConfig fields a session copies from its own fields; a
-#: ``SessionConfig.driver`` may leave them only at their defaults.
-SESSION_OWNED = ("mode", "cycles_period", "event_period", "seed",
-                 "edge_sampling", "edge_mode", "charge_overhead",
-                 "log_trace", "context", "ctx_slots")
-
 
 @dataclass
 class SessionConfig:
-    """Profiling-session settings (collection mode, periods, cadence)."""
+    """Profiling-session settings: collection mode, periods, cadence,
+    and the driver's table and overflow-buffer sizes."""
 
     mode: str = "default"             # "cycles" | "default" | "mux"
     cycles_period: tuple = (1920, 2048)
     event_period: int = 256
-    edge_sampling: bool = False       # section 7 edge-sample prototypes
-    edge_mode: str = "double"         # "double" | "interpret"
+    # Section 7 edge samples.  "double": every CYCLES interrupt
+    # schedules a second one that captures the next PC (an edge per
+    # sample, an extra interrupt each); "interpret": the handler decodes
+    # and evaluates the sampled control transfer (fewer edges, no extra
+    # interrupt).
+    edge_sampling: bool = False
+    edge_mode: str = "double"
     # Image names for which separate per-PID profiles are also kept
     # (paper section 4.3 "per-process profiles for specified images").
     per_process_images: tuple = ()
@@ -59,7 +59,11 @@ class SessionConfig:
     seed: int = 1
     db_root: Optional[str] = None
     log_trace: bool = False
-    driver: Optional[DriverConfig] = None
+    # The driver's per-CPU hash table (buckets x assoc entries, paper
+    # section 4.2) and the capacity of each of its two overflow buffers.
+    buckets: int = 4096
+    assoc: int = 4
+    overflow_capacity: int = 8192
     #: Self-monitoring (repro.obs); None or disabled means zero-cost.
     obs: Optional[ObsConfig] = None
     #: Fault injection (repro.faults); a FaultPlan or None.
@@ -94,26 +98,15 @@ class SessionConfig:
         return self.obs.build()
 
     def make_driver_config(self):
+        """Validate the settings the driver reads; return this config."""
         if self.mode not in SESSION_MODES:
             raise ValueError("unknown session mode %r; expected one of %s"
                              % (self.mode, ", ".join(SESSION_MODES)))
-        if self.driver is not None and not isinstance(self.driver,
-                                                      DriverConfig):
-            raise TypeError("SessionConfig.driver must be a DriverConfig "
-                            "or None, not %r" % type(self.driver).__name__)
         if self.db_root is not None and not isinstance(
                 self.db_root, (str, os.PathLike)):
             raise TypeError("SessionConfig.db_root must be a path or None, "
                             "not %r" % type(self.db_root).__name__)
-        default = DriverConfig()
-        base = self.driver or default
-        for name in SESSION_OWNED:
-            if getattr(base, name) != getattr(default, name):
-                raise ValueError(
-                    "SessionConfig.driver sets %s, which the session "
-                    "owns; set SessionConfig.%s instead" % (name, name))
-        return replace(base, **{name: getattr(self, name)
-                                for name in SESSION_OWNED})
+        return self
 
 
 class CollectionStack:

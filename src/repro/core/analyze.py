@@ -6,33 +6,32 @@ estimation, and culprit identification.  ``analyze_image`` does so for
 every procedure with samples.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cfg import build_cfg
 from repro.core.culprits import identify_culprits
-from repro.core.frequency import FrequencyConfig, estimate_frequencies
+from repro.core.frequency import estimate_frequencies
 from repro.core.schedule import schedule_cfg
 from repro.cpu.events import EventType
 from repro.obs import NULL_OBS
+
+#: Collection loss above this rate flags results as low-confidence
+#: instead of crashing the analysis: frequency/CPI estimates built on a
+#: lossy profile still rank hot code correctly, but their absolute
+#: values are understated by roughly the loss rate.
+LOSS_RATE_THRESHOLD = 0.02
 
 
 @dataclass
 class AnalysisConfig:
     """Settings for the full analysis pipeline."""
 
-    frequency: FrequencyConfig = field(default_factory=FrequencyConfig)
-    dyn_threshold: float = 0.25
     # Section 6.1.4's experimental global constraint solver: adjust the
     # estimates where they violate flow constraints.
     global_solver: bool = False
     # Self-monitoring (a repro.obs Observability): every pass runs
     # under a trace span named for it.  None = disabled.
     obs: object = None
-    # Collection loss above this rate flags results as low-confidence
-    # instead of crashing the analysis: frequency/CPI estimates built
-    # on a lossy profile still rank hot code correctly, but their
-    # absolute values are understated by roughly the loss rate.
-    loss_rate_threshold: float = 0.02
     # Run the repro.check invariant verifier on every analyzed
     # procedure (schedule slotting, culprit coverage, estimate flow);
     # findings land in ProcedureAnalysis.check_findings.
@@ -77,7 +76,7 @@ class ProcedureAnalysis:
         self.by_addr = {row.inst.addr: row for row in instructions}
         #: True when the collection run lost enough samples that the
         #: absolute estimates should not be trusted (graceful
-        #: degradation; see AnalysisConfig.loss_rate_threshold).
+        #: degradation; see LOSS_RATE_THRESHOLD).
         self.low_confidence = False
         #: Human-readable degradation notes (loss rate, quarantines).
         self.warnings = []
@@ -118,36 +117,6 @@ class ProcedureAnalysis:
 
         return summarize_procedure(self)
 
-    def annotations(self):
-        """Machine-readable per-instruction annotations.
-
-        Returns a list of plain dicts keyed by image-relative offset --
-        the stable coordinate a consumer (e.g. the :mod:`repro.opt`
-        profile-guided optimizer, or an external tool reading the JSON
-        export) can use to line samples up with a freshly built copy of
-        the same image.  Every estimate the analysis produced is here:
-        frequency, CPI, the static schedule's issue point and stall
-        count, dynamic-stall culprits, and the estimate confidence.
-        """
-        base = self.image.base or 0
-        rows = []
-        for row in self.instructions:
-            rows.append({
-                "offset": row.inst.addr - base,
-                "op": row.inst.op,
-                "samples": row.samples,
-                "count": row.count,
-                "cpi": round(row.cpi, 6),
-                "m": row.m,
-                "static_stalls": row.static_stalls,
-                "dyn_per_exec": round(row.dyn_per_exec, 6),
-                "culprits": list(row.culprits),
-                "paired": bool(row.paired),
-                "confidence": row.confidence,
-            })
-        rows.sort(key=lambda entry: entry["offset"])
-        return rows
-
 
 def analyze_procedure(image, proc, profile, config=None):
     """Analyze one procedure.
@@ -177,7 +146,6 @@ def analyze_procedure(image, proc, profile, config=None):
                         if profile.edge_counts else None)
         with phase("analyze.frequency"):
             freq = estimate_frequencies(cfg, schedules, samples, period,
-                                        config.frequency,
                                         edge_samples=edge_samples)
         if config.global_solver:
             from repro.core.solver import refine_global
@@ -186,8 +154,7 @@ def analyze_procedure(image, proc, profile, config=None):
                 refine_global(cfg, freq.classes, freq)
         with phase("analyze.culprits"):
             culprits = identify_culprits(cfg, schedules, freq, samples,
-                                         profile, proc,
-                                         config.dyn_threshold)
+                                         profile, proc)
 
         with phase("analyze.attribute"):
             instructions = []
@@ -207,8 +174,7 @@ def analyze_procedure(image, proc, profile, config=None):
         from repro.check.analysis_checks import verify_procedure
 
         with phase("analyze.verify"):
-            analysis.check_findings = verify_procedure(
-                analysis, dyn_threshold=config.dyn_threshold)
+            analysis.check_findings = verify_procedure(analysis)
     return analysis
 
 
@@ -218,9 +184,10 @@ def analyze_image(image, profile, config=None, min_samples=1,
 
     Returns {procedure name: ProcedureAnalysis}, ordered by decreasing
     sample count.  *loss_rate* is the collection run's accounted
-    sample-loss fraction (``collect.loss_rate``); above the config
-    threshold every analysis is flagged low-confidence with a warning
-    rather than rejected -- a partial profile still ranks hot code.
+    sample-loss fraction (``collect.loss_rate``); above
+    :data:`LOSS_RATE_THRESHOLD` every analysis is flagged low-confidence
+    with a warning rather than rejected -- a partial profile still
+    ranks hot code.
     """
     config = config or AnalysisConfig()
     totals = profile.procedure_totals(EventType.CYCLES)
@@ -229,37 +196,12 @@ def analyze_image(image, profile, config=None, min_samples=1,
         if total < min_samples:
             continue
         analysis = analyze_procedure(image, name, profile, config)
-        if loss_rate > config.loss_rate_threshold:
+        if loss_rate > LOSS_RATE_THRESHOLD:
             analysis.low_confidence = True
             analysis.warnings.append(
                 "collection lost %.2f%% of samples (threshold %.2f%%); "
                 "absolute estimates are understated"
                 % (loss_rate * 100.0,
-                   config.loss_rate_threshold * 100.0))
+                   LOSS_RATE_THRESHOLD * 100.0))
         result[name] = analysis
     return result
-
-
-def export_annotations(analyses):
-    """JSON-ready annotation export for a whole image's analyses.
-
-    *analyses* is the ``{procedure: ProcedureAnalysis}`` mapping
-    :func:`analyze_image` returns.  The result maps procedure name to
-    ``{"start", "end", "period", "low_confidence", "instructions"}``
-    with offsets image-relative throughout, for external
-    profile-guided tooling; ``dcpiopt`` plans from the analyses
-    themselves and does not read it.
-    """
-    export = {}
-    for name, analysis in analyses.items():
-        base = analysis.image.base or 0
-        export[name] = {
-            "image": analysis.image.name,
-            "start": analysis.proc.start - base,
-            "end": analysis.proc.end - base,
-            "period": analysis.period,
-            "low_confidence": analysis.low_confidence,
-            "total_samples": analysis.total_samples,
-            "instructions": analysis.annotations(),
-        }
-    return export

@@ -75,9 +75,6 @@ class CFG:
         raise KeyError("address %#x not in procedure %s"
                        % (addr, self.proc.name))
 
-    def block_of_index(self, index):
-        return self.blocks[index]
-
 
 def build_cfg(proc):
     """Build the CFG for procedure *proc* (a :class:`Procedure`)."""

@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 from repro.cpu.events import EventType
 
+#: Per-execution dynamic-stall cycles below which no explanation is
+#: attempted; repro.check's coverage rule judges the same stalls.
+DYN_THRESHOLD = 0.25
 #: Cache-line size assumed by the I-cache rule (matches MachineConfig).
 LINE_BYTES = 32
 #: Pessimistic fill costs used for event-derived upper bounds.
@@ -129,8 +132,7 @@ def _fu_busy_possible(pos, block, unit_cls):
     return None
 
 
-def identify_culprits(cfg, schedules, freq, samples, profile, proc,
-                      dyn_threshold=0.25):
+def identify_culprits(cfg, schedules, freq, samples, profile, proc):
     """Explain each instruction's dynamic stall.
 
     Args:
@@ -138,8 +140,6 @@ def identify_culprits(cfg, schedules, freq, samples, profile, proc,
         samples: {addr: CYCLES samples}.
         profile: the :class:`ImageProfile` (for event-sample bounds).
         proc: the procedure.
-        dyn_threshold: per-execution dynamic-stall cycles below which no
-            explanation is attempted.
 
     Returns {addr: list of Culprit} (addresses with stalls only).
     """
@@ -162,7 +162,7 @@ def identify_culprits(cfg, schedules, freq, samples, profile, proc,
                 continue
             observed = s * period / count
             dyn = observed - row.m
-            if dyn < dyn_threshold:
+            if dyn < DYN_THRESHOLD:
                 continue
             total_dyn = dyn * count
             candidates = []

@@ -59,12 +59,6 @@ class EquivalenceClasses:
         self.members = members
         self.zero = frozenset(zero)
 
-    def class_of_block(self, index):
-        return self.class_of[index]
-
-    def class_of_edge(self, index):
-        return self.class_of[("e", index)]
-
     def __len__(self):
         return len(self.members)
 

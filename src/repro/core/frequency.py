@@ -20,25 +20,22 @@ where P is the sampling period, directly comparable with instrumented
 execution counts (the paper's Figures 8 and 9 comparison).
 """
 
-from dataclasses import dataclass
-
 from repro.core.equivalence import compute_equivalence
 
 LOW, MEDIUM, HIGH = "low", "medium", "high"
 _CONF_RANK = {LOW: 0, MEDIUM: 1, HIGH: 2}
 
 
-@dataclass
-class FrequencyConfig:
-    """Tunables of the estimation heuristic (paper defaults in spirit)."""
-
-    cluster_ratio: float = 1.5     # max/min ratio within a cluster
-    min_cluster_frac: float = 0.25  # cluster must hold this share of points
-    min_class_samples: int = 40    # below this, use sum(S)/sum(M)
-    high_conf_points: int = 3
-    high_conf_tightness: float = 1.25
-    high_conf_samples: int = 200
-    max_propagation_passes: int = 100
+# Constants of the estimation heuristic (paper defaults in spirit).
+CLUSTER_RATIO = 1.5         # max/min ratio within a cluster
+MIN_CLUSTER_FRAC = 0.25     # cluster must hold this share of points
+MIN_CLASS_SAMPLES = 40      # below this, use sum(S)/sum(M)
+# A class estimate is high-confidence with this many clustered points,
+# this max/min tightness and this many samples.
+HIGH_CONF_POINTS = 3
+HIGH_CONF_TIGHTNESS = 1.25
+HIGH_CONF_SAMPLES = 200
+MAX_PROPAGATION_PASSES = 100
 
 
 class FrequencyAnalysis:
@@ -73,11 +70,6 @@ class FrequencyAnalysis:
         block = self.cfg.block_at(addr)
         return self.block_count(block.index)
 
-    def confidence_of(self, addr):
-        block = self.cfg.block_at(addr)
-        cid = self.classes.class_of.get(block.index)
-        return self.class_confidence.get(cid, LOW)
-
     def block_confidence(self, block_index):
         cid = self.classes.class_of.get(block_index)
         return self.class_confidence.get(cid, LOW)
@@ -95,7 +87,7 @@ class FrequencyAnalysis:
         return samples * self.period / count
 
 
-def _issue_point_ratios(block, schedule, samples, config):
+def _issue_point_ratios(block, schedule, samples):
     """Return the list of (ratio, weight_samples) for a block's issue
     points, with dependence-chain refinement (section 6.1.3).
 
@@ -125,7 +117,7 @@ def _issue_point_ratios(block, schedule, samples, config):
     return ratios
 
 
-def _cluster_estimate(ratios, config):
+def _cluster_estimate(ratios):
     """Average the smallest tight cluster of ratios.
 
     Returns (estimate, n_points, tightness) or None if no acceptable
@@ -140,11 +132,11 @@ def _cluster_estimate(ratios, config):
     if not values:
         return None
     n = len(values)
-    min_size = max(1, int(config.min_cluster_frac * n))
+    min_size = max(1, int(MIN_CLUSTER_FRAC * n))
     for start in range(n):
         lo = values[start]
         cluster = [v for v in values[start:]
-                   if v <= config.cluster_ratio * lo]
+                   if v <= CLUSTER_RATIO * lo]
         if len(cluster) >= min_size:
             estimate = sum(cluster) / len(cluster)
             tightness = max(cluster) / min(cluster)
@@ -152,7 +144,7 @@ def _cluster_estimate(ratios, config):
     return None
 
 
-def estimate_frequencies(cfg, schedules, samples, period, config=None,
+def estimate_frequencies(cfg, schedules, samples, period,
                          edge_samples=None):
     """Estimate execution counts for every class of *cfg*.
 
@@ -161,7 +153,6 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
         schedules: {block index: BlockSchedule} from the static scheduler.
         samples: {absolute address: CYCLES sample count}.
         period: mean sampling period in cycles.
-        config: optional :class:`FrequencyConfig`.
         edge_samples: optional {(from addr, to addr): count} from the
             double-sampling prototype (paper section 7); branch-sourced
             pairs split a known block count between a conditional
@@ -169,7 +160,6 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
 
     Returns a :class:`FrequencyAnalysis`.
     """
-    config = config or FrequencyConfig()
     classes = compute_equivalence(cfg)
     analysis = FrequencyAnalysis(cfg, classes, period)
 
@@ -185,7 +175,7 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
         for bindex in blocks:
             schedule = schedules[bindex]
             ratios.extend(_issue_point_ratios(
-                cfg.blocks[bindex], schedule, samples, config))
+                cfg.blocks[bindex], schedule, samples))
             for row in schedule.rows:
                 s = samples.get(row.inst.addr, 0)
                 class_samples += s
@@ -193,13 +183,13 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
                 sum_m_all += row.m
         if class_samples == 0:
             continue  # no evidence; leave for propagation
-        if class_samples < config.min_class_samples or not ratios:
+        if class_samples < MIN_CLASS_SAMPLES or not ratios:
             if sum_m_all > 0:
                 analysis.class_count[cid] = sum_s_all / sum_m_all * period
                 analysis.class_confidence[cid] = LOW
                 analysis.class_propagated[cid] = False
             continue
-        clustered = _cluster_estimate(ratios, config)
+        clustered = _cluster_estimate(ratios)
         if clustered is None:
             if sum_m_all > 0:
                 analysis.class_count[cid] = sum_s_all / sum_m_all * period
@@ -208,11 +198,11 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
             continue
         estimate, points, tightness = clustered
         analysis.class_count[cid] = estimate * period
-        if (points >= config.high_conf_points
-                and tightness <= config.high_conf_tightness
-                and class_samples >= config.high_conf_samples):
+        if (points >= HIGH_CONF_POINTS
+                and tightness <= HIGH_CONF_TIGHTNESS
+                and class_samples >= HIGH_CONF_SAMPLES):
             confidence = HIGH
-        elif points >= 2 and class_samples >= config.min_class_samples:
+        elif points >= 2 and class_samples >= MIN_CLASS_SAMPLES:
             confidence = MEDIUM
         else:
             confidence = LOW
@@ -220,7 +210,7 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
         analysis.class_propagated[cid] = False
 
     # Phase 2: local propagation along flow constraints.
-    _propagate(cfg, classes, analysis, config)
+    _propagate(cfg, classes, analysis)
 
     # Phase 3: edge samples, when collected, split known block counts
     # between conditional out-edges by the sampled taken ratio (both
@@ -231,13 +221,13 @@ def estimate_frequencies(cfg, schedules, samples, period, config=None,
     # override exact flow arithmetic.
     if edge_samples:
         changed = _apply_edge_samples(cfg, classes, analysis,
-                                      edge_samples, config)
+                                      edge_samples)
         if changed:
-            _propagate(cfg, classes, analysis, config)
+            _propagate(cfg, classes, analysis)
     return analysis
 
 
-def _apply_edge_samples(cfg, classes, analysis, edge_samples, config):
+def _apply_edge_samples(cfg, classes, analysis, edge_samples):
     min_evidence = 8
     changed = False
     for block in cfg.blocks:
@@ -270,7 +260,7 @@ def _apply_edge_samples(cfg, classes, analysis, edge_samples, config):
     return changed
 
 
-def _propagate(cfg, classes, analysis, config):
+def _propagate(cfg, classes, analysis):
     """Iteratively solve block = sum(in edges) = sum(out edges).
 
     New estimates are written to the whole equivalence class at once
@@ -298,7 +288,7 @@ def _propagate(cfg, classes, analysis, config):
     def conf_of(node):
         return analysis.class_confidence.get(class_of[node], LOW)
 
-    for _ in range(config.max_propagation_passes):
+    for _ in range(MAX_PROPAGATION_PASSES):
         changed = False
         for block in cfg.blocks:
             for edges, orientation in ((block.preds, "in"),

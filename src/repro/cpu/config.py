@@ -76,7 +76,3 @@ class MachineConfig:
 
     # Scheduler quantum for timeshared processes (cycles).
     quantum: int = 50_000
-
-    @property
-    def page_size(self):
-        return 1 << self.page_bits

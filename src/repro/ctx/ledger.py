@@ -67,10 +67,6 @@ class ContextLedger:
         self.table_evictions = table.evictions
         self.table_interns = table.interns
 
-    def class_for(self, ident):
-        """The class name bound to *ident* (``<other>`` if unknown)."""
-        return self.ids.get(str(ident), OTHER_CLASS)
-
     def add_sample(self, ident, event, count):
         """Attribute *count* samples of *event* to *ident*'s class."""
         name = self.ids.get(str(ident))

@@ -329,7 +329,6 @@ def _corrupt_at_rest(db_root: str, kind: str,
 def _run_session(workload_name: str, seed: int, budget: int,
                  db_root: Optional[str],
                  plan: Optional[FaultPlan]) -> Any:
-    from repro.collect.driver import DriverConfig
     from repro.collect.session import ProfileSession, SessionConfig
     from repro.cpu.config import MachineConfig
     from repro.workloads.registry import get_workload
@@ -343,8 +342,9 @@ def _run_session(workload_name: str, seed: int, budget: int,
         seed=seed,
         db_root=db_root,
         checkpoint_drains=CHAOS_CHECKPOINT_DRAINS,
-        driver=DriverConfig(buckets=CHAOS_BUCKETS, assoc=CHAOS_ASSOC,
-                            overflow_capacity=CHAOS_OVERFLOW_CAPACITY),
+        buckets=CHAOS_BUCKETS,
+        assoc=CHAOS_ASSOC,
+        overflow_capacity=CHAOS_OVERFLOW_CAPACITY,
         faults=plan)
     session = ProfileSession(MachineConfig(num_cpus=workload.num_cpus),
                              config)

@@ -34,18 +34,19 @@ from repro.opt.rewrite import (BlockPlan, ProcPlan, RewritePlan,
                                image_fingerprint)
 
 
+#: Blocks executed at most this often count as cold.
+COLD_COUNT = 0.5
+
+
 class OptConfig:
-    """Which passes run, and their thresholds."""
+    """Which passes run."""
 
-    __slots__ = ("layout", "schedule", "split", "cold_count")
+    __slots__ = ("layout", "schedule", "split")
 
-    def __init__(self, layout=True, schedule=True, split=True,
-                 cold_count=0.5):
+    def __init__(self, layout=True, schedule=True, split=True):
         self.layout = layout
         self.schedule = schedule
         self.split = split
-        #: blocks executed at most this often count as cold.
-        self.cold_count = cold_count
 
 
 def _chain_blocks(cfg, freq):
@@ -91,11 +92,11 @@ def _chain_blocks(cfg, freq):
     return order
 
 
-def _split_cold(order, freq, cold_count):
+def _split_cold(order, freq):
     """Stable-partition *order* so cold blocks sink to the tail."""
     entry, rest = order[0], order[1:]
-    hot = [b for b in rest if freq.block_count(b) > cold_count]
-    cold = [b for b in rest if freq.block_count(b) <= cold_count]
+    hot = [b for b in rest if freq.block_count(b) > COLD_COUNT]
+    cold = [b for b in rest if freq.block_count(b) <= COLD_COUNT]
     return [entry] + hot + cold
 
 
@@ -299,10 +300,10 @@ def build_plan(image, analyses, config=None):
         if config.layout:
             order = _chain_blocks(cfg, analysis.freq)
         if config.split:
-            split = _split_cold(order, analysis.freq, config.cold_count)
+            split = _split_cold(order, analysis.freq)
             stats["cold_blocks_demoted"] += sum(
                 1 for a, b in zip(order, split) if a != b and
-                analysis.freq.block_count(b) <= config.cold_count)
+                analysis.freq.block_count(b) <= COLD_COUNT)
             order = split
         for position, index in enumerate(order):
             original_next = index + 1 if index + 1 < len(cfg.blocks) \

@@ -123,12 +123,6 @@ class RewritePlan:
         #: pass-level decisions (blocks moved, scheduled blocks, ...).
         self.stats = dict(stats or {})
 
-    def is_identity(self) -> bool:
-        """True when applying the plan would reproduce the image as-is."""
-        return not (self.stats.get("blocks_moved")
-                    or self.stats.get("scheduled_blocks")
-                    or self.stats.get("procs_moved"))
-
 
 class RewriteResult:
     """What one rewrite produced (or why it refused)."""

@@ -41,17 +41,17 @@ def _load_bundle(path):
     """:func:`load_bundle`'s profiles.  What the bundle says about
     itself goes to stderr: its warnings, and one low-confidence line
     when its accounted loss exceeds the analysis threshold."""
-    from repro.core.analyze import AnalysisConfig
+    from repro.core.analyze import LOSS_RATE_THRESHOLD
 
     profiles, meta = load_bundle(path)
     for warning in meta["warnings"]:
         print("%s: warning: %s" % (path, warning), file=sys.stderr)
     rate = meta["loss"]["loss_rate"]
-    threshold = AnalysisConfig().loss_rate_threshold
-    if rate > threshold:
+    if rate > LOSS_RATE_THRESHOLD:
         print("%s: low confidence: collection lost %.2f%% of samples "
               "(dropped, lost or quarantined; threshold %.2f%%)"
-              % (path, rate * 100.0, threshold * 100.0), file=sys.stderr)
+              % (path, rate * 100.0, LOSS_RATE_THRESHOLD * 100.0),
+              file=sys.stderr)
     return profiles
 
 

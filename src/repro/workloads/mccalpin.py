@@ -186,10 +186,6 @@ class McCalpin(Workload):
         image = assemble(self._asm())
         machine.spawn(image, name=self.name)
 
-    @property
-    def hot_procedure(self):
-        return self.kernel
-
 
 def build(kernel="assign", n=8192, iterations=4):
     """Convenience constructor used throughout examples and tests."""

@@ -103,45 +103,3 @@ class TestAnalyzeImage:
         total = profile.total(EventType.CYCLES)
         analyses = analyze_image(image, profile, min_samples=total + 1)
         assert analyses == {}
-
-
-class TestAnnotationsExport:
-    def test_annotations_are_offset_keyed_and_complete(
-            self, copy_analysis):
-        _, image, analysis = copy_analysis
-        rows = analysis.annotations()
-        base = image.base or 0
-        expected = {inst.addr - base
-                    for inst in image.instructions
-                    if analysis.proc.start <= inst.addr
-                    < analysis.proc.end}
-        assert {row["offset"] for row in rows} == expected
-        offsets = [row["offset"] for row in rows]
-        assert offsets == sorted(offsets)
-        for row in rows:
-            assert row["cpi"] >= 0.0
-            assert row["count"] >= 0
-            for culprit in row["culprits"]:
-                assert culprit.min_cycles <= culprit.max_cycles
-
-    def test_export_annotations_is_json_ready(self, copy_analysis):
-        import json
-
-        result, image, _ = copy_analysis
-        from repro.core.analyze import export_annotations
-        from repro.core.culprits import Culprit
-
-        analyses = analyze_image(image, result.profile_for("copy.prog"))
-        export = export_annotations(analyses)
-        assert set(export) == {"copy"}
-        block = export["copy"]
-        assert block["end"] > block["start"] >= 0
-        assert block["instructions"]
-
-        def jsonable(obj):
-            if isinstance(obj, Culprit):
-                return obj._asdict() if hasattr(obj, "_asdict") \
-                    else vars(obj)
-            raise TypeError(type(obj))
-
-        json.dumps(export, default=jsonable)

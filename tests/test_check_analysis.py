@@ -202,13 +202,17 @@ class TestCulpritPerturbation:
         samples = analysis.profile.samples_for(analysis.proc,
                                                EventType.CYCLES)
         assert samples, "no samples landed in the procedure"
-        # With every culprit discarded and a threshold below any
-        # sampled CPI, each sampled instruction is an unexplained stall.
+        # With every culprit discarded and block counts far below the
+        # samples, each sampled instruction stalls far above the
+        # analysis threshold, and each is an unexplained stall.
+        starved = _StubFreq(
+            blocks={block.index: 1e-3 for block in analysis.cfg.blocks},
+            edges={}, confidence={})
         findings = check_culprit_coverage(
-            analysis.cfg, analysis.schedules, analysis.freq, samples,
-            {}, analysis.period, dyn_threshold=-100.0)
-        assert findings
+            analysis.cfg, analysis.schedules, starved, samples, {},
+            analysis.period)
         assert _rules(findings) == ["analysis/unexplained-stall"]
+        assert len(findings) == sum(1 for n in samples.values() if n)
 
 
 class TestMergeDeterminism:

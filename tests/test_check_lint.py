@@ -2,6 +2,7 @@
 stays quiet on the sanctioned idiom, and the committed source is clean.
 """
 
+import ast
 import pathlib
 import re
 import textwrap
@@ -407,3 +408,44 @@ class TestRepoIsClean:
         root = pathlib.Path(CheckConfig().resolved_src_root())
         listed = HOT_PATH_MODULES + SERIALIZING_MODULES
         assert [rel for rel in listed if not (root / rel).is_file()] == []
+
+    def test_every_config_field_is_read(self):
+        """Every field of the run configs is read by code outside its
+        class, or by a method of the class that such code calls: a
+        setting that nothing reads must not come back unnoticed.
+        Attributes are matched by name, so a read of another object's
+        field of the same name also counts."""
+        root = pathlib.Path(CheckConfig().resolved_src_root())
+        configs = {"collect/session.py": "SessionConfig",
+                   "core/analyze.py": "AnalysisConfig",
+                   "check/runner.py": "CheckConfig"}
+
+        def loads(nodes):
+            return {node.attr for top in nodes for node in ast.walk(top)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)}
+
+        outside = set()
+        classes = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            name = configs.get(path.relative_to(root).as_posix())
+            found = [node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == name]
+            classes.extend(found)
+            outside |= loads(node for node in tree.body
+                             if node not in found)
+        assert sorted(c.name for c in classes) == sorted(configs.values())
+        unread = []
+        for cls in classes:
+            read = set(outside)
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and method.name in outside):
+                    read |= loads([method])
+            unread.extend("%s.%s" % (cls.name, stmt.target.id)
+                          for stmt in cls.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and stmt.target.id not in read)
+        assert unread == []

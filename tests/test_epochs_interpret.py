@@ -6,7 +6,7 @@ import pytest
 from repro.alpha.assembler import assemble
 from repro.collect.daemon import Daemon
 from repro.collect.database import ProfileDatabase
-from repro.collect.driver import Driver, DriverConfig
+from repro.collect.driver import Driver
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
@@ -35,8 +35,8 @@ class TestEpochs:
         image = loader.link(assemble(
             ".image app\n.proc main\n    nop\n    ret\n.end"))
         loader.notify_exec(7, [image])
-        driver = Driver(1, DriverConfig(buckets=16, assoc=4,
-                                        cost_scale=1.0))
+        driver = Driver(1, SessionConfig(buckets=16, assoc=4))
+        driver.cost_scale = 1.0
         return loader, daemon, driver, image
 
     def test_advance_epoch_clears_memory(self, tmp_path):

@@ -28,20 +28,24 @@ ALL_EXAMPLES = (
 SMOKE_BUDGET = "60000"
 
 
-def run_example(name, budget=None, timeout=240):
+def run_example(name, budget=None, timeout=240, tmpdir=None):
     env = dict(os.environ)
     if budget is not None:
         env["DCPI_EXAMPLE_BUDGET"] = budget
+    if tmpdir is not None:
+        env["TMPDIR"] = str(tmpdir)
     return subprocess.run(
         [sys.executable, os.path.join(EXAMPLES, name)],
         capture_output=True, text=True, timeout=timeout, env=env)
 
 
 @pytest.mark.parametrize("name", ALL_EXAMPLES)
-def test_example_runs_with_tiny_budget(name):
-    result = run_example(name, budget=SMOKE_BUDGET)
+def test_example_runs_with_tiny_budget(name, tmp_path):
+    result = run_example(name, budget=SMOKE_BUDGET, tmpdir=tmp_path)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout  # every example narrates its findings
+    # Whatever an example puts in the temp dir, it removes.
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quickstart_output_shape():

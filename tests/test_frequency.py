@@ -4,8 +4,7 @@ import pytest
 
 from repro.alpha.assembler import assemble
 from repro.core.cfg import build_cfg
-from repro.core.frequency import (FrequencyConfig, _cluster_estimate,
-                                  estimate_frequencies)
+from repro.core.frequency import _cluster_estimate, estimate_frequencies
 from repro.core.schedule import schedule_cfg
 
 LOOP = """
@@ -20,34 +19,31 @@ top:
 """
 
 
-def analysis_for(body, samples, period=100.0, config=None):
+def analysis_for(body, samples, period=100.0):
     image = assemble(".image t\n.proc main\n%s\n.end" % body, base=0x1000)
     cfg = build_cfg(image.procedure("main"))
     schedules = schedule_cfg(cfg)
-    return cfg, estimate_frequencies(cfg, schedules, samples, period,
-                                     config)
+    return cfg, estimate_frequencies(cfg, schedules, samples, period)
 
 
 class TestClusterSelection:
     def test_tight_cluster_mean(self):
         ratios = [(10.0, 100), (10.5, 100), (11.0, 100), (50.0, 100)]
-        estimate, points, tightness = _cluster_estimate(
-            ratios, FrequencyConfig())
+        estimate, points, tightness = _cluster_estimate(ratios)
         assert estimate == pytest.approx(10.5, rel=0.01)
         assert points == 3
 
     def test_all_identical(self):
         ratios = [(5.0, 10)] * 4
-        estimate, points, _ = _cluster_estimate(ratios, FrequencyConfig())
+        estimate, points, _ = _cluster_estimate(ratios)
         assert estimate == 5.0
         assert points == 4
 
     def test_empty_returns_none(self):
-        assert _cluster_estimate([], FrequencyConfig()) is None
+        assert _cluster_estimate([]) is None
 
     def test_all_zero_ratios_rejected(self):
-        assert _cluster_estimate([(0.0, 0)] * 3,
-                                 FrequencyConfig()) is None
+        assert _cluster_estimate([(0.0, 0)] * 3) is None
 
 
 class TestDirectEstimation:
@@ -75,8 +71,7 @@ class TestDirectEstimation:
 
     def test_sample_poor_class_uses_sum_ratio(self):
         samples = {0x1004: 2, 0x100C: 1}
-        config = FrequencyConfig(min_class_samples=40)
-        cfg, freq = analysis_for(LOOP, samples, config=config)
+        cfg, freq = analysis_for(LOOP, samples)
         loop_block = cfg.block_at(0x1004)
         assert freq.block_confidence(loop_block.index) == "low"
         assert freq.block_count(loop_block.index) > 0

@@ -4,7 +4,8 @@ import pytest
 
 from repro.alpha.assembler import assemble
 from repro.core.cfg import build_cfg
-from repro.core.frequency import (FrequencyConfig, _issue_point_ratios,
+from repro.core.frequency import (CLUSTER_RATIO, MIN_CLASS_SAMPLES,
+                                  _cluster_estimate, _issue_point_ratios,
                                   estimate_frequencies)
 from repro.core.schedule import schedule_cfg
 
@@ -36,8 +37,7 @@ class TestDependenceChainRefinement:
         # Suppose the ldq's dynamic stall shifted samples onto it: the
         # chain ratio for addq must pool (S_ldq + S_addq)/(M_ldq+M_addq).
         samples = {0x1004: 90, 0x1008: 60, 0x100C: 50, 0x1010: 50}
-        ratios = _issue_point_ratios(loop, schedules[loop.index],
-                                     samples, FrequencyConfig())
+        ratios = _issue_point_ratios(loop, schedules[loop.index], samples)
         values = sorted(r for r, _ in ratios)
         assert pytest.approx((90 + 60) / 3.0, rel=0.01) in values
 
@@ -50,28 +50,32 @@ class TestDependenceChainRefinement:
 
 
 class TestConfigKnobs:
+    """The heuristic's fixed thresholds, at their boundaries."""
+
     def test_min_class_samples_forces_fallback(self):
         cfg, schedules = cfg_sched(CHAIN)
-        samples = {0x1004: 30, 0x1008: 30, 0x100C: 30, 0x1010: 30}
-        strict = FrequencyConfig(min_class_samples=1000)
-        freq = estimate_frequencies(cfg, schedules, samples, 100.0,
-                                    strict)
         loop = cfg.block_at(0x1004)
-        assert freq.block_confidence(loop.index) == "low"
+        # Samples in proportion to M along the ldq -> addq chain: every
+        # issue point reads the same ratio, so only the class's sample
+        # total decides between the cluster and the fallback.
+        shape = {0x1004: 1, 0x1008: 2, 0x1010: 1}
+
+        def confidence(scale):
+            samples = {addr: n * scale for addr, n in shape.items()}
+            freq = estimate_frequencies(cfg, schedules, samples, 100.0)
+            return freq.block_confidence(loop.index)
+
+        enough = -(-MIN_CLASS_SAMPLES // sum(shape.values()))
+        assert confidence(enough) == "medium"
+        assert confidence(enough - 1) == "low"
 
     def test_cluster_ratio_widens_cluster(self):
-        cfg, schedules = cfg_sched(CHAIN)
-        samples = {0x1004: 50, 0x1008: 100, 0x100C: 80, 0x1010: 60}
-        tight = estimate_frequencies(
-            cfg, schedules, samples, 100.0,
-            FrequencyConfig(cluster_ratio=1.05, min_cluster_frac=0.01))
-        wide = estimate_frequencies(
-            cfg, schedules, samples, 100.0,
-            FrequencyConfig(cluster_ratio=10.0, min_cluster_frac=0.01))
-        loop = cfg.block_at(0x1004)
-        # A wide cluster averages in the stalled points: higher count.
-        assert wide.block_count(loop.index) \
-            >= tight.block_count(loop.index)
+        # A ratio up to CLUSTER_RATIO times the smallest joins its
+        # cluster; one beyond it does not.
+        inside = [(1.0, 10), (CLUSTER_RATIO * 0.99, 10)]
+        outside = [(1.0, 10), (CLUSTER_RATIO * 1.01, 10)]
+        assert _cluster_estimate(inside)[1] == 2
+        assert _cluster_estimate(outside)[1] == 1
 
     def test_propagation_degrades_confidence(self):
         text = """

@@ -150,10 +150,10 @@ class TestFailureInjection:
     def test_driver_drops_when_daemon_stalls(self):
         """If the daemon never drains, the driver's bounded buffers drop
         samples rather than grow without limit."""
-        from repro.collect.driver import Driver, DriverConfig
+        from repro.collect.driver import Driver
 
-        driver = Driver(1, DriverConfig(buckets=1, assoc=1,
-                                        overflow_capacity=4))
+        driver = Driver(1, SessionConfig(buckets=1, assoc=1,
+                                         overflow_capacity=4))
         for i in range(100):
             driver.record(0, i, 0x1000, EventType.CYCLES, i)
         state = driver.cpus[0]

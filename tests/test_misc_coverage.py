@@ -5,7 +5,7 @@ import pytest
 
 from repro.alpha import regs
 from repro.alpha.assembler import assemble
-from repro.collect.driver import Driver, DriverConfig
+from repro.collect.driver import Driver
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
@@ -39,7 +39,7 @@ class TestRegisters:
 class TestDriverMux:
     def test_rotate_cycles_through_events(self):
         machine = Machine(MachineConfig(), seed=1)
-        driver = Driver(1, DriverConfig(mode="mux"))
+        driver = Driver(1, SessionConfig(mode="mux"))
         driver.install(machine)
         core = machine.cores[0]
 
@@ -55,21 +55,21 @@ class TestDriverMux:
 
     def test_rotate_noop_for_default_mode(self):
         machine = Machine(MachineConfig(), seed=1)
-        driver = Driver(1, DriverConfig(mode="default"))
+        driver = Driver(1, SessionConfig(mode="default"))
         driver.install(machine)
         driver.rotate_mux()  # must not raise
         assert len(machine.cores[0].counters.slots) == 2
 
     def test_cost_scale_auto_derivation(self):
-        config = DriverConfig(cycles_period=(62 * 1024, 62 * 1024))
-        assert config.effective_cost_scale() == pytest.approx(1.0)
-        scaled = DriverConfig(cycles_period=(620, 620))
-        assert scaled.effective_cost_scale() == pytest.approx(
-            620 / (62 * 1024))
+        paper = Driver(1, SessionConfig(
+            cycles_period=(62 * 1024, 62 * 1024)))
+        assert paper.cost_scale == pytest.approx(1.0)
+        scaled = Driver(1, SessionConfig(cycles_period=(620, 620)))
+        assert scaled.cost_scale == pytest.approx(620 / (62 * 1024))
 
     def test_kernel_memory_scales_with_cpus(self):
-        one = Driver(1, DriverConfig()).kernel_memory_bytes()
-        four = Driver(4, DriverConfig()).kernel_memory_bytes()
+        one = Driver(1, SessionConfig()).kernel_memory_bytes()
+        four = Driver(4, SessionConfig()).kernel_memory_bytes()
         assert four == 4 * one
 
 

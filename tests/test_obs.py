@@ -14,7 +14,7 @@ import repro.fleet
 import repro.opt
 from repro.alpha.assembler import assemble
 from repro.collect.daemon import Daemon
-from repro.collect.driver import Driver, DriverConfig
+from repro.collect.driver import Driver
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.core.cfg import build_cfg
 from repro.core.culprits import identify_culprits
@@ -180,11 +180,11 @@ class TestTrace:
         assert trace_counters(events) == {"x": 9}
 
 
-def make_driver(**overrides):
-    defaults = dict(buckets=16, assoc=4, overflow_capacity=8,
-                    cost_scale=1.0)
-    defaults.update(overrides)
-    return Driver(1, DriverConfig(**defaults))
+def make_driver():
+    driver = Driver(1, SessionConfig(buckets=16, assoc=4,
+                                     overflow_capacity=8))
+    driver.cost_scale = 1.0
+    return driver
 
 
 def make_daemon(pid=7):

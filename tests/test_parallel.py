@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import examples
 from repro.collect.database import ProfileDatabase
-from repro.collect.driver import DriverConfig
+from repro.collect.driver import Driver
 from repro.collect.parallel import (MergedProfiles, ParallelSessionRunner,
                                     ShardSpec, merge_periods,
                                     merge_shard_ctx, merge_shards,
@@ -279,30 +279,16 @@ def test_session_config_rejects_bad_mode():
         SessionConfig(mode="turbo").make_driver_config()
 
 
-def test_session_config_rejects_bad_driver_type():
-    with pytest.raises(TypeError, match="DriverConfig"):
-        SessionConfig(driver="not-a-config").make_driver_config()
-
-
-@pytest.mark.parametrize("field,value", [
-    ("mode", "mux"), ("event_period", 16), ("cycles_period", (60, 64)),
-    ("seed", 7), ("edge_sampling", True), ("edge_mode", "interpret"),
-    ("charge_overhead", False), ("log_trace", True), ("context", True),
-    ("ctx_slots", 8)])
-def test_session_config_rejects_driver_owned_by_session(field, value):
-    driver = DriverConfig(**{field: value})
-    with pytest.raises(ValueError, match="driver sets %s," % field):
-        SessionConfig(driver=driver).make_driver_config()
-
-
 def test_session_config_rejects_bad_db_root_type():
     with pytest.raises(TypeError, match="db_root"):
         SessionConfig(db_root=42).make_driver_config()
 
 
 def test_session_config_accepts_explicit_driver():
-    config = SessionConfig(mode="cycles",
-                           driver=DriverConfig(buckets=128))
-    driver_config = config.make_driver_config()
-    assert driver_config.buckets == 128
-    assert driver_config.mode == "cycles"
+    """The driver's table and buffer sizes are session settings."""
+    config = SessionConfig(mode="cycles", buckets=128, assoc=2,
+                           overflow_capacity=16)
+    assert config.make_driver_config() is config
+    driver = Driver(2, config)
+    assert driver.cpus[1].table.capacity == 128 * 2
+    assert driver.kernel_memory_bytes() == 2 * (128 * 2 + 2 * 16) * 16
