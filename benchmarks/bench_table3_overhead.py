@@ -26,13 +26,6 @@ SEEDS = (1, 2, 3)
 BUDGET = 50_000
 
 
-def _adjusted_cycles(result):
-    """Machine cycles plus the daemon's amortized, period-scaled cost."""
-    scale = result.driver.cost_scale
-    cpus = len(result.machine.cores)
-    return result.cycles + result.daemon.cycles * scale / cpus
-
-
 def run_table3():
     rows = []
     for name in WORKLOADS:
@@ -46,7 +39,7 @@ def run_table3():
                                         seed=seed,
                                         max_instructions=BUDGET)
                 overheads.append(
-                    (_adjusted_cycles(prof) - base.cycles)
+                    (prof.adjusted_cycles - base.cycles)
                     / base.cycles * 100.0)
             row[mode] = mean_ci95(overheads)
         rows.append(row)

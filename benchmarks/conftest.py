@@ -122,11 +122,7 @@ def _record_session(kind, workload, mode, seed, result, cpu_s):
     }
     if kind == "profile":
         record["samples"] = sum(result.driver.event_samples.values())
-        # Table 3's adjusted cycles: the daemon's share, period-scaled
-        # and amortized across CPUs, charged on top of machine time.
-        record["adjusted_cycles"] = (
-            result.cycles + result.daemon.cycles * result.driver.cost_scale
-            / len(result.machine.cores))
+        record["adjusted_cycles"] = result.adjusted_cycles
         # Raw self-monitoring counts (repro.obs typed snapshot);
         # summed across sessions at payload time so derived rates are
         # exact, not averages of averages.

@@ -200,11 +200,6 @@ class Image:
         index = (addr - self.base) >> 2
         return self.instructions[index]
 
-    def offset_of(self, addr: int) -> int:
-        """Return the image-relative offset of absolute address *addr*."""
-        assert self.base is not None
-        return addr - self.base
-
     def slice(self, start: int, end: int) -> List["Instruction"]:
         """Return instructions in the absolute address range [start, end)."""
         assert self.base is not None

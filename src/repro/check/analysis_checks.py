@@ -30,7 +30,7 @@ residual is diagnostic, not a defect.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.findings import ERROR, WARNING, Finding
 from repro.core.culprits import DYN_THRESHOLD
@@ -346,24 +346,24 @@ def check_merge_determinism(
     (pre-merged pair) variant; all four serializations must be
     byte-identical.
     """
-    from repro.collect.parallel import MergedProfiles, merge_shards
+    from repro.collect.parallel import merge_profiles, profile_rows
 
-    def encoded(variant: Sequence[object]) -> Dict[Tuple[str, str], bytes]:
-        return MergedProfiles(merge_shards(variant), periods).encode_all()
+    def merged(variant: Sequence[object]) -> Any:
+        return merge_profiles(row for shard in variant
+                              for row in profile_rows(shard, periods))
 
     shards = split_profiles(profiles)
-    reference = encoded(shards)
+    reference = merged(shards).encode_all()
     findings: List[Finding] = []
     variants: List[Tuple[str, List[object]]] = [
         ("reversed", list(reversed(shards))),
         ("rotated", shards[1:] + shards[:1]),
     ]
     if len(shards) >= 2:
-        regrouped: List[object] = [merge_shards(shards[:2])]
-        regrouped.extend(shards[2:])
-        variants.append(("regrouped", regrouped))
+        variants.append(
+            ("regrouped", [merged(shards[:2]).counts] + shards[2:]))
     for name, variant in variants:
-        if encoded(variant) != reference:
+        if merged(variant).encode_all() != reference:
             findings.append(Finding(
                 "analysis/merge-nondeterminism", ERROR, label,
                 "shard merge under %s order serialized differently"

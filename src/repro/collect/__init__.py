@@ -4,7 +4,7 @@ from repro.collect.daemon import Daemon
 from repro.collect.database import ImageProfile, ProfileDatabase
 from repro.collect.driver import Driver
 from repro.collect.parallel import (MergedProfiles, ParallelSessionRunner,
-                                    ShardSpec, merge_shards, shard_matrix)
+                                    ShardSpec, merge_profiles)
 from repro.collect.session import ProfileSession, SessionConfig
 
 __all__ = [
@@ -15,8 +15,7 @@ __all__ = [
     "MergedProfiles",
     "ParallelSessionRunner",
     "ShardSpec",
-    "merge_shards",
-    "shard_matrix",
+    "merge_profiles",
     "ProfileSession",
     "SessionConfig",
 ]

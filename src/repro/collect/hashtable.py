@@ -46,7 +46,7 @@ HASH_FUNCTIONS = {
 class SampleHashTable:
     """Aggregates (pid, pc, event) samples into counted entries."""
 
-    def __init__(self, buckets=4096, assoc=4, policy=MOD_COUNTER,
+    def __init__(self, buckets, assoc, policy=MOD_COUNTER,
                  hash_name="multiplicative"):
         if buckets & (buckets - 1):
             raise ValueError("bucket count must be a power of two")

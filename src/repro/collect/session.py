@@ -328,6 +328,14 @@ class SessionResult(CollectionStack):
     def total_samples(self, event=EventType.CYCLES):
         return self.driver.event_samples.get(event, 0)
 
+    @property
+    def adjusted_cycles(self):
+        """Table 3's profiled time: machine cycles plus the daemon's
+        cycles, charged at the period-scaled rate and amortized across
+        the CPUs."""
+        return (self.cycles + self.daemon.cycles * self.driver.cost_scale
+                / len(self.machine.cores))
+
     def metrics(self):
         """Typed self-monitoring snapshot under the normalized schema.
 

@@ -89,15 +89,6 @@ class Cache:
             for ways in self.sets:
                 ways.clear()
 
-    def evict_random(self, rng, count):
-        """Evict *count* pseudo-random lines (interrupt-handler pollution)."""
-        for _ in range(count):
-            index = rng.randrange(self.num_sets)
-            if self.assoc == 1:
-                self.sets[index] = None
-            elif self.sets[index]:
-                self.sets[index].pop()
-
 
 class Hierarchy:
     """L1 (I or D) + unified L2 + board cache + memory.

@@ -167,8 +167,3 @@ class Machine:
         """Exact execution count per instruction address of *image*."""
         return {inst.addr: self.gt_count.get(inst.addr, 0)
                 for inst in image.instructions}
-
-    def true_head_cycles_for(self, image):
-        """Exact head-of-queue cycles per instruction address of *image*."""
-        return {inst.addr: self.gt_head.get(inst.addr, 0)
-                for inst in image.instructions}

@@ -91,8 +91,6 @@ class FleetConfig:
     #: machine and ship each epoch's ledger inside its Delta, so the
     #: store can answer per-request-class queries fleet-wide.
     context: bool = False
-    #: driver-side context-table capacity when *context* is on.
-    ctx_slots: int = 64
     #: shard count for a store created by this session.
     shards: int = 1
     #: give every machine a local database + drain journal so it can
@@ -121,7 +119,7 @@ class FleetMachine(CollectionStack):
     def __init__(self, machine_id, workload_name, seed,
                  mode="default", cycles_period=(240, 256),
                  event_period=64, drain_interval=6_000, context=False,
-                 ctx_slots=64, durable_root=None,
+                 durable_root=None,
                  faults=None, spool_capacity=DEFAULT_SPOOL_CAPACITY):
         from repro.workloads.registry import get_workload
 
@@ -133,7 +131,7 @@ class FleetMachine(CollectionStack):
         config = SessionConfig(
             mode=mode, seed=seed, cycles_period=cycles_period,
             event_period=event_period, context=context,
-            ctx_slots=ctx_slots, drain_interval=drain_interval,
+            drain_interval=drain_interval,
             db_root=os.fspath(durable_root) if durable else None)
         # Crash faults only make sense on a durable machine.
         super().__init__(
@@ -398,7 +396,6 @@ class FleetSession:
                 event_period=config.event_period,
                 drain_interval=config.drain_interval,
                 context=config.context,
-                ctx_slots=config.ctx_slots,
                 durable_root=(os.path.join(store.root, "machines",
                                            "m%02d" % index)
                               if config.durable else None),

@@ -20,6 +20,8 @@ original epochs or the compacted window, never both.
 
 from dataclasses import dataclass
 
+from repro.collect.parallel import merge_profiles
+
 
 @dataclass(frozen=True)
 class RetentionPolicy:
@@ -127,29 +129,20 @@ def _compact_shard(shard, policy, report):
             continue
         window = [epoch for epoch in epochs
                   if start <= epoch < start + policy.window]
-        merged = {}
-        periods = {}
-        pre_total = 0
-        for epoch in window:
-            for image, event, by_offset, period in shard.db.load_all(
-                    epoch):
-                dest = merged.setdefault(image, {}).setdefault(event, {})
-                for offset, count in by_offset.items():
-                    dest[offset] = dest.get(offset, 0) + count
-                    pre_total += count
-                periods[event] = max(period, periods.get(event, 0))
+        merged = merge_profiles(row for epoch in window
+                                for row in shard.db.load_all(epoch))
+        pre_total = merged.total()
         residue = 0
-        for image in merged:
-            for event in merged[image]:
-                kept, lost = downsample(merged[image][event],
-                                        policy.count_divisor)
-                merged[image][event] = kept
+        for by_event in merged.counts.values():
+            for event, counts in by_event.items():
+                kept, lost = downsample(counts, policy.count_divisor)
+                by_event[event] = kept
                 residue += lost
         shard.ledger["compactions"] += 1
         shard.ledger["downsample_residue"] += residue
         shard.ledger["compacted_windows"] = sorted(done | {start})
-        shard.db.compact_epochs(window, merged, periods, start,
-                                meta=shard.ledger)
+        shard.db.compact_epochs(window, merged.counts, merged.periods,
+                                start, meta=shard.ledger)
         done.add(start)
         report["windows"].append({
             "shard": shard.index,

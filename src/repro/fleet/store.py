@@ -80,7 +80,7 @@ except ImportError:  # non-POSIX: locking degrades to a no-op
 from dataclasses import dataclass
 
 from repro.collect.database import ProfileDatabase, _atomic_write
-from repro.collect.parallel import MergedProfiles
+from repro.collect.parallel import merge_profiles
 from repro.faults.injector import FLEET_STORE_INGEST, NULL_INJECTOR
 from repro.fleet.transport import seeded_backoff
 
@@ -508,22 +508,16 @@ class FleetStore:
     def merged(self, epochs=None):
         """Reduce *epochs* (default: all) into a MergedProfiles.
 
-        The reduction is the PR 1 shard merge: commutative sums per
-        (image, event, offset), so the result -- and its canonical
-        ``encode_all`` bytes -- is independent of delta arrival order,
-        epoch fold order, *and* the store's shard count.
+        The reduction is the shard merge
+        (:func:`repro.collect.parallel.merge_profiles`): commutative
+        sums per (image, event, offset), so the result -- and its
+        canonical ``encode_all`` bytes -- is independent of delta
+        arrival order, epoch fold order, *and* the store's shard count.
         """
         if epochs is None:
             epochs = self.epochs()
-        counts = {}
-        periods = {}
-        for epoch in sorted(epochs):
-            for image, event, by_offset, period in self.load_all(epoch):
-                dest = counts.setdefault(image, {}).setdefault(event, {})
-                for offset, count in by_offset.items():
-                    dest[offset] = dest.get(offset, 0) + count
-                periods[event] = max(period, periods.get(event, 0))
-        return MergedProfiles(counts, periods)
+        return merge_profiles(row for epoch in sorted(epochs)
+                              for row in self.load_all(epoch))
 
     def total_samples(self, epochs=None, event=None):
         """Committed sample total over *epochs* (default: all)."""

@@ -210,7 +210,7 @@ def merge_metrics(snapshots):
     commutative and associative, so any permutation or regrouping of
     *snapshots* gives the same result (property-tested in
     ``tests/test_obs.py`` and ``tests/test_obs_parallel.py``), the
-    invariant :func:`repro.collect.parallel.merge_shards` relies on for
+    invariant :func:`repro.collect.parallel.merge_profiles` relies on for
     profiles too.
     """
     merged = {}

@@ -107,9 +107,14 @@ def run_report(args):
     from repro.obs import ObsConfig
     from repro.workloads.registry import get_workload
 
-    specs = [ShardSpec(workload=args.workload, seed=args.seed + index,
-                       mode=args.mode,
-                       max_instructions=args.max_instructions, obs=True)
+    # Shards sample at (240, 256)/64; the analysis session below
+    # keeps SessionConfig's default periods.
+    specs = [ShardSpec(args.workload,
+                       SessionConfig(mode=args.mode, seed=args.seed + index,
+                                     cycles_period=(240, 256),
+                                     event_period=64,
+                                     obs=ObsConfig(enabled=True)),
+                       args.max_instructions)
              for index in range(args.shards)]
     runner = ParallelSessionRunner(workers=args.workers)
     run = runner.run(specs)

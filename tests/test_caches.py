@@ -1,7 +1,5 @@
 """Tests for the cache models."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,13 +97,6 @@ class TestSetAssociative:
         cache.lookup(0)
         cache.flush()
         assert cache.sets is sets
-        assert cache.contains(0) is False
-
-    def test_evict_random(self):
-        cache = make_cache(size=2048, line=32, assoc=2)
-        cache.lookup(0)
-        rng = random.Random(0)
-        cache.evict_random(rng, 200)
         assert cache.contains(0) is False
 
 

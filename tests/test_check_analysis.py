@@ -237,14 +237,14 @@ class TestMergeDeterminism:
     def test_order_dependent_merge_is_caught(self, monkeypatch):
         from repro.collect import parallel
 
-        real_merge = parallel.merge_shards
+        real_merge = parallel.merge_profiles
 
-        def biased_merge(shards):
-            # Deliberately order-dependent: drops the last shard.
-            shards = list(shards)
-            return real_merge(shards[:-1] if len(shards) > 1 else shards)
+        def biased_merge(rows):
+            # Deliberately order-dependent: drops the last row.
+            rows = list(rows)
+            return real_merge(rows[:-1] if len(rows) > 1 else rows)
 
-        monkeypatch.setattr(parallel, "merge_shards", biased_merge)
+        monkeypatch.setattr(parallel, "merge_profiles", biased_merge)
         findings = check_merge_determinism(self.PROFILES, self.PERIODS,
                                            label="biased")
         assert "analysis/merge-nondeterminism" in _rules(findings)

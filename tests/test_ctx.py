@@ -137,17 +137,17 @@ def test_span_id_is_a_pure_function_of_the_name():
 
 class TestHashtableCtxKey:
     def test_default_keys_stay_three_tuples(self):
-        table = SampleHashTable()
+        table = SampleHashTable(buckets=4096, assoc=4)
         table.record(1, 0x1000, 0)
         assert dict(table.flush()) == {(1, 0x1000, 0): 1}
 
     def test_ctx_widens_the_key(self):
-        table = SampleHashTable()
+        table = SampleHashTable(buckets=4096, assoc=4)
         table.record(1, 0x1000, 0, ctx=3)
         assert dict(table.flush()) == {(1, 0x1000, 0, 3): 1}
 
     def test_distinct_contexts_do_not_merge(self):
-        table = SampleHashTable()
+        table = SampleHashTable(buckets=4096, assoc=4)
         for ctx in (1, 2, 1):
             table.record(7, 0x2000, 0, ctx=ctx)
         counts = dict(table.flush())

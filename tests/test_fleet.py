@@ -334,9 +334,14 @@ def test_retention_accounting_and_idempotence(fleet_deltas, tmp_path):
 def test_lossless_retention_keeps_every_sample(fleet_deltas, tmp_path):
     deltas, shipped = fleet_deltas
     store = _fill(str(tmp_path / "store"), deltas)
+    before = store.merged().encode_all()
     report = compact(store, RetentionPolicy(keep_full=1, window=2,
                                             count_divisor=1))
     assert report["residue"] == 0
+    assert report["epochs_removed"] > 0
+    # The compaction and the query reduce with the same function, so a
+    # lossless compaction leaves every merged profile byte-identical.
+    assert store.merged().encode_all() == before
     assert store.total_samples() == shipped
     assert check_fleet_conservation(
         shipped=shipped, stored=store.total_samples()) == []

@@ -89,9 +89,9 @@ class TestAggregation:
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            SampleHashTable(buckets=3)
+            SampleHashTable(buckets=3, assoc=4)
         with pytest.raises(ValueError):
-            SampleHashTable(policy="random")
+            SampleHashTable(buckets=16, assoc=4, policy="random")
 
 
 class TestConservation:

@@ -66,9 +66,6 @@ class TestLookup:
     def test_instruction_at(self, image):
         assert image.instruction_at(0x20004).op == "br"
 
-    def test_offset_of(self, image):
-        assert image.offset_of(0x2000C) == 12
-
     def test_procedure_at(self, image):
         assert image.procedure_at(0x2000C).name == "beta"
         assert image.procedure_at(0x20000).name == "alpha"

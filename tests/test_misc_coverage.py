@@ -91,10 +91,9 @@ top:
         machine.spawn(image)
         machine.run()
         counts = machine.true_counts_for(image)
-        heads = machine.true_head_cycles_for(image)
         subq = image.instructions[1]
         assert counts[subq.addr] == 50
-        assert heads[subq.addr] >= 50
+        assert machine.gt_head[subq.addr] >= 50
         assert set(counts) == {i.addr for i in image.instructions}
 
     def test_time_is_max_over_cores(self):

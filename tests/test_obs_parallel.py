@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import examples
 from repro.collect.parallel import (ParallelSessionRunner, ShardSpec,
                                     merge_shard_obs, run_shard)
-from repro.obs import COUNTER, GAUGE, derive, merge_metrics
+from repro.collect.session import SessionConfig
+from repro.obs import COUNTER, GAUGE, ObsConfig, derive, merge_metrics
 
 WORKLOAD = "mccalpin-assign"
 BUDGET = 12_000
@@ -48,10 +49,18 @@ class TestReductionProperties:
         assert two_level == merge_metrics(snapshots)
 
 
+def _spec(workload, seed, obs=True, **settings):
+    """A BUDGET-instruction shard sampling at (240, 256)/64."""
+    return ShardSpec(workload,
+                     SessionConfig(seed=seed, cycles_period=(240, 256),
+                                   event_period=64,
+                                   obs=ObsConfig(enabled=True) if obs
+                                   else None, **settings),
+                     BUDGET)
+
+
 def _specs(count=3, obs=True):
-    return [ShardSpec(workload=WORKLOAD, seed=seed, obs=obs,
-                      max_instructions=BUDGET)
-            for seed in range(1, count + 1)]
+    return [_spec(WORKLOAD, seed, obs) for seed in range(1, count + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +131,7 @@ class TestCtxSpanLinkage:
 
     @pytest.fixture(scope="class")
     def ctx_shard(self):
-        spec = ShardSpec(workload="slow-client", seed=1, obs=True,
-                         context=True, max_instructions=BUDGET)
-        return run_shard(spec)
+        return run_shard(_spec("slow-client", 1, context=True))
 
     def test_trace_carries_one_instant_per_class(self, ctx_shard):
         instants = [event for event in ctx_shard.trace_events

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from conftest import examples
 from repro.collect.database import ProfileDatabase
 from repro.collect.driver import Driver
-from repro.collect.parallel import (MergedProfiles, ParallelSessionRunner,
-                                    ShardSpec, merge_periods,
-                                    merge_shard_ctx, merge_shards,
-                                    run_shard, shard_matrix)
+from repro.collect.parallel import (ParallelSessionRunner, ShardSpec,
+                                    merge_profiles, merge_shard_ctx,
+                                    profile_rows, run_shard)
 from repro.collect.session import SessionConfig
 from repro.cpu.events import EventType
 from repro.ctx import canonical_ledger_bytes
@@ -28,19 +27,33 @@ from repro.obs import derive
 BUDGET = 15_000
 
 
+def shard(workload, seed=1, mode="default", **settings):
+    """A BUDGET-instruction shard sampling at (240, 256)/64."""
+    return ShardSpec(workload,
+                     SessionConfig(mode=mode, seed=seed,
+                                   cycles_period=(240, 256),
+                                   event_period=64, **settings),
+                     BUDGET)
+
+
 @pytest.fixture(scope="module")
 def shard_results():
     """Three real shards, run once in-process and reused by the tests."""
-    shards = shard_matrix(["mccalpin-assign", "gcc"], seeds=(1,),
-                          modes=("default",), max_instructions=BUDGET)
-    shards.append(ShardSpec(workload="mccalpin-assign", seed=2,
-                            mode="cycles", max_instructions=BUDGET))
+    shards = [shard("mccalpin-assign"), shard("gcc"),
+              shard("mccalpin-assign", seed=2, mode="cycles")]
     return [run_shard(spec) for spec in shards]
 
 
+def merge(shards):
+    """The reducer over shard results or bare profile maps."""
+    return merge_profiles(
+        row for item in shards
+        for row in profile_rows(getattr(item, "profiles", item),
+                                getattr(item, "periods", {})))
+
+
 def merged_bytes(results):
-    merged = MergedProfiles(merge_shards(results), merge_periods(results))
-    return merged.encode_all()
+    return merge(results).encode_all()
 
 
 # -- order-independence on real profiling shards ---------------------------
@@ -57,9 +70,9 @@ def test_merge_order_never_changes_profile(shard_results, order):
 
 def test_merge_is_associative_on_real_shards(shard_results):
     """Reducing partial merges equals reducing everything at once."""
-    left = merge_shards(shard_results[:1])
-    right = merge_shards(shard_results[1:])
-    assert merge_shards([left, right]) == merge_shards(shard_results)
+    left = merge(shard_results[:1]).counts
+    right = merge(shard_results[1:]).counts
+    assert merge([left, right]).counts == merge(shard_results).counts
 
 
 # -- order-independence on synthetic sample maps (hypothesis) --------------
@@ -78,14 +91,25 @@ def _profile_maps():
 @settings(max_examples=examples(80), deadline=None)
 @given(shards=st.lists(_profile_maps(), max_size=6), data=st.data())
 def test_reducer_is_order_and_grouping_independent(shards, data):
-    expected = merge_shards(shards)
+    expected = merge(shards).counts
     order = data.draw(st.permutations(range(len(shards))))
-    assert merge_shards([shards[i] for i in order]) == expected
+    assert merge([shards[i] for i in order]).counts == expected
     if shards:
         split = data.draw(st.integers(0, len(shards)))
-        regrouped = [merge_shards(shards[:split]),
-                     merge_shards(shards[split:])]
-        assert merge_shards(regrouped) == expected
+        regrouped = [merge(shards[:split]).counts,
+                     merge(shards[split:]).counts]
+        assert merge(regrouped).counts == expected
+
+
+def test_reducer_keeps_each_events_largest_period():
+    rows = [("app", EventType.CYCLES, {0: 1}, 256),
+            ("libc", EventType.CYCLES, {4: 2}, 2048),
+            ("app", EventType.IMISS, {8: 3}, 64)]
+    for order in (rows, rows[::-1]):
+        merged = merge_profiles(order)
+        assert merged.periods == {EventType.CYCLES: 2048,
+                                  EventType.IMISS: 64}
+        assert merged.total() == 6
 
 
 # -- context-dimension shards (repro.ctx) ----------------------------------
@@ -94,8 +118,7 @@ def test_reducer_is_order_and_grouping_independent(shards, data):
 @pytest.fixture(scope="module")
 def ctx_shard_results():
     """Three real ctx-enabled shards of the traffic scenarios."""
-    shards = [ShardSpec(workload=workload, seed=seed, context=True,
-                        max_instructions=BUDGET)
+    shards = [shard(workload, seed=seed, context=True)
               for seed, workload in enumerate(
                   ("bursty", "slow-client", "mixed-tenant"), start=1)]
     return [run_shard(spec) for spec in shards]
@@ -146,14 +169,16 @@ def test_ctx_shard_results_are_picklable(ctx_shard_results):
 
 def test_pool_run_matches_serial_run_byte_identical():
     """A 4-worker pool and a serial loop produce identical databases."""
-    shards = shard_matrix(["mccalpin-assign", "gcc"], seeds=(1, 2),
-                          modes=("default",), max_instructions=BUDGET)
+    shards = [shard(workload, seed=seed)
+              for workload in ("mccalpin-assign", "gcc")
+              for seed in (1, 2)]
     serial = ParallelSessionRunner(workers=1).run(shards)
     pooled = ParallelSessionRunner(workers=4).run(shards)
     assert serial.merged.encode_all() == pooled.merged.encode_all()
     assert serial.merged.total() == pooled.merged.total() > 0
     assert [r.spec for r in pooled.shards] == shards
-    assert pooled.total_instructions() == serial.total_instructions()
+    assert ([r.instructions for r in pooled.shards]
+            == [r.instructions for r in serial.shards])
 
 
 def test_shard_results_are_picklable(shard_results):
@@ -167,8 +192,7 @@ def test_shard_results_are_picklable(shard_results):
 
 
 def test_merged_profiles_save_and_reload(tmp_path, shard_results):
-    merged = MergedProfiles(merge_shards(shard_results),
-                            merge_periods(shard_results))
+    merged = merge(shard_results)
     database = ProfileDatabase(str(tmp_path / "db"))
     merged.save(database)
     image = merged.images()[0]
@@ -178,33 +202,13 @@ def test_merged_profiles_save_and_reload(tmp_path, shard_results):
 
 
 def test_merged_profiles_save_accepts_path(tmp_path, shard_results):
-    merged = MergedProfiles(merge_shards(shard_results),
-                            merge_periods(shard_results))
+    merged = merge(shard_results)
     root = str(tmp_path / "db_from_path")
     merged.save(root)  # the README's documented form
     image = merged.images()[0]
     event = sorted(merged.counts[image], key=str)[0]
     counts, _ = ProfileDatabase(root).load(image, event)
     assert counts == merged.counts[image][event]
-
-
-def test_shard_overhead_requires_baseline():
-    spec = ShardSpec(workload="mccalpin-assign", seed=1,
-                     max_instructions=BUDGET, baseline=True)
-    result = run_shard(spec)
-    overhead = result.overhead_pct()
-    assert overhead is not None
-    assert -1.0 < overhead < 10.0
-    no_base = run_shard(ShardSpec(workload="mccalpin-assign", seed=1,
-                                  max_instructions=BUDGET))
-    assert no_base.overhead_pct() is None
-
-
-def test_shard_matrix_covers_cross_product():
-    shards = shard_matrix(["gcc", "dss"], seeds=(1, 2, 3),
-                          modes=("cycles", "mux"))
-    assert len(shards) == 12
-    assert len({s.label() for s in shards}) == 12
 
 
 # -- fault-injected shards (crash recovery under the pool) -----------------
@@ -228,18 +232,15 @@ def _shard_conserves(result):
 
 
 def test_faulted_shard_recovers_and_conserves():
-    spec = ShardSpec(workload="gcc", seed=1, mode="default",
-                     max_instructions=BUDGET, faults=_crash_plan())
-    result = run_shard(spec)
+    result = run_shard(shard("gcc", faults=_crash_plan()))
     assert derive(result.obs)["daemon.recoveries"] >= 1
     assert _shard_conserves(result)
 
 
 def test_faulted_shard_spec_survives_pickling():
-    spec = ShardSpec(workload="gcc", seed=1,
-                     max_instructions=BUDGET, faults=_crash_plan())
+    spec = shard("gcc", faults=_crash_plan())
     clone = pickle.loads(pickle.dumps(spec))
-    assert clone.faults == spec.faults
+    assert clone.config.faults == spec.config.faults
 
 
 def test_faulted_pool_run_matches_fault_free_minus_losses():
@@ -247,19 +248,15 @@ def test_faulted_pool_run_matches_fault_free_minus_losses():
     shard in a worker pool merges to the fault-free totals minus its
     accounted losses (here: zero extra loss -- the journal-less shard
     re-drains its pinned batches)."""
-    clean = [ShardSpec(workload="gcc", seed=1, mode="default",
-                       max_instructions=BUDGET),
-             ShardSpec(workload="mccalpin-assign", seed=1,
-                       mode="default", max_instructions=BUDGET)]
-    faulted = [ShardSpec(workload="gcc", seed=1, mode="default",
-                         max_instructions=BUDGET, faults=_crash_plan()),
-               clean[1]]
+    clean = [shard("gcc"), shard("mccalpin-assign")]
+    faulted = [shard("gcc", faults=_crash_plan()), clean[1]]
     reference = ParallelSessionRunner(workers=2).run(clean)
     chaotic = ParallelSessionRunner(workers=2).run(faulted)
-    for shard in chaotic.shards:
-        assert _shard_conserves(shard)
-    ref_stats = derive(reference.by_label()["gcc/seed1/default"].obs)
-    new_stats = derive(chaotic.by_label()["gcc/seed1/default"].obs)
+    for result in chaotic.shards:
+        assert _shard_conserves(result)
+    # Results keep the shard list's order: gcc is shards[0].
+    ref_stats = derive(reference.shards[0].obs)
+    new_stats = derive(chaotic.shards[0].obs)
     # Identical streams (faults never touch the machine)...
     assert new_stats["driver.samples"] == ref_stats["driver.samples"]
     # ... and merged counts differ by exactly the accounted losses.
