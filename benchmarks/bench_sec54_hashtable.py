@@ -14,7 +14,7 @@ replayed through every configuration.
 
 from conftest import profile_workload, run_once, write_result
 from repro.collect.driver import HIT_PATH, INTERRUPT_SETUP, MISS_PATH
-from repro.collect.hashtable import (LRU, MOD_COUNTER, SWAP_TO_FRONT,
+from repro.collect.hashtable import (MOD_COUNTER, SWAP_TO_FRONT,
                                      SampleHashTable)
 from repro.workloads.registry import get_workload
 
@@ -60,7 +60,7 @@ def run_sec54():
         buckets = base_capacity // assoc
         # Keep power-of-two bucket counts.
         buckets = 1 << (buckets.bit_length() - 1)
-        for policy in (MOD_COUNTER, SWAP_TO_FRONT, LRU):
+        for policy in (MOD_COUNTER, SWAP_TO_FRONT):
             rate, cost = replay(trace, buckets, assoc, policy)
             rows.append({"assoc": assoc, "policy": policy,
                          "buckets": buckets, "miss_rate": rate,

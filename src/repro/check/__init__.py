@@ -20,8 +20,7 @@ CLI (:mod:`repro.tools.dcpicheck`).
 """
 
 from repro.check.findings import (ERROR, INFO, LAYERS, WARNING,
-                                  CheckReport, Finding, Waiver,
-                                  load_waivers)
+                                  CheckReport, Finding)
 from repro.check.runner import (CheckConfig, plan_workload,
                                 run_analysis_layer, run_checks,
                                 run_image_layer, run_lint_layer,
@@ -36,9 +35,7 @@ __all__ = [
     "INFO",
     "LAYERS",
     "Finding",
-    "Waiver",
     "CheckReport",
-    "load_waivers",
     "CheckConfig",
     "run_checks",
     "run_image_layer",

@@ -41,7 +41,7 @@ be deterministic or which types must stay picklable; these rules can:
   ``except:`` is flagged outright, and an ``except <type>:`` whose
   body is nothing but ``pass``/``...`` discards a failure the caller
   will never hear about.  Handle it, log it through the obs hook, or
-  waive the specific line with a reason.
+  suppress the specific line with an ignore comment (below).
 
 Suppress a finding with a ``# dcpicheck: ignore`` or
 ``# dcpicheck: ignore[rule-name]`` comment on the offending line; the
@@ -472,8 +472,8 @@ class _Linter(ast.NodeVisitor):
             self._report(
                 "lint/swallowed-exception", node.lineno,
                 "except-and-pass silently discards the failure; "
-                "handle it, report it via the obs hook, or waive "
-                "this line with a reason")
+                "handle it, report it via the obs hook, or suppress "
+                "this line with an ignore comment")
         self.generic_visit(node)
 
 

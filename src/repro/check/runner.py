@@ -18,7 +18,8 @@ The runner knows how to materialize each layer's inputs:
 
 Findings are deduplicated across workloads (several registry entries
 link the same generated images) and aggregated into a
-:class:`~repro.check.findings.CheckReport` with per-layer runtimes.
+:class:`~repro.check.findings.CheckReport` with per-layer runtimes;
+any error finding in it fails the run.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
-from repro.check.findings import (LAYERS, CheckReport, Finding, Waiver,
-                                  load_waivers)
+from repro.check.findings import LAYERS, CheckReport, Finding
 
 #: Default instruction budget per workload for the analysis layer --
 #: enough for every procedure to accumulate samples at the default
@@ -49,7 +49,6 @@ class CheckConfig:
     workloads: Tuple[str, ...] = ()
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
     seed: int = 1
-    waivers_path: Optional[str] = None
     src_root: Optional[str] = None    # default: the repro package
 
     def __post_init__(self) -> None:
@@ -203,10 +202,7 @@ def run_checks(config: Optional[CheckConfig] = None) -> CheckReport:
     """Run the configured layers; return the aggregated report."""
     config = config or CheckConfig()
     workloads = config.resolved_workloads()
-    waivers: Sequence[Waiver] = ()
-    if config.waivers_path and os.path.exists(config.waivers_path):
-        waivers = load_waivers(config.waivers_path)
-    report = CheckReport(waivers=waivers, layers=tuple(config.layers),
+    report = CheckReport(layers=tuple(config.layers),
                          workloads=tuple(workloads))
     runtimes: Dict[str, float] = {}
     # One session per workload, shared by the analysis and rewrite

@@ -657,7 +657,9 @@ class ProfileDatabase:
         manifest side blob that is not None.  The profiles are written
         first, as one segment; the single manifest rename is the
         commit point, so all of it becomes durable together or not at
-        all.
+        all.  A merged record keeps the larger of the stored and the
+        incoming period, like :func:`repro.collect.parallel.
+        merge_profiles`, so the order of merges cannot change it.
         """
         manifest = self._load_manifest()
         records = manifest["records"]
@@ -666,20 +668,22 @@ class ProfileDatabase:
             by_event = profiles[image_name]
             for event in sorted(by_event, key=str):
                 counts = by_event[event]
+                period = periods.get(event, 1)
                 key = self._key(epoch, image_name, str(event))
                 record = records.get(key) if merge else None
                 if record is not None:
                     counts = dict(counts)
                     try:
-                        stored = self._read_record(record, segments)[0]
+                        stored, _, _, stored_period, _ = self._read_record(
+                            record, segments)
                     except CorruptProfileError as exc:
                         self._quarantine(manifest, key, record, str(exc))
                     else:
                         for offset, count in stored.items():
                             counts[offset] = counts.get(offset, 0) + count
+                        period = max(period, stored_period)
                 new_records[key] = self._stage(
-                    staged, image_name, event, counts,
-                    periods.get(event, 1), epoch)
+                    staged, image_name, event, counts, period, epoch)
         prefixes = tuple("%04d/" % dropped for dropped in drop)
         for key in [key for key in records if key.startswith(prefixes)]:
             del records[key]

@@ -287,16 +287,6 @@ class Driver:
         """The daemon durably owns batch *seq*; unpin it."""
         self.cpus[cpu_id].inflight.pop(seq, None)
 
-    def flush(self, cpu_id):
-        """One-shot drain of *cpu_id* (begin_flush + immediate ack).
-
-        The historical API, for callers that do not participate in the
-        crash-recovery protocol.
-        """
-        seq, entries = self.begin_flush(cpu_id)
-        self.ack(cpu_id, seq)
-        return entries
-
     def recover_inflight(self, cpu_id):
         """Flushed-but-unacked batches as sorted (seq, entries) pairs."""
         return sorted(self.cpus[cpu_id].inflight.items())

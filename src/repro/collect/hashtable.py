@@ -11,6 +11,9 @@ Associativity, replacement policy, table size and hash function are all
 parameters here because section 5.4 explores exactly that design space
 (their conclusion: 6-way plus swap-to-front would cut total cost
 10-20%); ``benchmarks/bench_sec54_hashtable.py`` reruns the study.
+Under swap-to-front a hit moves its entry to slot 0 and a newcomer
+goes in at slot 0, so the last slot is always the least recently used
+entry and a miss evicts it: swap-to-front *is* LRU within a bucket.
 
 The bucket array is the model: hits, misses, evictions, victims and
 slot order are what the paper's table would produce.  What the *host*
@@ -21,9 +24,8 @@ the buckets in use, not the array.
 
 MOD_COUNTER = "mod-counter"
 SWAP_TO_FRONT = "swap-to-front"
-LRU = "lru"
 
-POLICIES = (MOD_COUNTER, SWAP_TO_FRONT, LRU)
+POLICIES = (MOD_COUNTER, SWAP_TO_FRONT)
 
 
 def _hash_multiplicative(pid, pc, event_ord, mask):
@@ -120,8 +122,8 @@ class SampleHashTable:
             return None
         self.evictions += 1
         if self._reorders:
-            # SWAP_TO_FRONT and LRU both evict the last (least recent)
-            # slot and insert the newcomer at the front.
+            # Evict the last (least recently hit) slot and insert the
+            # newcomer at the front.
             victim = bucket.pop()
             bucket.insert(0, entry)
         else:

@@ -25,6 +25,7 @@ import argparse
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 from repro.obs import derive, span_durations, trace_counters
 from repro.obs.report import render_report
@@ -107,13 +108,13 @@ def run_report(args):
     from repro.obs import ObsConfig
     from repro.workloads.registry import get_workload
 
-    # Shards sample at (240, 256)/64; the analysis session below
-    # keeps SessionConfig's default periods.
+    # Shards and the analysis session below all sample at
+    # (240, 256)/64; shard i runs seed args.seed + i.
+    config = SessionConfig(mode=args.mode, seed=args.seed,
+                           cycles_period=(240, 256), event_period=64,
+                           obs=ObsConfig(enabled=True))
     specs = [ShardSpec(args.workload,
-                       SessionConfig(mode=args.mode, seed=args.seed + index,
-                                     cycles_period=(240, 256),
-                                     event_period=64,
-                                     obs=ObsConfig(enabled=True)),
+                       replace(config, seed=args.seed + index),
                        args.max_instructions)
              for index in range(args.shards)]
     runner = ParallelSessionRunner(workers=args.workers)
@@ -122,10 +123,8 @@ def run_report(args):
     # One in-process observed session feeds the analysis passes; its
     # spans land in the trace the report's phase table is built from.
     workload = get_workload(args.workload)
-    session = ProfileSession(
-        MachineConfig(num_cpus=workload.num_cpus),
-        SessionConfig(mode=args.mode, seed=args.seed,
-                      obs=ObsConfig(enabled=True)))
+    session = ProfileSession(MachineConfig(num_cpus=workload.num_cpus),
+                             config)
     result = session.run(workload, max_instructions=args.max_instructions)
     # Reuse the session's live obs so analysis spans share its clock.
     obs = result.obs

@@ -74,6 +74,22 @@ class TestDatabase:
         counts, _ = db.load("app", EventType.CYCLES)
         assert counts == {0: 8, 4: 1}
 
+    def test_merged_period_does_not_depend_on_merge_order(self, tmp_path):
+        """A merge keeps the larger period, as ``merge_profiles`` does,
+        so the same two deltas give the same record in either order."""
+        rows, blobs = [], []
+        for name, periods in (("a", (2048, 256)), ("b", (256, 2048))):
+            db = ProfileDatabase(str(tmp_path / name))
+            for period in periods:
+                db.save("app", EventType.CYCLES, {0: 1}, period)
+            rows.append(list(db.load_all()))
+            record = db._load_manifest()["records"]["0000/app@cycles"]
+            blobs.append(db._record_bytes(record, {}))
+        assert [(counts, period) for _, _, counts, period in rows[0]] == [
+            ({0: 2}, 2048)]
+        assert rows[0] == rows[1]
+        assert blobs[0] == blobs[1]
+
     def test_epochs_are_separate(self, tmp_path):
         db = ProfileDatabase(str(tmp_path))
         db.save("app", EventType.CYCLES, {0: 1}, 100, epoch=0)

@@ -69,6 +69,28 @@ class TestReport:
         execute = next(ln for ln in live if "session.execute" in ln)
         assert execute.split()[1] == "3"    # two shards + in-process
 
+    def test_analysis_session_samples_like_the_shards(self, monkeypatch):
+        """The in-process session the phase table and the hottest
+        procedure come from runs shard 0's config: same periods, seed
+        ``--seed``, obs on."""
+        import repro.collect.session as session_module
+
+        configs = []
+
+        class Recording(session_module.ProfileSession):
+            def __init__(self, machine_config, config):
+                configs.append(config)
+                super().__init__(machine_config, config)
+
+        monkeypatch.setattr(session_module, "ProfileSession", Recording)
+        args = dcpimon._build_parser().parse_args(
+            ["report", *QUICK, "--seed", "5"])
+        dcpimon.run_report(args)
+        (config,) = configs
+        assert (config.cycles_period, config.event_period) == ((240, 256),
+                                                               64)
+        assert config.seed == 5 and config.obs.enabled
+
     def test_cli_entry_point(self, capsys, tmp_path):
         code = main_dcpimon(["report", *QUICK, "--shards", "1"])
         out = capsys.readouterr().out

@@ -72,10 +72,11 @@ class TestDriverRecord:
         driver = make_driver(buckets=1, assoc=2, overflow_capacity=4)
         for i in range(10):
             driver.record(0, i, 0x100, EventType.CYCLES, i)
-        entries = driver.flush(0)
+        seq, entries = driver.begin_flush(0)
+        driver.ack(0, seq)
         total = sum(count for _, count in entries)
         assert total + driver.cpus[0].dropped == 10
-        assert driver.flush(0) == []
+        assert driver.begin_flush(0)[1] == []
 
     def test_stats_shape(self):
         driver = make_driver()
@@ -139,7 +140,7 @@ class TestTwoPhaseFlush:
         state = driver.cpus[0]
         assert state.samples == 30
         assert state.dropped == 30      # every sample accounted
-        assert driver.flush(0) == []
+        assert driver.begin_flush(0)[1] == []
         assert driver.recover_inflight(0) == []
 
     def test_drop_all_pending_sums_cpus(self):
@@ -161,7 +162,9 @@ class TestTwoPhaseFlush:
             driver.record(0, i, 0x100, EventType.CYCLES, i)
         state = driver.cpus[0]
         assert state.dropped > 0
-        kept = sum(count for _, count in driver.flush(0))
+        seq, entries = driver.begin_flush(0)
+        driver.ack(0, seq)
+        kept = sum(count for _, count in entries)
         assert kept + state.dropped == state.samples
 
 
@@ -208,7 +211,7 @@ class TestLossAccountingPinned:
         assert driver.drop_pending(0) == 40
         state = driver.cpus[0]
         assert state.samples == state.dropped == 69
-        assert driver.flush(0) == []
+        assert driver.begin_flush(0)[1] == []
         assert driver.recover_inflight(0) == []
 
 

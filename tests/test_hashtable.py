@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import examples
-from repro.collect.hashtable import (HASH_FUNCTIONS, LRU, MOD_COUNTER,
+from repro.collect.hashtable import (HASH_FUNCTIONS, MOD_COUNTER,
                                      POLICIES, SWAP_TO_FRONT,
                                      SampleHashTable)
 
@@ -60,14 +60,6 @@ class TestAggregation:
         victim = table.record(3, 0x100, 0)
         assert victim[0][0] == 2  # the cold key was evicted
 
-    def test_lru_policy(self):
-        table = SampleHashTable(buckets=1, assoc=2, policy=LRU)
-        table.record(1, 0x100, 0)
-        table.record(2, 0x100, 0)
-        table.record(1, 0x100, 0)
-        victim = table.record(3, 0x100, 0)
-        assert victim[0][0] == 2
-
     def test_miss_rate(self):
         table = SampleHashTable(buckets=16, assoc=4)
         table.record(1, 0x100, 0)
@@ -109,8 +101,7 @@ class TestConservation:
         resident = sum(count for _, count in table.flush())
         assert evicted_total + resident == len(stream)
 
-    @given(st.integers(1, 4), st.sampled_from([MOD_COUNTER, SWAP_TO_FRONT,
-                                               LRU]))
+    @given(st.integers(1, 4), st.sampled_from([MOD_COUNTER, SWAP_TO_FRONT]))
     def test_policies_never_exceed_capacity(self, assoc, policy):
         table = SampleHashTable(buckets=2, assoc=assoc, policy=policy)
         for i in range(100):
@@ -149,7 +140,7 @@ class ScanTable:
                 entry[1] += count
                 self.hits += 1
                 self.last_was_hit = True
-                if self.policy in (SWAP_TO_FRONT, LRU) and slot != 0:
+                if self.policy == SWAP_TO_FRONT and slot != 0:
                     bucket.insert(0, bucket.pop(slot))
                 return None
         self.misses += 1
