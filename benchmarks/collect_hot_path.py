@@ -10,7 +10,8 @@ and replays them exactly as a round does -- ``BATCH`` samples, a drain,
 an epoch every ``EPOCH_DRAINS`` drains -- but with no database, so only
 the three functions this recipe times run.  Each ``Driver.record`` call
 is timed on its own and filed under what the table did with the sample
-(hit / insert into a free slot / evict); ``SampleHashTable.flush`` and
+(hit / insert into a free slot / evict), read off the table's ``hits``
+and ``evictions`` counts around the call; ``SampleHashTable.flush`` and
 ``Daemon._process`` are timed per call and divided by the entries they
 handled.  The clock is read around every call, which costs about as
 much as a hit does: the *clock* line is that cost, measured on a no-op
@@ -72,12 +73,12 @@ def main(argv):
                 position = (position + collect.BATCH) % len(samples)
                 for cpu, pid, pc, event in batch:
                     table = tables[cpu]
-                    evictions = table.evictions
+                    hits, evictions = table.hits, table.evictions
                     started = clock()
                     record(cpu, pid, pc, event, 0)
                     elapsed = clock() - started
                     cell = record_ns[
-                        "hit" if table.last_was_hit
+                        "hit" if table.hits != hits
                         else "insert" if table.evictions == evictions
                         else "evict"]
                     cell[0] += elapsed

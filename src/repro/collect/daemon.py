@@ -377,7 +377,10 @@ class Daemon:
             epoch = self.epoch
         # A crash here models dying between a drain and the merge.
         self.faults.check("daemon.checkpoint")
-        database.checkpoint(self.export_profiles(), self.periods, epoch,
+        # The live profiles, not a copy: the checkpoint only reads them.
+        database.checkpoint({name: profile.counts
+                             for name, profile in self.profiles.items()},
+                            self.periods, epoch,
                             meta=self._checkpoint_meta(),
                             ctx=self._ctx_blob())
         if self._owns_journal(database):

@@ -97,7 +97,6 @@ missed; a torn or deleted sidecar reads as "changed"; and the CRC
 keeps a restarted sequence from ever repeating an old mark.
 """
 
-import io
 import json
 import os
 import struct
@@ -125,28 +124,8 @@ class CorruptProfileError(ValueError):
     or a manifest record that does not describe it)."""
 
 
-def _write_varint(out, value):
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.write(bytes((byte | 0x80,)))
-        else:
-            out.write(bytes((byte,)))
-            return
-
-
-def _read_varint(data, pos):
-    """Decode the varint at ``data[pos]``; return ``(value, next pos)``."""
-    shift = 0
-    result = 0
-    while True:
-        b = data[pos]               # IndexError: truncated
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
+#: One raw record: u32 offset, u32 count.
+_RAW_RECORD = struct.Struct("<II")
 
 
 def encode_profile(counts, image_name, event, period,
@@ -154,29 +133,39 @@ def encode_profile(counts, image_name, event, period,
     """Serialize a {offset: count} map; return bytes.
 
     Version 3 appends a CRC32 trailer over the whole body so torn and
-    bit-flipped files are detected on decode.
+    bit-flipped files are detected on decode.  A compact record is two
+    LEB128 varints (offset delta, count), low seven bits first.
     """
-    out = io.BytesIO()
     name_bytes = image_name.encode("utf-8")
     event_bytes = str(event).encode("utf-8")
-    out.write(MAGIC)
-    out.write(struct.pack("<HBH", VERSION, fmt, epoch))
-    out.write(struct.pack("<H", len(name_bytes)))
-    out.write(name_bytes)
-    out.write(struct.pack("<H", len(event_bytes)))
-    out.write(event_bytes)
-    out.write(struct.pack("<II", int(period), len(counts)))
-    last = 0
-    for offset in sorted(counts):
-        count = counts[offset]
-        if fmt == FORMAT_RAW:
-            out.write(struct.pack("<II", offset, count))
-        else:
-            _write_varint(out, offset - last)
-            _write_varint(out, count)
+    out = bytearray(MAGIC)
+    out += struct.pack("<HBH", VERSION, fmt, epoch)
+    out += struct.pack("<H", len(name_bytes))
+    out += name_bytes
+    out += struct.pack("<H", len(event_bytes))
+    out += event_bytes
+    out += struct.pack("<II", int(period), len(counts))
+    if fmt == FORMAT_RAW:
+        pack = _RAW_RECORD.pack
+        for offset in sorted(counts):
+            out += pack(offset, counts[offset])
+    else:
+        append = out.append
+        last = 0
+        for offset in sorted(counts):
+            value = offset - last
             last = offset
-    body = out.getvalue()
-    return body + struct.pack("<I", zlib.crc32(body))
+            while value > 0x7F:
+                append(value & 0x7F | 0x80)
+                value >>= 7
+            append(value)
+            value = counts[offset]
+            while value > 0x7F:
+                append(value & 0x7F | 0x80)
+                value >>= 7
+            append(value)
+    out += struct.pack("<I", zlib.crc32(out))
+    return bytes(out)
 
 
 def _parse_blob(data, start=0, salvage=False):
@@ -217,16 +206,37 @@ def _parse_blob(data, start=0, salvage=False):
         image_name, event = names[0], EventType(names[1])
         period, n = struct.unpack_from("<II", data, pos)
         pos += 8
-        last = 0
-        for _ in range(n):
-            if fmt == FORMAT_RAW:
-                offset, count = struct.unpack_from("<II", data, pos)
+        if fmt == FORMAT_RAW:
+            unpack = _RAW_RECORD.unpack_from
+            for _ in range(n):
+                offset, count = unpack(data, pos)
+                counts[offset] = count
                 pos += 8
-            else:
-                delta, pos = _read_varint(data, pos)
-                count, pos = _read_varint(data, pos)
-                offset = last = last + delta
-            counts[offset] = count
+        else:
+            # Two varints per record, read inline; an IndexError is a
+            # truncated blob.
+            offset = 0
+            for _ in range(n):
+                byte = data[pos]
+                pos += 1
+                value = byte & 0x7F
+                shift = 7
+                while byte & 0x80:
+                    byte = data[pos]
+                    pos += 1
+                    value |= (byte & 0x7F) << shift
+                    shift += 7
+                offset += value
+                byte = data[pos]
+                pos += 1
+                value = byte & 0x7F
+                shift = 7
+                while byte & 0x80:
+                    byte = data[pos]
+                    pos += 1
+                    value |= (byte & 0x7F) << shift
+                    shift += 7
+                counts[offset] = value
         (crc,) = struct.unpack_from("<I", data, pos)
         if zlib.crc32(data[start:pos]) != crc:
             raise CorruptProfileError("profile checksum mismatch")

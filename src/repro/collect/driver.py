@@ -22,6 +22,7 @@ from repro.ctx.context import NULL_CTX, OTHER_ID, ContextTable
 #: Event ordinal encoding used in hash-table keys (2 bits in the paper).
 EVENT_ORDINAL = {ev: i for i, ev in enumerate(EventType)}
 ORDINAL_EVENT = list(EventType)
+CYCLES_ORDINAL = EVENT_ORDINAL[EventType.CYCLES]
 
 # Cost model (cycles), calibrated to the paper's Table 4.
 INTERRUPT_SETUP = 214      # best-case setup + teardown (paper section 5.2)
@@ -29,6 +30,14 @@ HIT_PATH = 120             # hash-table hit handling
 MISS_PATH = 420            # eviction + overflow-buffer append
 EDGE_PATH = 240            # the second interrupt of a double sample
 JITTER_MASK = 63           # deterministic per-PC cache-behaviour jitter
+
+# What a sample costs by outcome, before its per-PC jitter.  A "miss"
+# is any sample that creates a new entry: an insert into an empty slot
+# does more work than a hit, and an eviction additionally pays for
+# writing the victim to the overflow buffer (an extra cache line).
+HIT_COST = INTERRUPT_SETUP + HIT_PATH
+INSERT_COST = INTERRUPT_SETUP + HIT_PATH + 40
+EVICT_COST = INTERRUPT_SETUP + MISS_PATH
 
 
 #: The paper's mean CYCLES sampling period (uniform on [60K, 64K]).
@@ -41,16 +50,28 @@ MUX_EVENTS = (EventType.IMISS, EventType.DMISS, EventType.BRANCHMP)
 
 
 class _CpuState:
-    """Per-CPU driver data (the paper's figure 5 'per-cpu data')."""
+    """Per-CPU driver data (the paper's figure 5 'per-cpu data').
 
-    __slots__ = ("table", "active", "shadow", "full", "dropped",
-                 "spills", "handler_cycles", "hit_cycles", "miss_cycles",
-                 "hit_count", "miss_count", "samples", "cost_carry",
-                 "edges", "edge_samples", "inflight", "flush_seq",
-                 "ctx_reg")
+    The table's ``hits`` / ``misses`` are the CPU's hit, miss and
+    sample books; ``samples`` and ``handler_cycles`` are read off them.
+    """
+
+    __slots__ = ("table", "resident", "events", "edge_cost", "active",
+                 "shadow", "full", "dropped", "spills", "hit_cycles",
+                 "miss_cycles", "cost_carry", "edges", "edge_samples",
+                 "inflight", "flush_seq", "ctx_reg")
 
     def __init__(self, config):
         self.table = SampleHashTable(config.buckets, config.assoc)
+        # The table's resident index (key -> entry), probed by the
+        # driver's hit path; the table clears it in place on a flush.
+        self.resident = self.table._index
+        #: Samples by event ordinal.
+        self.events = [0] * len(ORDINAL_EVENT)
+        # What each CYCLES sample's second interrupt costs (double
+        # sampling), 0 otherwise.
+        self.edge_cost = (EDGE_PATH if config.edge_sampling
+                          and config.edge_mode == "double" else 0)
         self.active = []
         self.shadow = []
         self.full = []
@@ -61,12 +82,8 @@ class _CpuState:
         self.inflight = {}
         self.flush_seq = 0
         self.spills = 0
-        self.handler_cycles = 0
         self.hit_cycles = 0
         self.miss_cycles = 0
-        self.hit_count = 0
-        self.miss_count = 0
-        self.samples = 0
         self.cost_carry = 0.0
         # (pid, from_pc, to_pc) -> count (double-sampling prototype).
         self.edges = {}
@@ -74,6 +91,17 @@ class _CpuState:
         # The per-CPU context register (repro.ctx): the interned id of
         # the request class running on this CPU, latched on dispatch.
         self.ctx_reg = OTHER_ID
+
+    @property
+    def samples(self):
+        """Interrupts handled: every sample hits or misses once."""
+        return self.table.hits + self.table.misses
+
+    @property
+    def handler_cycles(self):
+        """Total handler cost: both paths plus the second interrupts."""
+        return (self.hit_cycles + self.miss_cycles
+                + self.edge_cost * self.events[CYCLES_ORDINAL])
 
 
 class Driver:
@@ -102,8 +130,6 @@ class Driver:
         # What record() would re-read per sample, fixed at construction.
         self._charge_overhead = self.config.charge_overhead
         self._overflow_capacity = self.config.overflow_capacity
-        self._double_sampling = (self.config.edge_sampling
-                                 and self.config.edge_mode == "double")
         #: Request-context interning table (repro.ctx); None when the
         #: context dimension is off -- the hot path tests exactly that.
         self.ctx_table = (ContextTable(self.config.ctx_slots)
@@ -113,7 +139,17 @@ class Driver:
         self._mux_index = 0
         self._mux_slot = None
         self._machine = None
-        self.event_samples = {}
+
+    @property
+    def event_samples(self):
+        """{EventType: samples handled} over every CPU, sampled events
+        only."""
+        totals = {}
+        for ordinal, event in enumerate(ORDINAL_EVENT):
+            count = sum(state.events[ordinal] for state in self.cpus)
+            if count:
+                totals[event] = count
+        return totals
 
     # -- installation -----------------------------------------------------
 
@@ -185,50 +221,48 @@ class Driver:
         """Handle one counter-overflow interrupt; return handler cycles.
 
         This is the hot path the paper engineered so carefully; the
-        returned cost stalls the interrupted core's front end.
+        returned cost stalls the interrupted core's front end.  A hit
+        is handled here: the driver's tables are mod-counter, so a hit
+        only bumps a count.  A miss goes to the table's ``record``, the
+        one implementation of insert, eviction and victim order.
         """
         state = self.cpus[cpu_id]
-        table = state.table
-        state.samples += 1
-        self.event_samples[event] = self.event_samples.get(event, 0) + 1
         event_ord = EVENT_ORDINAL[event]
+        state.events[event_ord] += 1
         if self.trace is not None:
             self.trace.append((cpu_id, pid, pc, event_ord))
         if self.ctx_table is None:
-            evicted = table.record(pid, pc, event_ord)
+            ctx = None
+            key = (pid, pc, event_ord)
         else:
             # The context register joins the hash key (alongside the
             # PID), so per-request attribution survives aggregation.
-            evicted = table.record(pid, pc, event_ord, ctx=state.ctx_reg)
+            ctx = state.ctx_reg
+            key = (pid, pc, event_ord, ctx)
         jitter = ((pc >> 2) * 2654435761 >> 20) & JITTER_MASK
-        # A "miss" is any sample that created a new entry; the eviction
-        # variant additionally pays for writing the victim to the
-        # overflow buffer (an extra cache line).
-        if table.last_was_hit:
-            cost = INTERRUPT_SETUP + HIT_PATH + jitter
-            state.hit_count += 1
+        entry = state.resident.get(key)
+        if entry is not None:
+            entry[1] += 1
+            state.table.hits += 1
+            cost = HIT_COST + jitter
             state.hit_cycles += cost
-        elif evicted is None:
-            # Insert into an empty slot: no eviction, but more work than
-            # a pure hit.
-            cost = INTERRUPT_SETUP + HIT_PATH + 40 + jitter
-            state.miss_count += 1
-            state.miss_cycles += cost
         else:
-            cost = INTERRUPT_SETUP + MISS_PATH + jitter
-            state.miss_count += 1
+            evicted = state.table.record(pid, pc, event_ord, 1, ctx)
+            if evicted is None:
+                cost = INSERT_COST + jitter
+            else:
+                cost = EVICT_COST + jitter
+                state.active.append(evicted)
+                if len(state.active) >= self._overflow_capacity:
+                    self._buffer_full(state)
             state.miss_cycles += cost
-            state.active.append(evicted)
-            if len(state.active) >= self._overflow_capacity:
-                self._buffer_full(state)
-        if self._double_sampling and event is EventType.CYCLES:
+        if not self._charge_overhead:
+            return 0
+        if state.edge_cost and event_ord == CYCLES_ORDINAL:
             # Double sampling pays for the second interrupt; the
             # interpretation variant only decodes in the handler
             # (negligible next to the setup cost).
-            cost += EDGE_PATH
-        state.handler_cycles += cost
-        if not self._charge_overhead:
-            return 0
+            cost += state.edge_cost
         # Charge the period-scaled cost, carrying fractional cycles so
         # the long-run average is exact.
         scaled = cost * self.cost_scale + state.cost_carry

@@ -19,7 +19,10 @@ The bucket array is the model: hits, misses, evictions, victims and
 slot order are what the paper's table would produce.  What the *host*
 pays per sample is kept apart from it: a resident index finds a hit
 with one probe instead of a hash and a bucket scan, and a flush visits
-the buckets in use, not the array.
+the buckets in use, not the array.  The driver's tables are
+mod-counter, where a hit reorders nothing, so the driver probes the
+index and bumps the entry and ``hits`` itself, and calls
+:meth:`SampleHashTable.record` only on a miss.
 """
 
 MOD_COUNTER = "mod-counter"
@@ -74,7 +77,7 @@ class SampleHashTable:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Outcome of the most recent record() call (driver cost model).
+        #: Whether the most recent record() call was a hit.
         self.last_was_hit = False
 
     @property

@@ -8,16 +8,20 @@ dict with overlapping, inconsistently named keys (``miss_rate`` here,
 name                                     kind      meaning
 =======================================  ========  =======================
 ``driver.samples``                       counter   interrupts handled
+                                                   (hits + misses)
 ``driver.hash.hits``                     counter   hash-table hit path
 ``driver.hash.misses``                   counter   new-entry path
 ``driver.hash.evictions``                counter   entries spilled out
 ``driver.overflow.spills``               counter   overflow buffers filled
 ``driver.overflow.dropped``              counter   samples lost (backlog)
 ``driver.handler_cycles``                counter   total handler cost
+                                                   (hit + miss cycles +
+                                                   second interrupts)
 ``driver.hit_cycles``/``.miss_cycles``   counter   cost split by path
 ``driver.edge_samples``                  counter   double-sampling edges
 ``driver.kernel_memory_bytes``           gauge     non-pageable memory
 ``driver.cpu<N>.samples``                counter   per-CPU interrupts
+                                                   (hits + misses)
 ``driver.cpu<N>.overflow.spills``        counter   per-CPU buffer fills
 ``driver.cpu<N>.overflow.dropped``       counter   per-CPU samples lost
 ``driver.cpu<N>.hash.evictions``         counter   per-CPU evictions
@@ -74,12 +78,15 @@ name                                     kind      meaning
 
 A typed snapshot maps each name to ``{"type": "counter", "value"}``
 or ``{"type": "gauge", "value", "peak"}``.  It is read off the objects
-that keep the counts -- the driver's per-CPU state, the daemon, the
-fast path, the session result -- when it is asked for; nothing
-tallies a count a second time beside them.  This module is the whole
-snapshot format: the views below build one, :func:`merge_metrics`
-reduces shards' snapshots, :func:`flatten_metrics` and :func:`derive`
-flatten one.
+that keep the counts -- the driver's per-CPU hash tables and state,
+the daemon, the fast path, the session result -- when it is asked
+for; nothing tallies a count a second time beside them.  A count that
+follows from others is summed when read: ``driver.samples`` is the
+tables' hits + misses, ``driver.handler_cycles`` the hit and miss
+cycles plus the second interrupts of double sampling.  This module is
+the whole snapshot format: the views below build one,
+:func:`merge_metrics` reduces shards' snapshots,
+:func:`flatten_metrics` and :func:`derive` flatten one.
 
 Raw counts only are stored and merged (rates do not sum); derived
 rates -- ``driver.hash.miss_rate``, ``daemon.aggregation_factor``,
@@ -121,9 +128,9 @@ def driver_metrics(driver):
     metrics = {
         "driver.samples": _counter(sum(s.samples for s in driver.cpus)),
         "driver.hash.hits": _counter(
-            sum(s.hit_count for s in driver.cpus)),
+            sum(s.table.hits for s in driver.cpus)),
         "driver.hash.misses": _counter(
-            sum(s.miss_count for s in driver.cpus)),
+            sum(s.table.misses for s in driver.cpus)),
         "driver.hash.evictions": _counter(
             sum(s.table.evictions for s in driver.cpus)),
         "driver.overflow.spills": _counter(

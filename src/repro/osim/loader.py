@@ -31,6 +31,9 @@ class Loader:
         self.images = []
         # images[i].base, ascending: link() hands out rising addresses.
         self._bases = []
+        # (images[i].end, images[i]), fixed at link time: a lookup
+        # reads the code's end without calling into the image.
+        self._rows = []
 
     def add_listener(self, callback):
         """Register callback(LoadMapEvent); used by the profiling daemon."""
@@ -53,6 +56,7 @@ class Loader:
         self._next_base = (end + self.ALIGN) & ~(self.ALIGN - 1)
         self.images.append(image)
         self._bases.append(image.base)
+        self._rows.append((image.end, image))
         return image
 
     def notify_exec(self, pid, images, source="exec"):
@@ -65,8 +69,10 @@ class Loader:
                 listener(event)
 
     def image_at(self, addr):
-        """Return the image containing *addr*, or None."""
+        """Return the image whose code contains *addr*, or None."""
         slot = bisect_right(self._bases, addr) - 1
-        if slot >= 0 and addr in self.images[slot]:
-            return self.images[slot]
+        if slot >= 0:
+            end, image = self._rows[slot]
+            if addr < end:
+                return image
         return None

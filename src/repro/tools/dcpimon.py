@@ -201,19 +201,27 @@ def measure_overhead(workload_name, mode="default", budget=40_000,
             disabled.append(one(False))
             enabled.append(one(True))
     pcts = [(on - off) / off * 100.0 for off, on in zip(disabled, enabled)]
-    if repeats > 1:
-        low, _, high = statistics.quantiles(pcts, n=4)
-    else:
-        low = high = pcts[0]
+    overhead_pct, spread_pct = median_spread(pcts)
     return {
         "workload": workload_name,
         "budget": budget,
         "repeats": repeats,
         "disabled_s": statistics.median(disabled),
         "enabled_s": statistics.median(enabled),
-        "overhead_pct": statistics.median(pcts),
-        "spread_pct": high - low,
+        "overhead_pct": overhead_pct,
+        "spread_pct": spread_pct,
     }
+
+
+def median_spread(values):
+    """The median of per-pair *values* and the distance between their
+    quartiles: how far the pairs disagree (0 for a single pair).  A
+    difference no wider than the spread is unresolved."""
+    if len(values) > 1:
+        low, _, high = statistics.quantiles(values, n=4)
+    else:
+        low = high = values[0]
+    return statistics.median(values), high - low
 
 
 def _build_parser():

@@ -1,5 +1,6 @@
 """Tests for the on-disk profile database and binary formats."""
 
+import io
 import json
 import os
 import struct
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import files_in_manifest, files_on_disk, rewrite_manifest
-from repro.collect.database import (FORMAT_COMPACT, FORMAT_RAW,
-                                    MANIFEST_NAME, CorruptProfileError,
-                                    ImageProfile, ProfileDatabase,
+from repro.collect.database import (FORMAT_COMPACT, FORMAT_RAW, MAGIC,
+                                    MANIFEST_NAME, VERSION,
+                                    CorruptProfileError, ImageProfile,
+                                    ProfileDatabase, _parse_blob,
                                     decode_profile, encode_profile)
 from repro.cpu.events import EventType
 from repro.faults.injector import bitflip_at_rest
@@ -20,6 +22,99 @@ counts_strategy = st.dictionaries(
     st.integers(min_value=0, max_value=1 << 24).map(lambda x: x * 4),
     st.integers(min_value=1, max_value=1 << 30),
     max_size=200)
+
+
+def reference_encode(counts, image_name, event, period, fmt, epoch):
+    """The blob layout written one varint call at a time, as the
+    encoder did before it built varints inline."""
+
+    def write_varint(out, value):
+        while True:
+            byte = value & 0x7F
+            value >>= 7
+            if value:
+                out.write(bytes((byte | 0x80,)))
+            else:
+                out.write(bytes((byte,)))
+                return
+
+    out = io.BytesIO()
+    name_bytes = image_name.encode("utf-8")
+    event_bytes = str(event).encode("utf-8")
+    out.write(MAGIC)
+    out.write(struct.pack("<HBH", VERSION, fmt, epoch))
+    out.write(struct.pack("<H", len(name_bytes)))
+    out.write(name_bytes)
+    out.write(struct.pack("<H", len(event_bytes)))
+    out.write(event_bytes)
+    out.write(struct.pack("<II", int(period), len(counts)))
+    last = 0
+    for offset in sorted(counts):
+        count = counts[offset]
+        if fmt == FORMAT_RAW:
+            out.write(struct.pack("<II", offset, count))
+        else:
+            write_varint(out, offset - last)
+            write_varint(out, count)
+            last = offset
+    body = out.getvalue()
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+#: Compact offsets and counts: one-byte values, values right at the
+#: seven-bit boundaries, and values of 2**32 and beyond.
+wide_values = st.one_of(st.integers(0, 300),
+                        st.sampled_from([127, 128, 16383, 16384,
+                                         (1 << 32) - 1, 1 << 32]),
+                        st.integers(1 << 32, 1 << 70))
+u32_values = st.integers(0, (1 << 32) - 1)
+header = dict(image_name=st.sampled_from(["app", "/usr/lib/libc.so",
+                                          "\u00e9t\u00e9"]),
+              event=st.sampled_from(list(EventType)),
+              period=st.integers(0, (1 << 32) - 1),
+              epoch=st.integers(0, 0xFFFF))
+
+
+class TestEncoderReference:
+    """The encoder is byte-equal to the reference layout above, and
+    ``_parse_blob`` reads back whatever it wrote."""
+
+    @given(counts=st.dictionaries(wide_values, wide_values, max_size=60),
+           **header)
+    def test_compact_bytes_equal_the_reference(self, counts, image_name,
+                                               event, period, epoch):
+        args = (counts, image_name, event, period, FORMAT_COMPACT, epoch)
+        assert encode_profile(*args) == reference_encode(*args)
+
+    @given(counts=st.dictionaries(u32_values, u32_values, max_size=60),
+           **header)
+    def test_raw_bytes_equal_the_reference(self, counts, image_name,
+                                           event, period, epoch):
+        args = (counts, image_name, event, period, FORMAT_RAW, epoch)
+        assert encode_profile(*args) == reference_encode(*args)
+
+    @pytest.mark.parametrize("fmt", [FORMAT_COMPACT, FORMAT_RAW])
+    def test_empty_map(self, fmt):
+        args = ({}, "app", EventType.CYCLES, 62000, fmt, 3)
+        data = encode_profile(*args)
+        assert data == reference_encode(*args)
+        assert _parse_blob(data) == (({}, "app", EventType.CYCLES,
+                                      62000, 3), len(data))
+
+    @given(counts=st.dictionaries(wide_values, wide_values, max_size=60),
+           raw=st.dictionaries(u32_values, u32_values, max_size=60),
+           prefix=st.binary(max_size=8), **header)
+    def test_parse_blob_reads_what_the_encoder_wrote(
+            self, counts, raw, prefix, image_name, event, period, epoch):
+        for fmt, stored in ((FORMAT_COMPACT, counts), (FORMAT_RAW, raw)):
+            data = encode_profile(stored, image_name, event, period, fmt,
+                                  epoch)
+            # A blob inside a segment: it starts after other bytes and
+            # stops at its own trailer.
+            segment = prefix + data + b"DCPI"
+            decoded, end = _parse_blob(segment, start=len(prefix))
+            assert decoded == (stored, image_name, event, period, epoch)
+            assert end == len(prefix) + len(data)
 
 
 class TestEncoding:

@@ -1,10 +1,19 @@
 """Tests for the device driver and the user-mode daemon."""
 
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.collect.daemon import Daemon
-from repro.collect.driver import EVENT_ORDINAL, INTERRUPT_SETUP, Driver
+from repro.collect.driver import (EDGE_PATH, EVENT_ORDINAL, EVICT_COST,
+                                  HIT_COST, INSERT_COST, INTERRUPT_SETUP,
+                                  JITTER_MASK, Driver)
+from repro.collect.hashtable import SampleHashTable
 from repro.collect.session import SessionConfig
 from repro.cpu.events import EventType
+from repro.ctx.context import NULL_CTX
 from repro.faults.injector import FaultPlan, FaultSpec
 from repro.obs import derive
 from repro.osim.loader import Loader
@@ -168,6 +177,76 @@ class TestTwoPhaseFlush:
         assert kept + state.dropped == state.samples
 
 
+#: One driver call: a sample (cpu, pid, pc index, event, context) or
+#: a flush of one CPU (cpu, None, ...).
+DRIVER_CALLS = st.lists(
+    st.tuples(st.integers(0, 1), st.one_of(st.none(), st.integers(0, 3)),
+              st.integers(0, 12), st.sampled_from(list(EventType)),
+              st.sampled_from([NULL_CTX, "get", "put"])),
+    min_size=1, max_size=150)
+
+
+class TestDerivedCounts:
+    """The driver keeps one book per count: samples, hits, misses, the
+    per-event counts and the handler cost are read off the tables' hits
+    and misses and the per-path cycles.  Each must equal a naive tally
+    of the same stream, classified by a reference table fed every
+    sample through ``SampleHashTable.record``."""
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(calls=DRIVER_CALLS, context=st.booleans(),
+           double=st.booleans(),
+           shape=st.sampled_from([(1, 1, 2), (2, 2, 3), (16, 4, 8)]))
+    def test_derived_counts_equal_a_naive_tally(self, calls, context,
+                                                double, shape):
+        buckets, assoc, capacity = shape
+        driver = make_driver(num_cpus=2, buckets=buckets, assoc=assoc,
+                             overflow_capacity=capacity, context=context,
+                             edge_sampling=double, edge_mode="double")
+        reference = [SampleHashTable(buckets, assoc) for _ in range(2)]
+        samples, hits, misses = Counter(), Counter(), Counter()
+        events = Counter()
+        cycles = 0
+        for cpu, pid, pc_index, event, ctx in calls:
+            table = reference[cpu]
+            if pid is None:
+                driver.begin_flush(cpu)
+                table.flush()
+                continue
+            if context:
+                driver.publish_ctx(cpu, pid, ctx)
+            pc = 0x1000 + 4 * pc_index
+            ctx_id = driver.cpus[cpu].ctx_reg if context else None
+            before = (table.hits, table.evictions)
+            table.record(pid, pc, EVENT_ORDINAL[event], ctx=ctx_id)
+            jitter = ((pc >> 2) * 2654435761 >> 20) & JITTER_MASK
+            if table.hits != before[0]:
+                cost = HIT_COST + jitter
+                hits[cpu] += 1
+            else:
+                cost = (INSERT_COST if table.evictions == before[1]
+                        else EVICT_COST) + jitter
+                misses[cpu] += 1
+            if double and event is EventType.CYCLES:
+                cost += EDGE_PATH
+            # cost_scale 1.0 charges the whole cost, no carry.
+            assert driver.record(cpu, pid, pc, event, 0) == cost
+            samples[cpu] += 1
+            events[event] += 1
+            cycles += cost
+        flat = derive(driver.metrics())
+        assert flat["driver.samples"] == sum(samples.values())
+        assert flat["driver.hash.hits"] == sum(hits.values())
+        assert flat["driver.hash.misses"] == sum(misses.values())
+        assert flat["driver.handler_cycles"] == cycles
+        for cpu in (0, 1):
+            assert flat["driver.cpu%d.samples" % cpu] == samples[cpu]
+            assert driver.cpus[cpu].samples == samples[cpu]
+            assert (driver.cpus[cpu].table.evictions
+                    == reference[cpu].evictions)
+        assert driver.event_samples == dict(events)
+
+
 class TestLossAccountingPinned:
     """Exact spill and drop numbers of one skewed stream through a
     four-entry table and four-entry overflow buffers: what a change to
@@ -186,7 +265,7 @@ class TestLossAccountingPinned:
     def test_spills_with_no_drain(self):
         driver = self.loaded_driver()
         state = driver.cpus[0]
-        assert (state.hit_count, state.miss_count) == (35, 25)
+        assert (state.table.hits, state.table.misses) == (35, 25)
         assert state.table.evictions == 21
         assert state.spills == 5
         assert state.dropped == 29      # three full buffers shed

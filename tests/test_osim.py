@@ -1,6 +1,7 @@
 """Tests for processes, the loader and the scheduler."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.alpha.assembler import assemble
 from repro.cpu.config import MachineConfig
@@ -66,6 +67,40 @@ class TestLoader:
             assert loader.image_at(image.end - 4) is image
             # The gap up to the next 64 KB boundary belongs to nobody.
             assert loader.image_at(image.end) is None
+
+    @staticmethod
+    def linked_with_data():
+        """Images of several code sizes, each with a data region."""
+        loader = Loader()
+        for i, (n, data) in enumerate([(1, 64), (3, 20000), (2, 70000)]):
+            text = (".image img%d\n.data buf, %d\n.proc main\n" % (i, data)
+                    + "    addq t0, 1, t0\n" * n + "    ret\n.end\n")
+            loader.link(assemble(text))
+        return loader
+
+    @staticmethod
+    def scanned(loader, addr):
+        """What a linear scan over the linked images finds at *addr*."""
+        found = [image for image in loader.images if addr in image]
+        return found[0] if found else None
+
+    def test_image_at_agrees_with_a_scan_at_every_boundary(self):
+        loader = self.linked_with_data()
+        probes = []
+        for image in loader.images:
+            data_end = image.data_base + image.data_size
+            probes += [image.base - 4, image.base, image.end - 4,
+                       image.end, image.data_base, data_end - 4,
+                       data_end, data_end + 0x100]
+        assert any(self.scanned(loader, addr) for addr in probes)
+        for addr in probes:
+            assert loader.image_at(addr) is self.scanned(loader, addr)
+
+    @given(offset=st.integers(0, 0x60000))
+    def test_image_at_agrees_with_a_scan_anywhere(self, offset):
+        loader = self.linked_with_data()
+        addr = Loader.FIRST_BASE - 8 + offset
+        assert loader.image_at(addr) is self.scanned(loader, addr)
 
 
 class TestProcesses:
