@@ -65,7 +65,9 @@ class SampleHashTable:
         self._mask = buckets - 1
         # bucket -> list of [key, count, bucket index] in slot order:
         # the paper's table.  Victim choice and slot order live here.
-        self._buckets = [[] for _ in range(buckets)]
+        # A bucket never used is the shared empty tuple; its list is
+        # made on first insert, so a table costs what it holds.
+        self._buckets = [()] * buckets
         # The resident index: key -> the bucket's own entry, so a hit is
         # one probe however the table is shaped.  Holds exactly the
         # entries the buckets hold.
@@ -77,8 +79,6 @@ class SampleHashTable:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Whether the most recent record() call was a hit.
-        self.last_was_hit = False
 
     @property
     def capacity(self):
@@ -100,14 +100,12 @@ class SampleHashTable:
         if entry is not None:
             entry[1] += count
             self.hits += 1
-            self.last_was_hit = True
             if self._reorders:
                 bucket = self._buckets[entry[2]]
                 if bucket[0] is not entry:
                     bucket.insert(0, bucket.pop(bucket.index(entry)))
             return None
         self.misses += 1
-        self.last_was_hit = False
         if ctx is None:
             index = self._hash(pid, pc, event_ord, self._mask)
         else:
@@ -118,6 +116,7 @@ class SampleHashTable:
         if len(bucket) < self.assoc:
             if not bucket:
                 self._used.append(index)
+                bucket = self._buckets[index] = []
             if self._reorders:
                 bucket.insert(0, entry)
             else:

@@ -96,12 +96,15 @@ Design notes (see README "Performance"):
   trace's key is its members' functions plus its guards, which stand
   for its input.  Every function lives in one shared globals dict, so
   a second ``Machine`` running the same code holds references, not
-  copies, and generates no source text.  The cache is bounded by entry
+  copies, and generates no source text.  The generated steps of hot
+  runs (:func:`repro.cpu.step.compile_run`) share the cache, keyed by
+  their records and core geometry.  The cache is bounded by entry
   count (``REPLAY_CACHE_MAX``, cleared when full) and changes *time
-  only*: tier-up still waits for ``COMPILE_USES``,
-  ``compiled_variants`` and ``traces`` still count what *this* Machine
-  tiered up and formed, and no ``sim.fastpath.*`` counter or snapshot
-  key depends on what an earlier Machine left behind.  Hit and miss
+  only*: tier-up still waits for ``COMPILE_USES`` (a run's for
+  ``pipeline.COMPILE_RUN_AT``), ``compiled_variants``, ``traces`` and
+  ``compiled_runs`` still count what *this* Machine tiered up and
+  formed, and no ``sim.fastpath.*`` counter or snapshot key depends on
+  what an earlier Machine left behind.  Hit and miss
   counts are process history; they are reported by
   :func:`replay_cache_stats`, never by :meth:`FastPath.snapshot`.
 """
@@ -109,17 +112,20 @@ Design notes (see README "Performance"):
 from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
 from repro.cpu.writebuffer import WriteBuffer
 
-#: Bound on cached replay functions; the cache is cleared when full.
-#: A variant's entry measures ~1.6 KiB of code object (its key is the
-#: recorded steps the variant holds anyway), a trace's ~3.5 KiB; one
-#: 200k-instruction gcc session leaves 288 entries (48 of them
+#: Bound on cached replay functions and generated run steps
+#: (:func:`repro.cpu.step.compile_run`); the cache is cleared when
+#: full.  A variant's entry measures ~1.6 KiB of code object (its key
+#: is the recorded steps the variant holds anyway), a trace's ~3.5 KiB;
+#: one 200k-instruction gcc session leaves 288 entries (48 of them
 #: traces), so the bound is far from ordinary use.
 REPLAY_CACHE_MAX = 4096
 
 _replay_cache = {}                   # generator input (key) -> function
-_replay_globals = dict(EXPR_GLOBALS)  # shared by every replay function
-# A 2-bit saturating counter after a taken / not-taken outcome.
-_replay_globals.update(_UP=(1, 2, 3, 3), _DOWN=(0, 0, 1, 2))
+#: What generated code sees besides its arguments: the opcode
+#: expressions' helpers and a 2-bit saturating counter after a taken /
+#: not-taken outcome.  Shared by every replay function.
+CODE_GLOBALS = dict(EXPR_GLOBALS)
+CODE_GLOBALS.update(_UP=(1, 2, 3, 3), _DOWN=(0, 0, 1, 2))
 _replay_cache_hits = 0
 _replay_cache_misses = 0
 
@@ -134,6 +140,26 @@ def replay_cache_stats():
 def clear_replay_cache():
     """Drop every cached replay function (live variants keep theirs)."""
     _replay_cache.clear()
+
+
+def cached_code(key):
+    """The function the code cache holds for generator input *key*, or
+    None; a hit is counted."""
+    global _replay_cache_hits
+    fn = _replay_cache.get(key)
+    if fn is not None:
+        _replay_cache_hits += 1
+    return fn
+
+
+def cache_code(key, fn):
+    """Keep *fn*, just generated from *key*, in the bounded code cache;
+    a miss is counted."""
+    global _replay_cache_misses
+    _replay_cache_misses += 1
+    if len(_replay_cache) >= REPLAY_CACHE_MAX:
+        _replay_cache.clear()
+    _replay_cache[key] = fn
 
 
 #: The probe that stopped a replay.  A bail is ``(reason index, i)``
@@ -511,10 +537,8 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     trace another ``Machine`` already compiled costs a lookup, not the
     text generation and ``compile()`` (*segments* is not read then).
     """
-    global _replay_cache_hits, _replay_cache_misses
-    fn = _replay_cache.get(key)
+    fn = cached_code(key)
     if fn is not None:
-        _replay_cache_hits += 1
         return fn
     pm = (1 << page_bits) - 1
     ishift, imask = l1i_geom
@@ -761,15 +785,12 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
         head.append("    _bt = bp._table")
         head.append("    _bm = bp._mask")
     source = "\n".join(head + body)
-    _replay_cache_misses += 1
     # The def binds into *scope*; the function's globals stay shared.
     scope = {}
     exec(compile(source, "<fastpath-variant>", "exec"),
-         _replay_globals, scope)
+         CODE_GLOBALS, scope)
     fn = scope["_replay"]
-    if len(_replay_cache) >= REPLAY_CACHE_MAX:
-        _replay_cache.clear()
-    _replay_cache[key] = fn
+    cache_code(key, fn)
     return fn
 
 
@@ -830,6 +851,10 @@ class FastPath:
         self.slow_instructions = [0] * len(SLOW_CAUSES)
         self.recordings = 0           # schedules captured
         self.compiled_variants = 0    # schedules tiered up to compiled
+        #: Runs given a generated step (repro.cpu.step.compile_run) and
+        #: the instructions those steps ran, of slow_instructions.
+        self.compiled_runs = 0
+        self.compiled_instructions = 0
         self.traces = 0               # traces formed and compiled
         self.trace_entries = 0        # gate picks of a trace's head
         #: How those entries left, indexed like TRACE_EXITS; the
@@ -1109,6 +1134,8 @@ class FastPath:
             "bails": sum(self.bails),
             "recordings": self.recordings,
             "compiled_variants": self.compiled_variants,
+            "compiled_runs": self.compiled_runs,
+            "compiled_instructions": self.compiled_instructions,
             "traces": self.traces,
             "trace_entries": self.trace_entries,
             "aborted_recordings": self.aborted_recordings,

@@ -23,47 +23,62 @@ time, reproducing the paper's section 4.1.2 semantics (IMISS samples
 land on the missing instruction; DMISS/BRANCHMP samples skew a few
 instructions down the stream).
 
-Both execution paths work on one unit of straight-line code, the run
-(:class:`_Run`, cached per start address in ``Machine.runs``, looked
-up once per loop iteration).  They share this accounting, and both
-inline the same hit probes -- a same-page I-L1 tag hit at a fetch-line
-cross, a D-TLB entry, an L1D tag hit, a store to a write-buffer block
-still draining -- as a hit-counter bump.  Only a probe that does not
-hit calls the model (``_fetch``, ``TLB.translate``,
+A run executes in one of three ways, all on one unit of straight-line
+code, the run (:class:`_Run`, cached per start address in
+``Machine.runs``, looked up once per loop iteration).  They share this
+accounting, and all inline the same hit probes -- a same-page I-L1 tag
+hit at a fetch-line cross, a D-TLB entry, an L1D tag hit, a store to a
+write-buffer block still draining -- as a hit-counter bump.  Only a
+probe that does not hit calls the model (``_fetch``, ``TLB.translate``,
 ``Hierarchy.access``, ``Cache.lookup``, ``WriteBuffer.earliest_issue``
 / ``commit``):
 
-* the **slow path** walks predecoded records
-  (:mod:`repro.alpha.predecode`) a run at a time -- from the PC to the
-  next control transfer -- and handles every dynamic event.
-  The loop-top exit, budget and gate tests, the run lookup and the
-  fetch-line test are paid once per run (the line test once per I-cache
-  line in it); the deadline is still checked after every instruction,
-  and a budget that ends inside a run cuts the run short.  Execution
-  counts are paid once per run visit: a complete visit bumps the run's
-  ``hits``, expanded into ``gt_count`` at run exit like the replays'
-  deferred hits, and a visit stopped inside the run counts its prefix
-  per instruction;
-* the **fast path** replays an issue schedule, recorded by one
-  complete slow-path visit of a block -- a run with a body that ends in
-  a control transfer (:mod:`repro.cpu.fastpath`) -- when the block's
-  entry conditions match, batching its CYCLES into one contiguous span.
-  The gate at a block head is the only way into a replay; a clean exit
-  returns to it.  When the block heads a trace -- the blocks the gate
-  would pick back to back, compiled into one function -- the gate
-  enters the trace.  A replay is a clean prefix: the compiled code
-  holds hit paths only and stops *before* the first instruction whose
-  fetch, translation, D-cache probe or write-buffer probe does not
-  hit, with nothing of that instruction applied.  So every result is
-  the clean exit of a prefix of the unit's steps -- the whole unit,
-  the members through the terminator where a trace left its path, or
-  the steps before a bail -- and the replay applies that prefix's
-  precomputed unit (:meth:`repro.cpu.fastpath.FastPath.outcome`), a
-  loop trace's whole laps before it.  The slow path -- the only
+* **interpreted**: the dispatch loop's body walks the run's predecoded
+  records (:mod:`repro.alpha.predecode`) from the PC to the next
+  control transfer and handles every dynamic event.  The loop-top
+  exit, budget and gate tests, the run lookup and the fetch-line test
+  are paid once per run (the line test once per I-cache line in it);
+  the deadline is still checked after every instruction, and a budget
+  that ends inside a run cuts the run short.  Execution counts are paid
+  once per run visit: a complete visit bumps the run's ``hits``,
+  expanded into ``gt_count`` at run exit like the replays' deferred
+  hits, and a visit stopped inside the run counts its prefix per
+  instruction.  It is the reference, and the only way with the fast
+  path off;
+* **a generated step**: once a run's interpreted visits times its
+  length reach ``COMPILE_RUN_AT``, :func:`repro.cpu.step.compile_run`
+  gives it a function that *is* the interpreter for its records, with
+  register numbers, opcode semantics, fetch-line chunks and pairing rows
+  as constants; the models, counters, ground truth and sample delivery
+  are read and written as the interpreter does them, and the function
+  returns where the run ends or the deadline stops it, with the loop
+  state.  A loop whose gate refuses it for its own cause runs further
+  visits as laps within one call.  Cold runs, visits that record a
+  schedule for the gate and visits the budget cuts short stay
+  interpreted.  The step leaves the loop state as the interpreter does,
+  so the loop continues alike after either.  The rules both share --
+  stall decomposition, event counting, sample delivery -- are functions
+  in :mod:`repro.cpu.step`;
+* **replayed**: the fast path replays an issue schedule, recorded by
+  one complete interpreted visit of a block -- a run with a body that
+  ends in a control transfer (:mod:`repro.cpu.fastpath`) -- when the
+  block's entry conditions match, batching its CYCLES into one
+  contiguous span.  The gate at a block head is the only way into a
+  replay; a clean exit returns to it.  When the block heads a trace --
+  the blocks the gate would pick back to back, compiled into one
+  function -- the gate enters the trace.  A replay is a clean prefix:
+  the compiled code holds hit paths only and stops *before* the first
+  instruction whose fetch, translation, D-cache probe or write-buffer
+  probe does not hit, with nothing of that instruction applied.  So
+  every result is the clean exit of a prefix of the unit's steps -- the
+  whole unit, the members through the terminator where a trace left its
+  path, or the steps before a bail -- and the replay applies that
+  prefix's precomputed unit (:meth:`repro.cpu.fastpath.FastPath.outcome`),
+  a loop trace's whole laps before it.  A step -- the only
   implementation of what a miss does -- takes over after a bail, so
   counters, samples and ground-truth attributions stay byte-identical.
 
-CYCLES are held as a watermark on both paths: the slots have counted
+CYCLES are held as a watermark on every path: the slots have counted
 every cycle up to ``cyc_base``, and ``cyc_mark`` is ``cyc_base`` plus
 the fewest cycles that overflow a CYCLES slot
 (:meth:`CounterUnit.headroom`).  The cycles not yet counted are always
@@ -82,7 +97,8 @@ from repro.cpu.events import EventType
 from repro.cpu.fastpath import (
     BAIL_TAIL, BUDGET_EDGE, CLEAN, COLD_VARIANT, FALLBACK, FRONT_EXTRA,
     HEADROOM, MAX_RUN, PENDING, VARIANT_MISS, cache_geometry)
-from repro.cpu.issue import DEP_REASON
+from repro.cpu.step import (charge_slotting, charge_stalls, compile_run,
+                            count_cycles, deliver, loops, post_events)
 from repro.cpu.tlb import TLB
 from repro.cpu.writebuffer import WriteBuffer
 
@@ -116,6 +132,26 @@ def _tag_probe(cache):
 #: (``Machine.invalidate_runs``), as ``MAX_RUN`` bounds a run's size.
 MAX_RUNS = 1 << 15
 
+#: Tier-up: a run gets its generated step (:func:`compile_run`) once
+#: its interpreted visits times its length reach this many
+#: instructions.  Generating and compiling a step costs 0.4-0.7 ms per
+#: record, and the step saves 0.65-1.5 us per instruction against the
+#: interpreter (the streaming kernels, dss and altavista; EXPERIMENTS.md
+#: "The slow path by section"), so a run repays its code after 270 to
+#: 1 100 visits.  This takes the top of that range for a 12-record
+#: run, 1 000 visits: a run must also repay its code in the session it
+#: tiers up in, and cold sessions are where that binds.  At 4 000,
+#: wave5's two hottest runs (9 912 and 4 886 interpreted instructions
+#: in its 77 k-instruction session) tier up, and the cold
+#: bench_sim_throughput row reads 8 % lower.  The streaming programs'
+#: hot runs (76 k-110 k a 200 k session) tier up after 11-16 % of
+#: their work, a longer run sooner (a ``MAX_RUN`` run after 245
+#: visits), and bigcode's (24 visits at most) never.  The threshold
+#: reads nothing of the code cache: which instructions run compiled,
+#: and so every ``sim.fastpath.compiled_*`` count, is the same whether
+#: a function is generated or found.
+COMPILE_RUN_AT = 12000
+
 
 class _Run:
     """The one unit of straight-line code: the predecoded records
@@ -125,19 +161,26 @@ class _Run:
     ``chunks`` groups them by I-cache line, ``((line, records), ...)``:
     only a chunk's first record can cross a fetch line.  ``hits``
     counts the complete visits whose execution counts are not yet in
-    ``gt_count`` (:func:`_count_visits`).  The fast path's slots are
-    unset until its gate first meets the run and ``refusal`` stops being
-    None (:meth:`repro.cpu.fastpath.FastPath.discover`).
+    ``gt_count`` (:func:`_count_visits`).  ``cold`` counts down the
+    interpreted visits before the run gets its generated ``step``
+    (``COMPILE_RUN_AT``); ``ctrl`` says the run ends in a control
+    transfer, and ``loops`` that it is one back to its own start.  The
+    fast path's slots are unset until its gate first meets the run and
+    ``refusal`` stops being None
+    (:meth:`repro.cpu.fastpath.FastPath.discover`).
     """
 
-    __slots__ = ("pc", "n", "end", "recs", "chunks", "hits", "refusal",
-                 "live_ins", "has_imul", "has_fdiv", "variants", "failed")
+    __slots__ = ("pc", "n", "end", "ctrl", "loops", "recs", "chunks", "hits",
+                 "cold", "step", "refusal", "live_ins", "has_imul",
+                 "has_fdiv", "variants", "failed")
 
     def __init__(self, recs, line_shift):
         self.pc = recs[0][14]                           # R_ADDR
         self.n = len(recs)
         self.recs = tuple(recs)
         self.end = self.pc + 4 * self.n
+        self.ctrl = recs[-1][13]                        # R_CTRL
+        self.loops = loops(self.recs)
         chunks = []
         for rec in recs:
             line = rec[14] >> line_shift
@@ -147,6 +190,9 @@ class _Run:
                 chunks.append((line, [rec]))
         self.chunks = tuple((line, tuple(rs)) for line, rs in chunks)
         self.hits = 0
+        # Interpreted visits left before the run's step is generated.
+        self.cold = -(-COMPILE_RUN_AT // self.n)
+        self.step = None
         self.refusal = None
 
     def prefix(self, k):
@@ -230,6 +276,14 @@ class Core:
         self._last_code_ppage = 0
         # Sequential-prefetch stream buffer (physical line numbers).
         self._istream = []
+        # What a generated step (repro.cpu.step.compile_run) folds in:
+        # the page and L1 geometry, the L1D hit latency, the mispredict
+        # penalty and the interrupt skew.
+        self.shape = (config.page_bits, self.ihier.l1._line_shift,
+                      self.dhier.l1._line_shift,
+                      _tag_probe(self.ihier.l1)[1],
+                      _tag_probe(self.dhier.l1)[1], config.l1d.latency,
+                      config.mispredict_penalty, config.interrupt_skew)
 
     # ------------------------------------------------------------------
 
@@ -311,7 +365,6 @@ class Core:
         gt_edges = machine.gt_edges
         counters = self.counters
         pending = self._pending
-        sink = self.sample_sink
         edge_sink = self.edge_sink
         # A pending double-sample does not survive a context switch (the
         # second PC would belong to a different process).
@@ -333,7 +386,7 @@ class Core:
         # A fetch line's page and its line within the page.
         line_page_shift = page_bits - line_shift
         line_page_mask = (1 << line_page_shift) - 1
-        # The slow path's inlined hit probes, bound once: Cache.flush
+        # The interpreter's inlined hit probes, bound once: Cache.flush
         # and TLB.flush clear in place, and the write buffer's dict is
         # never replaced.
         ics, imask = _tag_probe(l1i)
@@ -342,6 +395,11 @@ class Core:
         dtb_entries = dtb._entries
         wb_entries = wb._entries
         wb_shift = wb.BLOCK_SHIFT
+        # Front-end penalties and dynamic events of the current
+        # instruction (repro.cpu.step: zero / None between them).
+        itb_pen = icache_pen = 0
+        events_now = None
+        res_reason = None
 
         iregs = proc.iregs
         fregs = proc.fregs
@@ -365,14 +423,10 @@ class Core:
         pair_open = False
         prev_cls = -1
         leader_pc = proc.last_pc
-        # Mispredict, handler and fetch cycles delaying the next
-        # instruction's arrival; front_reason names the first kind,
-        # itb_pen and icache_pen are the last.
+        # Mispredict and handler cycles delaying the next instruction's
+        # arrival; front_reason names the first kind.
         front_extra = 0
         front_reason = None
-        itb_pen = icache_pen = 0
-        events_now = None  # [(event, time)] of the current instruction
-        rec_stalls = None  # its stalls, while a schedule is recording
         imul_free = proc.imul_free
         fdiv_free = proc.fdiv_free
         retired = 0
@@ -385,6 +439,7 @@ class Core:
         fp_dispatches = 0
         fp_replayed = 0
         fp_trace_entries = 0
+        fp_compiled = 0
         at_head = fp_on  # a run entry is always a block boundary
         replay_var = None  # variant or trace the gate chose this iteration
         # A trace's cycle room (CYCLES headroom or deadline) and the laps
@@ -402,15 +457,12 @@ class Core:
         compile_uses = fp.COMPILE_USES if fp_on else 0
         trace_uses = fp.TRACE_USES if fp_on else 0
         # The schedule this iteration's run visit records for the gate's
-        # (run, key), issue cycles relative to its t0.
-        rec_list = None
+        # (run, key), issue cycles relative to its t0, and the current
+        # instruction's stalls.
+        rec_list = rec_stalls = None
 
         deadline = (prev_issue + cycle_limit if cycle_limit is not None
                     else UNBOUNDED)
-        # A run stops after the instruction that issues at or after
-        # stop: the deadline, or at once when a double sample awaits
-        # its second half.
-        stop = deadline
         insts_left = inst_limit if inst_limit is not None else -1
         status = BUDGET
 
@@ -425,7 +477,7 @@ class Core:
                 status = QUANTUM
                 break
 
-            # ---- the run at pc: the gate's unit and the slow path's ----
+            # ---- the run at pc: the gate's unit and the step's ----------
             run = runs.get(pc)
             if run is None:
                 run = _walk(decode_map, pc, exit_addr, line_shift)
@@ -648,19 +700,75 @@ class Core:
                 at_head = True
                 continue
 
-            # ---- slow path: one straight-line run ------------------------
+            # ---- step: one visit of the run ------------------------------
             if edge_from is not None:
                 # Second half of a double sample: this is the next PC
                 # executed after the first interrupt returned.
                 edge_sink(self.cpu_id, proc.pid, edge_from, pc,
                           prev_issue)
                 edge_from = None
-                stop = deadline
             if front_reason is not None and not front_extra:
                 # The mispredict owes no cycles (a zero penalty): a
                 # later handler delay must not be charged to it.
                 front_reason = None
             n = run.n
+            step = run.step
+            if step is None and fp_on:
+                # Tier-up: a run that has run COMPILE_RUN_AT
+                # instructions interpreted gets its generated step.
+                run.cold -= 1
+                if run.cold <= 0:
+                    step = run.step = compile_run(run.recs, self.shape)
+                    fp.compiled_runs += 1
+            if step is not None and rec_list is None and not (
+                    0 <= insts_left < n):
+                # A loop whose gate refuses it for its own cause may run
+                # whole further visits as laps while the budget covers.
+                laps = 0
+                if run.loops and run.refusal is not None and run.refusal >= 0:
+                    laps = (insts_left // n - 1 if insts_left >= 0
+                            else UNBOUNDED)
+                (k, laps, pc, prev_issue, pair_open, prev_cls, leader_pc,
+                 front_extra, front_reason, imul_free, fdiv_free, cyc_base,
+                 cyc_mark, edge_from) = step(
+                    self, proc, iregs, fregs, mem, reg_ready,
+                    reg_ready_static, reg_dyn_reason, dtb, l1d, dhier, wb,
+                    bp, l1i, gt_head, gt_stall, gt_events, gt_edges,
+                    pending, prev_issue, pair_open, prev_cls, leader_pc,
+                    front_extra, front_reason, imul_free, fdiv_free,
+                    cyc_base, cyc_mark, deadline, laps)
+                fp_compiled += k
+                if laps:
+                    # Each lap began at the run's head with nothing owed
+                    # or pending: the gate would have refused it for the
+                    # run's own cause.
+                    if slow_cause != run.refusal:
+                        slow_counts[slow_cause] += retired + n - slow_from
+                        slow_from = retired + n
+                        slow_cause = run.refusal
+                    if not run.hits:
+                        visited.append(run)
+                    run.hits += laps
+                    laps *= n
+                    fp_compiled += laps
+                    insts_left -= laps
+                    retired += laps
+                if k == n:
+                    if run.ctrl:
+                        at_head = True
+                    if not run.hits:
+                        visited.append(run)
+                    run.hits += 1
+                else:
+                    # Stopped mid-run: count the prefix that ran.
+                    for addr in range(run.pc, run.pc + 4 * k, 4):
+                        gt_count[addr] = gt_count.get(addr, 0) + 1
+                insts_left -= k
+                retired += k
+                continue
+
+            # ---- interpreted: cold, recording, or cut by the budget ----
+            stop = deadline
             chunks = (run.prefix(insts_left) if 0 <= insts_left < n
                       else run.chunks)
             next_pc = run.end  # the fall-through; a taken transfer sets it
@@ -684,28 +792,19 @@ class Core:
                      fn, unit, busy, ctrl, pc, nsrc) in recs:
                     # ---- operand readiness ----------------------------
                     if nsrc == 1:
-                        src, = srcs
-                        rdy = reg_ready[src]
-                        rdy_static = reg_ready_static[src]
+                        rdy = reg_ready[srcs[0]]
                     elif nsrc == 2:
                         src, s1 = srcs
                         rdy = reg_ready[src]
                         r = reg_ready[s1]
                         if r > rdy:
                             rdy = r
-                        rdy_static = reg_ready_static[src]
-                        r = reg_ready_static[s1]
-                        if r > rdy_static:
-                            rdy_static = r
                     else:
-                        rdy = rdy_static = 0
+                        rdy = 0
                         for src in srcs:
                             r = reg_ready[src]
                             if r > rdy:
                                 rdy = r
-                            r = reg_ready_static[src]
-                            if r > rdy_static:
-                                rdy_static = r
 
                     # ---- resources ------------------------------------
                     # res_reason is read only when res > 0.
@@ -756,75 +855,20 @@ class Core:
 
                         # ---- ground-truth stall decomposition ---------
                         if cycles_head > 1 or front_extra:
-                            stall_row = gt_stall.get(pc)
-                            if stall_row is None:
-                                stall_row = {}
-                                gt_stall[pc] = stall_row
-                            if front_extra:
-                                fetch_pen = itb_pen + icache_pen
-                                if front_extra != fetch_pen and front_reason:
-                                    stall_row[front_reason] = (
-                                        stall_row.get(front_reason, 0)
-                                        + front_extra - fetch_pen)
-                                if itb_pen:
-                                    stall_row["itb"] = (
-                                        stall_row.get("itb", 0) + itb_pen)
-                                    itb_pen = 0
-                                if icache_pen:
-                                    stall_row["icache"] = (
-                                        stall_row.get("icache", 0)
-                                        + icache_pen)
-                                    icache_pen = 0
-                                front_extra = 0
-                                front_reason = None
-                            base = arrival
-                            d_static = (rdy_static if rdy_static < issue
-                                        else issue) - base
-                            if d_static > 0:
-                                # The first source holding the latest
-                                # static ready time.
-                                dep_index = 0
-                                for src in srcs:
-                                    if reg_ready_static[src] == rdy_static:
-                                        break
-                                    dep_index += 1
-                                reason = DEP_REASON[dep_index]
-                                stall_row[reason] = (
-                                    stall_row.get(reason, 0) + d_static)
-                                if rec_list is not None:
-                                    rec_stalls = [(reason, d_static)]
-                                base += d_static
-                            d_dyn = rdy - base  # issue >= rdy
-                            if d_dyn > 0:
-                                for src in srcs:
-                                    if reg_ready[src] == rdy:
-                                        break
-                                reason = reg_dyn_reason.get(src) or "dcache"
-                                stall_row[reason] = (
-                                    stall_row.get(reason, 0) + d_dyn)
-                                if rec_list is not None:
-                                    if rec_stalls is None:
-                                        rec_stalls = []
-                                    rec_stalls.append((reason, d_dyn))
-                                base = rdy
-                            if res > base:
-                                stall_row[res_reason] = (
-                                    stall_row.get(res_reason, 0)
-                                    + (res - base))
-                                if rec_list is not None:
-                                    if rec_stalls is None:
-                                        rec_stalls = []
-                                    rec_stalls.append((res_reason, res - base))
+                            rec_stalls = charge_stalls(
+                                gt_stall, pc, front_extra, front_reason,
+                                itb_pen, icache_pen, arrival, issue, rdy,
+                                res, res_reason, srcs, proc,
+                                rec_list is not None)
+                            front_extra = 0
+                            front_reason = None
+                            itb_pen = icache_pen = 0
                         elif (pair_open and prev_cls >= 0
                               and not pair_ok[prev_cls][cls_id]):
-                            # Pairing failed purely on pipe assignment:
-                            # slotting.
-                            stall_row = gt_stall.get(pc)
-                            if stall_row is None:
-                                stall_row = {}
-                                gt_stall[pc] = stall_row
-                            stall_row["slotting"] = (
-                                stall_row.get("slotting", 0) + 1)
+                            try:
+                                gt_stall[pc]["slotting"] += 1
+                            except KeyError:
+                                charge_slotting(gt_stall, pc)
                             if rec_list is not None:
                                 rec_stalls = [("slotting", 1)]
                         pair_open = True
@@ -1000,11 +1044,9 @@ class Core:
                     if issue >= cyc_mark:
                         # An overflow is due: the slots take the cycles
                         # since cyc_base (all one contiguous run).
-                        for ev, otime in counters.add(
-                                _EV_CYCLES, issue - cyc_base, issue):
-                            pending.append((otime + skew, ev))
+                        cyc_mark = count_cycles(counters, pending, skew,
+                                                issue - cyc_base, issue)
                         cyc_base = issue
-                        cyc_mark = issue + counters.headroom(_EV_CYCLES)
                     if events_now:
                         if rec_list is not None:
                             # A dynamic event landed inside the block:
@@ -1012,57 +1054,22 @@ class Core:
                             # stall-free one.
                             rec_list = None
                             fp.abort_recording(run)
-                        row = gt_events.get(pc)
-                        if row is None:
-                            row = {}
-                            gt_events[pc] = row
-                        for ev, etime in events_now:
-                            row[ev] = row.get(ev, 0) + 1
-                            for oev, otime in counters.add(ev, 1, etime):
-                                pending.append((otime + skew, oev))
+                        post_events(gt_events, pc, events_now, counters,
+                                    pending, skew)
                         events_now = None
                     if pending:
-                        ready = [p for p in pending if p[0] <= issue]
-                        if ready:
+                        # An interrupt due: it reports the leader before
+                        # this instruction unless this one paired.
+                        delivered = deliver(
+                            self, proc.pid, pending, issue, prev_issue, pc,
+                            leader_pc if issue == prev_issue
+                            else leader_before, ctrl, next_pc, front_extra,
+                            edge_from, stop)
+                        if delivered is not None:
                             if rec_list is not None:
                                 rec_list = None
                                 fp.abort_recording(run)
-                            pending[:] = [p for p in pending if p[0] > issue]
-                            for dtime, ev in ready:
-                                # Deliveries while the previous
-                                # instruction still held the head belong
-                                # to it (to the leader of a dual issue);
-                                # anything later -- including the
-                                # fetch-stall gap, when the issue queue
-                                # is empty -- reports the PC of the next
-                                # instruction to execute (paper section
-                                # 4.1.2: this is what makes IMISS
-                                # samples land on the missing
-                                # instruction).
-                                if dtime > prev_issue:
-                                    attr_pc = pc
-                                elif issue == prev_issue:
-                                    attr_pc = leader_pc
-                                else:
-                                    attr_pc = leader_before
-                                if sink is not None:
-                                    cost = sink(self.cpu_id, proc.pid,
-                                                attr_pc, ev, dtime)
-                                    if cost:
-                                        front_extra += cost
-                                if edge_sink is not None and ev is _EV_CYCLES:
-                                    if self.edge_interpret:
-                                        # Decode the sampled instruction;
-                                        # if it transfers control, its
-                                        # direction is computable from
-                                        # register state (we executed it
-                                        # already: next_pc).
-                                        if attr_pc == pc and ctrl:
-                                            edge_sink(self.cpu_id, proc.pid,
-                                                      pc, next_pc, dtime)
-                                    else:
-                                        edge_from = attr_pc
-                                        stop = -1
+                            front_extra, edge_from, stop = delivered
 
                     # ---- recording ------------------------------------
                     if rec_list is not None:
@@ -1117,6 +1124,7 @@ class Core:
             fp.replayed_instructions += fp_replayed
             fp.dispatches += fp_dispatches
             fp.trace_entries += fp_trace_entries
+            fp.compiled_instructions += fp_compiled
             if slow_cause >= 0:
                 slow_counts[slow_cause] += retired - slow_from
 

@@ -1,0 +1,653 @@
+"""One visit of a straight-line run, in generated code, and the rules
+the interpreter and the generated code share.
+
+``Core.run``'s dispatch loop (:mod:`repro.cpu.pipeline`) runs every run
+visit the gate does not replay in one of two ways.  Its loop body
+*interprets* the run's predecoded records: the reference, the only way
+with the fast path off, and the way of cold runs, of visits that record
+a schedule for the gate and of visits the instruction budget cuts
+short.  A hot run instead gets a *generated step*
+(:func:`compile_run`): one function that is the interpreter for that
+run's records -- register numbers, opcode semantics (``open_code`` of
+the record's callable), fetch-line chunks and pairing rows folded in as
+constants -- which probes, misses and counts the models as the
+interpreter does.  It returns where the run ends or where ``issue >=
+stop`` stops the visit, with the loop state the next iteration
+continues from, as the interpreter leaves it::
+
+    (k, laps, next_pc, prev_issue, pair_open, prev_cls, leader_pc,
+     front_extra, front_reason, imul_free, fdiv_free, cyc_base,
+     cyc_mark, edge_from)
+
+*k* is the number of instructions the (last) visit ran and *next_pc*
+the address the loop continues at; *laps* counts the complete visits
+before it that the step of a loop ran from the run's head without
+returning (at most the *laps* it was given).
+
+Where the issue rule would live twice, one source feeds both: stall
+decomposition (:func:`charge_stalls`), slotting (:func:`charge_slotting`
+-- both keep a one-line in-line case for a row that already counts
+slotting), CYCLES overflow (:func:`count_cycles`), event counting
+(:func:`post_events`) and sample delivery (:func:`deliver`) are
+functions both call.  What stays written twice is the common path the
+generator folds: operand readiness, the pairing test, arrival / issue
+and ``gt_head``, the hit probes and each kind's execute.
+"""
+
+from repro.alpha.opcodes import MASK64, open_code
+from repro.alpha.predecode import PAIR_OK_ID
+from repro.cpu.events import EventType
+from repro.cpu.fastpath import CODE_GLOBALS, cache_code, cached_code
+from repro.cpu.issue import DEP_REASON
+from repro.cpu.writebuffer import WriteBuffer
+
+_EV_CYCLES = EventType.CYCLES
+_EV_DMISS = EventType.DMISS
+_EV_BRANCHMP = EventType.BRANCHMP
+_EV_DTBMISS = EventType.DTBMISS
+
+_WB_SHIFT = WriteBuffer.BLOCK_SHIFT
+
+
+# ---- the rules both steps call ------------------------------------------
+
+
+def charge_stalls(gt_stall, pc, front_extra, front_reason, itb_pen,
+                  icache_pen, arrival, issue, rdy, res, res_reason, srcs,
+                  proc, recording):
+    """Decompose an unpaired instruction's head cycles into ground-truth
+    stall reasons; the caller then owes no front-end cycles.
+
+    The front end's debt goes first (mispredict or handler cycles under
+    *front_reason*, then the ITB and I-cache fetch penalties), then the
+    static dependency on the first source holding the latest static
+    ready time, the dynamic rest (a miss) and the resource wait.  With
+    *recording*, returns the instruction's ``(reason, cycles)`` stalls
+    after the front end's, for the gate's schedule."""
+    stall_row = gt_stall.get(pc)
+    if stall_row is None:
+        stall_row = {}
+        gt_stall[pc] = stall_row
+    stalls = [] if recording else None
+    if front_extra:
+        fetch_pen = itb_pen + icache_pen
+        if front_extra != fetch_pen and front_reason:
+            stall_row[front_reason] = (stall_row.get(front_reason, 0)
+                                       + front_extra - fetch_pen)
+        if itb_pen:
+            stall_row["itb"] = stall_row.get("itb", 0) + itb_pen
+        if icache_pen:
+            stall_row["icache"] = stall_row.get("icache", 0) + icache_pen
+    base = arrival
+    if rdy > base:
+        # A source not ready at arrival: its static part (a register
+        # dependence; static ready times never exceed dynamic ones),
+        # then the dynamic rest.
+        reg_ready_static = proc.reg_ready_static
+        rdy_static = 0
+        for src in srcs:
+            r = reg_ready_static[src]
+            if r > rdy_static:
+                rdy_static = r
+        d_static = (rdy_static if rdy_static < issue else issue) - base
+        if d_static > 0:
+            dep_index = 0
+            for src in srcs:
+                if reg_ready_static[src] == rdy_static:
+                    break
+                dep_index += 1
+            reason = DEP_REASON[dep_index]
+            stall_row[reason] = stall_row.get(reason, 0) + d_static
+            if recording:
+                stalls.append((reason, d_static))
+            base += d_static
+        d_dyn = rdy - base  # issue >= rdy
+        if d_dyn > 0:
+            reg_ready = proc.reg_ready
+            for src in srcs:
+                if reg_ready[src] == rdy:
+                    break
+            reason = proc.reg_dyn_reason.get(src) or "dcache"
+            stall_row[reason] = stall_row.get(reason, 0) + d_dyn
+            if recording:
+                stalls.append((reason, d_dyn))
+            base = rdy
+    if res > base:
+        stall_row[res_reason] = stall_row.get(res_reason, 0) + (res - base)
+        if recording:
+            stalls.append((res_reason, res - base))
+    return stalls
+
+
+def charge_slotting(gt_stall, pc):
+    """An unpaired instruction that stalled on nothing but could not
+    join the open issue slot: pairing failed purely on pipe
+    assignment."""
+    stall_row = gt_stall.get(pc)
+    if stall_row is None:
+        stall_row = {}
+        gt_stall[pc] = stall_row
+    stall_row["slotting"] = stall_row.get("slotting", 0) + 1
+
+
+def count_cycles(counters, pending, skew, amount, issue):
+    """Hand the CYCLES slots the *amount* cycles ending at *issue* (an
+    overflow is due); return the new watermark ``cyc_mark``."""
+    for ev, otime in counters.add(_EV_CYCLES, amount, issue):
+        pending.append((otime + skew, ev))
+    return issue + counters.headroom(_EV_CYCLES)
+
+
+def post_events(gt_events, pc, events, counters, pending, skew):
+    """Count the instruction's dynamic *events* ``[(event, time)]`` in
+    ground truth and on the counters."""
+    row = gt_events.get(pc)
+    if row is None:
+        row = {}
+        gt_events[pc] = row
+    for ev, etime in events:
+        row[ev] = row.get(ev, 0) + 1
+        for oev, otime in counters.add(ev, 1, etime):
+            pending.append((otime + skew, oev))
+
+
+def deliver(core, pid, pending, issue, prev_issue, pc, leader, ctrl,
+            next_pc, front_extra, edge_from, stop):
+    """Deliver the interrupts in *pending* due by *issue*: None when
+    none is, else ``(front_extra, edge_from, stop)`` -- the front-end
+    debt with the handlers' cycles added, and, after a CYCLES sample
+    under double sampling, the PC awaiting the second half and a stop
+    right after this instruction.
+
+    Deliveries while the previous instruction still held the head
+    belong to it (to *leader*, the leader of a dual issue); anything
+    later -- including the fetch-stall gap, when the issue queue is
+    empty -- reports the PC of the next instruction to execute (paper
+    section 4.1.2: this is what makes IMISS samples land on the missing
+    instruction)."""
+    ready = [p for p in pending if p[0] <= issue]
+    if not ready:
+        return None
+    pending[:] = [p for p in pending if p[0] > issue]
+    sink = core.sample_sink
+    edge_sink = core.edge_sink
+    for dtime, ev in ready:
+        attr_pc = pc if dtime > prev_issue else leader
+        if sink is not None:
+            cost = sink(core.cpu_id, pid, attr_pc, ev, dtime)
+            if cost:
+                front_extra += cost
+        if edge_sink is not None and ev is _EV_CYCLES:
+            if core.edge_interpret:
+                # Decode the sampled instruction; if it transfers
+                # control, its direction is computable from register
+                # state (we executed it already: next_pc).
+                if attr_pc == pc and ctrl:
+                    edge_sink(core.cpu_id, pid, pc, next_pc, dtime)
+            else:
+                edge_from = attr_pc
+                stop = -1
+    return front_extra, edge_from, stop
+
+
+# ---- the generated step -------------------------------------------------
+
+
+def load_miss(core, proc, vaddr, issue, events):
+    """A load with no D-TLB entry, for generated steps: the models
+    translate and access, counting hits and misses as the interpreter
+    does.  Returns the cycles until the value is ready after *issue*,
+    the destination's dynamic ready reason and *events* with the misses
+    added."""
+    page_bits = core.shape[0]
+    ppage, dtb_pen, dtb_miss = core.dtb.translate(
+        proc.asn, vaddr >> page_bits, proc.translate_data)
+    dlat, dmiss = core.dhier.access(
+        (ppage << page_bits) | (vaddr & ((1 << page_bits) - 1)))
+    if dmiss or dtb_miss:
+        if events is None:
+            events = []
+        if dmiss:
+            events.append((_EV_DMISS, issue))
+        if dtb_miss:
+            events.append((_EV_DTBMISS, issue))
+    return (dtb_pen + dlat, "dcache" if dmiss else "dtb" if dtb_miss
+            else None, events)
+
+
+def store_translate(core, proc, vaddr, issue, events):
+    """A store with no D-TLB entry, for generated steps: the D-TLB
+    translates.  Returns the physical page and *events* with the miss
+    added."""
+    ppage, _, dtb_miss = core.dtb.translate(
+        proc.asn, vaddr >> core.shape[0], proc.translate_data)
+    if dtb_miss:
+        if events is None:
+            events = []
+        events.append((_EV_DTBMISS, issue))
+    return ppage, events
+
+
+#: What generated steps see besides their arguments: replay code's
+#: globals and the rules above.
+_RUN_GLOBALS = dict(CODE_GLOBALS)
+_RUN_GLOBALS.update(
+    charge_stalls=charge_stalls, charge_slotting=charge_slotting,
+    count_cycles=count_cycles, post_events=post_events, deliver=deliver,
+    load_miss=load_miss, store_translate=store_translate,
+    _EV_DMISS=_EV_DMISS, _EV_BRANCHMP=_EV_BRANCHMP)
+
+
+def compile_run(recs, shape):
+    """The generated step for a run of records *recs* on a core of
+    *shape* (``Core.shape``): ``Core.run``'s interpreter without the
+    recording, for every visit the budget does not cut.  Functions are
+    kept in the fast path's code cache
+    (:func:`repro.cpu.fastpath.cached_code`), keyed by the generator's
+    whole input."""
+    key = ("run", recs, shape)
+    fn = cached_code(key)
+    if fn is None:
+        scope = {}
+        exec(compile(_run_source(recs, shape), "<compiled-run>", "exec"),
+             _RUN_GLOBALS, scope)
+        fn = scope["_step"]
+        cache_code(key, fn)
+    return fn
+
+
+def _run_source(recs, shape):
+    """The text of :func:`compile_run`'s function, section by section
+    as ``Core.run``'s interpreter runs them.
+
+    Facts of the interpreter's loop make constants of what it tests:
+
+    * only a chunk's first record can cross a fetch line, and only the
+      run's first chunk can start on the line fetched last;
+    * ``_last_code_page`` is the page of ``_last_fetch_line`` (only
+      ``Core._fetch`` moves it, after that line is set), so after the
+      first chunk the code page is known, and so is its physical page
+      until a chunk on another page;
+    * the front end's reason and fetch penalties are consumed by the
+      first unpaired instruction after they arise -- so after the run's
+      first instruction ``front_reason`` is None until the terminator,
+      and the penalties are 0 but at a chunk's first record.
+
+    D-TLB and L1D hits of the inlined probes are counted in locals and
+    added to the models when the visit returns."""
+    (page_bits, ishift, dshift, imask, dmask, l1d_latency,
+     mispredict_penalty, skew) = shape
+    lps = page_bits - ishift
+    pm = (1 << page_bits) - 1
+    mask64 = str(MASK64)
+    body = []
+
+    def out(line):
+        body.append("        " + line.replace("MASK64", mask64))
+    n = len(recs)
+    lap = loops(recs)
+    lines = {rec[14] >> ishift for rec in recs}
+    prev_line = None
+    prev_cls = None
+    next_pc = None
+    for j, (kind, cls_id, lat, srcs, f1, f2, _, dst, imm, target, fn,
+            unit, busy, ctrl, pc, nsrc) in enumerate(recs):
+        # ---- fetch
+        fline = pc >> ishift
+        head = fline != prev_line
+        if head:
+            pre = ""
+            fetch = ("else: itb_pen, icache_pen, events_now = core._fetch("
+                     "%d, prev_issue); front_extra += itb_pen + icache_pen"
+                     % pc)
+            offset = fline & ((1 << lps) - 1)
+            if prev_line is None or fline >> lps != prev_line >> lps:
+                if prev_line is None:
+                    out("if core._last_fetch_line != %d:" % fline)
+                    pre = "    "
+                out(pre + "core._last_fetch_line = %d" % fline)
+                out(pre + "_il = (core._last_code_ppage << %d) | %d"
+                    % (lps, offset))
+                out(pre + "if (core._last_code_page == %d and l1i.sets[_il"
+                    " & %d] == _il and _il not in core._istream):"
+                    " l1i.hits += 1" % (fline >> lps, imask))
+                out(pre + fetch)
+                if len(lines) > 1:
+                    out("_cl = core._last_code_ppage << %d" % lps)
+            else:
+                # The page is the previous chunk's.
+                out("core._last_fetch_line = %d" % fline)
+                out("_il = _cl | %d" % offset)
+                out("if _ics[_il & %d] == _il and _il not in _ist:"
+                    " l1i.hits += 1" % imask)
+                out(fetch)
+            prev_line = fline
+        # Whether events_now may hold something in this instruction.
+        events = head
+
+        # ---- operand readiness
+        rdy = "0"
+        if nsrc:
+            rdy = "rdy"
+            out("rdy = reg_ready[%d]" % srcs[0])
+            for src in srcs[1:]:
+                out("if reg_ready[%d] > rdy: rdy = reg_ready[%d]"
+                    % (src, src))
+
+        # ---- resources
+        res = "0"
+        res_reason = None
+        if unit == 1:
+            res, res_reason = "imul_free", "imul"
+        elif unit == 2:
+            res, res_reason = "fdiv_free", "fdiv"
+        elif 7 <= kind <= 9:
+            res, res_reason = "res", "wb"
+            out("_va = %s" % _address(f2, imm))
+            out("_wd = _wbe.get(_va >> %d)" % _WB_SHIFT)
+            out("res = prev_issue + 1 if _wd is not None else"
+                " wb.earliest_issue(_va, prev_issue + 1)")
+
+        # ---- issue / pairing: the pairing row is a constant but at the
+        # run's first instruction, whose leader is the entry's.
+        column = tuple(row[cls_id] for row in PAIR_OK_ID)
+        if prev_cls is not None:
+            pair_ok = column[prev_cls]
+        elif all(column) or not any(column):
+            pair_ok = column[0]
+        else:
+            pair_ok = "%r[prev_cls]" % (column,)
+        pre = ""
+        if pair_ok:
+            tests = ["pair_open", "not front_extra"]
+            if nsrc:
+                tests.append("rdy <= prev_issue")
+            if res != "0":
+                tests.append("%s <= prev_issue" % res)
+            if pair_ok is not True:
+                tests.append(pair_ok)
+            out("if %s:" % " and ".join(tests))
+            out("    issue = prev_issue")
+            out("    pair_open = False")
+            out("else:")
+            pre = "    "
+        out(pre + "arrival = prev_issue + 1 + front_extra")
+        out(pre + ("issue = rdy if rdy > arrival else arrival" if nsrc
+                   else "issue = arrival"))
+        if res != "0":
+            out(pre + "if %s > issue: issue = %s" % (res, res))
+        # The head cycles, issue - arrival + 1, go to ground truth (a
+        # loop's add up over its laps, for gt_head at return); more than
+        # one, or a front end owed, is a stall.
+        if lap:
+            out(pre + "_g%d += issue - arrival + 1" % j)
+        else:
+            out(pre + "try: gt_head[%d] += issue - arrival + 1" % pc)
+            out(pre + "except KeyError: gt_head[%d] = issue - arrival + 1"
+                % pc)
+        out(pre + "leader_before = leader_pc")
+        out(pre + "leader_pc = %d" % pc)
+        owed = "front_extra = 0"
+        if head:
+            owed += "; itb_pen = icache_pen = 0"
+        if j == 0:
+            owed += "; front_reason = None"
+        out(pre + "if issue > arrival or front_extra: charge_stalls("
+            "gt_stall, %d, front_extra, %s, %s, arrival, issue, %s, %s, %r,"
+            " %r, proc, False); %s"
+            % (pc, "front_reason" if j == 0 else "None",
+               "itb_pen, icache_pen" if head else "0, 0", rdy, res,
+               res_reason, srcs, owed))
+        if pair_ok is not True:
+            # pair_open implies a leader, so prev_cls >= 0.  A row that
+            # already counts slotting takes the cycle in line.
+            out(pre + ("elif pair_open and not %s:" % pair_ok
+                       if pair_ok else "elif pair_open:"))
+            out(pre + '    try: gt_stall[%d]["slotting"] += 1' % pc)
+            out(pre + "    except KeyError: charge_slotting(gt_stall, %d)"
+                % pc)
+        out(pre + "pair_open = True")
+        prev_cls = cls_id
+
+        # ---- execute
+        if dst is not None:
+            ready = ("reg_ready[%d] = reg_ready_static[%d] = issue + %%d;"
+                     " reg_dyn_reason[%d] = None" % (dst, dst, dst))
+        if kind == 0:  # op
+            if dst is not None:
+                b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
+                out("iregs[%d] = %s"
+                    % (dst, open_code(fn, "iregs[%d]" % f1, b)))
+                out(ready % lat)
+            if unit == 1:
+                out("imul_free = issue + %d" % busy)
+        elif kind == 1:  # cmov (the old value is the destination's)
+            if dst is not None:
+                b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
+                out("if %s: iregs[%d] = %s"
+                    % (open_code(fn, "iregs[%d]" % f1), dst, b))
+                out(ready % lat)
+        elif kind == 2:  # fop
+            if dst is not None:
+                a = "fregs[%d]" % f1 if f1 is not None else "0.0"
+                out("fregs[%d] = %s"
+                    % (dst - 32, open_code(fn, a, "fregs[%d]" % f2)))
+                out(ready % lat)
+            if unit == 2:
+                out("fdiv_free = issue + %d" % busy)
+        elif kind == 3:  # lda
+            if dst is not None:
+                if f2 is not None:
+                    out("iregs[%d] = (iregs[%d] + %d) & MASK64"
+                        % (dst, f2, imm))
+                else:
+                    out("iregs[%d] = %d" % (dst, imm & MASK64))
+                out(ready % lat)
+        elif kind <= 9:  # loads and stores: the hit probes in line
+            if kind <= 6:
+                out("_va = %s" % _address(f2, imm))
+            out("_pp = _dte.get((asn, _va >> %d))" % page_bits)
+            probe = ("_l1s[(_ln := ((_pp << %d) | (_va & %d)) >> %d) & %d]"
+                     " == _ln" % (page_bits, pm, dshift, dmask))
+            if kind <= 6:
+                out("if _pp is not None and %s:" % probe)
+                out("    _th += 1; _lh += 1")
+                if dst is not None:
+                    out("    " + ready % l1d_latency)
+                # An L1D miss under a D-TLB entry: the hierarchy decides.
+                out("elif _pp is not None:")
+                out("    _th += 1")
+                out("    _dl, _dm = dhier.access((_pp << %d) | (_va & %d))"
+                    % (page_bits, pm))
+                missed = ("events_now = [(_EV_DMISS, issue)]" if not events
+                          else "events_now = ([] if events_now is None else"
+                          " events_now) + [(_EV_DMISS, issue)]")
+                if dst is not None:
+                    out("    reg_ready[%d] = issue + _dl; reg_ready_static"
+                        "[%d] = issue + %d" % (dst, dst, l1d_latency))
+                    out("    if _dm: reg_dyn_reason[%d] = 'dcache'; %s"
+                        % (dst, missed))
+                    out("    else: reg_dyn_reason[%d] = None" % dst)
+                    out("else:")
+                    out("    _dl, reg_dyn_reason[%d], events_now = "
+                        "load_miss(core, proc, _va, issue, events_now)" % dst)
+                    out("    reg_ready[%d] = issue + _dl; reg_ready_static"
+                        "[%d] = issue + %d" % (dst, dst, l1d_latency))
+                else:
+                    out("    if _dm: " + missed)
+                    out("else: events_now = load_miss(core, proc, _va, issue,"
+                        " events_now)[2]")
+            else:
+                out("if _pp is None: _pp, events_now = store_translate("
+                    "core, proc, _va, issue, events_now)")
+                out("else: _th += 1")
+                # Write-through, no-write-allocate: a miss installs
+                # nothing (Cache.lookup with allocate=False).
+                out("if %s: _lh += 1" % probe)
+                out("else: _lm += 1")
+            events = True
+            if kind == 4 and dst is not None:  # ldq
+                out("iregs[%d] = mem.get(_va & -8, 0)" % dst)
+            elif kind == 5 and dst is not None:  # ldl
+                out("_v = mem.get(_va & -4, 0) & 0xFFFFFFFF")
+                out("iregs[%d] = (_v | -4294967296) & MASK64 if _v >> 31"
+                    " else _v" % dst)
+            elif kind == 6 and dst is not None:  # ldt
+                out("_v = mem.get(_va & -8, 0)")
+                out("fregs[%d] = _v if isinstance(_v, float) else float(_v)"
+                    % (dst - 32))
+            elif kind >= 7:
+                # Still draining at issue: the store merges.
+                out("if _wd is not None and _wd > issue: wb.merges += 1")
+                out("else: wb.commit(_va, issue)")
+                if kind == 7:  # stq
+                    out("mem[_va & -8] = iregs[%d]" % f1)
+                elif kind == 8:  # stl
+                    out("mem[_va & -4] = iregs[%d] & 0xFFFFFFFF" % f1)
+                else:  # stt
+                    out("mem[_va & -8] = fregs[%d]" % f1)
+        elif kind == 11 or kind == 12:  # cbranch / fbranch
+            regs = "iregs" if kind == 11 else "fregs"
+            out("_t = %s" % open_code(fn, "%s[%d]" % (regs, f1)))
+            out("if _t: next_pc = %d; pair_open = False" % target)
+            out("else: next_pc = %d" % (pc + 4))
+            # Open-coded BranchPredictor.predict_conditional.
+            out("_bt = bp._table; _bx = %d & bp._mask; _c = _bt[_bx]"
+                % (pc >> 2))
+            out("_bt[_bx] = _UP[_c] if _t else _DOWN[_c]")
+            out("bp.predictions += 1")
+            out("if (_c >= 2) != _t:")
+            out("    bp.mispredictions += 1")
+            _mispredict(out, events, mispredict_penalty)
+            out("_e = (%d, next_pc); gt_edges[_e] = gt_edges.get(_e, 0) + 1"
+                % pc)
+            events = True
+            next_pc = "next_pc"
+        elif kind == 13 or kind == 14:  # br / bsr
+            if dst is not None:
+                out("iregs[%d] = %d" % (dst, pc + 4))
+                out(ready % 1)
+            if kind == 14:
+                out("bp.push_call(%d)" % (pc + 4))
+            out("pair_open = False")
+            out("gt_edges[%r] = gt_edges.get(%r, 0) + 1"
+                % ((pc, target), (pc, target)))
+            next_pc = str(target)
+        elif kind >= 15:  # jmp / jsr / ret
+            out("next_pc = iregs[%d] & -4" % f2)
+            if dst is not None:
+                out("iregs[%d] = %d" % (dst, pc + 4))
+                out(ready % 1)
+            if kind == 16:
+                out("bp.push_call(%d)" % (pc + 4))
+                out("if not bp.predict_indirect(%d, next_pc):" % pc)
+            elif kind == 17:
+                out("if not bp.predict_return(next_pc):")
+            else:
+                out("if not bp.predict_indirect(%d, next_pc):" % pc)
+            _mispredict(out, events, mispredict_penalty)
+            out("pair_open = False")
+            out("if next_pc != proc.exit_addr: _e = (%d, next_pc);"
+                " gt_edges[_e] = gt_edges.get(_e, 0) + 1" % pc)
+            events = True
+            next_pc = "next_pc"
+        # kind == 10 (nop / call_pal): timing only.
+
+        # ---- performance counters
+        out("if issue >= cyc_mark: cyc_base, cyc_mark = issue, count_cycles("
+            "core.counters, pending, %d, issue - cyc_base, issue)" % skew)
+        if events:
+            out("if events_now: post_events(gt_events, %d, events_now,"
+                " core.counters, pending, %d); events_now = None" % (pc, skew))
+        out("if pending and (_d := deliver(core, proc.pid, pending, issue,"
+            " prev_issue, %d, %s, %r, %s, front_extra, edge_from, stop)):"
+            " front_extra, edge_from, stop = _d"
+            % (pc, "leader_pc if issue == prev_issue else leader_before"
+               if pair_ok else "leader_before", bool(ctrl),
+               next_pc if ctrl else None))
+
+        # ---- advance
+        out("prev_issue = issue")
+        if j < n - 1:
+            out("if issue >= stop: _k = %d; break" % (j + 1))
+    start = recs[0][14]
+    head = ["def _step(%s):" % _STEP_ARGS,
+            "    itb_pen = icache_pen = 0",
+            "    events_now = edge_from = None"]
+    kinds = [rec[0] for rec in recs]
+    tail = []
+    lapped = "0"
+    if lap:
+        head.append("    _laps = 0")
+        head.append("    %s = 0" % " = ".join("_g%d" % j for j in range(n)))
+        lapped = "_laps"
+        # Another visit from the head, as the dispatch loop would start
+        # it: nothing owed or pending, no double sample awaiting its
+        # second half, the deadline not reached, and a lap allowed.
+        out("if %s_laps < laps and not front_extra and not pending and"
+            " edge_from is None and issue < stop:"
+            % ("next_pc == %d and " % start if kinds[-1] <= 12 else ""))
+        # The taken transfer closed the issue slot: the first
+        # instruction reads no prev_cls.
+        out("    _laps += 1; front_reason = None; continue")
+    tail += ["        _k = %d" % n, "        break"]
+    # Hoisted probe handles: Cache.flush and TLB.flush clear in place,
+    # and the write buffer's dict and stream buffer are never replaced.
+    if len({line >> lps for line in lines}) < len(lines):
+        head.append("    _ics = l1i.sets; _ist = core._istream")
+    if any(4 <= kind <= 9 for kind in kinds):
+        head += ["    asn = proc.asn; _dte = dtb._entries; _l1s = l1d.sets",
+                 "    _th = _lh = 0"]
+        tail.append("    dtb.hits += _th; l1d.hits += _lh")
+    if any(7 <= kind <= 9 for kind in kinds):
+        head.append("    _wbe = wb._entries; _lm = 0")
+        tail.append("    l1d.misses += _lm")
+    head.append("    while True:")
+    if lap:
+        # An unpaired visit adds at least one head cycle, so a zero sum
+        # leaves gt_head without the entry, as the interpreter does.
+        for j, rec in enumerate(recs):
+            tail += ["    if _g%d:" % j,
+                     "        try: gt_head[%d] += _g%d" % (rec[14], j),
+                     "        except KeyError: gt_head[%d] = _g%d"
+                     % (rec[14], j)]
+    tail += [
+            "    return (_k, %s, %s, prev_issue, pair_open, %r[_k - 1],"
+            " leader_pc, front_extra, front_reason, imul_free, fdiv_free,"
+            " cyc_base, cyc_mark, edge_from)"
+            % (lapped, "%d + 4 * _k" % start if next_pc is None
+               else "%d + 4 * _k if _k < %d else %s" % (start, n, next_pc),
+               tuple(rec[1] for rec in recs))]
+    return "\n".join(head + body + tail)
+
+
+_STEP_ARGS = ("core, proc, iregs, fregs, mem, reg_ready, reg_ready_static,"
+              " reg_dyn_reason, dtb, l1d, dhier, wb, bp, l1i, gt_head,"
+              " gt_stall, gt_events, gt_edges, pending, prev_issue,"
+              " pair_open, prev_cls, leader_pc, front_extra, front_reason,"
+              " imul_free, fdiv_free, cyc_base, cyc_mark, stop, laps")
+
+
+def loops(recs):
+    """Whether a run of records *recs* ends in a transfer whose static
+    target is its own first instruction: a loop a generated step may
+    lap (:func:`compile_run`)."""
+    return 11 <= recs[-1][0] <= 14 and recs[-1][9] == recs[0][14]
+
+
+def _address(base, disp):
+    """The text of a memory operand's virtual address."""
+    if disp:
+        return "(iregs[%d] + %d) & MASK64" % (base, disp)
+    return "iregs[%d] & MASK64" % base
+
+
+def _mispredict(out, events, mispredict_penalty):
+    """The mispredicted transfer's lines, under an ``if`` just emitted."""
+    out("    front_extra = %d; front_reason = 'branchmp'"
+        % mispredict_penalty)
+    if events:
+        out("    if events_now is None: events_now = []")
+        out("    events_now.append((_EV_BRANCHMP, issue))")
+    else:
+        out("    events_now = [(_EV_BRANCHMP, issue)]")

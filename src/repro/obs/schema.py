@@ -57,6 +57,11 @@ name                                     kind      meaning
                                                    minus replayed ones)
 ``sim.fastpath.recordings``              counter   variants recorded
 ``sim.fastpath.compiled_variants``       counter   variants tiered up
+``sim.fastpath.compiled_runs``           counter   runs given a
+                                                   generated step
+``sim.fastpath.compiled_instructions``   counter   slow-path instructions
+                                                   those steps ran (of the
+                                                   ``slow_instructions``)
 ``sim.fastpath.traces``                  counter   traces compiled
 ``sim.fastpath.trace_entries``           counter   gate picks of a
                                                    trace's head

@@ -12,7 +12,9 @@ the cache the first leg filled (warm), then forced off -- canonicalizes
 the observable states to bytes, and fails a workload on the first byte
 that differs.  The summary line adds up how the cold legs' trace
 entries ended (``sim.fastpath.trace_exits.<kind>``), so a gate that
-never took one exit path shows it.  The warm leg must also leave the very same
+never took one exit path shows it, and the runs the cold legs gave a
+generated step (``sim.fastpath.compiled_runs``), so the identity
+covers that tier too.  The warm leg must also leave the very same
 ``FastPath.snapshot()`` as the cold one: the cache may change time,
 never a count.  CI runs it across the full workload registry on every
 push and, with a larger budget, nightly; it is also handy after any
@@ -153,7 +155,7 @@ def main(argv=None):
             print(name)
         return 0
     failures = 0
-    traces = dict.fromkeys(["trace_entries"] + [
+    traces = dict.fromkeys(["compiled_runs", "trace_entries"] + [
         "trace_exits." + kind for kind in TRACE_EXITS], 0)
     for name in names:
         identical, line, snap = check_workload(
@@ -168,9 +170,9 @@ def main(argv=None):
     hits, misses, _ = replay_cache_stats()
     print("dcpiab: %d/%d workloads byte-identical on 3 legs "
           "(cold fast, warm fast, slow); replay cache %d hits, %d misses; "
-          "%d trace entries, exits %s"
+          "%d compiled runs; %d trace entries, exits %s"
           % (len(names) - failures, len(names), hits, misses,
-             traces["trace_entries"], " ".join(
+             traces["compiled_runs"], traces["trace_entries"], " ".join(
                  "%s=%d" % (kind, traces["trace_exits." + kind])
                  for kind in TRACE_EXITS)))
     if failures:

@@ -9,17 +9,19 @@ import pytest
 from repro.alpha.assembler import assemble
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu import fastpath as fastpath_module
+from repro.cpu import pipeline
 from repro.cpu.config import CacheConfig, MachineConfig
 from repro.cpu.events import EventType
 from repro.cpu.fastpath import (BAIL_REASONS, BIGCODE, MAX_RUN,
                                 SLOW_CAUSES, TRACE_EXITS, cache_geometry,
                                 clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
+from repro.cpu.step import compile_run
 from repro.cpu.writebuffer import WriteBuffer
 from repro.obs import schema as schema_module
 from repro.obs.schema import (derive, fastpath_metrics,
                               session_metrics)
-from repro.tools.abcheck import fingerprint
+from repro.tools.abcheck import fingerprint, model_counters, run_session
 from repro.workloads.asmgen import loop_proc
 from repro.workloads.registry import get_workload, workload_names
 
@@ -163,6 +165,36 @@ class TestSlowCauses:
                         for cause in SLOW_CAUSES)
                     == result.instructions - snap["replayed_instructions"])
         assert sum(1 for count in totals.values() if count) >= 9, totals
+
+
+class TestGeneratedSteps:
+    def test_laps_change_time_only(self, monkeypatch):
+        # A loop's generated step runs the visits after the first as
+        # laps of one call.  The gate would have refused each for the
+        # run's own cause, so every count -- the slow-path causes
+        # included -- is the one the dispatch loop reaches visit by
+        # visit.
+        def observed():
+            calls = []
+
+            def counting(recs, shape):
+                step = compile_run(recs, shape)
+
+                def counted(*args):
+                    calls.append(1)
+                    return step(*args)
+                return counted
+            monkeypatch.setattr(pipeline, "compile_run", counting)
+            result, _ = run_session(get_workload("mccalpin-sum"), True, 1,
+                                    60_000, "default")
+            return (fingerprint(result), model_counters(result.machine),
+                    result.machine.fastpath.snapshot(), len(calls))
+        lapped = observed()
+        monkeypatch.setattr(pipeline, "loops", lambda recs: False)
+        visit_by_visit = observed()
+        assert lapped[:3] == visit_by_visit[:3]
+        assert lapped[2]["compiled_instructions"] > 0
+        assert lapped[3] * 10 < visit_by_visit[3]
 
 
 class TestDeferredGroundTruth:
@@ -392,13 +424,39 @@ class TestDcpiabThreeLegs:
             r"dcpiab: 1/1 workloads byte-identical on 3 legs "
             r"\(cold fast, warm fast, slow\); "
             r"replay cache (\d+) hits, (\d+) misses; "
+            r"(\d+) compiled runs; "
             r"(\d+) trace entries, exits (.*)", out[-1])
         assert summary
         # The warm leg found what the cold leg compiled.
         assert int(summary.group(1)) > 0 and int(summary.group(2)) > 0
-        exits = dict(item.split("=") for item in summary.group(4).split())
+        exits = dict(item.split("=") for item in summary.group(5).split())
         assert list(exits) == list(TRACE_EXITS)
-        assert sum(map(int, exits.values())) == int(summary.group(3)) > 0
+        assert sum(map(int, exits.values())) == int(summary.group(4)) > 0
+
+    def test_compiled_steps_count_the_same_on_cold_and_warm_legs(
+            self, monkeypatch):
+        from repro.tools import abcheck
+
+        # Generated steps run slow-path instructions, and whether a
+        # step was generated or found in the code cache changes no
+        # count.
+        real = abcheck.run_session
+        legs = []
+
+        def run_session(*args):
+            result, wall = real(*args)
+            legs.append(result.machine.fastpath)
+            return result, wall
+        monkeypatch.setattr(abcheck, "run_session", run_session)
+        identical, _, snap = abcheck.check_workload(
+            get_workload("dss"), max_instructions=30_000)
+        assert identical
+        cold, warm = legs[0].snapshot(), legs[1].snapshot()
+        for key in ("compiled_runs", "compiled_instructions"):
+            assert cold[key] == warm[key] == snap[key]
+        assert snap["compiled_runs"] > 0
+        assert 0 < snap["compiled_instructions"] <= sum(
+            snap["slow_instructions." + cause] for cause in SLOW_CAUSES)
 
     def test_warm_leg_divergence_is_named(self, monkeypatch):
         from repro.tools import abcheck

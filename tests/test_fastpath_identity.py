@@ -26,6 +26,7 @@ from repro.cpu import pipeline
 from repro.cpu.config import MachineConfig
 from repro.cpu.fastpath import EXIT, FastPath, Trace
 from repro.cpu.machine import Machine
+from repro.cpu.step import compile_run
 from repro.tools.abcheck import (_canonical, check_workload, fingerprint,
                                  model_counters, run_session)
 from repro.workloads.asmgen import caller_proc, loop_proc
@@ -280,12 +281,15 @@ def test_fastpath_is_identical_under_edge_sampling(name, edge_mode):
     assert fast == observed(False)
 
 
-@pytest.mark.parametrize("name", ["gcc", "mccalpin-assign"])
+@pytest.mark.parametrize("name", ["gcc", "mccalpin-assign", "altavista"])
 def test_bounds_change_time_never_a_result(name, monkeypatch):
     # No other test reaches the run cache's bound or the variant bound.
     # Squeezed, both fire -- and on mccalpin-assign the blacklist still
     # does between two emptied run caches -- while the fast path
     # matches the slow path byte for byte: the bounds change time only.
+    # Every run tiers up at its first visit, so generated steps run
+    # everywhere the interpreter would, and on altavista's CPUs they
+    # stop at quantum deadlines.
     def observed(fastpath):
         result, _ = run_session(get_workload(name), fastpath, 1, 60_000,
                                 "default")
@@ -293,13 +297,30 @@ def test_bounds_change_time_never_a_result(name, monkeypatch):
     slow = observed(False)
     monkeypatch.setattr(pipeline, "MAX_RUNS", 6)
     monkeypatch.setattr(FastPath, "MAX_VARIANTS", 1)
+    monkeypatch.setattr(pipeline, "COMPILE_RUN_AT", 1)
+    cut = []
+
+    def counting(recs, shape):
+        step = compile_run(recs, shape)
+
+        def counted(*args):
+            state = step(*args)
+            if state[0] < len(recs):
+                cut.append(state[0])
+            return state
+        return counted
+    monkeypatch.setattr(pipeline, "compile_run", counting)
     fast = observed(True)
     assert fast[:2] == slow[:2]
     snap = fast[2].machine.fastpath.snapshot()
     assert snap["dropped_variants"] > 0
     assert snap["invalidations"] > 0
+    assert snap["compiled_runs"] > 0
+    assert snap["compiled_instructions"] > 0
     if name == "mccalpin-assign":
         assert snap["slow_instructions.blacklisted"] > 0
+    if name == "altavista":
+        assert cut    # visits a deadline stopped inside the run
 
 
 def test_fastpath_engages_on_generated_programs():

@@ -122,13 +122,16 @@ def test_dcpiab(argv, capsys):
     never turn against their trace without a mispredict, so the
     direction guard is exercised, on the same three legs in each mode,
     by ``test_fastpath_identity.py::test_trace_leaves_on_its_direction_guard``
-    instead."""
+    instead.  Generated steps (``compiled runs``) must have run, so the
+    identity covers that tier as well."""
     code = cli.main_dcpiab(argv)
     out = capsys.readouterr().out
     assert code == 0, out
     assert "%d/%d workloads byte-identical" % (
         len(REGISTRY), len(REGISTRY)) in out
     assert "replay cache 0 hits" not in out
+    # Hot runs ran as generated steps on the fast legs.
+    assert "; 0 compiled runs;" not in out, out
     exits = dict(item.split("=") for item in
                  out.rstrip().rpartition(" exits ")[2].split())
     assert [kind for kind, count in exits.items() if count == "0"] in (

@@ -72,13 +72,6 @@ class TestAggregation:
             table.record(1, 0x100, 0)
         assert table.aggregation_factor == pytest.approx(20.0)
 
-    def test_last_was_hit_flag(self):
-        table = SampleHashTable(buckets=16, assoc=4)
-        table.record(1, 0x100, 0)
-        assert table.last_was_hit is False
-        table.record(1, 0x100, 0)
-        assert table.last_was_hit is True
-
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             SampleHashTable(buckets=3, assoc=4)
@@ -124,7 +117,6 @@ class ScanTable:
         self._buckets = [[] for _ in range(buckets)]
         self._mod_counter = 0
         self.hits = self.misses = self.evictions = 0
-        self.last_was_hit = False
 
     def record(self, pid, pc, event_ord, count=1, ctx=None):
         if ctx is None:
@@ -139,12 +131,10 @@ class ScanTable:
             if entry[0] == key:
                 entry[1] += count
                 self.hits += 1
-                self.last_was_hit = True
                 if self.policy == SWAP_TO_FRONT and slot != 0:
                     bucket.insert(0, bucket.pop(slot))
                 return None
         self.misses += 1
-        self.last_was_hit = False
         if len(bucket) < self.assoc:
             if self.policy == MOD_COUNTER:
                 bucket.append([key, count])
@@ -213,10 +203,9 @@ class TestAgainstScanTable:
                 assert evicted == reference.record(*args)
                 if evicted is not None:
                     assert evicted[0] not in table._index
-            assert ((table.hits, table.misses, table.evictions,
-                     table.last_was_hit)
+            assert ((table.hits, table.misses, table.evictions)
                     == (reference.hits, reference.misses,
-                        reference.evictions, reference.last_was_hit))
+                        reference.evictions))
             assert_index_in_step(table)
         assert table.flush() == reference.flush()
 
