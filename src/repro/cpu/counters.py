@@ -52,9 +52,6 @@ class CounterUnit:
         slot.period = slot.next_period()
         self._by_event.setdefault(event, []).append(slot)
 
-    def counts_event(self, event):
-        return bool(self._by_event.get(event))
-
     def headroom(self, event):
         """The smallest *amount* for which :meth:`add` overflows a slot
         counting *event* (``UNBOUNDED`` when none counts it).

@@ -851,10 +851,12 @@ class FastPath:
         self.slow_instructions = [0] * len(SLOW_CAUSES)
         self.recordings = 0           # schedules captured
         self.compiled_variants = 0    # schedules tiered up to compiled
-        #: Runs given a generated step (repro.cpu.step.compile_run) and
-        #: the instructions those steps ran, of slow_instructions.
+        #: Runs given a generated step (repro.cpu.step.compile_run), the
+        #: instructions those steps ran, of slow_instructions, and the
+        #: calls that ran them.
         self.compiled_runs = 0
         self.compiled_instructions = 0
+        self.compiled_calls = 0
         self.traces = 0               # traces formed and compiled
         self.trace_entries = 0        # gate picks of a trace's head
         #: How those entries left, indexed like TRACE_EXITS; the
@@ -1136,6 +1138,7 @@ class FastPath:
             "compiled_variants": self.compiled_variants,
             "compiled_runs": self.compiled_runs,
             "compiled_instructions": self.compiled_instructions,
+            "compiled_calls": self.compiled_calls,
             "traces": self.traces,
             "trace_entries": self.trace_entries,
             "aborted_recordings": self.aborted_recordings,

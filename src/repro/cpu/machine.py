@@ -160,10 +160,3 @@ class Machine:
         """Install *sink* on every core (the profiling driver's hook)."""
         for core in self.cores:
             core.sample_sink = sink
-
-    # -- ground-truth helpers ----------------------------------------------
-
-    def true_counts_for(self, image):
-        """Exact execution count per instruction address of *image*."""
-        return {inst.addr: self.gt_count.get(inst.addr, 0)
-                for inst in image.instructions}

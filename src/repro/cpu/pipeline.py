@@ -52,9 +52,13 @@ probe that does not hit calls the model (``_fetch``, ``TLB.translate``,
   as constants; the models, counters, ground truth and sample delivery
   are read and written as the interpreter does them, and the function
   returns where the run ends or the deadline stops it, with the loop
-  state.  A loop whose gate refuses it for its own cause runs further
-  visits as laps within one call.  Cold runs, visits that record a
-  schedule for the gate and visits the budget cuts short stay
+  state.  When the run's dominant successors lead back to it, the step
+  spans that *region* of runs, with a direction guard at each interior
+  terminator that returns where control leaves; the dispatch loop books
+  each member's visits as if it had run them one by one.  A loop (a run
+  or a region) whose gate refuses its head for the head's own cause
+  runs further visits as laps within one call.  Cold runs, visits that
+  record a schedule for the gate and visits the budget cuts short stay
   interpreted.  The step leaves the loop state as the interpreter does,
   so the loop continues alike after either.  The rules both share --
   stall decomposition, event counting, sample delivery -- are functions
@@ -161,18 +165,20 @@ class _Run:
     ``chunks`` groups them by I-cache line, ``((line, records), ...)``:
     only a chunk's first record can cross a fetch line.  ``hits``
     counts the complete visits whose execution counts are not yet in
-    ``gt_count`` (:func:`_count_visits`).  ``cold`` counts down the
-    interpreted visits before the run gets its generated ``step``
-    (``COMPILE_RUN_AT``); ``ctrl`` says the run ends in a control
-    transfer, and ``loops`` that it is one back to its own start.  The
-    fast path's slots are unset until its gate first meets the run and
+    ``gt_count`` (:func:`_count_visits`).  ``ctrl`` says the run ends in
+    a control transfer.  ``cold`` counts down the interpreted visits
+    before the run gets its generated ``step`` (``COMPILE_RUN_AT``);
+    from then on ``members`` holds the runs the step spans (the run
+    first: its region), ``span`` their records and ``loops`` whether
+    the last leads back to the first.  The fast path's slots are unset
+    until its gate first meets the run and
     ``refusal`` stops being None
     (:meth:`repro.cpu.fastpath.FastPath.discover`).
     """
 
-    __slots__ = ("pc", "n", "end", "ctrl", "loops", "recs", "chunks", "hits",
-                 "cold", "step", "refusal", "live_ins", "has_imul",
-                 "has_fdiv", "variants", "failed")
+    __slots__ = ("pc", "n", "end", "ctrl", "recs", "chunks", "hits", "cold",
+                 "step", "members", "span", "loops", "refusal", "live_ins",
+                 "has_imul", "has_fdiv", "variants", "failed")
 
     def __init__(self, recs, line_shift):
         self.pc = recs[0][14]                           # R_ADDR
@@ -180,7 +186,6 @@ class _Run:
         self.recs = tuple(recs)
         self.end = self.pc + 4 * self.n
         self.ctrl = recs[-1][13]                        # R_CTRL
-        self.loops = loops(self.recs)
         chunks = []
         for rec in recs:
             line = rec[14] >> line_shift
@@ -221,6 +226,31 @@ def _walk(decode_map, pc, exit_addr, line_shift):
             break
         rec = decode_map.get(pc)
     return _Run(recs, line_shift) if recs else None
+
+
+def _book_visits(members, k, laps, visited, gt_count):
+    """Book a generated step's visits: *laps* whole laps of the runs
+    *members*, then the first *k* instructions of the last pass.  A
+    complete visit goes to the run's ``hits``, a cut one counts its
+    prefix.  Returns whether the step returned after a member's control
+    transfer: at a block head, for the gate."""
+    at_head = False
+    for run in members:
+        hits = laps
+        if k >= run.n:
+            k -= run.n
+            hits += 1
+            at_head = run.ctrl
+        elif k:
+            for addr in range(run.pc, run.pc + 4 * k, 4):
+                gt_count[addr] = gt_count.get(addr, 0) + 1
+            k = 0
+            at_head = False
+        if hits:
+            if not run.hits:
+                visited.append(run)
+            run.hits += hits
+    return at_head
 
 
 def _count_visits(visited, gt_count):
@@ -440,6 +470,7 @@ class Core:
         fp_replayed = 0
         fp_trace_entries = 0
         fp_compiled = 0
+        fp_calls = 0
         at_head = fp_on  # a run entry is always a block boundary
         replay_var = None  # variant or trace the gate chose this iteration
         # A trace's cycle room (CYCLES headroom or deadline) and the laps
@@ -715,18 +746,27 @@ class Core:
             step = run.step
             if step is None and fp_on:
                 # Tier-up: a run that has run COMPILE_RUN_AT
-                # instructions interpreted gets its generated step.
+                # instructions interpreted gets its generated step, over
+                # its region when its hot path loops back to it.
                 run.cold -= 1
                 if run.cold <= 0:
-                    step = run.step = compile_run(run.recs, self.shape)
+                    members, step = compile_run(run, runs, gt_edges,
+                                                self.shape)
+                    run.step = step
+                    run.members = members
+                    run.span = sum(member.n for member in members)
+                    run.loops = loops(tuple(member.recs
+                                            for member in members))
                     fp.compiled_runs += 1
             if step is not None and rec_list is None and not (
-                    0 <= insts_left < n):
+                    0 <= insts_left < run.span):
                 # A loop whose gate refuses it for its own cause may run
-                # whole further visits as laps while the budget covers.
+                # whole further visits (laps of its region) while the
+                # budget covers.
+                span = run.span
                 laps = 0
                 if run.loops and run.refusal is not None and run.refusal >= 0:
-                    laps = (insts_left // n - 1 if insts_left >= 0
+                    laps = (insts_left // span - 1 if insts_left >= 0
                             else UNBOUNDED)
                 (k, laps, pc, prev_issue, pair_open, prev_cls, leader_pc,
                  front_extra, front_reason, imul_free, fdiv_free, cyc_base,
@@ -737,32 +777,22 @@ class Core:
                     pending, prev_issue, pair_open, prev_cls, leader_pc,
                     front_extra, front_reason, imul_free, fdiv_free,
                     cyc_base, cyc_mark, deadline, laps)
+                fp_calls += 1
                 fp_compiled += k
+                at_head = _book_visits(run.members, k, laps, visited,
+                                       gt_count)
                 if laps:
                     # Each lap began at the run's head with nothing owed
                     # or pending: the gate would have refused it for the
                     # run's own cause.
                     if slow_cause != run.refusal:
-                        slow_counts[slow_cause] += retired + n - slow_from
-                        slow_from = retired + n
+                        slow_counts[slow_cause] += retired + span - slow_from
+                        slow_from = retired + span
                         slow_cause = run.refusal
-                    if not run.hits:
-                        visited.append(run)
-                    run.hits += laps
-                    laps *= n
+                    laps *= span
                     fp_compiled += laps
                     insts_left -= laps
                     retired += laps
-                if k == n:
-                    if run.ctrl:
-                        at_head = True
-                    if not run.hits:
-                        visited.append(run)
-                    run.hits += 1
-                else:
-                    # Stopped mid-run: count the prefix that ran.
-                    for addr in range(run.pc, run.pc + 4 * k, 4):
-                        gt_count[addr] = gt_count.get(addr, 0) + 1
                 insts_left -= k
                 retired += k
                 continue
@@ -1125,6 +1155,7 @@ class Core:
             fp.dispatches += fp_dispatches
             fp.trace_entries += fp_trace_entries
             fp.compiled_instructions += fp_compiled
+            fp.compiled_calls += fp_calls
             if slow_cause >= 0:
                 slow_counts[slow_cause] += retired - slow_from
 

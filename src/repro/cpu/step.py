@@ -1,5 +1,5 @@
-"""One visit of a straight-line run, in generated code, and the rules
-the interpreter and the generated code share.
+"""Visits of a hot run or region, in generated code, and the rules the
+interpreter and the generated code share.
 
 ``Core.run``'s dispatch loop (:mod:`repro.cpu.pipeline`) runs every run
 visit the gate does not replay in one of two ways.  Its loop body
@@ -11,18 +11,24 @@ short.  A hot run instead gets a *generated step*
 run's records -- register numbers, opcode semantics (``open_code`` of
 the record's callable), fetch-line chunks and pairing rows folded in as
 constants -- which probes, misses and counts the models as the
-interpreter does.  It returns where the run ends or where ``issue >=
-stop`` stops the visit, with the loop state the next iteration
-continues from, as the interpreter leaves it::
+interpreter does.
+
+When the run's dominant successor edges lead back to it (:func:`region`),
+the step spans that *region*: the members' records in path order, each
+member's terminator guarding the direction into the next.  A step
+returns where the last member ends, where control leaves the region at
+an interior terminator, or where ``issue >= stop`` stops the visit,
+with the loop state the next iteration continues from, as the
+interpreter leaves it::
 
     (k, laps, next_pc, prev_issue, pair_open, prev_cls, leader_pc,
      front_extra, front_reason, imul_free, fdiv_free, cyc_base,
      cyc_mark, edge_from)
 
-*k* is the number of instructions the (last) visit ran and *next_pc*
-the address the loop continues at; *laps* counts the complete visits
-before it that the step of a loop ran from the run's head without
-returning (at most the *laps* it was given).
+*k* is the number of the region's records the (last) pass ran, in path
+order, and *next_pc* the address the loop continues at; *laps* counts
+the complete passes before it that the step of a loop ran from the
+head without returning (at most the *laps* it was given).
 
 Where the issue rule would live twice, one source feeds both: stall
 decomposition (:func:`charge_stalls`), slotting (:func:`charge_slotting`
@@ -238,43 +244,106 @@ _RUN_GLOBALS.update(
     _EV_DMISS=_EV_DMISS, _EV_BRANCHMP=_EV_BRANCHMP)
 
 
-def compile_run(recs, shape):
-    """The generated step for a run of records *recs* on a core of
-    *shape* (``Core.shape``): ``Core.run``'s interpreter without the
-    recording, for every visit the budget does not cut.  Functions are
-    kept in the fast path's code cache
+def compile_run(run, runs, gt_edges, shape):
+    """The generated step for *run* on a core of *shape*
+    (``Core.shape``): ``Core.run``'s interpreter without the recording,
+    for every visit the budget does not cut.  Returns ``(members, fn)``:
+    the runs the step spans, *run* first (its region, :func:`region`),
+    and the function.  Functions are kept in the fast path's code cache
     (:func:`repro.cpu.fastpath.cached_code`), keyed by the generator's
     whole input."""
-    key = ("run", recs, shape)
+    members = region(run, runs, gt_edges)
+    parts = tuple(member.recs for member in members)
+    key = ("run", parts, shape)
     fn = cached_code(key)
     if fn is None:
         scope = {}
-        exec(compile(_run_source(recs, shape), "<compiled-run>", "exec"),
+        exec(compile(_run_source(parts, shape), "<compiled-run>", "exec"),
              _RUN_GLOBALS, scope)
         fn = scope["_step"]
         cache_code(key, fn)
-    return fn
+    return members, fn
 
 
-def _run_source(recs, shape):
-    """The text of :func:`compile_run`'s function, section by section
-    as ``Core.run``'s interpreter runs them.
+#: Most records a region step spans.  The regions the registry forms in
+#: a 200 000-instruction session span 7 to 16 records in two to four
+#: runs (altavista's and dss's scan loop: an 8-record run and a 2-record
+#: tail), with replay on or refused for every run.  A region costs
+#: 0.4-0.7 ms per record to generate and compile when its head tiers up
+#: (``pipeline.COMPILE_RUN_AT``); twice the largest measured region
+#: bounds that at 23 ms, and longer paths stay single-run steps.
+MAX_REGION = 32
+
+
+def region(run, runs, gt_edges):
+    """The runs a generated step for *run* spans: *run*, then each
+    run's dominant successor in turn (:func:`_successor`), when that
+    path comes back to *run* within ``MAX_REGION`` records through runs
+    already in *runs*; else *run* alone.  It reads the Machine's own
+    edge counts, never the code cache, so which instructions run
+    compiled is the same whether a function is generated or found."""
+    members = [run]
+    size = run.n
+    cur = run
+    while True:
+        pc = _successor(cur, gt_edges)
+        if pc == run.pc:
+            return tuple(members)
+        nxt = runs.get(pc)
+        if nxt is None or nxt in members or size + nxt.n > MAX_REGION:
+            return (run,)
+        members.append(nxt)
+        size += nxt.n
+        cur = nxt
+
+
+def _successor(run, gt_edges):
+    """Where *run* most often continued: its fall-through or static
+    target, None after an indirect transfer, and after a conditional
+    branch the direction *gt_edges* counted more often -- on a tie (a
+    branch not yet counted), taken backward and not taken forward, as
+    a loop's back edge goes."""
+    last = run.recs[-1]
+    kind = last[0]
+    if kind <= 10:
+        return run.end
+    target = last[9]
+    if kind == 13 or kind == 14:
+        return target
+    if kind >= 15:
+        return None
+    pc = last[14]
+    taken = gt_edges.get((pc, target), 0)
+    fall = gt_edges.get((pc, pc + 4), 0)
+    if taken > fall or (taken == fall and target <= pc):
+        return target
+    return pc + 4
+
+
+def _run_source(parts, shape):
+    """The text of :func:`compile_run`'s function for *parts*, the
+    records of each run it spans, section by section as ``Core.run``'s
+    interpreter runs them.
 
     Facts of the interpreter's loop make constants of what it tests:
 
     * only a chunk's first record can cross a fetch line, and only the
-      run's first chunk can start on the line fetched last;
+      step's first chunk can start on a line not fetched just before;
     * ``_last_code_page`` is the page of ``_last_fetch_line`` (only
       ``Core._fetch`` moves it, after that line is set), so after the
       first chunk the code page is known, and so is its physical page
       until a chunk on another page;
     * the front end's reason and fetch penalties are consumed by the
-      first unpaired instruction after they arise -- so after the run's
+      first unpaired instruction after they arise -- so after a run's
       first instruction ``front_reason`` is None until the terminator,
-      and the penalties are 0 but at a chunk's first record.
+      and the penalties are 0 but at a chunk's first record;
+    * within the step, a member's first instruction follows the
+      previous member's terminator, so its pairing row is a constant.
 
-    D-TLB and L1D hits of the inlined probes are counted in locals and
-    added to the models when the visit returns."""
+    A member's terminator guards the direction into the next member and
+    returns where control leaves.  D-TLB and L1D hits of the inlined
+    probes are counted in locals and added to the models when the
+    visit returns."""
     (page_bits, ishift, dshift, imask, dmask, l1d_latency,
      mispredict_penalty, skew) = shape
     lps = page_bits - ishift
@@ -284,44 +353,31 @@ def _run_source(recs, shape):
 
     def out(line):
         body.append("        " + line.replace("MASK64", mask64))
+    recs = [rec for part in parts for rec in part]
     n = len(recs)
-    lap = loops(recs)
+    # The indices of the members' first records.
+    firsts = set()
+    j = 0
+    for part in parts:
+        firsts.add(j)
+        j += len(part)
+    lap = loops(parts)
     lines = {rec[14] >> ishift for rec in recs}
     prev_line = None
     prev_cls = None
-    next_pc = None
     for j, (kind, cls_id, lat, srcs, f1, f2, _, dst, imm, target, fn,
             unit, busy, ctrl, pc, nsrc) in enumerate(recs):
-        # ---- fetch
+        first = j in firsts
+        if first and j and not mispredict_penalty:
+            # Core.run drops a reason that owes no cycles before a run.
+            out("if not front_extra: front_reason = None")
+        # ---- fetch (the first record's: at entry, and with each lap)
         fline = pc >> ishift
         head = fline != prev_line
-        if head:
-            pre = ""
-            fetch = ("else: itb_pen, icache_pen, events_now = core._fetch("
-                     "%d, prev_issue); front_extra += itb_pen + icache_pen"
-                     % pc)
-            offset = fline & ((1 << lps) - 1)
-            if prev_line is None or fline >> lps != prev_line >> lps:
-                if prev_line is None:
-                    out("if core._last_fetch_line != %d:" % fline)
-                    pre = "    "
-                out(pre + "core._last_fetch_line = %d" % fline)
-                out(pre + "_il = (core._last_code_ppage << %d) | %d"
-                    % (lps, offset))
-                out(pre + "if (core._last_code_page == %d and l1i.sets[_il"
-                    " & %d] == _il and _il not in core._istream):"
-                    " l1i.hits += 1" % (fline >> lps, imask))
-                out(pre + fetch)
-                if len(lines) > 1:
-                    out("_cl = core._last_code_ppage << %d" % lps)
-            else:
-                # The page is the previous chunk's.
-                out("core._last_fetch_line = %d" % fline)
-                out("_il = _cl | %d" % offset)
-                out("if _ics[_il & %d] == _il and _il not in _ist:"
-                    " l1i.hits += 1" % imask)
-                out(fetch)
-            prev_line = fline
+        if head and j:
+            for line in _fetch_source(pc, prev_line, shape, len(lines) > 1):
+                out(line)
+        prev_line = fline
         # Whether events_now may hold something in this instruction.
         events = head
 
@@ -349,7 +405,7 @@ def _run_source(recs, shape):
                 " wb.earliest_issue(_va, prev_issue + 1)")
 
         # ---- issue / pairing: the pairing row is a constant but at the
-        # run's first instruction, whose leader is the entry's.
+        # step's first instruction, whose leader is the entry's.
         column = tuple(row[cls_id] for row in PAIR_OK_ID)
         if prev_cls is not None:
             pair_ok = column[prev_cls]
@@ -390,12 +446,12 @@ def _run_source(recs, shape):
         owed = "front_extra = 0"
         if head:
             owed += "; itb_pen = icache_pen = 0"
-        if j == 0:
+        if first:
             owed += "; front_reason = None"
         out(pre + "if issue > arrival or front_extra: charge_stalls("
             "gt_stall, %d, front_extra, %s, %s, arrival, issue, %s, %s, %r,"
             " %r, proc, False); %s"
-            % (pc, "front_reason" if j == 0 else "None",
+            % (pc, "front_reason" if first else "None",
                "itb_pen, icache_pen" if head else "0, 0", rdy, res,
                res_reason, srcs, owed))
         if pair_ok is not True:
@@ -409,7 +465,8 @@ def _run_source(recs, shape):
         out(pre + "pair_open = True")
         prev_cls = cls_id
 
-        # ---- execute
+        # ---- execute (a control transfer sets next_pc's text)
+        next_pc = None
         if dst is not None:
             ready = ("reg_ready[%d] = reg_ready_static[%d] = issue + %%d;"
                      " reg_dyn_reason[%d] = None" % (dst, dst, dst))
@@ -568,9 +625,22 @@ def _run_source(recs, shape):
 
         # ---- advance
         out("prev_issue = issue")
-        if j < n - 1:
-            out("if issue >= stop: _k = %d; break" % (j + 1))
+        if j + 1 in firsts:
+            # An interior terminator: the step goes on only into the
+            # next member.
+            succ = recs[j + 1][14]
+            if next_pc == "next_pc":
+                out("if next_pc != %d or issue >= stop: _k = %d; break"
+                    % (succ, j + 1))
+            else:
+                out("if issue >= stop: _k = %d; next_pc = %d; break"
+                    % (j + 1, succ))
+        elif j < n - 1:
+            out("if issue >= stop: _k = %d; next_pc = %d; break"
+                % (j + 1, pc + 4))
     start = recs[0][14]
+    if not ctrl:
+        next_pc = str(pc + 4)
     head = ["def _step(%s):" % _STEP_ARGS,
             "    itb_pen = icache_pen = 0",
             "    events_now = edge_from = None"]
@@ -586,11 +656,20 @@ def _run_source(recs, shape):
         # second half, the deadline not reached, and a lap allowed.
         out("if %s_laps < laps and not front_extra and not pending and"
             " edge_from is None and issue < stop:"
-            % ("next_pc == %d and " % start if kinds[-1] <= 12 else ""))
-        # The taken transfer closed the issue slot: the first
-        # instruction reads no prev_cls.
-        out("    _laps += 1; front_reason = None; continue")
-    tail += ["        _k = %d" % n, "        break"]
+            % ("next_pc == %d and " % start if next_pc == "next_pc"
+               else ""))
+        # A taken transfer closed the issue slot, and the first
+        # instruction reads no prev_cls; a fall-through left it open.
+        out("    _laps += 1; front_reason = None%s"
+            % ("; prev_cls = %d" % cls_id if pc + 4 == start else ""))
+        # The line fetched last is the last record's.
+        for line in _fetch_source(start, prev_line, shape, len(lines) > 1):
+            out("    " + line)
+        out("    continue")
+    tail.append("        _k = %d" % n)
+    if next_pc != "next_pc":
+        tail.append("        next_pc = %s" % next_pc)
+    tail.append("        break")
     # Hoisted probe handles: Cache.flush and TLB.flush clear in place,
     # and the write buffer's dict and stream buffer are never replaced.
     if len({line >> lps for line in lines}) < len(lines):
@@ -602,6 +681,8 @@ def _run_source(recs, shape):
     if any(7 <= kind <= 9 for kind in kinds):
         head.append("    _wbe = wb._entries; _lm = 0")
         tail.append("    l1d.misses += _lm")
+    head += ["    " + line for line in _fetch_source(start, None, shape,
+                                                      len(lines) > 1)]
     head.append("    while True:")
     if lap:
         # An unpaired visit adds at least one head cycle, so a zero sum
@@ -612,12 +693,10 @@ def _run_source(recs, shape):
                      "        except KeyError: gt_head[%d] = _g%d"
                      % (rec[14], j)]
     tail += [
-            "    return (_k, %s, %s, prev_issue, pair_open, %r[_k - 1],"
+            "    return (_k, %s, next_pc, prev_issue, pair_open, %r[_k - 1],"
             " leader_pc, front_extra, front_reason, imul_free, fdiv_free,"
             " cyc_base, cyc_mark, edge_from)"
-            % (lapped, "%d + 4 * _k" % start if next_pc is None
-               else "%d + 4 * _k if _k < %d else %s" % (start, n, next_pc),
-               tuple(rec[1] for rec in recs))]
+            % (lapped, tuple(rec[1] for rec in recs))]
     return "\n".join(head + body + tail)
 
 
@@ -628,11 +707,50 @@ _STEP_ARGS = ("core, proc, iregs, fregs, mem, reg_ready, reg_ready_static,"
               " imul_free, fdiv_free, cyc_base, cyc_mark, stop, laps")
 
 
-def loops(recs):
-    """Whether a run of records *recs* ends in a transfer whose static
-    target is its own first instruction: a loop a generated step may
-    lap (:func:`compile_run`)."""
-    return 11 <= recs[-1][0] <= 14 and recs[-1][9] == recs[0][14]
+def loops(parts):
+    """Whether the runs of records *parts* come back to their first
+    instruction from their last: by its static target or by its
+    fall-through.  A generated step over them (:func:`compile_run`) may
+    then lap."""
+    start = parts[0][0][14]
+    last = parts[-1][-1]
+    kind = last[0]
+    return ((11 <= kind <= 14 and last[9] == start)
+            or (kind <= 12 and last[14] + 4 == start))
+
+
+def _fetch_source(pc, prev_line, shape, many_lines):
+    """The lines of the fetch at a chunk's first record, at *pc*, after
+    a fetch of line *prev_line* (None: not known)."""
+    (page_bits, ishift, _, imask, _, _, _, _) = shape
+    lps = page_bits - ishift
+    fline = pc >> ishift
+    if fline == prev_line:
+        return []
+    offset = fline & ((1 << lps) - 1)
+    fetch = ("else: itb_pen, icache_pen, events_now = core._fetch(%d,"
+             " prev_issue); front_extra += itb_pen + icache_pen" % pc)
+    if prev_line is not None and fline >> lps == prev_line >> lps:
+        # The page is the previous chunk's.
+        return ["core._last_fetch_line = %d" % fline,
+                "_il = _cl | %d" % offset,
+                "if _ics[_il & %d] == _il and _il not in _ist:"
+                " l1i.hits += 1" % imask,
+                fetch]
+    pre = ""
+    src = []
+    if prev_line is None:
+        src.append("if core._last_fetch_line != %d:" % fline)
+        pre = "    "
+    src += [pre + "core._last_fetch_line = %d" % fline,
+            pre + "_il = (core._last_code_ppage << %d) | %d" % (lps, offset),
+            pre + "if (core._last_code_page == %d and l1i.sets[_il & %d] =="
+            " _il and _il not in core._istream): l1i.hits += 1"
+            % (fline >> lps, imask),
+            pre + fetch]
+    if many_lines:
+        src.append("_cl = core._last_code_ppage << %d" % lps)
+    return src
 
 
 def _address(base, disp):

@@ -69,7 +69,3 @@ class WriteBuffer:
             if entries[block] > now:
                 return
             del entries[block]
-
-    def occupancy(self, now):
-        self._expire(now)
-        return len(self._entries)

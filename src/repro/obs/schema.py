@@ -62,6 +62,8 @@ name                                     kind      meaning
 ``sim.fastpath.compiled_instructions``   counter   slow-path instructions
                                                    those steps ran (of the
                                                    ``slow_instructions``)
+``sim.fastpath.compiled_calls``          counter   calls of those steps,
+                                                   region steps included
 ``sim.fastpath.traces``                  counter   traces compiled
 ``sim.fastpath.trace_entries``           counter   gate picks of a
                                                    trace's head

@@ -13,7 +13,8 @@ the observable states to bytes, and fails a workload on the first byte
 that differs.  The summary line adds up how the cold legs' trace
 entries ended (``sim.fastpath.trace_exits.<kind>``), so a gate that
 never took one exit path shows it, and the runs the cold legs gave a
-generated step (``sim.fastpath.compiled_runs``), so the identity
+generated step and the calls of those steps
+(``sim.fastpath.compiled_runs`` / ``compiled_calls``), so the identity
 covers that tier too.  The warm leg must also leave the very same
 ``FastPath.snapshot()`` as the cold one: the cache may change time,
 never a count.  CI runs it across the full workload registry on every
@@ -155,7 +156,8 @@ def main(argv=None):
             print(name)
         return 0
     failures = 0
-    traces = dict.fromkeys(["compiled_runs", "trace_entries"] + [
+    traces = dict.fromkeys(["compiled_runs", "compiled_calls",
+                            "trace_entries"] + [
         "trace_exits." + kind for kind in TRACE_EXITS], 0)
     for name in names:
         identical, line, snap = check_workload(
@@ -170,9 +172,10 @@ def main(argv=None):
     hits, misses, _ = replay_cache_stats()
     print("dcpiab: %d/%d workloads byte-identical on 3 legs "
           "(cold fast, warm fast, slow); replay cache %d hits, %d misses; "
-          "%d compiled runs; %d trace entries, exits %s"
+          "%d compiled runs, %d compiled calls; %d trace entries, exits %s"
           % (len(names) - failures, len(names), hits, misses,
-             traces["compiled_runs"], traces["trace_entries"], " ".join(
+             traces["compiled_runs"], traces["compiled_calls"],
+             traces["trace_entries"], " ".join(
                  "%s=%d" % (kind, traces["trace_exits." + kind])
                  for kind in TRACE_EXITS)))
     if failures:

@@ -29,6 +29,17 @@ def examples(count):
     return count * settings.default.max_examples // 100
 
 
+def true_counts(machine, image):
+    """Exact execution count per instruction address of *image*."""
+    return {inst.addr: machine.gt_count.get(inst.addr, 0)
+            for inst in image.instructions}
+
+
+def counts_event(unit, event):
+    """Whether a slot of the counter unit *unit* counts *event*."""
+    return bool(unit._by_event.get(event))
+
+
 def files_on_disk(db):
     """Every profile or temp file under *db*'s epoch directories."""
     return {os.path.join(name, fname)

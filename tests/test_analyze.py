@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import true_counts
 from repro.core import analyze_procedure
 from repro.core.analyze import analyze_image
 from repro.cpu.events import EventType
@@ -34,12 +35,12 @@ class TestCopyLoopAnalysis:
 
     def test_frequency_estimate_close_to_truth(self, copy_analysis):
         result, image, analysis = copy_analysis
-        true_counts = result.machine.true_counts_for(image)
+        counts = true_counts(result.machine, image)
         loop_rows = [row for row in analysis.instructions
-                     if true_counts[row.inst.addr] > 100]
+                     if counts[row.inst.addr] > 100]
         for row in loop_rows:
-            error = abs(row.count - true_counts[row.inst.addr]) \
-                / true_counts[row.inst.addr]
+            error = abs(row.count - counts[row.inst.addr]) \
+                / counts[row.inst.addr]
             assert error < 0.35, row.inst
 
     def test_hot_store_has_memory_culprits(self, copy_analysis):

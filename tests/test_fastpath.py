@@ -16,7 +16,6 @@ from repro.cpu.fastpath import (BAIL_REASONS, BIGCODE, MAX_RUN,
                                 SLOW_CAUSES, TRACE_EXITS, cache_geometry,
                                 clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
-from repro.cpu.step import compile_run
 from repro.cpu.writebuffer import WriteBuffer
 from repro.obs import schema as schema_module
 from repro.obs.schema import (derive, fastpath_metrics,
@@ -175,20 +174,12 @@ class TestGeneratedSteps:
         # included -- is the one the dispatch loop reaches visit by
         # visit.
         def observed():
-            calls = []
-
-            def counting(recs, shape):
-                step = compile_run(recs, shape)
-
-                def counted(*args):
-                    calls.append(1)
-                    return step(*args)
-                return counted
-            monkeypatch.setattr(pipeline, "compile_run", counting)
             result, _ = run_session(get_workload("mccalpin-sum"), True, 1,
                                     60_000, "default")
+            snap = result.machine.fastpath.snapshot()
+            calls = snap.pop("compiled_calls")
             return (fingerprint(result), model_counters(result.machine),
-                    result.machine.fastpath.snapshot(), len(calls))
+                    snap, calls)
         lapped = observed()
         monkeypatch.setattr(pipeline, "loops", lambda recs: False)
         visit_by_visit = observed()
@@ -424,14 +415,14 @@ class TestDcpiabThreeLegs:
             r"dcpiab: 1/1 workloads byte-identical on 3 legs "
             r"\(cold fast, warm fast, slow\); "
             r"replay cache (\d+) hits, (\d+) misses; "
-            r"(\d+) compiled runs; "
+            r"(\d+) compiled runs, (\d+) compiled calls; "
             r"(\d+) trace entries, exits (.*)", out[-1])
         assert summary
         # The warm leg found what the cold leg compiled.
         assert int(summary.group(1)) > 0 and int(summary.group(2)) > 0
-        exits = dict(item.split("=") for item in summary.group(5).split())
+        exits = dict(item.split("=") for item in summary.group(6).split())
         assert list(exits) == list(TRACE_EXITS)
-        assert sum(map(int, exits.values())) == int(summary.group(4)) > 0
+        assert sum(map(int, exits.values())) == int(summary.group(5)) > 0
 
     def test_compiled_steps_count_the_same_on_cold_and_warm_legs(
             self, monkeypatch):
@@ -452,11 +443,13 @@ class TestDcpiabThreeLegs:
             get_workload("dss"), max_instructions=30_000)
         assert identical
         cold, warm = legs[0].snapshot(), legs[1].snapshot()
-        for key in ("compiled_runs", "compiled_instructions"):
+        for key in ("compiled_runs", "compiled_instructions",
+                    "compiled_calls"):
             assert cold[key] == warm[key] == snap[key]
         assert snap["compiled_runs"] > 0
         assert 0 < snap["compiled_instructions"] <= sum(
             snap["slow_instructions." + cause] for cause in SLOW_CAUSES)
+        assert 0 < snap["compiled_calls"] <= snap["compiled_instructions"]
 
     def test_warm_leg_divergence_is_named(self, monkeypatch):
         from repro.tools import abcheck

@@ -22,8 +22,9 @@ from conftest import examples
 from repro.alpha.assembler import assemble
 from repro.alpha.opcodes import OPCODES
 from repro.alpha.predecode import R_ADDR
+from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu import pipeline
-from repro.cpu.config import MachineConfig
+from repro.cpu.config import CacheConfig, MachineConfig
 from repro.cpu.fastpath import EXIT, FastPath, Trace
 from repro.cpu.machine import Machine
 from repro.cpu.step import compile_run
@@ -289,7 +290,8 @@ def test_bounds_change_time_never_a_result(name, monkeypatch):
     # matches the slow path byte for byte: the bounds change time only.
     # Every run tiers up at its first visit, so generated steps run
     # everywhere the interpreter would, and on altavista's CPUs they
-    # stop at quantum deadlines.
+    # stop at quantum deadlines.  There its scan loop, an 8-record run
+    # and a 2-record tail, laps inside one region step.
     def observed(fastpath):
         result, _ = run_session(get_workload(name), fastpath, 1, 60_000,
                                 "default")
@@ -300,15 +302,16 @@ def test_bounds_change_time_never_a_result(name, monkeypatch):
     monkeypatch.setattr(pipeline, "COMPILE_RUN_AT", 1)
     cut = []
 
-    def counting(recs, shape):
-        step = compile_run(recs, shape)
+    def counting(*args):
+        members, step = compile_run(*args)
+        span = sum(member.n for member in members)
 
         def counted(*args):
             state = step(*args)
-            if state[0] < len(recs):
+            if state[0] < span:
                 cut.append(state[0])
             return state
-        return counted
+        return members, counted
     monkeypatch.setattr(pipeline, "compile_run", counting)
     fast = observed(True)
     assert fast[:2] == slow[:2]
@@ -321,6 +324,9 @@ def test_bounds_change_time_never_a_result(name, monkeypatch):
         assert snap["slow_instructions.blacklisted"] > 0
     if name == "altavista":
         assert cut    # visits a deadline stopped inside the run
+        # More instructions a call than any 8-record run that does not
+        # loop on itself can run: a region formed and lapped.
+        assert snap["compiled_instructions"] / snap["compiled_calls"] > 8
 
 
 def test_fastpath_engages_on_generated_programs():
@@ -411,3 +417,97 @@ def test_every_semantic_opcode_replays_open_coded(op):
     for variant in compiled:
         assert not [name for name in variant.fn.__code__.co_names
                     if re.fullmatch(r"_f\d+", name)]
+
+
+#: What a drawn loop body reads and writes: t0 counts laps, t1 points at
+#: the data, t8 turns the interior branches, t9 closes the loop and a5
+#: counts the passes.
+BODY_REGS = ("t2", "t3", "t4", "t5", "t6", "t7")
+#: Quadword offsets from t1: the 256-byte L1D of ``SMALL`` maps 0, 256
+#: and 2048 to one set, and 4096 is another page.
+OFFSETS = (0, 8, 256, 2048, 4096)
+
+
+@st.composite
+def region_loops(draw):
+    """A loop of one to three runs: each interior run ends in a branch
+    that turns every 2, 4 or 8 laps, past code only the other laps
+    run; the loop runs a drawn trip count, in a drawn number of
+    passes."""
+    reg = st.sampled_from(BODY_REGS)
+
+    def body():
+        lines = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(
+                ("alu", "imm", "imul", "load", "store")))
+            if kind == "alu":
+                lines.append("%s %s, %s, %s" % (
+                    draw(st.sampled_from(("addq", "subq", "xor", "cmpult",
+                                          "s4addq"))),
+                    draw(reg), draw(reg), draw(reg)))
+            elif kind == "imm":
+                lines.append("%s %s, %d, %s" % (
+                    draw(st.sampled_from(("and", "srl", "addq"))),
+                    draw(reg), draw(st.integers(1, 63)), draw(reg)))
+            elif kind == "imul":
+                lines.append("mulq %s, %s, %s"
+                             % (draw(reg), draw(reg), draw(reg)))
+            else:
+                lines.append("%s %s, %d(t1)" % (
+                    "ldq" if kind == "load" else "stq", draw(reg),
+                    draw(st.sampled_from(OFFSETS))))
+        return ["    " + line for line in lines]
+    text = [".image t", ".data buf, 8192", ".proc main",
+            "    lda   t1, =buf",
+            "    lda   v0, %d(zero)" % draw(st.integers(1, 80)),
+            "    lda   a5, %d(zero)" % draw(st.integers(1, 4))]
+    text += ["    lda   %s, %d(zero)" % (r, 3 + i)
+             for i, r in enumerate(BODY_REGS)]
+    text += ["Lpass:", "    lda   t0, 0(zero)", "Lloop:"]
+    for k in range(draw(st.integers(1, 3)) - 1):
+        text += body()
+        text += ["    and   t0, %d, t8" % draw(st.sampled_from((1, 3, 7))),
+                 "    %s t8, Lrun%d" % (draw(st.sampled_from(("beq", "bne"))),
+                                        k)]
+        text += body()
+        text.append("Lrun%d:" % k)
+    text += body()
+    text += ["    addq  t0, 1, t0", "    cmpult t0, v0, t9",
+             "    bne   t9, Lloop", "    subq  a5, 1, a5",
+             "    bgt   a5, Lpass", "    ret", ".end"]
+    return "\n".join(text) + "\n"
+
+
+#: Small caches, TLBs and write buffer, so that the drawn loops miss.
+SMALL = dict(l1i=CacheConfig(256, 32, 1, 0), l1d=CacheConfig(256, 32, 1, 2),
+             l2=CacheConfig(1024, 64, 2, 8),
+             board=CacheConfig(4096, 64, 1, 20), itb_entries=2,
+             dtb_entries=2, write_buffer_entries=2)
+
+
+@settings(max_examples=examples(40), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(region_loops(), st.sampled_from(("default", "cycles", "mux")),
+       st.sampled_from((None, "double", "interpret")),
+       st.sampled_from((5, 0)))
+def test_region_steps_match_the_interpreter(text, mode, edge_mode,
+                                            penalty):
+    # Every run tiers up at its first visit, so region steps form
+    # wherever a run's path loops back to it, and lap, leave on a
+    # direction guard, stop at the budget and deliver samples inside;
+    # a mispredict may owe no cycles.
+    def observed(fastpath):
+        config = MachineConfig(mispredict_penalty=penalty, **SMALL)
+        config.fastpath = fastpath
+        options = {"edge_sampling": True, "edge_mode": edge_mode} \
+            if edge_mode else {}
+        session = ProfileSession(config, SessionConfig(
+            mode=mode, cycles_period=(60, 64), event_period=4,
+            drain_interval=2_000, seed=1, **options))
+        result = session.run(Assembled(text), max_instructions=2_000)
+        return fingerprint(result), model_counters(result.machine)
+    slow = observed(False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "COMPILE_RUN_AT", 1)
+        assert observed(True) == slow

@@ -123,7 +123,7 @@ def test_dcpiab(argv, capsys):
     direction guard is exercised, on the same three legs in each mode,
     by ``test_fastpath_identity.py::test_trace_leaves_on_its_direction_guard``
     instead.  Generated steps (``compiled runs``) must have run, so the
-    identity covers that tier as well."""
+    identity covers that tier as well, and so must their calls."""
     code = cli.main_dcpiab(argv)
     out = capsys.readouterr().out
     assert code == 0, out
@@ -131,7 +131,8 @@ def test_dcpiab(argv, capsys):
         len(REGISTRY), len(REGISTRY)) in out
     assert "replay cache 0 hits" not in out
     # Hot runs ran as generated steps on the fast legs.
-    assert "; 0 compiled runs;" not in out, out
+    assert "; 0 compiled runs," not in out, out
+    assert " 0 compiled calls;" not in out, out
     exits = dict(item.split("=") for item in
                  out.rstrip().rpartition(" exits ")[2].split())
     assert [kind for kind, count in exits.items() if count == "0"] in (

@@ -3,6 +3,7 @@ bundles with pathname images, database raw format, registers."""
 
 import pytest
 
+from conftest import true_counts
 from repro.alpha import regs
 from repro.alpha.assembler import assemble
 from repro.collect.driver import Driver
@@ -90,7 +91,7 @@ top:
         image = machine.load_image(assemble(self.PROGRAM))
         machine.spawn(image)
         machine.run()
-        counts = machine.true_counts_for(image)
+        counts = true_counts(machine, image)
         subq = image.instructions[1]
         assert counts[subq.addr] == 50
         assert machine.gt_head[subq.addr] >= 50

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_copy_workload
+from conftest import counts_event, make_copy_workload
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
 from repro.cpu.events import EventType
@@ -27,8 +27,8 @@ class TestSessionRun:
         assert EventType.IMISS in result.driver.event_samples or True
         # IMISS sampling is configured even if this tiny loop misses
         # too rarely to overflow the counter.
-        assert result.machine.cores[0].counters.counts_event(
-            EventType.IMISS)
+        assert counts_event(result.machine.cores[0].counters,
+                            EventType.IMISS)
 
     def test_cycles_mode_has_single_counter(self):
         result = make_session(mode="cycles").run(
