@@ -35,11 +35,6 @@ def true_counts(machine, image):
             for inst in image.instructions}
 
 
-def counts_event(unit, event):
-    """Whether a slot of the counter unit *unit* counts *event*."""
-    return bool(unit._by_event.get(event))
-
-
 def files_on_disk(db):
     """Every profile or temp file under *db*'s epoch directories."""
     return {os.path.join(name, fname)

@@ -4,7 +4,6 @@ import itertools
 
 from hypothesis import given, strategies as st
 
-from conftest import counts_event
 from repro.collect.prng import CartaRandom, period_sampler
 from repro.cpu.counters import UNBOUNDED, CounterUnit
 from repro.cpu.events import EventType
@@ -69,15 +68,16 @@ class TestCounterUnit:
     def test_counts_event(self):
         unit = CounterUnit()
         unit.configure(EventType.IMISS, lambda: 10)
-        assert counts_event(unit, EventType.IMISS)
-        assert not counts_event(unit, EventType.DMISS)
+        # A slot counts an event iff add can overflow on it.
+        assert unit.headroom(EventType.IMISS) == 10
+        assert unit.headroom(EventType.DMISS) == UNBOUNDED
 
     def test_multiplex_switch(self):
         unit = CounterUnit()
         slot = unit.configure(EventType.IMISS, lambda: 10)
         unit.add(EventType.IMISS, 5, 5)
         unit.set_event(slot, EventType.DMISS)
-        assert not counts_event(unit, EventType.IMISS)
+        assert unit.headroom(EventType.IMISS) == UNBOUNDED
         # Count resets on switch.
         assert unit.add(EventType.DMISS, 9, 9) == []
         assert len(unit.add(EventType.DMISS, 1, 10)) == 1

@@ -308,7 +308,9 @@ def test_bounds_change_time_never_a_result(name, monkeypatch):
 
         def counted(*args):
             state = step(*args)
-            if state[0] < span:
+            # Short of the region's end with prev_issue at the stop
+            # argument: the deadline, not a direction guard, ended it.
+            if state[0] < span and state[3] >= args[-2]:
                 cut.append(state[0])
             return state
         return members, counted

@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import counts_event, make_copy_workload
+from conftest import make_copy_workload
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu.config import MachineConfig
+from repro.cpu.counters import UNBOUNDED
 from repro.cpu.events import EventType
 from repro.obs import derive
 
@@ -27,8 +28,8 @@ class TestSessionRun:
         assert EventType.IMISS in result.driver.event_samples or True
         # IMISS sampling is configured even if this tiny loop misses
         # too rarely to overflow the counter.
-        assert counts_event(result.machine.cores[0].counters,
-                            EventType.IMISS)
+        counters = result.machine.cores[0].counters
+        assert counters.headroom(EventType.IMISS) != UNBOUNDED
 
     def test_cycles_mode_has_single_counter(self):
         result = make_session(mode="cycles").run(
