@@ -4,17 +4,61 @@ Caches are physically indexed and physically tagged, so the per-run
 virtual-to-physical page assignment (see :mod:`repro.osim.process`)
 changes conflict behaviour between runs -- the effect the paper uses to
 explain wave5's run-to-run variance.
+
+Each geometry's probe -- direct-mapped or set-associative, indexed by a
+mask or by modulo -- is written once, as source (``_DIRECT_*`` and
+``_WAYS_*``), and the probe of a cache's geometry is folded into every
+function that probes it when the cache or the hierarchy is built:
+:attr:`Cache.lookup`, and :attr:`Hierarchy.access` and
+:attr:`Hierarchy.fill`, which run all three levels in one frame.
 """
+
+#: The probe of line ``_ln`` in a direct-mapped cache ``{c}`` whose
+#: ``sets`` is ``{s}``: ``{i}`` is the set index and ``{hit}`` the
+#: statement that ends a hit.  A miss falls through the second part,
+#: which installs the line when ``allocate`` is true; a caller that has
+#: compared the tag itself runs only that part.
+_DIRECT_HIT = (
+    "if {s}[{i}] == _ln:",
+    "    {c}.hits += 1",
+    "    {hit}",
+)
+_DIRECT_MISS = (
+    "{c}.misses += 1",
+    "if allocate: {s}[{i}] = _ln",
+)
+#: The same for a set-associative cache: each set is a list of tags in
+#: MRU..LRU order.
+_WAYS_HIT = (
+    "_w = {s}[{i}]",
+    "if _ln in _w:",
+    "    {c}.hits += 1",
+    "    if _w[0] != _ln:",
+    "        _w.remove(_ln)",
+    "        _w.insert(0, _ln)",
+    "    {hit}",
+)
+_WAYS_MISS = (
+    "{c}.misses += 1",
+    "if allocate:",
+    "    _w.insert(0, _ln)",
+    "    if len(_w) > {assoc}: _w.pop()",
+)
+
+#: Probe source -> the function factory compiled from it (a handful of
+#: geometries per process; cleared when full).
+_FACTORIES = {}
+_FACTORIES_MAX = 256
 
 
 class Cache:
     """A set-associative cache with LRU replacement.
 
     Associativity 1 degenerates to a direct-mapped cache whose set holds
-    one tag.  For a direct-mapped L1 with a power-of-two set count both
-    ``Core.run`` paths compare that tag in line and call :meth:`lookup`
-    only when it does not match, so lookups here are L1 misses, L2 and
-    board accesses, and every access to an L1 of any other geometry.
+    one tag.  ``tag_mask`` is the set mask of a direct-mapped cache with
+    a power-of-two set count, else None: for such an L1 both
+    ``Core.run`` paths compare the tag in line, count a hit themselves
+    and go to the model only on a miss (:attr:`Hierarchy.fill`).
     """
 
     def __init__(self, config):
@@ -31,6 +75,7 @@ class Cache:
             self._set_mask = self.num_sets - 1
         self.assoc = config.assoc
         self.latency = config.latency
+        self.tag_mask = self._set_mask if self.assoc == 1 else None
         # For assoc == 1: sets[i] is the resident tag (or None).
         # Otherwise: sets[i] is a list of tags in MRU..LRU order.
         if self.assoc == 1:
@@ -39,50 +84,16 @@ class Cache:
             self.sets = [[] for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, addr, allocate=True):
-        """Access the line containing *addr*; return True on hit.
-
-        When *allocate* is false (write-through, no-write-allocate
-        stores), a miss does not install the line.
-        """
-        line = addr >> self._line_shift
-        mask = self._set_mask
-        index = line & mask if mask is not None else line % self.num_sets
-        if self.assoc == 1:
-            if self.sets[index] == line:
-                self.hits += 1
-                return True
-            self.misses += 1
-            if allocate:
-                self.sets[index] = line
-            return False
-        ways = self.sets[index]
-        if line in ways:
-            self.hits += 1
-            if ways[0] != line:
-                ways.remove(line)
-                ways.insert(0, line)
-            return True
-        self.misses += 1
-        if allocate:
-            ways.insert(0, line)
-            if len(ways) > self.assoc:
-                ways.pop()
-        return False
-
-    def contains(self, addr):
-        """Return True if the line holding *addr* is resident (no update)."""
-        line = addr >> self._line_shift
-        mask = self._set_mask
-        index = line & mask if mask is not None else line % self.num_sets
-        if self.assoc == 1:
-            return self.sets[index] == line
-        return line in self.sets[index]
+        #: ``lookup(addr, allocate=True)``: access the line containing
+        #: *addr*; True on a hit.  When *allocate* is false
+        #: (write-through, no-write-allocate stores), a miss does not
+        #: install the line.
+        self.lookup = _build("lookup", (self,), _probe(0, self, "return True")
+                             + ["return False"])
 
     def flush(self):
         """Invalidate the entire cache.  ``sets`` is cleared in place:
-        ``Core.run`` and replay code hold it across calls."""
+        ``Core.run``, replay code and the probe functions hold it."""
         if self.assoc == 1:
             self.sets[:] = [None] * self.num_sets
         else:
@@ -93,8 +104,13 @@ class Cache:
 class Hierarchy:
     """L1 (I or D) + unified L2 + board cache + memory.
 
-    ``access`` returns the total added latency of a fill and the set of
-    levels that missed; the pipeline turns those into events.
+    ``access(paddr, allocate=True)`` probes L1, then on a miss L2, the
+    board and memory, in one frame, and returns ``(latency, l1_missed)``:
+    the full load-to-use latency, ``l1.latency`` on a primary hit.
+    ``fill(paddr, allocate=True)`` is the same for a caller that has
+    already compared the L1 tag and seen it miss (``l1.tag_mask`` is
+    not None): it counts and installs the L1 miss without comparing
+    again.  For any other L1 it is ``access``.
     """
 
     def __init__(self, l1, l2, board, memory_latency):
@@ -102,20 +118,55 @@ class Hierarchy:
         self.l2 = l2
         self.board = board
         self.memory_latency = memory_latency
+        caches = (l1, l2, board)
+        lat = l1.latency + l2.latency
+        below = _probe(1, l2, "return (%d, True)" % lat)
+        lat += board.latency
+        below += _probe(2, board, "return (%d, True)" % lat)
+        below.append("return (%d, True)" % (lat + memory_latency))
+        self.access = _build("access", caches, _probe(
+            0, l1, "return (%d, False)" % l1.latency) + below)
+        if l1.tag_mask is None:
+            self.fill = self.access
+        else:
+            self.fill = _build("fill", caches,
+                               _probe(0, l1, None, compared=True) + below)
 
-    def access(self, paddr, allocate=True):
-        """Access *paddr*; return (latency, l1_missed).
 
-        Latency is the full load-to-use latency including the L1 hit
-        latency, i.e. ``l1.latency`` on a primary hit.
-        """
-        latency = self.l1.latency
-        if self.l1.lookup(paddr, allocate):
-            return latency, False
-        latency += self.l2.latency
-        if self.l2.lookup(paddr, allocate):
-            return latency, True
-        latency += self.board.latency
-        if self.board.lookup(paddr, allocate):
-            return latency, True
-        return latency + self.memory_latency, True
+def _probe(n, cache, hit, compared=False):
+    """The source lines that probe *cache*, the *n*-th cache a probe
+    function closes over, for the line holding ``paddr``: its
+    geometry's probe, ending a hit with the statement *hit*.  With
+    *compared*, only the miss part (the caller compared the tag)."""
+    index = ("_ln & %d" % cache._set_mask if cache._set_mask is not None
+             else "_ln %% %d" % cache.num_sets)
+    if cache.assoc == 1:
+        parts = (_DIRECT_MISS,) if compared else (_DIRECT_HIT, _DIRECT_MISS)
+    else:
+        parts = (_WAYS_HIT, _WAYS_MISS)
+    fields = dict(c="c%d" % n, s="s%d" % n, i=index, hit=hit,
+                  assoc=cache.assoc)
+    return ["_ln = paddr >> %d" % cache._line_shift] + [
+        line.format(**fields) for part in parts for line in part]
+
+
+def _build(name, caches, body):
+    """The function *name*``(paddr, allocate=True)`` running the source
+    lines *body*, with ``c<n>`` / ``s<n>`` bound to the *n*-th of
+    *caches* and its ``sets``."""
+    key = (name, len(caches), tuple(body))
+    make = _FACTORIES.get(key)
+    if make is None:
+        source = "\n".join(
+            ["def _make(%s):" % ", ".join(
+                "c%d, s%d" % (n, n) for n in range(len(caches))),
+             "    def %s(paddr, allocate=True):" % name]
+            + ["        " + line for line in body]
+            + ["    return %s" % name])
+        scope = {"__name__": __name__}
+        exec(compile(source, "<cache-probe>", "exec"), scope)
+        make = scope["_make"]
+        if len(_FACTORIES) >= _FACTORIES_MAX:
+            _FACTORIES.clear()
+        _FACTORIES[key] = make
+    return make(*[obj for cache in caches for obj in (cache, cache.sets)])

@@ -29,9 +29,15 @@ code, the run (:class:`_Run`, cached per start address in
 accounting, and all inline the same hit probes -- a same-page I-L1 tag
 hit at a fetch-line cross, a D-TLB entry, an L1D tag hit, a store to a
 write-buffer block still draining -- as a hit-counter bump.  Only a
-probe that does not hit calls the model (``_fetch``, ``TLB.translate``,
-``Hierarchy.access``, ``Cache.lookup``, ``WriteBuffer.earliest_issue``
-/ ``commit``):
+probe that does not hit calls the model, one call per miss: ``_fetch``
+(which goes on to ``Hierarchy.fill`` after a same-page tag miss, to
+``Hierarchy.access`` on a new code page), ``TLB.translate``,
+``Hierarchy.fill`` for a load's L1D tag miss (the L1 miss, L2, the board
+and memory in one frame), ``WriteBuffer.earliest_issue`` for a store to
+a block not in the buffer and ``commit`` for one that does not merge.
+A store's L1D tag miss is only counted (no-write-allocate), and an L1
+whose tag the paths cannot compare in line (``Cache.tag_mask`` None)
+goes to ``Hierarchy.access`` / ``Cache.lookup`` on every access:
 
 * **interpreted**: the dispatch loop's body walks the run's predecoded
   records (:mod:`repro.alpha.predecode`) from the PC to the next
@@ -89,7 +95,19 @@ the fewest cycles that overflow a CYCLES slot
 ``prev_issue - cyc_base``, so a replay or an instruction that issues
 below ``cyc_mark`` only moves ``prev_issue``; one that issues at or
 after it hands the cycles since ``cyc_base`` to ``CounterUnit.add``
-and raises both marks, and run exit hands over the rest.
+and raises both marks, and run exit hands over the rest.  Discrete
+events are held back the same way: one that overflows no slot only
+lowers ``CounterUnit.room`` (:func:`repro.cpu.step.post_events`), and
+run exit hands the slots what is left (``CounterUnit.settle``).
+
+Within a visit, interpreted or generated, an instruction's tail is one
+test: ``issue >= due`` (or an event was posted), where *due* is the
+least of ``cyc_mark``, the deadline ``stop`` and the earliest pending
+delivery, set at the visit's start.  Only then does the tail count the
+CYCLES overflow, post the events, deliver what is due
+(:func:`repro.cpu.step.deliver` returns the next *due*) and stop the
+visit at the deadline; the interpreter's tail and the generated one
+have the same shape.
 """
 
 from repro.alpha.opcodes import MASK64
@@ -100,7 +118,7 @@ from repro.cpu.counters import UNBOUNDED, CounterUnit
 from repro.cpu.events import EventType
 from repro.cpu.fastpath import (
     BAIL_TAIL, BUDGET_EDGE, CLEAN, COLD_VARIANT, FALLBACK, FRONT_EXTRA,
-    HEADROOM, MAX_RUN, PENDING, VARIANT_MISS, cache_geometry)
+    HEADROOM, MAX_RUN, PENDING, VARIANT_MISS)
 from repro.cpu.step import (charge_slotting, charge_stalls, compile_run,
                             count_cycles, deliver, loops, post_events)
 from repro.cpu.tlb import TLB
@@ -124,12 +142,11 @@ _NEVER_HITS = (None,)
 
 def _tag_probe(cache):
     """``(sets, set_mask)`` for ``Core.run``'s inlined L1 tag probe;
-    an L1 that :func:`cache_geometry` cannot describe gets one that
-    never hits, so every access takes the model call."""
-    geom = cache_geometry(cache.config)
-    if geom is None:
+    an L1 whose tag callers do not compare (``Cache.tag_mask`` is None)
+    gets one that never hits, so every access takes the model call."""
+    if cache.tag_mask is None:
         return _NEVER_HITS, 0
-    return cache.sets, geom[1]
+    return cache.sets, cache.tag_mask
 
 
 #: Bound on cached runs (``Machine.runs``); a full cache is emptied
@@ -324,7 +341,9 @@ class Core:
         caller has already updated ``_last_fetch_line``.  Both paths
         of :meth:`run` inline the fetch that charges nothing (same
         code page, I-L1 tag hit, not a stream-buffer line); every other
-        fetch comes here.
+        fetch comes here, and on the same code page the I-L1 tag was
+        compared, so a line not in the stream buffer goes to
+        ``Hierarchy.fill``.
         """
         config = self.config
         page_bits = config.page_bits
@@ -332,7 +351,10 @@ class Core:
         icache_pen = 0
         events_now = None
         vpage = pc >> page_bits
+        # On the same code page the caller compared the line's I-L1 tag.
+        hier_fill = self.ihier.fill
         if vpage != self._last_code_page:
+            hier_fill = self.ihier.access
             ppage, itb_pen, itb_miss = self.itb.translate(
                 0, vpage, self.machine.translate_code)
             self._last_code_page = vpage
@@ -354,7 +376,7 @@ class Core:
             icache_pen = config.istream_hit_latency
             imiss = True
         else:
-            ilat, imiss = self.ihier.access(paddr)
+            ilat, imiss = hier_fill(paddr)
             if imiss:
                 icache_pen = ilat
         if imiss:
@@ -717,14 +739,9 @@ class Core:
                 if res[3]:
                     front_extra = mispredict_penalty
                     front_reason = "branchmp"
-                    row = gt_events.get(u.term_addr)
-                    if row is None:
-                        row = {}
-                        gt_events[u.term_addr] = row
-                    row[_EV_BRANCHMP] = row.get(_EV_BRANCHMP, 0) + 1
-                    for oev, otime in counters.add(
-                            _EV_BRANCHMP, 1, prev_issue):
-                        pending.append((otime + skew, oev))
+                    post_events(gt_events, u.term_addr,
+                                ((_EV_BRANCHMP, prev_issue),), counters,
+                                pending, skew)
                 else:
                     link_tail = u.tail
                     link_taken = res[2]
@@ -798,7 +815,14 @@ class Core:
                 continue
 
             # ---- interpreted: cold, recording, or cut by the budget ----
+            # due: the first cycle at which a CYCLES overflow, a
+            # delivery or the deadline is due (stop falls to -1 after a
+            # double sample's first half).
             stop = deadline
+            due = cyc_mark if cyc_mark < stop else stop
+            for p in pending:
+                if p[0] < due:
+                    due = p[0]
             chunks = (run.prefix(insts_left) if 0 <= insts_left < n
                       else run.chunks)
             next_pc = run.end  # the fall-through; a taken transfer sets it
@@ -959,7 +983,7 @@ class Core:
                             dlat = l1d_latency
                             dmiss = False
                         else:
-                            dlat, dmiss = dhier.access(paddr)
+                            dlat, dmiss = dhier.fill(paddr)
                         if kind == 4:  # ldq
                             value = mem.get(vaddr & ~7, 0)
                         elif kind == 5:  # ldl
@@ -1008,8 +1032,10 @@ class Core:
                         dline = paddr >> dline_shift
                         if dcs[dline & dmask] == dline:
                             l1d.hits += 1
-                        else:
+                        elif dcs is _NEVER_HITS:
                             l1d.lookup(paddr, allocate=False)
+                        else:
+                            l1d.misses += 1
                         if wb_done is not None and wb_done > issue:
                             # Still draining at issue: the store merges.
                             wb.merges += 1
@@ -1070,37 +1096,6 @@ class Core:
                             gt_edges[edge] = gt_edges.get(edge, 0) + 1
                     # kind == 10 (nop / call_pal): timing only.
 
-                    # ---- performance counters -------------------------
-                    if issue >= cyc_mark:
-                        # An overflow is due: the slots take the cycles
-                        # since cyc_base (all one contiguous run).
-                        cyc_mark = count_cycles(counters, pending, skew,
-                                                issue - cyc_base, issue)
-                        cyc_base = issue
-                    if events_now:
-                        if rec_list is not None:
-                            # A dynamic event landed inside the block:
-                            # this visit's schedule is not the
-                            # stall-free one.
-                            rec_list = None
-                            fp.abort_recording(run)
-                        post_events(gt_events, pc, events_now, counters,
-                                    pending, skew)
-                        events_now = None
-                    if pending:
-                        # An interrupt due: it reports the leader before
-                        # this instruction unless this one paired.
-                        delivered = deliver(
-                            self, proc.pid, pending, issue, prev_issue, pc,
-                            leader_pc if issue == prev_issue
-                            else leader_before, ctrl, next_pc, front_extra,
-                            edge_from, stop)
-                        if delivered is not None:
-                            if rec_list is not None:
-                                rec_list = None
-                                fp.abort_recording(run)
-                            front_extra, edge_from, stop = delivered
-
                     # ---- recording ------------------------------------
                     if rec_list is not None:
                         paired = issue == prev_issue
@@ -1110,10 +1105,43 @@ class Core:
                              tuple(rec_stalls) if rec_stalls else None))
                         rec_stalls = None
 
+                    # ---- performance counters, deliveries, deadline ---
+                    if issue >= due or events_now:
+                        if issue >= cyc_mark:
+                            # An overflow is due: the slots take the
+                            # cycles since cyc_base (one contiguous run).
+                            cyc_mark = count_cycles(counters, pending, skew,
+                                                    issue - cyc_base, issue)
+                            cyc_base = issue
+                        if events_now:
+                            if rec_list is not None:
+                                # A dynamic event landed inside the
+                                # block: this visit's schedule is not
+                                # the stall-free one.
+                                rec_list = None
+                                fp.abort_recording(run)
+                            post_events(gt_events, pc, events_now, counters,
+                                        pending, skew)
+                            events_now = None
+                        due = cyc_mark if cyc_mark < stop else stop
+                        if pending:
+                            # An interrupt due reports the leader before
+                            # this instruction unless this one paired.
+                            waiting = len(pending)
+                            front_extra, edge_from, stop, due = deliver(
+                                self, proc.pid, pending, issue, prev_issue,
+                                pc, leader_pc if issue == prev_issue
+                                else leader_before, ctrl, next_pc,
+                                front_extra, edge_from, stop, due)
+                            if rec_list is not None and len(pending) < waiting:
+                                rec_list = None
+                                fp.abort_recording(run)
+                        if issue >= stop:
+                            prev_issue = issue
+                            break
+
                     # ---- advance --------------------------------------
                     prev_issue = issue
-                    if issue >= stop:
-                        break
                 else:
                     continue
                 break
@@ -1144,8 +1172,11 @@ class Core:
             insts_left -= k
             retired += k
 
-        # Below cyc_mark, so this overflows no slot.
+        # Below cyc_mark, so this overflows no slot; the slots take the
+        # events counted in line too, so counts read between runs are
+        # exact.
         counters.add(_EV_CYCLES, prev_issue - cyc_base, prev_issue)
+        counters.settle()
         # Fold deferred ground truth in before anything can read the
         # maps (pure addition, so totals match per-instruction counts).
         _count_visits(visited, gt_count)

@@ -35,9 +35,15 @@ decomposition (:func:`charge_stalls`), slotting (:func:`charge_slotting`
 -- both keep a one-line in-line case for a row that already counts
 slotting), CYCLES overflow (:func:`count_cycles`), event counting
 (:func:`post_events`) and sample delivery (:func:`deliver`) are
-functions both call.  What stays written twice is the common path the
-generator folds: operand readiness, the pairing test, arrival / issue
-and ``gt_head``, the hit probes and each kind's execute.
+functions both call, each in one pass over its inputs; event counting
+calls ``CounterUnit.add`` only for an occurrence that overflows a slot.
+Both tails test one due cycle per instruction -- the least of
+``cyc_mark``, ``stop`` and the earliest pending delivery -- and run the
+counters, deliveries and the deadline only when it is reached (or an
+event was posted), in the same shape.  What stays written twice is the
+common path the generator folds: operand readiness, the pairing test,
+arrival / issue and ``gt_head``, the hit probes (a miss is one model
+call, ``Hierarchy.fill``) and each kind's execute.
 """
 
 from repro.alpha.opcodes import MASK64, open_code
@@ -87,21 +93,25 @@ def charge_stalls(gt_stall, pc, front_extra, front_reason, itb_pen,
     base = arrival
     if rdy > base:
         # A source not ready at arrival: its static part (a register
-        # dependence; static ready times never exceed dynamic ones),
-        # then the dynamic rest.
+        # dependence on the first source holding the latest static ready
+        # time; static ready times never exceed dynamic ones), then the
+        # dynamic rest, named by the first source holding rdy (the
+        # latest ready time).  One pass finds both sources.
         reg_ready_static = proc.reg_ready_static
-        rdy_static = 0
-        for src in srcs:
+        reg_ready = proc.reg_ready
+        rdy_static = dep_index = 0
+        rdy_dyn = -1
+        for index, src in enumerate(srcs):
             r = reg_ready_static[src]
             if r > rdy_static:
                 rdy_static = r
+                dep_index = index
+            r = reg_ready[src]
+            if r > rdy_dyn:
+                rdy_dyn = r
+                dyn_src = src
         d_static = (rdy_static if rdy_static < issue else issue) - base
         if d_static > 0:
-            dep_index = 0
-            for src in srcs:
-                if reg_ready_static[src] == rdy_static:
-                    break
-                dep_index += 1
             reason = DEP_REASON[dep_index]
             stall_row[reason] = stall_row.get(reason, 0) + d_static
             if recording:
@@ -109,11 +119,7 @@ def charge_stalls(gt_stall, pc, front_extra, front_reason, itb_pen,
             base += d_static
         d_dyn = rdy - base  # issue >= rdy
         if d_dyn > 0:
-            reg_ready = proc.reg_ready
-            for src in srcs:
-                if reg_ready[src] == rdy:
-                    break
-            reason = proc.reg_dyn_reason.get(src) or "dcache"
+            reason = proc.reg_dyn_reason.get(dyn_src) or "dcache"
             stall_row[reason] = stall_row.get(reason, 0) + d_dyn
             if recording:
                 stalls.append((reason, d_dyn))
@@ -141,29 +147,39 @@ def count_cycles(counters, pending, skew, amount, issue):
     overflow is due); return the new watermark ``cyc_mark``."""
     for ev, otime in counters.add(_EV_CYCLES, amount, issue):
         pending.append((otime + skew, ev))
-    return issue + counters.headroom(_EV_CYCLES)
+    return issue + counters.room[_EV_CYCLES]
 
 
 def post_events(gt_events, pc, events, counters, pending, skew):
     """Count the instruction's dynamic *events* ``[(event, time)]`` in
-    ground truth and on the counters."""
+    ground truth and on the counters.  An occurrence that overflows no
+    slot only lowers the event's ``CounterUnit.room``; the one that
+    brings it to 0 goes to ``CounterUnit.add``, which hands the slots
+    every occurrence counted here since."""
     row = gt_events.get(pc)
     if row is None:
         row = {}
         gt_events[pc] = row
+    room = counters.room
     for ev, etime in events:
         row[ev] = row.get(ev, 0) + 1
-        for oev, otime in counters.add(ev, 1, etime):
-            pending.append((otime + skew, oev))
+        left = room[ev] - 1
+        if left:
+            room[ev] = left
+        else:
+            for oev, otime in counters.add(ev, 1, etime):
+                pending.append((otime + skew, oev))
 
 
 def deliver(core, pid, pending, issue, prev_issue, pc, leader, ctrl,
-            next_pc, front_extra, edge_from, stop):
-    """Deliver the interrupts in *pending* due by *issue*: None when
-    none is, else ``(front_extra, edge_from, stop)`` -- the front-end
-    debt with the handlers' cycles added, and, after a CYCLES sample
-    under double sampling, the PC awaiting the second half and a stop
-    right after this instruction.
+            next_pc, front_extra, edge_from, stop, due):
+    """Deliver the interrupts in *pending* due by *issue*, in the order
+    they were posted, and keep the others.  Returns ``(front_extra,
+    edge_from, stop, due)``: the front-end debt with the handlers'
+    cycles added; after a CYCLES sample under double sampling, the PC
+    awaiting the second half and a stop right after this instruction;
+    and the next due cycle, the least of *due* (the caller's least of
+    ``cyc_mark`` and *stop*), the new stop and the deliveries kept.
 
     Deliveries while the previous instruction still held the head
     belong to it (to *leader*, the leader of a dual issue); anything
@@ -171,10 +187,20 @@ def deliver(core, pid, pending, issue, prev_issue, pc, leader, ctrl,
     empty -- reports the PC of the next instruction to execute (paper
     section 4.1.2: this is what makes IMISS samples land on the missing
     instruction)."""
-    ready = [p for p in pending if p[0] <= issue]
+    ready = []
+    kept = 0
+    for entry in pending:
+        dtime = entry[0]
+        if dtime <= issue:
+            ready.append(entry)
+        else:
+            pending[kept] = entry
+            kept += 1
+            if dtime < due:
+                due = dtime
     if not ready:
-        return None
-    pending[:] = [p for p in pending if p[0] > issue]
+        return front_extra, edge_from, stop, due
+    del pending[kept:]
     sink = core.sample_sink
     edge_sink = core.edge_sink
     for dtime, ev in ready:
@@ -192,8 +218,8 @@ def deliver(core, pid, pending, issue, prev_issue, pc, leader, ctrl,
                     edge_sink(core.cpu_id, pid, pc, next_pc, dtime)
             else:
                 edge_from = attr_pc
-                stop = -1
-    return front_extra, edge_from, stop
+                stop = due = -1
+    return front_extra, edge_from, stop, due
 
 
 # ---- the generated step -------------------------------------------------
@@ -343,7 +369,8 @@ def _run_source(parts, shape):
     A member's terminator guards the direction into the next member and
     returns where control leaves.  D-TLB and L1D hits of the inlined
     probes are counted in locals and added to the models when the
-    visit returns."""
+    visit returns.  ``due`` is set in the prologue and kept by each
+    tail; a lap needs nothing pending, so it leaves ``due`` as it is."""
     (page_bits, ishift, dshift, imask, dmask, l1d_latency,
      mispredict_penalty, skew) = shape
     lps = page_bits - ishift
@@ -514,7 +541,7 @@ def _run_source(parts, shape):
                 # An L1D miss under a D-TLB entry: the hierarchy decides.
                 out("elif _pp is not None:")
                 out("    _th += 1")
-                out("    _dl, _dm = dhier.access((_pp << %d) | (_va & %d))"
+                out("    _dl, _dm = dhier.fill((_pp << %d) | (_va & %d))"
                     % (page_bits, pm))
                 missed = ("events_now = [(_EV_DMISS, issue)]" if not events
                           else "events_now = ([] if events_now is None else"
@@ -610,40 +637,46 @@ def _run_source(parts, shape):
             next_pc = "next_pc"
         # kind == 10 (nop / call_pal): timing only.
 
-        # ---- performance counters
-        out("if issue >= cyc_mark: cyc_base, cyc_mark = issue, count_cycles("
+        # ---- performance counters, deliveries and the deadline: only
+        # when due (or an event was posted)
+        out("if issue >= due%s:" % (" or events_now" if events else ""))
+        out("    if issue >= cyc_mark: cyc_base, cyc_mark = issue, count_cycles("
             "core.counters, pending, %d, issue - cyc_base, issue)" % skew)
         if events:
-            out("if events_now: post_events(gt_events, %d, events_now,"
+            out("    if events_now: post_events(gt_events, %d, events_now,"
                 " core.counters, pending, %d); events_now = None" % (pc, skew))
-        out("if pending and (_d := deliver(core, proc.pid, pending, issue,"
-            " prev_issue, %d, %s, %r, %s, front_extra, edge_from, stop)):"
-            " front_extra, edge_from, stop = _d"
+        out("    due = cyc_mark if cyc_mark < stop else stop")
+        out("    if pending: front_extra, edge_from, stop, due = deliver(core,"
+            " proc.pid, pending, issue, prev_issue, %d, %s, %r, %s,"
+            " front_extra, edge_from, stop, due)"
             % (pc, "leader_pc if issue == prev_issue else leader_before"
                if pair_ok else "leader_before", bool(ctrl),
                next_pc if ctrl else None))
+        if j < n - 1:
+            # The deadline stops the visit after this instruction.
+            succ = recs[j + 1][14]
+            out("    if issue >= stop: prev_issue = issue; _k = %d;%s break"
+                % (j + 1, "" if next_pc == "next_pc" and j + 1 in firsts
+                   else " next_pc = %d;" % (succ if j + 1 in firsts
+                                            else pc + 4)))
 
         # ---- advance
         out("prev_issue = issue")
-        if j + 1 in firsts:
+        if j + 1 in firsts and next_pc == "next_pc":
             # An interior terminator: the step goes on only into the
             # next member.
-            succ = recs[j + 1][14]
-            if next_pc == "next_pc":
-                out("if next_pc != %d or issue >= stop: _k = %d; break"
-                    % (succ, j + 1))
-            else:
-                out("if issue >= stop: _k = %d; next_pc = %d; break"
-                    % (j + 1, succ))
-        elif j < n - 1:
-            out("if issue >= stop: _k = %d; next_pc = %d; break"
-                % (j + 1, pc + 4))
+            out("if next_pc != %d: _k = %d; break" % (recs[j + 1][14], j + 1))
     start = recs[0][14]
     if not ctrl:
         next_pc = str(pc + 4)
     head = ["def _step(%s):" % _STEP_ARGS,
             "    itb_pen = icache_pen = 0",
-            "    events_now = edge_from = None"]
+            "    events_now = edge_from = None",
+            # The first cycle at which an overflow, a delivery or the
+            # deadline is due.
+            "    due = cyc_mark if cyc_mark < stop else stop",
+            "    for _p in pending:",
+            "        if _p[0] < due: due = _p[0]"]
     kinds = [rec[0] for rec in recs]
     tail = []
     lapped = "0"

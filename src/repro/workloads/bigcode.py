@@ -7,6 +7,7 @@ to their size, giving the spread of per-procedure I-cache activity the
 Figure 10 correlation experiment needs.
 """
 
+import functools
 import random
 
 from repro.alpha.assembler import assemble
@@ -35,6 +36,24 @@ def straightline_proc(name, n_insts, rng):
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
+def _text(name, procedures, min_insts, max_insts, rounds, seed):
+    """A :class:`BigCode`'s assembly text, generated once per process
+    for its parameters: 0.17 MiB for the registry's, which every session
+    of it would otherwise generate again (32 ms).  The text, not the
+    assembled image: one image's instructions take 2.5 MiB."""
+    rng = random.Random(seed)
+    text = ".image %s\n" % name
+    names = []
+    for index in range(procedures):
+        proc = "leaf_%02d" % index
+        names.append(proc)
+        size = rng.randint(min_insts, max_insts)
+        text += straightline_proc(proc, size, rng)
+    text += caller_proc("main", names, rounds=rounds)
+    return text
+
+
 class BigCode(Workload):
     """Rotating calls over ~50 KB of straight-line code."""
 
@@ -52,16 +71,8 @@ class BigCode(Workload):
         self.seed = seed
 
     def _asm(self):
-        rng = random.Random(self.seed)
-        text = ".image %s\n" % self.name
-        names = []
-        for index in range(self.procedures):
-            name = "leaf_%02d" % index
-            names.append(name)
-            size = rng.randint(self.min_insts, self.max_insts)
-            text += straightline_proc(name, size, rng)
-        text += caller_proc("main", names, rounds=self.rounds)
-        return text
+        return _text(self.name, self.procedures, self.min_insts,
+                     self.max_insts, self.rounds, self.seed)
 
     def setup(self, machine):
         image = assemble(self._asm(), image_name=self.name)

@@ -35,18 +35,20 @@ class TestDirectMapped:
 
     def test_no_allocate_leaves_cache_unchanged(self):
         cache = make_cache()
-        cache.lookup(0x40, allocate=False)
-        assert cache.contains(0x40) is False
+        assert cache.lookup(0x40, allocate=False) is False
+        assert cache.lookup(0x40) is False  # not installed
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_flush(self):
         cache = make_cache()
         sets = cache.sets
         cache.lookup(0x100)
         cache.flush()
-        assert cache.contains(0x100) is False
+        assert sets == [None] * cache.num_sets
+        assert cache.lookup(0x100) is False
+        assert (cache.hits, cache.misses) == (0, 2)
         # Cleared in place: Core.run binds ``sets`` once per run.
         assert cache.sets is sets
-        assert sets == [None] * cache.num_sets
 
     def test_stats(self):
         cache = make_cache()
@@ -77,8 +79,9 @@ class TestSetAssociative:
         cache.lookup(span)       # B
         cache.lookup(0)          # touch A -> B is LRU
         cache.lookup(2 * span)   # evicts B
-        assert cache.contains(0) is True
-        assert cache.contains(span) is False
+        assert cache.lookup(0) is True
+        assert cache.lookup(span) is False
+        assert (cache.hits, cache.misses) == (2, 4)
 
     def test_three_way_modulo_indexing(self):
         # 96KB 3-way with 64B lines: 512 sets (power of two here, but
@@ -97,7 +100,8 @@ class TestSetAssociative:
         cache.lookup(0)
         cache.flush()
         assert cache.sets is sets
-        assert cache.contains(0) is False
+        assert cache.lookup(0) is False
+        assert (cache.hits, cache.misses) == (0, 2)
 
 
 class TestHierarchy:
@@ -134,3 +138,102 @@ class TestHierarchy:
         for addr in addrs:
             latency, _ = h.access(addr)
             assert 2 <= latency <= 90
+
+
+class RefCache:
+    """A cache as first principles put it: every set a list of line
+    numbers in MRU..LRU order, indexed by modulo whatever the geometry,
+    one code path for every associativity."""
+
+    def __init__(self, size, line, assoc, latency):
+        self.line = line
+        self.assoc = assoc
+        self.latency = latency
+        self.sets = [[] for _ in range(size // (line * assoc))]
+        self.hits = self.misses = 0
+
+    def lookup(self, addr, allocate=True):
+        line = addr // self.line
+        ways = self.sets[line % len(self.sets)]
+        if line in ways:
+            self.hits += 1
+            ways.remove(line)
+            ways.insert(0, line)
+            return True
+        self.misses += 1
+        if allocate:
+            ways.insert(0, line)
+            del ways[self.assoc:]
+        return False
+
+
+def ref_access(levels, memory_latency, addr, allocate):
+    """The hierarchy, level by level: ``(latency, l1_missed)``."""
+    latency = 0
+    for level in levels:
+        latency += level.latency
+        if level.lookup(addr, allocate):
+            return latency, level is not levels[0]
+    return latency + memory_latency, True
+
+
+#: (size, line, assoc): direct-mapped with power-of-two sets,
+#: direct-mapped with 6 sets, 3-way with 6 sets (modulo), 3-way and
+#: 2-way with power-of-two sets.
+GEOMETRIES = ((256, 32, 1), (192, 32, 1), (576, 32, 3), (768, 64, 3),
+              (512, 32, 2))
+
+
+class TestHierarchyReference:
+    """``Cache.lookup`` and ``Hierarchy.access`` / ``fill`` -- each
+    geometry's probe folded into one function -- against
+    :class:`RefCache` on random address streams: every return value,
+    every level's hits and misses, and every set's lines in LRU order."""
+
+    @staticmethod
+    def sets(cache):
+        if cache.assoc == 1:
+            return [[] if tag is None else [tag] for tag in cache.sets]
+        return [list(ways) for ways in cache.sets]
+
+    @given(st.lists(st.sampled_from(GEOMETRIES), min_size=3, max_size=3),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=4095),
+                              st.booleans(), st.booleans()),
+                    min_size=1, max_size=150))
+    def test_equals_reference(self, geoms, accesses):
+        latencies = (2, 8, 20)
+        model = [Cache(CacheConfig(size, line, assoc, lat))
+                 for (size, line, assoc), lat in zip(geoms, latencies)]
+        ref = [RefCache(size, line, assoc, lat)
+               for (size, line, assoc), lat in zip(geoms, latencies)]
+        h = Hierarchy(*model, memory_latency=60)
+        l1 = model[0]
+        for addr, allocate, compare in accesses:
+            if compare and l1.tag_mask is not None:
+                # As Core.run probes the L1: the tag in line, the model
+                # only on a miss.
+                line = addr // l1.line_size
+                if l1.sets[line & l1.tag_mask] == line:
+                    l1.hits += 1
+                    got = (l1.latency, False)
+                else:
+                    got = h.fill(addr, allocate)
+            else:
+                got = h.access(addr, allocate)
+            assert got == ref_access(ref, 60, addr, allocate)
+            for cache, want in zip(model, ref):
+                assert (cache.hits, cache.misses) == (want.hits, want.misses)
+        for cache, want in zip(model, ref):
+            assert self.sets(cache) == want.sets
+
+    @given(st.sampled_from(GEOMETRIES),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=4095),
+                              st.booleans()),
+                    min_size=1, max_size=150))
+    def test_lookup_equals_reference(self, geom, accesses):
+        cache = Cache(CacheConfig(*geom, 2))
+        ref = RefCache(*geom, 2)
+        for addr, allocate in accesses:
+            assert cache.lookup(addr, allocate) == ref.lookup(addr, allocate)
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+        assert self.sets(cache) == ref.sets

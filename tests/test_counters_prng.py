@@ -177,3 +177,89 @@ class TestInlineCyclesGuard:
     def test_headroom_of_an_uncounted_event(self):
         unit = self.unit([[100]])
         assert unit.headroom(EventType.IMISS) == UNBOUNDED
+
+
+#: The discrete events ``post_events`` counts, and a rotation for the
+#: multiplexed slot.
+DISCRETE = (EventType.IMISS, EventType.DMISS, EventType.BRANCHMP,
+            EventType.DTBMISS, EventType.ITBMISS)
+
+
+class TestPostEventsReference:
+    """Discrete events counted in line (``step.post_events`` lowers
+    ``CounterUnit.room`` and calls ``add`` only for an overflow) against
+    every occurrence handed to ``CounterUnit.add`` one by one, with
+    ``set_event`` rotations between batches as the driver's mux does."""
+
+    @staticmethod
+    def unit(slots):
+        unit = CounterUnit()
+        for event, seq in slots:
+            unit.configure(event, itertools.cycle(seq).__next__)
+        return unit
+
+    @staticmethod
+    def state(unit):
+        return [(s.event, s.count, s.period, s.overflows)
+                for s in unit.slots]
+
+    @given(st.lists(st.tuples(st.sampled_from(DISCRETE),
+                              st.lists(st.integers(min_value=1,
+                                                   max_value=6),
+                                       min_size=1, max_size=3)),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(
+               st.lists(st.tuples(st.sampled_from(DISCRETE),
+                                  st.integers(min_value=0, max_value=3)),
+                        max_size=4),
+               st.sampled_from((None,) + DISCRETE)),
+               min_size=1, max_size=40))
+    def test_equals_add_per_occurrence(self, slots, batches):
+        from repro.cpu.step import post_events
+        inline = self.unit(slots)
+        reference = self.unit(slots)
+        skew = 6
+        got_pending, want_pending = [], []
+        got_rows, want_rows = {}, {}
+        now = 0
+        for pc, (batch, rotate) in enumerate(batches):
+            events = []
+            for event, step in batch:
+                now += step
+                events.append((event, now))
+            if events:
+                post_events(got_rows, pc, events, inline, got_pending, skew)
+            row = want_rows.setdefault(pc, {}) if events else None
+            for event, etime in events:
+                row[event] = row.get(event, 0) + 1
+                for oev, otime in reference.add(event, 1, etime):
+                    want_pending.append((otime + skew, oev))
+            assert got_pending == want_pending
+            assert got_rows == want_rows
+            for event in EventType:
+                assert inline.headroom(event) == reference.headroom(event)
+            if rotate is not None:
+                # The mux rotation reads and resets a slot's count.
+                inline.set_event(len(slots) - 1, rotate)
+                reference.set_event(len(slots) - 1, rotate)
+                assert self.state(inline) == self.state(reference)
+        inline.settle()
+        assert self.state(inline) == self.state(reference)
+        for event in EventType:
+            assert inline.headroom(event) == reference.headroom(event)
+
+    def test_no_call_below_the_room(self):
+        from repro.cpu.step import post_events
+        unit = self.unit([(EventType.DMISS, [3])])
+        pending = []
+        add = unit.add
+        unit.add = None  # any call would raise
+        post_events({}, 0, [(EventType.DMISS, 1), (EventType.DMISS, 2)],
+                    unit, pending, 6)
+        post_events({}, 1, [(EventType.IMISS, 3)], unit, pending, 6)
+        assert unit.headroom(EventType.DMISS) == 1
+        assert unit.slots[0].count == 0  # not handed over yet
+        unit.add = add
+        post_events({}, 2, [(EventType.DMISS, 9)], unit, pending, 6)
+        assert pending == [(15, EventType.DMISS)]
+        assert (unit.slots[0].count, unit.slots[0].overflows) == (0, 1)

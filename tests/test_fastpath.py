@@ -349,8 +349,8 @@ class TestCleanPrefix:
         assert fp.traces > 10
         assert len(sources) == fp.compiled_variants + fp.traces > 50
         for source in sources:
-            for call in ("_fetch(", "translate(", ".access(",
-                         "miss_path(", ".lookup("):
+            for call in ("_fetch(", "translate(", ".access(", ".fill(",
+                         "miss_path(", ".lookup(", ".settle("):
                 assert call not in source, source
         # ...and the probes that replace those calls are there.
         for reason in range(len(BAIL_REASONS)):
@@ -358,8 +358,8 @@ class TestCleanPrefix:
 
     def test_store_merge_calls_no_write_buffer_method(self, monkeypatch):
         # A store to a resident block still draining at issue merges
-        # in line, on both paths: no earliest_issue, commit or _expire.
-        calls = {"earliest_issue": 0, "commit": 0, "_expire": 0}
+        # in line, on both paths: no earliest_issue or commit.
+        calls = {"earliest_issue": 0, "commit": 0}
         merging = []
 
         def spy(name):
@@ -367,10 +367,9 @@ class TestCleanPrefix:
 
             def method(self, *args):
                 calls[name] += 1
-                if name != "_expire":
-                    done = self._entries.get(args[0] >> self.BLOCK_SHIFT)
-                    if done is not None and done > args[1]:
-                        merging.append((name, args))
+                done = self._entries.get(args[0] >> self.BLOCK_SHIFT)
+                if done is not None and done > args[1]:
+                    merging.append((name, args))
                 return real(self, *args)
             monkeypatch.setattr(WriteBuffer, name, method)
         for name in calls:
@@ -381,8 +380,8 @@ class TestCleanPrefix:
         assert machine.fastpath.replayed_instructions > 1000
         assert wb.merges > 100
         assert not merging
-        # Only the two model methods expire, and every commit allocates.
-        assert calls["_expire"] == calls["earliest_issue"] + calls["commit"]
+        # Every commit allocates.
+        assert calls["earliest_issue"] > 0
         assert calls["commit"] == wb.allocations
 
     def test_run_cut_by_max_run_is_bigcode(self):

@@ -1,5 +1,7 @@
 """Tests for the TLB, branch predictor and write buffer."""
 
+import copy
+
 from hypothesis import given, strategies as st
 
 from repro.cpu.branch import BranchPredictor
@@ -8,9 +10,17 @@ from repro.cpu.writebuffer import WriteBuffer
 
 
 def occupancy(wb, now):
-    """Entries of the write buffer *wb* still draining at *now*."""
-    wb._expire(now)
-    return len(wb._entries)
+    """Entries of the write buffer *wb* still draining at *now*, read
+    through its public calls: its capacity less the stores to fresh
+    blocks that a copy of it takes at *now* without waiting."""
+    probe = copy.deepcopy(wb)
+    addr = 1 << 40  # blocks no test stores to
+    free = 0
+    while free < probe.capacity and probe.earliest_issue(addr, now) == now:
+        probe.commit(addr, now)
+        addr += 1 << WriteBuffer.BLOCK_SHIFT
+        free += 1
+    return wb.capacity - free
 
 
 def identity_map(vpage):
@@ -137,24 +147,43 @@ class TestWriteBuffer:
         assert wb.allocations == 2
 
 
-class REFERENCE(WriteBuffer):
-    """The write buffer as first written: expiry scans every entry and
-    a full buffer waits for ``min()`` over all of them.  The FIFO form
-    in :mod:`repro.cpu.writebuffer` must be indistinguishable."""
+class REFERENCE:
+    """The write buffer as a plain FIFO list of ``[block, done]``:
+    expiry scans every entry on every call and a full buffer waits for
+    ``min()`` over all of them.  The model in
+    :mod:`repro.cpu.writebuffer`, which expires only once its oldest
+    drain has completed, must be indistinguishable."""
 
-    def earliest_issue(self, block_addr, now):
-        block = block_addr >> self.BLOCK_SHIFT
-        if block in self._entries:
-            return now
-        self._expire(now)
-        if len(self._entries) < self.capacity:
-            return now
-        return min(self._entries.values())
+    def __init__(self, entries, drain_cycles):
+        self.capacity = entries
+        self.drain_cycles = drain_cycles
+        self.fifo = []
+        self.port_free = 0
+        self.merges = 0
+        self.allocations = 0
 
     def _expire(self, now):
-        done = [b for b, t in self._entries.items() if t <= now]
-        for block in done:
-            del self._entries[block]
+        self.fifo = [entry for entry in self.fifo if entry[1] > now]
+
+    def earliest_issue(self, block_addr, now):
+        block = block_addr >> WriteBuffer.BLOCK_SHIFT
+        if any(entry[0] == block for entry in self.fifo):
+            return now
+        self._expire(now)
+        if len(self.fifo) < self.capacity:
+            return now
+        return min(entry[1] for entry in self.fifo)
+
+    def commit(self, block_addr, issue_time):
+        block = block_addr >> WriteBuffer.BLOCK_SHIFT
+        self._expire(issue_time)
+        if any(entry[0] == block for entry in self.fifo):
+            self.merges += 1
+            return True
+        self.allocations += 1
+        self.port_free = max(issue_time, self.port_free) + self.drain_cycles
+        self.fifo.append([block, self.port_free])
+        return False
 
 
 class TestWriteBufferFifo:
@@ -173,17 +202,49 @@ class TestWriteBufferFifo:
         for op, block, step in ops:
             now += step
             addr = block << WriteBuffer.BLOCK_SHIFT | 8
-            if op == "occupancy":
-                assert occupancy(fifo, now) == occupancy(ref, now)
-                continue
-            issue = fifo.earliest_issue(addr, now)
-            assert issue == ref.earliest_issue(addr, now)
-            if op == "store":
-                # The pipeline commits at the issue time it was given.
-                assert fifo.commit(addr, issue) == ref.commit(addr, issue)
-                now = issue
-            assert fifo._entries == ref._entries
+            if op != "occupancy":
+                issue = fifo.earliest_issue(addr, now)
+                assert issue == ref.earliest_issue(addr, now)
+                if op == "store":
+                    # The pipeline commits at the issue time it was
+                    # given.
+                    assert (fifo.commit(addr, issue)
+                            == ref.commit(addr, issue))
+                    now = issue
+            assert occupancy(fifo, now) == occupancy(ref, now)
             assert ((fifo.merges, fifo.allocations)
                     == (ref.merges, ref.allocations))
-            done = list(fifo._entries.values())
-            assert all(a < b for a, b in zip(done, done[1:]))
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=30),
+           st.lists(st.tuples(
+               st.integers(min_value=0, max_value=7),     # 32-byte block
+               st.integers(min_value=0, max_value=3),     # byte offset / 8
+               st.integers(min_value=0, max_value=40),    # delay
+               st.none() | st.integers(min_value=0, max_value=5)),
+               min_size=1, max_size=200))
+    def test_store_sequences_as_the_pipeline_issues_them(
+            self, entries, drain, stores):
+        """Stores as ``Core.run`` issues them: a probe the cycle after
+        the previous issue, then the store at the cycle it returned or
+        later -- or, when *snap* picks a buffered block, a store to it
+        at the cycle its drain completes."""
+        fifo = WriteBuffer(entries, drain)
+        ref = REFERENCE(entries, drain)
+        prev = 0
+        for block, offset, delay, snap in stores:
+            done = None
+            if snap is not None and ref.fifo:
+                block, done = ref.fifo[snap % len(ref.fifo)]
+            addr = block << WriteBuffer.BLOCK_SHIFT | offset << 3
+            res = fifo.earliest_issue(addr, prev + 1)
+            assert res == ref.earliest_issue(addr, prev + 1)
+            issue = res + delay if done is None else max(res, done)
+            assert fifo.commit(addr, issue) == ref.commit(addr, issue)
+            # At each drain's completion, and the cycle before it.
+            for _, done in ref.fifo:
+                for now in (done - 1, done):
+                    assert occupancy(fifo, now) == occupancy(ref, now)
+            prev = issue
+        assert ((fifo.merges, fifo.allocations)
+                == (ref.merges, ref.allocations))
