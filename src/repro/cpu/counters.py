@@ -34,9 +34,9 @@ class CounterSlot:
 class CounterUnit:
     """The per-CPU set of performance counters (2-3 on real Alphas).
 
-    ``room[event]`` is how many more occurrences of *event* the slots
-    counting it take before one overflows (:meth:`headroom`;
-    ``UNBOUNDED`` when no slot counts it).  The pipeline counts a
+    ``room[event]`` is the number of further occurrences of *event* at
+    which a slot counting it overflows (:meth:`headroom`; ``UNBOUNDED``
+    when no slot counts it).  The pipeline counts a
     discrete event that overflows nothing in line, by lowering ``room``
     (:func:`repro.cpu.step.post_events`), and calls :meth:`add` only
     for the occurrence that brings it to 0.  The slots take the

@@ -640,8 +640,9 @@ def _run_source(parts, shape):
         # ---- performance counters, deliveries and the deadline: only
         # when due (or an event was posted)
         out("if issue >= due%s:" % (" or events_now" if events else ""))
-        out("    if issue >= cyc_mark: cyc_base, cyc_mark = issue, count_cycles("
-            "core.counters, pending, %d, issue - cyc_base, issue)" % skew)
+        out("    if issue >= cyc_mark: cyc_base, cyc_mark = issue,"
+            " count_cycles(core.counters, pending, %d, issue - cyc_base,"
+            " issue)" % skew)
         if events:
             out("    if events_now: post_events(gt_events, %d, events_now,"
                 " core.counters, pending, %d); events_now = None" % (pc, skew))
