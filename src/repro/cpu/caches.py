@@ -6,30 +6,29 @@ changes conflict behaviour between runs -- the effect the paper uses to
 explain wave5's run-to-run variance.
 
 Each geometry's probe -- direct-mapped or set-associative, indexed by a
-mask or by modulo -- is written once, as source (``_DIRECT_*`` and
-``_WAYS_*``), and the probe of a cache's geometry is folded into every
+mask or by modulo -- is written once, as source (``_DIRECT`` and
+``_WAYS``), and the probe of a cache's geometry is folded into every
 function that probes it when the cache or the hierarchy is built:
-:attr:`Cache.lookup`, and :attr:`Hierarchy.access` and
-:attr:`Hierarchy.fill`, which run all three levels in one frame.
+:attr:`Cache.lookup`, and :attr:`Hierarchy.access`, which runs all three
+levels in one frame.
 """
+
+import functools
 
 #: The probe of line ``_ln`` in a direct-mapped cache ``{c}`` whose
 #: ``sets`` is ``{s}``: ``{i}`` is the set index and ``{hit}`` the
-#: statement that ends a hit.  A miss falls through the second part,
-#: which installs the line when ``allocate`` is true; a caller that has
-#: compared the tag itself runs only that part.
-_DIRECT_HIT = (
+#: statement that ends a hit.  A miss falls through, installing the line
+#: when ``allocate`` is true.
+_DIRECT = (
     "if {s}[{i}] == _ln:",
     "    {c}.hits += 1",
     "    {hit}",
-)
-_DIRECT_MISS = (
     "{c}.misses += 1",
     "if allocate: {s}[{i}] = _ln",
 )
 #: The same for a set-associative cache: each set is a list of tags in
 #: MRU..LRU order.
-_WAYS_HIT = (
+_WAYS = (
     "_w = {s}[{i}]",
     "if _ln in _w:",
     "    {c}.hits += 1",
@@ -37,28 +36,31 @@ _WAYS_HIT = (
     "        _w.remove(_ln)",
     "        _w.insert(0, _ln)",
     "    {hit}",
-)
-_WAYS_MISS = (
     "{c}.misses += 1",
     "if allocate:",
     "    _w.insert(0, _ln)",
     "    if len(_w) > {assoc}: _w.pop()",
 )
 
-#: Probe source -> the function factory compiled from it (a handful of
-#: geometries per process; cleared when full).
-_FACTORIES = {}
-_FACTORIES_MAX = 256
+
+def cache_geometry(cache_config):
+    """(line_shift, set_mask) when a caller can compare the tag in line
+    (direct-mapped, power-of-two sets), else None."""
+    num_sets = cache_config.size // (cache_config.line_size
+                                     * cache_config.assoc)
+    if cache_config.assoc == 1 and num_sets & (num_sets - 1) == 0:
+        return (cache_config.line_size.bit_length() - 1, num_sets - 1)
+    return None
 
 
 class Cache:
     """A set-associative cache with LRU replacement.
 
     Associativity 1 degenerates to a direct-mapped cache whose set holds
-    one tag.  ``tag_mask`` is the set mask of a direct-mapped cache with
-    a power-of-two set count, else None: for such an L1 both
+    one tag.  ``tag_mask`` is the set mask of :func:`cache_geometry`
+    (direct-mapped, power-of-two sets), else None: for such an L1 both
     ``Core.run`` paths compare the tag in line, count a hit themselves
-    and go to the model only on a miss (:attr:`Hierarchy.fill`).
+    and call the model only on a miss.
     """
 
     def __init__(self, config):
@@ -75,7 +77,8 @@ class Cache:
             self._set_mask = self.num_sets - 1
         self.assoc = config.assoc
         self.latency = config.latency
-        self.tag_mask = self._set_mask if self.assoc == 1 else None
+        geom = cache_geometry(config)
+        self.tag_mask = None if geom is None else geom[1]
         # For assoc == 1: sets[i] is the resident tag (or None).
         # Otherwise: sets[i] is a list of tags in MRU..LRU order.
         if self.assoc == 1:
@@ -107,10 +110,6 @@ class Hierarchy:
     ``access(paddr, allocate=True)`` probes L1, then on a miss L2, the
     board and memory, in one frame, and returns ``(latency, l1_missed)``:
     the full load-to-use latency, ``l1.latency`` on a primary hit.
-    ``fill(paddr, allocate=True)`` is the same for a caller that has
-    already compared the L1 tag and seen it miss (``l1.tag_mask`` is
-    not None): it counts and installs the L1 miss without comparing
-    again.  For any other L1 it is ``access``.
     """
 
     def __init__(self, l1, l2, board, memory_latency):
@@ -118,55 +117,49 @@ class Hierarchy:
         self.l2 = l2
         self.board = board
         self.memory_latency = memory_latency
-        caches = (l1, l2, board)
-        lat = l1.latency + l2.latency
-        below = _probe(1, l2, "return (%d, True)" % lat)
+        lat = l1.latency
+        body = _probe(0, l1, "return (%d, False)" % lat)
+        lat += l2.latency
+        body += _probe(1, l2, "return (%d, True)" % lat)
         lat += board.latency
-        below += _probe(2, board, "return (%d, True)" % lat)
-        below.append("return (%d, True)" % (lat + memory_latency))
-        self.access = _build("access", caches, _probe(
-            0, l1, "return (%d, False)" % l1.latency) + below)
-        if l1.tag_mask is None:
-            self.fill = self.access
-        else:
-            self.fill = _build("fill", caches,
-                               _probe(0, l1, None, compared=True) + below)
+        body += _probe(2, board, "return (%d, True)" % lat)
+        body.append("return (%d, True)" % (lat + memory_latency))
+        self.access = _build("access", (l1, l2, board), body)
 
 
-def _probe(n, cache, hit, compared=False):
+def _probe(n, cache, hit):
     """The source lines that probe *cache*, the *n*-th cache a probe
     function closes over, for the line holding ``paddr``: its
-    geometry's probe, ending a hit with the statement *hit*.  With
-    *compared*, only the miss part (the caller compared the tag)."""
+    geometry's probe, ending a hit with the statement *hit*."""
     index = ("_ln & %d" % cache._set_mask if cache._set_mask is not None
              else "_ln %% %d" % cache.num_sets)
-    if cache.assoc == 1:
-        parts = (_DIRECT_MISS,) if compared else (_DIRECT_HIT, _DIRECT_MISS)
-    else:
-        parts = (_WAYS_HIT, _WAYS_MISS)
     fields = dict(c="c%d" % n, s="s%d" % n, i=index, hit=hit,
                   assoc=cache.assoc)
     return ["_ln = paddr >> %d" % cache._line_shift] + [
-        line.format(**fields) for part in parts for line in part]
+        line.format(**fields)
+        for line in (_DIRECT if cache.assoc == 1 else _WAYS)]
 
 
 def _build(name, caches, body):
     """The function *name*``(paddr, allocate=True)`` running the source
     lines *body*, with ``c<n>`` / ``s<n>`` bound to the *n*-th of
     *caches* and its ``sets``."""
-    key = (name, len(caches), tuple(body))
-    make = _FACTORIES.get(key)
-    if make is None:
-        source = "\n".join(
-            ["def _make(%s):" % ", ".join(
-                "c%d, s%d" % (n, n) for n in range(len(caches))),
-             "    def %s(paddr, allocate=True):" % name]
-            + ["        " + line for line in body]
-            + ["    return %s" % name])
-        scope = {"__name__": __name__}
-        exec(compile(source, "<cache-probe>", "exec"), scope)
-        make = scope["_make"]
-        if len(_FACTORIES) >= _FACTORIES_MAX:
-            _FACTORIES.clear()
-        _FACTORIES[key] = make
+    make = _factory(name, len(caches), tuple(body))
     return make(*[obj for cache in caches for obj in (cache, cache.sets)])
+
+
+@functools.lru_cache(maxsize=64)
+def _factory(name, count, body):
+    """The compiled factory of :func:`_build`'s function.  Every
+    session builds every core's probes: a ``sim-stream`` round makes 102
+    builds of 5 distinct sources, 14-16 ms compiled each time and 0.2 ms
+    from this cache (EXPERIMENTS.md "The miss path")."""
+    source = "\n".join(
+        ["def _make(%s):" % ", ".join("c%d, s%d" % (n, n)
+                                      for n in range(count)),
+         "    def %s(paddr, allocate=True):" % name]
+        + ["        " + line for line in body]
+        + ["    return %s" % name])
+    scope = {"__name__": __name__}
+    exec(compile(source, "<cache-probe>", "exec"), scope)
+    return scope["_make"]

@@ -34,8 +34,8 @@ Design notes (see README "Performance"):
   costs one open-coded expression plus a register write instead of the
   slow path's full dispatch.  The probes are inlined tag compares, so
   the fast path exists only for direct-mapped power-of-two L1s
-  (:func:`cache_geometry`); any other ``Machine`` has ``fastpath =
-  None``.  Generated code never calls ``Core._fetch``,
+  (:func:`repro.cpu.caches.cache_geometry`); any other ``Machine`` has
+  ``fastpath = None``.  Generated code never calls ``Core._fetch``,
   ``TLB.translate``, ``Hierarchy.access`` or ``Cache.lookup``
   (``tests/test_fastpath.py::TestCleanPrefix``).
   Opcode semantics are derived from :mod:`repro.alpha.opcodes`
@@ -204,16 +204,6 @@ TRACE_EXITS = ("full", "mispredict", "guard", "headroom", "fallback",
                "bail_head", "bail_later")
 FULL, MISPREDICT, GUARD, ROOM, FALLBACK, BAIL_HEAD, BAIL_LATER = range(
     len(TRACE_EXITS))
-
-
-def cache_geometry(cache_config):
-    """(line_shift, set_mask) when the codegen can inline the tag
-    probe (direct-mapped, power-of-two sets), else None."""
-    num_sets = cache_config.size // (cache_config.line_size
-                                     * cache_config.assoc)
-    if cache_config.assoc == 1 and num_sets & (num_sets - 1) == 0:
-        return (cache_config.line_size.bit_length() - 1, num_sets - 1)
-    return None
 
 
 class _Unit:
@@ -830,7 +820,7 @@ class FastPath:
     def __init__(self, page_bits, l1d_latency, l1d_geom, l1i_geom):
         self.page_bits = page_bits
         self.l1d_latency = l1d_latency
-        self.l1d_geom = l1d_geom      # see cache_geometry(); never None
+        self.l1d_geom = l1d_geom  # see caches.cache_geometry(); never None
         self.l1i_geom = l1i_geom
         # Runs classified and variants stored since the last
         # invalidation.

@@ -9,7 +9,8 @@ analysis tools against.
 import random
 
 from repro.alpha.predecode import decode
-from repro.cpu.fastpath import FastPath, cache_geometry
+from repro.cpu.caches import cache_geometry
+from repro.cpu.fastpath import FastPath
 from repro.ctx.context import NULL_CTX
 from repro.cpu.pipeline import Core
 from repro.osim.loader import Loader

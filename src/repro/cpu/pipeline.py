@@ -30,9 +30,8 @@ accounting, and all inline the same hit probes -- a same-page I-L1 tag
 hit at a fetch-line cross, a D-TLB entry, an L1D tag hit, a store to a
 write-buffer block still draining -- as a hit-counter bump.  Only a
 probe that does not hit calls the model, one call per miss: ``_fetch``
-(which goes on to ``Hierarchy.fill`` after a same-page tag miss, to
-``Hierarchy.access`` on a new code page), ``TLB.translate``,
-``Hierarchy.fill`` for a load's L1D tag miss (the L1 miss, L2, the board
+(which goes on to ``Hierarchy.access``), ``TLB.translate``,
+``Hierarchy.access`` for a load's L1D tag miss (the L1, L2, the board
 and memory in one frame), ``WriteBuffer.earliest_issue`` for a store to
 a block not in the buffer and ``commit`` for one that does not merge.
 A store's L1D tag miss is only counted (no-write-allocate), and an L1
@@ -341,9 +340,7 @@ class Core:
         caller has already updated ``_last_fetch_line``.  Both paths
         of :meth:`run` inline the fetch that charges nothing (same
         code page, I-L1 tag hit, not a stream-buffer line); every other
-        fetch comes here, and on the same code page the I-L1 tag was
-        compared, so a line not in the stream buffer goes to
-        ``Hierarchy.fill``.
+        fetch comes here.
         """
         config = self.config
         page_bits = config.page_bits
@@ -351,10 +348,7 @@ class Core:
         icache_pen = 0
         events_now = None
         vpage = pc >> page_bits
-        # On the same code page the caller compared the line's I-L1 tag.
-        hier_fill = self.ihier.fill
         if vpage != self._last_code_page:
-            hier_fill = self.ihier.access
             ppage, itb_pen, itb_miss = self.itb.translate(
                 0, vpage, self.machine.translate_code)
             self._last_code_page = vpage
@@ -376,7 +370,7 @@ class Core:
             icache_pen = config.istream_hit_latency
             imiss = True
         else:
-            ilat, imiss = hier_fill(paddr)
+            ilat, imiss = self.ihier.access(paddr)
             if imiss:
                 icache_pen = ilat
         if imiss:
@@ -983,7 +977,7 @@ class Core:
                             dlat = l1d_latency
                             dmiss = False
                         else:
-                            dlat, dmiss = dhier.fill(paddr)
+                            dlat, dmiss = dhier.access(paddr)
                         if kind == 4:  # ldq
                             value = mem.get(vaddr & ~7, 0)
                         elif kind == 5:  # ldl

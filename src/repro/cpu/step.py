@@ -35,15 +35,16 @@ decomposition (:func:`charge_stalls`), slotting (:func:`charge_slotting`
 -- both keep a one-line in-line case for a row that already counts
 slotting), CYCLES overflow (:func:`count_cycles`), event counting
 (:func:`post_events`) and sample delivery (:func:`deliver`) are
-functions both call, each in one pass over its inputs; event counting
-calls ``CounterUnit.add`` only for an occurrence that overflows a slot.
+functions both call; :func:`deliver` makes one pass over what is
+pending, and event counting calls ``CounterUnit.add`` only for an
+occurrence that overflows a slot.
 Both tails test one due cycle per instruction -- the least of
 ``cyc_mark``, ``stop`` and the earliest pending delivery -- and run the
 counters, deliveries and the deadline only when it is reached (or an
 event was posted), in the same shape.  What stays written twice is the
 common path the generator folds: operand readiness, the pairing test,
 arrival / issue and ``gt_head``, the hit probes (a miss is one model
-call, ``Hierarchy.fill``) and each kind's execute.
+call, ``Hierarchy.access``) and each kind's execute.
 """
 
 from repro.alpha.opcodes import MASK64, open_code
@@ -93,25 +94,21 @@ def charge_stalls(gt_stall, pc, front_extra, front_reason, itb_pen,
     base = arrival
     if rdy > base:
         # A source not ready at arrival: its static part (a register
-        # dependence on the first source holding the latest static ready
-        # time; static ready times never exceed dynamic ones), then the
-        # dynamic rest, named by the first source holding rdy (the
-        # latest ready time).  One pass finds both sources.
+        # dependence; static ready times never exceed dynamic ones),
+        # then the dynamic rest.
         reg_ready_static = proc.reg_ready_static
-        reg_ready = proc.reg_ready
-        rdy_static = dep_index = 0
-        rdy_dyn = -1
-        for index, src in enumerate(srcs):
+        rdy_static = 0
+        for src in srcs:
             r = reg_ready_static[src]
             if r > rdy_static:
                 rdy_static = r
-                dep_index = index
-            r = reg_ready[src]
-            if r > rdy_dyn:
-                rdy_dyn = r
-                dyn_src = src
         d_static = (rdy_static if rdy_static < issue else issue) - base
         if d_static > 0:
+            dep_index = 0
+            for src in srcs:
+                if reg_ready_static[src] == rdy_static:
+                    break
+                dep_index += 1
             reason = DEP_REASON[dep_index]
             stall_row[reason] = stall_row.get(reason, 0) + d_static
             if recording:
@@ -119,7 +116,11 @@ def charge_stalls(gt_stall, pc, front_extra, front_reason, itb_pen,
             base += d_static
         d_dyn = rdy - base  # issue >= rdy
         if d_dyn > 0:
-            reason = proc.reg_dyn_reason.get(dyn_src) or "dcache"
+            reg_ready = proc.reg_ready
+            for src in srcs:
+                if reg_ready[src] == rdy:
+                    break
+            reason = proc.reg_dyn_reason.get(src) or "dcache"
             stall_row[reason] = stall_row.get(reason, 0) + d_dyn
             if recording:
                 stalls.append((reason, d_dyn))
@@ -541,7 +542,7 @@ def _run_source(parts, shape):
                 # An L1D miss under a D-TLB entry: the hierarchy decides.
                 out("elif _pp is not None:")
                 out("    _th += 1")
-                out("    _dl, _dm = dhier.fill((_pp << %d) | (_va & %d))"
+                out("    _dl, _dm = dhier.access((_pp << %d) | (_va & %d))"
                     % (page_bits, pm))
                 missed = ("events_now = [(_EV_DMISS, issue)]" if not events
                           else "events_now = ([] if events_now is None else"

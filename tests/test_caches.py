@@ -185,8 +185,8 @@ GEOMETRIES = ((256, 32, 1), (192, 32, 1), (576, 32, 3), (768, 64, 3),
 
 
 class TestHierarchyReference:
-    """``Cache.lookup`` and ``Hierarchy.access`` / ``fill`` -- each
-    geometry's probe folded into one function -- against
+    """``Cache.lookup`` and ``Hierarchy.access`` -- each geometry's
+    probe folded into one function -- against
     :class:`RefCache` on random address streams: every return value,
     every level's hits and misses, and every set's lines in LRU order."""
 
@@ -217,7 +217,7 @@ class TestHierarchyReference:
                     l1.hits += 1
                     got = (l1.latency, False)
                 else:
-                    got = h.fill(addr, allocate)
+                    got = h.access(addr, allocate)
             else:
                 got = h.access(addr, allocate)
             assert got == ref_access(ref, 60, addr, allocate)

@@ -10,10 +10,11 @@ from repro.alpha.assembler import assemble
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu import fastpath as fastpath_module
 from repro.cpu import pipeline
+from repro.cpu.caches import cache_geometry
 from repro.cpu.config import CacheConfig, MachineConfig
 from repro.cpu.events import EventType
 from repro.cpu.fastpath import (BAIL_REASONS, BIGCODE, MAX_RUN,
-                                SLOW_CAUSES, TRACE_EXITS, cache_geometry,
+                                SLOW_CAUSES, TRACE_EXITS,
                                 clear_replay_cache, replay_cache_stats)
 from repro.cpu.machine import Machine
 from repro.cpu.writebuffer import WriteBuffer
@@ -349,7 +350,7 @@ class TestCleanPrefix:
         assert fp.traces > 10
         assert len(sources) == fp.compiled_variants + fp.traces > 50
         for source in sources:
-            for call in ("_fetch(", "translate(", ".access(", ".fill(",
+            for call in ("_fetch(", "translate(", ".access(",
                          "miss_path(", ".lookup(", ".settle("):
                 assert call not in source, source
         # ...and the probes that replace those calls are there.

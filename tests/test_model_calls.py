@@ -1,7 +1,7 @@
 """Model calls per simulated instruction: a counted guard on the
 streaming hot path.
 
-A miss costs one frame (``Hierarchy.fill`` runs L1, L2 and the board),
+A miss costs one frame (``Hierarchy.access`` runs L1, L2 and the board),
 a discrete event that overflows no counter slot makes no call into
 ``CounterUnit``, and only a store commit expires write-buffer entries,
 once the oldest drain has completed.  This counts, with
