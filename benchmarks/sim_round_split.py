@@ -8,8 +8,9 @@ in EXPERIMENTS.md "Simulator throughput", which ROADMAP decision rule
 at the bench period, 200 000 instructions each -- and splits the wall
 time of a warm round four ways:
 
-* *compile*: time inside ``compile()`` as :mod:`repro.cpu.fastpath`
-  calls it (the module-level name is shadowed by a timing wrapper);
+* *compile*: time inside ``compile()`` as :mod:`repro.cpu.codegen`
+  calls it for replay code (the module-level name is shadowed by a
+  timing wrapper; generated steps' compiles are not timed);
 * *replay bodies*: time inside the compiled replay functions, from a
   second round in which every variant's and trace's ``fn`` is
   bracketed;
@@ -43,7 +44,7 @@ import sys
 import time
 
 from repro.collect.session import ProfileSession, SessionConfig
-from repro.cpu import fastpath
+from repro.cpu import codegen, fastpath
 from repro.cpu.config import MachineConfig
 from repro.workloads.registry import get_workload
 
@@ -68,9 +69,11 @@ tier_up = fastpath.FastPath.compile_variant
 compile_trace = fastpath.FastPath.compile_trace
 
 
-def timed_compile(*args):
+def timed_compile(source, filename, *args):
+    if filename != "<fastpath-variant>":
+        return compile(source, filename, *args)
     started = clock()
-    code = compile(*args)
+    code = compile(source, filename, *args)
     spent["compile"] += clock() - started
     spent["compiles"] += 1
     return code
@@ -125,7 +128,7 @@ def one_round(programs, fast, time_bodies=False):
 
 def main():
     programs = ROUNDS[sys.argv[1] if len(sys.argv) > 1 else "sim-replay"]
-    fastpath.compile = timed_compile   # shadows the builtin in fastpath
+    codegen.compile = timed_compile    # shadows the builtin in codegen
     one_round(programs, True)          # imports settle, the cache fills
     slow = min((one_round(programs, False) for _ in range(3)),
                key=lambda r: r["wall"])

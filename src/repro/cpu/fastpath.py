@@ -109,58 +109,9 @@ Design notes (see README "Performance"):
   :func:`replay_cache_stats`, never by :meth:`FastPath.snapshot`.
 """
 
-from repro.alpha.opcodes import EXPR_GLOBALS, MASK64, open_code
-from repro.cpu.writebuffer import WriteBuffer
-
-#: Bound on cached replay functions and generated run steps
-#: (:func:`repro.cpu.step.compile_run`); the cache is cleared when
-#: full.  A variant's entry measures ~1.6 KiB of code object (its key
-#: is the recorded steps the variant holds anyway), a trace's ~3.5 KiB;
-#: one 200k-instruction gcc session leaves 288 entries (48 of them
-#: traces), so the bound is far from ordinary use.
-REPLAY_CACHE_MAX = 4096
-
-_replay_cache = {}                   # generator input (key) -> function
-#: What generated code sees besides its arguments: the opcode
-#: expressions' helpers and a 2-bit saturating counter after a taken /
-#: not-taken outcome.  Shared by every replay function.
-CODE_GLOBALS = dict(EXPR_GLOBALS)
-CODE_GLOBALS.update(_UP=(1, 2, 3, 3), _DOWN=(0, 0, 1, 2))
-_replay_cache_hits = 0
-_replay_cache_misses = 0
-
-
-def replay_cache_stats():
-    """``(hits, misses, entries)`` of the process-wide replay-code
-    cache since import.  Process history, not a property of any one
-    simulation: keep it out of snapshots and fact sheets."""
-    return _replay_cache_hits, _replay_cache_misses, len(_replay_cache)
-
-
-def clear_replay_cache():
-    """Drop every cached replay function (live variants keep theirs)."""
-    _replay_cache.clear()
-
-
-def cached_code(key):
-    """The function the code cache holds for generator input *key*, or
-    None; a hit is counted."""
-    global _replay_cache_hits
-    fn = _replay_cache.get(key)
-    if fn is not None:
-        _replay_cache_hits += 1
-    return fn
-
-
-def cache_code(key, fn):
-    """Keep *fn*, just generated from *key*, in the bounded code cache;
-    a miss is counted."""
-    global _replay_cache_misses
-    _replay_cache_misses += 1
-    if len(_replay_cache) >= REPLAY_CACHE_MAX:
-        _replay_cache.clear()
-    _replay_cache[key] = fn
-
+from repro.cpu import codegen
+from repro.cpu.codegen import (access, code_page, effect, handles, l1d_hit,
+                               merge_or_commit, predict, settle, translate)
 
 #: The probe that stopped a replay.  A bail is ``(reason index, i)``
 #: and the index only *names* the probe for ``sim.fastpath.bails.*``:
@@ -477,9 +428,9 @@ class _EntryState:
                        for free in self.units]
 
 
-def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
-                    checks=(), loop=False):
-    """Compile a block's, or a trace's, steps into one replay function.
+def _replay_source(segments, page_bits, l1d_geom, l1i_geom, checks=(),
+                   loop=False):
+    """The text of a block's, or a trace's, replay function.
 
     *segments* holds one ``(steps, sb, guard)`` per member block, in
     order: *steps* with issue offsets relative to the function's entry
@@ -503,11 +454,10 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     inlined probes replicate the model byte-for-byte; a probe that does
     not hit returns *before* any counter, ``_last_fetch_line`` or model
     state of its instruction is touched (the write-buffer probe is
-    idempotent at a fixed time).  Operate and branch semantics are
-    open-coded from the record's own callable
-    (:func:`repro.alpha.opcodes.open_code`).  Every result ends with
-    the number of whole laps run before it (0 but in a loop), and is
-    one of
+    idempotent at a fixed time).  Each record's effect, address, store
+    merge, predictor update and the hoisted handles are
+    :mod:`repro.cpu.codegen`'s fragments.  Every result ends with the
+    number of whole laps run before it (0 but in a loop), and is one of
 
     * ``(CLEAN, next_pc, taken, mispredicted, laps)`` -- every step
       ran, and the final scoreboard was applied before the last
@@ -520,28 +470,15 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     * ``(reason, i, laps)`` -- a bail: exactly the first *i* of the
       concatenated steps were applied and the slow path must run
       instruction *i* itself.  *reason* indexes :data:`BAIL_REASONS`.
-
-    Functions are cached process-wide (module design notes) by *key*,
-    which must determine the generated text: a variant's key is the
-    generator's whole input, a trace's stands for it.  A variant or
-    trace another ``Machine`` already compiled costs a lookup, not the
-    text generation and ``compile()`` (*segments* is not read then).
     """
-    fn = cached_code(key)
-    if fn is not None:
-        return fn
-    pm = (1 << page_bits) - 1
     ishift, imask = l1i_geom
     dshift, dmask = l1d_geom
     body = []
-    L = body.append
+
+    def L(line):
+        body.append("    " + line)
     kinds = [s[0][0] for steps, _, _ in segments for s in steps]
-    has_mem = any(4 <= kind <= 9 for kind in kinds)
-    has_store = any(7 <= kind <= 9 for kind in kinds)
-    wb_shift = WriteBuffer.BLOCK_SHIFT
-
     pages = set()
-
     lap = ", _lap" if loop else ", 0"
 
     def bail(reason, i):
@@ -552,7 +489,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
         # stream-buffer line -- the one fetch that charges nothing.
         # Nothing here moves the code page, so a page checked outside
         # the conditional entry fetch stays checked.
-        pre = " " * (8 if nested else 4)
+        pre = "    " if nested else ""
         page = addr >> page_bits
         if page not in pages:
             L(pre + "if core._last_code_page != %d: %s"
@@ -562,21 +499,13 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
         # The physical line: the page's lines (_cl, read once; nothing
         # here moves it) plus the line in the page, whose set index is
         # a constant when a page spans no more lines than the L1 sets.
-        offset = (addr & pm) >> ishift
+        offset = (addr & ((1 << page_bits) - 1)) >> ishift
         L(pre + "_il = _cl | %d" % offset)
         L(pre + "if _ics[%s] != _il or _il in _ist: %s"
           % (offset & imask if imask >> (page_bits - ishift) == 0
              else "_il & %d" % imask, bail(_FETCH, i)))
-        L(pre + "_icl.hits += 1")
+        L(pre + "l1i.hits += 1")
         L(pre + "core._last_fetch_line = %d" % (addr >> ishift))
-
-    def emit_translate(i):
-        # D-TLB hit path: the entry is present.  The hit is counted by
-        # the caller, after the instruction's last probe.
-        L("    _pp = _dte.get((asn, _va >> %d))" % page_bits)
-        L("    if _pp is None: %s" % bail(_DTB, i))
-        L("    _ln = ((_pp << %d) | (_va & %d)) >> %d"
-          % (page_bits, pm, dshift))
 
     def leave(k, guard, rel, off_path, next_pc, taken, mp):
         # Stay on the recorded path with the next block inside room,
@@ -588,15 +517,15 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
         tests.append("room <= %d" % guard[2])
         if k == len(segments) - 1:
             tests.append("_lap >= laps")
-            L("    if %s: return (%d, %s, %s, %s%s)"
+            L("if %s: return (%d, %s, %s, %s%s)"
               % (" or ".join(tests), CLEAN, next_pc, taken, mp, lap))
-            L("    t0 += %d" % rel)
-            L("    room -= %d" % rel)
-            L("    _lap += 1")
+            L("t0 += %d" % rel)
+            L("room -= %d" % rel)
+            L("_lap += 1")
             if checks:
-                L("    _ck = False")
+                L("_ck = False")
         else:
-            L("    if %s: return (%d, %s, %s, %s, %d%s)"
+            L("if %s: return (%d, %s, %s, %s, %d%s)"
               % (" or ".join(tests), EXIT, next_pc, taken, mp, k, lap))
 
     prev_line = None
@@ -613,7 +542,7 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                     # line; later crossings are unconditional (addresses
                     # ascend within a block, and a later block's entry
                     # follows a known terminator).
-                    L("    if core._last_fetch_line != %d:" % fline)
+                    L("if core._last_fetch_line != %d:" % fline)
                     emit_fetch(i, addr, nested=True)
                 else:
                     emit_fetch(i, addr)
@@ -622,133 +551,69 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
                 # The terminator can no longer bail: settle the
                 # scoreboard before its (direction-dependent) code.
                 for reg, done in sb:
-                    L("    reg_ready[%d] = reg_ready_static[%d] = t0 + %d"
-                      % (reg, reg, done))
-                    L("    reg_dyn_reason[%d] = None" % reg)
+                    L(settle(reg, "t0 + %d" % done))
             kind = rec[0]
-            dst = rec[7]
-            f1 = rec[4]
-            f2 = rec[5]
-            imm = rec[8]
             rel = step[1]
-            if kind == 0:  # op
-                if dst is not None:
-                    b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                    L("    iregs[%d] = %s"
-                      % (dst, open_code(rec[10], "iregs[%d]" % f1, b)))
-            elif kind == 1:  # cmov (dst is the old-value register)
-                if dst is not None:
-                    b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                    L("    if %s: iregs[%d] = %s"
-                      % (open_code(rec[10], "iregs[%d]" % f1), dst, b))
-            elif kind == 2:  # fop
-                if dst is not None:
-                    a = "fregs[%d]" % f1 if f1 is not None else "0.0"
-                    L("    fregs[%d] = %s"
-                      % (dst - 32, open_code(rec[10], a, "fregs[%d]" % f2)))
-            elif kind == 3:  # lda
-                if dst is not None:
-                    if f2 is not None:
-                        L("    iregs[%d] = (iregs[%d] + %d) & MASK64"
-                          % (dst, f2, imm))
-                    else:
-                        L("    iregs[%d] = %d" % (dst, imm & MASK64))
-            elif kind <= 6:  # loads
-                L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
-                emit_translate(i)
-                L("    if _l1s[_ln & %d] != _ln: %s"
-                  % (dmask, bail(_DCACHE, i)))
-                L("    dtb.hits += 1")
-                L("    l1d.hits += 1")
-                if dst is None:  # the zero register: probes only
-                    pass
-                elif kind == 4:  # ldq
-                    L("    iregs[%d] = mem.get(_va & -8, 0)" % dst)
-                elif kind == 5:  # ldl
-                    L("    _v = mem.get(_va & -4, 0) & 0xFFFFFFFF")
-                    L("    if _v >> 31: _v = (_v | -4294967296) & MASK64")
-                    L("    iregs[%d] = _v" % dst)
-                else:  # ldt
-                    L("    _v = mem.get(_va & -8, 0)")
-                    L("    if not isinstance(_v, float): _v = float(_v)")
-                    L("    fregs[%d] = _v" % (dst - 32))
-            elif kind <= 9:  # stores
-                L("    _va = (iregs[%d] + %d) & MASK64" % (f2, imm))
-                # A store to a resident block issues at once, as in the
-                # slow path.  Otherwise the write-buffer probe is
-                # idempotent at a fixed time (the cycle after the
-                # previous issue), so the slow path redoes a busy store
-                # exactly.
-                L("    _wd = _wbe.get(_va >> %d)" % wb_shift)
-                L("    if _wd is None:")
-                L("        _pr = t0 + %d" % (prev_rel + 1))
-                L("        if wb.earliest_issue(_va, _pr) != _pr: %s"
-                  % bail(_WB, i))
-                emit_translate(i)
-                L("    dtb.hits += 1")
-                # Write-through, no-write-allocate: a store that misses
-                # the L1 is counted, installs nothing and is no event.
-                L("    if _l1s[_ln & %d] == _ln:" % dmask)
-                L("        l1d.hits += 1")
-                L("    else:")
-                L("        l1d.misses += 1")
-                # Still draining at issue: the store merges.
-                L("    if _wd is not None and _wd > t0 + %d: wb.merges += 1"
-                  % rel)
-                L("    else: wb.commit(_va, t0 + %d)" % rel)
-                if kind == 7:  # stq
-                    L("    mem[_va & -8] = iregs[%d]" % f1)
-                elif kind == 8:  # stl
-                    L("    mem[_va & -4] = iregs[%d] & 0xFFFFFFFF" % f1)
-                else:  # stt
-                    L("    mem[_va & -8] = fregs[%d]" % f1)
-            elif kind == 10:  # nop / call_pal: timing only
-                pass
-            elif kind == 11 or kind == 12:  # cbranch / fbranch
-                regs = "iregs" if kind == 11 else "fregs"
-                L("    _t = %s" % open_code(rec[10], "%s[%d]" % (regs, f1)))
-                # Open-coded BranchPredictor.predict_conditional (2-bit
-                # saturating counter update + accounting).
-                L("    _bx = %d & _bm" % (addr >> 2))
-                L("    _c = _bt[_bx]")
-                L("    _bt[_bx] = _UP[_c] if _t else _DOWN[_c]")
-                L("    bp.predictions += 1")
-                L("    _mp = (_c >= 2) != _t")
-                L("    if _mp: bp.mispredictions += 1")
-                next_pc = "%d if _t else %d" % (rec[9], addr + 4)
+            if 4 <= kind <= 9:  # loads and stores: the hit probes
+                for line in access(rec):
+                    L(line)
+                if kind >= 7:
+                    # A store to a resident block issues at once, as in
+                    # the slow path.  Otherwise the write-buffer probe
+                    # is idempotent at a fixed time (the cycle after the
+                    # previous issue), so the slow path redoes a busy
+                    # store exactly.
+                    L("if _wd is None:")
+                    L("    _pr = t0 + %d" % (prev_rel + 1))
+                    L("    if wb.earliest_issue(_va, _pr) != _pr: %s"
+                      % bail(_WB, i))
+                # The D-TLB hit is counted after the last probe that
+                # may bail.
+                L(translate(page_bits))
+                L("if _pp is None: %s" % bail(_DTB, i))
+                hit = l1d_hit(page_bits, dshift, dmask)
+                if kind <= 6:
+                    L("if not (%s): %s" % (hit, bail(_DCACHE, i)))
+                    L("dtb.hits += 1")
+                    L("l1d.hits += 1")
+                else:
+                    L("dtb.hits += 1")
+                    # Write-through, no-write-allocate: a store that
+                    # misses the L1 is counted, installs nothing and is
+                    # no event.
+                    L("if %s: l1d.hits += 1" % hit)
+                    L("else: l1d.misses += 1")
+                    for line in merge_or_commit("t0 + %d" % rel):
+                        L(line)
+            for line in effect(rec, "_tg"):
+                L(line)
+            if kind >= 11:  # a control transfer returns or leaves
+                lines, test, miss = predict(rec, "_tg")
+                for line in lines:
+                    L(line)
+                mp = "False"
+                if test:
+                    mp = "_mp"
+                    L("_mp = " + test)
+                    for line in miss:
+                        L("if _mp: " + line)
+                off_path = None
+                if kind <= 12:
+                    next_pc = "%d if _t else %d" % (rec[9], addr + 4)
+                    taken = "_t"
+                    if guard is not None:
+                        off_path = "_mp or %s_t" % ("not " if guard[1]
+                                                    else "")
+                else:
+                    next_pc = rec[9] if kind <= 14 else "_tg"
+                    taken = "True"
+                    if guard is not None and kind >= 15:
+                        off_path = "_mp or _tg != %d" % guard[0]
                 if guard is None:
-                    L("    return (%d, %s, _t, _mp%s)"
-                      % (CLEAN, next_pc, lap))
+                    L("return (%d, %s, %s, %s%s)"
+                      % (CLEAN, next_pc, taken, mp, lap))
                 else:
-                    leave(k, guard, rel, "_mp or %s_t"
-                          % ("not " if guard[1] else ""),
-                          next_pc, "_t", "_mp")
-            elif kind == 13 or kind == 14:  # br / bsr
-                if dst is not None:
-                    L("    iregs[%d] = %d" % (dst, addr + 4))
-                if kind == 14:
-                    L("    bp.push_call(%d)" % (addr + 4))
-                if guard is None:
-                    L("    return (%d, %d, True, False%s)"
-                      % (CLEAN, rec[9], lap))
-                else:
-                    leave(k, guard, rel, None, rec[9], "True", "False")
-            else:  # jmp / jsr / ret
-                L("    _tg = iregs[%d] & -4" % f2)
-                if dst is not None:
-                    L("    iregs[%d] = %d" % (dst, addr + 4))
-                if kind == 16:
-                    L("    bp.push_call(%d)" % (addr + 4))
-                    L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
-                elif kind == 17:
-                    L("    _mp = not bp.predict_return(_tg)")
-                else:
-                    L("    _mp = not bp.predict_indirect(%d, _tg)" % addr)
-                if guard is None:
-                    L("    return (%d, _tg, True, _mp%s)" % (CLEAN, lap))
-                else:
-                    leave(k, guard, rel, "_mp or _tg != %d" % guard[0], "_tg",
-                          "True", "_mp")
+                    leave(k, guard, rel, off_path, next_pc, taken, mp)
             prev_rel = rel
             i += 1
 
@@ -762,26 +627,10 @@ def _compile_replay(segments, page_bits, l1d_geom, l1i_geom, key,
     head = ["def _replay(core, bp, dtb, l1d, wb, mem, iregs, fregs,"
             " reg_ready, reg_ready_static, reg_dyn_reason, asn, t0,"
             " room, laps):",
-            "    _icl = core.ihier.l1",
-            "    _ics = _icl.sets",
-            "    _ist = core._istream",
-            "    _cl = core._last_code_ppage << %d" % (page_bits - ishift)]
-    if has_mem:
-        head.append("    _dte = dtb._entries")
-        head.append("    _l1s = l1d.sets")
-    if has_store:
-        head.append("    _wbe = wb._entries")
-    if 11 in kinds or 12 in kinds:
-        head.append("    _bt = bp._table")
-        head.append("    _bm = bp._mask")
-    source = "\n".join(head + body)
-    # The def binds into *scope*; the function's globals stay shared.
-    scope = {}
-    exec(compile(source, "<fastpath-variant>", "exec"),
-         CODE_GLOBALS, scope)
-    fn = scope["_replay"]
-    cache_code(key, fn)
-    return fn
+            "    l1i = core.ihier.l1"]
+    head += ["    " + line for line in handles(kinds)]
+    head.append("    " + code_page(page_bits - ishift))
+    return "\n".join(head + body)
 
 
 class FastPath:
@@ -915,11 +764,13 @@ class FastPath:
 
     def compile_variant(self, variant):
         """Tier-up: compile *variant*'s recorded schedule to its
-        specialized replay function (see :func:`_compile_replay`)."""
+        specialized replay function (see :func:`_replay_source`).  Its
+        key is the generator's whole input."""
         segments = ((variant.steps, variant.sb, None),)
-        variant.fn = _compile_replay(
-            segments, self.page_bits, self.l1d_geom, self.l1i_geom,
-            (segments, self.page_bits, self.l1d_geom, self.l1i_geom))
+        key = (segments, self.page_bits, self.l1d_geom, self.l1i_geom)
+        variant.fn = codegen.function(
+            key, "<fastpath-variant>", lambda: _replay_source(
+                segments, self.page_bits, self.l1d_geom, self.l1i_geom))
         self.compiled_variants += 1
 
     def abort_recording(self, run):
@@ -1000,18 +851,14 @@ class FastPath:
             part.succ_uses = self.COMPILE_USES
 
     def compile_trace(self, trace):
-        """Tier-up: compile *trace* (see :func:`_compile_replay`); the
+        """Tier-up: compile *trace* (see :func:`_replay_source`); the
         gate calls it on the ``TRACE_USES``-th pick of the head."""
         trace.build(self.l1d_latency)
         parts = trace.parts
         ends = trace.ends
-        # A member's function stands for its compiled input (the code
-        # cache is keyed by it), so this key determines the trace's.
-        key = (tuple(p.fn for p in parts),
-               tuple(p.succ_taken for p in parts), trace.checks,
-               trace.loop)
-        segments = []
-        if key not in _replay_cache:
+
+        def source():
+            segments = []
             for k, part in enumerate(parts):
                 start = ends[k] - part.total_rel
                 if k < len(parts) - 1:
@@ -1027,9 +874,14 @@ class FastPath:
                 segments.append((
                     tuple((s[0], start + s[1]) for s in part.steps),
                     sb, guard))
-        trace.fn = _compile_replay(segments, self.page_bits,
-                                   self.l1d_geom, self.l1i_geom, key,
-                                   trace.checks, trace.loop)
+            return _replay_source(segments, self.page_bits, self.l1d_geom,
+                                  self.l1i_geom, trace.checks, trace.loop)
+        # A member's function stands for its compiled input (the code
+        # cache is keyed by it), so this key determines the trace's.
+        key = (tuple(p.fn for p in parts),
+               tuple(p.succ_taken for p in parts), trace.checks,
+               trace.loop)
+        trace.fn = codegen.function(key, "<fastpath-variant>", source)
         self.traces += 1
 
     # -- replay outcomes ----------------------------------------------

@@ -47,19 +47,17 @@ arrival / issue and ``gt_head``, the hit probes (a miss is one model
 call, ``Hierarchy.access``) and each kind's execute.
 """
 
-from repro.alpha.opcodes import MASK64, open_code
 from repro.alpha.predecode import PAIR_OK_ID
+from repro.cpu import codegen
+from repro.cpu.codegen import (access, code_page, effect, handles, l1d_hit,
+                               merge_or_commit, predict, settle, translate)
 from repro.cpu.events import EventType
-from repro.cpu.fastpath import CODE_GLOBALS, cache_code, cached_code
 from repro.cpu.issue import DEP_REASON
-from repro.cpu.writebuffer import WriteBuffer
 
 _EV_CYCLES = EventType.CYCLES
 _EV_DMISS = EventType.DMISS
 _EV_BRANCHMP = EventType.BRANCHMP
 _EV_DTBMISS = EventType.DTBMISS
-
-_WB_SHIFT = WriteBuffer.BLOCK_SHIFT
 
 
 # ---- the rules both steps call ------------------------------------------
@@ -261,10 +259,8 @@ def store_translate(core, proc, vaddr, issue, events):
     return ppage, events
 
 
-#: What generated steps see besides their arguments: replay code's
-#: globals and the rules above.
-_RUN_GLOBALS = dict(CODE_GLOBALS)
-_RUN_GLOBALS.update(
+# What generated steps call besides their arguments: the rules above.
+codegen.GLOBALS.update(
     charge_stalls=charge_stalls, charge_slotting=charge_slotting,
     count_cycles=count_cycles, post_events=post_events, deliver=deliver,
     load_miss=load_miss, store_translate=store_translate,
@@ -276,20 +272,13 @@ def compile_run(run, runs, gt_edges, shape):
     (``Core.shape``): ``Core.run``'s interpreter without the recording,
     for every visit the budget does not cut.  Returns ``(members, fn)``:
     the runs the step spans, *run* first (its region, :func:`region`),
-    and the function.  Functions are kept in the fast path's code cache
-    (:func:`repro.cpu.fastpath.cached_code`), keyed by the generator's
+    and the function.  Functions are kept in the process-wide code
+    cache (:func:`repro.cpu.codegen.function`), keyed by the generator's
     whole input."""
     members = region(run, runs, gt_edges)
     parts = tuple(member.recs for member in members)
-    key = ("run", parts, shape)
-    fn = cached_code(key)
-    if fn is None:
-        scope = {}
-        exec(compile(_run_source(parts, shape), "<compiled-run>", "exec"),
-             _RUN_GLOBALS, scope)
-        fn = scope["_step"]
-        cache_code(key, fn)
-    return members, fn
+    return members, codegen.function(("run", parts, shape), "<compiled-run>",
+                                     lambda: _run_source(parts, shape))
 
 
 #: Most records a region step spans.  The regions the registry forms in
@@ -375,12 +364,10 @@ def _run_source(parts, shape):
     (page_bits, ishift, dshift, imask, dmask, l1d_latency,
      mispredict_penalty, skew) = shape
     lps = page_bits - ishift
-    pm = (1 << page_bits) - 1
-    mask64 = str(MASK64)
     body = []
 
     def out(line):
-        body.append("        " + line.replace("MASK64", mask64))
+        body.append("        " + line)
     recs = [rec for part in parts for rec in part]
     n = len(recs)
     # The indices of the members' first records.
@@ -393,8 +380,9 @@ def _run_source(parts, shape):
     lines = {rec[14] >> ishift for rec in recs}
     prev_line = None
     prev_cls = None
-    for j, (kind, cls_id, lat, srcs, f1, f2, _, dst, imm, target, fn,
-            unit, busy, ctrl, pc, nsrc) in enumerate(recs):
+    for j, rec in enumerate(recs):
+        (kind, cls_id, lat, srcs, _, _, _, dst, _, target, _, unit, busy,
+         ctrl, pc, nsrc) = rec
         first = j in firsts
         if first and j and not mispredict_penalty:
             # Core.run drops a reason that owes no cycles before a run.
@@ -427,8 +415,8 @@ def _run_source(parts, shape):
             res, res_reason = "fdiv_free", "fdiv"
         elif 7 <= kind <= 9:
             res, res_reason = "res", "wb"
-            out("_va = %s" % _address(f2, imm))
-            out("_wd = _wbe.get(_va >> %d)" % _WB_SHIFT)
+            for line in access(rec):
+                out(line)
             out("res = prev_issue + 1 if _wd is not None else"
                 " wb.earliest_issue(_va, prev_issue + 1)")
 
@@ -493,73 +481,40 @@ def _run_source(parts, shape):
         out(pre + "pair_open = True")
         prev_cls = cls_id
 
-        # ---- execute (a control transfer sets next_pc's text)
+        # ---- execute (a control transfer sets next_pc's text): the
+        # hit probes in line, the record's effect, its ready times
         next_pc = None
-        if dst is not None:
-            ready = ("reg_ready[%d] = reg_ready_static[%d] = issue + %%d;"
-                     " reg_dyn_reason[%d] = None" % (dst, dst, dst))
-        if kind == 0:  # op
-            if dst is not None:
-                b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                out("iregs[%d] = %s"
-                    % (dst, open_code(fn, "iregs[%d]" % f1, b)))
-                out(ready % lat)
-            if unit == 1:
-                out("imul_free = issue + %d" % busy)
-        elif kind == 1:  # cmov (the old value is the destination's)
-            if dst is not None:
-                b = "iregs[%d]" % f2 if f2 is not None else repr(imm)
-                out("if %s: iregs[%d] = %s"
-                    % (open_code(fn, "iregs[%d]" % f1), dst, b))
-                out(ready % lat)
-        elif kind == 2:  # fop
-            if dst is not None:
-                a = "fregs[%d]" % f1 if f1 is not None else "0.0"
-                out("fregs[%d] = %s"
-                    % (dst - 32, open_code(fn, a, "fregs[%d]" % f2)))
-                out(ready % lat)
-            if unit == 2:
-                out("fdiv_free = issue + %d" % busy)
-        elif kind == 3:  # lda
-            if dst is not None:
-                if f2 is not None:
-                    out("iregs[%d] = (iregs[%d] + %d) & MASK64"
-                        % (dst, f2, imm))
-                else:
-                    out("iregs[%d] = %d" % (dst, imm & MASK64))
-                out(ready % lat)
-        elif kind <= 9:  # loads and stores: the hit probes in line
+        if 4 <= kind <= 6:
+            out(access(rec)[0])
+        if 4 <= kind <= 9:
+            out(translate(page_bits))
+            hit = l1d_hit(page_bits, dshift, dmask)
             if kind <= 6:
-                out("_va = %s" % _address(f2, imm))
-            out("_pp = _dte.get((asn, _va >> %d))" % page_bits)
-            probe = ("_l1s[(_ln := ((_pp << %d) | (_va & %d)) >> %d) & %d]"
-                     " == _ln" % (page_bits, pm, dshift, dmask))
-            if kind <= 6:
-                out("if _pp is not None and %s:" % probe)
+                out("if _pp is not None and %s:" % hit)
                 out("    _th += 1; _lh += 1")
                 if dst is not None:
-                    out("    " + ready % l1d_latency)
-                # An L1D miss under a D-TLB entry: the hierarchy decides.
+                    out("    " + settle(dst, "issue + %d" % l1d_latency))
+                # An L1D miss under a D-TLB entry: the hierarchy decides
+                # the latency, and it is a miss (it compares the tag
+                # just compared here).
                 out("elif _pp is not None:")
                 out("    _th += 1")
-                out("    _dl, _dm = dhier.access((_pp << %d) | (_va & %d))"
-                    % (page_bits, pm))
-                missed = ("events_now = [(_EV_DMISS, issue)]" if not events
-                          else "events_now = ([] if events_now is None else"
-                          " events_now) + [(_EV_DMISS, issue)]")
+                dl = ("dhier.access((_pp << %d) | (_va & %d))"
+                      % (page_bits, (1 << page_bits) - 1))
                 if dst is not None:
-                    out("    reg_ready[%d] = issue + _dl; reg_ready_static"
-                        "[%d] = issue + %d" % (dst, dst, l1d_latency))
-                    out("    if _dm: reg_dyn_reason[%d] = 'dcache'; %s"
-                        % (dst, missed))
-                    out("    else: reg_dyn_reason[%d] = None" % dst)
+                    out("    reg_ready[%d] = issue + %s[0]; reg_ready_static"
+                        "[%d] = issue + %d; reg_dyn_reason[%d] = 'dcache'"
+                        % (dst, dl, dst, l1d_latency, dst))
+                else:
+                    out("    " + dl)
+                _post(out, events, "_EV_DMISS", "    ")
+                if dst is not None:
                     out("else:")
                     out("    _dl, reg_dyn_reason[%d], events_now = "
                         "load_miss(core, proc, _va, issue, events_now)" % dst)
                     out("    reg_ready[%d] = issue + _dl; reg_ready_static"
                         "[%d] = issue + %d" % (dst, dst, l1d_latency))
                 else:
-                    out("    if _dm: " + missed)
                     out("else: events_now = load_miss(core, proc, _va, issue,"
                         " events_now)[2]")
             else:
@@ -568,74 +523,46 @@ def _run_source(parts, shape):
                 out("else: _th += 1")
                 # Write-through, no-write-allocate: a miss installs
                 # nothing (Cache.lookup with allocate=False).
-                out("if %s: _lh += 1" % probe)
+                out("if %s: _lh += 1" % hit)
                 out("else: _lm += 1")
+                for line in merge_or_commit("issue"):
+                    out(line)
             events = True
-            if kind == 4 and dst is not None:  # ldq
-                out("iregs[%d] = mem.get(_va & -8, 0)" % dst)
-            elif kind == 5 and dst is not None:  # ldl
-                out("_v = mem.get(_va & -4, 0) & 0xFFFFFFFF")
-                out("iregs[%d] = (_v | -4294967296) & MASK64 if _v >> 31"
-                    " else _v" % dst)
-            elif kind == 6 and dst is not None:  # ldt
-                out("_v = mem.get(_va & -8, 0)")
-                out("fregs[%d] = _v if isinstance(_v, float) else float(_v)"
-                    % (dst - 32))
-            elif kind >= 7:
-                # Still draining at issue: the store merges.
-                out("if _wd is not None and _wd > issue: wb.merges += 1")
-                out("else: wb.commit(_va, issue)")
-                if kind == 7:  # stq
-                    out("mem[_va & -8] = iregs[%d]" % f1)
-                elif kind == 8:  # stl
-                    out("mem[_va & -4] = iregs[%d] & 0xFFFFFFFF" % f1)
-                else:  # stt
-                    out("mem[_va & -8] = fregs[%d]" % f1)
-        elif kind == 11 or kind == 12:  # cbranch / fbranch
-            regs = "iregs" if kind == 11 else "fregs"
-            out("_t = %s" % open_code(fn, "%s[%d]" % (regs, f1)))
-            out("if _t: next_pc = %d; pair_open = False" % target)
-            out("else: next_pc = %d" % (pc + 4))
-            # Open-coded BranchPredictor.predict_conditional.
-            out("_bt = bp._table; _bx = %d & bp._mask; _c = _bt[_bx]"
-                % (pc >> 2))
-            out("_bt[_bx] = _UP[_c] if _t else _DOWN[_c]")
-            out("bp.predictions += 1")
-            out("if (_c >= 2) != _t:")
-            out("    bp.mispredictions += 1")
-            _mispredict(out, events, mispredict_penalty)
-            out("_e = (%d, next_pc); gt_edges[_e] = gt_edges.get(_e, 0) + 1"
-                % pc)
-            events = True
-            next_pc = "next_pc"
-        elif kind == 13 or kind == 14:  # br / bsr
-            if dst is not None:
-                out("iregs[%d] = %d" % (dst, pc + 4))
-                out(ready % 1)
-            if kind == 14:
-                out("bp.push_call(%d)" % (pc + 4))
-            out("pair_open = False")
-            out("gt_edges[%r] = gt_edges.get(%r, 0) + 1"
-                % ((pc, target), (pc, target)))
-            next_pc = str(target)
-        elif kind >= 15:  # jmp / jsr / ret
-            out("next_pc = iregs[%d] & -4" % f2)
-            if dst is not None:
-                out("iregs[%d] = %d" % (dst, pc + 4))
-                out(ready % 1)
-            if kind == 16:
-                out("bp.push_call(%d)" % (pc + 4))
-                out("if not bp.predict_indirect(%d, next_pc):" % pc)
-            elif kind == 17:
-                out("if not bp.predict_return(next_pc):")
+        for line in effect(rec):
+            out(line)
+        if dst is not None and (kind <= 3 or kind >= 13):
+            out(settle(dst, "issue + %d" % (lat if kind <= 3 else 1)))
+        if unit == 1:
+            out("imul_free = issue + %d" % busy)
+        elif unit == 2:
+            out("fdiv_free = issue + %d" % busy)
+        if kind >= 11:
+            if kind <= 12:
+                out("if _t: next_pc = %d; pair_open = False" % target)
+                out("else: next_pc = %d" % (pc + 4))
+            update, test, miss = predict(rec)
+            for line in update:
+                out(line)
+            if test:
+                out("if %s:" % test)
+                for line in miss:
+                    out("    " + line)
+                out("    front_extra = %d; front_reason = 'branchmp'"
+                    % mispredict_penalty)
+                _post(out, events, "_EV_BRANCHMP", "    ")
+                events = True
+            if kind >= 13:
+                out("pair_open = False")
+            if kind <= 12:
+                out("_e = (%d, next_pc); gt_edges[_e] = gt_edges.get(_e, 0)"
+                    " + 1" % pc)
+            elif kind <= 14:
+                out("gt_edges[%r] = gt_edges.get(%r, 0) + 1"
+                    % ((pc, target), (pc, target)))
             else:
-                out("if not bp.predict_indirect(%d, next_pc):" % pc)
-            _mispredict(out, events, mispredict_penalty)
-            out("pair_open = False")
-            out("if next_pc != proc.exit_addr: _e = (%d, next_pc);"
-                " gt_edges[_e] = gt_edges.get(_e, 0) + 1" % pc)
-            events = True
-            next_pc = "next_pc"
+                out("if next_pc != proc.exit_addr: _e = (%d, next_pc);"
+                    " gt_edges[_e] = gt_edges.get(_e, 0) + 1" % pc)
+            next_pc = str(target) if kind == 13 or kind == 14 else "next_pc"
         # kind == 10 (nop / call_pal): timing only.
 
         # ---- performance counters, deliveries and the deadline: only
@@ -705,16 +632,15 @@ def _run_source(parts, shape):
     if next_pc != "next_pc":
         tail.append("        next_pc = %s" % next_pc)
     tail.append("        break")
-    # Hoisted probe handles: Cache.flush and TLB.flush clear in place,
-    # and the write buffer's dict and stream buffer are never replaced.
-    if len({line >> lps for line in lines}) < len(lines):
-        head.append("    _ics = l1i.sets; _ist = core._istream")
+    # Hoisted probe handles: the I-L1's when a fetch within the step
+    # can stay on its page.
+    head += ["    " + line for line in handles(
+        kinds, len({line >> lps for line in lines}) < len(lines))]
     if any(4 <= kind <= 9 for kind in kinds):
-        head += ["    asn = proc.asn; _dte = dtb._entries; _l1s = l1d.sets",
-                 "    _th = _lh = 0"]
+        head.append("    asn = proc.asn; _th = _lh = 0")
         tail.append("    dtb.hits += _th; l1d.hits += _lh")
     if any(7 <= kind <= 9 for kind in kinds):
-        head.append("    _wbe = wb._entries; _lm = 0")
+        head.append("    _lm = 0")
         tail.append("    l1d.misses += _lm")
     head += ["    " + line for line in _fetch_source(start, None, shape,
                                                       len(lines) > 1)]
@@ -784,23 +710,15 @@ def _fetch_source(pc, prev_line, shape, many_lines):
             % (fline >> lps, imask),
             pre + fetch]
     if many_lines:
-        src.append("_cl = core._last_code_ppage << %d" % lps)
+        src.append(code_page(lps))
     return src
 
 
-def _address(base, disp):
-    """The text of a memory operand's virtual address."""
-    if disp:
-        return "(iregs[%d] + %d) & MASK64" % (base, disp)
-    return "iregs[%d] & MASK64" % base
-
-
-def _mispredict(out, events, mispredict_penalty):
-    """The mispredicted transfer's lines, under an ``if`` just emitted."""
-    out("    front_extra = %d; front_reason = 'branchmp'"
-        % mispredict_penalty)
+def _post(out, events, ev, pre=""):
+    """The lines that post event *ev* at issue; *events*: whether
+    ``events_now`` may hold something already."""
     if events:
-        out("    if events_now is None: events_now = []")
-        out("    events_now.append((_EV_BRANCHMP, issue))")
+        out(pre + "if events_now is None: events_now = []")
+        out(pre + "events_now.append((%s, issue))" % ev)
     else:
-        out("    events_now = [(_EV_BRANCHMP, issue)]")
+        out(pre + "events_now = [(%s, issue)]" % ev)

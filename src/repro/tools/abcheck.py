@@ -31,9 +31,9 @@ import sys
 import time
 
 from repro.collect.session import ProfileSession, SessionConfig
+from repro.cpu.codegen import clear_replay_cache, replay_cache_stats
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastpath import (TRACE_EXITS, clear_replay_cache,
-                                replay_cache_stats)
+from repro.cpu.fastpath import TRACE_EXITS
 
 
 def _canonical(value):

@@ -8,14 +8,13 @@ import pytest
 
 from repro.alpha.assembler import assemble
 from repro.collect.session import ProfileSession, SessionConfig
-from repro.cpu import fastpath as fastpath_module
-from repro.cpu import pipeline
+from repro.cpu import codegen, pipeline
 from repro.cpu.caches import cache_geometry
+from repro.cpu.codegen import clear_replay_cache, replay_cache_stats
 from repro.cpu.config import CacheConfig, MachineConfig
 from repro.cpu.events import EventType
 from repro.cpu.fastpath import (BAIL_REASONS, BIGCODE, MAX_RUN,
-                                SLOW_CAUSES, TRACE_EXITS,
-                                clear_replay_cache, replay_cache_stats)
+                                SLOW_CAUSES, TRACE_EXITS)
 from repro.cpu.machine import Machine
 from repro.cpu.writebuffer import WriteBuffer
 from repro.obs import schema as schema_module
@@ -322,7 +321,7 @@ class TestReplayCodeCache:
         unbounded_print, unbounded = profiled()
         assert replay_cache_stats()[2] > 3
         clear_replay_cache()
-        monkeypatch.setattr(fastpath_module, "REPLAY_CACHE_MAX", 3)
+        monkeypatch.setattr(codegen, "REPLAY_CACHE_MAX", 3)
         _, misses0, _ = replay_cache_stats()
         bounded_print, bounded = profiled()
         _, misses1, entries = replay_cache_stats()
@@ -339,11 +338,11 @@ class TestCleanPrefix:
     def test_generated_code_never_calls_the_model(self, monkeypatch):
         sources = []
 
-        def capture(source, *args):
-            sources.append(source)
-            return compile(source, *args)
-        monkeypatch.setattr(fastpath_module, "compile", capture,
-                            raising=False)
+        def capture(source, filename, *args):
+            if filename == "<fastpath-variant>":
+                sources.append(source)
+            return compile(source, filename, *args)
+        monkeypatch.setattr(codegen, "compile", capture, raising=False)
         clear_replay_cache()
         _, fp = profiled("gcc")
         # Every variant and every trace compiled its own source text.

@@ -27,7 +27,7 @@ import pytest
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.cpu import pipeline
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastpath import clear_replay_cache
+from repro.cpu.codegen import clear_replay_cache
 from repro.workloads.registry import get_workload
 from test_fastpath_identity import Assembled
 
