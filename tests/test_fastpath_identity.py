@@ -399,79 +399,131 @@ def _hot_loop(op):
     return _LOOP % body
 
 
-@pytest.mark.parametrize("op", sorted(
-    name for name, info in OPCODES.items() if info.sem or info.cond))
-def test_every_semantic_opcode_replays_open_coded(op):
-    """Each operate / cmov / branch opcode runs through a compiled
-    replay, matches the slow path, and is open-coded from its own
-    expression: no per-step ``_f<i>`` call-out global."""
+SEMANTIC_OPS = sorted(
+    name for name, info in OPCODES.items() if info.sem or info.cond)
+
+
+@pytest.mark.parametrize("op, leg", [
+    pytest.param(op, leg, id=op if leg == "replay" else op + "-" + leg)
+    for leg in ("replay", "steps") for op in SEMANTIC_OPS])
+def test_every_semantic_opcode_replays_open_coded(op, leg, monkeypatch):
+    """Each operate / cmov / branch opcode runs through generated code
+    -- a compiled replay, or on the ``steps`` leg a generated step with
+    every run tiered up at its first visit and no variant compiled --
+    matches the slow path, and is open-coded from its own expression:
+    no per-step ``_f<i>`` call-out global."""
     text = _hot_loop(op)
+    slow = observables(run_program(text, False))
+    if leg == "steps":
+        monkeypatch.setattr(pipeline, "COMPILE_RUN_AT", 1)
+        monkeypatch.setattr(FastPath, "COMPILE_USES", 1 << 30)
     fast = run_program(text, True)
-    assert fast.fastpath.replayed_instructions > 0
-    assert observables(fast) == observables(run_program(text, False))
-    compiled = [variant
-                for run in fast.runs.values() if run.refusal == -1
-                for variant in run.variants.values()
-                if variant.fn is not None]
-    ops = {fast.code_map[step[0][R_ADDR]].op
-           for variant in compiled for step in variant.steps}
+    assert observables(fast) == slow
+    if leg == "replay":
+        assert fast.fastpath.replayed_instructions > 0
+        compiled = [(variant.fn, [step[0] for step in variant.steps])
+                    for run in fast.runs.values() if run.refusal == -1
+                    for variant in run.variants.values()
+                    if variant.fn is not None]
+    else:
+        assert fast.fastpath.compiled_variants == 0
+        assert fast.fastpath.compiled_instructions > 0
+        compiled = [(run.step, [rec for member in run.members
+                                for rec in member.recs])
+                    for run in fast.runs.values() if run.step is not None]
+    ops = {fast.code_map[rec[R_ADDR]].op
+           for _, recs in compiled for rec in recs}
     assert op in ops
-    for variant in compiled:
-        assert not [name for name in variant.fn.__code__.co_names
+    for fn, _ in compiled:
+        assert not [name for name in fn.__code__.co_names
                     if re.fullmatch(r"_f\d+", name)]
 
 
 #: What a drawn loop body reads and writes: t0 counts laps, t1 points at
-#: the data, t8 turns the interior branches, t9 closes the loop and a5
-#: counts the passes.
+#: the data, t8 turns the interior branches (f9 the floating ones), t9
+#: closes the loop and a5 counts the passes.
 BODY_REGS = ("t2", "t3", "t4", "t5", "t6", "t7")
+FLOAT_REGS = ("f2", "f3", "f4", "f5")
 #: Quadword offsets from t1: the 256-byte L1D of ``SMALL`` maps 0, 256
-#: and 2048 to one set, and 4096 is another page.
+#: and 2048 to one set, and 4096 is another page.  Offset 0 starts out
+#: holding -7, a negative longword.
 OFFSETS = (0, 8, 256, 2048, 4096)
+#: Where floating stores go: an integer load never reads a float.
+FLOAT_OFFSETS = (16, 264, 4104)
 
 
 @st.composite
 def region_loops(draw):
     """A loop of one to three runs: each interior run ends in a branch
-    that turns every 2, 4 or 8 laps, past code only the other laps
-    run; the loop runs a drawn trip count, in a drawn number of
-    passes."""
+    (integer or floating) that turns every 2, 4 or 8 laps, past code
+    only the other laps run; the loop runs a drawn trip count, in a
+    drawn number of passes.  An integer result may be tested by a
+    branch over one instruction, so that values reach ground truth."""
     reg = st.sampled_from(BODY_REGS)
+    freg = st.sampled_from(FLOAT_REGS)
+    skips = []
 
     def body():
         lines = []
         for _ in range(draw(st.integers(1, 4))):
             kind = draw(st.sampled_from(
-                ("alu", "imm", "imul", "load", "store")))
-            if kind == "alu":
-                lines.append("%s %s, %s, %s" % (
-                    draw(st.sampled_from(("addq", "subq", "xor", "cmpult",
-                                          "s4addq"))),
-                    draw(reg), draw(reg), draw(reg)))
+                ("alu", "imm", "imul", "load", "store", "cmov", "lda",
+                 "fop", "ldl", "ldt", "stl", "stt")))
+            dst = draw(reg)
+            if kind in ("alu", "imul", "cmov"):
+                op = {"imul": st.just("mulq"),
+                      "cmov": st.sampled_from(("cmovne", "cmoveq"))}.get(
+                    kind, st.sampled_from(("addq", "subq", "xor", "cmpult",
+                                           "s4addq")))
+                line = "%s %s, %s, %s" % (draw(op), draw(reg), draw(reg),
+                                          dst)
             elif kind == "imm":
-                lines.append("%s %s, %d, %s" % (
+                line = "%s %s, %d, %s" % (
                     draw(st.sampled_from(("and", "srl", "addq"))),
-                    draw(reg), draw(st.integers(1, 63)), draw(reg)))
-            elif kind == "imul":
-                lines.append("mulq %s, %s, %s"
-                             % (draw(reg), draw(reg), draw(reg)))
+                    draw(reg), draw(st.integers(1, 63)), dst)
+            elif kind == "lda":
+                line = "lda %s, %d(%s)" % (
+                    dst, draw(st.sampled_from((-8, 0, 24))), draw(reg))
+            elif kind == "fop":
+                line = "%s %s, %s, %s" % (
+                    draw(st.sampled_from(("addt", "subt", "mult", "divt"))),
+                    draw(freg), draw(freg), draw(freg))
+            elif kind in ("ldt", "stt"):
+                line = "%s %s, %d(t1)" % (
+                    kind, draw(freg), draw(st.sampled_from(
+                        FLOAT_OFFSETS + (OFFSETS if kind == "ldt" else ()))))
             else:
-                lines.append("%s %s, %d(t1)" % (
-                    "ldq" if kind == "load" else "stq", draw(reg),
-                    draw(st.sampled_from(OFFSETS))))
-        return ["    " + line for line in lines]
+                line = "%s %s, %d(t1)" % (
+                    {"load": "ldq", "store": "stq"}.get(kind, kind), dst,
+                    draw(st.sampled_from(OFFSETS)))
+            lines.append("    " + line)
+            if (kind not in ("fop", "ldt", "store", "stl", "stt")
+                    and draw(st.integers(0, 3)) == 0):
+                skips.append("Lskip%d" % len(skips))
+                lines += ["    %s %s, %s" % (
+                    draw(st.sampled_from(("blt", "bge", "blbs", "beq"))),
+                    dst, skips[-1]), "    addq  a4, 1, a4", skips[-1] + ":"]
+        return lines
     text = [".image t", ".data buf, 8192", ".proc main",
             "    lda   t1, =buf",
             "    lda   v0, %d(zero)" % draw(st.integers(1, 80)),
-            "    lda   a5, %d(zero)" % draw(st.integers(1, 4))]
+            "    lda   a5, %d(zero)" % draw(st.integers(1, 4)),
+            "    lda   t2, -7(zero)",
+            "    stq   t2, 0(t1)"]
     text += ["    lda   %s, %d(zero)" % (r, 3 + i)
              for i, r in enumerate(BODY_REGS)]
+    text += ["    ldt   %s, %d(t1)" % (f, 8 * i)
+             for i, f in enumerate(FLOAT_REGS)]
     text += ["Lpass:", "    lda   t0, 0(zero)", "Lloop:"]
     for k in range(draw(st.integers(1, 3)) - 1):
         text += body()
-        text += ["    and   t0, %d, t8" % draw(st.sampled_from((1, 3, 7))),
-                 "    %s t8, Lrun%d" % (draw(st.sampled_from(("beq", "bne"))),
-                                        k)]
+        text.append("    and   t0, %d, t8" % draw(st.sampled_from((1, 3, 7))))
+        branch = draw(st.sampled_from(("beq", "bne", "fbeq", "fbne")))
+        if branch[0] == "f":
+            text += ["    stq   t8, 32(t1)", "    ldt   f9, 32(t1)",
+                     "    %s f9, Lrun%d" % (branch, k)]
+        else:
+            text.append("    %s t8, Lrun%d" % (branch, k))
         text += body()
         text.append("Lrun%d:" % k)
     text += body()
