@@ -194,12 +194,6 @@ class Image:
     def __contains__(self, addr: int) -> bool:
         return self.base is not None and self.base <= addr < self.end
 
-    def instruction_at(self, addr: int) -> "Instruction":
-        """Return the instruction at absolute address *addr*."""
-        assert self.base is not None
-        index = (addr - self.base) >> 2
-        return self.instructions[index]
-
     def slice(self, start: int, end: int) -> List["Instruction"]:
         """Return instructions in the absolute address range [start, end)."""
         assert self.base is not None

@@ -93,10 +93,6 @@ class Instruction:
         return out, dst
 
     @property
-    def is_control(self) -> bool:
-        return self.info.kind in ("br", "cbranch", "fbranch", "jump")
-
-    @property
     def is_memory(self) -> bool:
         return self.info.kind in ("load", "fload", "store", "fstore")
 

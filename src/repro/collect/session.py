@@ -320,11 +320,6 @@ class SessionResult(CollectionStack):
         name = image if isinstance(image, str) else image.name
         return self.daemon.profiles.get(name)
 
-    def process_profile(self, pid, image):
-        """The per-PID profile for (pid, image), if it was requested."""
-        name = image if isinstance(image, str) else image.name
-        return self.daemon.process_profiles.get((pid, name))
-
     def total_samples(self, event=EventType.CYCLES):
         return self.driver.event_samples.get(event, 0)
 

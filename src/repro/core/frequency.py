@@ -78,14 +78,6 @@ class FrequencyAnalysis:
         cid = self.classes.class_of.get(("e", edge_index))
         return self.class_confidence.get(cid, LOW)
 
-    def cpi_of(self, addr, samples):
-        """Average cycles at head per execution for the instruction at
-        *addr* given its CYCLES sample count."""
-        count = self.count_of(addr)
-        if count <= 0:
-            return 0.0
-        return samples * self.period / count
-
 
 def _issue_point_ratios(block, schedule, samples):
     """Return the list of (ratio, weight_samples) for a block's issue

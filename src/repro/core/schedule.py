@@ -53,9 +53,6 @@ class BlockSchedule:
         self.best_case_cycles = best_case_cycles
         self.by_addr = {row.inst.addr: row for row in rows}
 
-    def m_of(self, addr):
-        return self.by_addr[addr].m
-
 
 def schedule_block(instructions, extra=None):
     """Statically schedule one basic block's *instructions* (a

@@ -50,10 +50,6 @@ class ContextLedger:
 
     # -- write path (daemon/session) ---------------------------------------
 
-    def bind(self, ident, name):
-        """Learn that interned id *ident* means class *name*."""
-        self.ids[str(ident)] = name
-
     def absorb_table(self, table):
         """Absorb the driver's :class:`ContextTable` snapshot.
 

@@ -210,10 +210,6 @@ SCENARIOS = (
 )
 
 
-def scenario_names(quick: bool = False) -> List[str]:
-    return [s.name for s in SCENARIOS if s.quick or not quick]
-
-
 def get_scenario(name: str) -> Scenario:
     for scenario in SCENARIOS:
         if scenario.name == name:

@@ -75,14 +75,6 @@ class Process:
                 self.fregs[num - 32] = float(value)
         return self
 
-    def poke(self, addr, value):
-        """Write *value* (int or float) at 8-byte-aligned address *addr*."""
-        self.memory[addr & ~7] = value
-
-    def peek(self, addr):
-        """Read the 8-byte-aligned value at *addr* (0 if never written)."""
-        return self.memory.get(addr & ~7, 0)
-
     def __repr__(self):
         state = "exited" if self.exited else "pc=%#x" % self.pc
         return "<Process %d %s %s>" % (self.pid, self.name, state)

@@ -1,4 +1,4 @@
-"""dcpiprof: samples per procedure or per image (the paper's Figure 1).
+"""dcpiprof: samples per procedure (the paper's Figure 1).
 
 Reads a set of image profiles and prints procedures sorted by
 decreasing CYCLES samples, with cumulative percentages and (when
@@ -45,39 +45,6 @@ def procedure_table(profiles, event=EventType.CYCLES,
             total_secondary += second
     rows.sort(key=lambda r: -r["primary"])
     return rows, total_primary, total_secondary
-
-
-def image_table(profiles, event=EventType.CYCLES):
-    """Per-image totals (dcpiprof's "-i" mode in the paper).
-
-    Returns (rows, total) with rows sorted by decreasing samples.
-    """
-    rows = []
-    total = 0
-    for profile in profiles:
-        if profile.image is None:
-            continue
-        count = profile.total(event)
-        if count == 0:
-            continue
-        rows.append({"image": profile.image.name, "primary": count})
-        total += count
-    rows.sort(key=lambda r: -r["primary"])
-    return rows, total
-
-
-def dcpiprof_by_image(profiles, event=EventType.CYCLES, limit=None):
-    """Render the per-image listing; returns the text."""
-    rows, total = image_table(profiles, event)
-    lines = ["Total samples for event type %s = %d" % (event, total),
-             "%10s %7s %7s  %s" % (event, "%", "cum%", "image")]
-    cumulative = 0.0
-    for row in rows[:limit]:
-        share = 100.0 * row["primary"] / total if total else 0.0
-        cumulative += share
-        lines.append("%10d %6.2f%% %6.2f%%  %s"
-                     % (row["primary"], share, cumulative, row["image"]))
-    return "\n".join(lines)
 
 
 def dcpiprof(profiles, event=EventType.CYCLES, secondary=EventType.IMISS,

@@ -298,7 +298,7 @@ class TestDisabledByteIdentity:
 class TestLedgerMerge:
     def _meta(self, name, samples, key="1:100", cycles=10):
         ledger = ContextLedger()
-        ledger.bind(1, name)
+        ledger.ids["1"] = name     # interned id 1 means class *name*
         ledger.add_sample(1, EventType.CYCLES, samples)
         ledger.add_request(name, key, cycles, cycles * 2)
         return ledger.to_meta()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.alpha.assembler import assemble
+from repro.alpha.predecode import R_CTRL, decode
 from repro.collect.session import ProfileSession, SessionConfig
 from repro.core.cfg import build_cfg
 from repro.core.frequency import estimate_frequencies
@@ -57,8 +58,7 @@ class TestCollection:
         image = result.daemon.images["edgy"]
         profile = result.profile_for("edgy")
         for (from_off, to_off), count in profile.edge_counts.items():
-            inst = image.instruction_at(image.base + from_off)
-            if not inst.is_control:
+            if not decode(image.instructions[from_off >> 2])[R_CTRL]:
                 # Straight-line pair: to must be from + 4.
                 assert to_off == from_off + 4
 

@@ -4,6 +4,7 @@ mode."""
 import pytest
 
 from repro.alpha.assembler import assemble
+from repro.alpha.predecode import R_CTRL, decode
 from repro.collect.daemon import Daemon
 from repro.collect.database import ProfileDatabase
 from repro.collect.driver import Driver
@@ -102,8 +103,7 @@ class TestInterpretMode:
         profile = result.profile_for("e")
         assert profile.edge_counts
         for (from_off, to_off) in profile.edge_counts:
-            inst = image.instruction_at(image.base + from_off)
-            assert inst.is_control
+            assert decode(image.instructions[from_off >> 2])[R_CTRL]
 
     def test_interpret_cheaper_than_double(self):
         def overhead(mode):
@@ -136,6 +136,5 @@ class TestInterpretMode:
         profile = result.profile_for("e")
         kinds = set()
         for (from_off, _) in profile.edge_counts:
-            inst = image.instruction_at(image.base + from_off)
-            kinds.add(inst.is_control)
+            kinds.add(decode(image.instructions[from_off >> 2])[R_CTRL])
         assert kinds == {True, False}

@@ -176,11 +176,11 @@ class TestAudit:
 
 class TestScenarioRegistry:
     def test_names_unique_and_quick_subset_nonempty(self):
-        from repro.faults.scenarios import SCENARIOS, scenario_names
+        from repro.faults.scenarios import SCENARIOS
 
         names = [s.name for s in SCENARIOS]
         assert len(names) == len(set(names))
-        assert len(scenario_names(quick=True)) >= 4
+        assert len([s for s in SCENARIOS if s.quick]) >= 4
         assert len(names) >= 10
 
     def test_get_scenario_rejects_typos(self):

@@ -89,7 +89,8 @@ class TestDirectEstimation:
         cfg, freq = analysis_for(LOOP, samples)
         count = freq.count_of(0x1008)
         assert count == pytest.approx(6000, rel=0.05)
-        assert freq.cpi_of(0x1008, 60) == pytest.approx(1.0, rel=0.05)
+        # Cycles at head per execution: samples times the period.
+        assert 60 * freq.period / count == pytest.approx(1.0, rel=0.05)
 
 
 class TestPropagation:

@@ -110,11 +110,6 @@ join:
         cid = freq.classes.class_of[else_block.index]
         assert freq.class_propagated[cid] is True
 
-    def test_cpi_of_zero_count(self):
-        cfg, schedules = cfg_sched(CHAIN)
-        freq = estimate_frequencies(cfg, schedules, {}, 100.0)
-        assert freq.cpi_of(0x1004, 0) == 0.0
-
     def test_unknown_class_count_is_zero(self):
         cfg, schedules = cfg_sched(CHAIN)
         freq = estimate_frequencies(cfg, schedules, {}, 100.0)

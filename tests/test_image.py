@@ -64,7 +64,7 @@ class TestLinking:
 
 class TestLookup:
     def test_instruction_at(self, image):
-        assert image.instruction_at(0x20004).op == "br"
+        assert image.slice(0x20004, 0x20008)[0].op == "br"
 
     def test_procedure_at(self, image):
         assert image.procedure_at(0x2000C).name == "beta"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.alpha import regs
 from repro.alpha.instruction import Instruction
+from repro.alpha.predecode import R_CTRL, decode
 
 T0 = regs.parse_register("t0")
 T1 = regs.parse_register("t1")
@@ -50,7 +51,7 @@ class TestRoles:
     def test_conditional_branch_reads_ra(self):
         inst = Instruction("bne", ra=T0, target=0x100)
         assert inst.srcs == (T0,)
-        assert inst.is_control
+        assert decode(inst)[R_CTRL]
 
     def test_jump_reads_rb_writes_ra(self):
         inst = Instruction("jsr", ra=regs.parse_register("ra"), rb=T1)
@@ -76,10 +77,11 @@ class TestPredicates:
         assert not alu.is_memory
 
     def test_control_predicate(self):
-        assert Instruction("br", ra=ZERO, target=0).is_control
-        assert Instruction("ret", ra=ZERO,
-                           rb=regs.parse_register("ra")).is_control
-        assert not Instruction("nop").is_control
+        # The predecoded record's control flag ends the simulator's runs.
+        assert decode(Instruction("br", ra=ZERO, target=0))[R_CTRL]
+        assert decode(Instruction("ret", ra=ZERO,
+                                  rb=regs.parse_register("ra")))[R_CTRL]
+        assert not decode(Instruction("nop"))[R_CTRL]
 
 
 class TestDisassembly:

@@ -74,8 +74,8 @@ top:
         assert machine.scheduler.context_switches > 5
         acc_a = img_a.symbols.resolve("acc")
         acc_b = img_b.symbols.resolve("acc")
-        assert proc_a.peek(acc_a) == 15000
-        assert proc_b.peek(acc_b) == 35000
+        assert proc_a.memory.get(acc_a) == 15000
+        assert proc_b.memory.get(acc_b) == 35000
 
     def test_same_image_two_processes(self):
         machine = Machine(MachineConfig(quantum=300), seed=1)
@@ -85,7 +85,7 @@ top:
         machine.run()
         acc = image.symbols.resolve("acc")
         for proc in procs:
-            assert proc.peek(acc) == 2000
+            assert proc.memory.get(acc) == 2000
 
 
 class TestDeterminism:

@@ -116,8 +116,8 @@ class TestProcesses:
         image = machine.load_image(assemble(COUNTER_LOOP.format(n=1)))
         p1 = machine.spawn(image)
         p2 = machine.spawn(image)
-        p1.poke(0x5000, 11)
-        assert p2.peek(0x5000) == 0
+        p1.memory[0x5000] = 11
+        assert 0x5000 not in p2.memory
 
     def test_page_maps_differ_between_runs(self):
         def pages(seed):

@@ -97,7 +97,7 @@ class TestFloatingPoint:
                 "    ldt f2, 8(t1)\n    divt f1, f2, f3\n"
                 "    stt f3, 16(t1)")
         machine, image = run_asm(wrap(body, data=".data buf, 64\n"))
-        assert machine.processes[0].peek(image.data_base + 16) == 4.0
+        assert machine.processes[0].memory.get(image.data_base + 16) == 4.0
 
     def test_fbranch_direction(self):
         body = ("    lda t0, 5(zero)\n    lda t1, =buf\n"

@@ -98,7 +98,7 @@ top:
 
     def test_by_addr_lookup(self):
         cfg, schedules = schedule_for("    nop\n    ret")
-        assert schedules[0].m_of(0x1000) == 1
+        assert schedules[0].by_addr[0x1000].m == 1
 
 
 class TestAgreesWithTheSimulator:

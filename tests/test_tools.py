@@ -117,20 +117,3 @@ class TestDcpitopstalls:
         assert "dcache" in text
         assert "execution" in text
 
-
-class TestDcpiprofByImage:
-    def test_image_listing(self):
-        from repro.tools.dcpiprof import dcpiprof_by_image, image_table
-        from repro.workloads import x11perf
-
-        session = ProfileSession(
-            MachineConfig(),
-            SessionConfig(cycles_period=(200, 256), event_period=64))
-        result = session.run(x11perf.build(scale=4, rounds=4),
-                             max_instructions=120_000)
-        rows, total = image_table(result.profiles.values())
-        assert total > 0
-        assert rows == sorted(rows, key=lambda r: -r["primary"])
-        text = dcpiprof_by_image(result.profiles.values())
-        assert "image" in text
-        assert "/vmunix" in text or "shlib" in text

@@ -99,7 +99,8 @@ class TestPerProcessProfiles:
         result = session.run(workload, max_instructions=60_000)
         merged = result.profile_for("cc1")
         pids = {p.pid for p in result.machine.processes}
-        per_pid = [result.process_profile(pid, "cc1") for pid in pids]
+        per_pid = [result.daemon.process_profiles.get((pid, "cc1"))
+                   for pid in pids]
         per_pid = [p for p in per_pid if p is not None]
         assert len(per_pid) >= 2
         assert (sum(p.total(EventType.CYCLES) for p in per_pid)

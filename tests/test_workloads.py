@@ -48,10 +48,10 @@ class TestMcCalpin:
         proc = machine.processes[0]
         image = proc.images[0]
         src = image.symbols.resolve("a")
-        proc.poke(src + 8, 77)
+        proc.memory[src + 8] = 77
         machine.run()
         dst = image.symbols.resolve("c")
-        assert proc.peek(dst + 8) == 77
+        assert proc.memory.get(dst + 8) == 77
 
     def test_profile_dominated_by_kernel_procedure(self):
         result = run_profiled(mccalpin.build("assign", n=4096,
