@@ -258,7 +258,8 @@ def handles(kinds, icache=True):
     return lines
 
 
-def code_page(lines_per_page):
-    """The line that reads the first physical line of the code page
-    (``_cl``); a fetch within the page ors in the line's offset."""
-    return "_cl = core._last_code_ppage << %d" % lines_per_page
+def code_page(shift):
+    """The line that reads the code page's first physical I-cache line
+    (``_cl``): the physical page shifted by *shift*, the page's bits
+    less the line's.  A fetch within the page ors in its line."""
+    return "_cl = core._last_code_ppage << %d" % shift

@@ -65,8 +65,10 @@ class MachineConfig:
     # Interrupt delivery skew (paper section 4.1.2).
     interrupt_skew: int = 6
 
-    # Simulator fast path (predecode + block-level issue cache; see
-    # repro.cpu.fastpath).  Produces byte-identical profiles, samples
+    # Simulator fast path: generated code for hot code, replayed issue
+    # schedules of blocks and traces (repro.cpu.fastpath) and generated
+    # steps of hot runs and regions (repro.cpu.step), both emitted by
+    # repro.cpu.codegen.  Produces byte-identical profiles, samples
     # and ground truth; the REPRO_SIM_FASTPATH env var ("0" disables)
     # sets the default so A/B identity runs can toggle it without code
     # changes.

@@ -28,7 +28,7 @@ Design notes (see README "Performance"):
   image rebuilds the static code map, so it conservatively drops every
   cached run, as a full run cache does (``Machine.invalidate_runs``).
 * Each cached variant is *compiled* to a specialized Python function
-  (:func:`_compile_replay`): operand fields, issue offsets, fetch-line
+  (:func:`_replay_source`): operand fields, issue offsets, fetch-line
   crossings and the I-fetch / D-TLB / L1D *hit* probes become
   straight-line code with inlined constants, so a replayed instruction
   costs one open-coded expression plus a register write instead of the
@@ -38,9 +38,12 @@ Design notes (see README "Performance"):
   ``fastpath = None``.  Generated code never calls ``Core._fetch``,
   ``TLB.translate``, ``Hierarchy.access`` or ``Cache.lookup``
   (``tests/test_fastpath.py::TestCleanPrefix``).
-  Opcode semantics are derived from :mod:`repro.alpha.opcodes`
-  (``open_code`` of the record's own callable), never restated here:
-  this module holds no opcode arithmetic of its own.
+  What each record does -- its effect, address, store merge,
+  predictor update and the hoisted probe handles -- is text from
+  :mod:`repro.cpu.codegen`, shared with generated steps; opcode
+  semantics come from :mod:`repro.alpha.opcodes` (``open_code`` of
+  the record's own callable).  This module holds the schedule
+  constants and the bails, and no opcode arithmetic of its own.
 * One replay outcome: every result of a replay is the clean exit of
   a prefix of its unit's steps -- the whole variant or trace, a
   trace's members through the interior terminator where it left its
@@ -89,24 +92,25 @@ Design notes (see README "Performance"):
   so every count but ``dispatches`` and the trace counts is the same
   without them.
 * Compiled replay functions are shared process-wide
-  (``_replay_cache``).  A variant's key is the generator's input -- its
-  steps (every address, operand field and schedule constant), final
-  scoreboard and the page and cache geometry -- so it is its own
-  content address: no image fingerprint, nothing to invalidate.  A
-  trace's key is its members' functions plus its guards, which stand
-  for its input.  Every function lives in one shared globals dict, so
-  a second ``Machine`` running the same code holds references, not
-  copies, and generates no source text.  The generated steps of hot
-  runs (:func:`repro.cpu.step.compile_run`) share the cache, keyed by
-  their records and core geometry.  The cache is bounded by entry
-  count (``REPLAY_CACHE_MAX``, cleared when full) and changes *time
-  only*: tier-up still waits for ``COMPILE_USES`` (a run's for
-  ``pipeline.COMPILE_RUN_AT``), ``compiled_variants``, ``traces`` and
-  ``compiled_runs`` still count what *this* Machine tiered up and
-  formed, and no ``sim.fastpath.*`` counter or snapshot key depends on
-  what an earlier Machine left behind.  Hit and miss
-  counts are process history; they are reported by
-  :func:`replay_cache_stats`, never by :meth:`FastPath.snapshot`.
+  (:func:`repro.cpu.codegen.function`).  A variant's key is the
+  generator's input -- its steps (every address, operand field and
+  schedule constant), final scoreboard and the page and cache
+  geometry -- so it is its own content address: no image fingerprint,
+  nothing to invalidate.  A trace's key is its members' functions plus
+  its guards, which stand for its input.  Every function lives in one
+  shared globals dict, so a second ``Machine`` running the same code
+  holds references, not copies, and generates no source text.  The
+  generated steps of hot runs (:func:`repro.cpu.step.compile_run`)
+  share the cache, keyed by their records and core geometry.  The
+  cache is bounded by entry count (``codegen.REPLAY_CACHE_MAX``,
+  cleared when full) and changes *time only*: tier-up still waits for
+  ``COMPILE_USES`` (a run's for ``pipeline.COMPILE_RUN_AT``),
+  ``compiled_variants``, ``traces`` and ``compiled_runs`` still count
+  what *this* Machine tiered up and formed, and no ``sim.fastpath.*``
+  counter or snapshot key depends on what an earlier Machine left
+  behind.  Hit and miss counts are process history; they are reported
+  by :func:`repro.cpu.codegen.replay_cache_stats`, never by
+  :meth:`FastPath.snapshot`.
 """
 
 from repro.cpu import codegen
@@ -299,7 +303,7 @@ class Trace(_Unit):
     prefixes a bail or an exit at an interior terminator applies
     (:meth:`FastPath.outcome`).  A ``loop`` trace's last member leads
     back to its head, and the function runs laps until it cannot
-    provably start another one (see :func:`_compile_replay`).
+    provably start another one (see :func:`_replay_source`).
 
     A formed trace holds only its plan -- ``parts``, ``loop`` and the
     residual ``checks`` -- until it compiles and :meth:`build` makes it

@@ -87,6 +87,13 @@ goes to ``Hierarchy.access`` / ``Cache.lookup`` on every access:
   implementation of what a miss does -- takes over after a bail, so
   counters, samples and ground-truth attributions stay byte-identical.
 
+The generated ways write each record from one emitter,
+:mod:`repro.cpu.codegen`: its effect, address, store merge, predictor
+update and the hoisted probe handles are the same text in a replay and
+in a step, which add only their own timing -- schedule constants and
+bails, or computed issue and model calls.  The interpreter's copy is
+written by hand, and it is the reference both are tested against.
+
 CYCLES are held as a watermark on every path: the slots have counted
 every cycle up to ``cyc_base``, and ``cyc_mark`` is ``cyc_base`` plus
 the fewest cycles that overflow a CYCLES slot

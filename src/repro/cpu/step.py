@@ -44,7 +44,12 @@ counters, deliveries and the deadline only when it is reached (or an
 event was posted), in the same shape.  What stays written twice is the
 common path the generator folds: operand readiness, the pairing test,
 arrival / issue and ``gt_head``, the hit probes (a miss is one model
-call, ``Hierarchy.access``) and each kind's execute.
+call, ``Hierarchy.access``) and each kind's execute.  The interpreter's
+copy is written by hand and is the reference; the generator's is
+:mod:`repro.cpu.codegen`'s text -- each kind's effect, the address, a
+store's merge-or-commit, the predictor update and the hoisted handles
+-- which replay code (:mod:`repro.cpu.fastpath`) emits too, so a step
+adds only its issue timing, its model calls on a miss and its counting.
 """
 
 from repro.alpha.predecode import PAIR_OK_ID
