@@ -22,8 +22,8 @@ is written here, once, as fragments both generators call:
 * :func:`predict` -- the open-coded 2-bit predictor update, or the
   indirect / return predictor's call;
 * :func:`translate` and :func:`l1d_hit` -- the D-TLB entry and the L1D
-  tag compare of a memory access, and :func:`settle` -- a register's
-  ready times;
+  tag compare of a memory access, :func:`l1i_set` -- the I-L1 set a
+  fetch compares, and :func:`settle` -- a register's ready times;
 * :func:`handles` and :func:`code_page` -- the probe handles a function
   hoists (``_ics``, ``_ist``, ``_dte``, ``_l1s``, ``_wbe``, ``_bt`` /
   ``_bm`` and ``_cl``).
@@ -233,6 +233,15 @@ def l1d_hit(page_bits, line_shift, set_mask):
     ``_pp``, is in the direct-mapped L1D (``_ln``: the physical line)."""
     return ("_l1s[(_ln := ((_pp << %d) | (_va & %d)) >> %d) & %d] == _ln"
             % (page_bits, (1 << page_bits) - 1, line_shift, set_mask))
+
+
+def l1i_set(offset, set_mask, shift):
+    """The I-L1 set of the physical line ``_il``, *offset* lines into
+    its code page (*shift*: the page's bits less the line's): a
+    constant when a page spans no more lines than the L1 has sets."""
+    if set_mask >> shift == 0:
+        return str(offset & set_mask)
+    return "_il & %d" % set_mask
 
 
 def settle(reg, when):

@@ -115,7 +115,8 @@ Design notes (see README "Performance"):
 
 from repro.cpu import codegen
 from repro.cpu.codegen import (access, code_page, effect, handles, l1d_hit,
-                               merge_or_commit, predict, settle, translate)
+                               l1i_set, merge_or_commit, predict, settle,
+                               translate)
 
 #: The probe that stopped a replay.  A bail is ``(reason index, i)``
 #: and the index only *names* the probe for ``sim.fastpath.bails.*``:
@@ -501,13 +502,11 @@ def _replay_source(segments, page_bits, l1d_geom, l1i_geom, checks=(),
             if not nested:
                 pages.add(page)
         # The physical line: the page's lines (_cl, read once; nothing
-        # here moves it) plus the line in the page, whose set index is
-        # a constant when a page spans no more lines than the L1 sets.
+        # here moves it) plus the line in the page.
         offset = (addr & ((1 << page_bits) - 1)) >> ishift
         L(pre + "_il = _cl | %d" % offset)
         L(pre + "if _ics[%s] != _il or _il in _ist: %s"
-          % (offset & imask if imask >> (page_bits - ishift) == 0
-             else "_il & %d" % imask, bail(_FETCH, i)))
+          % (l1i_set(offset, imask, page_bits - ishift), bail(_FETCH, i)))
         L(pre + "l1i.hits += 1")
         L(pre + "core._last_fetch_line = %d" % (addr >> ishift))
 

@@ -55,7 +55,8 @@ adds only its issue timing, its model calls on a miss and its counting.
 from repro.alpha.predecode import PAIR_OK_ID
 from repro.cpu import codegen
 from repro.cpu.codegen import (access, code_page, effect, handles, l1d_hit,
-                               merge_or_commit, predict, settle, translate)
+                               l1i_set, merge_or_commit, predict, settle,
+                               translate)
 from repro.cpu.events import EventType
 from repro.cpu.issue import DEP_REASON
 
@@ -700,8 +701,8 @@ def _fetch_source(pc, prev_line, shape, many_lines):
         # The page is the previous chunk's.
         return ["core._last_fetch_line = %d" % fline,
                 "_il = _cl | %d" % offset,
-                "if _ics[_il & %d] == _il and _il not in _ist:"
-                " l1i.hits += 1" % imask,
+                "if _ics[%s] == _il and _il not in _ist: l1i.hits += 1"
+                % l1i_set(offset, imask, lps),
                 fetch]
     pre = ""
     src = []
@@ -710,9 +711,9 @@ def _fetch_source(pc, prev_line, shape, many_lines):
         pre = "    "
     src += [pre + "core._last_fetch_line = %d" % fline,
             pre + "_il = (core._last_code_ppage << %d) | %d" % (lps, offset),
-            pre + "if (core._last_code_page == %d and l1i.sets[_il & %d] =="
-            " _il and _il not in core._istream): l1i.hits += 1"
-            % (fline >> lps, imask),
+            pre + "if (core._last_code_page == %d and l1i.sets[%s] == _il"
+            " and _il not in core._istream): l1i.hits += 1"
+            % (fline >> lps, l1i_set(offset, imask, lps)),
             pre + fetch]
     if many_lines:
         src.append(code_page(lps))
